@@ -13,24 +13,17 @@ from fractions import Fraction
 
 from .algebra import BasicAlgebra
 from .errors import TiltbenchError
-from .linalg import Matrix, row_space_basis
+from .linalg import Coordinates, Matrix
 from .reps import (
     ModuleMap,
     ProjSum,
     Representation,
+    flatten_map,
     hom_space,
     projective,
 )
 
 ZERO = Fraction(0)
-
-
-def _flatten(f: ModuleMap):
-    out = []
-    for v in f.source.algebra.quiver.vertices:
-        for row in f.mats[v].data:
-            out.extend(row)
-    return out
 
 
 def _prepend_map(a: BasicAlgebra, k: int):
@@ -58,7 +51,7 @@ def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representati
         if not h_v:
             chosen[v] = []
             continue
-        width = len(_flatten(h_v[0]))
+        width = len(flatten_map(h_v[0]))
         rad_rows = []
         for w in distinct:
             for k in a.paths_between(w, v):
@@ -67,21 +60,10 @@ def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representati
                     continue
                 pre, _, _ = _prepend_map(a, k)
                 for h in homs[w]:
-                    rad_rows.append(_flatten(pre.then(h)))
-        span = (
-            row_space_basis(Matrix(len(rad_rows), width, rad_rows))
-            if rad_rows
-            else Matrix.zero(0, width)
-        )
-        picks = []
-        cur = span
-        for h in h_v:
-            vec = Matrix(1, width, [_flatten(h)])
-            cand = cur.vstack(vec)
-            if cand.rank() > cur.rank():
-                picks.append(h)
-                cur = row_space_basis(cand)
-        chosen[v] = picks
+                    rad_rows.append(flatten_map(pre.then(h)))
+        # keep the maps independent of the radical ones and of those kept before
+        independent = Coordinates(rad_rows + [flatten_map(h) for h in h_v], width).independent
+        chosen[v] = [h_v[k - len(rad_rows)] for k in independent if k >= len(rad_rows)]
     out_labels = []
     for v in distinct:
         out_labels.extend([v] * len(chosen[v]))
@@ -107,8 +89,8 @@ def _verify_right_approximation(a, distinct, out_labels, f, x):
         comps = [g.then(f) for g in hom_space(projective(a, v), psum_rep)]
         if not comps:
             raise TiltbenchError("approximation property failed: no maps to lift")
-        width = len(_flatten(comps[0]))
-        rank = Matrix(len(comps), width, [_flatten(c) for c in comps]).rank()
+        width = len(flatten_map(comps[0]))
+        rank = Matrix(len(comps), width, [flatten_map(c) for c in comps]).rank()
         if rank != target_dim:
             raise TiltbenchError(f"right approximation not surjective on Hom(P({v}), -)")
 
@@ -127,7 +109,7 @@ def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representatio
         if not h_v:
             chosen[v] = []
             continue
-        width = len(_flatten(h_v[0]))
+        width = len(flatten_map(h_v[0]))
         rad_rows = []
         for w in distinct:
             for k in a.paths_between(v, w):
@@ -136,21 +118,10 @@ def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representatio
                     continue
                 pre, _, _ = _prepend_map(a, k)
                 for h in homs[w]:
-                    rad_rows.append(_flatten(h.then(pre)))
-        span = (
-            row_space_basis(Matrix(len(rad_rows), width, rad_rows))
-            if rad_rows
-            else Matrix.zero(0, width)
-        )
-        picks = []
-        cur = span
-        for h in h_v:
-            vec = Matrix(1, width, [_flatten(h)])
-            cand = cur.vstack(vec)
-            if cand.rank() > cur.rank():
-                picks.append(h)
-                cur = row_space_basis(cand)
-        chosen[v] = picks
+                    rad_rows.append(flatten_map(h.then(pre)))
+        # keep the maps independent of the radical ones and of those kept before
+        independent = Coordinates(rad_rows + [flatten_map(h) for h in h_v], width).independent
+        chosen[v] = [h_v[k - len(rad_rows)] for k in independent if k >= len(rad_rows)]
     out_labels = []
     for v in distinct:
         out_labels.extend([v] * len(chosen[v]))
@@ -176,8 +147,8 @@ def _verify_left_approximation(a, distinct, g, x):
         comps = [g.then(h) for h in hom_space(psum_rep, projective(a, v))]
         if not comps:
             raise TiltbenchError("approximation property failed: no maps to lift")
-        width = len(_flatten(comps[0]))
-        rank = Matrix(len(comps), width, [_flatten(c) for c in comps]).rank()
+        width = len(flatten_map(comps[0]))
+        rank = Matrix(len(comps), width, [flatten_map(c) for c in comps]).rank()
         if rank != target_dim:
             raise TiltbenchError(f"left approximation not surjective on Hom(-, P({v}))")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .config import DEFAULT, WorkbenchConfig
 from .decompose import FiniteDimAlgebra, lift_idempotent, primitive_idempotents
 from .errors import DecompositionError, NotIdempotent, TiltbenchError
-from .linalg import Matrix, row_space_basis
+from .linalg import Coordinates, row_space_basis
 from .complexes import (
     ChainMapC,
     HomotopySpace,
@@ -30,25 +30,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class ChainEndData:
-    """Chain-level and class-level endomorphism algebras of a complex."""
+class ChainEndData(FiniteDimAlgebra):
+    """Chain-level endomorphism algebra of a complex, on the basis of chain
+    maps of its homotopy space; the product a * b is "a then b"."""
 
     def __init__(self, c: ProjComplex):
         self.complex = c
         self.space = HomotopySpace(c, c.shift(0))
-        self.chain_dim = len(self.space.chain_vectors)
         self._chain_maps = [self.space.vector_to_chain_map(v) for v in self.space.chain_vectors]
-        ident = ChainMapC.identity(c)
-        self.one = self._coords(ident)
-        self._table = None
+        self._span = Coordinates(self.space.chain_vectors, len(self.space._coords))
+        super().__init__(len(self._chain_maps), self._basis_then, self.coords(ChainMapC.identity(c)))
 
-    def _coords(self, cm: ChainMapC):
-        vec = self.space.chain_map_to_vector(cm)
-        basis = Matrix.from_rows([list(v) for v in self.space.chain_vectors])
-        sol = basis.transpose().solve(Matrix(len(vec), 1, [[x] for x in vec]))
-        if sol is None:
+    def _basis_then(self, i, j):
+        return self.coords(self._chain_maps[i].then(self._chain_maps[j]))
+
+    def coords(self, cm: ChainMapC):
+        """Coordinates of a chain endomorphism in the chain-map basis."""
+        coords = self._span.of(self.space.chain_map_to_vector(cm))
+        if coords is None:
             raise TiltbenchError("endomorphism outside the chain-map space")
-        return [sol.data[i][0] for i in range(self.chain_dim)]
+        return coords
 
     def element(self, coords) -> ChainMapC:
         acc = None
@@ -61,26 +62,6 @@ class ChainEndData:
             return ChainMapC.zero(z, z)
         return acc
 
-    def mul(self, a, b):
-        # product in "then" order: a then b as chain maps
-        if self._table is None:
-            self._table = [[None] * self.chain_dim for _ in range(self.chain_dim)]
-        out = [ZERO] * self.chain_dim
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                if self._table[i][j] is None:
-                    self._table[i][j] = self._coords(self._chain_maps[i].then(self._chain_maps[j]))
-                for k, c in enumerate(self._table[i][j]):
-                    out[k] += ca * cb * c
-        return out
-
-    def chain_algebra(self) -> FiniteDimAlgebra:
-        return FiniteDimAlgebra(self.chain_dim, self.mul, self.one)
-
 
 def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
     """Exact chain-level idempotent homotopic to the given class idempotent.
@@ -89,13 +70,12 @@ def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
     """
     if not c.is_radical():
         raise TiltbenchError("strictification needs a radical complex")
-    space = HomotopySpace(c, c.shift(0))
+    data = ChainEndData(c)
+    space = data.space
     diff = space.reduce(e.then(e) - e)
     if any(x != 0 for x in diff):
         raise NotIdempotent("class is not idempotent up to homotopy")
-    data = ChainEndData(c)
-    coords = data._coords(e)
-    lifted = lift_idempotent(data.chain_algebra(), coords)
+    lifted = lift_idempotent(data, data.coords(e))
     strict = data.element(lifted)
     if not (strict.then(strict) - strict).is_zero():
         raise NotIdempotent("strictification failed")
@@ -114,23 +94,14 @@ def _image_generators(alg, psum: ProjSum, rows_by_vertex):
     gen_rows = []  # (vertex, coordinate row)
     for w in alg.quiver.vertices:
         rows = rows_by_vertex[w]
-        if rows.rows == 0:
-            continue
         # trivial-path coordinates at w detect the top
         triv_cols = [
             c
             for c, (i, k) in enumerate(psum.layout[w])
             if len(alg.basis[k]) == 0
         ]
-        proj = rows.submatrix(range(rows.rows), triv_cols) if triv_cols else Matrix.zero(rows.rows, 0)
-        chosen = []
-        cur = Matrix.zero(0, proj.cols)
-        for r in range(rows.rows):
-            cand = cur.vstack(proj.submatrix([r], range(proj.cols)))
-            if cand.rank() > cur.rank():
-                chosen.append(r)
-                cur = row_space_basis(cand)
-        for r in chosen:
+        tops = [[row[c] for c in triv_cols] for row in rows.data]
+        for r in Coordinates(tops, len(triv_cols)).independent:
             labels.append(w)
             gen_rows.append((w, list(rows.row(r))))
     entries = []
@@ -308,18 +279,14 @@ def complexes_isomorphic(x: ProjComplex, y: ProjComplex, config: WorkbenchConfig
     # deterministic: pairing through End(y) classes
     sp_yx = homotopy_hom(y, x, 0)
     end_y = ChainEndData(y)
-    rad_rows = end_y.chain_algebra().radical_rows()
+    radical = Coordinates(end_y.radical_rows().data, end_y.dim)
     for fv in sp_xy.chain_vectors:
         f = sp_xy.vector_to_chain_map(fv)
         for gv in sp_yx.chain_vectors:
             g = sp_yx.vector_to_chain_map(gv)
             u = g.then(f)  # y -> y
-            coords = end_y._coords(u)
-            vec = Matrix(1, end_y.chain_dim, [coords])
-            if rad_rows.rows and rad_rows.vstack(vec).rank() == rad_rows.rank():
-                continue
-            if all(c == 0 for c in coords):
-                continue
+            if radical.of(end_y.coords(u)) is not None:
+                continue  # u is zero or lies in the radical
             pair = _upgrade_to_iso(x, y, f)
             if pair is not None:
                 return pair
@@ -443,10 +410,9 @@ def _split_component(sub: ProjComplex, config: WorkbenchConfig):
     if sub.is_zero():
         return []
     data = ChainEndData(sub)
-    alg = data.chain_algebra()
-    if alg.dim == 0:
+    if data.dim == 0:
         raise DecompositionError("empty endomorphism algebra on a nonzero complex")
-    idems = primitive_idempotents(alg, config)
+    idems = primitive_idempotents(data, config)
     if len(idems) == 1:
         ident = ChainMapC.identity(sub)
         return [(sub, ident, ident)]

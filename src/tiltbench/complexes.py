@@ -16,11 +16,10 @@ from fractions import Fraction
 
 from .algebra import BasicAlgebra, el_add, el_is_zero, el_scale, el_sub
 from .errors import TiltbenchError
-from .linalg import Matrix, row_space_basis
+from .linalg import Coordinates, Matrix, row_space_basis
 from .reps import (
     ModuleMap,
     ProjSum,
-    coords_in_rows,
     kernel_of,
     quotient_representation,
     realize_entry_map,
@@ -309,9 +308,9 @@ class HomotopySpace:
     """Hom in the homotopy category between two complexes (at a fixed shift),
     with chain-level data retained.
 
-    chain_basis: basis of honest chain maps X -> Y[n]
-    null_rows:   coordinates (rows) of the null-homotopic subspace
-    class_reps:  subset of chain basis descending to a basis of the quotient
+    chain_vectors: basis of honest chain maps X -> Y[n], as coordinate rows
+    class_vectors: subset of chain_vectors descending to a basis of the
+                   quotient by the null-homotopic maps
     """
 
     def __init__(self, x: ProjComplex, y_shifted: ProjComplex):
@@ -399,26 +398,14 @@ class HomotopySpace:
                     if p is not None:
                         vec[p] += c
             null_rows.append(vec)
-        nm = Matrix(len(null_rows), n_unk, null_rows) if null_rows else Matrix.zero(0, n_unk)
-        self.null_rows = row_space_basis(nm)
         self._pos = pos
 
-        chain_m = (
-            Matrix.from_rows([list(v) for v in self.chain_vectors])
-            if self.chain_vectors
-            else Matrix.zero(0, n_unk)
-        )
-        self.dim = chain_m.vstack(self.null_rows).rank() - self.null_rows.rank()
-        # class representatives: greedy subset of chain basis independent mod null
-        reps = []
-        cur = self.null_rows
-        for v in self.chain_vectors:
-            cand = cur.vstack(Matrix(1, n_unk, [list(v)]))
-            if cand.rank() > cur.rank():
-                reps.append(v)
-                cur = row_space_basis(cand)
-        self.class_vectors = reps
-        self._reduce_basis = None
+        # class representatives: the chain vectors independent of the null
+        # rows and of the chain vectors before them
+        self._span = Coordinates(null_rows + self.chain_vectors, n_unk)
+        self._class_index = [k for k in self._span.independent if k >= len(null_rows)]
+        self.class_vectors = [self.chain_vectors[k - len(null_rows)] for k in self._class_index]
+        self.dim = len(self.class_vectors)
 
     def vector_to_chain_map(self, vec) -> ChainMapC:
         mats = {}
@@ -450,14 +437,10 @@ class HomotopySpace:
 
     def reduce(self, cm: ChainMapC):
         """Coordinates of the homotopy class of cm in the class basis."""
-        vec = self.chain_map_to_vector(cm)
-        n = len(self._coords)
-        rows = [list(v) for v in self.class_vectors] + [list(self.null_rows.row(i)) for i in range(self.null_rows.rows)]
-        mat = Matrix(len(rows), n, rows) if rows else Matrix.zero(0, n)
-        sol = mat.transpose().solve(Matrix(n, 1, [[v] for v in vec]))
-        if sol is None:
+        coords = self._span.of(self.chain_map_to_vector(cm))
+        if coords is None:
             raise TiltbenchError("chain map is not in the hom space")
-        return [sol.data[i][0] for i in range(len(self.class_vectors))]
+        return [coords[k] for k in self._class_index]
 
     def is_null(self, cm: ChainMapC) -> bool:
         return all(c == 0 for c in self.reduce(cm))
@@ -623,9 +606,10 @@ def homology(c: ProjComplex, i: int):
     # express the image inside kernel coordinates
     inside = {}
     for v in term.dims:
-        if ker_rep.dims[v] == 0:
-            inside[v] = Matrix.zero(0, 0)
-            continue
-        inside[v] = coords_in_rows(img_rows[v], incl.mats[v]) if img_rows[v].rows else Matrix.zero(0, ker_rep.dims[v])
+        kernel = Coordinates(incl.mats[v].data, term.dims[v])
+        rows = [kernel.of(r) for r in img_rows[v].data]
+        if any(r is None for r in rows):
+            raise TiltbenchError("image of the differential is not inside its kernel")
+        inside[v] = Matrix(len(rows), ker_rep.dims[v], rows)
     quot, _ = quotient_representation(ker_rep, inside)
     return quot

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .config import DEFAULT, WorkbenchConfig
 from .errors import DecompositionError, TiltbenchError
-from .linalg import Matrix, row_space_basis
+from .linalg import Coordinates, Matrix, row_space_basis
 from .polys import (
     bezout,
     min_poly_of_matrix,
@@ -44,6 +44,7 @@ from .reps import (
     map_coordinates,
     sub_representation,
     close_under_arrows,
+    flatten_map,
 )
 
 ZERO = Fraction(0)
@@ -54,54 +55,63 @@ ONE = Fraction(1)
 
 
 class FiniteDimAlgebra:
-    """An associative unital algebra given by a basis, a multiplication
-    callback on coordinate vectors, and the coordinates of 1."""
+    """An associative unital algebra on the basis e_0, ..., e_{dim-1}.
 
-    def __init__(self, dim: int, mul, one):
+    ``product(i, j)`` returns the coordinates of e_i * e_j; the algebra asks
+    for each pair at most once, on first use, and keeps the answer.  ``one``
+    holds the coordinates of 1.
+    """
+
+    def __init__(self, dim: int, product, one):
         self.dim = dim
-        self.mul = mul
-        self.one = tuple(Fraction(c) for c in one)
+        self.one = [Fraction(c) for c in one]
+        self._product = product
+        self._table = [[None] * dim for _ in range(dim)]
+
+    def basis_product(self, i: int, j: int):
+        """Nonzero (k, coefficient) pairs of e_i * e_j."""
+        cell = self._table[i][j]
+        if cell is None:
+            cell = self._table[i][j] = [(k, c) for k, c in enumerate(self._product(i, j)) if c]
+        return cell
+
+    def mul(self, x, y):
+        out = [ZERO] * self.dim
+        y_terms = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in y_terms:
+                    ab = a * b
+                    for k, c in self.basis_product(i, j):
+                        out[k] += ab * c
+        return out
 
     def left_matrix(self, x) -> Matrix:
-        rows = []
-        for j in range(self.dim):
-            e = [ZERO] * self.dim
-            e[j] = ONE
-            rows.append(list(self.mul(x, e)))
-        # rows indexed by the right factor: entry (j, :) = x * e_j
+        """Matrix of left multiplication by x: row j is x * e_j."""
+        rows = [[ZERO] * self.dim for _ in range(self.dim)]
+        for i, a in enumerate(x):
+            if a:
+                for j, row in enumerate(rows):
+                    for k, c in self.basis_product(i, j):
+                        row[k] += a * c
         return Matrix(self.dim, self.dim, rows)
 
     def radical_rows(self) -> Matrix:
-        lmats = [self.left_matrix([ONE if i == j else ZERO for i in range(self.dim)]) for j in range(self.dim)]
-        t = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                e_i = [ONE if k == i else ZERO for k in range(self.dim)]
-                e_j = [ONE if k == j else ZERO for k in range(self.dim)]
-                prod = self.mul(e_i, e_j)
-                tr = ZERO
-                for k, c in enumerate(prod):
-                    if c:
-                        tr += c * sum(lmats[k].data[m][m] for m in range(self.dim))
-                t[i][j] = tr
-                t[j][i] = tr
-        return row_space_basis(Matrix(self.dim, self.dim, t).left_kernel_basis())
+        """Radical as the kernel of the trace form tr L_{e_i e_j}, using
+        tr L_{e_k} = sum over m of the e_m-coefficient of e_k * e_m."""
+        n = self.dim
+        trace = [
+            sum((c for m in range(n) for k, c in self.basis_product(i, m) if k == m), ZERO)
+            for i in range(n)
+        ]
+        form = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                form[i][j] = form[j][i] = sum((c * trace[k] for k, c in self.basis_product(i, j)), ZERO)
+        return row_space_basis(Matrix(n, n, form).left_kernel_basis())
 
     def semisimple_dim(self) -> int:
         return self.dim - self.radical_rows().rows
-
-    def min_poly(self, x):
-        # minimal polynomial via the span of powers (regular rep is faithful)
-        flats = [list(self.one)]
-        cur = list(self.one)
-        while True:
-            cur = list(self.mul(cur, x))
-            flats.append(cur)
-            ker = Matrix.from_rows(flats).left_kernel_basis()
-            if ker.rows:
-                row = list(ker.row(0))
-                top = max(i for i, c in enumerate(row) if c != 0)
-                return pnorm([c / row[top] for c in row[: top + 1]])
 
     def eval_poly(self, p, x):
         acc = [ZERO] * self.dim
@@ -205,25 +215,21 @@ def _corner_is_local(alg: FiniteDimAlgebra, unit) -> bool:
         e = [ZERO] * alg.dim
         e[i] = ONE
         rows.append(list(alg.mul(alg.mul(unit, e), unit)))
-    basis = row_space_basis(Matrix.from_rows(rows))
-    k = basis.rows
-    if k == 0:
+    basis = row_space_basis(Matrix.from_rows(rows)).data
+    if not basis:
         raise DecompositionError("corner collapsed to zero")
+    corner_span = Coordinates(basis, alg.dim)
 
-    def corner_mul(a, b):
-        xa = [sum(a[i] * basis.data[i][j] for i in range(k)) for j in range(alg.dim)]
-        xb = [sum(b[i] * basis.data[i][j] for i in range(k)) for j in range(alg.dim)]
-        prod = alg.mul(xa, xb)
-        sol = basis.transpose().solve(Matrix(alg.dim, 1, [[c] for c in prod]))
-        if sol is None:
+    def corner_product(i, j):
+        coords = corner_span.of(alg.mul(basis[i], basis[j]))
+        if coords is None:
             raise DecompositionError("corner not multiplicatively closed")
-        return [sol.data[i][0] for i in range(k)]
+        return coords
 
-    unit_coords = basis.transpose().solve(Matrix(alg.dim, 1, [[c] for c in unit]))
+    unit_coords = corner_span.of(unit)
     if unit_coords is None:
         raise DecompositionError("corner unit not in corner span")
-    corner = FiniteDimAlgebra(k, corner_mul, [unit_coords.data[i][0] for i in range(k)])
-    return corner.semisimple_dim() == 1
+    return FiniteDimAlgebra(len(basis), corner_product, unit_coords).semisimple_dim() == 1
 
 
 def primitive_idempotents(alg: FiniteDimAlgebra, config: WorkbenchConfig = DEFAULT):
@@ -260,43 +266,24 @@ def primitive_idempotents(alg: FiniteDimAlgebra, config: WorkbenchConfig = DEFAU
 # -- endomorphism algebras of modules ----------------------------------------
 
 
-class EndAlgebra:
-    """End(M) with its hom basis, composition table, and identity coords."""
+class EndAlgebra(FiniteDimAlgebra):
+    """End(M) on a basis of its hom space; the product a * b is "a then b"."""
 
     def __init__(self, m: Representation):
         self.module = m
         self.maps = hom_space(m, m)
-        self.dim = len(self.maps)
-        ident = ModuleMap.identity(m)
-        self.one = map_coordinates(ident, self.maps) if self.dim else []
-        self._table = None
+        self._span = Coordinates([flatten_map(f) for f in self.maps], sum(d * d for d in m.dims.values()))
+        super().__init__(len(self.maps), self._basis_then, self.coords(ModuleMap.identity(m)))
 
-    def _ensure_table(self):
-        if self._table is not None:
-            return
-        self._table = []
-        for f in self.maps:
-            row = []
-            for g in self.maps:
-                row.append(map_coordinates(f.then(g), self.maps))
-            self._table.append(row)
+    def _basis_then(self, i, j):
+        return self.coords(self.maps[i].then(self.maps[j]))
 
-    def mul(self, a, b):
-        # composition in "then" order: (a*b) = a then b
-        self._ensure_table()
-        out = [ZERO] * self.dim
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                for k, c in enumerate(self._table[i][j]):
-                    out[k] += ca * cb * c
-        return out
-
-    def as_abstract(self) -> FiniteDimAlgebra:
-        return FiniteDimAlgebra(self.dim, self.mul, self.one)
+    def coords(self, f: ModuleMap):
+        """Coordinates of an endomorphism in the hom-space basis."""
+        coords = self._span.of(flatten_map(f))
+        if coords is None:
+            raise TiltbenchError("map not in span of basis")
+        return coords
 
     def element(self, coords) -> ModuleMap:
         acc = None
@@ -309,7 +296,7 @@ class EndAlgebra:
     def is_local(self) -> bool:
         if self.dim == 1:
             return True
-        return self.as_abstract().semisimple_dim() == 1
+        return self.semisimple_dim() == 1
 
 
 def module_min_poly(f: ModuleMap):
@@ -559,16 +546,12 @@ def _iso_between_indecomposables(x: Representation, y: Representation):
     if not hxy or not hyx:
         return None
     end_y = EndAlgebra(y)
-    rad_rows = end_y.as_abstract().radical_rows()
+    radical = Coordinates(end_y.radical_rows().data, end_y.dim)
     for b in hxy:
         for a in hyx:
             u = a.then(b)  # y -> y, invertible iff it avoids rad End(y)
-            coords = map_coordinates(u, end_y.maps)
-            vec = Matrix(1, end_y.dim, [coords])
-            if rad_rows.rows and rad_rows.vstack(vec).rank() == rad_rows.rank():
-                continue  # composite lies in the radical
-            if all(c == 0 for c in coords):
-                continue
+            if radical.of(end_y.coords(u)) is not None:
+                continue  # composite is zero or lies in the radical
             u_inv_mats = {v: u.mats[v].inverse() for v in u.mats}
             if any(mm is None for mm in u_inv_mats.values()):
                 continue  # should not happen for a local End, but stay exact

@@ -3,7 +3,8 @@
 Everything is built on :class:`fractions.Fraction`, so results are exact and
 scalars are always reduced with a positive denominator.  Matrices are small
 (desk scale), dense, and immutable by convention: no routine mutates its
-inputs.
+inputs.  :class:`Coordinates` eliminates a fixed list of rows once and then
+gives the coordinates of any vector in their span.
 """
 
 from __future__ import annotations
@@ -236,6 +237,57 @@ class Matrix:
                     f = m[i][c] * inv
                     m[i] = [a - f * b for a, b in zip(m[i], m[c])]
         return d
+
+
+class Coordinates:
+    """Coordinates of vectors in the span of a fixed list of rows.
+
+    The rows are eliminated once, in order; each echelon row keeps its pivot
+    and its combination of input rows.  ``of(v)`` reduces ``v`` against the
+    echelon rows and answers as ``Matrix.solve`` on the transposed rows does:
+    coefficient zero on every row that depends on earlier rows, and None when
+    ``v`` lies outside the span.  ``independent`` lists the indices of the
+    rows that do not depend on earlier rows.
+    """
+
+    __slots__ = ("width", "count", "independent", "_echelon")
+
+    def __init__(self, rows, width: int):
+        self.width = width
+        self.count = 0
+        self.independent = []
+        self._echelon = []  # (pivot column, [(column, entry)], [(row index, coefficient)])
+        for row in rows:
+            rest, coeffs = self._reduce(row)
+            pivot = next((j for j, x in enumerate(rest) if x), None)
+            if pivot is not None:
+                inv = ONE / rest[pivot]
+                combination = [(k, -c * inv) for k, c in enumerate(coeffs) if c]
+                combination.append((self.count, inv))
+                self._echelon.append((pivot, [(j, x * inv) for j, x in enumerate(rest) if x], combination))
+                self.independent.append(self.count)
+            self.count += 1
+
+    def _reduce(self, v):
+        """(rest, coeffs) with v == rest + sum of coeffs[k] * row k, where rest
+        is zero at every pivot."""
+        rest = list(v)
+        if len(rest) != self.width:
+            raise DimensionMismatch(f"vector of length {len(rest)} against rows of width {self.width}")
+        coeffs = [ZERO] * self.count
+        for pivot, entries, combination in self._echelon:
+            c = rest[pivot]
+            if c:
+                for j, x in entries:
+                    rest[j] -= c * x
+                for k, y in combination:
+                    coeffs[k] += c * y
+        return rest, coeffs
+
+    def of(self, v):
+        """Coefficients of v on the rows, or None when v is outside their span."""
+        rest, coeffs = self._reduce(v)
+        return None if any(rest) else coeffs
 
 
 def rank(m: Matrix) -> int:

@@ -137,7 +137,7 @@ def rational_roots(p, max_denominator: int = 10**8):
     only; numerics are just used to propose candidates."""
     import numpy as np
 
-    p = pnorm(p)
+    p = squarefree_part(p)
     roots = []
     work = list(p)
     # strip known roots as they are confirmed, retrying numerically each time

@@ -23,7 +23,7 @@ from .errors import (
     PresentationError,
     RadicalNotNilpotent,
 )
-from .linalg import Matrix, row_space_basis, row_space_contains, row_spaces_equal
+from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains, row_spaces_equal
 from .quiver import Path, Quiver, Relation
 
 ZERO = Fraction(0)
@@ -46,23 +46,7 @@ def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
     ``table[i][j]`` is the coordinate vector of (basis i) * (basis j).
     """
     table = [[list(map(Fraction, cell)) for cell in row] for row in table]
-
-    def mul(x, y):
-        out = [ZERO] * dim
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b == 0:
-                    continue
-                ab = a * b
-                cell = table[i][j]
-                for k in range(dim):
-                    if cell[k]:
-                        out[k] += ab * cell[k]
-        return out
-
-    alg = FiniteDimAlgebra(dim, mul, one)
+    alg = FiniteDimAlgebra(dim, lambda i, j: table[i][j], one)
     basis = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
     for i in range(dim):
         li = alg.mul(list(alg.one), basis[i])
@@ -127,18 +111,14 @@ def quiver_presentation(
     arrow_elements = {}
     for i in range(n):
         for j in range(n):
-            s_ij = sandwich(rad, i, j)
-            s2_ij = sandwich(rad2, i, j)
-            cur = s2_ij
-            k = 0
-            for r in range(s_ij.rows):
-                cand = cur.vstack(s_ij.submatrix([r], range(alg.dim)))
-                if cand.rank() > cur.rank():
+            # arrows i -> j: rows of e_i rad e_j independent modulo e_i rad^2 e_j
+            s2_ij = sandwich(rad2, i, j).data
+            s_ij = sandwich(rad, i, j).data
+            for r in Coordinates(s2_ij + s_ij, alg.dim).independent:
+                if r >= len(s2_ij):
                     name = f"a{len(arrows)}"
                     arrows.append((name, names[i], names[j]))
-                    arrow_elements[name] = list(s_ij.row(r))
-                    cur = row_space_basis(cand)
-                    k += 1
+                    arrow_elements[name] = list(s_ij[r - len(s2_ij)])
     quiver = Quiver(names, arrows)
 
     # evaluate paths in the abstract algebra

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import BasicAlgebra
 from .errors import DimensionMismatch, TiltbenchError
-from .linalg import Matrix, row_space_basis, row_space_contains
+from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -212,23 +212,18 @@ def hom_space(m: Representation, n: Representation) -> list:
     return out
 
 
+def flatten_map(f: ModuleMap) -> list:
+    """The entries of f's vertex matrices, row by row, vertices in quiver order."""
+    return [x for v in f.source.algebra.quiver.vertices for row in f.mats[v].data for x in row]
+
+
 def map_coordinates(f: ModuleMap, basis: list) -> list:
     """Coordinates of f in a hom-space basis (raises if not in the span)."""
-    verts = list(f.source.algebra.quiver.vertices)
-
-    def flatten(g):
-        out = []
-        for v in verts:
-            for row in g.mats[v].data:
-                out.extend(row)
-        return out
-
-    mat = Matrix.from_rows([flatten(b) for b in basis]) if basis else Matrix.zero(0, len(flatten(f)))
-    target = Matrix.from_rows([flatten(f)])
-    sol = mat.transpose().solve(target.transpose())
-    if sol is None:
+    flat = flatten_map(f)
+    coords = Coordinates([flatten_map(b) for b in basis], len(flat)).of(flat)
+    if coords is None:
         raise TiltbenchError("map not in span of basis")
-    return [sol.data[i][0] for i in range(sol.rows)]
+    return coords
 
 
 # -- standard modules --------------------------------------------------------
@@ -298,14 +293,6 @@ def regular_module(a: BasicAlgebra) -> Representation:
 # -- submodules and quotients -------------------------------------------------
 
 
-def coords_in_rows(vectors: Matrix, basis: Matrix) -> Matrix:
-    """X with X * basis == vectors; raises if some vector is outside."""
-    sol = basis.transpose().solve(vectors.transpose())
-    if sol is None:
-        raise TiltbenchError("vector not in row space")
-    return sol.transpose()
-
-
 def close_under_arrows(m: Representation, spaces: dict) -> dict:
     """Smallest arrow-stable row spaces containing the given ones."""
     cur = {v: row_space_basis(spaces.get(v, Matrix.zero(0, m.dims[v]))) for v in m.dims}
@@ -333,13 +320,14 @@ def is_arrow_stable(m: Representation, spaces: dict) -> bool:
 def sub_representation(m: Representation, spaces: dict):
     """(submodule, inclusion) from arrow-stable row spaces."""
     bases = {v: row_space_basis(spaces.get(v, Matrix.zero(0, m.dims[v]))) for v in m.dims}
-    if not is_arrow_stable(m, bases):
-        raise TiltbenchError("spaces are not arrow-stable")
+    spans = {v: Coordinates(bases[v].data, m.dims[v]) for v in m.dims}
     dims = {v: bases[v].rows for v in m.dims}
     mats = {}
     for a in m.algebra.quiver.arrows:
-        img = bases[a.source] * m.mats[a.name]
-        mats[a.name] = coords_in_rows(img, bases[a.target]) if dims[a.target] else Matrix.zero(dims[a.source], 0)
+        rows = [spans[a.target].of(r) for r in (bases[a.source] * m.mats[a.name]).data]
+        if any(r is None for r in rows):
+            raise TiltbenchError("spaces are not arrow-stable")
+        mats[a.name] = Matrix(dims[a.source], dims[a.target], rows)
     sub = Representation(m.algebra, dims, mats, check=False)
     incl = ModuleMap(sub, m, {v: bases[v] for v in m.dims}, check=False)
     return sub, incl

@@ -22,6 +22,15 @@ from .reps import Representation
 FORMAT = 1
 
 
+def _expect(value, kind, field):
+    """value, when it is a JSON object (kind dict) or array (kind list);
+    otherwise a TiltbenchError naming the field."""
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise TiltbenchError(f"{field}: expected a JSON {shape}, got {json.dumps(value)[:60]}")
+    return value
+
+
 def scalar_to_str(c) -> str:
     return str(Fraction(c))
 
@@ -41,19 +50,22 @@ def quiver_to_dict(q: Quiver) -> dict:
 
 
 def quiver_from_dict(d) -> Quiver:
-    return Quiver(
-        d["vertices"], [(a["name"], a["from"], a["to"]) for a in d["arrows"]]
-    )
+    _expect(d, dict, "quiver")
+    arrows = []
+    for n, a in enumerate(_expect(d["arrows"], list, "quiver.arrows")):
+        _expect(a, dict, f"quiver.arrows[{n}]")
+        arrows.append((a["name"], a["from"], a["to"]))
+    return Quiver(_expect(d["vertices"], list, "quiver.vertices"), arrows)
 
 
 def relation_to_terms(rel: Relation) -> list:
     return [{"coeff": scalar_to_str(c), "path": list(p.arrows)} for c, p in rel.terms]
 
 
-def relation_from_terms(q: Quiver, terms) -> Relation:
+def relation_from_terms(q: Quiver, terms, field="relation") -> Relation:
     parsed = []
-    for t in terms:
-        c = scalar_from_str(t["coeff"])
+    for n, t in enumerate(_expect(terms, list, field)):
+        c = scalar_from_str(_expect(t, dict, f"{field}[{n}]")["coeff"])
         if c == 0:
             continue
         parsed.append((c, path_from_arrows(q, t["path"])))
@@ -70,10 +82,11 @@ def algebra_to_dict(a: BasicAlgebra) -> dict:
 
 
 def algebra_from_dict(d, config: WorkbenchConfig = DEFAULT) -> BasicAlgebra:
-    if d.get("field", "rational") != "rational":
+    if _expect(d, dict, "algebra").get("field", "rational") != "rational":
         raise TiltbenchError(f"unsupported field {d.get('field')!r}")
     q = quiver_from_dict(d["quiver"])
-    rels = [relation_from_terms(q, terms) for terms in d.get("relations", [])]
+    relations = _expect(d.get("relations", []), list, "relations")
+    rels = [relation_from_terms(q, terms, f"relations[{n}]") for n, terms in enumerate(relations)]
     return build_path_algebra(q, rels, max_path_len=config.max_path_len)
 
 
@@ -139,6 +152,7 @@ def complex_to_dict(c: ProjComplex, algebra_ref=None) -> dict:
 
 
 def complex_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebra=None) -> ProjComplex:
+    _expect(d, dict, "complex")
     a = algebra if algebra is not None else _resolve_algebra(d["algebra"], base_dir, config)
     terms = {int(k): [str(x) for x in v] for k, v in d.get("terms", {}).items()}
     diffs = {}
@@ -173,6 +187,7 @@ def module_to_dict(m: Representation, algebra_ref=None) -> dict:
 
 
 def module_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebra=None) -> Representation:
+    _expect(d, dict, "module")
     a = algebra if algebra is not None else _resolve_algebra(d["algebra"], base_dir, config)
     dims = {str(k): int(v) for k, v in d.get("dims", {}).items()}
     mats = {}

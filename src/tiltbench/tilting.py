@@ -52,19 +52,19 @@ from .errors import (
     PreconditionFailed,
     TiltbenchError,
 )
-from .linalg import Matrix
+from .linalg import Coordinates, Matrix
 from .presentation import Presentation, quiver_presentation
 from .reps import (
-    ModuleMap,
     ProjSum,
     Representation,
     cokernel_of,
     hom_space,
     injective,
-    kernel_of,
-    map_coordinates,
-    projective,
     extract_entry_map,
+    flatten_map,
+    kernel_of,
+    projective,
+    realize_entry_map,
     top,
     zero_rep,
 )
@@ -417,30 +417,12 @@ class TiltingContext:
         summands, f, g = self.decomposition()
         space = homotopy_hom(t, t, 0)
         class_reps = space.class_reps()
-        dim = space.dim
-
-        def reduce_cm(cm):
-            return space.reduce(cm)
-
-        table = [[None] * dim for _ in range(dim)]
-
-        def mul(x, y):
-            # algebra product x*y corresponds to composition "y then x"
-            out = [ZERO] * dim
-            for i, ci in enumerate(x):
-                if ci == 0:
-                    continue
-                for j, cj in enumerate(y):
-                    if cj == 0:
-                        continue
-                    if table[i][j] is None:
-                        table[i][j] = reduce_cm(class_reps[j].then(class_reps[i]))
-                    for k, c in enumerate(table[i][j]):
-                        out[k] += ci * cj * c
-            return out
-
-        one = reduce_cm(ChainMapC.identity(t))
-        abstract = FiniteDimAlgebra(dim, mul, one)
+        # the algebra product x*y corresponds to composition "y then x"
+        abstract = FiniteDimAlgebra(
+            space.dim,
+            lambda i, j: space.reduce(class_reps[j].then(class_reps[i])),
+            space.reduce(ChainMapC.identity(t)),
+        )
 
         # idempotents from the decomposition: one per summand copy
         copy_complexes = []
@@ -475,7 +457,7 @@ class TiltingContext:
                 copy_includes.append(include)
                 copy_projects.append(project)
                 idem = project.then(include)  # t -> rep -> t
-                idems.append(reduce_cm(idem))
+                idems.append(space.reduce(idem))
         pres = quiver_presentation(abstract, idempotents=idems, config=self.config)
         self._end = EndData(
             abstract=abstract,
@@ -492,34 +474,33 @@ class TiltingContext:
     # hom spaces into shifted stalk modules ---------------------------------
 
     def _stalk_hom_classes(self, w: int, x: Representation, i: int):
-        """Basis data for classes of chain maps (w-th summand) -> stalk x
-        placed so the only component sits in degree -i."""
+        """Classes of chain maps (w-th summand) -> stalk x placed so the only
+        component sits in degree -i, or None when there are no such maps.
+
+        Returns (maps, span, classes, reps): ``span`` gives coordinates in the
+        basis ``maps`` of the degree -i hom space; ``classes`` gives
+        coordinates on the null maps followed by the chain maps, both in
+        ``maps`` coordinates; ``reps`` pairs the index in ``classes`` of each
+        class representative with its coordinates in ``maps``."""
         end = self.end_data()
         tw = end.copy_complexes[w]
         deg = -i
         term = tw.term(deg)
         if not term:
-            return [], [], None
+            return None
         psum = ProjSum(self.algebra, term)
         maps = hom_space(psum.rep, x)
         if not maps:
-            return [], [], None
+            return None
+        flat = [flatten_map(h) for h in maps]
+        span = Coordinates(flat, len(flat[0]))
         # chain condition: precomposition with the incoming differential dies
         prev = tw.term(deg - 1)
-        keep_rows = []
         if prev:
-            prev_sum = ProjSum(self.algebra, prev)
-            from .reps import realize_entry_map
-
-            dmap = realize_entry_map(prev_sum, psum, tw.diff(deg - 1))
-            rows = []
-            for h in maps:
-                comp = dmap.then(h)
-                rows.append(_flatten_map(comp))
+            dmap = realize_entry_map(ProjSum(self.algebra, prev), psum, tw.diff(deg - 1))
+            rows = [flatten_map(dmap.then(h)) for h in maps]
             # kernel of (h -> d then h) over the coordinates of maps
-            mat = Matrix(len(rows), len(rows[0]) if rows else 0, rows)
-            ker = mat.left_kernel_basis()
-            chain_coords = [list(ker.row(r)) for r in range(ker.rows)]
+            chain_coords = list(Matrix(len(rows), len(rows[0]), rows).left_kernel_basis().data)
         else:
             chain_coords = [
                 [ONE if k == j else ZERO for k in range(len(maps))] for j in range(len(maps))
@@ -529,67 +510,50 @@ class TiltingContext:
         null_coords = []
         if nxt:
             nxt_sum = ProjSum(self.algebra, nxt)
-            from .reps import realize_entry_map
-
             dmap = realize_entry_map(psum, nxt_sum, tw.diff(deg))
             for psi in hom_space(nxt_sum.rep, x):
-                comp = dmap.then(psi)
-                null_coords.append(map_coordinates(comp, maps))
-        return chain_coords, null_coords, maps
+                coords = span.of(flatten_map(dmap.then(psi)))
+                if coords is None:
+                    raise TiltbenchError("map not in span of basis")
+                null_coords.append(coords)
+        # class representatives: chain maps independent of the null maps and
+        # of the chain maps before them
+        classes = Coordinates(null_coords + chain_coords, len(maps))
+        n_null = len(null_coords)
+        reps = [(k, chain_coords[k - n_null]) for k in classes.independent if k >= n_null]
+        return maps, span, classes, reps
 
     def f_homology(self, x: Representation, i: int) -> Representation:
         """Hom classes into the stalk of x shifted by i, as a module over the
         recovered quiver of the endomorphism algebra."""
-        key = (id(x), i)
-        end = self.end_data()
-        pres = end.presentation
-        n_vert = len(pres.quiver.vertices)
-        bases = {}
-        dims = {}
-        for w in range(n_vert):
-            chain_coords, null_coords, maps = self._stalk_hom_classes(w, x, i)
-            if maps is None:
-                bases[w] = ([], [], None, Matrix.zero(0, 0))
-                dims[pres.quiver.vertices[w]] = 0
-                continue
-            n = len(maps)
-            chain_m = Matrix(len(chain_coords), n, chain_coords) if chain_coords else Matrix.zero(0, n)
-            null_m = Matrix(len(null_coords), n, null_coords) if null_coords else Matrix.zero(0, n)
-            from .linalg import row_space_basis
-
-            null_m = row_space_basis(null_m)
-            reps = []
-            cur = null_m
-            for rrow in range(chain_m.rows):
-                cand = cur.vstack(chain_m.submatrix([rrow], range(n)))
-                if cand.rank() > cur.rank():
-                    reps.append(list(chain_m.row(rrow)))
-                    cur = row_space_basis(cand)
-            bases[w] = (reps, null_coords, maps, null_m)
-            dims[pres.quiver.vertices[w]] = len(reps)
+        pres = self.end_data().presentation
+        stalk = [self._stalk_hom_classes(w, x, i) for w in range(len(pres.quiver.vertices))]
+        reps = [s[3] if s else [] for s in stalk]
+        dims = {v: len(r) for v, r in zip(pres.quiver.vertices, reps)}
         # arrow actions
         mats = {}
         for ar in pres.quiver.arrows:
             wi = pres.quiver.vertex_index[ar.source]
             wj = pres.quiver.vertex_index[ar.target]
-            reps_i, _, maps_i, null_i = bases[wi]
-            reps_j, _, maps_j, null_j = bases[wj]
             rows = []
             arrow_chain = self._arrow_chain_map(ar.name)  # summand wj -> summand wi
-            for coords in reps_i:
-                phi = _combine(maps_i, coords)
-                if phi is None:
-                    rows.append([ZERO] * len(reps_j))
-                    continue
+            for _, coords in reps[wi]:
+                phi = _combine(stalk[wi][0], coords)
                 # phi : T_wi^{-i} -> x; act: precompose with the arrow's
                 # degree component
-                comp = self._precompose_summand_map(arrow_chain, wi, wj, phi, i)
-                if comp is None or maps_j is None:
-                    rows.append([ZERO] * len(reps_j))
+                comp = None if phi is None else self._precompose_summand_map(arrow_chain, wi, wj, phi, i)
+                if comp is None or stalk[wj] is None:
+                    rows.append([ZERO] * len(reps[wj]))
                     continue
-                target_coords = map_coordinates(comp, maps_j)
-                rows.append(_class_coords(target_coords, reps_j, null_j))
-            mats[ar.name] = Matrix(len(reps_i), len(reps_j), rows)
+                _, span, classes, _ = stalk[wj]
+                in_maps = span.of(flatten_map(comp))
+                if in_maps is None:
+                    raise TiltbenchError("map not in span of basis")
+                in_classes = classes.of(in_maps)
+                if in_classes is None:
+                    raise TiltbenchError("class coordinates outside the span")
+                rows.append([in_classes[k] for k, _ in reps[wj]])
+            mats[ar.name] = Matrix(len(reps[wi]), len(reps[wj]), rows)
         return Representation(pres.algebra, dims, mats)
 
     def _arrow_chain_map(self, arrow_name: str) -> ChainMapC:
@@ -620,8 +584,6 @@ class TiltingContext:
             return None
         src_sum = ProjSum(self.algebra, src_term)
         mid_sum = ProjSum(self.algebra, mid_term)
-        from .reps import realize_entry_map
-
         comp_map = realize_entry_map(src_sum, mid_sum, chain.component(deg))
         return comp_map.then(phi)
 
@@ -733,14 +695,6 @@ class StableImageCertificate:
         }
 
 
-def _flatten_map(f: ModuleMap):
-    out = []
-    for v in f.source.algebra.quiver.vertices:
-        for row in f.mats[v].data:
-            out.extend(row)
-    return out
-
-
 def _combine(maps, coords):
     acc = None
     for c, h in zip(coords, maps):
@@ -748,20 +702,6 @@ def _combine(maps, coords):
             continue
         acc = h.scale(c) if acc is None else acc + h.scale(c)
     return acc
-
-
-def _class_coords(coords, reps, null_rows: Matrix):
-    n = len(coords)
-    rows = [list(r) for r in reps] + [list(null_rows.row(i)) for i in range(null_rows.rows)]
-    if not rows:
-        if any(c != 0 for c in coords):
-            raise TiltbenchError("class coordinates outside the span")
-        return []
-    mat = Matrix(len(rows), n, rows)
-    sol = mat.transpose().solve(Matrix(n, 1, [[c] for c in coords]))
-    if sol is None:
-        raise TiltbenchError("class coordinates outside the span")
-    return [sol.data[i][0] for i in range(len(reps))]
 
 
 def end_algebra(a: BasicAlgebra, t: ProjComplex, config: WorkbenchConfig = DEFAULT):

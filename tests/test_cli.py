@@ -130,9 +130,16 @@ def test_stable_image_positive_and_not_concentrated():
         os.remove(path)
 
 
-def test_parse_error_exit_two():
+def test_parse_error_exit_two(tmp_path):
     code, out, err = run_cli("alg", "check", "no_such_file.json")
     assert code == 2
+    # well-formed JSON of the wrong shape is bad input, not a negative verdict
+    for name, payload in (("array.json", [1, 2]), ("quiver_int.json", {"format": 1, "quiver": 5})):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli("alg", "check", str(path))
+        assert code == 2, err
+        assert "Traceback" not in err
 
 
 def test_recheck_golden_reports():

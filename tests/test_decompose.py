@@ -84,13 +84,13 @@ def test_primitive_idempotents_of_end_algebra():
     a = corpus.sec5_algebra()
     m = projective(a, "3").direct_sum(projective(a, "3"))
     end = EndAlgebra(m)
-    idems = primitive_idempotents(end.as_abstract())
+    idems = primitive_idempotents(end)
     assert len(idems) == 2
     # the doubled projective from simple(1)+simple(1): End is 2x2 matrices
     s = simple(a, "1").direct_sum(simple(a, "1"))
     end2 = EndAlgebra(s)
     assert end2.dim == 4
-    idems2 = primitive_idempotents(end2.as_abstract())
+    idems2 = primitive_idempotents(end2)
     assert len(idems2) == 2
 
 

@@ -1,7 +1,13 @@
 import random
 from fractions import Fraction
 
-from tiltbench.linalg import Matrix, intersect_row_spaces, row_space_basis, row_spaces_equal
+from tiltbench.linalg import (
+    Coordinates,
+    Matrix,
+    intersect_row_spaces,
+    row_space_basis,
+    row_spaces_equal,
+)
 
 
 def test_rank_identity_and_zero():
@@ -72,3 +78,37 @@ def test_row_space_helpers():
     inter2 = intersect_row_spaces(a, Matrix.from_rows([[2, 2, 4]]))
     assert inter2.rows == 1
     assert row_spaces_equal(row_space_basis(inter2), Matrix.from_rows([[1, 1, 2]]))
+
+
+def test_coordinates_match_solve_on_transposed_rows():
+    rng = random.Random(11)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3) * (rng.random() < 0.6), rng.randint(1, 3))
+
+    for _ in range(300):
+        width = rng.randint(0, 5)
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if kind < 0.25 and rows:  # depends on earlier rows
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                rows.append([x + c * y for x, y in zip(a, b)])
+            elif kind < 0.35:
+                rows.append([Fraction(0)] * width)
+            else:
+                rows.append([entry() for _ in range(width)])
+        coords = Coordinates(rows, width)
+        columns = Matrix(len(rows), width, rows).transpose() if rows else Matrix.zero(width, 0)
+        for _ in range(4):
+            if rows and rng.random() < 0.5:  # inside the span
+                mix = [Fraction(rng.randint(-2, 2)) for _ in rows]
+                v = [sum((m * row[j] for m, row in zip(mix, rows)), Fraction(0)) for j in range(width)]
+            else:  # usually outside the span
+                v = [entry() for _ in range(width)]
+            sol = columns.solve(Matrix(width, 1, [[x] for x in v]))
+            want = None if sol is None else list(sol.column(0))
+            assert coords.of(v) == want
+        ranks = [Matrix(k, width, rows[:k]).rank() for k in range(len(rows) + 1)]
+        assert coords.independent == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]

@@ -1,6 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from tiltbench import corpus
+from tiltbench.decompose import FiniteDimAlgebra
 from tiltbench.errors import NoIdentity, NotAssociative
 from tiltbench.presentation import (
     abstract_from_table,
@@ -10,8 +14,9 @@ from tiltbench.presentation import (
 )
 
 
-def abstract_of(alg):
-    """Structure-constant table of a path-built algebra."""
+def structure_constants(alg):
+    """(table, one) of a path-built algebra: table[i][j] holds the
+    coordinates of basis i times basis j."""
     d = alg.dim
     table = []
     for i in range(d):
@@ -23,7 +28,12 @@ def abstract_of(alg):
     one = [0] * d
     for k in alg.idempotent_index.values():
         one[k] = 1
-    return abstract_from_table(d, table, one)
+    return table, one
+
+
+def abstract_of(alg):
+    table, one = structure_constants(alg)
+    return abstract_from_table(alg.dim, table, one)
 
 
 def test_one_dimensional_table():
@@ -120,3 +130,36 @@ def test_relation_ideal_equality_up_to_generators():
     # adding a consequence does not change the ideal
     extra = rels + [monomial_relation(q, ["alpha", "beta", "gamma", "alpha"])]
     assert relation_ideals_equal(q, rels, extra)
+
+
+def test_finite_dim_algebra_asks_each_product_once():
+    table, one = structure_constants(corpus.fig1_algebra())
+    d = len(one)
+    calls = {}
+
+    def product(i, j):
+        calls[(i, j)] = calls.get((i, j), 0) + 1
+        return table[i][j]
+
+    alg = FiniteDimAlgebra(d, product, one)
+    rng = random.Random(3)
+    x = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+    y = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+    for _ in range(2):
+        alg.mul(x, y)
+        alg.left_matrix(x)
+        alg.radical_rows()
+    assert len(calls) == d * d
+    assert max(calls.values()) == 1
+
+
+def test_left_matrix_and_radical_of_fig1_table():
+    a = corpus.fig1_algebra()
+    alg = abstract_of(a)
+    rng = random.Random(4)
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
+    left = alg.left_matrix(x)
+    for j in range(alg.dim):
+        e_j = [Fraction(int(k == j)) for k in range(alg.dim)]
+        assert list(left.row(j)) == alg.mul(x, e_j)
+    assert alg.radical_rows().rows == alg.dim - len(a.quiver.vertices)
