@@ -10,6 +10,27 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
+# (golden file, CLI arguments), run in this order with cwd corpus/; later
+# commands read golden/sec5_T.json, which an earlier one writes.
+COMMANDS = [
+    ("alg_check_fig1.json", ["alg", "check", "fig1.json"]),
+    ("alg_check_fig2.json", ["alg", "check", "fig2.json"]),
+    ("alg_check_sec5_A.json", ["alg", "check", "sec5_A.json"]),
+    ("nust_fig1.json", ["nust", "fig1.json"]),
+    ("nust_sec5_A.json", ["nust", "sec5_A.json"]),
+    ("tilting_verify_fig1_T.json", ["tilting", "verify", "fig1.json", "fig1_T.json"]),
+    ("nustable_check_fig1_T.json", ["nustable", "check", "fig1.json", "fig1_T.json"]),
+    ("endalg_fig1_T.json", ["endalg", "fig1.json", "fig1_T.json"]),
+    (
+        "sec5_T.json",
+        ["tilting", "construct", "sec5_A.json", "--p", "1", "--q", "3,4", "-r", "1", "-s", "1"],
+    ),
+    ("tilting_verify_sec5_T.json", ["tilting", "verify", "sec5_A.json", "golden/sec5_T.json"]),
+    ("nustable_check_sec5_T.json", ["nustable", "check", "sec5_A.json", "golden/sec5_T.json"]),
+    ("endalg_sec5_T.json", ["endalg", "sec5_A.json", "golden/sec5_T.json"]),
+    ("stable_image_fig1_S1.json", ["stable-image", "fig1.json", "fig1_T.json", "fig1_S1.json"]),
+]
+
 
 def main():
     import tiltbench
@@ -40,9 +61,9 @@ def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
 
-    def run(outname, *cli_args):
+    for outname, cli_args in COMMANDS:
         out = os.path.join(golden, outname)
-        cmd = [sys.executable, "-m", "tiltbench.cli", "-o", out] + list(cli_args)
+        cmd = [sys.executable, "-m", "tiltbench.cli", "-o", out] + cli_args
         res = subprocess.run(cmd, cwd=HERE, env=env, capture_output=True, text=True)
         print(outname, "->", res.returncode)
         # Exit 1 is a negative verdict only when nothing went to stderr; a
@@ -50,39 +71,6 @@ def main():
         if res.returncode not in (0, 1) or (res.returncode == 1 and res.stderr):
             print(res.stderr)
             raise SystemExit(1)
-
-    run("alg_check_fig1.json", "alg", "check", "fig1.json")
-    run("alg_check_fig2.json", "alg", "check", "fig2.json")
-    run("alg_check_sec5_A.json", "alg", "check", "sec5_A.json")
-    run("nust_fig1.json", "nust", "fig1.json")
-    run("nust_sec5_A.json", "nust", "sec5_A.json")
-    run("tilting_verify_fig1_T.json", "tilting", "verify", "fig1.json", "fig1_T.json")
-    run("nustable_check_fig1_T.json", "nustable", "check", "fig1.json", "fig1_T.json")
-    run("endalg_fig1_T.json", "endalg", "fig1.json", "fig1_T.json")
-    run(
-        "sec5_T.json",
-        "tilting",
-        "construct",
-        "sec5_A.json",
-        "--p",
-        "1",
-        "--q",
-        "3,4",
-        "-r",
-        "1",
-        "-s",
-        "1",
-    )
-    run("tilting_verify_sec5_T.json", "tilting", "verify", "sec5_A.json", "golden/sec5_T.json")
-    run("nustable_check_sec5_T.json", "nustable", "check", "sec5_A.json", "golden/sec5_T.json")
-    run("endalg_sec5_T.json", "endalg", "sec5_A.json", "golden/sec5_T.json")
-    run(
-        "stable_image_fig1_S1.json",
-        "stable-image",
-        "fig1.json",
-        "fig1_T.json",
-        "fig1_S1.json",
-    )
 
 
 if __name__ == "__main__":

@@ -14,12 +14,16 @@ Three algebras ship with the package:
 ``fig1_tilting_complex`` is the two-term complex
 ``0 -> P(2) + P(2) + P(3) -> P(1) -> 0`` whose only nonzero differential
 entry is the one-dimensional hom from P(2) to P(1).
+
+``kupisch_algebra`` builds the cyclic Nakayama algebra of a Kupisch series,
+a family of any size for tests beyond the three fixed algebras.
 """
 
 from __future__ import annotations
 
 from .algebra import BasicAlgebra, build_path_algebra
 from .complexes import ProjComplex
+from .errors import TiltbenchError
 from .quiver import Quiver, monomial_relation, relation_from_words
 
 
@@ -134,6 +138,25 @@ def fig1_tilting_complex(a: BasicAlgebra | None = None) -> ProjComplex:
         {-1: ["2", "2", "3"], 0: ["1"]},
         {-1: [[f], [{}], [{}]]},
     )
+
+
+def kupisch_algebra(series) -> BasicAlgebra:
+    """Cyclic Nakayama algebra on vertices 1..n whose projective at vertex i
+    has Loewy length ``series[i - 1]``.
+
+    Arrows ``a<i>: i -> i+1`` (indices mod n); the relations kill the path of
+    length ``series[i - 1]`` starting at i.
+    """
+    n = len(series)
+    for i, c in enumerate(series):
+        if c < 2 or series[(i + 1) % n] < c - 1:
+            raise TiltbenchError(f"{tuple(series)} is not a Kupisch series")
+    vertices = [str(i + 1) for i in range(n)]
+    q = Quiver(vertices, [(f"a{i + 1}", vertices[i], vertices[(i + 1) % n]) for i in range(n)])
+    relations = [
+        monomial_relation(q, [f"a{(i + k) % n + 1}" for k in range(c)]) for i, c in enumerate(series)
+    ]
+    return build_path_algebra(q, relations)
 
 
 def corpus_algebras() -> dict:

@@ -31,6 +31,17 @@ def _expect(value, kind, field):
     return value
 
 
+def _field(d, key, field, kind=None, default=None):
+    """d[key], checked with ``_expect`` when kind is given; the default when
+    the key is absent and a default is given; otherwise a TiltbenchError
+    naming the missing field."""
+    if key not in d:
+        if default is None:
+            raise TiltbenchError(f"missing field {field!r}")
+        return default
+    return d[key] if kind is None else _expect(d[key], kind, field)
+
+
 def scalar_to_str(c) -> str:
     return str(Fraction(c))
 
@@ -52,10 +63,11 @@ def quiver_to_dict(q: Quiver) -> dict:
 def quiver_from_dict(d) -> Quiver:
     _expect(d, dict, "quiver")
     arrows = []
-    for n, a in enumerate(_expect(d["arrows"], list, "quiver.arrows")):
-        _expect(a, dict, f"quiver.arrows[{n}]")
-        arrows.append((a["name"], a["from"], a["to"]))
-    return Quiver(_expect(d["vertices"], list, "quiver.vertices"), arrows)
+    for n, a in enumerate(_field(d, "arrows", "quiver.arrows", list)):
+        where = f"quiver.arrows[{n}]"
+        _expect(a, dict, where)
+        arrows.append(tuple(_field(a, key, f"{where}.{key}") for key in ("name", "from", "to")))
+    return Quiver(_field(d, "vertices", "quiver.vertices", list), arrows)
 
 
 def relation_to_terms(rel: Relation) -> list:
@@ -65,10 +77,11 @@ def relation_to_terms(rel: Relation) -> list:
 def relation_from_terms(q: Quiver, terms, field="relation") -> Relation:
     parsed = []
     for n, t in enumerate(_expect(terms, list, field)):
-        c = scalar_from_str(_expect(t, dict, f"{field}[{n}]")["coeff"])
+        where = f"{field}[{n}]"
+        c = scalar_from_str(_field(_expect(t, dict, where), "coeff", f"{where}.coeff"))
         if c == 0:
             continue
-        parsed.append((c, path_from_arrows(q, t["path"])))
+        parsed.append((c, path_from_arrows(q, _field(t, "path", f"{where}.path", list))))
     return Relation(q, parsed)
 
 
@@ -84,8 +97,8 @@ def algebra_to_dict(a: BasicAlgebra) -> dict:
 def algebra_from_dict(d, config: WorkbenchConfig = DEFAULT) -> BasicAlgebra:
     if _expect(d, dict, "algebra").get("field", "rational") != "rational":
         raise TiltbenchError(f"unsupported field {d.get('field')!r}")
-    q = quiver_from_dict(d["quiver"])
-    relations = _expect(d.get("relations", []), list, "relations")
+    q = quiver_from_dict(_field(d, "quiver", "quiver"))
+    relations = _field(d, "relations", "relations", list, [])
     rels = [relation_from_terms(q, terms, f"relations[{n}]") for n, terms in enumerate(relations)]
     return build_path_algebra(q, rels, max_path_len=config.max_path_len)
 
@@ -109,14 +122,15 @@ def element_to_terms(a: BasicAlgebra, x: dict) -> list:
     return out
 
 
-def element_from_terms(a: BasicAlgebra, terms, src_label: str, tgt_label: str) -> dict:
+def element_from_terms(a: BasicAlgebra, terms, src_label: str, tgt_label: str, field="entry") -> dict:
     """Entry of a hom between projectives: paths from tgt_label to src_label."""
     out = {}
-    for t in terms:
-        c = scalar_from_str(t["coeff"])
+    for n, t in enumerate(_expect(terms, list, field)):
+        where = f"{field}[{n}]"
+        c = scalar_from_str(_field(_expect(t, dict, where), "coeff", f"{where}.coeff"))
         if c == 0:
             continue
-        word = list(t["path"])
+        word = list(_field(t, "path", f"{where}.path", list))
         if word:
             p = path_from_arrows(a.quiver, word)
         else:
@@ -153,20 +167,23 @@ def complex_to_dict(c: ProjComplex, algebra_ref=None) -> dict:
 
 def complex_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebra=None) -> ProjComplex:
     _expect(d, dict, "complex")
-    a = algebra if algebra is not None else _resolve_algebra(d["algebra"], base_dir, config)
-    terms = {int(k): [str(x) for x in v] for k, v in d.get("terms", {}).items()}
+    a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir, config)
+    terms = {
+        int(k): [str(x) for x in _expect(v, list, f"terms.{k}")]
+        for k, v in _field(d, "terms", "terms", dict, {}).items()
+    }
     diffs = {}
-    for k, mat in d.get("diffs", {}).items():
+    for k, mat in _field(d, "diffs", "diffs", dict, {}).items():
         deg = int(k)
         src = terms.get(deg, [])
         tgt = terms.get(deg + 1, [])
-        parsed = []
-        for i, row in enumerate(mat):
-            prow = []
-            for j, entry in enumerate(row):
-                prow.append(element_from_terms(a, entry, src[i], tgt[j]))
-            parsed.append(prow)
-        diffs[deg] = parsed
+        rows = [_expect(row, list, f"diffs.{k}[{i}]") for i, row in enumerate(_expect(mat, list, f"diffs.{k}"))]
+        if len(rows) > len(src) or any(len(row) > len(tgt) for row in rows):
+            raise TiltbenchError(f"diffs.{k}: more entries than the {len(src)}x{len(tgt)} terms allow")
+        diffs[deg] = [
+            [element_from_terms(a, entry, src[i], tgt[j], f"diffs.{k}[{i}][{j}]") for j, entry in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
     return ProjComplex(a, terms, diffs)
 
 
@@ -188,17 +205,24 @@ def module_to_dict(m: Representation, algebra_ref=None) -> dict:
 
 def module_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebra=None) -> Representation:
     _expect(d, dict, "module")
-    a = algebra if algebra is not None else _resolve_algebra(d["algebra"], base_dir, config)
-    dims = {str(k): int(v) for k, v in d.get("dims", {}).items()}
+    a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir, config)
+    dims = {}
+    for k, v in _field(d, "dims", "dims", dict, {}).items():
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise TiltbenchError(f"dims.{k}: expected an integer, got {json.dumps(v)[:60]}")
+        dims[str(k)] = int(v)
     mats = {}
-    for name, rows in d.get("arrows", {}).items():
+    for name, rows in _field(d, "arrows", "arrows", dict, {}).items():
         ar = a.quiver.arrow_by_name.get(name)
         if ar is None:
             raise TiltbenchError(f"unknown arrow {name!r} in module file")
         mats[name] = Matrix(
             dims.get(ar.source, 0),
             dims.get(ar.target, 0),
-            [[scalar_from_str(x) for x in row] for row in rows],
+            [
+                [scalar_from_str(x) for x in _expect(row, list, f"arrows.{name}[{i}]")]
+                for i, row in enumerate(_expect(rows, list, f"arrows.{name}"))
+            ],
         )
     return Representation(a, dims, mats)
 

@@ -17,7 +17,11 @@ The central objects:
   algebra with a recovered quiver presentation;
 * ``f_homology`` / ``stable_image``: hom spaces into shifted stalks as
   modules over the endomorphism algebra, and the degree-zero image module
-  when those homs are concentrated in degree zero.
+  when those homs are concentrated in degree zero.  The hom spaces out of a
+  term of T use the Yoneda basis (``reps.hom_from_projective_sum``), so no
+  linear system is solved for them, and ``TiltingContext`` builds the parts
+  that do not depend on the module (projective sums of the terms, realized
+  differentials and arrow components) once and reuses them for every query.
 """
 
 from __future__ import annotations
@@ -58,10 +62,11 @@ from .reps import (
     ProjSum,
     Representation,
     cokernel_of,
-    hom_space,
-    injective,
     extract_entry_map,
     flatten_map,
+    hom_from_projective_sum,
+    hom_space,
+    injective,
     kernel_of,
     projective,
     realize_entry_map,
@@ -473,32 +478,68 @@ class TiltingContext:
 
     # hom spaces into shifted stalk modules ---------------------------------
 
+    def _f_hom_parts(self) -> dict:
+        """The parts of f_homology that do not depend on the module, built
+        for every degree on first use and kept in ``_f_hom_cache``:
+
+        * ``("sum", w, d)``: the ProjSum of the w-th summand's degree-d term;
+        * ``("diff", w, d)``: that summand's differential d -> d + 1 as a
+          module map;
+        * ``("component", name, d)``: the degree-d component of the chain map
+          (target summand) -> (source summand) realizing the arrow ``name`` of
+          the recovered quiver, as a module map.
+
+        A key is absent when a term it needs is empty."""
+        if self._f_hom_cache:
+            return self._f_hom_cache
+        end = self.end_data()
+        parts = {}
+        for w, tw in enumerate(end.copy_complexes):
+            for d in tw.degrees():
+                parts[("sum", w, d)] = ProjSum(self.algebra, tw.term(d))
+            for d in tw.degrees():
+                if tw.term(d + 1):
+                    parts[("diff", w, d)] = realize_entry_map(
+                        parts[("sum", w, d)], parts[("sum", w, d + 1)], tw.diff(d)
+                    )
+        pres = end.presentation
+        for ar in pres.quiver.arrows:
+            wi = pres.quiver.vertex_index[ar.source]
+            wj = pres.quiver.vertex_index[ar.target]
+            b = _combine(end.class_reps, pres.arrow_elements[ar.name])
+            chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])  # T_wj -> T_wi
+            for d in end.copy_complexes[wj].degrees():
+                if ("sum", wi, d) in parts:
+                    parts[("component", ar.name, d)] = realize_entry_map(
+                        parts[("sum", wj, d)], parts[("sum", wi, d)], chain.component(d)
+                    )
+        self._f_hom_cache.update(parts)
+        return self._f_hom_cache
+
     def _stalk_hom_classes(self, w: int, x: Representation, i: int):
         """Classes of chain maps (w-th summand) -> stalk x placed so the only
         component sits in degree -i, or None when there are no such maps.
 
-        Returns (maps, span, classes, reps): ``span`` gives coordinates in the
-        basis ``maps`` of the degree -i hom space; ``classes`` gives
-        coordinates on the null maps followed by the chain maps, both in
-        ``maps`` coordinates; ``reps`` pairs the index in ``classes`` of each
-        class representative with its coordinates in ``maps``."""
-        end = self.end_data()
-        tw = end.copy_complexes[w]
+        Returns (maps, span, classes, reps): ``maps`` is the Yoneda basis of
+        the degree -i hom space and ``span`` gives coordinates in it;
+        ``classes`` gives coordinates on the null maps followed by the chain
+        maps, both in ``maps`` coordinates; ``reps`` pairs the index in
+        ``classes`` of each class representative with its coordinates in
+        ``maps``."""
+        parts = self._f_hom_parts()
         deg = -i
-        term = tw.term(deg)
-        if not term:
+        psum = parts.get(("sum", w, deg))
+        if psum is None:
             return None
-        psum = ProjSum(self.algebra, term)
-        maps = hom_space(psum.rep, x)
+        maps = hom_from_projective_sum(psum, x)
         if not maps:
             return None
         flat = [flatten_map(h) for h in maps]
         span = Coordinates(flat, len(flat[0]))
         # chain condition: precomposition with the incoming differential dies
-        prev = tw.term(deg - 1)
-        if prev:
-            dmap = realize_entry_map(ProjSum(self.algebra, prev), psum, tw.diff(deg - 1))
-            rows = [flatten_map(dmap.then(h)) for h in maps]
+        d_in = parts.get(("diff", w, deg - 1))
+        if d_in is not None:
+            rows = [flatten_map(d_in.then(h)) for h in maps]
             # kernel of (h -> d then h) over the coordinates of maps
             chain_coords = list(Matrix(len(rows), len(rows[0]), rows).left_kernel_basis().data)
         else:
@@ -506,13 +547,12 @@ class TiltingContext:
                 [ONE if k == j else ZERO for k in range(len(maps))] for j in range(len(maps))
             ]
         # null maps: (next differential) then psi for psi on the next term
-        nxt = tw.term(deg + 1)
         null_coords = []
-        if nxt:
-            nxt_sum = ProjSum(self.algebra, nxt)
-            dmap = realize_entry_map(psum, nxt_sum, tw.diff(deg))
-            for psi in hom_space(nxt_sum.rep, x):
-                coords = span.of(flatten_map(dmap.then(psi)))
+        nxt = parts.get(("sum", w, deg + 1))
+        if nxt is not None:
+            d_out = parts[("diff", w, deg)]
+            for psi in hom_from_projective_sum(nxt, x):
+                coords = span.of(flatten_map(d_out.then(psi)))
                 if coords is None:
                     raise TiltbenchError("map not in span of basis")
                 null_coords.append(coords)
@@ -527,26 +567,24 @@ class TiltingContext:
         """Hom classes into the stalk of x shifted by i, as a module over the
         recovered quiver of the endomorphism algebra."""
         pres = self.end_data().presentation
+        parts = self._f_hom_parts()
         stalk = [self._stalk_hom_classes(w, x, i) for w in range(len(pres.quiver.vertices))]
         reps = [s[3] if s else [] for s in stalk]
         dims = {v: len(r) for v, r in zip(pres.quiver.vertices, reps)}
-        # arrow actions
+        # arrow actions: precompose with the arrow's degree -i component
         mats = {}
         for ar in pres.quiver.arrows:
             wi = pres.quiver.vertex_index[ar.source]
             wj = pres.quiver.vertex_index[ar.target]
+            component = parts.get(("component", ar.name, -i))  # T_wj^{-i} -> T_wi^{-i}
             rows = []
-            arrow_chain = self._arrow_chain_map(ar.name)  # summand wj -> summand wi
             for _, coords in reps[wi]:
-                phi = _combine(stalk[wi][0], coords)
-                # phi : T_wi^{-i} -> x; act: precompose with the arrow's
-                # degree component
-                comp = None if phi is None else self._precompose_summand_map(arrow_chain, wi, wj, phi, i)
-                if comp is None or stalk[wj] is None:
+                phi = _combine(stalk[wi][0], coords)  # T_wi^{-i} -> x
+                if phi is None or component is None or stalk[wj] is None:
                     rows.append([ZERO] * len(reps[wj]))
                     continue
                 _, span, classes, _ = stalk[wj]
-                in_maps = span.of(flatten_map(comp))
+                in_maps = span.of(flatten_map(component.then(phi)))
                 if in_maps is None:
                     raise TiltbenchError("map not in span of basis")
                 in_classes = classes.of(in_maps)
@@ -555,37 +593,6 @@ class TiltingContext:
                 rows.append([in_classes[k] for k, _ in reps[wj]])
             mats[ar.name] = Matrix(len(reps[wi]), len(reps[wj]), rows)
         return Representation(pres.algebra, dims, mats)
-
-    def _arrow_chain_map(self, arrow_name: str) -> ChainMapC:
-        """The chain map (target summand) -> (source summand) realizing an
-        arrow of the recovered quiver."""
-        end = self.end_data()
-        pres = end.presentation
-        coords = pres.arrow_elements[arrow_name]
-        b = None
-        for c, cm in zip(coords, end.class_reps):
-            if c == 0:
-                continue
-            b = cm.scale(c) if b is None else b + cm.scale(c)
-        ar = pres.quiver.arrow_by_name[arrow_name]
-        wi = pres.quiver.vertex_index[ar.source]
-        wj = pres.quiver.vertex_index[ar.target]
-        include = end.copy_includes[wj]  # T_wj -> t
-        project = end.copy_projects[wi]  # t -> T_wi
-        return include.then(b).then(project)
-
-    def _precompose_summand_map(self, chain: ChainMapC, wi: int, wj: int, phi, i: int):
-        """(chain: T_wj -> T_wi) then (phi at degree -i) as a module map."""
-        end = self.end_data()
-        deg = -i
-        src_term = end.copy_complexes[wj].term(deg)
-        mid_term = end.copy_complexes[wi].term(deg)
-        if not src_term or not mid_term:
-            return None
-        src_sum = ProjSum(self.algebra, src_term)
-        mid_sum = ProjSum(self.algebra, mid_term)
-        comp_map = realize_entry_map(src_sum, mid_sum, chain.component(deg))
-        return comp_map.then(phi)
 
     # verdicts ---------------------------------------------------------------
 

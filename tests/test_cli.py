@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -24,6 +25,21 @@ def run_cli(*args):
         env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_every_golden_is_byte_identical(tmp_path, monkeypatch):
+    """The commands of corpus/regenerate.py, run in-process, rewrite every
+    golden byte for byte."""
+    spec = importlib.util.spec_from_file_location("regenerate", os.path.join(CORPUS, "regenerate.py"))
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    assert len(regenerate.COMMANDS) == len(os.listdir(os.path.join(CORPUS, "golden")))
+    monkeypatch.chdir(CORPUS)
+    for name, argv in regenerate.COMMANDS:
+        out = tmp_path / name
+        assert main(["-o", str(out), *argv]) == 0, name
+        with open(os.path.join(CORPUS, "golden", name), "rb") as fh:
+            assert out.read_bytes() == fh.read(), name
 
 
 def test_alg_check_matches_golden():
@@ -134,12 +150,36 @@ def test_parse_error_exit_two(tmp_path):
     code, out, err = run_cli("alg", "check", "no_such_file.json")
     assert code == 2
     # well-formed JSON of the wrong shape is bad input, not a negative verdict
-    for name, payload in (("array.json", [1, 2]), ("quiver_int.json", {"format": 1, "quiver": 5})):
+    fig1 = os.path.join(CORPUS, "fig1.json")
+    with open(fig1) as fh:
+        path_int = json.load(fh)
+    path_int["relations"][0][0]["path"] = 5
+    alg_check = ["alg", "check"]
+    cases = [
+        ("array.json", [1, 2], alg_check, "algebra"),
+        ("quiver_int.json", {"format": 1, "quiver": 5}, alg_check, "quiver"),
+        ("no_quiver.json", {"format": 1}, alg_check, "missing field 'quiver'"),
+        ("path_int.json", path_int, alg_check, "relations[0][0].path"),
+        (
+            "terms_int.json",
+            {"format": 1, "algebra": fig1, "terms": 5},
+            ["tilting", "verify", "fig1.json"],
+            "terms",
+        ),
+        (
+            "arrows_int.json",
+            {"format": 1, "algebra": fig1, "dims": {"1": 1}, "arrows": 5},
+            ["stable-image", "fig1.json", "fig1_T.json"],
+            "arrows",
+        ),
+    ]
+    for name, payload, argv, field in cases:
         path = tmp_path / name
         path.write_text(json.dumps(payload))
-        code, out, err = run_cli("alg", "check", str(path))
-        assert code == 2, err
+        code, out, err = run_cli(*argv, str(path))
+        assert code == 2, (name, err)
         assert "Traceback" not in err
+        assert field in err, (name, err)
 
 
 def test_recheck_golden_reports():

@@ -1,5 +1,9 @@
 from tiltbench import corpus
+from tiltbench.linalg import Coordinates
 from tiltbench.reps import (
+    ModuleMap,
+    flatten_map,
+    hom_from_projective_sum,
     hom_space,
     injective,
     projective,
@@ -62,6 +66,36 @@ def test_yoneda_dimension_count():
         for x in mods:
             for v in a.quiver.vertices:
                 assert len(hom_space(projective(a, v), x)) == x.dims[v]
+
+
+def _in_span(maps, basis):
+    """Every map of maps is a combination of the maps of basis."""
+    span = Coordinates([flatten_map(b) for b in basis], len(flatten_map(maps[0])))
+    return all(span.of(flatten_map(f)) is not None for f in maps)
+
+
+def test_yoneda_basis_matches_hom_space():
+    algebras = list(corpus.corpus_algebras().values()) + [
+        corpus.kupisch_algebra([3, 3, 4, 4]),
+        corpus.kupisch_algebra([2, 3, 3]),
+    ]
+    for a in algebras:
+        verts = list(a.quiver.vertices)
+        sums = [ProjSum(a, verts + verts[:1]), ProjSum(a, [verts[-1], verts[1], verts[-1]])]
+        mods = [projective(a, verts[0]).direct_sum(simple(a, verts[-1]))]
+        for v in verts:
+            p = projective(a, v)
+            mods += [simple(a, v), p, radical_submodule(p)[0]]
+        for psum in sums:
+            for x in mods:
+                yoneda = hom_from_projective_sum(psum, x)
+                solved = hom_space(psum.rep, x)
+                assert len(yoneda) == len(solved) == sum(x.dims[lab] for lab in psum.labels)
+                for f in yoneda:
+                    ModuleMap(f.source, f.target, f.mats, check=True)  # raises unless f intertwines
+                if yoneda:
+                    assert _in_span(yoneda, solved)
+                    assert _in_span(solved, yoneda)
 
 
 def test_fig1_hom_p2_p1_is_one_dimensional():

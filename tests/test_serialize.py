@@ -31,8 +31,6 @@ def test_module_roundtrip():
     d = serialize.module_to_dict(p)
     back = serialize.module_from_dict(d)
     assert back.dims == p.dims
-    for ar in a.quiver.vertices:
-        pass
     assert len(hom_space(p, back)) == len(hom_space(p, p))
 
 

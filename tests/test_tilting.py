@@ -7,7 +7,7 @@ from tiltbench.errors import NotConcentrated, PreconditionFailed
 from tiltbench.presentation import presentations_match
 from tiltbench.quiver import Quiver
 from tiltbench.algebra import build_path_algebra
-from tiltbench.reps import projective, simple, zero_rep
+from tiltbench.reps import ModuleMap, ProjSum, projective, radical_submodule, simple, zero_rep
 from tiltbench.tilting import (
     TiltingContext,
     check_add_nu_equal,
@@ -186,6 +186,41 @@ def test_f_homology_fig1():
     z = zero_rep(a)
     for i in (-1, 0, 1):
         assert ctx.f_homology(z, i).total_dim() == 0
+
+
+def test_f_homology_cache_holds_only_module_independent_parts():
+    fig1 = corpus.fig1_algebra()
+    kupisch = corpus.kupisch_algebra([4, 5, 5, 5])
+    built = construct_tpq(kupisch, ["2"], [], 1, 1)
+    cases = [
+        (fig1, lambda: TiltingContext(fig1, corpus.fig1_tilting_complex(fig1))),
+        (kupisch, lambda: TiltingContext(kupisch, built.complex, proved_by_construction=True)),
+    ]
+    for a, make in cases:
+        mods = []
+        for v in a.quiver.vertices:
+            p = projective(a, v)
+            mods += [simple(a, v), p, radical_submodule(p)[0]]
+        ctx = make()
+        shifts = range(-ctx.complex.hi, -ctx.complex.lo + 1)
+
+        def answer(c, x):
+            return [(h.dims, h.mats) for h in (c.f_homology(x, i) for i in shifts)]
+
+        first = answer(ctx, mods[0])
+        size = len(ctx._f_hom_cache)
+        assert size > 0
+        again = [answer(ctx, x) for x in mods]  # mods[0] asked again, the rest after others
+        assert len(ctx._f_hom_cache) == size
+        assert again[0] == first
+        fresh = make()
+        assert [answer(fresh, x) for x in reversed(mods)] == again[::-1]
+        # every cached map runs between cached projective sums, never into a module
+        sums = [v.rep for v in ctx._f_hom_cache.values() if isinstance(v, ProjSum)]
+        for v in ctx._f_hom_cache.values():
+            assert isinstance(v, (ProjSum, ModuleMap))
+            if isinstance(v, ModuleMap):
+                assert any(v.source is r for r in sums) and any(v.target is r for r in sums)
 
 
 def test_stable_image_fig1():
