@@ -164,7 +164,13 @@ def cmd_recheck(args, config):
     import io
     from contextlib import redirect_stdout
 
-    report = serialize.load_json(args.report)
+    report = serialize._expect(serialize.load_json(args.report), dict, "report")
+    kind = report.get("kind")
+
+    def flag(option, value):
+        if value is None:
+            raise TiltbenchError(f"recheck of {args.report} needs {option}")
+        return value
 
     def recompute(fn, **kw):
         ns = argparse.Namespace(format="json", output=None, **kw)
@@ -173,29 +179,33 @@ def cmd_recheck(args, config):
             fn(ns, config)
         return serialize.load_json_str(buf.getvalue())
 
-    kind = report.get("kind")
     if kind == "alg_check":
         fresh = recompute(cmd_alg_check, algebra=args.alg)
     elif kind == "nu_stable":
         fresh = recompute(cmd_nust, algebra=args.alg)
     elif kind == "tilting_report":
-        fresh = recompute(cmd_tilting_verify, algebra=args.alg, cpx=args.cpx)
+        fresh = recompute(cmd_tilting_verify, algebra=args.alg, cpx=flag("--cpx", args.cpx))
     elif kind == "stable_image" or "concentrated" in report:
-        fresh = recompute(cmd_stable_image, algebra=args.alg, cpx=args.cpx, module=args.mod)
+        fresh = recompute(
+            cmd_stable_image, algebra=args.alg, cpx=flag("--cpx", args.cpx), module=flag("--mod", args.mod)
+        )
     elif "criterion" in report:
-        fresh = recompute(cmd_nustable_check, algebra=args.alg, cpx=args.cpx)
+        fresh = recompute(cmd_nustable_check, algebra=args.alg, cpx=flag("--cpx", args.cpx))
     elif "terms" in report and "diffs" in report:
         # a constructed complex: re-run the construction recorded in it
-        prov = report.get("provenance", {})
+        prov = serialize._field(report, "provenance", "provenance", dict, {})
         if prov.get("construction") != "tpq":
             raise TiltbenchError("complex file carries no recheckable provenance")
+        r, s = prov.get("r", 1), prov.get("s", 1)
+        if type(r) is not int or type(s) is not int:
+            raise TiltbenchError(f"provenance: r and s must be integers, got {r!r} and {s!r}")
         fresh = recompute(
             cmd_tilting_construct,
             algebra=args.alg,
-            p=",".join(prov.get("p", [])),
-            q=",".join(prov.get("q", [])),
-            r=prov.get("r", 1),
-            s=prov.get("s", 1),
+            p=",".join(map(str, serialize._field(prov, "p", "provenance.p", list, []))),
+            q=",".join(map(str, serialize._field(prov, "q", "provenance.q", list, []))),
+            r=r,
+            s=s,
         )
     else:
         raise TiltbenchError(f"cannot recheck report of kind {kind!r}")

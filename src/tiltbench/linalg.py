@@ -3,13 +3,19 @@
 Everything is built on :class:`fractions.Fraction`, so results are exact and
 scalars are always reduced with a positive denominator.  Matrices are small
 (desk scale), dense, and immutable by convention: no routine mutates its
-inputs.  :class:`Coordinates` eliminates a fixed list of rows once and then
-gives the coordinates of any vector in their span.
+inputs.  ``Matrix.rref``, behind every rank, kernel and solve, eliminates on
+integer rows (each row scaled by the lcm of its denominators) and builds
+Fractions once, dividing each pivot row by its pivot at the end.  Operations
+whose entries are Fractions by construction build their result with
+``Matrix._trusted``, skipping the public constructor's checks.
+:class:`Coordinates` eliminates a fixed list of rows once and then gives the
+coordinates of any vector in their span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
@@ -32,12 +38,22 @@ class Matrix:
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"bad shape ({rows}, {cols})")
-        data = tuple(tuple(frac(x) for x in row) for row in data)
+        data = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch(f"data does not match shape ({rows}, {cols})")
         self.rows = rows
         self.cols = cols
         self.data = data
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data) -> "Matrix":
+        """Wrap data that is already a rows-tuple of cols-tuples of Fractions,
+        without the shape check and coercion of the public constructor."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
 
     @classmethod
     def from_rows(cls, data) -> "Matrix":
@@ -84,49 +100,46 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("add: shapes differ")
-        return Matrix(
+        return Matrix._trusted(
             self.rows,
             self.cols,
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
+            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)),
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-x for x in row] for row in self.data])
+        return Matrix._trusted(self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.data))
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, [[c * x for x in row] for row in self.data])
+        return Matrix._trusted(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = srow[k]
+        out = []
+        for srow in self.data:
+            orow = [ZERO] * other.cols
+            for k, a in enumerate(srow):
                 if a == 0:
                     continue
                 brow = other.data[k]
                 for j in range(other.cols):
                     if brow[j] != 0:
                         orow[j] += a * brow[j]
-        return Matrix(self.rows, other.cols, out)
+            out.append(tuple(orow))
+        return Matrix._trusted(self.rows, other.cols, tuple(out))
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return Matrix._trusted(self.cols, self.rows, data)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -152,26 +165,44 @@ class Matrix:
     # -- elimination -----------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form.  Returns (matrix, pivot column list)."""
-        m = [list(row) for row in self.data]
+        """Reduced row echelon form.  Returns (matrix, pivot column list).
+
+        Elimination runs on integer rows: each row is scaled by the lcm of its
+        denominators, an eliminated row becomes ``p * row - f * pivot_row``
+        divided by the gcd of its entries, and each pivot row is divided by
+        its pivot once, at the end.
+        """
+        m = []
+        for row in self.data:
+            nums = [x.numerator for x in row]
+            dens = [x.denominator for x in row]
+            den = lcm(*dens)
+            m.append(nums if den == 1 else [a * (den // d) for a, d in zip(nums, dens)])
         pivots = []
         r = 0
         for c in range(self.cols):
             if r == self.rows:
                 break
-            pr = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
+            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
+            prow = m[r]
+            p = prow[c]
             for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if f and i != r:
+                    row = [p * a - f * b for a, b in zip(m[i], prow)]
+                    g = gcd(*row)
+                    m[i] = [a // g for a in row] if g > 1 else row
             pivots.append(c)
             r += 1
-        return Matrix(self.rows, self.cols, m), pivots
+        out = []
+        for row, c in zip(m, pivots):
+            p = row[c]
+            out.append(tuple(Fraction(a, p) if a else ZERO for a in row))
+        out.extend([(ZERO,) * self.cols] * (self.rows - r))
+        return Matrix._trusted(self.rows, self.cols, tuple(out)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -55,9 +55,10 @@ class Representation:
         return tuple(self.dims[v] for v in self.algebra.quiver.vertices)
 
     def path_matrix(self, path) -> Matrix:
-        q = self.algebra.quiver
-        m = Matrix.identity(self.dims[path.source])
-        for name in path.arrows:
+        if not path.arrows:
+            return Matrix.identity(self.dims[path.source])
+        m = self.mats[path.arrows[0]]
+        for name in path.arrows[1:]:
             m = m * self.mats[name]
         return m
 

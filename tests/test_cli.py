@@ -154,7 +154,11 @@ def test_parse_error_exit_two(tmp_path):
     with open(fig1) as fh:
         path_int = json.load(fh)
     path_int["relations"][0][0]["path"] = 5
+    with open(os.path.join(CORPUS, "golden", "sec5_T.json")) as fh:
+        r_str = json.load(fh)
+    r_str["provenance"]["r"] = "x"
     alg_check = ["alg", "check"]
+    recheck = ["recheck", "--alg", "fig1.json"]
     cases = [
         ("array.json", [1, 2], alg_check, "algebra"),
         ("quiver_int.json", {"format": 1, "quiver": 5}, alg_check, "quiver"),
@@ -172,6 +176,9 @@ def test_parse_error_exit_two(tmp_path):
             ["stable-image", "fig1.json", "fig1_T.json"],
             "arrows",
         ),
+        ("report_array.json", [1, 2], recheck, "report"),
+        ("no_cpx.json", {"kind": "stable_image"}, recheck, "--cpx"),
+        ("r_str.json", r_str, ["recheck", "--alg", "sec5_A.json"], "provenance"),
     ]
     for name, payload, argv, field in cases:
         path = tmp_path / name

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from tiltbench.errors import DimensionMismatch
 from tiltbench.linalg import (
     Coordinates,
     Matrix,
@@ -112,3 +115,103 @@ def test_coordinates_match_solve_on_transposed_rows():
             assert coords.of(v) == want
         ranks = [Matrix(k, width, rows[:k]).rank() for k in range(len(rows) + 1)]
         assert coords.independent == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]
+
+
+def fraction_gauss_jordan(rows, cols, data):
+    """Reference: Gauss-Jordan on Fractions, each pivot row scaled to 1 first."""
+    m = [list(row) for row in data]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def test_rref_matches_fraction_gauss_jordan():
+    rng = random.Random(1968)
+    for case in range(400):
+        big = case % 3 == 0
+        if case % 25 == 0:
+            rows, cols = rng.choice([(0, rng.randint(0, 6)), (rng.randint(0, 6), 0)])
+        else:  # wide, tall and square
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+
+        def entry():
+            if rng.random() < 0.3:
+                return Fraction(0)
+            bound = 10**30 if big else 9
+            den = rng.choice([1, 1, 2, 3, 4, 6, 7, 10**15 if big else 5])
+            return Fraction(rng.randint(-bound, bound), den)
+
+        data = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            data[rng.randrange(rows)] = [Fraction(0)] * cols
+        if cols and rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in data:
+                row[j] = Fraction(0)
+        if rows >= 3 and rng.random() < 0.5:  # a row that depends on two others
+            i, k, l = rng.sample(range(rows), 3)
+            a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            data[i] = [a * x + b * y for x, y in zip(data[k], data[l])]
+        want, want_pivots = fraction_gauss_jordan(rows, cols, data)
+        red, pivots = Matrix(rows, cols, data).rref()
+        assert pivots == want_pivots
+        assert (red.rows, red.cols) == (rows, cols)
+        assert [list(row) for row in red.data] == want
+        assert all(type(x) is Fraction for row in red.data for x in row)
+
+
+def test_matrix_operations_hold_only_fractions():
+    rng = random.Random(7)
+
+    def rand(rows, cols):
+        return Matrix(rows, cols, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)])
+
+    a, b, c = rand(3, 4), rand(3, 4), rand(4, 2)
+    sq = Matrix.from_rows([[2, 1, 0], [Fraction(1, 2), -3, 1], [0, 4, Fraction(-5, 7)]])
+    results = [
+        a + b,
+        a - b,
+        -a,
+        a * c,
+        a.scale(Fraction(-2, 3)),
+        a.scale(2),
+        a * 2,
+        3 * a,
+        a.transpose(),
+        a.hstack(b),
+        a.vstack(b),
+        a.submatrix([2, 0], [3, 1]),
+        a.rref()[0],
+        a.kernel_basis(),
+        a.solve(a * c),
+        sq.inverse(),
+        Matrix.zero(0, 3).transpose(),
+        Matrix.zero(3, 0).transpose(),
+        Matrix.zero(2, 0) * Matrix.zero(0, 3),
+        Matrix.zero(0, 3).rref()[0],
+        Matrix.zero(3, 0).rref()[0],
+    ]
+    assert sq.inverse() is not None and a.solve(a * c) is not None
+    for m in results:
+        assert all(type(x) is Fraction for row in m.data for x in row)
+        assert m == Matrix(m.rows, m.cols, [list(row) for row in m.data])
+    assert Matrix(1, 3, [[2, "-3/4", Fraction(1, 2)]]).data == ((Fraction(2), Fraction(-3, 4), Fraction(1, 2)),)
+    assert all(type(x) is Fraction for x in Matrix(1, 2, [[1, "5"]]).data[0])
+    for rows, cols, data in [(2, 2, [[1, 2], [3]]), (2, 2, [[1, 2]]), (1, 2, [[1, 2, 3]]), (0, 1, [[1]]), (-1, 0, [])]:
+        with pytest.raises(DimensionMismatch):
+            Matrix(rows, cols, data)

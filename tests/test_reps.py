@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 from tiltbench import corpus
-from tiltbench.linalg import Coordinates
+from tiltbench.linalg import Coordinates, Matrix
+from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
     ModuleMap,
     flatten_map,
@@ -22,6 +25,30 @@ from tiltbench.reps import (
     nu_entry_map,
     nu_injective_sum,
 )
+
+
+def test_path_matrix_is_word_order_product_of_arrow_matrices():
+    for a in (corpus.sec5_algebra(), corpus.fig2_algebra(), corpus.kupisch_algebra([3, 3, 4, 4])):
+        q = a.quiver
+        words = [[arrow.name] for arrow in q.arrows]
+        for w in words:  # every composable word of length 1 to 3
+            if len(w) < 3:
+                words.extend(w + [b.name] for b in q.arrows_from[q.arrow_by_name[w[-1]].target])
+        assert any(len(w) == 3 for w in words)
+        for x in (regular_module(a), injective(a, q.vertices[0])):
+            for v in q.vertices:
+                assert x.path_matrix(trivial_path(v)) == Matrix.identity(x.dims[v])
+            for w in words:
+                path = path_from_arrows(q, w)
+                n = x.dims[path.source]
+                rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+                for name in w:
+                    m = x.mats[name].data
+                    width = x.mats[name].cols
+                    rows = [[sum((r[k] * m[k][j] for k in range(len(m))), Fraction(0)) for j in range(width)] for r in rows]
+                got = x.path_matrix(path)
+                assert (got.rows, got.cols) == (n, x.dims[path.target(q)])
+                assert [list(r) for r in got.data] == rows
 
 
 def layers_as_labels(m):
