@@ -36,20 +36,20 @@ class ChainEndData(FiniteDimAlgebra):
 
     def __init__(self, c: ProjComplex):
         self.complex = c
-        self.space = HomotopySpace(c, c.shift(0))
-        self._chain_maps = [self.space.vector_to_chain_map(v) for v in self.space.chain_vectors]
-        self._span = Coordinates(self.space.chain_vectors, len(self.space._coords))
-        super().__init__(len(self._chain_maps), self._basis_then, self.coords(ChainMapC.identity(c)))
-
-    def _basis_then(self, i, j):
-        return self.coords(self._chain_maps[i].then(self._chain_maps[j]))
+        self.space = space = HomotopySpace(c, c.shift(0))
+        self._chain_maps = maps = [space.vector_to_chain_map(v) for v in space.chain_vectors]
+        self._span = span = Coordinates(space.chain_vectors, len(space._coords))
+        # the product closes over the maps and their span, not over self, so
+        # that a ChainEndData is no reference cycle and dies with its last use
+        super().__init__(
+            len(maps),
+            lambda i, j: _chain_coords(space, span, maps[i].then(maps[j])),
+            self.coords(ChainMapC.identity(c)),
+        )
 
     def coords(self, cm: ChainMapC):
         """Coordinates of a chain endomorphism in the chain-map basis."""
-        coords = self._span.of(self.space.chain_map_to_vector(cm))
-        if coords is None:
-            raise TiltbenchError("endomorphism outside the chain-map space")
-        return coords
+        return _chain_coords(self.space, self._span, cm)
 
     def element(self, coords) -> ChainMapC:
         acc = None
@@ -61,6 +61,13 @@ class ChainEndData(FiniteDimAlgebra):
             z = self.complex
             return ChainMapC.zero(z, z)
         return acc
+
+
+def _chain_coords(space: HomotopySpace, span: Coordinates, cm: ChainMapC):
+    coords = span.of(space.chain_map_to_vector(cm))
+    if coords is None:
+        raise TiltbenchError("endomorphism outside the chain-map space")
+    return coords
 
 
 def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
@@ -321,13 +328,14 @@ def _upgrade_to_iso(x: ProjComplex, y: ProjComplex, f: ChainMapC):
     return None
 
 
-def decompose_complex(c: ProjComplex, config: WorkbenchConfig = DEFAULT):
+def decompose_complex(c: ProjComplex, config: WorkbenchConfig = DEFAULT, _self_hom=None):
     """Indecomposable radical summands with multiplicities and a certificate.
 
-    Returns (summands, f, g, hom_witness_ok) where summands is a list of
+    Returns (summands, f, g) where summands is a list of
     (ProjComplex, multiplicity), f : D -> c and g : c -> D are chain maps
-    with g then f the identity of D on the nose and f then g homotopic to
-    the identity of c.
+    with f then g the identity of D on the nose and g then f homotopic to
+    the identity of c.  ``_self_hom(0)``, when given, returns the homotopy
+    space c -> c for that last check (``TiltingContext`` shares its own).
     """
     m, eq = minimize(c)
     leaves = []  # (summand, include into m, project from m)
@@ -399,7 +407,8 @@ def decompose_complex(c: ProjComplex, config: WorkbenchConfig = DEFAULT):
         raise DecompositionError("summand certificate failed: f then g != id")
     back = g.then(f)
     ident = ChainMapC.identity(c)
-    witness_ok = HomotopySpace(c, c.shift(0)).is_null(ident - back)
+    space = _self_hom(0) if _self_hom is not None else HomotopySpace(c, c.shift(0))
+    witness_ok = space.is_null(ident - back)
     if not witness_ok:
         raise DecompositionError("summand certificate failed up to homotopy")
     return summands, f, g

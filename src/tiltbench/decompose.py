@@ -271,19 +271,17 @@ class EndAlgebra(FiniteDimAlgebra):
 
     def __init__(self, m: Representation):
         self.module = m
-        self.maps = hom_space(m, m)
-        self._span = Coordinates([flatten_map(f) for f in self.maps], sum(d * d for d in m.dims.values()))
-        super().__init__(len(self.maps), self._basis_then, self.coords(ModuleMap.identity(m)))
-
-    def _basis_then(self, i, j):
-        return self.coords(self.maps[i].then(self.maps[j]))
+        self.maps = maps = hom_space(m, m)
+        self._span = span = Coordinates([flatten_map(f) for f in maps], sum(d * d for d in m.dims.values()))
+        # the product closes over the maps and their span, not over self, so
+        # that an EndAlgebra is no reference cycle and dies with its last use
+        super().__init__(
+            len(maps), lambda i, j: _map_coords(span, maps[i].then(maps[j])), self.coords(ModuleMap.identity(m))
+        )
 
     def coords(self, f: ModuleMap):
         """Coordinates of an endomorphism in the hom-space basis."""
-        coords = self._span.of(flatten_map(f))
-        if coords is None:
-            raise TiltbenchError("map not in span of basis")
-        return coords
+        return _map_coords(self._span, f)
 
     def element(self, coords) -> ModuleMap:
         acc = None
@@ -297,6 +295,13 @@ class EndAlgebra(FiniteDimAlgebra):
         if self.dim == 1:
             return True
         return self.semisimple_dim() == 1
+
+
+def _map_coords(span: Coordinates, f: ModuleMap):
+    coords = span.of(flatten_map(f))
+    if coords is None:
+        raise TiltbenchError("map not in span of basis")
+    return coords
 
 
 def module_min_poly(f: ModuleMap):

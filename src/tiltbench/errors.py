@@ -28,13 +28,16 @@ class NoIdentity(TiltbenchError):
 
 
 class RadicalNotNilpotent(TiltbenchError):
-    """Trace-form radical failed the nilpotency check; the input table does
-    not describe a finite-dimensional associative algebra."""
+    """The powers of the radical candidate stopped dropping before 0 (the
+    Peirce-block radical in ``presentation.radical_chain``, or the path
+    radical of a path algebra), so it is not the radical of the input."""
 
 
 class NotBasic(TiltbenchError):
-    """Semisimple quotient is larger than the number of primitive
-    idempotents, so some simple module is not one-dimensional."""
+    """The given idempotents are not complete and orthogonal, or the product
+    of the Peirce-block radical candidate with itself leaves it on a diagonal
+    block: the semisimple quotient is larger than one copy of the field per
+    idempotent, so some simple module is not one-dimensional."""
 
 
 class NotProjective(TiltbenchError):

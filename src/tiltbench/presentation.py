@@ -1,8 +1,20 @@
 """Recovering a quiver-with-relations presentation from an abstract algebra.
 
-Vertices are primitive idempotents, arrows lift a basis of the radical modulo
-its square, and relations are kernel elements of the induced map from the
-path algebra, collected degree by degree up to the nilpotency index.  The
+Vertices are the given (or found) primitive idempotents e_1, ..., e_n.  The
+radical layers are computed Peirce block by Peirce block (``radical_chain``):
+e_i A is the row space of left multiplication by e_i and e_i A e_j the row
+space of its rows times e_j; the radical R has R_ij = e_i A e_j for i != j
+and R_ii = ker chi_i, where chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i);
+and (R^(k+1))_ij = sum over l of (R^k)_il R_lj.  No full trace form and no
+product over all pairs of radical rows is formed.  The layers certify that
+the algebra is basic: the diagonal blocks of R * R must lie in R (else
+``NotBasic``) and the powers of R must drop strictly to 0 (else
+``RadicalNotNilpotent``), so R is a nilpotent ideal with A / R = K^n, hence
+the radical.
+
+Arrows i -> j lift a basis of R_ij modulo (R^2)_ij, read from the RREF bases
+of the two blocks, and relations are kernel elements of the induced map from
+the path algebra, collected degree by degree up to the nilpotency index.  The
 result is certified by rebuilding the path algebra and comparing dimensions;
 only ideals with length-homogeneous generators are supported (the rebuild
 certifies that this suffices for the input at hand).
@@ -23,7 +35,7 @@ from .errors import (
     PresentationError,
     RadicalNotNilpotent,
 )
-from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains, row_spaces_equal
+from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains
 from .quiver import Path, Quiver, Relation
 
 ZERO = Fraction(0)
@@ -62,21 +74,94 @@ def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
     return alg
 
 
-def _power_rows(alg: FiniteDimAlgebra, rows_a: Matrix, rows_b: Matrix) -> Matrix:
-    out = []
-    for i in range(rows_a.rows):
-        for j in range(rows_b.rows):
-            out.append(alg.mul(list(rows_a.row(i)), list(rows_b.row(j))))
-    return row_space_basis(Matrix(len(out), alg.dim, out)) if out else Matrix.zero(0, alg.dim)
+class PeirceLayer:
+    """rad^k of a basic algebra, one Peirce block at a time: ``blocks[i][j]``
+    is the RREF basis (a Matrix) of e_i rad^k e_j, and ``rows`` the dimension
+    of rad^k."""
+
+    __slots__ = ("blocks", "rows")
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.rows = sum(b.rows for line in blocks for b in line)
 
 
-def radical_chain(alg: FiniteDimAlgebra):
-    """[rad, rad^2, ...] as row-space matrices, ending at zero."""
-    rad = alg.radical_rows()
-    chain = [rad]
+def _span(rows, dim: int) -> Matrix:
+    """RREF basis of the span of rows; most Peirce blocks are 0, so zero rows
+    are dropped before any elimination."""
+    rows = [r for r in rows if any(r)]
+    return row_space_basis(Matrix(len(rows), dim, rows)) if rows else Matrix.zero(0, dim)
+
+
+def _block_product(alg: FiniteDimAlgebra, left, right):
+    """Peirce blocks of X * Y from those of X and Y: (XY)_ij = sum_l X_il Y_lj."""
+    n = len(left)
+    return [
+        [
+            _span([alg.mul(x, y) for l in range(n) for x in left[i][l].data for y in right[l][j].data], alg.dim)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
+    """[rad, rad^2, ..., 0] as Peirce layers, certified.
+
+    ``idempotents`` must be orthogonal and sum to 1; ``primitive_idempotents``
+    supplies them when omitted.  R_ij = e_i A e_j for i != j, and R_ii is the
+    kernel of chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i).  Raises
+    NotBasic unless the diagonal blocks of R * R lie in R, and
+    RadicalNotNilpotent unless the powers of R drop strictly to 0.  Together
+    the checks show that R is a nilpotent ideal with A / R = K^n, so R is the
+    radical and A is basic.
+    """
+    idems = idempotents if idempotents is not None else primitive_idempotents(alg)
+    n, dim = len(idems), alg.dim
+    if [sum(e[k] for e in idems) for k in range(dim)] != list(alg.one):
+        raise NotBasic("the idempotents do not sum to 1")
+    for i, e in enumerate(idems):
+        if not any(e):
+            raise NotBasic(f"idempotent {i} is zero")
+        for j, f in enumerate(idems):
+            if alg.mul(e, f) != (list(e) if i == j else [ZERO] * dim):
+                raise NotBasic(f"idempotents {i} and {j} are not orthogonal idempotents")
+    # pieces[i][j]: RREF basis of e_i A e_j, from the RREF basis of e_i A
+    pieces = []
+    for e in idems:
+        left = _span(alg.left_matrix(e).data, dim).data
+        pieces.append([_span([alg.mul(r, f) for r in left], dim) for f in idems])
+    # traces[i]: (pivot column, trace of L_b on e_i A e_i) for each RREF basis
+    # row b of e_i A e_i.  On that basis, an element of e_i A e_i has as its
+    # coordinate on b its entry at b's pivot column.
+    traces = []
+
+    def chi(i, x):  # chi_i(x) * dim(e_i A e_i), for x in e_i A e_i
+        return sum((x[p] * t for p, t in traces[i]), ZERO)
+
+    rad = [list(row) for row in pieces]
+    for i in range(n):
+        basis = pieces[i][i].data
+        pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
+        traces.append(
+            [(p, sum((alg.mul(b, c)[q] for c, q in zip(basis, pivots)), ZERO)) for b, p in zip(basis, pivots)]
+        )
+        top = next(b for b in basis if chi(i, b))  # exists: chi_i(e_i) = 1
+        kernel = []
+        for b in basis:
+            if b is not top:
+                c = chi(i, b) / chi(i, top)
+                kernel.append([x - c * y for x, y in zip(b, top)] if c else b)
+        rad[i][i] = _span(kernel, dim)
+    chain = [PeirceLayer(rad)]
     while chain[-1].rows:
-        nxt = _power_rows(alg, chain[-1], rad)
-        if nxt.rows >= chain[-1].rows and nxt.rows > 0 and row_spaces_equal(nxt, chain[-1]):
+        nxt = PeirceLayer(_block_product(alg, chain[-1].blocks, rad))
+        if len(chain) == 1 and any(chi(i, x) for i in range(n) for x in nxt.blocks[i][i].data):
+            raise NotBasic(
+                f"rad * rad leaves rad on a diagonal Peirce block: the semisimple "
+                f"quotient is larger than K^{n}"
+            )
+        if nxt.rows >= chain[-1].rows:
             raise RadicalNotNilpotent("radical chain stabilized while nonzero")
         chain.append(nxt)
     return chain
@@ -89,31 +174,20 @@ def quiver_presentation(
     vertex_names=None,
 ) -> Presentation:
     idems = idempotents if idempotents is not None else primitive_idempotents(alg, config)
-    chain = radical_chain(alg)
-    rad, rad2 = chain[0], chain[1] if len(chain) > 1 else Matrix.zero(0, alg.dim)
+    chain = radical_chain(alg, idems)
     nil_index = len(chain)  # rad^(len) = 0
-    if alg.dim - rad.rows != len(idems):
-        raise NotBasic(
-            f"semisimple quotient has dimension {alg.dim - rad.rows} but "
-            f"{len(idems)} primitive idempotents"
-        )
+    rad = chain[0].blocks
+    rad2 = chain[1].blocks if len(chain) > 1 else rad  # rad = 0 when len(chain) == 1
     n = len(idems)
     names = [str(x) for x in (vertex_names or [str(i + 1) for i in range(n)])]
-
-    def sandwich(rows: Matrix, i: int, j: int) -> Matrix:
-        out = []
-        for r in range(rows.rows):
-            x = alg.mul(list(idems[i]), alg.mul(list(rows.row(r)), list(idems[j])))
-            out.append(x)
-        return row_space_basis(Matrix(len(out), alg.dim, out)) if out else Matrix.zero(0, alg.dim)
 
     arrows = []
     arrow_elements = {}
     for i in range(n):
         for j in range(n):
             # arrows i -> j: rows of e_i rad e_j independent modulo e_i rad^2 e_j
-            s2_ij = sandwich(rad2, i, j).data
-            s_ij = sandwich(rad, i, j).data
+            s2_ij = rad2[i][j].data
+            s_ij = rad[i][j].data
             for r in Coordinates(s2_ij + s_ij, alg.dim).independent:
                 if r >= len(s2_ij):
                     name = f"a{len(arrows)}"

@@ -221,7 +221,14 @@ def verify_tilting(
     proved_by_construction: bool = False,
     config: WorkbenchConfig = DEFAULT,
     decomposition=None,
+    _self_hom=None,
 ) -> TiltingReport:
+    """Self-orthogonality, class determinant and basic-ness of t.
+
+    ``decomposition`` is a ``decompose_complex(t)`` result to reuse, and
+    ``_self_hom(n)`` returns the homotopy space t -> t[n]; ``TiltingContext``
+    passes both so that nothing it already holds is built again."""
+    self_hom = _self_hom if _self_hom is not None else (lambda n: homotopy_hom(t, t, n))
     val = t.validate()
     if not val["d_squared_zero"]:
         raise DSquaredNonzero("differentials do not square to zero")
@@ -232,7 +239,7 @@ def verify_tilting(
     for n in range(-width, width + 1):
         if n == 0:
             continue
-        self_orth[n] = homotopy_hom(t, t, n).dim
+        self_orth[n] = self_hom(n).dim
     self_ok = all(v == 0 for v in self_orth.values())
     summands, f, g = decomposition if decomposition is not None else decompose_complex(t, config)
     verts = list(t.algebra.quiver.vertices)
@@ -388,6 +395,7 @@ class TiltingContext:
         self._tilting_report = None
         self._end = None
         self._f_hom_cache = {}
+        self._self_homs = {}  # shift n -> HomotopySpace(t, t[n])
 
     # cached building blocks ------------------------------------------------
 
@@ -396,9 +404,16 @@ class TiltingContext:
             self._nust = maximal_nu_stable(self.algebra, self.config)
         return self._nust
 
+    def _self_hom(self, n: int) -> HomotopySpace:
+        """Homotopy classes t -> t[n], built once per shift and shared by
+        decomposition(), tilting_report() and end_data()."""
+        if n not in self._self_homs:
+            self._self_homs[n] = homotopy_hom(self.complex, self.complex, n)
+        return self._self_homs[n]
+
     def decomposition(self):
         if self._decomp is None:
-            self._decomp = decompose_complex(self.complex, self.config)
+            self._decomp = decompose_complex(self.complex, self.config, _self_hom=self._self_hom)
         return self._decomp
 
     def tilting_report(self) -> TiltingReport:
@@ -408,6 +423,7 @@ class TiltingContext:
                 proved_by_construction=self.proved_by_construction,
                 config=self.config,
                 decomposition=self.decomposition(),
+                _self_hom=self._self_hom,
             )
         return self._tilting_report
 
@@ -417,10 +433,10 @@ class TiltingContext:
         t = self.complex
         width = t.width()
         for n in range(-width, width + 1):
-            if n and homotopy_hom(t, t, n).dim:
+            if n and self._self_hom(n).dim:
                 raise NotSelfOrthogonal(f"nonzero homotopy hom at shift {n}")
         summands, f, g = self.decomposition()
-        space = homotopy_hom(t, t, 0)
+        space = self._self_hom(0)
         class_reps = space.class_reps()
         # the algebra product x*y corresponds to composition "y then x"
         abstract = FiniteDimAlgebra(

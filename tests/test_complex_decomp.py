@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 from tiltbench import corpus
 from tiltbench.complex_decomp import (
     ChainEndData,
@@ -7,6 +10,8 @@ from tiltbench.complex_decomp import (
     strictify_idempotent,
 )
 from tiltbench.complexes import ChainMapC, regular_stalk, stalk_complex
+from tiltbench.decompose import EndAlgebra
+from tiltbench.reps import regular_module
 
 
 def test_decompose_fig1_T():
@@ -99,3 +104,17 @@ def test_chain_end_data_identity():
     assert data.element(one).is_identity_shape()
     sq = data.mul(one, one)
     assert sq == one
+
+
+def test_endomorphism_algebras_are_freed_without_the_cyclic_gc():
+    a = corpus.fig1_algebra()
+    gc.disable()
+    try:
+        refs = []
+        for alg in (EndAlgebra(regular_module(a)), ChainEndData(regular_stalk(a))):
+            alg.mul(alg.one, alg.one)  # fill part of the product table
+            refs.append(weakref.ref(alg))
+        del alg
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

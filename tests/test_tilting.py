@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from tiltbench import corpus
-from tiltbench.complexes import regular_stalk
+from tiltbench.complexes import HomotopySpace, regular_stalk
 from tiltbench.complex_decomp import complexes_isomorphic
 from tiltbench.errors import NotConcentrated, PreconditionFailed
 from tiltbench.presentation import presentations_match
@@ -247,3 +249,22 @@ def test_check_simple_images_matches_iterated_criterion():
     rep = ctx.check_simple_images()
     assert rep["verdict"] is True
     assert rep["per_projective"]["1"]["simple"] is True
+
+
+def test_context_builds_each_self_hom_once(monkeypatch):
+    a = corpus.sec5_algebra()
+    t = construct_tpq(a, ["1"], ["3", "4"], 1, 1).complex
+    ctx = TiltingContext(a, t, proved_by_construction=True)
+    builds = Counter()
+    init = HomotopySpace.__init__
+
+    def counted(self, x, y_shifted):
+        if x is t:
+            builds[min(y_shifted.terms)] += 1  # the shift n moves the lowest degree
+        init(self, x, y_shifted)
+
+    monkeypatch.setattr(HomotopySpace, "__init__", counted)
+    ctx.tilting_report()
+    ctx.end_data()
+    assert len(builds) == 2 * t.width() + 1
+    assert set(builds.values()) == {1}
