@@ -136,9 +136,6 @@ class BasicAlgebra:
         """Basis indices i with source a and target b (the sandwich e_a A e_b)."""
         return self._sandwich.get((str(a), str(b)), [])
 
-    def is_radical_index(self, i: int) -> bool:
-        return len(self.basis[i]) >= 1
-
     def radical_indices(self):
         return [i for i in range(self.dim) if len(self.basis[i]) >= 1]
 
@@ -231,11 +228,6 @@ class BasicAlgebra:
         else:
             raise TiltbenchError("corner element is not a unit (series did not terminate)")
         return el_scale(Fraction(1, 1) / c, inv)
-
-    def format_element(self, x: dict) -> str:
-        if not x:
-            return "0"
-        return " + ".join(f"({c})*{self.basis[k].word()}" for k, c in sorted(x.items()))
 
 
 def trace_form_radical(alg: BasicAlgebra) -> Matrix:

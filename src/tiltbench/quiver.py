@@ -68,9 +68,6 @@ class Path:
     def target(self, q: Quiver) -> str:
         return q.arrow_by_name[self.arrows[-1]].target if self.arrows else self.source
 
-    def is_trivial(self) -> bool:
-        return not self.arrows
-
     def word(self) -> str:
         return "*".join(self.arrows) if self.arrows else f"e_{self.source}"
 
@@ -91,13 +88,6 @@ def path_from_arrows(q: Quiver, arrow_names) -> Path:
         if q.arrow_by_name[a].target != q.arrow_by_name[b].source:
             raise TiltbenchError(f"arrows {a!r} and {b!r} do not compose left-to-right")
     return Path(q.arrow_by_name[names[0]].source, names)
-
-
-def concat(q: Quiver, p1: Path, p2: Path):
-    """Concatenation p1 then p2, or None when endpoints do not match."""
-    if p1.target(q) != p2.source:
-        return None
-    return Path(p1.source, p1.arrows + p2.arrows)
 
 
 def deglex_key(q: Quiver, p: Path):

@@ -62,18 +62,6 @@ class Representation:
             m = m * self.mats[name]
         return m
 
-    def element_action(self, x: dict) -> Matrix:
-        """Action matrix of an element supported on one sandwich e_a A e_b."""
-        alg = self.algebra
-        pairs = {(alg.source[k], alg.target[k]) for k in x}
-        if len(pairs) != 1:
-            raise TiltbenchError("element is not supported on a single sandwich")
-        (a, b) = pairs.pop()
-        acc = Matrix.zero(self.dims[a], self.dims[b])
-        for k, c in x.items():
-            acc = acc + self.path_matrix(alg.basis[k]).scale(c)
-        return acc
-
     def direct_sum(self, other: "Representation") -> "Representation":
         dims = {v: self.dims[v] + other.dims[v] for v in self.dims}
         mats = {}
@@ -213,42 +201,60 @@ def hom_space(m: Representation, n: Representation) -> list:
     return out
 
 
-def hom_from_projective_sum(psum: "ProjSum", x: Representation) -> list:
-    """Basis of the module maps psum -> x by Yoneda's lemma, Hom(P(a), x) = x(a).
+class YonedaAction:
+    """Maps out of sums of projectives into x, in Yoneda coordinates.
 
-    For summand i with label a and basis vector r of x at a, the map sends
-    summand i's generator to r: the path k: a -> w goes to row r of
-    ``x.path_matrix(k)``, and every other summand goes to 0.  The basis is
-    summand-major, then r.  No linear system is solved."""
-    alg = psum.algebra
-    if x.algebra is not alg and x.algebra.basis != alg.basis:
-        raise TiltbenchError("modules over different algebras")
-    words = {}  # (source, arrow word) -> x's matrix of that path
+    By Yoneda's lemma Hom(P(a_1) + ... + P(a_m), x) = x(a_1) + ... + x(a_m):
+    a map is the list of its generator images, summand-major, and its k-th
+    basis map sends one generator to one basis vector of x.  ``element``
+    gives x's matrix of an algebra element, and ``precomposition`` the
+    matrix of h -> E then h for an entry map E, so no module map is built.
+    x's path matrices are kept for the life of the object."""
 
-    def word_matrix(source, word):
-        if len(word) <= 1:
-            return x.mats[word[0]] if word else Matrix.identity(x.dims[source])
-        m = words.get((source, word))
+    def __init__(self, x: Representation):
+        self.x = x
+        self._words = {}  # (source, arrow word) -> x's matrix of that path
+
+    def _path_matrix(self, source, word) -> Matrix:
+        m = self._words.get((source, word))
         if m is None:
-            m = words[(source, word)] = word_matrix(source, word[:-1]) * x.mats[word[-1]]
+            if not word:
+                m = Matrix.identity(self.x.dims[source])
+            elif len(word) == 1:
+                m = self.x.mats[word[0]]
+            else:
+                m = self._path_matrix(source, word[:-1]) * self.x.mats[word[-1]]
+            self._words[(source, word)] = m
         return m
 
-    path_rows = {}  # basis path k -> rows of x.path_matrix(k)
-    for w in alg.quiver.vertices:
-        for _, k in psum.layout[w]:
-            if k not in path_rows:
-                p = alg.basis[k]
-                path_rows[k] = word_matrix(p.source, p.arrows).data
-    out = []
-    for i, a in enumerate(psum.labels):
-        for r in range(x.dims[a]):
-            mats = {}
-            for w in alg.quiver.vertices:
-                zero = (ZERO,) * x.dims[w]
-                rows = [path_rows[k][r] if j == i else zero for j, k in psum.layout[w]]
-                mats[w] = Matrix(len(rows), x.dims[w], rows)
-            out.append(ModuleMap(psum.rep, x, mats, check=False))
-    return out
+    def element(self, el: dict, source, target) -> list:
+        """Rows of x's dim x(source) x dim x(target) matrix of el, an element
+        supported on paths source -> target."""
+        basis = self.x.algebra.basis
+        out = [[ZERO] * self.x.dims[target] for _ in range(self.x.dims[source])]
+        for k, c in el.items():
+            p = basis[k]
+            for row, prow in zip(out, self._path_matrix(p.source, p.arrows).data):
+                for j, y in enumerate(prow):
+                    if y:
+                        row[j] += c * y
+        return out
+
+    def precomposition(self, entries, src_labels, tgt_labels) -> Matrix:
+        """Matrix of h -> E then h, from Hom(P(b_1..b_n), x) to
+        Hom(P(a_1..a_m), x) in Yoneda coordinates, for the entry map E with
+        ``entries[i][j]`` supported on paths b_j -> a_i.  Block (j, i) is
+        x(entries[i][j]); row k holds the coordinates of E then (k-th basis
+        map)."""
+        dims = self.x.dims
+        out = []
+        for j, b in enumerate(tgt_labels):
+            block = [[] for _ in range(dims[b])]
+            for i, a in enumerate(src_labels):
+                for row, part in zip(block, self.element(entries[i][j], b, a)):
+                    row.extend(part)
+            out.extend(tuple(row) for row in block)
+        return Matrix._trusted(len(out), sum(dims[a] for a in src_labels), tuple(out))
 
 
 def flatten_map(f: ModuleMap) -> list:

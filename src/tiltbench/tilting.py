@@ -18,10 +18,11 @@ The central objects:
 * ``f_homology`` / ``stable_image``: hom spaces into shifted stalks as
   modules over the endomorphism algebra, and the degree-zero image module
   when those homs are concentrated in degree zero.  The hom spaces out of a
-  term of T use the Yoneda basis (``reps.hom_from_projective_sum``), so no
-  linear system is solved for them, and ``TiltingContext`` builds the parts
-  that do not depend on the module (projective sums of the terms, realized
-  differentials and arrow components) once and reuses them for every query.
+  term of T are taken in Yoneda coordinates (``reps.YonedaAction``), so
+  neither a linear system is solved nor a module map built for them, and
+  ``TiltingContext`` keeps the parts that do not depend on the module (term
+  labels, differentials and arrow components, as entry matrices) and reuses
+  them for every query.
 """
 
 from __future__ import annotations
@@ -61,15 +62,13 @@ from .presentation import Presentation, quiver_presentation
 from .reps import (
     ProjSum,
     Representation,
+    YonedaAction,
     cokernel_of,
     extract_entry_map,
-    flatten_map,
-    hom_from_projective_sum,
     hom_space,
     injective,
     kernel_of,
     projective,
-    realize_entry_map,
     top,
     zero_rep,
 )
@@ -166,26 +165,27 @@ def nakayama_on_projectives(x: Representation, config: WorkbenchConfig = DEFAULT
 
 
 def check_add_nu_equal(a: BasicAlgebra, x: Representation, config: WorkbenchConfig = DEFAULT) -> bool:
-    """Two equivalent readings of term stability, evaluated independently:
-    (i) the summands of x and of its Nakayama image coincide as iso classes;
-    (ii) every summand of x lies in the maximal stable module.
-    Raises InternalDisagreement if they differ (they cannot, on algebras
-    whose Nakayama correspondence fixes each stable vertex)."""
+    """Whether add(nu x) = add(x) for a projective x, Hu and Xi's condition
+    for x to be a nu-stable projective: the labels of x are closed under the
+    Nakayama permutation sigma, since nu P(v) = P(sigma(v)).
+
+    Closed labels lie in the maximal stable module E (sigma permutes them);
+    InternalDisagreement is raised if that cross-check fails.  The converse
+    does not hold: on N(4,3), sigma = (13)(24), so P(1) lies in E while
+    nu P(1) = P(3) is not a summand of P(1)."""
     if x.total_dim() == 0:
         return True
-    labels = _projective_labels(x, config)  # raises NotProjective if not
+    labels = set(_projective_labels(x, config))  # raises NotProjective if not
     report = maximal_nu_stable(a, config)
-    sigma = report.nu_image
-    label_set = sorted(set(labels))
-    route_one = all(sigma.get(v) is not None for v in label_set) and sorted(
-        {sigma[v] for v in label_set}
-    ) == label_set
-    route_two = all(report.stable[v] for v in label_set)
-    if route_one != route_two:
-        raise InternalDisagreement(
-            f"summand-matching route says {route_one}, membership route says {route_two}"
-        )
-    return route_one
+    closed = _nu_leaving(report.nu_image, labels) is None
+    if closed and not all(report.stable[v] for v in labels):
+        raise InternalDisagreement("labels closed under the Nakayama permutation lie outside E")
+    return closed
+
+
+def _nu_leaving(sigma: dict, labels):
+    """A label whose Nakayama image is not among the labels, or None."""
+    return next((v for v in sorted(labels) if sigma.get(v) not in labels), None)
 
 
 # -- tilting verification ------------------------------------------------------
@@ -306,10 +306,15 @@ def construct_tpq(
     q_rep = zero_rep(a)
     for v in q_labels:
         q_rep = q_rep.direct_sum(projective(a, v))
-    if not check_add_nu_equal(a, p_rep, config):
-        raise PreconditionFailed("add(P) = add(nu P)")
-    if not check_add_nu_equal(a, q_rep, config):
-        raise PreconditionFailed("add(Q) = add(nu Q)")
+    for name, labels, rep in (("P", p_labels, p_rep), ("Q", q_labels, q_rep)):
+        if not check_add_nu_equal(a, rep, config):
+            sigma = nakayama_permutation(a, config)
+            v = _nu_leaving(sigma, set(labels))
+            if v in sigma:
+                detail = f"nu P({v}) = P({sigma[v]}) is not a summand of {name}"
+            else:
+                detail = f"nu P({v}) is not projective"
+            raise PreconditionFailed(f"add({name}) = add(nu {name})", detail)
     if p_rep.total_dim() and q_rep.total_dim() and hom_space(p_rep, q_rep):
         raise PreconditionFailed("Hom(P, Q) = 0")
 
@@ -498,12 +503,12 @@ class TiltingContext:
         """The parts of f_homology that do not depend on the module, built
         for every degree on first use and kept in ``_f_hom_cache``:
 
-        * ``("sum", w, d)``: the ProjSum of the w-th summand's degree-d term;
-        * ``("diff", w, d)``: that summand's differential d -> d + 1 as a
-          module map;
+        * ``("term", w, d)``: the labels of the w-th summand's degree-d term;
+        * ``("diff", w, d)``: that summand's differential d -> d + 1 as an
+          entry matrix;
         * ``("component", name, d)``: the degree-d component of the chain map
           (target summand) -> (source summand) realizing the arrow ``name`` of
-          the recovered quiver, as a module map.
+          the recovered quiver, as an entry matrix.
 
         A key is absent when a term it needs is empty."""
         if self._f_hom_cache:
@@ -512,12 +517,9 @@ class TiltingContext:
         parts = {}
         for w, tw in enumerate(end.copy_complexes):
             for d in tw.degrees():
-                parts[("sum", w, d)] = ProjSum(self.algebra, tw.term(d))
-            for d in tw.degrees():
+                parts[("term", w, d)] = tw.term(d)
                 if tw.term(d + 1):
-                    parts[("diff", w, d)] = realize_entry_map(
-                        parts[("sum", w, d)], parts[("sum", w, d + 1)], tw.diff(d)
-                    )
+                    parts[("diff", w, d)] = tw.diff(d)
         pres = end.presentation
         for ar in pres.quiver.arrows:
             wi = pres.quiver.vertex_index[ar.source]
@@ -525,67 +527,60 @@ class TiltingContext:
             b = _combine(end.class_reps, pres.arrow_elements[ar.name])
             chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])  # T_wj -> T_wi
             for d in end.copy_complexes[wj].degrees():
-                if ("sum", wi, d) in parts:
-                    parts[("component", ar.name, d)] = realize_entry_map(
-                        parts[("sum", wj, d)], parts[("sum", wi, d)], chain.component(d)
-                    )
+                if ("term", wi, d) in parts:
+                    parts[("component", ar.name, d)] = chain.component(d)
         self._f_hom_cache.update(parts)
         return self._f_hom_cache
 
-    def _stalk_hom_classes(self, w: int, x: Representation, i: int):
+    def _stalk_hom_classes(self, w: int, act: YonedaAction, i: int):
         """Classes of chain maps (w-th summand) -> stalk x placed so the only
-        component sits in degree -i, or None when there are no such maps.
+        component sits in degree -i, or None when there are no such maps;
+        ``act`` is x's ``YonedaAction``.
 
-        Returns (maps, span, classes, reps): ``maps`` is the Yoneda basis of
-        the degree -i hom space and ``span`` gives coordinates in it;
-        ``classes`` gives coordinates on the null maps followed by the chain
-        maps, both in ``maps`` coordinates; ``reps`` pairs the index in
-        ``classes`` of each class representative with its coordinates in
-        ``maps``."""
+        Returns (classes, reps) in the Yoneda coordinates of the degree -i
+        hom space: ``classes`` gives coordinates on the null maps followed by
+        the chain maps, and ``reps`` pairs the index in ``classes`` of each
+        class representative with its coordinates."""
         parts = self._f_hom_parts()
         deg = -i
-        psum = parts.get(("sum", w, deg))
-        if psum is None:
+        labels = parts.get(("term", w, deg))
+        if labels is None:
             return None
-        maps = hom_from_projective_sum(psum, x)
-        if not maps:
+        n = sum(act.x.dims[a] for a in labels)
+        if not n:
             return None
-        flat = [flatten_map(h) for h in maps]
-        span = Coordinates(flat, len(flat[0]))
         # chain condition: precomposition with the incoming differential dies
         d_in = parts.get(("diff", w, deg - 1))
         if d_in is not None:
-            rows = [flatten_map(d_in.then(h)) for h in maps]
-            # kernel of (h -> d then h) over the coordinates of maps
-            chain_coords = list(Matrix(len(rows), len(rows[0]), rows).left_kernel_basis().data)
+            pre_in = act.precomposition(d_in, parts[("term", w, deg - 1)], labels)
+            chain_coords = list(pre_in.left_kernel_basis().data)
         else:
-            chain_coords = [
-                [ONE if k == j else ZERO for k in range(len(maps))] for j in range(len(maps))
-            ]
+            chain_coords = [[ONE if k == j else ZERO for k in range(n)] for j in range(n)]
         # null maps: (next differential) then psi for psi on the next term
         null_coords = []
-        nxt = parts.get(("sum", w, deg + 1))
-        if nxt is not None:
-            d_out = parts[("diff", w, deg)]
-            for psi in hom_from_projective_sum(nxt, x):
-                coords = span.of(flatten_map(d_out.then(psi)))
-                if coords is None:
-                    raise TiltbenchError("map not in span of basis")
-                null_coords.append(coords)
+        d_out = parts.get(("diff", w, deg))
+        if d_out is not None:
+            pre_out = act.precomposition(d_out, labels, parts[("term", w, deg + 1)])
+            if d_in is not None and not (pre_out * pre_in).is_zero():
+                raise TiltbenchError(f"d^2 != 0 on Hom(T, x) at degree {deg}")
+            null_coords = list(pre_out.data)
         # class representatives: chain maps independent of the null maps and
         # of the chain maps before them
-        classes = Coordinates(null_coords + chain_coords, len(maps))
+        classes = Coordinates(null_coords + chain_coords, n)
         n_null = len(null_coords)
         reps = [(k, chain_coords[k - n_null]) for k in classes.independent if k >= n_null]
-        return maps, span, classes, reps
+        return classes, reps
 
     def f_homology(self, x: Representation, i: int) -> Representation:
         """Hom classes into the stalk of x shifted by i, as a module over the
         recovered quiver of the endomorphism algebra."""
+        if x.algebra is not self.algebra and x.algebra.basis != self.algebra.basis:
+            raise TiltbenchError("modules over different algebras")
         pres = self.end_data().presentation
         parts = self._f_hom_parts()
-        stalk = [self._stalk_hom_classes(w, x, i) for w in range(len(pres.quiver.vertices))]
-        reps = [s[3] if s else [] for s in stalk]
+        act = YonedaAction(x)
+        stalk = [self._stalk_hom_classes(w, act, i) for w in range(len(pres.quiver.vertices))]
+        reps = [s[1] if s else [] for s in stalk]
         dims = {v: len(r) for v, r in zip(pres.quiver.vertices, reps)}
         # arrow actions: precompose with the arrow's degree -i component
         mats = {}
@@ -593,20 +588,17 @@ class TiltingContext:
             wi = pres.quiver.vertex_index[ar.source]
             wj = pres.quiver.vertex_index[ar.target]
             component = parts.get(("component", ar.name, -i))  # T_wj^{-i} -> T_wi^{-i}
-            rows = []
-            for _, coords in reps[wi]:
-                phi = _combine(stalk[wi][0], coords)  # T_wi^{-i} -> x
-                if phi is None or component is None or stalk[wj] is None:
-                    rows.append([ZERO] * len(reps[wj]))
-                    continue
-                _, span, classes, _ = stalk[wj]
-                in_maps = span.of(flatten_map(component.then(phi)))
-                if in_maps is None:
-                    raise TiltbenchError("map not in span of basis")
-                in_classes = classes.of(in_maps)
-                if in_classes is None:
-                    raise TiltbenchError("class coordinates outside the span")
-                rows.append([in_classes[k] for k, _ in reps[wj]])
+            if not reps[wi] or component is None or stalk[wj] is None:
+                rows = [[ZERO] * len(reps[wj]) for _ in reps[wi]]
+            else:
+                pre = act.precomposition(component, parts[("term", wj, -i)], parts[("term", wi, -i)])
+                images = Matrix(len(reps[wi]), pre.rows, [coords for _, coords in reps[wi]]) * pre
+                rows = []
+                for image in images.data:
+                    in_classes = stalk[wj][0].of(image)
+                    if in_classes is None:
+                        raise TiltbenchError("class coordinates outside the span")
+                    rows.append([in_classes[k] for k, _ in reps[wj]])
             mats[ar.name] = Matrix(len(reps[wi]), len(reps[wj]), rows)
         return Representation(pres.algebra, dims, mats)
 

@@ -121,6 +121,22 @@ def test_construct_precondition_exit_two():
     assert "precondition" in err
 
 
+def test_construct_names_vertex_whose_nu_image_leaves_p(tmp_path):
+    """On N(4,3) every vertex is nu-stable but sigma = (13)(24) moves P(1)
+    out of P = P(1): a named precondition, not an internal error."""
+    from tiltbench import corpus as c
+    from tiltbench import serialize
+
+    path = tmp_path / "n43.json"
+    serialize.save(serialize.algebra_to_dict(c.kupisch_algebra([3, 3, 3, 3])), str(path))
+    code, out, err = run_cli("tilting", "construct", str(path), "--p", "1", "-r", "1", "-s", "1")
+    assert code == 2
+    assert out == ""
+    assert "precondition failed: add(P) = add(nu P)" in err
+    assert "nu P(1) = P(3)" in err
+    assert "route says" not in err and "Traceback" not in err
+
+
 def test_stable_image_positive_and_not_concentrated():
     code, out, _ = run_cli("stable-image", "fig1.json", "fig1_T.json", "fig1_S1.json")
     assert code == 0

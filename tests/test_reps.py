@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+from module_maps import hom_from_projective_sum
 
 from tiltbench import corpus
 from tiltbench.linalg import Coordinates, Matrix
@@ -6,7 +9,6 @@ from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
     ModuleMap,
     flatten_map,
-    hom_from_projective_sum,
     hom_space,
     injective,
     projective,
@@ -20,11 +22,13 @@ from tiltbench.reps import (
     image_of,
     cokernel_of,
     ProjSum,
+    YonedaAction,
     extract_entry_map,
     realize_entry_map,
     nu_entry_map,
     nu_injective_sum,
 )
+from tiltbench.tilting import construct_tpq
 
 
 def test_path_matrix_is_word_order_product_of_arrow_matrices():
@@ -123,6 +127,64 @@ def test_yoneda_basis_matches_hom_space():
                 if yoneda:
                     assert _in_span(yoneda, solved)
                     assert _in_span(solved, yoneda)
+
+
+def _entry_maps(c):
+    """(source labels, target labels, entries) of every differential of c."""
+    return [(c.term(d), c.term(d + 1), c.diff(d)) for d in c.degrees() if c.term(d + 1)]
+
+
+def _random_entry_map(a, rng, m, n):
+    """(source labels, target labels, entries) with random small coefficients."""
+    verts = list(a.quiver.vertices)
+    src = [rng.choice(verts) for _ in range(m)]
+    tgt = [rng.choice(verts) for _ in range(n)]
+    entries = [[{} for _ in tgt] for _ in src]
+    for i, s in enumerate(src):
+        for j, b in enumerate(tgt):
+            for k in a.paths_between(b, s):
+                c = rng.randint(-3, 3)
+                if c:
+                    entries[i][j][k] = Fraction(c)
+    return src, tgt, entries
+
+
+def test_precomposition_matrix_matches_module_maps():
+    """Row k of the precomposition matrix of E holds the Yoneda coordinates
+    of (realized E) then h_k, for the k-th Yoneda basis map h_k."""
+    fig1 = corpus.fig1_algebra()
+    sec5 = corpus.sec5_algebra()
+    kupisch = corpus.kupisch_algebra([4, 5, 5, 5])
+    cases = [
+        (fig1, _entry_maps(corpus.fig1_tilting_complex(fig1))),
+        (sec5, _entry_maps(construct_tpq(sec5, ["1"], ["3", "4"], 1, 1).complex)),
+        (kupisch, _entry_maps(construct_tpq(kupisch, ["2"], [], 1, 1).complex)),
+    ]
+    rng = random.Random(20081105)
+    small = corpus.kupisch_algebra([3, 3, 4, 4])
+    cases.append((small, [_random_entry_map(small, rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(10)]))
+    checked = 0
+    for a, maps in cases:
+        verts = list(a.quiver.vertices)
+        mods = [projective(a, verts[0]).direct_sum(radical_submodule(projective(a, verts[-1]))[0])]
+        for v in verts:
+            p = projective(a, v)
+            mods += [simple(a, v), p, radical_submodule(p)[0]]
+        for src, tgt, entries in maps:
+            src_sum, tgt_sum = ProjSum(a, src), ProjSum(a, tgt)
+            realized = realize_entry_map(src_sum, tgt_sum, entries)
+            for x in mods:
+                pre = YonedaAction(x).precomposition(entries, src, tgt)
+                out_basis = hom_from_projective_sum(tgt_sum, x)
+                in_basis = hom_from_projective_sum(src_sum, x)
+                assert (pre.rows, pre.cols) == (len(out_basis), len(in_basis))
+                if not in_basis:
+                    continue
+                span = Coordinates([flatten_map(h) for h in in_basis], len(flatten_map(in_basis[0])))
+                for k, h in enumerate(out_basis):
+                    assert span.of(flatten_map(realized.then(h))) == list(pre.row(k))
+                    checked += 1
+    assert checked > 150
 
 
 def test_fig1_hom_p2_p1_is_one_dimensional():

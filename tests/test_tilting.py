@@ -1,15 +1,27 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from module_maps import hom_from_projective_sum
 
 from tiltbench import corpus
 from tiltbench.complexes import HomotopySpace, regular_stalk
 from tiltbench.complex_decomp import complexes_isomorphic
-from tiltbench.errors import NotConcentrated, PreconditionFailed
+from tiltbench.errors import NotConcentrated, PreconditionFailed, TiltbenchError
 from tiltbench.presentation import presentations_match
-from tiltbench.quiver import Quiver
+from tiltbench.quiver import Quiver, path_from_arrows
 from tiltbench.algebra import build_path_algebra
-from tiltbench.reps import ModuleMap, ProjSum, projective, radical_submodule, simple, zero_rep
+from tiltbench.linalg import Coordinates, Matrix
+from tiltbench.reps import (
+    ProjSum,
+    Representation,
+    flatten_map,
+    projective,
+    radical_submodule,
+    realize_entry_map,
+    simple,
+    zero_rep,
+)
 from tiltbench.tilting import (
     TiltingContext,
     check_add_nu_equal,
@@ -49,6 +61,23 @@ def test_check_add_nu_equal_cases():
     assert check_add_nu_equal(fig1, zero_rep(fig1)) is True
     q34 = projective(sec5, "3").direct_sum(projective(sec5, "4"))
     assert check_add_nu_equal(sec5, q34) is True
+
+
+def test_construct_rejects_p_whose_nu_image_leaves_p():
+    """N(4,3): every vertex lies in E, but sigma = (13)(24), so P = P(1) has
+    add(nu P) != add(P); P = P(1) + P(3) is closed and builds a complex."""
+    a = corpus.kupisch_algebra([3, 3, 3, 3])
+    rep = maximal_nu_stable(a)
+    assert rep.e_labels == ["1", "2", "3", "4"]
+    assert rep.nu_image == {"1": "3", "2": "4", "3": "1", "4": "2"}
+    assert check_add_nu_equal(a, projective(a, "1")) is False
+    assert check_add_nu_equal(a, projective(a, "1").direct_sum(projective(a, "3"))) is True
+    with pytest.raises(PreconditionFailed, match=r"add\(P\) = add\(nu P\) \(nu P\(1\) = P\(3\)"):
+        construct_tpq(a, ["1"], [], 1, 1)
+    with pytest.raises(PreconditionFailed, match=r"nu P\(2\) = P\(4\) is not a summand of Q"):
+        construct_tpq(a, [], ["2"], 1, 1)
+    built = construct_tpq(a, ["1", "3"], [], 1, 1)
+    assert verify_tilting(built.complex, proved_by_construction=True).is_tilting_verdict
 
 
 def test_verify_tilting_fig1_T():
@@ -188,6 +217,8 @@ def test_f_homology_fig1():
     z = zero_rep(a)
     for i in (-1, 0, 1):
         assert ctx.f_homology(z, i).total_dim() == 0
+    with pytest.raises(TiltbenchError, match="different algebras"):
+        ctx.f_homology(simple(corpus.sec5_algebra(), "1"), 0)
 
 
 def test_f_homology_cache_holds_only_module_independent_parts():
@@ -217,12 +248,136 @@ def test_f_homology_cache_holds_only_module_independent_parts():
         assert again[0] == first
         fresh = make()
         assert [answer(fresh, x) for x in reversed(mods)] == again[::-1]
-        # every cached map runs between cached projective sums, never into a module
-        sums = [v.rep for v in ctx._f_hom_cache.values() if isinstance(v, ProjSum)]
+        # every cached value is a label list or an entry matrix of algebra
+        # elements: nothing in the cache is built from a module
         for v in ctx._f_hom_cache.values():
-            assert isinstance(v, (ProjSum, ModuleMap))
-            if isinstance(v, ModuleMap):
-                assert any(v.source is r for r in sums) and any(v.target is r for r in sums)
+            assert isinstance(v, list)
+            labels = all(isinstance(lab, str) for lab in v)
+            entries = all(
+                isinstance(row, list)
+                and all(
+                    isinstance(el, dict)
+                    and all(isinstance(k, int) and isinstance(c, Fraction) for k, c in el.items())
+                    for el in row
+                )
+                for row in v
+            )
+            assert labels or entries
+
+
+def _combine(maps, coords):
+    acc = None
+    for c, h in zip(coords, maps):
+        if c:
+            acc = h.scale(c) if acc is None else acc + h.scale(c)
+    return acc
+
+
+def _f_homology_by_module_maps(ctx, x, i):
+    """f_homology built from whole module maps: Yoneda basis maps, realized
+    differentials and arrow components, and coordinates found by a solve in
+    the span of the flattened basis maps."""
+    a = ctx.algebra
+    end = ctx.end_data()
+    pres = end.presentation
+    sums, diffs = {}, {}
+    for w, tw in enumerate(end.copy_complexes):
+        for d in tw.degrees():
+            sums[w, d] = ProjSum(a, tw.term(d))
+        for d in tw.degrees():
+            if tw.term(d + 1):
+                diffs[w, d] = realize_entry_map(sums[w, d], sums[w, d + 1], tw.diff(d))
+
+    def stalk_classes(w):
+        psum = sums.get((w, -i))
+        if psum is None:
+            return None
+        maps = hom_from_projective_sum(psum, x)
+        if not maps:
+            return None
+        flat = [flatten_map(h) for h in maps]
+        span = Coordinates(flat, len(flat[0]))
+        if (w, -i - 1) in diffs:
+            rows = [flatten_map(diffs[w, -i - 1].then(h)) for h in maps]
+            chain = list(Matrix(len(rows), len(rows[0]), rows).left_kernel_basis().data)
+        else:
+            chain = [[Fraction(int(k == j)) for k in range(len(maps))] for j in range(len(maps))]
+        null = []
+        if (w, -i + 1) in sums:
+            for psi in hom_from_projective_sum(sums[w, -i + 1], x):
+                null.append(span.of(flatten_map(diffs[w, -i].then(psi))))
+        classes = Coordinates(null + chain, len(maps))
+        reps = [(k, chain[k - len(null)]) for k in classes.independent if k >= len(null)]
+        return maps, span, classes, reps
+
+    stalk = [stalk_classes(w) for w in range(len(pres.quiver.vertices))]
+    reps = [s[3] if s else [] for s in stalk]
+    dims = {v: len(r) for v, r in zip(pres.quiver.vertices, reps)}
+    mats = {}
+    for ar in pres.quiver.arrows:
+        wi = pres.quiver.vertex_index[ar.source]
+        wj = pres.quiver.vertex_index[ar.target]
+        rows = [[Fraction(0)] * len(reps[wj]) for _ in reps[wi]]
+        if reps[wi] and stalk[wj] is not None and (wi, -i) in sums:
+            b = _combine(end.class_reps, pres.arrow_elements[ar.name])
+            chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])
+            component = realize_entry_map(sums[wj, -i], sums[wi, -i], chain.component(-i))
+            maps, span, classes, _ = stalk[wj]
+            for row, (_, coords) in zip(rows, reps[wi]):
+                image = component.then(_combine(stalk[wi][0], coords))
+                in_classes = classes.of(span.of(flatten_map(image)))
+                row[:] = [in_classes[k] for k, _ in reps[wj]]
+        mats[ar.name] = Matrix(len(reps[wi]), len(reps[wj]), rows)
+    return Representation(pres.algebra, dims, mats)
+
+
+def test_f_homology_matches_module_map_route():
+    fig1 = corpus.fig1_algebra()
+    sec5 = corpus.sec5_algebra()
+    kupisch = corpus.kupisch_algebra([4, 5, 5, 5])
+    cases = [
+        (fig1, corpus.fig1_tilting_complex(fig1)),
+        (sec5, construct_tpq(sec5, ["1"], ["3", "4"], 1, 1).complex),
+        (kupisch, construct_tpq(kupisch, ["2"], [], 1, 1).complex),
+    ]
+    nonzero_actions = 0
+    for a, t in cases:
+        verts = list(a.quiver.vertices)
+        mods = [
+            projective(a, verts[0]).direct_sum(simple(a, verts[-1])),
+            radical_submodule(projective(a, verts[-1]))[0].direct_sum(projective(a, verts[1])),
+        ]
+        for v in verts:
+            p = projective(a, v)
+            mods += [simple(a, v), p, radical_submodule(p)[0]]
+        ctx = TiltingContext(a, t)
+        for x in mods:
+            for i in range(-t.hi - 1, -t.lo + 2):
+                fast, ref = ctx.f_homology(x, i), _f_homology_by_module_maps(ctx, x, i)
+                assert fast.dims == ref.dims
+                assert fast.mats == ref.mats
+                nonzero_actions += sum(not m.is_zero() for m in fast.mats.values())
+    assert nonzero_actions > 50
+
+
+def test_f_homology_checks_d_squared_on_homs():
+    """A cached summand P(3) -> P(2) -> P(1) whose differentials compose to
+    the nonzero path 1 -> 2 -> 3 gives d^2 != 0 on Hom(T, P(1))."""
+    a = corpus.kupisch_algebra([4, 5, 5, 5])
+    ctx = TiltingContext(a, construct_tpq(a, ["2"], [], 1, 1).complex)
+    out_of = {ar.source: a.index[path_from_arrows(a.quiver, [ar.name])] for ar in a.quiver.arrows}
+    ctx._f_hom_cache.clear()
+    ctx._f_hom_cache.update(
+        {
+            ("term", 0, -1): ["3"],
+            ("term", 0, 0): ["2"],
+            ("term", 0, 1): ["1"],
+            ("diff", 0, -1): [[{out_of["2"]: Fraction(1)}]],
+            ("diff", 0, 0): [[{out_of["1"]: Fraction(1)}]],
+        }
+    )
+    with pytest.raises(TiltbenchError, match=r"d\^2 != 0"):
+        ctx.f_homology(projective(a, "1"), 0)
 
 
 def test_stable_image_fig1():
