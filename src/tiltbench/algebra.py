@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotAdmissible, RadicalNotNilpotent, TiltbenchError
 from .linalg import Matrix, frac, row_space_basis
-from .quiver import Path, Quiver, deglex_key, trivial_path
+from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
 
 RAW_PATH_CAP = 100_000
 
@@ -258,13 +258,6 @@ def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> Bas
     for r in relations:
         by_len.setdefault(r.length, []).append(r)
 
-    def raw_next(paths):
-        out = []
-        for p in paths:
-            for a in quiver.arrows_from[p.target(quiver)]:
-                out.append(Path(p.source, p.arrows + (a.name,)))
-        return out
-
     trivials = [trivial_path(v) for v in quiver.vertices]
     raw = {0: trivials, 1: [Path(a.source, (a.name,)) for a in quiver.arrows]}
     normal = {0: list(trivials), 1: list(raw[1])}
@@ -273,7 +266,7 @@ def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> Bas
     nil_length = None
 
     for n in range(2, max_path_len + 1):
-        raw[n] = raw_next(raw[n - 1])
+        raw[n] = longer_paths(quiver, raw[n - 1])
         if len(raw[n]) > RAW_PATH_CAP:
             raise NotAdmissible(f"more than {RAW_PATH_CAP} raw paths at length {n}")
         if not raw[n]:
@@ -288,21 +281,11 @@ def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> Bas
                 vec[col[p]] += c
             rows.append(vec)
         for row in span_rows[n - 1]:
-            for a in quiver.arrows:
-                left = [Fraction(0)] * len(order)
-                right = [Fraction(0)] * len(order)
-                any_l = any_r = False
-                for p, c in row.items():
-                    if a.target == p.source:
-                        left[col[Path(a.source, (a.name,) + p.arrows)]] += c
-                        any_l = True
-                    if p.target(quiver) == a.source:
-                        right[col[Path(p.source, p.arrows + (a.name,))]] += c
-                        any_r = True
-                if any_l:
-                    rows.append(left)
-                if any_r:
-                    rows.append(right)
+            for prod in arrow_multiples(quiver, row):
+                vec = [Fraction(0)] * len(order)
+                for p, c in prod.items():
+                    vec[col[p]] = c
+                rows.append(vec)
         if rows:
             red, pivots = Matrix(len(rows), len(order), rows).rref()
         else:

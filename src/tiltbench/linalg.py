@@ -8,8 +8,8 @@ integer rows (each row scaled by the lcm of its denominators) and builds
 Fractions once, dividing each pivot row by its pivot at the end.  Operations
 whose entries are Fractions by construction build their result with
 ``Matrix._trusted``, skipping the public constructor's checks.
-:class:`Coordinates` eliminates a fixed list of rows once and then gives the
-coordinates of any vector in their span.
+:class:`Coordinates` eliminates a list of rows once, grows it a row at a
+time, and gives the coordinates of any vector in their span.
 """
 
 from __future__ import annotations
@@ -271,11 +271,12 @@ class Matrix:
 
 
 class Coordinates:
-    """Coordinates of vectors in the span of a fixed list of rows.
+    """Coordinates of vectors in the span of a list of rows.
 
-    The rows are eliminated once, in order; each echelon row keeps its pivot
-    and its combination of input rows.  ``of(v)`` reduces ``v`` against the
-    echelon rows and answers as ``Matrix.solve`` on the transposed rows does:
+    The rows are eliminated once, in order, and ``add`` appends one more
+    without eliminating the earlier ones again; each echelon row keeps its
+    pivot and its combination of input rows.  ``of(v)`` reduces ``v`` against
+    the echelon rows and answers as ``Matrix.solve`` on the transposed rows does:
     coefficient zero on every row that depends on earlier rows, and None when
     ``v`` lies outside the span.  ``independent`` lists the indices of the
     rows that do not depend on earlier rows.
@@ -289,15 +290,21 @@ class Coordinates:
         self.independent = []
         self._echelon = []  # (pivot column, [(column, entry)], [(row index, coefficient)])
         for row in rows:
-            rest, coeffs = self._reduce(row)
-            pivot = next((j for j, x in enumerate(rest) if x), None)
-            if pivot is not None:
-                inv = ONE / rest[pivot]
-                combination = [(k, -c * inv) for k, c in enumerate(coeffs) if c]
-                combination.append((self.count, inv))
-                self._echelon.append((pivot, [(j, x * inv) for j, x in enumerate(rest) if x], combination))
-                self.independent.append(self.count)
-            self.count += 1
+            self.add(row)
+
+    def add(self, row) -> bool:
+        """Append row to the list, eliminating it against the echelon rows
+        only; True when it does not depend on the earlier rows."""
+        rest, coeffs = self._reduce(row)
+        pivot = next((j for j, x in enumerate(rest) if x), None)
+        if pivot is not None:
+            inv = ONE / rest[pivot]
+            combination = [(k, -c * inv) for k, c in enumerate(coeffs) if c]
+            combination.append((self.count, inv))
+            self._echelon.append((pivot, [(j, x * inv) for j, x in enumerate(rest) if x], combination))
+            self.independent.append(self.count)
+        self.count += 1
+        return pivot is not None
 
     def _reduce(self, v):
         """(rest, coeffs) with v == rest + sum of coeffs[k] * row k, where rest

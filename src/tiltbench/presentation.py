@@ -13,10 +13,15 @@ the algebra is basic: the diagonal blocks of R * R must lie in R (else
 the radical.
 
 Arrows i -> j lift a basis of R_ij modulo (R^2)_ij, read from the RREF bases
-of the two blocks, and relations are kernel elements of the induced map from
-the path algebra, collected degree by degree up to the nilpotency index.  The
-result is certified by rebuilding the path algebra and comparing dimensions;
-only ideals with length-homogeneous generators are supported (the rebuild
+of the two blocks, and candidate relations are kernel elements of the induced
+map from the path algebra, collected degree by degree up to the nilpotency
+index.  They are pruned to a minimal generating set greedily, by increasing
+length, against one filtration of the ideal I they generate: I_(n+1) is
+spanned by arrow * I_n, I_n * arrow and the kept relations of length n + 1,
+each span grows a row at a time (``Coordinates.add``), and a candidate is
+kept only when it lies outside the span at its length.  The result is
+certified by rebuilding the path algebra and comparing dimensions; only
+ideals with length-homogeneous generators are supported (the rebuild
 certifies that this suffices for the input at hand).
 """
 
@@ -34,9 +39,10 @@ from .errors import (
     NotBasic,
     PresentationError,
     RadicalNotNilpotent,
+    TiltbenchError,
 )
-from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains
-from .quiver import Path, Quiver, Relation
+from .linalg import Coordinates, Matrix, row_space_basis
+from .quiver import Path, Quiver, Relation, arrow_multiples, longer_paths
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -205,34 +211,21 @@ def quiver_presentation(
         return list(acc)
 
     # surjectivity: vertices and arrow products must span the algebra
-    span_rows = [list(e) for e in idems]
-    paths_by_len = {1: [Path(a[1], (a[0],)) for a in arrows]}
-    for p in paths_by_len[1]:
-        span_rows.append(eval_path(p))
+    paths = [Path(a[1], (a[0],)) for a in arrows]
+    span_rows = [list(e) for e in idems] + [eval_path(p) for p in paths]
     relations = []
-    length = 2
-    while length < nil_index + 1:
-        prev = paths_by_len.get(length - 1, [])
-        cur_paths = []
-        for p in prev:
-            tail = quiver.arrow_by_name[p.arrows[-1]].target
-            for a in quiver.arrows_from[tail]:
-                cur_paths.append(Path(p.source, p.arrows + (a.name,)))
-        if not cur_paths:
+    for _ in range(2, nil_index + 1):
+        paths = longer_paths(quiver, paths)
+        if not paths:
             break
-        paths_by_len[length] = cur_paths
-        rows = [eval_path(p) for p in cur_paths]
-        mat = Matrix(len(rows), alg.dim, rows)
-        ker = mat.left_kernel_basis()
-        for r in range(ker.rows):
-            terms = [(ker.data[r][c], cur_paths[c]) for c in range(len(cur_paths)) if ker.data[r][c] != 0]
-            relations.append(Relation(quiver, terms))
+        rows = [eval_path(p) for p in paths]
+        for r in Matrix(len(rows), alg.dim, rows).left_kernel_basis().data:
+            relations.append(Relation(quiver, [(c, p) for c, p in zip(r, paths) if c != 0]))
         span_rows.extend(rows)
-        length += 1
     if Matrix(len(span_rows), alg.dim, span_rows).rank() != alg.dim:
         raise PresentationError("vertex and arrow products do not span the algebra")
 
-    relations = _prune_relations(quiver, relations, nil_index + 1)
+    relations = _prune_relations(quiver, relations)
     rebuilt = build_path_algebra(quiver, relations, max_path_len=max(nil_index + 1, 4))
     if rebuilt.dim != alg.dim:
         raise PresentationError(
@@ -243,82 +236,68 @@ def quiver_presentation(
     return Presentation(quiver, relations, rebuilt, arrow_elements, vertex_idems, nil_index)
 
 
-def _relation_vector(quiver, rel, order_index):
-    vec = [ZERO] * len(order_index)
+class _HomogeneousIdeal:
+    """The ideal I of KQ generated by the relations added so far, one path
+    length n at a time: the paths of length n, a span of I_n grown a row at
+    a time, and the independent rows of I_n as {Path: coefficient}.  Moving
+    to length n + 1 spans a * I_n and I_n * a over the arrows a from those
+    rows.  Relations must come in nondecreasing length."""
+
+    __slots__ = ("quiver", "length", "_index", "_span", "_rows")
+
+    def __init__(self, quiver: Quiver):
+        self.quiver = quiver
+        self.length = 1
+        self._index = {Path(a.source, (a.name,)): k for k, a in enumerate(quiver.arrows)}
+        self._span = Coordinates([], len(self._index))
+        self._rows = []
+
+    def _advance(self, length: int):
+        if length < self.length:
+            raise TiltbenchError(f"relation of length {length} comes after length {self.length}")
+        while self.length < length:
+            products = [prod for row in self._rows for prod in arrow_multiples(self.quiver, row)]
+            paths = longer_paths(self.quiver, self._index)
+            self.length += 1
+            self._index = {p: k for k, p in enumerate(paths)}
+            self._span = Coordinates([], len(paths))
+            self._rows = []
+            for prod in products:
+                self._keep(prod)
+
+    def _vector(self, row: dict):
+        vec = [ZERO] * self._span.width
+        for p, c in row.items():
+            vec[self._index[p]] = c
+        return vec
+
+    def _keep(self, row: dict) -> bool:
+        if not self._span.add(self._vector(row)):
+            return False
+        self._rows.append(row)
+        return True
+
+    def add(self, rel: Relation) -> bool:
+        """Adds rel as a generator when it lies outside I; True then."""
+        self._advance(rel.length)
+        return self._keep(_row(rel))
+
+    def contains(self, rel: Relation) -> bool:
+        self._advance(rel.length)
+        return self._span.of(self._vector(_row(rel))) is not None
+
+
+def _row(rel: Relation) -> dict:
+    row = {}
     for c, p in rel.terms:
-        vec[order_index[p]] += c
-    return vec
+        row[p] = row.get(p, ZERO) + c
+    return row
 
 
-def _prune_relations(quiver, relations, max_len):
+def _prune_relations(quiver, relations):
     """Greedy minimal generating subset, by increasing length."""
-    relations = sorted(relations, key=lambda r: r.length)
-    kept = []
-    for rel in relations:
-        if kept and _relation_in_ideal(quiver, kept, rel, max_len):
-            continue
-        kept.append(rel)
-    return kept
-
-
-def _relation_in_ideal(quiver, gens, rel, max_len) -> bool:
-    """Whether rel lies in the homogeneous ideal span generated by gens."""
-    spans = _ideal_spans(quiver, gens, rel.length)
-    order, index, span = spans.get(rel.length, (None, None, None))
-    if order is None:
-        return False
-    vec = _relation_vector(quiver, rel, index)
-    if span.rows == 0:
-        return all(c == 0 for c in vec)
-    return row_space_contains(span, vec)
-
-
-def _ideal_spans(quiver, gens, up_to):
-    """Length -> (path order, path index, span rows) for the ideal of gens."""
-    from .quiver import deglex_key
-
-    by_len = {}
-    for g in gens:
-        by_len.setdefault(g.length, []).append(g)
-    out = {}
-    raw = {1: [Path(a.source, (a.name,)) for a in quiver.arrows]}
-    prev_rows = []
-    prev_order = None
-    for n in range(2, up_to + 1):
-        raw[n] = []
-        for p in raw[n - 1]:
-            tail = quiver.arrow_by_name[p.arrows[-1]].target
-            for a in quiver.arrows_from[tail]:
-                raw[n].append(Path(p.source, p.arrows + (a.name,)))
-        order = sorted(raw[n], key=lambda p: deglex_key(quiver, p))
-        index = {p: i for i, p in enumerate(order)}
-        rows = []
-        for g in by_len.get(n, []):
-            rows.append(_relation_vector(quiver, g, index))
-        if prev_order is not None:
-            for row in prev_rows:
-                for a in quiver.arrows:
-                    left = [ZERO] * len(order)
-                    right = [ZERO] * len(order)
-                    any_l = any_r = False
-                    for p, c in zip(prev_order, row):
-                        if c == 0:
-                            continue
-                        if a.target == p.source:
-                            left[index[Path(a.source, (a.name,) + p.arrows)]] += c
-                            any_l = True
-                        if p.target(quiver) == a.source:
-                            right[index[Path(p.source, p.arrows + (a.name,))]] += c
-                            any_r = True
-                    if any_l:
-                        rows.append(left)
-                    if any_r:
-                        rows.append(right)
-        span = row_space_basis(Matrix(len(rows), len(order), rows)) if rows else Matrix.zero(0, len(order))
-        out[n] = (order, index, span)
-        prev_rows = [list(span.row(i)) for i in range(span.rows)]
-        prev_order = order
-    return out
+    ideal = _HomogeneousIdeal(quiver)
+    return [r for r in sorted(relations, key=lambda r: r.length) if ideal.add(r)]
 
 
 def algebra_from_structure_constants(
@@ -340,20 +319,25 @@ def relation_ideals_equal(quiver: Quiver, rels1, rels2, max_path_len: int = 30) 
     """Whether two relation lists over the same quiver generate the same ideal.
 
     Decided by building both quotients (same dimension required) and
-    cross-reducing each relation in the other ideal's homogeneous spans.
+    reducing each relation in the homogeneous ideal of the other list.
     """
     try:
         a1 = build_path_algebra(quiver, rels1, max_path_len)
         a2 = build_path_algebra(quiver, rels2, max_path_len)
-    except Exception:
+    except TiltbenchError:
         return False
-    if a1.dim != a2.dim:
-        return False
-    up_to = max([a1.nil_length, a2.nil_length] + [r.length for r in list(rels1) + list(rels2)])
-    for gens, others in ((rels1, rels2), (rels2, rels1)):
-        for rel in others:
-            if not _relation_in_ideal(quiver, list(gens), rel, up_to):
-                return False
+    return a1.dim == a2.dim and _generates(quiver, rels1, rels2) and _generates(quiver, rels2, rels1)
+
+
+def _generates(quiver, gens, rels) -> bool:
+    """Whether every relation of rels lies in the ideal generated by gens."""
+    ideal = _HomogeneousIdeal(quiver)
+    tagged = [(r.length, False, r) for r in gens] + [(r.length, True, r) for r in rels]
+    for _, test, r in sorted(tagged, key=lambda x: x[:2]):
+        if not test:
+            ideal.add(r)
+        elif not ideal.contains(r):
+            return False
     return True
 
 
@@ -402,7 +386,7 @@ def presentations_match(q1: Quiver, rels1, q2: Quiver, rels2) -> dict | None:
                         ],
                     )
                 )
-        except Exception:
+        except TiltbenchError:
             continue
         if relation_ideals_equal(q2, moved, list(rels2)):
             return {"vertices": vmap, "arrows": amap}

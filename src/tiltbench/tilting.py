@@ -107,10 +107,11 @@ def nakayama_permutation(a: BasicAlgebra, config: WorkbenchConfig = DEFAULT) -> 
     """Partial map v -> w with the injective at v isomorphic to the
     projective at w (defined exactly when that injective is projective)."""
     sigma = {}
+    projectives = [(w, projective(a, w)) for w in a.quiver.vertices]
     for v in a.quiver.vertices:
         iv = injective(a, v)
-        for w in a.quiver.vertices:
-            if is_isomorphic(iv, projective(a, w), config) is not None:
+        for w, pw in projectives:
+            if is_isomorphic(iv, pw, config) is not None:
                 sigma[v] = w
                 break
     return sigma
@@ -176,7 +177,12 @@ def check_add_nu_equal(a: BasicAlgebra, x: Representation, config: WorkbenchConf
     if x.total_dim() == 0:
         return True
     labels = set(_projective_labels(x, config))  # raises NotProjective if not
-    report = maximal_nu_stable(a, config)
+    return _closed_under_nu(maximal_nu_stable(a, config), labels)
+
+
+def _closed_under_nu(report: NuStableReport, labels) -> bool:
+    """Whether the labels are closed under sigma = ``report.nu_image``,
+    cross-checked against E."""
     closed = _nu_leaving(report.nu_image, labels) is None
     if closed and not all(report.stable[v] for v in labels):
         raise InternalDisagreement("labels closed under the Nakayama permutation lie outside E")
@@ -306,11 +312,12 @@ def construct_tpq(
     q_rep = zero_rep(a)
     for v in q_labels:
         q_rep = q_rep.direct_sum(projective(a, v))
-    for name, labels, rep in (("P", p_labels, p_rep), ("Q", q_labels, q_rep)):
-        if not check_add_nu_equal(a, rep, config):
-            sigma = nakayama_permutation(a, config)
+    report = maximal_nu_stable(a, config) if p_labels or q_labels else None
+    for name, labels in (("P", p_labels), ("Q", q_labels)):
+        if labels and not _closed_under_nu(report, set(labels)):
+            sigma = report.nu_image
             v = _nu_leaving(sigma, set(labels))
-            if v in sigma:
+            if sigma[v] is not None:
                 detail = f"nu P({v}) = P({sigma[v]}) is not a summand of {name}"
             else:
                 detail = f"nu P({v}) is not projective"

@@ -103,6 +103,10 @@ def test_coordinates_match_solve_on_transposed_rows():
             else:
                 rows.append([entry() for _ in range(width)])
         coords = Coordinates(rows, width)
+        grown = Coordinates([], width)  # the same rows, added one at a time
+        added = [grown.add(row) for row in rows]
+        assert grown.count == coords.count == len(rows)
+        assert grown.independent == coords.independent == [k for k, new in enumerate(added) if new]
         columns = Matrix(len(rows), width, rows).transpose() if rows else Matrix.zero(width, 0)
         for _ in range(4):
             if rows and rng.random() < 0.5:  # inside the span
@@ -112,7 +116,7 @@ def test_coordinates_match_solve_on_transposed_rows():
                 v = [entry() for _ in range(width)]
             sol = columns.solve(Matrix(width, 1, [[x] for x in v]))
             want = None if sol is None else list(sol.column(0))
-            assert coords.of(v) == want
+            assert coords.of(v) == grown.of(v) == want
         ranks = [Matrix(k, width, rows[:k]).rank() for k in range(len(rows) + 1)]
         assert coords.independent == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]
 

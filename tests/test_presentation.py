@@ -4,17 +4,21 @@ from fractions import Fraction
 import pytest
 
 from tiltbench import corpus
+from tiltbench.algebra import build_path_algebra
 from tiltbench.complexes import regular_stalk
 from tiltbench.decompose import FiniteDimAlgebra
-from tiltbench.errors import NoIdentity, NotAssociative, NotBasic
-from tiltbench.linalg import Matrix, row_space_basis, row_spaces_equal
+from tiltbench import presentation
+from tiltbench.errors import NoIdentity, NotAssociative, NotBasic, TiltbenchError
+from tiltbench.linalg import Matrix, row_space_basis, row_space_contains, row_spaces_equal
 from tiltbench.presentation import (
+    _prune_relations,
     abstract_from_table,
     presentations_match,
     quiver_presentation,
     radical_chain,
     relation_ideals_equal,
 )
+from tiltbench.quiver import Path, Quiver, Relation, deglex_key, monomial_relation
 from tiltbench.tilting import TiltingContext, construct_tpq, end_algebra
 
 
@@ -127,8 +131,6 @@ def test_algebra_from_structure_constants_public_api():
 
 
 def test_relation_ideal_equality_up_to_generators():
-    from tiltbench.quiver import monomial_relation
-
     q = corpus.fig1_quiver()
     rels = corpus.fig1_relations(q)
     # adding a consequence does not change the ideal
@@ -314,3 +316,241 @@ def test_end_data_asks_part_of_the_product_table():
     asked = sum(cell is not None for row in alg._table for cell in row)
     assert alg.dim == 32
     assert asked < alg.dim * alg.dim
+
+
+def test_relation_ideals_equal_lets_only_package_errors_through(monkeypatch):
+    q = corpus.fig1_quiver()
+    rels = corpus.fig1_relations(q)
+    # no relations on a quiver with a cycle: NotAdmissible, so not equal
+    assert not relation_ideals_equal(q, rels, [])
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(presentation, "build_path_algebra", broken)
+    with pytest.raises(RuntimeError):
+        relation_ideals_equal(q, rels, list(rels))
+
+
+# The pruning route before one ideal filtration replaced it: for every
+# candidate, the homogeneous ideal spans of the kept relations are rebuilt
+# from scratch, one RREF per path length, and the candidate tested in the
+# span at its length.  Kept as the reference the filtration must agree with.
+
+
+def _old_vector(rel, index):
+    vec = [Fraction(0)] * len(index)
+    for c, p in rel.terms:
+        vec[index[p]] += c
+    return vec
+
+
+def _old_ideal_spans(quiver, gens, up_to):
+    by_len = {}
+    for g in gens:
+        by_len.setdefault(g.length, []).append(g)
+    out = {}
+    raw = {1: [Path(a.source, (a.name,)) for a in quiver.arrows]}
+    prev_rows = []
+    prev_order = None
+    for n in range(2, up_to + 1):
+        raw[n] = []
+        for p in raw[n - 1]:
+            for a in quiver.arrows_from[p.target(quiver)]:
+                raw[n].append(Path(p.source, p.arrows + (a.name,)))
+        order = sorted(raw[n], key=lambda p: deglex_key(quiver, p))
+        index = {p: i for i, p in enumerate(order)}
+        rows = [_old_vector(g, index) for g in by_len.get(n, [])]
+        if prev_order is not None:
+            for row in prev_rows:
+                for a in quiver.arrows:
+                    left = [Fraction(0)] * len(order)
+                    right = [Fraction(0)] * len(order)
+                    any_l = any_r = False
+                    for p, c in zip(prev_order, row):
+                        if c == 0:
+                            continue
+                        if a.target == p.source:
+                            left[index[Path(a.source, (a.name,) + p.arrows)]] += c
+                            any_l = True
+                        if p.target(quiver) == a.source:
+                            right[index[Path(p.source, p.arrows + (a.name,))]] += c
+                            any_r = True
+                    if any_l:
+                        rows.append(left)
+                    if any_r:
+                        rows.append(right)
+        span = row_space_basis(Matrix(len(rows), len(order), rows)) if rows else Matrix.zero(0, len(order))
+        out[n] = (order, index, span)
+        prev_rows = [list(span.row(i)) for i in range(span.rows)]
+        prev_order = order
+    return out
+
+
+def _old_relation_in_ideal(quiver, gens, rel):
+    order, index, span = _old_ideal_spans(quiver, gens, rel.length).get(rel.length, (None, None, None))
+    if order is None:
+        return False
+    vec = _old_vector(rel, index)
+    if span.rows == 0:
+        return all(c == 0 for c in vec)
+    return row_space_contains(span, vec)
+
+
+def _old_prune(quiver, relations):
+    kept = []
+    for rel in sorted(relations, key=lambda r: r.length):
+        if not (kept and _old_relation_in_ideal(quiver, kept, rel)):
+            kept.append(rel)
+    return kept
+
+
+def _old_ideals_equal(quiver, rels1, rels2):
+    try:
+        a1 = build_path_algebra(quiver, rels1)
+        a2 = build_path_algebra(quiver, rels2)
+    except TiltbenchError:
+        return False
+    if a1.dim != a2.dim:
+        return False
+    return all(
+        _old_relation_in_ideal(quiver, list(gens), rel)
+        for gens, others in ((rels1, rels2), (rels2, rels1))
+        for rel in others
+    )
+
+
+def _end_candidates(monkeypatch):
+    """(name, quiver, candidate relations) that quiver_presentation prunes
+    for the End(T)s of fig1, sec5, N(6,3), N(8,4) and Kupisch (4,5,5,5)
+    with P = {2}."""
+    fig1, sec5, k = corpus.fig1_algebra(), corpus.sec5_algebra(), corpus.kupisch_algebra([4, 5, 5, 5])
+    cases = [
+        ("fig1", fig1, corpus.fig1_tilting_complex(fig1)),
+        ("sec5", sec5, construct_tpq(sec5, ["1"], ["3", "4"], 1, 1).complex),
+        ("N(6,3)", corpus.kupisch_algebra([3] * 6), None),
+        ("N(8,4)", corpus.kupisch_algebra([4] * 8), None),
+        ("(4, 5, 5, 5) P={2}", k, construct_tpq(k, ["2"], [], 1, 1).complex),
+    ]
+    seen = []
+
+    def recording(quiver, relations):
+        seen.append((quiver, list(relations)))
+        return _prune_relations(quiver, relations)
+
+    monkeypatch.setattr(presentation, "_prune_relations", recording)
+    out = []
+    for name, a, t in cases:
+        TiltingContext(a, t if t is not None else regular_stalk(a)).end_data()
+        out.append((name,) + seen.pop())
+    monkeypatch.undo()
+    return out
+
+
+def _paths_of_length(quiver, n):
+    paths = [Path(a.source, (a.name,)) for a in quiver.arrows]
+    for _ in range(n - 1):
+        paths = [Path(p.source, p.arrows + (a.name,)) for p in paths for a in quiver.arrows_from[p.target(quiver)]]
+    return paths
+
+
+def _random_relations(rng, quiver, count):
+    """Relations of lengths 2-4 with distinct paths, about half of them
+    redundant: scalar and arrow multiples of earlier ones, and linear
+    combinations of two earlier ones of one shape."""
+    paths = {n: _paths_of_length(quiver, n) for n in range(2, 5)}
+    out = []
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+
+    def add(row):
+        row = {p: c for p, c in row.items() if c}
+        if row:
+            out.append(Relation(quiver, [(c, p) for p, c in row.items()]))
+
+    while len(out) < count:
+        kind = rng.random() if out else 0
+        if kind < 0.5:
+            n = rng.randint(2, 4)
+            first = rng.choice(paths[n])
+            parallel = [p for p in paths[n] if p.source == first.source and p.target(quiver) == first.target(quiver)]
+            add({p: coeff() for p in rng.sample(parallel, min(len(parallel), rng.randint(1, 3)))})
+        elif kind < 0.7:
+            r = rng.choice(out)
+            add({p: 2 * c for c, p in r.terms})
+        elif kind < 0.85:
+            r = rng.choice([r for r in out if r.length < 4] or out)
+            if r.length < 4:
+                a = rng.choice(quiver.arrows)
+                if a.target == r.source:
+                    add({Path(a.source, (a.name,) + p.arrows): c for c, p in r.terms})
+                elif a.source == r.target:
+                    add({Path(p.source, p.arrows + (a.name,)): c for c, p in r.terms})
+        else:
+            r = rng.choice(out)
+            same = [s for s in out if (s.length, s.source, s.target) == (r.length, r.source, r.target)]
+            s = rng.choice(same)
+            row = {}
+            for k, rel in ((coeff(), r), (coeff(), s)):
+                for c, p in rel.terms:
+                    row[p] = row.get(p, 0) + k * c
+            add(row)
+    return out
+
+
+def _random_quiver(rng):
+    n = rng.randint(2, 4)
+    vs = [str(i + 1) for i in range(n)]
+    arrows = [(vs[i], vs[(i + 1) % n]) for i in range(n)]  # an oriented cycle
+    arrows += [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 2))]
+    return Quiver(vs, [(f"x{k}", s, t) for k, (s, t) in enumerate(arrows)])
+
+
+def test_prune_matches_per_candidate_route(monkeypatch):
+    for name, q, candidates in _end_candidates(monkeypatch):
+        kept = _prune_relations(q, candidates)
+        old = _old_prune(q, candidates)
+        assert len(kept) == len(old) and all(x is y for x, y in zip(kept, old)), name
+        for rels, equal in ((kept, True), (kept[:-1], False)):
+            assert relation_ideals_equal(q, rels, candidates) is equal, name
+            assert _old_ideals_equal(q, rels, candidates) is equal, name
+    rng = random.Random(8)
+    for _ in range(30):
+        q = _random_quiver(rng)
+        rels = _random_relations(rng, q, rng.randint(3, 10))
+        kept = _prune_relations(q, rels)
+        old = _old_prune(q, rels)
+        assert len(kept) == len(old) and all(x is y for x, y in zip(kept, old))
+        # a minimal generating set without one member spans a smaller ideal
+        drop = rng.randrange(len(kept))
+        for gens, others, generated in (
+            (kept, rels, True),
+            (rels, kept, True),
+            (kept[:drop] + kept[drop + 1:], rels, False),
+        ):
+            assert presentation._generates(q, gens, others) is generated
+            assert all(_old_relation_in_ideal(q, gens, r) for r in others) is generated
+
+
+def test_pruning_builds_one_span_per_path_length(monkeypatch):
+    name, q, candidates = next(c for c in _end_candidates(monkeypatch) if c[0] == "sec5")
+    lengths = sorted({r.length for r in candidates})
+    assert len(candidates) == 22 and lengths == [2, 3, 4]
+    spans = []
+
+    class Counted(presentation.Coordinates):
+        __slots__ = ()
+
+        def __init__(self, rows, width):
+            spans.append(width)
+            super().__init__(rows, width)
+
+    monkeypatch.setattr(presentation, "Coordinates", Counted)
+    kept = _prune_relations(q, candidates)
+    # lengths 1 (the arrows), 2, 3 and 4, once each
+    assert len(spans) == lengths[-1] and len(kept) == 5
+    ideal = presentation._HomogeneousIdeal(q)
+    ideal.add(max(candidates, key=lambda r: r.length))
+    with pytest.raises(TiltbenchError, match="length 2 comes after length 4"):
+        ideal.contains(kept[0])

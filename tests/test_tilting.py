@@ -423,3 +423,21 @@ def test_context_builds_each_self_hom_once(monkeypatch):
     ctx.end_data()
     assert len(builds) == 2 * t.width() + 1
     assert set(builds.values()) == {1}
+
+
+def test_construct_computes_nu_stability_once(monkeypatch):
+    from tiltbench import tilting
+
+    a = corpus.sec5_algebra()
+    reports = []
+    projectives = []
+    report, build = tilting.maximal_nu_stable, tilting.projective
+    monkeypatch.setattr(tilting, "maximal_nu_stable", lambda *args: reports.append(1) or report(*args))
+    monkeypatch.setattr(tilting, "projective", lambda *args: projectives.append(args[1]) or build(*args))
+    construct_tpq(a, ["1"], ["3", "4"], 1, 1)
+    assert len(reports) == 1
+    # one projective per label of P and Q, and one per vertex for sigma
+    assert sorted(projectives) == ["1", "1", "2", "3", "3", "4", "4"]
+    reports.clear()
+    construct_tpq(a, [], [], 1, 1)
+    assert reports == []
