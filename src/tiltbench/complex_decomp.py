@@ -418,6 +418,10 @@ def _split_component(sub: ProjComplex, config: WorkbenchConfig):
     """Split one support component into indecomposables via chain idempotents."""
     if sub.is_zero():
         return []
+    if sum(len(labels) for labels in sub.terms.values()) == 1:
+        # a shifted indecomposable projective P(a): End is e_a A e_a, local
+        ident = ChainMapC.identity(sub)
+        return [(sub, ident, ident)]
     data = ChainEndData(sub)
     if data.dim == 0:
         raise DecompositionError("empty endomorphism algebra on a nonzero complex")

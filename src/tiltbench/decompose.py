@@ -7,10 +7,15 @@ simple endomorphism quotient is the ground field; anything else raises
 ``DecompositionError`` rather than guessing.
 
 Splitting strategy for a module M:
-  1. if End(M) is local, M is indecomposable;
+  1. if End(M) is local, M is indecomposable.  Its radical is the kernel of
+     the trace form tr_M(f g) of End(M) acting faithfully on M (Dickson's
+     criterion), so deciding this multiplies no endomorphisms;
   2. otherwise look for an endomorphism whose minimal polynomial factors
      into coprime pieces with at least one rational root; the kernels of the
-     pieces split M (Fitting);
+     pieces split M (Fitting).  Candidates in K*1 + rad End(M) are skipped
+     without a minimal polynomial: c + n with n nilpotent and commuting with
+     c has minimal polynomial (t - c)^k, so its Fitting decomposition is
+     trivial;
   3. otherwise spin submodules from seeded random vectors and try to split
      off a generated direct summand via an explicit retraction.
 
@@ -267,7 +272,13 @@ def primitive_idempotents(alg: FiniteDimAlgebra, config: WorkbenchConfig = DEFAU
 
 
 class EndAlgebra(FiniteDimAlgebra):
-    """End(M) on a basis of its hom space; the product a * b is "a then b"."""
+    """End(M) on a basis of its hom space; the product a * b is "a then b".
+
+    Products are tabulated lazily, as in any ``FiniteDimAlgebra``, but the
+    radical is not read from them: ``radical_rows`` works on the vertex
+    matrices of the basis maps, so deciding whether End(M) is local asks for
+    no product at all.
+    """
 
     def __init__(self, m: Representation):
         self.module = m
@@ -291,10 +302,28 @@ class EndAlgebra(FiniteDimAlgebra):
             acc = f.scale(c) if acc is None else acc + f.scale(c)
         return acc if acc is not None else ModuleMap.zero(self.module, self.module)
 
-    def is_local(self) -> bool:
-        if self.dim == 1:
-            return True
-        return self.semisimple_dim() == 1
+    def radical_rows(self) -> Matrix:
+        """Radical as the left kernel of the trace form tr_M(f_i f_j) of End(M)
+        acting on M.  The action is faithful, so over Q this kernel is the
+        radical (Dickson's criterion), and the RREF basis equals the one the
+        regular trace form gives.  Each entry is one sparse dot product,
+        flatten(F_i) . flatten(F_j^T), summed over all vertices at once."""
+        n = self.dim
+        flats = [[(k, x) for k, x in enumerate(flatten_map(f)) if x] for f in self.maps]
+        transposed = [_transposed_flat(f) for f in self.maps]
+        form = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                t = transposed[j]
+                form[i][j] = form[j][i] = sum((x * t[k] for k, x in flats[i] if k in t), ZERO)
+        return row_space_basis(Matrix(n, n, form).left_kernel_basis())
+
+
+def _transposed_flat(f: ModuleMap) -> dict:
+    """Nonzero entries of flatten_map(f) with every vertex matrix transposed,
+    keyed by position."""
+    entries = (x for v in f.source.algebra.quiver.vertices for col in zip(*f.mats[v].data) for x in col)
+    return {k: x for k, x in enumerate(entries) if x}
 
 
 def _map_coords(span: Coordinates, f: ModuleMap):
@@ -473,11 +502,17 @@ def _decompose_rec(m: Representation, rng: random.Random):
     if m.total_dim() == 0:
         return []
     end = EndAlgebra(m)
-    if end.is_local():
+    rad = end.radical_rows() if end.dim > 1 else None
+    if rad is None or end.dim - rad.rows == 1:
         ident = ModuleMap.identity(m)
         return [(m, ident, ident)]
+    # an endomorphism c + n with c scalar and n in the radical has minimal
+    # polynomial (t - c)^k, so its Fitting decomposition is trivial: skip it
+    trivial = Coordinates(list(rad.data) + [end.one], end.dim)
     pieces = None
-    for f in _endo_candidates(end, rng):
+    for coords, f in _endo_candidates(end, rng):
+        if trivial.of(coords) is not None:
+            continue
         pieces = _split_by_endo(m, f)
         if pieces:
             break
@@ -496,17 +531,18 @@ def _decompose_rec(m: Representation, rng: random.Random):
 
 
 def _endo_candidates(end: EndAlgebra, rng: random.Random, rounds: int = 30):
-    ident = ModuleMap.identity(end.module)
-    one = end.one
-    for f in end.maps:
-        yield f
+    """(coordinates, map) pairs: the basis maps, their pairwise sums, then
+    seeded random combinations."""
+    units = [[ONE if k == i else ZERO for k in range(end.dim)] for i in range(end.dim)]
+    for e, f in zip(units, end.maps):
+        yield e, f
     for i in range(end.dim):
         for j in range(i + 1, end.dim):
-            yield end.maps[i] + end.maps[j]
+            yield [a + b for a, b in zip(units[i], units[j])], end.maps[i] + end.maps[j]
     for r in range(rounds):
         bound = 2 + r
         coords = [Fraction(rng.randint(-bound, bound)) for _ in range(end.dim)]
-        yield end.element(coords)
+        yield coords, end.element(coords)
 
 
 def _group_by_iso(leaves, config: WorkbenchConfig):

@@ -1,8 +1,22 @@
 import random
+import sys
+from fractions import Fraction
 
 from tiltbench import corpus
-from tiltbench.decompose import EndAlgebra, decompose, is_isomorphic, primitive_idempotents
-from tiltbench.reps import injective, projective, radical_submodule, regular_module, simple
+from tiltbench.decompose import EndAlgebra, FiniteDimAlgebra, decompose, is_isomorphic, primitive_idempotents
+from tiltbench.linalg import Matrix
+from tiltbench.reps import (
+    Representation,
+    injective,
+    projective,
+    radical_submodule,
+    regular_module,
+    simple,
+    zero_rep,
+)
+
+# the package re-exports the function ``decompose`` under the module's name
+decompose_module = sys.modules["tiltbench.decompose"]
 
 
 def test_regular_module_decomposes_into_projectives():
@@ -116,3 +130,146 @@ def test_isomorphic_after_base_change():
     twisted = Representation(a, dict(p.dims), mats)
     pair = is_isomorphic(p, twisted)
     assert pair is not None
+
+
+def _modules_for_radical_check():
+    algebras = list(corpus.corpus_algebras().values())
+    algebras += [corpus.kupisch_algebra(s) for s in ([2, 3, 3], [3, 3, 4, 4], [3, 3, 3, 3])]
+    for a in algebras:
+        yield regular_module(a)
+        for v in a.quiver.vertices:
+            p = projective(a, v)
+            yield p
+            yield simple(a, v)
+            yield radical_submodule(p)[0]
+    a = corpus.sec5_algebra()
+    yield projective(a, "3").direct_sum(projective(a, "3"))  # End = M_2(e A e)
+    yield simple(a, "1").direct_sum(simple(a, "1"))  # End = M_2(Q)
+    yield simple(a, "2").direct_sum(projective(a, "2")).direct_sum(simple(a, "2"))
+    yield zero_rep(a)
+
+
+def test_end_radical_from_module_trace_form():
+    seen_local = seen_matrix_ring = False
+    for m in _modules_for_radical_check():
+        end = EndAlgebra(m)
+        rad = end.radical_rows()
+        assert rad == FiniteDimAlgebra.radical_rows(end), m.dim_vector()
+        seen_local |= end.dim > 1 and end.dim - rad.rows == 1
+        seen_matrix_ring |= end.dim == 4 and rad.rows == 0
+    assert seen_local and seen_matrix_ring
+
+
+def _twisted(m: Representation, rng: random.Random) -> Representation:
+    """m after a random change of basis at every vertex."""
+    change = {}
+    for v, n in m.dims.items():
+        while True:
+            c = Matrix(n, n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if c.inverse() is not None:
+                change[v] = c
+                break
+    mats = {
+        ar.name: change[ar.source].inverse() * m.mats[ar.name] * change[ar.target]
+        for ar in m.algebra.quiver.arrows
+    }
+    return Representation(m.algebra, dict(m.dims), mats)
+
+
+def _reference_decompose_rec(m, rng):
+    """The candidate loop without the skip span: locality from End(M)'s
+    product table, and every candidate through ``_split_by_endo``."""
+    d = decompose_module
+    if m.total_dim() == 0:
+        return []
+    end = EndAlgebra(m)
+    if end.dim == 1 or end.dim - FiniteDimAlgebra.radical_rows(end).rows == 1:
+        ident = d.ModuleMap.identity(m)
+        return [(m, ident, ident)]
+
+    def candidates():
+        yield from end.maps
+        for i in range(end.dim):
+            for j in range(i + 1, end.dim):
+                yield end.maps[i] + end.maps[j]
+        for r in range(30):
+            bound = 2 + r
+            yield end.element([Fraction(rng.randint(-bound, bound)) for _ in range(end.dim)])
+
+    pieces = None
+    for f in candidates():
+        pieces = d._split_by_endo(m, f)
+        if pieces:
+            break
+    if pieces is None:
+        pieces = d._spin_split(m, rng)
+    out = []
+    for (sub, incl), proj in zip(pieces, d._projections_for(m, pieces)):
+        for piece, sub_incl, sub_proj in _reference_decompose_rec(sub, rng):
+            out.append((piece, sub_incl.then(incl), proj.then(sub_proj)))
+    return out
+
+
+def _seeded_modules():
+    rng = random.Random(20)
+    for s in ([2, 3, 3], [3, 3, 3, 3], [2, 2, 3, 3], [3, 3, 4, 4], [4, 5, 5, 5]):
+        yield regular_module(corpus.kupisch_algebra(s))
+    pools = [
+        [f(a, v) for v in a.quiver.vertices for f in (projective, simple)]
+        for a in (corpus.fig1_algebra(), corpus.sec5_algebra(), corpus.kupisch_algebra([3, 3, 4, 4]))
+    ]
+    for k in range(15):
+        pool = rng.choice(pools)
+        picks = rng.sample(pool, rng.randint(1, 3))
+        picks.append(picks[0])  # one summand twice in every sum
+        m = picks[0]
+        for p in picks[1:]:
+            m = m.direct_sum(p)
+        yield _twisted(m, rng) if k % 2 else m
+
+
+def _certificate(result):
+    summands, to_sum, from_sum = result
+    return (
+        [(s.dims, {a: x.data for a, x in s.mats.items()}, mult) for s, mult in summands],
+        {v: x.data for v, x in to_sum.mats.items()},
+        {v: x.data for v, x in from_sum.mats.items()},
+    )
+
+
+def test_decompose_matches_loop_that_tries_every_candidate(monkeypatch):
+    modules = list(_seeded_modules())
+    assert len(modules) == 20
+    new = [_certificate(decompose(m)) for m in modules]
+    monkeypatch.setattr(decompose_module, "_decompose_rec", _reference_decompose_rec)
+    old = [_certificate(decompose(m)) for m in modules]
+    assert new == old
+    assert any(mult > 1 for summands, _, _ in new for _, _, mult in summands)
+
+
+def test_decompose_asks_no_product_and_tries_only_splitting_candidates(monkeypatch):
+    ends = []
+    split_calls = []
+    init, split = EndAlgebra.__init__, decompose_module._split_by_endo
+
+    def recorded(self, m):
+        init(self, m)
+        ends.append(self)
+
+    monkeypatch.setattr(EndAlgebra, "__init__", recorded)
+    monkeypatch.setattr(decompose_module, "_split_by_endo", lambda m, f: split_calls.append(1) or split(m, f))
+    summands, _, _ = decompose(regular_module(corpus.kupisch_algebra([4, 5, 5, 5])))
+    assert len(summands) == 4
+    # every split succeeds: three splits leave the four projectives
+    assert len(split_calls) == 3
+    assert sum(cell is not None for end in ends for row in end._table for cell in row) == 0
+
+
+def test_endo_candidates_carry_their_coordinates():
+    # the skip span judges a candidate by its coordinates alone
+    a = corpus.sec5_algebra()
+    end = EndAlgebra(projective(a, "3").direct_sum(simple(a, "3")).direct_sum(projective(a, "3")))
+    candidates = list(decompose_module._endo_candidates(end, random.Random(0), rounds=3))
+    assert len(candidates) == end.dim + end.dim * (end.dim - 1) // 2 + 3
+    for coords, f in candidates:
+        assert end.coords(f) == coords

@@ -425,6 +425,28 @@ def test_context_builds_each_self_hom_once(monkeypatch):
     assert set(builds.values()) == {1}
 
 
+def test_context_builds_no_space_for_stalk_components(monkeypatch):
+    a = corpus.sec5_algebra()
+    t = construct_tpq(a, ["1"], ["3", "4"], 1, 1).complex
+    ctx = TiltingContext(a, t, proved_by_construction=True)
+    builds = []
+    init = HomotopySpace.__init__
+
+    def counted(self, x, y_shifted):
+        builds.append(x)
+        init(self, x, y_shifted)
+
+    monkeypatch.setattr(HomotopySpace, "__init__", counted)
+    ctx.tilting_report()
+    ctx.end_data()
+    # T -> T[n] for each n in [-width, width], and End of the one support
+    # component P(1) -> P(2) -> P(3); the stalks P(1)[1], P(3)[-1] and
+    # P(4)[-1] are indecomposable without one
+    others = [x for x in builds if x is not t]
+    assert len(builds) - len(others) == 2 * t.width() + 1
+    assert [{d: x.term(d) for d in x.degrees()} for x in others] == [{-1: ["1"], 0: ["2"], 1: ["3"]}]
+
+
 def test_construct_computes_nu_stability_once(monkeypatch):
     from tiltbench import tilting
 
