@@ -35,11 +35,11 @@ from .errors import DecompositionError, TiltbenchError
 from .linalg import Coordinates, Matrix, row_space_basis
 from .polys import (
     bezout,
-    min_poly_of_matrix,
+    min_poly_of_matrices,
+    min_poly_of_sequence,
     pdivmod,
     peval_matrix,
     pmul,
-    pnorm,
     rational_roots,
 )
 from .reps import (
@@ -162,27 +162,10 @@ def _split_corner_once(alg: FiniteDimAlgebra, unit, rng: random.Random, rounds: 
     for x in _probe_elements(alg, rng, rounds):
         # force the probe into the corner
         x = alg.mul(alg.mul(unit, x), unit)
-        mu = _corner_min_poly(alg, x, unit)
-        if len(mu) <= 2:
+        factors = _coprime_factors(_corner_min_poly(alg, x, unit))
+        if factors is None:
             continue
-        roots = rational_roots(mu)
-        if not roots:
-            continue
-        distinct = sorted(set(roots))
-        # coprime split: (t - r)^mult for one root against the rest
-        r = distinct[0]
-        lin = [-r, ONE]
-        m1 = [ONE]
-        work = list(mu)
-        while True:
-            q, rem = pdivmod(work, lin)
-            if rem:
-                break
-            m1 = pmul(m1, lin)
-            work = q
-        m2 = work
-        if len(m2) <= 1:
-            continue  # power of a single linear factor: no split
+        m1, m2 = factors
         u, v = bezout(m1, m2)
         e = alg.eval_poly(pmul(v, m2), x)  # congruent to 1 on ker m1, 0 on ker m2
         e = alg.mul(alg.mul(unit, e), unit)
@@ -195,18 +178,38 @@ def _split_corner_once(alg: FiniteDimAlgebra, unit, rng: random.Random, rounds: 
     return None
 
 
-def _corner_min_poly(alg: FiniteDimAlgebra, x, unit):
-    """Minimal polynomial of x in the corner algebra unit*A*unit."""
-    flats = [list(unit)]
-    cur = list(unit)
+def _coprime_factors(mu):
+    """(m1, m2) with m1 = (t - r)^k for the least rational root r of mu, k its
+    multiplicity, and m2 = mu / m1 not constant; None when mu has no rational
+    root or is a power of one linear factor, so that Fitting splits nothing."""
+    if len(mu) <= 2:
+        return None
+    roots = rational_roots(mu)
+    if not roots:
+        return None
+    lin = [-min(roots), ONE]
+    m1 = [ONE]
+    m2 = list(mu)
     while True:
-        cur = list(alg.mul(cur, x))
-        flats.append(cur)
-        ker = Matrix.from_rows(flats).left_kernel_basis()
-        if ker.rows:
-            row = list(ker.row(0))
-            top = max(i for i, c in enumerate(row) if c != 0)
-            return pnorm([c / row[top] for c in row[: top + 1]])
+        q, rem = pdivmod(m2, lin)
+        if rem:
+            break
+        m1 = pmul(m1, lin)
+        m2 = q
+    return (m1, m2) if len(m2) > 1 else None
+
+
+def _corner_min_poly(alg: FiniteDimAlgebra, x, unit):
+    """Minimal polynomial of x in the corner algebra unit*A*unit: the first
+    dependency among unit, unit x, unit x^2, ..."""
+
+    def powers():
+        cur = list(unit)
+        while True:
+            yield cur
+            cur = alg.mul(cur, x)
+
+    return min_poly_of_sequence(powers(), alg.dim)
 
 
 def _is_zero(x):
@@ -334,48 +337,25 @@ def _map_coords(span: Coordinates, f: ModuleMap):
 
 
 def module_min_poly(f: ModuleMap):
-    """Minimal polynomial of a module endomorphism (lcm over vertices)."""
-    from .polys import pgcd
-
-    mu = [ONE]
-    for v, m in f.mats.items():
-        if m.rows == 0:
-            continue
-        mv = min_poly_of_matrix(m)
-        g = pgcd(mu, mv)
-        mu = pdivmod(pmul(mu, mv), g)[0]
-    return pnorm(mu)
+    """Minimal polynomial of a module endomorphism: that of its block-diagonal
+    matrix, the lcm over vertices."""
+    return min_poly_of_matrices(f.mats.values())
 
 
 def _split_by_endo(m: Representation, f: ModuleMap):
-    """Split m into kernels of coprime factors of min poly(f), or None."""
-    mu = module_min_poly(f)
-    if len(mu) <= 2:
+    """Split m by Fitting's lemma along coprime factors m1 * m2 of the minimal
+    polynomial of f, or None.  The pieces are ker m1(f) and
+    ker m2(f) = im m1(f), so only m1 is evaluated; the inclusions form a
+    direct sum because the factors are coprime, which ``_projections_for``
+    checks."""
+    factors = _coprime_factors(module_min_poly(f))
+    if factors is None:
         return None
-    roots = rational_roots(mu)
-    if not roots:
-        return None
-    r = sorted(set(roots))[0]
-    lin = [-r, ONE]
-    m1 = [ONE]
-    work = list(mu)
-    while True:
-        q, rem = pdivmod(work, lin)
-        if rem:
-            break
-        m1 = pmul(m1, lin)
-        work = q
-    m2 = work
-    if len(m2) <= 1:
-        return None
-    pieces = []
-    for factor in (m1, m2):
-        spaces = {v: peval_matrix(factor, f.mats[v]).left_kernel_basis() for v in f.mats}
-        sub, incl = sub_representation(m, spaces)
-        pieces.append((sub, incl))
-    if sum(p.total_dim() for p, _ in pieces) != m.total_dim():
-        raise DecompositionError("coprime kernels do not fill the module")
-    return pieces
+    values = {v: peval_matrix(factors[0], x) for v, x in f.mats.items()}
+    return [
+        sub_representation(m, {v: x.left_kernel_basis() for v, x in values.items()}),
+        sub_representation(m, values),
+    ]
 
 
 def _projections_for(m: Representation, pieces):

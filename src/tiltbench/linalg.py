@@ -10,10 +10,13 @@ whose entries are Fractions by construction build their result with
 ``Matrix._trusted``, skipping the public constructor's checks.
 :class:`Coordinates` eliminates a list of rows once, grows it a row at a
 time, and gives the coordinates of any vector in their span.
+``sparse_kernel`` finds the right kernel of a matrix given as sparse rows,
+by the same fraction-free integer elimination on ``{column: int}`` rows.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -295,16 +298,26 @@ class Coordinates:
     def add(self, row) -> bool:
         """Append row to the list, eliminating it against the echelon rows
         only; True when it does not depend on the earlier rows."""
+        if self.add_or_coords(row) is None:
+            return True
+        self.count += 1  # a dependent row keeps its index in the list
+        return False
+
+    def add_or_coords(self, row):
+        """None after appending row when it does not depend on the earlier
+        rows; otherwise its coefficients, as ``of`` gives them, and row is not
+        appended.  Either way row is reduced once."""
         rest, coeffs = self._reduce(row)
         pivot = next((j for j, x in enumerate(rest) if x), None)
-        if pivot is not None:
-            inv = ONE / rest[pivot]
-            combination = [(k, -c * inv) for k, c in enumerate(coeffs) if c]
-            combination.append((self.count, inv))
-            self._echelon.append((pivot, [(j, x * inv) for j, x in enumerate(rest) if x], combination))
-            self.independent.append(self.count)
+        if pivot is None:
+            return coeffs
+        inv = ONE / rest[pivot]
+        combination = [(k, -c * inv) for k, c in enumerate(coeffs) if c]
+        combination.append((self.count, inv))
+        self._echelon.append((pivot, [(j, x * inv) for j, x in enumerate(rest) if x], combination))
+        self.independent.append(self.count)
         self.count += 1
-        return pivot is not None
+        return None
 
     def _reduce(self, v):
         """(rest, coeffs) with v == rest + sum of coeffs[k] * row k, where rest
@@ -326,6 +339,84 @@ class Coordinates:
         """Coefficients of v on the rows, or None when v is outside their span."""
         rest, coeffs = self._reduce(v)
         return None if any(rest) else coeffs
+
+
+def sparse_kernel(rows, width: int) -> list:
+    """Basis of the right kernel of a sparse matrix with ``width`` columns,
+    as tuples of Fractions: the basis ``Matrix.kernel_basis`` gives, one
+    vector per free column j in increasing order, with 1 at j and minus the
+    reduced entries of column j at the pivots.
+
+    ``rows`` are ``{column: entry}`` dicts.  Each row is scaled to integers
+    by the lcm of its denominators and reduced fraction-free against the
+    echelon rows found so far, in the order they were found; its first
+    nonzero column becomes its pivot.  Each echelon row is then reduced
+    against the later ones, which leaves the reduced row echelon form.
+    """
+    echelon = []  # (pivot column, {column: int})
+    position = {}  # pivot column -> index in echelon
+    for row in rows:
+        row = _integer_row(row)
+        # a row is zero at the pivots of the echelon rows before it, so
+        # eliminating pivot k only brings in pivots of later rows
+        pending = [position[j] for j in row if j in position]
+        heapq.heapify(pending)
+        while pending:
+            c, prow = echelon[heapq.heappop(pending)]
+            if c in row:
+                row = _eliminate(row, prow, c)
+                for j in prow:
+                    if j != c and j in position and j in row:
+                        heapq.heappush(pending, position[j])
+        if row:
+            pivot = min(row)
+            position[pivot] = len(echelon)
+            echelon.append((pivot, row))
+    for k in range(len(echelon) - 1, -1, -1):
+        c, row = echelon[k]
+        # the later rows are reduced already, so each elimination brings in
+        # no other pivot
+        for j in [j for j in row if j != c and j in position]:
+            row = _eliminate(row, echelon[position[j]][1], j)
+        echelon[k] = (c, row)
+    free_entries = {}  # free column -> [(pivot, kernel entry)]
+    for c, row in echelon:
+        p = row[c]
+        for j, x in row.items():
+            if j != c:
+                free_entries.setdefault(j, []).append((c, Fraction(-x, p)))
+    out = []
+    for j in range(width):
+        if j not in position:
+            vec = [ZERO] * width
+            vec[j] = ONE
+            for c, x in free_entries.get(j, ()):
+                vec[c] = x
+            out.append(tuple(vec))
+    return out
+
+
+def _integer_row(row) -> dict:
+    """The nonzero entries of a sparse row, scaled by the lcm of their
+    denominators to integers."""
+    entries = [(j, x) for j, x in row.items() if x]
+    den = lcm(*(x.denominator for _, x in entries))
+    return {j: x.numerator * (den // x.denominator) for j, x in entries}
+
+
+def _eliminate(row: dict, prow: dict, c) -> dict:
+    """p * row - f * prow, with p = prow[c] and f = row[c], divided by the gcd
+    of its entries: an integer row that is zero at c."""
+    p, f = prow[c], row[c]
+    out = {j: p * x for j, x in row.items()} if p != 1 else dict(row)
+    for j, y in prow.items():
+        x = out.get(j, 0) - f * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def rank(m: Matrix) -> int:

@@ -7,8 +7,9 @@ entry is nonzero (the zero polynomial is the empty list).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .linalg import Matrix
+from .linalg import Coordinates, Matrix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -90,9 +91,14 @@ def peval_frac(p, x: Fraction) -> Fraction:
 
 
 def peval_matrix(p, m: Matrix) -> Matrix:
-    acc = Matrix.zero(m.rows, m.cols)
+    """p(m) by Horner's rule, adding each coefficient on the diagonal only."""
+    n = m.rows
+    acc = Matrix.zero(n, n)
     for c in reversed(p):
-        acc = acc * m + Matrix.identity(m.rows).scale(c)
+        data = (acc * m).data
+        if c:
+            data = tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(data))
+        acc = Matrix._trusted(n, n, data)
     return acc
 
 
@@ -110,59 +116,80 @@ def bezout(p, q):
     return pscale(ONE / lead, u0), pscale(ONE / lead, v0)
 
 
-def min_poly_of_matrix(m: Matrix):
-    """Monic minimal polynomial of a square matrix."""
-    if m.rows != m.cols:
+def min_poly_of_sequence(vectors, width: int):
+    """Monic t^k - (c_0 + c_1 t + ... + c_{k-1} t^(k-1)) for the first vector
+    v_k of the sequence with v_k = c_0 v_0 + ... + c_{k-1} v_{k-1}.
+
+    When v_k is the flattened k-th power of a matrix (or of an algebra
+    element), this is its minimal polynomial.  The vectors, of length
+    ``width``, are reduced once each against one growing ``Coordinates``,
+    and no vector after v_k is asked for."""
+    span = Coordinates([], width)
+    for v in vectors:
+        coords = span.add_or_coords(v)
+        if coords is not None:
+            return pnorm([-c for c in coords] + [ONE])
+    raise ValueError("the sequence ended before its vectors became dependent")
+
+
+def min_poly_of_matrices(mats):
+    """Monic minimal polynomial of the block-diagonal matrix with the given
+    square blocks, i.e. the lcm of theirs, from the powers of all blocks at
+    once; 1 when every block is 0 x 0."""
+    mats = list(mats)
+    if any(m.rows != m.cols for m in mats):
         raise ValueError("min poly of nonsquare matrix")
-    n = m.rows
-    if n == 0:
-        return [ONE]  # unit polynomial: the zero operator on zero space
-    powers = [Matrix.identity(n)]
-    flat = [sum([list(r) for r in powers[0].data], [])]
-    while True:
-        powers.append(powers[-1] * m)
-        flat.append(sum([list(r) for r in powers[-1].data], []))
-        mat = Matrix.from_rows(flat)
-        ker = mat.left_kernel_basis()
-        if ker.rows:
-            # the relation with the highest power having coefficient 1
-            row = list(ker.row(0))
-            top = max(i for i, c in enumerate(row) if c != 0)
-            coeffs = [c / row[top] for c in row[: top + 1]]
-            return pnorm(coeffs)
+    mats = [m for m in mats if m.rows]
+
+    def powers():
+        cur = [Matrix.identity(m.rows) for m in mats]
+        while True:
+            yield [x for p in cur for row in p.data for x in row]
+            cur = [p * m for p, m in zip(cur, mats)]
+
+    return min_poly_of_sequence(powers(), sum(m.rows * m.rows for m in mats))
 
 
-def rational_roots(p, max_denominator: int = 10**8):
-    """Verified rational roots (with multiplicity stripped): exact membership
-    only; numerics are just used to propose candidates."""
-    import numpy as np
+def rational_roots(p):
+    """The distinct rational roots of p, in increasing order, found exactly.
 
-    p = squarefree_part(p)
-    roots = []
-    work = list(p)
-    # strip known roots as they are confirmed, retrying numerically each time
-    changed = True
-    while changed and len(pnorm(work)) > 1:
-        changed = False
-        arr = np.array([float(c) for c in reversed(work)], dtype=float)
-        try:
-            cand = np.roots(arr)
-        except Exception:
-            break
-        seen = set()
-        for z in cand:
-            if abs(z.imag) > 1e-7:
-                continue
-            fr = Fraction(float(z.real)).limit_denominator(max_denominator)
-            for guess in {fr, Fraction(round(float(z.real))), fr.limit_denominator(10**4)}:
-                if guess in seen:
-                    continue
-                seen.add(guess)
-                if peval_frac(work, guess) == 0:
-                    roots.append(guess)
-                    work = pdivmod(work, [-guess, ONE])[0]
-                    changed = True
-                    break
-            if changed:
-                break
-    return roots
+    The square-free part is scaled to a primitive integer polynomial
+    a_0 + ... + a_n t^n and a factor t (the root 0) is split off; every
+    other rational root is +-r/s with r dividing a_0 and s dividing a_n
+    (rational root theorem), and each such candidate is tested with
+    ``peval_frac``."""
+    coeffs = squarefree_part(p)
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
+    roots = set()
+    if ints and ints[0] == 0:  # square-free, so t divides it once
+        roots.add(ZERO)
+        ints = ints[1:]
+    if len(ints) > 1:
+        for s in _divisors(ints[-1]):
+            for r in _divisors(ints[0]):
+                for x in (Fraction(r, s), Fraction(-r, s)):
+                    if x not in roots and peval_frac(ints, x) == 0:
+                        roots.add(x)
+    return sorted(roots)
+
+
+def _divisors(n: int) -> list:
+    """Positive divisors of the nonzero integer n, from its factorization by
+    trial division."""
+    n = abs(n)
+    out = [1]
+    d = 2
+    while d * d <= n:
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            out = [x * d**e for x in out for e in range(k + 1)]
+        d += 1
+    if n > 1:
+        out += [x * n for x in out]
+    return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import BasicAlgebra
 from .errors import DimensionMismatch, TiltbenchError
-from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains
+from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains, sparse_kernel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -159,11 +159,16 @@ class ModuleMap:
 
 
 def hom_space(m: Representation, n: Representation) -> list:
-    """Basis of the space of module maps m -> n."""
+    """Basis of the space of module maps m -> n.
+
+    The unknowns are the entries of the vertex matrices F_v, vertex by
+    vertex in quiver order, each row by row.  Each entry (i, j) of
+    M_a F_w - F_u N_a = 0 for an arrow a: u -> w is one sparse equation on
+    at most dim m(w) + dim n(u) unknowns, and the basis is the RREF kernel
+    basis of these equations (``linalg.sparse_kernel``)."""
     if m.algebra is not n.algebra and m.algebra.basis != n.algebra.basis:
         raise TiltbenchError("modules over different algebras")
-    q = m.algebra.quiver
-    verts = list(q.vertices)
+    verts = list(m.algebra.quiver.vertices)
     offsets = {}
     total = 0
     for v in verts:
@@ -173,30 +178,26 @@ def hom_space(m: Representation, n: Representation) -> list:
         return []
 
     rows = []
-    for a in q.arrows:
-        u, w = a.source, a.target
-        mu, nw = m.dims[u], n.dims[w]
-        # unknowns F_v[(i, j)]; equation M_a * F_w - F_u * N_a = 0 entrywise
-        for i in range(mu):
-            for j in range(nw):
-                row = [ZERO] * total
-                for k in range(m.dims[w]):
-                    row[offsets[w] + k * n.dims[w] + j] += m.mats[a.name].data[i][k]
-                for k in range(n.dims[u]):
-                    row[offsets[u] + i * n.dims[u] + k] -= n.mats[a.name].data[k][j]
+    for a in m.algebra.quiver.arrows:
+        ou, ow = offsets[a.source], offsets[a.target]
+        nu, nw = n.dims[a.source], n.dims[a.target]
+        n_cols = n.mats[a.name].transpose().data
+        for i, m_row in enumerate(m.mats[a.name].data):
+            left = [(ow + k * nw, x) for k, x in enumerate(m_row) if x]
+            right = ou + i * nu
+            for j, n_col in enumerate(n_cols):
+                row = {col + j: x for col, x in left}
+                for k, y in enumerate(n_col):
+                    if y:
+                        row[right + k] = row.get(right + k, ZERO) - y
                 rows.append(row)
-    sys = Matrix(len(rows), total, rows) if rows else Matrix.zero(0, total)
-    ker = sys.kernel_basis()
     out = []
-    for c in range(ker.cols):
+    for vec in sparse_kernel(rows, total):
         mats = {}
         for v in verts:
-            if m.dims[v] and n.dims[v]:
-                block = [
-                    [ker.data[offsets[v] + i * n.dims[v] + j][c] for j in range(n.dims[v])]
-                    for i in range(m.dims[v])
-                ]
-                mats[v] = Matrix(m.dims[v], n.dims[v], block)
+            d, e = m.dims[v], n.dims[v]
+            o = offsets[v]
+            mats[v] = Matrix._trusted(d, e, tuple(vec[o + i * e : o + (i + 1) * e] for i in range(d)))
         out.append(ModuleMap(m, n, mats, check=False))
     return out
 

@@ -1,5 +1,7 @@
-"""The module-map route to Hom out of a sum of projectives, kept as the
-reference that ``reps.YonedaAction`` is tested against."""
+"""Reference routes to hom spaces, kept for tests: the module-map route to
+Hom out of a sum of projectives, which ``reps.YonedaAction`` is tested
+against, and the dense linear system for Hom(m, n), which the sparse
+``reps.hom_space`` is tested against."""
 
 from fractions import Fraction
 
@@ -47,3 +49,47 @@ def hom_from_projective_sum(psum, x) -> list:
             out.append(ModuleMap(psum.rep, x, mats, check=False))
     return out
 
+
+
+def dense_hom_space(m, n) -> list:
+    """Basis of the module maps m -> n from the kernel of the dense system
+    M_a F_w - F_u N_a = 0, one row per entry, one column per entry of the
+    vertex matrices F_v (vertex by vertex, each row by row)."""
+    if m.algebra is not n.algebra and m.algebra.basis != n.algebra.basis:
+        raise TiltbenchError("modules over different algebras")
+    q = m.algebra.quiver
+    verts = list(q.vertices)
+    offsets = {}
+    total = 0
+    for v in verts:
+        offsets[v] = total
+        total += m.dims[v] * n.dims[v]
+    if total == 0:
+        return []
+
+    rows = []
+    for a in q.arrows:
+        u, w = a.source, a.target
+        mu, nw = m.dims[u], n.dims[w]
+        for i in range(mu):
+            for j in range(nw):
+                row = [ZERO] * total
+                for k in range(m.dims[w]):
+                    row[offsets[w] + k * n.dims[w] + j] += m.mats[a.name].data[i][k]
+                for k in range(n.dims[u]):
+                    row[offsets[u] + i * n.dims[u] + k] -= n.mats[a.name].data[k][j]
+                rows.append(row)
+    sys = Matrix(len(rows), total, rows) if rows else Matrix.zero(0, total)
+    ker = sys.kernel_basis()
+    out = []
+    for c in range(ker.cols):
+        mats = {}
+        for v in verts:
+            if m.dims[v] and n.dims[v]:
+                block = [
+                    [ker.data[offsets[v] + i * n.dims[v] + j][c] for j in range(n.dims[v])]
+                    for i in range(m.dims[v])
+                ]
+                mats[v] = Matrix(m.dims[v], n.dims[v], block)
+        out.append(ModuleMap(m, n, mats, check=False))
+    return out

@@ -5,6 +5,7 @@ from fractions import Fraction
 from tiltbench import corpus
 from tiltbench.decompose import EndAlgebra, FiniteDimAlgebra, decompose, is_isomorphic, primitive_idempotents
 from tiltbench.linalg import Matrix
+from tiltbench.polys import pgcd, pmul, peval_matrix
 from tiltbench.reps import (
     Representation,
     injective,
@@ -12,6 +13,7 @@ from tiltbench.reps import (
     radical_submodule,
     regular_module,
     simple,
+    sub_representation,
     zero_rep,
 )
 
@@ -273,3 +275,29 @@ def test_endo_candidates_carry_their_coordinates():
     assert len(candidates) == end.dim + end.dim * (end.dim - 1) // 2 + 3
     for coords, f in candidates:
         assert end.coords(f) == coords
+
+
+def test_fitting_pieces_are_the_kernels_of_both_factors():
+    # ker m2(f) = im m1(f) for coprime m1 * m2 = mu_f: the second piece comes
+    # from m1(f) alone, and must be the submodule ker m2(f)
+    splits = 0
+    for series in ([3, 3, 4, 4], [4, 5, 5, 5]):
+        m = regular_module(corpus.kupisch_algebra(series))
+        end = EndAlgebra(m)
+        candidates = end.maps + [f + g for f, g in zip(end.maps, end.maps[1:])]
+        for f in candidates:
+            pieces = decompose_module._split_by_endo(m, f)
+            if pieces is None:
+                continue
+            mu = decompose_module.module_min_poly(f)
+            m1, m2 = decompose_module._coprime_factors(mu)
+            assert pmul(m1, m2) == mu and pgcd(m1, m2) == [1]
+            for factor, (sub, incl) in zip((m1, m2), pieces):
+                ref, ref_incl = sub_representation(
+                    m, {v: peval_matrix(factor, x).left_kernel_basis() for v, x in f.mats.items()}
+                )
+                assert sub.dims == ref.dims
+                assert all(sub.mats[a] == ref.mats[a] for a in ref.mats)
+                assert all(incl.mats[v] == ref_incl.mats[v] for v in m.dims)
+            splits += 1
+    assert splits >= 4

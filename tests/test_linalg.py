@@ -10,6 +10,7 @@ from tiltbench.linalg import (
     intersect_row_spaces,
     row_space_basis,
     row_spaces_equal,
+    sparse_kernel,
 )
 
 
@@ -219,3 +220,31 @@ def test_matrix_operations_hold_only_fractions():
     for rows, cols, data in [(2, 2, [[1, 2], [3]]), (2, 2, [[1, 2]]), (1, 2, [[1, 2, 3]]), (0, 1, [[1]]), (-1, 0, [])]:
         with pytest.raises(DimensionMismatch):
             Matrix(rows, cols, data)
+
+
+def test_sparse_kernel_is_the_rref_kernel_basis():
+    rng = random.Random(8)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        density = rng.choice([0.2, 0.5, 0.9])
+        data = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows > 1:
+            data.append([a - 2 * b for a, b in zip(data[0], data[-1])])  # a dependent row
+        ker = Matrix(len(data), cols, data).kernel_basis()
+        sparse = sparse_kernel([{j: x for j, x in enumerate(row) if x} for row in data], cols)
+        assert sparse == [ker.column(j) for j in range(ker.cols)]
+    # integer entries and an empty row
+    assert sparse_kernel([{0: 2, 2: -4}, {}, {1: 1}], 3) == [(2, 0, 1)]
+    assert sparse_kernel([], 2) == [(1, 0), (0, 1)]
+
+
+def test_coordinates_add_or_coords_reduces_once():
+    span = Coordinates([], 3)
+    assert span.add_or_coords([1, 0, 1]) is None
+    assert span.add_or_coords([0, 1, 1]) is None
+    assert span.add_or_coords([2, 3, 5]) == [2, 3]
+    assert span.count == 2  # a dependent row is not appended
+    assert span.add_or_coords([0, 0, 1]) is None and span.independent == [0, 1, 2]

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
-from module_maps import hom_from_projective_sum
+from module_maps import dense_hom_space, hom_from_projective_sum
 
 from tiltbench import corpus
 from tiltbench.linalg import Coordinates, Matrix
 from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
     ModuleMap,
+    Representation,
     flatten_map,
     hom_space,
     injective,
@@ -27,6 +28,7 @@ from tiltbench.reps import (
     realize_entry_map,
     nu_entry_map,
     nu_injective_sum,
+    zero_rep,
 )
 from tiltbench.tilting import construct_tpq
 
@@ -185,6 +187,57 @@ def test_precomposition_matrix_matches_module_maps():
                     assert span.of(flatten_map(realized.then(h))) == list(pre.row(k))
                     checked += 1
     assert checked > 150
+
+
+def _fractional_twist(m: Representation, rng: random.Random) -> Representation:
+    """m after a random change of basis with non-integer entries at every
+    vertex."""
+    change = {}
+    for v, n in m.dims.items():
+        while True:
+            c = Matrix(n, n, [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+            inv = c.inverse()
+            if inv is not None:
+                change[v] = (c, inv)
+                break
+    mats = {ar.name: change[ar.source][1] * m.mats[ar.name] * change[ar.target][0] for ar in m.algebra.quiver.arrows}
+    return Representation(m.algebra, dict(m.dims), mats)
+
+
+def _hom_pools(rng):
+    """Per algebra, a pool of modules: the regular module, projectives,
+    injectives, simples, the zero module, sums, and a module with
+    non-integer matrix entries."""
+    algebras = [corpus.kupisch_algebra(s) for s in ([2, 3, 3], [3, 3, 4, 4], [4, 5, 5, 5])]
+    algebras += [corpus.fig1_algebra(), corpus.sec5_algebra()]
+    for a in algebras:
+        verts = list(a.quiver.vertices)
+        pool = [regular_module(a), zero_rep(a)]
+        for v in verts:
+            pool += [projective(a, v), injective(a, v), simple(a, v)]
+        pool.append(projective(a, verts[0]).direct_sum(simple(a, verts[-1])).direct_sum(projective(a, verts[0])))
+        pool.append(injective(a, verts[1]).direct_sum(projective(a, verts[-1])))
+        pool.append(_fractional_twist(projective(a, verts[0]).direct_sum(injective(a, verts[-1])), rng))
+        yield pool
+
+
+def test_sparse_hom_space_matches_dense_reference():
+    rng = random.Random(10)
+    pairs = []
+    for pool in _hom_pools(rng):
+        pairs += [(m, m) for m in pool]
+        pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
+    fractional = lambda x: any(e.denominator != 1 for mat in x.mats.values() for row in mat.data for e in row)
+    assert any(fractional(m) or fractional(n) for m, n in pairs)
+    # one side zero-dimensional at a vertex where the other is not
+    assert any(any(m.dims[v] == 0 < n.dims[v] or n.dims[v] == 0 < m.dims[v] for v in m.dims) for m, n in pairs)
+    nonzero = 0
+    for m, n in pairs:
+        sparse, dense = hom_space(m, n), dense_hom_space(m, n)
+        assert [flatten_map(f) for f in sparse] == [flatten_map(f) for f in dense]
+        assert all(f.mats[v] == g.mats[v] for f, g in zip(sparse, dense) for v in m.dims)
+        nonzero += bool(sparse)
+    assert nonzero > 100
 
 
 def test_fig1_hom_p2_p1_is_one_dimensional():
