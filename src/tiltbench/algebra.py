@@ -46,6 +46,19 @@ def el_scale(c, x: dict) -> dict:
     return {k: c * v for k, v in x.items()}
 
 
+def el_from_vector(v) -> dict:
+    """The sparse element whose dense coordinates are v."""
+    return {k: frac(c) for k, c in enumerate(v) if c}
+
+
+def el_to_vector(x: dict, dim: int) -> list:
+    """Dense coordinates of length dim of the sparse element x."""
+    v = [Fraction(0)] * dim
+    for k, c in x.items():
+        v[k] = c
+    return v
+
+
 def el_is_zero(x: dict) -> bool:
     return not x
 
@@ -62,6 +75,8 @@ class BasicAlgebra:
       index             Path -> basis position
       idempotent_index  vertex label -> basis position of its trivial path
       dim               len(basis)
+      table             (i, j) -> basis i * basis j as a {k: coefficient},
+                        present only when the product is nonzero
     """
 
     def __init__(self, quiver: Quiver, relations, basis, rewrite, nil_length: int):
@@ -75,7 +90,7 @@ class BasicAlgebra:
         self.idempotent_index = {v: self.index[trivial_path(v)] for v in quiver.vertices}
         self.source = [p.source for p in self.basis]
         self.target = [p.target(quiver) for p in self.basis]
-        self._table = {}
+        self.table = {}
         self._build_table()
         self._sandwich = {}
         for i in range(self.dim):
@@ -103,7 +118,7 @@ class BasicAlgebra:
                 raw = Path(p.source, p.arrows + q.arrows)
                 red = self._reduce_raw(raw)
                 if red:
-                    self._table[(i, j)] = red
+                    self.table[(i, j)] = red
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -120,7 +135,7 @@ class BasicAlgebra:
         out = {}
         for i, a in x.items():
             for j, b in y.items():
-                prod = self._table.get((i, j))
+                prod = self.table.get((i, j))
                 if not prod:
                     continue
                 ab = a * b
@@ -140,10 +155,7 @@ class BasicAlgebra:
         return [i for i in range(self.dim) if len(self.basis[i]) >= 1]
 
     def el_to_vector(self, x: dict):
-        v = [Fraction(0)] * self.dim
-        for k, c in x.items():
-            v[k] = c
-        return v
+        return el_to_vector(x, self.dim)
 
     def left_mul_matrix(self, x: dict) -> Matrix:
         """Matrix of y -> x*y on the basis, rows indexed by the input basis."""

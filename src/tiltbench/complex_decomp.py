@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .algebra import el_from_vector, el_to_vector
 from .config import DEFAULT, WorkbenchConfig
 from .decompose import FiniteDimAlgebra, lift_idempotent, primitive_idempotents
 from .errors import DecompositionError, NotIdempotent, TiltbenchError
@@ -32,39 +33,38 @@ ONE = Fraction(1)
 
 class ChainEndData(FiniteDimAlgebra):
     """Chain-level endomorphism algebra of a complex, on the basis of chain
-    maps of its homotopy space; the product a * b is "a then b"."""
+    maps of its homotopy space; the product a * b is "a then b", composed by
+    ``HomotopySpace.compose`` on the sparse chain vectors."""
 
     def __init__(self, c: ProjComplex):
         self.complex = c
         self.space = space = HomotopySpace(c, c.shift(0))
-        self._chain_maps = maps = [space.vector_to_chain_map(v) for v in space.chain_vectors]
-        self._span = span = Coordinates(space.chain_vectors, len(space._coords))
-        # the product closes over the maps and their span, not over self, so
-        # that a ChainEndData is no reference cycle and dies with its last use
+        self._vectors = vectors = [el_from_vector(v) for v in space.chain_vectors]
+        self._span = span = Coordinates(space.chain_vectors, len(space.positions))
+        # the product closes over the vectors and their span, not over self,
+        # so that a ChainEndData is no reference cycle and dies with its last use
         super().__init__(
-            len(maps),
-            lambda i, j: _chain_coords(space, span, maps[i].then(maps[j])),
+            len(vectors),
+            lambda i, j: _chain_coords(span, space.compose(vectors[i], vectors[j])),
             self.coords(ChainMapC.identity(c)),
         )
 
-    def coords(self, cm: ChainMapC):
-        """Coordinates of a chain endomorphism in the chain-map basis."""
-        return _chain_coords(self.space, self._span, cm)
+    def coords(self, cm: ChainMapC) -> dict:
+        """A chain endomorphism as an element: its coordinates in the
+        chain-map basis."""
+        return _chain_coords(self._span, self.space.chain_map_terms(cm))
 
-    def element(self, coords) -> ChainMapC:
-        acc = None
-        for c, f in zip(coords, self._chain_maps):
-            if c == 0:
-                continue
-            acc = f.scale(c) if acc is None else acc + f.scale(c)
-        if acc is None:
-            z = self.complex
-            return ChainMapC.zero(z, z)
-        return acc
+    def element(self, x: dict) -> ChainMapC:
+        """The chain endomorphism of an element."""
+        vec = {}
+        for k, c in x.items():
+            for p, y in self._vectors[k].items():
+                vec[p] = vec.get(p, ZERO) + c * y
+        return self.space.vector_to_chain_map(el_to_vector(vec, len(self.space.positions)))
 
 
-def _chain_coords(space: HomotopySpace, span: Coordinates, cm: ChainMapC):
-    coords = span.of(space.chain_map_to_vector(cm))
+def _chain_coords(span: Coordinates, vec: dict) -> dict:
+    coords = span.of_sparse(vec)
     if coords is None:
         raise TiltbenchError("endomorphism outside the chain-map space")
     return coords
@@ -292,7 +292,7 @@ def complexes_isomorphic(x: ProjComplex, y: ProjComplex, config: WorkbenchConfig
         for gv in sp_yx.chain_vectors:
             g = sp_yx.vector_to_chain_map(gv)
             u = g.then(f)  # y -> y
-            if radical.of(end_y.coords(u)) is not None:
+            if radical.of_sparse(end_y.coords(u)) is not None:
                 continue  # u is zero or lies in the radical
             pair = _upgrade_to_iso(x, y, f)
             if pair is not None:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import BasicAlgebra, el_add, el_is_zero, el_scale, el_sub
+from .algebra import BasicAlgebra, el_add, el_is_zero, el_scale, el_sub, el_to_vector
 from .errors import TiltbenchError
-from .linalg import Coordinates, Matrix, row_space_basis
+from .linalg import Coordinates, Matrix, row_space_basis, sparse_kernel
 from .reps import (
     ModuleMap,
     ProjSum,
@@ -308,9 +308,22 @@ class HomotopySpace:
     """Hom in the homotopy category between two complexes (at a fixed shift),
     with chain-level data retained.
 
+    A degree-0 map x -> y has one coordinate per (degree d, source summand
+    i, target summand j, basis path k of the sandwich y^d_j -> x^d_i);
+    ``positions`` lists them.  The chain condition is a sparse system in
+    these coordinates, and each basis element of a null homotopy gives one
+    sparse null row.
+
     chain_vectors: basis of honest chain maps X -> Y[n], as coordinate rows
+                   (the RREF kernel basis of the chain condition)
     class_vectors: subset of chain_vectors descending to a basis of the
                    quotient by the null-homotopic maps
+
+    ``compose`` multiplies two endomorphisms given as sparse coordinate
+    vectors {position: c} term by term through the algebra's structure
+    constants, and ``class_coords`` reduces a sparse coordinate vector to
+    its class coordinates; together they fill End's product table without
+    forming a chain map.
     """
 
     def __init__(self, x: ProjComplex, y_shifted: ProjComplex):
@@ -318,18 +331,19 @@ class HomotopySpace:
         self.y = y_shifted
         alg = x.algebra
         self.alg = alg
-        self._coords = []  # (degree, i, j, basis path index)
+        self.positions = []  # (degree, i, j, basis path index)
         pos = {}
         for d in sorted(set(x.terms) & set(y_shifted.terms)):
             src, tgt = x.term(d), y_shifted.term(d)
             for i in range(len(src)):
                 for j in range(len(tgt)):
                     for k in alg.paths_between(tgt[j], src[i]):
-                        pos[(d, i, j, k)] = len(self._coords)
-                        self._coords.append((d, i, j, k))
-        n_unk = len(self._coords)
+                        pos[(d, i, j, k)] = len(self.positions)
+                        self.positions.append((d, i, j, k))
+        self._pos = pos
+        n_unk = len(self.positions)
 
-        rows = []
+        rows = []  # {position: coefficient}
         for d in sorted(set(x.terms)):
             # chain square between degrees d and d+1
             src_d, src_d1 = x.term(d), x.term(d + 1)
@@ -355,61 +369,53 @@ class HomotopySpace:
                             for kk, c in alg.mul({k: ONE}, dx[i][jp]).items():
                                 row = acc.setdefault(kk, {})
                                 row[p] = row.get(p, ZERO) - c
-                    for kk, terms in acc.items():
-                        row = [ZERO] * n_unk
-                        for cpos, c in terms.items():
-                            row[cpos] += c
-                        rows.append(row)
-        sys = Matrix(len(rows), n_unk, rows) if rows else Matrix.zero(0, n_unk)
-        ker = sys.kernel_basis()
-        self.chain_vectors = [ker.column(c) for c in range(ker.cols)]
+                    rows.extend(acc.values())
+        self.chain_vectors = sparse_kernel(rows, n_unk)
 
-        # null-homotopic image: h has components X^d -> Y^{d-1}
-        h_coords = []
-        hpos = {}
+        # null-homotopic image: h has components X^d -> Y^{d-1}, and each
+        # basis element of h gives the row of u = d_X h + h d_Y
+        null_rows = []
         for d in sorted(set(x.terms)):
-            if not y_shifted.term(d - 1):
+            tgt = y_shifted.term(d - 1)
+            if not tgt:
                 continue
-            src, tgt = x.term(d), y_shifted.term(d - 1)
+            src = x.term(d)
+            dy = y_shifted.diff(d - 1)
+            dx = x.diff(d - 1)
             for i in range(len(src)):
                 for j in range(len(tgt)):
                     for k in alg.paths_between(tgt[j], src[i]):
-                        hpos[(d, i, j, k)] = len(h_coords)
-                        h_coords.append((d, i, j, k))
-        null_rows = []
-        for hc in range(len(h_coords)):
-            d, i, j, k = h_coords[hc]
-            # u = d_X h + h d_Y: this h coordinate contributes to degrees d-1 and d
-            vec = [ZERO] * n_unk
-            # term (h^d then dY^{d-1}): component at degree d, entries (i, m)
-            dy = y_shifted.diff(d - 1)
-            for m in range(len(y_shifted.term(d))):
-                prod = alg.mul(dy[j][m], {k: ONE})
-                for kk, c in prod.items():
-                    p = pos.get((d, i, m, kk))
-                    if p is not None:
-                        vec[p] += c
-            # term (dX^{d-1} then h^d): component at degree d-1, entries (ip, j)
-            dx = x.diff(d - 1)
-            for ip in range(len(x.term(d - 1))):
-                prod = alg.mul({k: ONE}, dx[ip][i])
-                for kk, c in prod.items():
-                    p = pos.get((d - 1, ip, j, kk))
-                    if p is not None:
-                        vec[p] += c
-            null_rows.append(vec)
-        self._pos = pos
+                        # (h^d then dY^{d-1}): component at degree d, entries (i, m)
+                        terms = [
+                            ((d, i, m, kk), c)
+                            for m in range(len(y_shifted.term(d)))
+                            for kk, c in alg.mul(dy[j][m], {k: ONE}).items()
+                        ]
+                        # (dX^{d-1} then h^d): component at degree d-1, entries (ip, j)
+                        terms += [
+                            ((d - 1, ip, j, kk), c)
+                            for ip in range(len(x.term(d - 1)))
+                            for kk, c in alg.mul({k: ONE}, dx[ip][i]).items()
+                        ]
+                        row = {}
+                        for key, c in terms:
+                            p = pos.get(key)
+                            if p is not None:
+                                row[p] = row.get(p, ZERO) + c
+                        null_rows.append(el_to_vector(row, n_unk))
 
         # class representatives: the chain vectors independent of the null
         # rows and of the chain vectors before them
         self._span = Coordinates(null_rows + self.chain_vectors, n_unk)
-        self._class_index = [k for k in self._span.independent if k >= len(null_rows)]
-        self.class_vectors = [self.chain_vectors[k - len(null_rows)] for k in self._class_index]
+        class_index = [k for k in self._span.independent if k >= len(null_rows)]
+        self._class_of_row = {k: c for c, k in enumerate(class_index)}
+        self.class_vectors = [self.chain_vectors[k - len(null_rows)] for k in class_index]
         self.dim = len(self.class_vectors)
+        self._endomorphisms = x.terms == y_shifted.terms and x.diffs == y_shifted.diffs
 
     def vector_to_chain_map(self, vec) -> ChainMapC:
         mats = {}
-        for p, (d, i, j, k) in enumerate(self._coords):
+        for p, (d, i, j, k) in enumerate(self.positions):
             c = vec[p]
             if c == 0:
                 continue
@@ -418,8 +424,9 @@ class HomotopySpace:
             mats[d][i][j] = el_add(mats[d][i][j], {k: c})
         return ChainMapC(self.x, self.y, mats)
 
-    def chain_map_to_vector(self, cm: ChainMapC):
-        vec = [ZERO] * len(self._coords)
+    def chain_map_terms(self, cm: ChainMapC) -> dict:
+        """Coordinates of cm as {position: c}, nonzero entries only."""
+        vec = {}
         for d, mat in cm.mats.items():
             for i, row in enumerate(mat):
                 for j, x in enumerate(row):
@@ -429,18 +436,60 @@ class HomotopySpace:
                             if c != 0:
                                 raise TiltbenchError("chain map outside coordinate support")
                             continue
-                        vec[p] += c
+                        s = vec.get(p, ZERO) + c
+                        if s:
+                            vec[p] = s
+                        else:
+                            del vec[p]
         return vec
 
     def class_reps(self):
         return [self.vector_to_chain_map(v) for v in self.class_vectors]
 
-    def reduce(self, cm: ChainMapC):
-        """Coordinates of the homotopy class of cm in the class basis."""
-        coords = self._span.of(self.chain_map_to_vector(cm))
+    def compose(self, u: dict, v: dict) -> dict:
+        """"u then v" for two endomorphisms of x (x and y equal), each given
+        as {position: c}, as {position: c}.  Only the nonzero terms are
+        visited: the term (d, i, j, k) of u and (d, j, m, l) of v give
+        basis l * basis k at (d, i, m), as ``emat_compose`` does."""
+        if not self._endomorphisms:
+            raise TiltbenchError("compose needs a space of endomorphisms")
+        positions = self.positions
+        table = self.alg.table
+        pos = self._pos
+        after = {}  # (degree, source summand) -> [(target summand, path, c)] of v
+        for p, b in v.items():
+            d, j, m, l = positions[p]
+            after.setdefault((d, j), []).append((m, l, b))
+        out = {}
+        for p, a in u.items():
+            d, i, j, k = positions[p]
+            for m, l, b in after.get((d, j), ()):
+                prod = table.get((l, k))
+                if prod is None:
+                    continue
+                ab = a * b
+                for kk, c in prod.items():
+                    q = pos[(d, i, m, kk)]
+                    s = out.get(q, ZERO) + ab * c
+                    if s:
+                        out[q] = s
+                    else:
+                        del out[q]
+        return out
+
+    def class_coords(self, vec: dict) -> dict:
+        """Class coordinates {class index: c} of the chain map with sparse
+        coordinates vec; raises when vec is no chain map."""
+        coords = self._span.of_sparse(vec)
         if coords is None:
             raise TiltbenchError("chain map is not in the hom space")
-        return [coords[k] for k in self._class_index]
+        class_of_row = self._class_of_row
+        return {class_of_row[k]: c for k, c in coords.items() if k in class_of_row}
+
+    def reduce(self, cm: ChainMapC):
+        """Coordinates of the homotopy class of cm in the class basis."""
+        coords = self.class_coords(self.chain_map_terms(cm))
+        return [coords.get(k, ZERO) for k in range(self.dim)]
 
     def is_null(self, cm: ChainMapC) -> bool:
         return all(c == 0 for c in self.reduce(cm))

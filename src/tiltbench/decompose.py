@@ -30,9 +30,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .algebra import el_add, el_from_vector, el_scale, el_sub, el_to_vector
 from .config import DEFAULT, WorkbenchConfig
 from .errors import DecompositionError, TiltbenchError
-from .linalg import Coordinates, Matrix, row_space_basis
+from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_row_space
 from .polys import (
     bezout,
     min_poly_of_matrices,
@@ -62,101 +63,100 @@ ONE = Fraction(1)
 class FiniteDimAlgebra:
     """An associative unital algebra on the basis e_0, ..., e_{dim-1}.
 
-    ``product(i, j)`` returns the coordinates of e_i * e_j; the algebra asks
-    for each pair at most once, on first use, and keeps the answer.  ``one``
-    holds the coordinates of 1.
+    Elements are sparse dicts {k: coefficient} of their nonzero coordinates,
+    the form ``BasicAlgebra`` uses, so ``algebra.el_add``, ``el_sub`` and
+    ``el_scale`` apply to them; ``el_to_vector`` gives the dense row where
+    an element enters a ``Matrix`` or a ``Coordinates``.
+
+    ``product(i, j)`` returns e_i * e_j as such a dict, nonzero coefficients
+    only; the algebra asks for each pair at most once, on first use, and
+    keeps the answer as the cell of its table.  ``one`` is the element 1.
     """
 
-    def __init__(self, dim: int, product, one):
+    def __init__(self, dim: int, product, one: dict):
         self.dim = dim
-        self.one = [Fraction(c) for c in one]
+        self.one = {k: frac(c) for k, c in one.items() if c}
         self._product = product
         self._table = [[None] * dim for _ in range(dim)]
 
-    def basis_product(self, i: int, j: int):
-        """Nonzero (k, coefficient) pairs of e_i * e_j."""
+    def basis_product(self, i: int, j: int) -> dict:
+        """e_i * e_j."""
         cell = self._table[i][j]
         if cell is None:
-            cell = self._table[i][j] = [(k, c) for k, c in enumerate(self._product(i, j)) if c]
+            cell = self._table[i][j] = self._product(i, j)
         return cell
 
-    def mul(self, x, y):
-        out = [ZERO] * self.dim
-        y_terms = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if a:
-                for j, b in y_terms:
-                    ab = a * b
-                    for k, c in self.basis_product(i, j):
-                        out[k] += ab * c
+    def mul(self, x: dict, y: dict) -> dict:
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                ab = a * b
+                for k, c in self.basis_product(i, j).items():
+                    s = out.get(k, ZERO) + ab * c
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
         return out
 
-    def left_matrix(self, x) -> Matrix:
+    def el_to_vector(self, x: dict) -> list:
+        return el_to_vector(x, self.dim)
+
+    def left_matrix(self, x: dict) -> Matrix:
         """Matrix of left multiplication by x: row j is x * e_j."""
         rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i, a in enumerate(x):
-            if a:
-                for j, row in enumerate(rows):
-                    for k, c in self.basis_product(i, j):
-                        row[k] += a * c
-        return Matrix(self.dim, self.dim, rows)
+        for i, a in x.items():
+            for j, row in enumerate(rows):
+                for k, c in self.basis_product(i, j).items():
+                    row[k] += a * c
+        return Matrix._trusted(self.dim, self.dim, tuple(map(tuple, rows)))
 
     def radical_rows(self) -> Matrix:
         """Radical as the kernel of the trace form tr L_{e_i e_j}, using
         tr L_{e_k} = sum over m of the e_m-coefficient of e_k * e_m."""
         n = self.dim
-        trace = [
-            sum((c for m in range(n) for k, c in self.basis_product(i, m) if k == m), ZERO)
-            for i in range(n)
-        ]
+        trace = [sum((self.basis_product(i, m).get(m, ZERO) for m in range(n)), ZERO) for i in range(n)]
         form = [[ZERO] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                form[i][j] = form[j][i] = sum((c * trace[k] for k, c in self.basis_product(i, j)), ZERO)
+                form[i][j] = form[j][i] = sum((c * trace[k] for k, c in self.basis_product(i, j).items()), ZERO)
         return row_space_basis(Matrix(n, n, form).left_kernel_basis())
 
     def semisimple_dim(self) -> int:
         return self.dim - self.radical_rows().rows
 
-    def eval_poly(self, p, x):
-        acc = [ZERO] * self.dim
+    def eval_poly(self, p, x: dict) -> dict:
+        acc = {}
         for c in reversed(p):
-            acc = self.mul(acc, x)
-            acc = [a + c * o for a, o in zip(acc, self.one)]
+            acc = el_add(self.mul(acc, x), el_scale(c, self.one))
         return acc
 
 
-def lift_idempotent(alg: FiniteDimAlgebra, x, max_iter: int = 64):
+def lift_idempotent(alg: FiniteDimAlgebra, x: dict, max_iter: int = 64) -> dict:
     """Newton iteration e <- 3e^2 - 2e^3 from an idempotent mod the radical."""
-    e = list(x)
+    e = x
     for _ in range(max_iter):
         e2 = alg.mul(e, e)
-        if list(e2) == list(e):
+        if e2 == e:
             return e
-        e3 = alg.mul(e2, e)
-        e = [3 * a - 2 * b for a, b in zip(e2, e3)]
+        e = el_sub(el_scale(3, e2), el_scale(2, alg.mul(e2, e)))
     raise DecompositionError("idempotent lifting did not converge")
 
 
 def _probe_elements(alg: FiniteDimAlgebra, rng: random.Random, rounds: int):
     """Deterministic-then-random stream of probe elements."""
-    basis = []
     for i in range(alg.dim):
-        e = [ZERO] * alg.dim
-        e[i] = ONE
-        basis.append(e)
-    for b in basis:
-        yield b
+        yield {i: ONE}
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            yield [a + b for a, b in zip(basis[i], basis[j])]
-            yield [a - b for a, b in zip(basis[i], basis[j])]
+            yield {i: ONE, j: ONE}
+            yield {i: ONE, j: -ONE}
     for r in range(rounds):
         bound = 3 + 2 * r
-        yield [Fraction(rng.randint(-bound, bound)) for _ in range(alg.dim)]
+        yield el_from_vector([rng.randint(-bound, bound) for _ in range(alg.dim)])
 
 
-def _split_corner_once(alg: FiniteDimAlgebra, unit, rng: random.Random, rounds: int = 40):
+def _split_corner_once(alg: FiniteDimAlgebra, unit: dict, rng: random.Random, rounds: int = 40):
     """A nontrivial idempotent pair (e, unit - e) inside the corner with the
     given unit, or None if the corner resisted all probes."""
     for x in _probe_elements(alg, rng, rounds):
@@ -169,12 +169,11 @@ def _split_corner_once(alg: FiniteDimAlgebra, unit, rng: random.Random, rounds: 
         u, v = bezout(m1, m2)
         e = alg.eval_poly(pmul(v, m2), x)  # congruent to 1 on ker m1, 0 on ker m2
         e = alg.mul(alg.mul(unit, e), unit)
-        if _is_zero(e) or e == list(unit):
+        if not e or e == unit:
             continue
-        if alg.mul(e, e) != list(e):
+        if alg.mul(e, e) != e:
             raise DecompositionError("spectral idempotent failed exactness check")
-        comp = [a - b for a, b in zip(unit, e)]
-        return list(e), comp
+        return e, el_sub(unit, e)
     return None
 
 
@@ -199,49 +198,41 @@ def _coprime_factors(mu):
     return (m1, m2) if len(m2) > 1 else None
 
 
-def _corner_min_poly(alg: FiniteDimAlgebra, x, unit):
+def _corner_min_poly(alg: FiniteDimAlgebra, x: dict, unit: dict):
     """Minimal polynomial of x in the corner algebra unit*A*unit: the first
     dependency among unit, unit x, unit x^2, ..."""
 
     def powers():
-        cur = list(unit)
+        cur = unit
         while True:
-            yield cur
+            yield alg.el_to_vector(cur)
             cur = alg.mul(cur, x)
 
     return min_poly_of_sequence(powers(), alg.dim)
 
 
-def _is_zero(x):
-    return all(c == 0 for c in x)
-
-
-def _corner_is_local(alg: FiniteDimAlgebra, unit) -> bool:
+def _corner_is_local(alg: FiniteDimAlgebra, unit: dict) -> bool:
     """Whether unit*A*unit is local: semisimple quotient of dimension 1."""
-    rows = []
-    for i in range(alg.dim):
-        e = [ZERO] * alg.dim
-        e[i] = ONE
-        rows.append(list(alg.mul(alg.mul(unit, e), unit)))
-    basis = row_space_basis(Matrix.from_rows(rows)).data
+    basis = sparse_row_space([alg.mul(alg.mul(unit, {i: ONE}), unit) for i in range(alg.dim)])
     if not basis:
         raise DecompositionError("corner collapsed to zero")
-    corner_span = Coordinates(basis, alg.dim)
+    corner_span = Coordinates([alg.el_to_vector(b) for b in basis], alg.dim)
 
     def corner_product(i, j):
-        coords = corner_span.of(alg.mul(basis[i], basis[j]))
+        coords = corner_span.of_sparse(alg.mul(basis[i], basis[j]))
         if coords is None:
             raise DecompositionError("corner not multiplicatively closed")
         return coords
 
-    unit_coords = corner_span.of(unit)
+    unit_coords = corner_span.of_sparse(unit)
     if unit_coords is None:
         raise DecompositionError("corner unit not in corner span")
     return FiniteDimAlgebra(len(basis), corner_product, unit_coords).semisimple_dim() == 1
 
 
 def primitive_idempotents(alg: FiniteDimAlgebra, config: WorkbenchConfig = DEFAULT):
-    """Complete list of orthogonal primitive idempotents summing to 1.
+    """Complete list of orthogonal primitive idempotents summing to 1, as
+    elements of alg.
 
     Found by repeatedly splitting corners with spectral idempotents and
     certifying primitivity via local corners.  Raises DecompositionError if
@@ -249,7 +240,7 @@ def primitive_idempotents(alg: FiniteDimAlgebra, config: WorkbenchConfig = DEFAU
     """
     rng = random.Random(config.seed)
     out = []
-    stack = [list(alg.one)]
+    stack = [alg.one]
     while stack:
         unit = stack.pop()
         if _corner_is_local(alg, unit):
@@ -261,12 +252,14 @@ def primitive_idempotents(alg: FiniteDimAlgebra, config: WorkbenchConfig = DEFAU
         e, comp = pair
         stack.append(e)
         stack.append(comp)
-    total = [sum(e[i] for e in out) for i in range(alg.dim)]
-    if total != list(alg.one):
+    total = {}
+    for e in out:
+        total = el_add(total, e)
+    if total != alg.one:
         raise DecompositionError("primitive idempotents do not sum to 1")
     for i, e in enumerate(out):
         for f in out[i + 1 :]:
-            if not _is_zero(alg.mul(e, f)) or not _is_zero(alg.mul(f, e)):
+            if alg.mul(e, f) or alg.mul(f, e):
                 raise DecompositionError("idempotents are not orthogonal")
     return out
 
@@ -293,16 +286,17 @@ class EndAlgebra(FiniteDimAlgebra):
             len(maps), lambda i, j: _map_coords(span, maps[i].then(maps[j])), self.coords(ModuleMap.identity(m))
         )
 
-    def coords(self, f: ModuleMap):
-        """Coordinates of an endomorphism in the hom-space basis."""
+    def coords(self, f: ModuleMap) -> dict:
+        """An endomorphism as an element: its coordinates in the hom-space
+        basis."""
         return _map_coords(self._span, f)
 
-    def element(self, coords) -> ModuleMap:
+    def element(self, x: dict) -> ModuleMap:
+        """The endomorphism of an element."""
         acc = None
-        for c, f in zip(coords, self.maps):
-            if c == 0:
-                continue
-            acc = f.scale(c) if acc is None else acc + f.scale(c)
+        for k, c in x.items():
+            f = self.maps[k].scale(c)
+            acc = f if acc is None else acc + f
         return acc if acc is not None else ModuleMap.zero(self.module, self.module)
 
     def radical_rows(self) -> Matrix:
@@ -329,11 +323,11 @@ def _transposed_flat(f: ModuleMap) -> dict:
     return {k: x for k, x in enumerate(entries) if x}
 
 
-def _map_coords(span: Coordinates, f: ModuleMap):
+def _map_coords(span: Coordinates, f: ModuleMap) -> dict:
     coords = span.of(flatten_map(f))
     if coords is None:
         raise TiltbenchError("map not in span of basis")
-    return coords
+    return el_from_vector(coords)
 
 
 def module_min_poly(f: ModuleMap):
@@ -488,10 +482,10 @@ def _decompose_rec(m: Representation, rng: random.Random):
         return [(m, ident, ident)]
     # an endomorphism c + n with c scalar and n in the radical has minimal
     # polynomial (t - c)^k, so its Fitting decomposition is trivial: skip it
-    trivial = Coordinates(list(rad.data) + [end.one], end.dim)
+    trivial = Coordinates(list(rad.data) + [end.el_to_vector(end.one)], end.dim)
     pieces = None
     for coords, f in _endo_candidates(end, rng):
-        if trivial.of(coords) is not None:
+        if trivial.of_sparse(coords) is not None:
             continue
         pieces = _split_by_endo(m, f)
         if pieces:
@@ -513,15 +507,14 @@ def _decompose_rec(m: Representation, rng: random.Random):
 def _endo_candidates(end: EndAlgebra, rng: random.Random, rounds: int = 30):
     """(coordinates, map) pairs: the basis maps, their pairwise sums, then
     seeded random combinations."""
-    units = [[ONE if k == i else ZERO for k in range(end.dim)] for i in range(end.dim)]
-    for e, f in zip(units, end.maps):
-        yield e, f
+    for i, f in enumerate(end.maps):
+        yield {i: ONE}, f
     for i in range(end.dim):
         for j in range(i + 1, end.dim):
-            yield [a + b for a, b in zip(units[i], units[j])], end.maps[i] + end.maps[j]
+            yield {i: ONE, j: ONE}, end.maps[i] + end.maps[j]
     for r in range(rounds):
         bound = 2 + r
-        coords = [Fraction(rng.randint(-bound, bound)) for _ in range(end.dim)]
+        coords = el_from_vector([rng.randint(-bound, bound) for _ in range(end.dim)])
         yield coords, end.element(coords)
 
 
@@ -571,12 +564,11 @@ def _iso_between_indecomposables(x: Representation, y: Representation):
     for b in hxy:
         for a in hyx:
             u = a.then(b)  # y -> y, invertible iff it avoids rad End(y)
-            if radical.of(end_y.coords(u)) is not None:
+            if radical.of_sparse(end_y.coords(u)) is not None:
                 continue  # composite is zero or lies in the radical
-            u_inv_mats = {v: u.mats[v].inverse() for v in u.mats}
-            if any(mm is None for mm in u_inv_mats.values()):
+            u_inv = _vertexwise_inverse(u)
+            if u_inv is None:
                 continue  # should not happen for a local End, but stay exact
-            u_inv = ModuleMap(y, y, u_inv_mats, check=False)
             g = u_inv.then(a)  # y -> x, a left inverse of b up to order
             if g.then(b).is_identity() and b.then(g).is_identity():
                 return b, g
@@ -610,10 +602,8 @@ def is_isomorphic(m: Representation, n: Representation, config: WorkbenchConfig 
                     f = g.scale(c) if f is None else f + g.scale(c)
             if f is None:
                 continue
-        if not f.is_vertexwise_invertible():
-            continue
-        g = f.inverse()
-        if f.then(g).is_identity() and g.then(f).is_identity():
+        g = _vertexwise_inverse(f)
+        if g is not None and f.then(g).is_identity() and g.then(f).is_identity():
             return f, g
     # deterministic fallback: decompose both sides and match summands
     sm, m_to_d, _ = decompose(m, config)
@@ -669,9 +659,21 @@ def is_isomorphic(m: Representation, n: Representation, config: WorkbenchConfig 
         check=False,
     )
     f = m_to_d.then(perm).then(e_to_n)
-    if not f.is_vertexwise_invertible():
-        return None
-    g = f.inverse()
-    if f.then(g).is_identity() and g.then(f).is_identity():
+    g = _vertexwise_inverse(f)
+    if g is not None and f.then(g).is_identity() and g.then(f).is_identity():
         return f, g
     return None
+
+
+def _vertexwise_inverse(f: ModuleMap):
+    """The inverse of f, each vertex matrix inverted once, or None when the
+    dimensions differ or some vertex matrix is singular."""
+    if f.source.dims != f.target.dims:
+        return None
+    inv = {}
+    for v, m in f.mats.items():
+        mi = m.inverse()
+        if mi is None:
+            return None
+        inv[v] = mi
+    return ModuleMap(f.target, f.source, inv, check=False)

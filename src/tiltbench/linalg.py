@@ -10,8 +10,11 @@ whose entries are Fractions by construction build their result with
 ``Matrix._trusted``, skipping the public constructor's checks.
 :class:`Coordinates` eliminates a list of rows once, grows it a row at a
 time, and gives the coordinates of any vector in their span.
-``sparse_kernel`` finds the right kernel of a matrix given as sparse rows,
-by the same fraction-free integer elimination on ``{column: int}`` rows.
+``Coordinates.of_sparse`` takes a vector as ``{column: entry}`` and visits
+only the echelon rows whose pivots it reaches.  ``sparse_kernel`` and
+``sparse_row_space`` find the right kernel and the RREF row space of a
+matrix given as sparse rows, by the same fraction-free integer elimination
+on ``{column: int}`` rows.
 """
 
 from __future__ import annotations
@@ -281,17 +284,20 @@ class Coordinates:
     pivot and its combination of input rows.  ``of(v)`` reduces ``v`` against
     the echelon rows and answers as ``Matrix.solve`` on the transposed rows does:
     coefficient zero on every row that depends on earlier rows, and None when
-    ``v`` lies outside the span.  ``independent`` lists the indices of the
-    rows that do not depend on earlier rows.
+    ``v`` lies outside the span.  ``of_sparse`` gives the same answer for a
+    sparse vector, visiting only the echelon rows whose pivots it reaches.
+    ``independent`` lists the indices of the rows that do not depend on
+    earlier rows.
     """
 
-    __slots__ = ("width", "count", "independent", "_echelon")
+    __slots__ = ("width", "count", "independent", "_echelon", "_row_at")
 
     def __init__(self, rows, width: int):
         self.width = width
         self.count = 0
         self.independent = []
         self._echelon = []  # (pivot column, [(column, entry)], [(row index, coefficient)])
+        self._row_at = {}  # pivot column -> index in _echelon
         for row in rows:
             self.add(row)
 
@@ -314,6 +320,7 @@ class Coordinates:
         inv = ONE / rest[pivot]
         combination = [(k, -c * inv) for k, c in enumerate(coeffs) if c]
         combination.append((self.count, inv))
+        self._row_at[pivot] = len(self._echelon)
         self._echelon.append((pivot, [(j, x * inv) for j, x in enumerate(rest) if x], combination))
         self.independent.append(self.count)
         self.count += 1
@@ -340,18 +347,94 @@ class Coordinates:
         rest, coeffs = self._reduce(v)
         return None if any(rest) else coeffs
 
+    def of_sparse(self, v: dict):
+        """``of`` for a vector given as {column: entry}: the nonzero
+        coefficients as {row index: coefficient}, or None when v is outside
+        the span.
+
+        Where ``of`` visits every echelon row, this visits only those whose
+        pivots v reaches.  An echelon row is zero at the pivots of the rows
+        before it, so subtracting it brings in pivots of later rows only: the
+        rows are visited in order from a heap of the pivots present."""
+        rest = {j: x for j, x in v.items() if x}
+        row_at = self._row_at
+        pending = [row_at[j] for j in rest if j in row_at]
+        heapq.heapify(pending)
+        coeffs = {}
+        while pending:
+            pivot, entries, combination = self._echelon[heapq.heappop(pending)]
+            c = rest.get(pivot)
+            if c is None:
+                continue  # a repeat: this row was subtracted already
+            for j, x in entries:
+                y = rest.get(j)
+                if y is None:
+                    rest[j] = -c * x
+                    if j in row_at:
+                        heapq.heappush(pending, row_at[j])
+                else:
+                    y -= c * x
+                    if y:
+                        rest[j] = y
+                    else:
+                        del rest[j]
+            for k, y in combination:
+                y = coeffs.get(k, ZERO) + c * y
+                if y:
+                    coeffs[k] = y
+                else:
+                    del coeffs[k]
+        return None if rest else coeffs
+
 
 def sparse_kernel(rows, width: int) -> list:
     """Basis of the right kernel of a sparse matrix with ``width`` columns,
     as tuples of Fractions: the basis ``Matrix.kernel_basis`` gives, one
     vector per free column j in increasing order, with 1 at j and minus the
-    reduced entries of column j at the pivots.
+    reduced entries of column j at the pivots.  ``rows`` are
+    ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``.
+    """
+    echelon, position = _sparse_echelon(rows)
+    free_entries = {}  # free column -> [(pivot, kernel entry)]
+    for c, row in echelon:
+        p = row[c]
+        for j, x in row.items():
+            if j != c:
+                free_entries.setdefault(j, []).append((c, Fraction(-x, p)))
+    out = []
+    for j in range(width):
+        if j not in position:
+            vec = [ZERO] * width
+            vec[j] = ONE
+            for c, x in free_entries.get(j, ()):
+                vec[c] = x
+            out.append(tuple(vec))
+    return out
 
-    ``rows`` are ``{column: entry}`` dicts.  Each row is scaled to integers
-    by the lcm of its denominators and reduced fraction-free against the
-    echelon rows found so far, in the order they were found; its first
-    nonzero column becomes its pivot.  Each echelon row is then reduced
-    against the later ones, which leaves the reduced row echelon form.
+
+def sparse_row_space(rows) -> list:
+    """The nonzero rows of the RREF of a sparse matrix, in order, as
+    ``{column: Fraction}`` dicts with increasing columns: the rows
+    ``row_space_basis`` gives, without their zero entries.  ``rows`` are
+    ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``."""
+    out = []
+    for c, row in sorted(_sparse_echelon(rows)[0], key=lambda e: e[0]):
+        p = row[c]
+        out.append({j: Fraction(row[j], p) for j in sorted(row)})
+    return out
+
+
+def _sparse_echelon(rows):
+    """(echelon, position): the reduced row echelon form of the sparse rows
+    as (pivot column, {column: int}) in the order the pivots were found,
+    each row a multiple of its RREF row, and pivot column -> index in
+    echelon.
+
+    Each row is scaled to integers by the lcm of its denominators and
+    reduced fraction-free against the echelon rows found so far, in the
+    order they were found; its first nonzero column becomes its pivot.  Each
+    echelon row is then reduced against the later ones, which leaves the
+    reduced row echelon form.
     """
     echelon = []  # (pivot column, {column: int})
     position = {}  # pivot column -> index in echelon
@@ -379,21 +462,7 @@ def sparse_kernel(rows, width: int) -> list:
         for j in [j for j in row if j != c and j in position]:
             row = _eliminate(row, echelon[position[j]][1], j)
         echelon[k] = (c, row)
-    free_entries = {}  # free column -> [(pivot, kernel entry)]
-    for c, row in echelon:
-        p = row[c]
-        for j, x in row.items():
-            if j != c:
-                free_entries.setdefault(j, []).append((c, Fraction(-x, p)))
-    out = []
-    for j in range(width):
-        if j not in position:
-            vec = [ZERO] * width
-            vec[j] = ONE
-            for c, x in free_entries.get(j, ()):
-                vec[c] = x
-            out.append(tuple(vec))
-    return out
+    return echelon, position
 
 
 def _integer_row(row) -> dict:

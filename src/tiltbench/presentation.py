@@ -2,10 +2,11 @@
 
 Vertices are the given (or found) primitive idempotents e_1, ..., e_n.  The
 radical layers are computed Peirce block by Peirce block (``radical_chain``):
-e_i A is the row space of left multiplication by e_i and e_i A e_j the row
-space of its rows times e_j; the radical R has R_ij = e_i A e_j for i != j
-and R_ii = ker chi_i, where chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i);
-and (R^(k+1))_ij = sum over l of (R^k)_il R_lj.  No full trace form and no
+e_i A is spanned by the products e_i e_k and e_i A e_j by its basis times
+e_j, each block kept as the sparse RREF rows of ``linalg.sparse_row_space``;
+the radical R has R_ij = e_i A e_j for i != j and R_ii = ker chi_i, where
+chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i); and
+(R^(k+1))_ij = sum over l of (R^k)_il R_lj.  No full trace form and no
 product over all pairs of radical rows is formed.  The layers certify that
 the algebra is basic: the diagonal blocks of R * R must lie in R (else
 ``NotBasic``) and the powers of R must drop strictly to 0 (else
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import BasicAlgebra, build_path_algebra
+from .algebra import BasicAlgebra, build_path_algebra, el_add, el_from_vector, el_scale, el_sub, el_to_vector
 from .config import DEFAULT, WorkbenchConfig
 from .decompose import FiniteDimAlgebra, primitive_idempotents
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     RadicalNotNilpotent,
     TiltbenchError,
 )
-from .linalg import Coordinates, Matrix, row_space_basis
+from .linalg import Coordinates, Matrix, frac, sparse_row_space
 from .quiver import Path, Quiver, Relation, arrow_multiples, longer_paths
 
 ZERO = Fraction(0)
@@ -53,23 +54,22 @@ class Presentation:
     quiver: Quiver
     relations: list
     algebra: BasicAlgebra  # rebuilt path algebra, certified same dimension
-    arrow_elements: dict  # arrow name -> coordinates in the abstract algebra
-    vertex_idempotents: dict  # vertex label -> coordinates
+    arrow_elements: dict  # arrow name -> element of the abstract algebra
+    vertex_idempotents: dict  # vertex label -> element of the abstract algebra
     nil_index: int
 
 
 def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
     """Algebra from structure constants; verifies associativity and identity.
 
-    ``table[i][j]`` is the coordinate vector of (basis i) * (basis j).
+    ``table[i][j]`` is the coordinate vector of (basis i) * (basis j), and
+    ``one`` the coordinate vector of 1.
     """
-    table = [[list(map(Fraction, cell)) for cell in row] for row in table]
-    alg = FiniteDimAlgebra(dim, lambda i, j: table[i][j], one)
-    basis = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
+    cells = [[el_from_vector(cell) for cell in row] for row in table]
+    alg = FiniteDimAlgebra(dim, lambda i, j: cells[i][j], el_from_vector(one))
+    basis = [{i: ONE} for i in range(dim)]
     for i in range(dim):
-        li = alg.mul(list(alg.one), basis[i])
-        ri = alg.mul(basis[i], list(alg.one))
-        if li != basis[i] or ri != basis[i]:
+        if alg.mul(alg.one, basis[i]) != basis[i] or alg.mul(basis[i], alg.one) != basis[i]:
             raise NoIdentity("declared identity is not two-sided")
     for i in range(dim):
         for j in range(dim):
@@ -81,32 +81,27 @@ def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
 
 
 class PeirceLayer:
-    """rad^k of a basic algebra, one Peirce block at a time: ``blocks[i][j]``
-    is the RREF basis (a Matrix) of e_i rad^k e_j, and ``rows`` the dimension
-    of rad^k."""
+    """rad^k of a basic algebra, one Peirce block at a time: ``elements[i][j]``
+    is the RREF basis of e_i rad^k e_j as elements, ``blocks[i][j]`` the
+    same basis as a Matrix, and ``rows`` the dimension of rad^k."""
 
-    __slots__ = ("blocks", "rows")
+    __slots__ = ("blocks", "elements", "rows")
 
-    def __init__(self, blocks):
-        self.blocks = blocks
-        self.rows = sum(b.rows for line in blocks for b in line)
-
-
-def _span(rows, dim: int) -> Matrix:
-    """RREF basis of the span of rows; most Peirce blocks are 0, so zero rows
-    are dropped before any elimination."""
-    rows = [r for r in rows if any(r)]
-    return row_space_basis(Matrix(len(rows), dim, rows)) if rows else Matrix.zero(0, dim)
+    def __init__(self, elements, dim: int):
+        self.elements = elements
+        self.blocks = [
+            [Matrix._trusted(len(b), dim, tuple(tuple(el_to_vector(x, dim)) for x in b)) for b in line]
+            for line in elements
+        ]
+        self.rows = sum(len(b) for line in elements for b in line)
 
 
 def _block_product(alg: FiniteDimAlgebra, left, right):
-    """Peirce blocks of X * Y from those of X and Y: (XY)_ij = sum_l X_il Y_lj."""
+    """Peirce blocks of X * Y, as RREF elements, from those of X and Y:
+    (XY)_ij = sum_l X_il Y_lj."""
     n = len(left)
     return [
-        [
-            _span([alg.mul(x, y) for l in range(n) for x in left[i][l].data for y in right[l][j].data], alg.dim)
-            for j in range(n)
-        ]
+        [sparse_row_space([alg.mul(x, y) for l in range(n) for x in left[i][l] for y in right[l][j]]) for j in range(n)]
         for i in range(n)
     ]
 
@@ -114,55 +109,60 @@ def _block_product(alg: FiniteDimAlgebra, left, right):
 def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
     """[rad, rad^2, ..., 0] as Peirce layers, certified.
 
-    ``idempotents`` must be orthogonal and sum to 1; ``primitive_idempotents``
-    supplies them when omitted.  R_ij = e_i A e_j for i != j, and R_ii is the
-    kernel of chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i).  Raises
-    NotBasic unless the diagonal blocks of R * R lie in R, and
-    RadicalNotNilpotent unless the powers of R drop strictly to 0.  Together
-    the checks show that R is a nilpotent ideal with A / R = K^n, so R is the
-    radical and A is basic.
+    ``idempotents`` are elements of alg that must be orthogonal and sum to
+    1; ``primitive_idempotents`` supplies them when omitted.  R_ij = e_i A e_j
+    for i != j, and R_ii is the kernel of
+    chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i).  Raises NotBasic unless
+    the diagonal blocks of R * R lie in R, and RadicalNotNilpotent unless the
+    powers of R drop strictly to 0.  Together the checks show that R is a
+    nilpotent ideal with A / R = K^n, so R is the radical and A is basic.
     """
     idems = idempotents if idempotents is not None else primitive_idempotents(alg)
+    idems = [{k: frac(c) for k, c in e.items() if c} for e in idems]
     n, dim = len(idems), alg.dim
-    if [sum(e[k] for e in idems) for k in range(dim)] != list(alg.one):
+    total = {}
+    for e in idems:
+        total = el_add(total, e)
+    if total != alg.one:
         raise NotBasic("the idempotents do not sum to 1")
     for i, e in enumerate(idems):
-        if not any(e):
+        if not e:
             raise NotBasic(f"idempotent {i} is zero")
         for j, f in enumerate(idems):
-            if alg.mul(e, f) != (list(e) if i == j else [ZERO] * dim):
+            if alg.mul(e, f) != (e if i == j else {}):
                 raise NotBasic(f"idempotents {i} and {j} are not orthogonal idempotents")
-    # pieces[i][j]: RREF basis of e_i A e_j, from the RREF basis of e_i A
+    # pieces[i][j]: RREF basis of e_i A e_j, from the RREF basis of
+    # e_i A = span of the e_i e_k
     pieces = []
     for e in idems:
-        left = _span(alg.left_matrix(e).data, dim).data
-        pieces.append([_span([alg.mul(r, f) for r in left], dim) for f in idems])
+        left = sparse_row_space([alg.mul(e, {k: ONE}) for k in range(dim)])
+        pieces.append([sparse_row_space([alg.mul(r, f) for r in left]) for f in idems])
     # traces[i]: (pivot column, trace of L_b on e_i A e_i) for each RREF basis
     # row b of e_i A e_i.  On that basis, an element of e_i A e_i has as its
     # coordinate on b its entry at b's pivot column.
     traces = []
 
     def chi(i, x):  # chi_i(x) * dim(e_i A e_i), for x in e_i A e_i
-        return sum((x[p] * t for p, t in traces[i]), ZERO)
+        return sum((x.get(p, ZERO) * t for p, t in traces[i]), ZERO)
 
     rad = [list(row) for row in pieces]
     for i in range(n):
-        basis = pieces[i][i].data
-        pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
+        basis = pieces[i][i]
+        pivots = [min(b) for b in basis]
         traces.append(
-            [(p, sum((alg.mul(b, c)[q] for c, q in zip(basis, pivots)), ZERO)) for b, p in zip(basis, pivots)]
+            [(p, sum((alg.mul(b, c).get(q, ZERO) for c, q in zip(basis, pivots)), ZERO)) for b, p in zip(basis, pivots)]
         )
         top = next(b for b in basis if chi(i, b))  # exists: chi_i(e_i) = 1
         kernel = []
         for b in basis:
             if b is not top:
                 c = chi(i, b) / chi(i, top)
-                kernel.append([x - c * y for x, y in zip(b, top)] if c else b)
-        rad[i][i] = _span(kernel, dim)
-    chain = [PeirceLayer(rad)]
+                kernel.append(el_sub(b, el_scale(c, top)) if c else b)
+        rad[i][i] = sparse_row_space(kernel)
+    chain = [PeirceLayer(rad, dim)]
     while chain[-1].rows:
-        nxt = PeirceLayer(_block_product(alg, chain[-1].blocks, rad))
-        if len(chain) == 1 and any(chi(i, x) for i in range(n) for x in nxt.blocks[i][i].data):
+        nxt = PeirceLayer(_block_product(alg, chain[-1].elements, rad), dim)
+        if len(chain) == 1 and any(chi(i, x) for i in range(n) for x in nxt.elements[i][i]):
             raise NotBasic(
                 f"rad * rad leaves rad on a diagonal Peirce block: the semisimple "
                 f"quotient is larger than K^{n}"
@@ -198,21 +198,21 @@ def quiver_presentation(
                 if r >= len(s2_ij):
                     name = f"a{len(arrows)}"
                     arrows.append((name, names[i], names[j]))
-                    arrow_elements[name] = list(s_ij[r - len(s2_ij)])
+                    arrow_elements[name] = chain[0].elements[i][j][r - len(s2_ij)]
     quiver = Quiver(names, arrows)
 
-    # evaluate paths in the abstract algebra
+    # evaluate paths in the abstract algebra, as dense rows
     def eval_path(p: Path):
         if not p.arrows:
-            return list(idems[names.index(p.source)])
+            return alg.el_to_vector(idems[names.index(p.source)])
         acc = arrow_elements[p.arrows[0]]
         for a in p.arrows[1:]:
             acc = alg.mul(acc, arrow_elements[a])
-        return list(acc)
+        return alg.el_to_vector(acc)
 
     # surjectivity: vertices and arrow products must span the algebra
     paths = [Path(a[1], (a[0],)) for a in arrows]
-    span_rows = [list(e) for e in idems] + [eval_path(p) for p in paths]
+    span_rows = [alg.el_to_vector(e) for e in idems] + [eval_path(p) for p in paths]
     relations = []
     for _ in range(2, nil_index + 1):
         paths = longer_paths(quiver, paths)
@@ -232,7 +232,7 @@ def quiver_presentation(
             f"rebuilt path algebra has dimension {rebuilt.dim}, expected {alg.dim}; "
             "the relation ideal is not generated in homogeneous lengths"
         )
-    vertex_idems = {names[i]: list(idems[i]) for i in range(n)}
+    vertex_idems = {names[i]: idems[i] for i in range(n)}
     return Presentation(quiver, relations, rebuilt, arrow_elements, vertex_idems, nil_index)
 
 

@@ -28,9 +28,10 @@ The central objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .algebra import BasicAlgebra
+from .algebra import BasicAlgebra, el_from_vector
 from .approx import (
     minimal_left_approximation_labeled,
     minimal_right_approximation_labeled,
@@ -46,7 +47,7 @@ from .complexes import (
     stalk_complex,
 )
 from .config import DEFAULT, WorkbenchConfig
-from .decompose import FiniteDimAlgebra, is_isomorphic
+from .decompose import FiniteDimAlgebra, _iso_between_indecomposables
 from .errors import (
     DSquaredNonzero,
     InternalDisagreement,
@@ -105,13 +106,15 @@ class NuStableReport:
 
 def nakayama_permutation(a: BasicAlgebra, config: WorkbenchConfig = DEFAULT) -> dict:
     """Partial map v -> w with the injective at v isomorphic to the
-    projective at w (defined exactly when that injective is projective)."""
+    projective at w (defined exactly when that injective is projective).
+    I(v) and P(w) are indecomposable, so each pair is decided exactly by
+    ``_iso_between_indecomposables``; ``config`` is unused."""
     sigma = {}
     projectives = [(w, projective(a, w)) for w in a.quiver.vertices]
     for v in a.quiver.vertices:
         iv = injective(a, v)
         for w, pw in projectives:
-            if is_isomorphic(iv, pw, config) is not None:
+            if _iso_between_indecomposables(iv, pw) is not None:
                 sigma[v] = w
                 break
     return sigma
@@ -386,11 +389,16 @@ class EndData:
     abstract: FiniteDimAlgebra
     presentation: Presentation
     space: HomotopySpace
-    class_reps: list  # chain maps, basis of the classes
     summands: list  # (ProjComplex, multiplicity)
     copy_complexes: list  # one entry per vertex: the summand complex
     copy_includes: list  # chain maps summand -> t
     copy_projects: list  # chain maps t -> summand
+
+    @cached_property
+    def class_reps(self) -> list:
+        """Chain maps, basis of the classes; built on first use, since the
+        product table never needs them."""
+        return self.space.class_reps()
 
 
 class TiltingContext:
@@ -449,12 +457,12 @@ class TiltingContext:
                 raise NotSelfOrthogonal(f"nonzero homotopy hom at shift {n}")
         summands, f, g = self.decomposition()
         space = self._self_hom(0)
-        class_reps = space.class_reps()
+        classes = [el_from_vector(v) for v in space.class_vectors]
         # the algebra product x*y corresponds to composition "y then x"
         abstract = FiniteDimAlgebra(
             space.dim,
-            lambda i, j: space.reduce(class_reps[j].then(class_reps[i])),
-            space.reduce(ChainMapC.identity(t)),
+            lambda i, j: space.class_coords(space.compose(classes[j], classes[i])),
+            el_from_vector(space.reduce(ChainMapC.identity(t))),
         )
 
         # idempotents from the decomposition: one per summand copy
@@ -490,13 +498,12 @@ class TiltingContext:
                 copy_includes.append(include)
                 copy_projects.append(project)
                 idem = project.then(include)  # t -> rep -> t
-                idems.append(space.reduce(idem))
+                idems.append(el_from_vector(space.reduce(idem)))
         pres = quiver_presentation(abstract, idempotents=idems, config=self.config)
         self._end = EndData(
             abstract=abstract,
             presentation=pres,
             space=space,
-            class_reps=class_reps,
             summands=summands,
             copy_complexes=copy_complexes,
             copy_includes=copy_includes,
@@ -717,12 +724,12 @@ class StableImageCertificate:
         }
 
 
-def _combine(maps, coords):
+def _combine(maps, x: dict):
+    """The combination of maps with the coefficients of the element x."""
     acc = None
-    for c, h in zip(coords, maps):
-        if c == 0:
-            continue
-        acc = h.scale(c) if acc is None else acc + h.scale(c)
+    for k, c in x.items():
+        h = maps[k].scale(c)
+        acc = h if acc is None else acc + h
     return acc
 
 

@@ -1,0 +1,110 @@
+"""Reference routes to homotopy spaces and their products, kept for tests:
+the dense chain-condition system that ``HomotopySpace`` solved before it
+went sparse, and the products of End(T) and ``ChainEndData`` formed by
+composing chain maps (``ChainMapC.then``) and reducing the composite, which
+``HomotopySpace.compose`` and ``class_coords`` are tested against."""
+
+from fractions import Fraction
+
+from tiltbench.algebra import el_to_vector
+from tiltbench.linalg import Coordinates, Matrix
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class DenseHomotopy:
+    """chain_vectors and class_vectors of the maps x -> y from the dense
+    system of the chain condition, one row per basis path of each entry of
+    each chain square, and dense null-homotopy rows, in the coordinates of
+    ``HomotopySpace(x, y).positions``; ``reduce`` gives the class
+    coordinates of a dense coordinate vector by the dense ``Coordinates.of``."""
+
+    def __init__(self, x, y):
+        self.chain_vectors, self._null, self._span, self._class_index = _dense_system(x, y)
+        self.class_vectors = [self.chain_vectors[k - self._null] for k in self._class_index]
+
+    def reduce(self, vec):
+        coords = self._span.of(vec)
+        return None if coords is None else [coords[k] for k in self._class_index]
+
+
+def _dense_system(x, y):
+    alg = x.algebra
+    pos = {}
+    for d in sorted(set(x.terms) & set(y.terms)):
+        src, tgt = x.term(d), y.term(d)
+        for i in range(len(src)):
+            for j in range(len(tgt)):
+                for k in alg.paths_between(tgt[j], src[i]):
+                    pos[(d, i, j, k)] = len(pos)
+    n_unk = len(pos)
+    rows = []
+    for d in sorted(set(x.terms)):
+        src_d, src_d1 = x.term(d), x.term(d + 1)
+        tgt_d, tgt_d1 = y.term(d), y.term(d + 1)
+        if not src_d or not tgt_d1:
+            continue
+        dx, dy = x.diff(d), y.diff(d)
+        for i in range(len(src_d)):
+            for m in range(len(tgt_d1)):
+                acc = {}
+                for j in range(len(tgt_d)):
+                    for k in alg.paths_between(tgt_d[j], src_d[i]):
+                        for kk, c in alg.mul(dy[j][m], {k: ONE}).items():
+                            row = acc.setdefault(kk, [ZERO] * n_unk)
+                            row[pos[(d, i, j, k)]] += c
+                for jp in range(len(src_d1)):
+                    for k in alg.paths_between(tgt_d1[m], src_d1[jp]):
+                        for kk, c in alg.mul({k: ONE}, dx[i][jp]).items():
+                            row = acc.setdefault(kk, [ZERO] * n_unk)
+                            row[pos[(d + 1, jp, m, k)]] -= c
+                rows.extend(acc.values())
+    ker = (Matrix(len(rows), n_unk, rows) if rows else Matrix.zero(0, n_unk)).kernel_basis()
+    chain = [ker.column(c) for c in range(ker.cols)]
+    null = []
+    for d in sorted(set(x.terms)):
+        if not y.term(d - 1):
+            continue
+        src, tgt = x.term(d), y.term(d - 1)
+        dy, dx = y.diff(d - 1), x.diff(d - 1)
+        for i in range(len(src)):
+            for j in range(len(tgt)):
+                for k in alg.paths_between(tgt[j], src[i]):
+                    vec = [ZERO] * n_unk
+                    for m in range(len(y.term(d))):
+                        for kk, c in alg.mul(dy[j][m], {k: ONE}).items():
+                            if (d, i, m, kk) in pos:
+                                vec[pos[(d, i, m, kk)]] += c
+                    for ip in range(len(x.term(d - 1))):
+                        for kk, c in alg.mul({k: ONE}, dx[ip][i]).items():
+                            if (d - 1, ip, j, kk) in pos:
+                                vec[pos[(d - 1, ip, j, kk)]] += c
+                    null.append(vec)
+    span = Coordinates(null + chain, n_unk)
+    return chain, len(null), span, [k for k in span.independent if k >= len(null)]
+
+
+def end_table_by_chain_maps(space):
+    """The product table of End(T) on the class basis of space (T -> T):
+    cell [i][j] holds the dense class coordinates of e_i * e_j, which is
+    "class j then class i", from the composed chain maps, reduced by the
+    dense route."""
+    ref = DenseHomotopy(space.x, space.y)
+    reps = [space.vector_to_chain_map(v) for v in ref.class_vectors]
+    return [[ref.reduce(_vector(space, g.then(f))) for g in reps] for f in reps]
+
+
+def chain_end_table_by_chain_maps(data):
+    """The product table of a ``ChainEndData``: cell [i][j] holds the dense
+    chain-basis coordinates of e_i * e_j = "e_i then e_j", from the composed
+    chain maps."""
+    space = data.space
+    maps = [space.vector_to_chain_map(v) for v in space.chain_vectors]
+    span = Coordinates(space.chain_vectors, len(space.positions))
+    return [[span.of(_vector(space, f.then(g))) for g in maps] for f in maps]
+
+
+def _vector(space, cm):
+    """Dense coordinates of the chain map cm in space."""
+    return el_to_vector(space.chain_map_terms(cm), len(space.positions))

@@ -7,6 +7,7 @@ from tiltbench.decompose import EndAlgebra, FiniteDimAlgebra, decompose, is_isom
 from tiltbench.linalg import Matrix
 from tiltbench.polys import pgcd, pmul, peval_matrix
 from tiltbench.reps import (
+    ModuleMap,
     Representation,
     injective,
     projective,
@@ -132,6 +133,19 @@ def test_isomorphic_after_base_change():
     twisted = Representation(a, dict(p.dims), mats)
     pair = is_isomorphic(p, twisted)
     assert pair is not None
+
+
+def test_is_isomorphic_inverts_each_vertex_matrix_once(monkeypatch):
+    a = corpus.sec5_algebra()
+    s = simple(a, "1")  # Hom(s, s) is one-dimensional: the first attempt is the identity
+    inverted = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+    f, g = is_isomorphic(s, s)
+    assert f.then(g).is_identity() and g.then(f).is_identity()
+    assert len(inverted) == len(a.quiver.vertices)
+    # a singular vertex matrix is no isomorphism
+    assert decompose_module._vertexwise_inverse(ModuleMap.zero(s, s)) is None
 
 
 def _modules_for_radical_check():

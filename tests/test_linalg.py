@@ -11,6 +11,7 @@ from tiltbench.linalg import (
     row_space_basis,
     row_spaces_equal,
     sparse_kernel,
+    sparse_row_space,
 )
 
 
@@ -248,3 +249,55 @@ def test_coordinates_add_or_coords_reduces_once():
     assert span.add_or_coords([2, 3, 5]) == [2, 3]
     assert span.count == 2  # a dependent row is not appended
     assert span.add_or_coords([0, 0, 1]) is None and span.independent == [0, 1, 2]
+
+
+def _sparse(v):
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def test_of_sparse_matches_of():
+    # by hand: row 2 depends on rows 0 and 1, so its coefficient is 0 and
+    # the sparse answer leaves it out
+    span = Coordinates([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]], 4)
+    inside = [Fraction(2), Fraction(-3), Fraction(-1), Fraction(0)]
+    assert span.of(inside) == [2, -3, 0]
+    assert span.of_sparse(_sparse(inside)) == {0: 2, 1: -3}
+    assert span.of([0, 0, 0, 1]) is None and span.of_sparse({3: Fraction(1)}) is None
+    assert span.of_sparse({}) == {} and span.of_sparse({2: Fraction(0)}) == {}
+    rng = random.Random(11)
+    for _ in range(300):
+        width = rng.randint(1, 8)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else Fraction(0) for _ in range(width)]
+            for _ in range(rng.randint(0, 6))
+        ]
+        if len(rows) > 1:
+            rows.insert(rng.randrange(len(rows)), [a - b for a, b in zip(rows[0], rows[-1])])  # a dependent row
+        span = Coordinates(rows, width)
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in rows]
+        inside = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(width)]
+        outside = [Fraction(rng.randint(-2, 2)) for _ in range(width)]
+        for v in (inside, outside):
+            dense = span.of(v)
+            sparse = span.of_sparse(_sparse(v))
+            assert sparse == (None if dense is None else _sparse(dense))
+        assert span.of(inside) is not None
+        for k in range(len(rows)):
+            if k not in span.independent:
+                assert k not in span.of_sparse(_sparse(inside))
+
+
+def test_sparse_row_space_is_row_space_basis():
+    rng = random.Random(12)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(1, 7)
+        data = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows > 1:
+            data.append([a + 3 * b for a, b in zip(data[0], data[1])])
+        basis = row_space_basis(Matrix(len(data), cols, data))
+        got = sparse_row_space([_sparse(r) for r in data])
+        assert got == [_sparse(r) for r in basis.data]
+        assert all(list(x) == sorted(x) for x in got)

@@ -8,6 +8,7 @@ import pytest
 
 import tiltbench
 from tiltbench import corpus
+from tiltbench.algebra import el_from_vector
 from tiltbench.decompose import EndAlgebra, _corner_min_poly, module_min_poly, primitive_idempotents
 from tiltbench.linalg import Matrix
 from tiltbench.polys import min_poly_of_matrices, pdivmod, pgcd, pmul, pnorm, rational_roots
@@ -108,7 +109,7 @@ def test_krylov_min_poly_matches_lcm_of_vertex_min_polys():
     for m in modules:
         end = EndAlgebra(m)
         for _ in range(15):
-            f = end.element([Fraction(rng.randint(-3, 3)) for _ in range(end.dim)])
+            f = end.element(el_from_vector([Fraction(rng.randint(-3, 3)) for _ in range(end.dim)]))
             mu = module_min_poly(f)
             assert mu == _old_module_min_poly(f)
             degrees.add(len(mu) - 1)
@@ -123,7 +124,7 @@ def test_krylov_min_poly_edge_cases():
     end = EndAlgebra(p)
     rad = end.radical_rows()
     assert rad.rows
-    nil = end.element(rad.row(0))
+    nil = end.element(el_from_vector(rad.row(0)))
     mu = module_min_poly(nil)
     assert mu == _old_module_min_poly(nil) and len(mu) > 2 and mu[:-1] == [0] * (len(mu) - 1)
     # S(1) is zero at every other vertex
@@ -141,11 +142,11 @@ def test_krylov_min_poly_edge_cases():
 def _old_corner_min_poly(alg, x, unit):
     """Minimal polynomial of x in unit*A*unit from the left kernel of the
     Krylov matrix, rebuilt for every power."""
-    flats = [list(unit)]
-    cur = list(unit)
+    flats = [alg.el_to_vector(unit)]
+    cur = unit
     while True:
-        cur = list(alg.mul(cur, x))
-        flats.append(cur)
+        cur = alg.mul(cur, x)
+        flats.append(alg.el_to_vector(cur))
         ker = Matrix.from_rows(flats).left_kernel_basis()
         if ker.rows:
             row = list(ker.row(0))
@@ -157,14 +158,14 @@ def test_corner_min_poly_unchanged_on_end_of_corpus_tilting_complex():
     a = corpus.fig1_algebra()
     alg = TiltingContext(a, corpus.fig1_tilting_complex(a)).end_data().abstract
     rng = random.Random(4)
-    units = [list(alg.one)] + primitive_idempotents(alg)
+    units = [alg.one] + primitive_idempotents(alg)
     assert len(units) > 2
     checked = 0
     for unit in units:
         probes = [[Fraction(int(k == i)) for k in range(alg.dim)] for i in range(alg.dim)]
         probes += [[Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)] for _ in range(5)]
         for x in probes:
-            x = alg.mul(alg.mul(unit, x), unit)
+            x = alg.mul(alg.mul(unit, el_from_vector(x)), unit)
             assert _corner_min_poly(alg, x, unit) == _old_corner_min_poly(alg, x, unit)
             checked += 1
     assert checked > 30

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tiltbench import corpus
-from tiltbench.algebra import build_path_algebra
+from tiltbench.algebra import build_path_algebra, el_from_vector
 from tiltbench.complexes import regular_stalk
 from tiltbench.decompose import FiniteDimAlgebra
 from tiltbench import presentation
@@ -145,12 +145,12 @@ def test_finite_dim_algebra_asks_each_product_once():
 
     def product(i, j):
         calls[(i, j)] = calls.get((i, j), 0) + 1
-        return table[i][j]
+        return el_from_vector(table[i][j])
 
-    alg = FiniteDimAlgebra(d, product, one)
+    alg = FiniteDimAlgebra(d, product, el_from_vector(one))
     rng = random.Random(3)
-    x = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
-    y = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+    x = el_from_vector([Fraction(rng.randint(-2, 2)) for _ in range(d)])
+    y = el_from_vector([Fraction(rng.randint(-2, 2)) for _ in range(d)])
     for _ in range(2):
         alg.mul(x, y)
         alg.left_matrix(x)
@@ -163,11 +163,10 @@ def test_left_matrix_and_radical_of_fig1_table():
     a = corpus.fig1_algebra()
     alg = abstract_of(a)
     rng = random.Random(4)
-    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
+    x = el_from_vector([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)])
     left = alg.left_matrix(x)
     for j in range(alg.dim):
-        e_j = [Fraction(int(k == j)) for k in range(alg.dim)]
-        assert list(left.row(j)) == alg.mul(x, e_j)
+        assert list(left.row(j)) == alg.el_to_vector(alg.mul(x, {j: Fraction(1)}))
     assert alg.radical_rows().rows == alg.dim - len(a.quiver.vertices)
 
 
@@ -179,14 +178,14 @@ def test_not_basic_is_raised():
     table = [[unit(i, l) if j == k else [0] * 4 for k in range(2) for l in range(2)] for i in range(2) for j in range(2)]
     m2 = abstract_from_table(4, table, [1, 0, 0, 1])
     with pytest.raises(NotBasic):
-        quiver_presentation(m2, idempotents=[[1, 0, 0, 0], [0, 0, 0, 1]])
+        quiver_presentation(m2, idempotents=[{0: 1}, {3: 1}])
     # Q(i) on 1, i: a division algebra that is not Q
     qi = abstract_from_table(2, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], [1, 0])
     with pytest.raises(NotBasic):
-        quiver_presentation(qi, idempotents=[[1, 0]])
+        quiver_presentation(qi, idempotents=[{0: 1}])
     # Q x Q with idempotents that do not sum to 1, or are not idempotent
     qq = abstract_from_table(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
-    for idems in ([[1, 0]], [[2, 0], [-1, 1]], [[1, 0], [0, 1], [0, 0]]):
+    for idems in ([{0: 1}], [{0: 2}, {0: -1, 1: 1}], [{0: 1}, {1: 1}, {}]):
         with pytest.raises(NotBasic):
             quiver_presentation(qq, idempotents=idems)
     # End(A + A): two copies of every indecomposable projective
@@ -200,14 +199,16 @@ def _layers_by_all_pairs(alg):
     rad = alg.radical_rows()
     chain = [rad]
     while chain[-1].rows:
-        rows = [alg.mul(x, y) for x in chain[-1].data for y in rad.data]
+        rows = [
+            alg.el_to_vector(alg.mul(el_from_vector(x), el_from_vector(y))) for x in chain[-1].data for y in rad.data
+        ]
         chain.append(row_space_basis(Matrix(len(rows), alg.dim, rows)))
     return chain
 
 
 def _summary(pres):
     arrows = [(a.name, a.source, a.target) for a in pres.quiver.arrows]
-    elements = {k: {i: str(c) for i, c in enumerate(v) if c} for k, v in pres.arrow_elements.items()}
+    elements = {k: {i: str(c) for i, c in v.items()} for k, v in pres.arrow_elements.items()}
     relations = [" + ".join(f"{c}*{p.source}:{'.'.join(p.arrows)}" for c, p in r.terms) for r in pres.relations]
     return arrows, elements, relations, pres.nil_index
 
@@ -281,7 +282,7 @@ def _assert_peirce_layers_match(alg, idems, chain):
         for i, e in enumerate(idems):
             for j, f in enumerate(idems):
                 for row in layer.blocks[i][j].data:
-                    assert alg.mul(alg.mul(e, row), f) == list(row)
+                    assert alg.mul(alg.mul(e, el_from_vector(row)), f) == el_from_vector(row)
 
 
 @pytest.mark.parametrize("case", list(END_PRESENTATIONS))

@@ -16,18 +16,21 @@ from tiltbench.reps import (
     ProjSum,
     Representation,
     flatten_map,
+    injective,
     projective,
     radical_submodule,
     realize_entry_map,
     simple,
     zero_rep,
 )
+from tiltbench.decompose import is_isomorphic
 from tiltbench.tilting import (
     TiltingContext,
     check_add_nu_equal,
     construct_tpq,
     end_algebra,
     maximal_nu_stable,
+    nakayama_permutation,
     verify_tilting,
 )
 
@@ -38,6 +41,32 @@ def test_fig1_maximal_nu_stable():
     assert rep.e_labels == ["2", "3"]
     assert rep.nu_image["2"] == "2" and rep.nu_image["3"] == "3"
     assert rep.nu_image["1"] is None
+
+
+def _nakayama_permutation_by_is_isomorphic(a):
+    """sigma as it was found before I(v) and P(w) were compared as
+    indecomposables: by the general is_isomorphic."""
+    sigma = {}
+    for v in a.quiver.vertices:
+        for w in a.quiver.vertices:
+            if is_isomorphic(injective(a, v), projective(a, w)) is not None:
+                sigma[v] = w
+                break
+    return sigma
+
+
+def test_nakayama_permutation_matches_is_isomorphic():
+    algebras = list(corpus.corpus_algebras().values())
+    for series in ([2, 2, 3, 3], [3, 3, 4, 4], [4, 5, 5, 5], [3, 4, 4, 4], [2, 3, 3], [3, 3, 3, 3]):
+        algebras.append(corpus.kupisch_algebra(series))
+    sigmas = []
+    for a in algebras:
+        sigma = nakayama_permutation(a)
+        assert sigma == _nakayama_permutation_by_is_isomorphic(a)
+        sigmas.append(sigma)
+    # N(4, 3) is self-injective: sigma is a permutation of all four vertices
+    assert sorted(sigmas[-1]) == sorted(sigmas[-1].values()) == ["1", "2", "3", "4"]
+    assert any(len(s) < 3 for s in sigmas)
 
 
 def test_sec5_maximal_nu_stable():
@@ -319,7 +348,7 @@ def _f_homology_by_module_maps(ctx, x, i):
         wj = pres.quiver.vertex_index[ar.target]
         rows = [[Fraction(0)] * len(reps[wj]) for _ in reps[wi]]
         if reps[wi] and stalk[wj] is not None and (wi, -i) in sums:
-            b = _combine(end.class_reps, pres.arrow_elements[ar.name])
+            b = _combine(end.class_reps, end.abstract.el_to_vector(pres.arrow_elements[ar.name]))
             chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])
             component = realize_entry_map(sums[wj, -i], sums[wi, -i], chain.component(-i))
             maps, span, classes, _ = stalk[wj]
