@@ -34,6 +34,8 @@ for i in (-1, 0):
     print(f"dim H^{i}(T) =", homology(t, i).total_dim())
 
 # indecomposable summands with multiplicities
-summands, f, g = decompose_complex(t)
+# with one inclusion T_k -> T and one projection T -> T_k per summand copy
+summands, includes, projects = decompose_complex(t)
 for s, mult in summands:
     print("summand", {d: s.term(d) for d in s.degrees()}, "x", mult)
+print("copy 0: include then project is the identity:", includes[0].then(projects[0]).is_identity_shape())

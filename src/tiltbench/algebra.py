@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotAdmissible, RadicalNotNilpotent, TiltbenchError
-from .linalg import Matrix, frac, row_space_basis
+from .linalg import Matrix, frac, row_spaces_equal
 from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
 
 RAW_PATH_CAP = 100_000
@@ -157,13 +157,6 @@ class BasicAlgebra:
     def el_to_vector(self, x: dict):
         return el_to_vector(x, self.dim)
 
-    def left_mul_matrix(self, x: dict) -> Matrix:
-        """Matrix of y -> x*y on the basis, rows indexed by the input basis."""
-        rows = []
-        for j in range(self.dim):
-            rows.append(self.el_to_vector(self.mul(x, self.basis_el(j))))
-        return Matrix(self.dim, self.dim, rows)
-
     # -- invariants ----------------------------------------------------------
 
     def cartan_matrix(self) -> Matrix:
@@ -180,19 +173,21 @@ class BasicAlgebra:
         """Jacobson radical as a list of elements (the nontrivial basis paths).
 
         Cross-checked once against the trace-form kernel of the regular
-        representation, which is the radical in characteristic zero.
+        representation, which is the radical in characteristic zero; the
+        form is computed from the structure constants by
+        ``FiniteDimAlgebra.radical_rows``.
         """
         if not hasattr(self, "_radical_checked"):
-            tf = trace_form_radical(self)
+            from .decompose import FiniteDimAlgebra
+
+            regular = FiniteDimAlgebra(self.dim, lambda i, j: self.table.get((i, j), {}), self.one())
+            got = regular.radical_rows()
             expected = sorted(self.radical_indices())
-            got = row_space_basis(tf)
             span = Matrix(
                 len(expected),
                 self.dim,
                 [self.el_to_vector(self.basis_el(i)) for i in expected],
             )
-            from .linalg import row_spaces_equal
-
             if not row_spaces_equal(got, span):
                 raise RadicalNotNilpotent("trace-form radical disagrees with path radical")
             self._radical_checked = True
@@ -240,23 +235,6 @@ class BasicAlgebra:
         else:
             raise TiltbenchError("corner element is not a unit (series did not terminate)")
         return el_scale(Fraction(1, 1) / c, inv)
-
-
-def trace_form_radical(alg: BasicAlgebra) -> Matrix:
-    """Rows span the radical of the trace bilinear form of the regular rep."""
-    d = alg.dim
-    lmats = [alg.left_mul_matrix(alg.basis_el(i)) for i in range(d)]
-    t = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            prod = alg.mul(alg.basis_el(i), alg.basis_el(j))
-            tr = Fraction(0)
-            for k, c in prod.items():
-                # trace of left multiplication by basis element k
-                tr += c * sum(lmats[k].data[m][m] for m in range(d))
-            t[i][j] = tr
-            t[j][i] = tr
-    return Matrix(d, d, t).left_kernel_basis()
 
 
 def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> BasicAlgebra:

@@ -21,11 +21,12 @@ from .complexes import (
     ChainMapC,
     HomotopySpace,
     ProjComplex,
+    emat_compose,
     emat_zero,
     homotopy_hom,
     minimize,
 )
-from .reps import ProjSum, extract_entry_map
+from .reps import ModuleMap, ProjSum, extract_entry_map, realize_entry_map
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -148,9 +149,6 @@ def split_strict_idempotent(c: ProjComplex, strict: ChainMapC):
         # phi: new -> c, entries indexed (new summand k, ambient summand i)
         phi_entries[d] = entries
         # psi: c -> new with psi * phi = e and phi * psi = id
-        phi_map = None
-        from .reps import realize_entry_map
-
         phi_map = realize_entry_map(new_sums[d], sums[d], entries)
         psi_mats = {}
         for v in alg.quiver.vertices:
@@ -160,15 +158,11 @@ def split_strict_idempotent(c: ProjComplex, strict: ChainMapC):
             if sol is None:
                 raise DecompositionError("idempotent image rows escaped the generator span")
             psi_mats[v] = sol.transpose()
-        from .reps import ModuleMap
-
         psi_map = ModuleMap(sums[d].rep, new_sums[d].rep, psi_mats, check=False)
         psi_entries[d] = extract_entry_map(sums[d], new_sums[d], psi_map)
     # differentials of the summand
     terms = {d: labels[d] for d in labels}
     diffs = {}
-    from .complexes import emat_compose
-
     for d in labels:
         if d + 1 not in labels:
             continue
@@ -316,8 +310,6 @@ def _upgrade_to_iso(x: ProjComplex, y: ProjComplex, f: ChainMapC):
             if mi is None:
                 return None
             mats[v] = mi
-        from .reps import ModuleMap
-
         inv_map = ModuleMap(sums_y[d].rep, sums_x[d].rep, mats, check=False)
         inv_entries[d] = extract_entry_map(sums_y[d], sums_x[d], inv_map)
     g = ChainMapC(y, x, inv_entries)
@@ -329,111 +321,77 @@ def _upgrade_to_iso(x: ProjComplex, y: ProjComplex, f: ChainMapC):
 
 
 def decompose_complex(c: ProjComplex, config: WorkbenchConfig = DEFAULT, _self_hom=None):
-    """Indecomposable radical summands with multiplicities and a certificate.
+    """Indecomposable radical summands of c with multiplicities, and one
+    inclusion and one projection per summand copy.
 
-    Returns (summands, f, g) where summands is a list of
-    (ProjComplex, multiplicity), f : D -> c and g : c -> D are chain maps
-    with f then g the identity of D on the nose and g then f homotopic to
-    the identity of c.  ``_self_hom(0)``, when given, returns the homotopy
-    space c -> c for that last check (``TiltingContext`` shares its own).
+    Returns (summands, includes, projects): summands is a list of
+    (ProjComplex, multiplicity), and the copies are listed in summand order,
+    each summand repeated by its multiplicity; ``includes[k]`` : T_k -> c and
+    ``projects[k]`` : c -> T_k are chain maps of the k-th copy T_k.  The
+    certificate is checked before it is returned: ``includes[k]`` then
+    ``projects[l]`` is the identity of T_k for k = l and zero otherwise, on
+    the nose, and the sum over k of ``projects[k]`` then ``includes[k]`` is
+    homotopic to the identity of c; otherwise DecompositionError is raised.
+    ``_self_hom(0)``, when given, returns the homotopy space c -> c for that
+    last check (``TiltingContext`` shares its own).
     """
     m, eq = minimize(c)
-    leaves = []  # (summand, include into m, project from m)
-    for comp in _support_components(m):
-        sub, incl, proj = _component_complex(m, comp)
-        for piece, inc2, prj2 in _split_component(sub, config):
-            leaves.append((piece, inc2.then(incl), proj.then(prj2)))
-    # group leaves by isomorphism
+    # (representative, [(include into m, project from m) per copy])
     groups = []
-    for leaf in leaves:
-        placed = False
-        for group in groups:
-            rep = group[0][0][0]
-            pair = complexes_isomorphic(rep, leaf[0], config)
-            if pair is not None:
-                group.append((leaf, pair))
-                placed = True
-                break
-        if not placed:
-            ident = ChainMapC.identity(leaf[0])
-            groups.append([(leaf, (ident, ident))])
-    summands = [(g[0][0][0], len(g)) for g in groups]
-    # assemble certificate maps through the minimized complex
-    d_complex = None
-    pieces = []
-    for group in groups:
-        for (piece, incl, proj), (rep_to_piece, piece_to_rep) in group:
-            pieces.append((incl, proj, rep_to_piece, piece_to_rep, group[0][0][0]))
-    for rep, mult in summands:
-        for _ in range(mult):
-            d_complex = rep if d_complex is None else d_complex.direct_sum(rep)
-    if d_complex is None:
-        d_complex = ProjComplex(c.algebra, {}, {})
-    # block maps D <-> m
-    f_to_c = None
-    g_from_c = None
-    offset = 0
-    alg = c.algebra
-    f_mats = {}
-    g_mats = {}
-    for d in d_complex.terms:
-        f_mats[d] = emat_zero(len(d_complex.term(d)), len(m.term(d)))
-        g_mats[d] = emat_zero(len(m.term(d)), len(d_complex.term(d)))
-    row_offset = {d: 0 for d in d_complex.terms}
-    for incl, proj, rep_to_piece, piece_to_rep, rep in pieces:
-        into_m = rep_to_piece.then(incl)  # rep -> m
-        from_m = proj.then(piece_to_rep)  # m -> rep
-        for d, mat in into_m.mats.items():
-            base = row_offset.get(d, 0)
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    if x:
-                        f_mats[d][base + i][j] = x
-        for d, mat in from_m.mats.items():
-            base = row_offset.get(d, 0)
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    if x:
-                        g_mats[d][i][base + j] = x
-        for d in rep.terms:
-            row_offset[d] = row_offset.get(d, 0) + len(rep.term(d))
-    f_dm = ChainMapC(d_complex, m, f_mats)
-    g_md = ChainMapC(m, d_complex, g_mats)
-    f = f_dm.then(eq.i)
-    g = eq.p.then(g_md)
-    if not f.is_chain_map() or not g.is_chain_map():
-        raise DecompositionError("certificate maps are not chain maps")
-    if not f.then(g).is_identity_shape():
-        raise DecompositionError("summand certificate failed: f then g != id")
-    back = g.then(f)
-    ident = ChainMapC.identity(c)
+    for comp in _support_components(m):
+        for piece, incl, proj in _split_component(*_component_complex(m, comp), config):
+            for rep, copies in groups:
+                pair = complexes_isomorphic(rep, piece, config)
+                if pair is not None:
+                    rep_to_piece, piece_to_rep = pair
+                    copies.append((rep_to_piece.then(incl), proj.then(piece_to_rep)))
+                    break
+            else:
+                groups.append((piece, [(incl, proj)]))
+    summands = [(rep, len(copies)) for rep, copies in groups]
+    includes = []
+    projects = []
+    for _, copies in groups:
+        for incl, proj in copies:
+            includes.append(incl.then(eq.i))
+            projects.append(eq.p.then(proj))
+    for k, (incl, proj) in enumerate(zip(includes, projects)):
+        if not incl.is_chain_map() or not proj.is_chain_map():
+            raise DecompositionError("certificate maps are not chain maps")
+        for l, proj_l in enumerate(projects):
+            through = incl.then(proj_l)
+            if not (through.is_identity_shape() if k == l else through.is_zero()):
+                raise DecompositionError(f"summand certificate failed: include {k} then project {l}")
+    back = ChainMapC.zero(c, c)
+    for incl, proj in zip(includes, projects):
+        back = back + proj.then(incl)
     space = _self_hom(0) if _self_hom is not None else HomotopySpace(c, c.shift(0))
-    witness_ok = space.is_null(ident - back)
-    if not witness_ok:
+    if not space.is_null(ChainMapC.identity(c) - back):
         raise DecompositionError("summand certificate failed up to homotopy")
-    return summands, f, g
+    return summands, includes, projects
 
 
-def _split_component(sub: ProjComplex, config: WorkbenchConfig):
-    """Split one support component into indecomposables via chain idempotents."""
+def _split_component(sub: ProjComplex, incl: ChainMapC, proj: ChainMapC, config: WorkbenchConfig):
+    """Split one support component sub of m into indecomposables via chain
+    idempotents; incl : sub -> m and proj : m -> sub are the component's
+    block maps.  Returns [(piece, include piece -> m, project m -> piece)];
+    an indecomposable sub comes back with incl and proj unchanged."""
     if sub.is_zero():
         return []
     if sum(len(labels) for labels in sub.terms.values()) == 1:
         # a shifted indecomposable projective P(a): End is e_a A e_a, local
-        ident = ChainMapC.identity(sub)
-        return [(sub, ident, ident)]
+        return [(sub, incl, proj)]
     data = ChainEndData(sub)
     if data.dim == 0:
         raise DecompositionError("empty endomorphism algebra on a nonzero complex")
     idems = primitive_idempotents(data, config)
     if len(idems) == 1:
-        ident = ChainMapC.identity(sub)
-        return [(sub, ident, ident)]
+        return [(sub, incl, proj)]
     out = []
     for coords in idems:
         strict = data.element(coords)
         if not (strict.then(strict) - strict).is_zero():
             raise DecompositionError("primitive idempotent is not strict")
-        piece, incl, proj = split_strict_idempotent(sub, strict)
-        out.append((piece, incl, proj))
+        piece, inc2, prj2 = split_strict_idempotent(sub, strict)
+        out.append((piece, inc2.then(incl), proj.then(prj2)))
     return out

@@ -170,7 +170,7 @@ def complex_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebr
     a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir, config)
     terms = {
         int(k): [str(x) for x in _expect(v, list, f"terms.{k}")]
-        for k, v in _field(d, "terms", "terms", dict, {}).items()
+        for k, v in _field(d, "terms", "terms", dict).items()
     }
     diffs = {}
     for k, mat in _field(d, "diffs", "diffs", dict, {}).items():
@@ -207,9 +207,11 @@ def module_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebra
     _expect(d, dict, "module")
     a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir, config)
     dims = {}
-    for k, v in _field(d, "dims", "dims", dict, {}).items():
+    for k, v in _field(d, "dims", "dims", dict).items():
         if isinstance(v, bool) or not isinstance(v, (int, str)):
             raise TiltbenchError(f"dims.{k}: expected an integer, got {json.dumps(v)[:60]}")
+        if str(k) not in a.quiver.vertex_index:
+            raise TiltbenchError(f"dims.{k}: the quiver has no vertex {k!r}")
         dims[str(k)] = int(v)
     mats = {}
     for name, rows in _field(d, "arrows", "arrows", dict, {}).items():

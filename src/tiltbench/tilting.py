@@ -28,7 +28,6 @@ The central objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .algebra import BasicAlgebra, el_from_vector
@@ -41,7 +40,6 @@ from .complexes import (
     ChainMapC,
     HomotopySpace,
     ProjComplex,
-    emat_zero,
     homotopy_hom,
     minimize,
     stalk_complex,
@@ -234,9 +232,11 @@ def verify_tilting(
 ) -> TiltingReport:
     """Self-orthogonality, class determinant and basic-ness of t.
 
-    ``decomposition`` is a ``decompose_complex(t)`` result to reuse, and
-    ``_self_hom(n)`` returns the homotopy space t -> t[n]; ``TiltingContext``
-    passes both so that nothing it already holds is built again."""
+    ``decomposition`` is a ``decompose_complex(t)`` result to reuse (only
+    its summands are read; the per-copy maps were checked when it was
+    built), and ``_self_hom(n)`` returns the homotopy space t -> t[n];
+    ``TiltingContext`` passes both so that nothing it already holds is built
+    again."""
     self_hom = _self_hom if _self_hom is not None else (lambda n: homotopy_hom(t, t, n))
     val = t.validate()
     if not val["d_squared_zero"]:
@@ -250,7 +250,7 @@ def verify_tilting(
             continue
         self_orth[n] = self_hom(n).dim
     self_ok = all(v == 0 for v in self_orth.values())
-    summands, f, g = decomposition if decomposition is not None else decompose_complex(t, config)
+    summands = (decomposition if decomposition is not None else decompose_complex(t, config))[0]
     verts = list(t.algebra.quiver.vertices)
     k0 = []
     for s, mult in summands:
@@ -309,6 +309,10 @@ def construct_tpq(
     q_labels = [str(x) for x in q_labels]
     if r < 1 or s < 1:
         raise PreconditionFailed("r >= 1 and s >= 1 are required")
+    for name, labels in (("P", p_labels), ("Q", q_labels)):
+        unknown = next((v for v in labels if v not in a.quiver.vertex_index), None)
+        if unknown is not None:
+            raise PreconditionFailed(f"the labels of {name} are vertices", f"no vertex {unknown!r}")
     p_rep = zero_rep(a)
     for v in p_labels:
         p_rep = p_rep.direct_sum(projective(a, v))
@@ -386,19 +390,19 @@ def construct_tpq(
 
 @dataclass
 class EndData:
+    """End(T) as an abstract algebra with its presentation, and T's
+    decomposition: the copies are those of ``decompose_complex``, one per
+    vertex of the recovered quiver, and copy k is the summand complex
+    ``copy_complexes[k]`` = T_k with its chain maps
+    ``copy_includes[k]`` : T_k -> t and ``copy_projects[k]`` : t -> T_k."""
+
     abstract: FiniteDimAlgebra
     presentation: Presentation
     space: HomotopySpace
     summands: list  # (ProjComplex, multiplicity)
-    copy_complexes: list  # one entry per vertex: the summand complex
-    copy_includes: list  # chain maps summand -> t
-    copy_projects: list  # chain maps t -> summand
-
-    @cached_property
-    def class_reps(self) -> list:
-        """Chain maps, basis of the classes; built on first use, since the
-        product table never needs them."""
-        return self.space.class_reps()
+    copy_complexes: list
+    copy_includes: list
+    copy_projects: list
 
 
 class TiltingContext:
@@ -455,7 +459,7 @@ class TiltingContext:
         for n in range(-width, width + 1):
             if n and self._self_hom(n).dim:
                 raise NotSelfOrthogonal(f"nonzero homotopy hom at shift {n}")
-        summands, f, g = self.decomposition()
+        summands, includes, projects = self.decomposition()
         space = self._self_hom(0)
         classes = [el_from_vector(v) for v in space.class_vectors]
         # the algebra product x*y corresponds to composition "y then x"
@@ -464,50 +468,17 @@ class TiltingContext:
             lambda i, j: space.class_coords(space.compose(classes[j], classes[i])),
             el_from_vector(space.reduce(ChainMapC.identity(t))),
         )
-
         # idempotents from the decomposition: one per summand copy
-        copy_complexes = []
-        copy_includes = []
-        copy_projects = []
-        idems = []
-        offset = {d: 0 for d in f.source.terms}
-        d_complex = f.source
-        for rep, mult in summands:
-            for _ in range(mult):
-                # block include/project for this copy inside the direct sum
-                inc_mats = {}
-                prj_mats = {}
-                for d in rep.terms:
-                    nd = len(rep.term(d))
-                    total = len(d_complex.term(d))
-                    base = offset.get(d, 0)
-                    inc = emat_zero(nd, total)
-                    prj = emat_zero(total, nd)
-                    for i2 in range(nd):
-                        ident = {self.algebra.idempotent_index[rep.term(d)[i2]]: ONE}
-                        inc[i2][base + i2] = ident
-                        prj[base + i2][i2] = ident
-                    inc_mats[d] = inc
-                    prj_mats[d] = prj
-                    offset[d] = base + nd
-                inc_cm = ChainMapC(rep, d_complex, inc_mats)
-                prj_cm = ChainMapC(d_complex, rep, prj_mats)
-                include = inc_cm.then(f)  # rep -> t
-                project = g.then(prj_cm)  # t -> rep
-                copy_complexes.append(rep)
-                copy_includes.append(include)
-                copy_projects.append(project)
-                idem = project.then(include)  # t -> rep -> t
-                idems.append(el_from_vector(space.reduce(idem)))
+        idems = [el_from_vector(space.reduce(prj.then(inc))) for inc, prj in zip(includes, projects)]
         pres = quiver_presentation(abstract, idempotents=idems, config=self.config)
         self._end = EndData(
             abstract=abstract,
             presentation=pres,
             space=space,
             summands=summands,
-            copy_complexes=copy_complexes,
-            copy_includes=copy_includes,
-            copy_projects=copy_projects,
+            copy_complexes=[rep for rep, mult in summands for _ in range(mult)],
+            copy_includes=includes,
+            copy_projects=projects,
         )
         return self._end
 
@@ -538,7 +509,12 @@ class TiltingContext:
         for ar in pres.quiver.arrows:
             wi = pres.quiver.vertex_index[ar.source]
             wj = pres.quiver.vertex_index[ar.target]
-            b = _combine(end.class_reps, pres.arrow_elements[ar.name])
+            vec = [ZERO] * len(end.space.positions)
+            for k, c in pres.arrow_elements[ar.name].items():
+                for p, y in enumerate(end.space.class_vectors[k]):
+                    if y:
+                        vec[p] += c * y
+            b = end.space.vector_to_chain_map(vec)
             chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])  # T_wj -> T_wi
             for d in end.copy_complexes[wj].degrees():
                 if ("term", wi, d) in parts:
@@ -616,6 +592,22 @@ class TiltingContext:
             mats[ar.name] = Matrix(len(reps[wi]), len(reps[wj]), rows)
         return Representation(pres.algebra, dims, mats)
 
+    def _profile(self, x: Representation):
+        """(profile, image0, concentrated) of x: profile maps each shift i
+        with -i between T's lowest and highest degree to the dimension
+        vector of ``f_homology(x, i)``, image0 is that module at i = 0, and
+        concentrated says whether every other shift gives zero."""
+        t = self.complex
+        profile = {}
+        image0 = None
+        for i in range(-t.hi, -t.lo + 1):
+            h = self.f_homology(x, i)
+            profile[i] = list(h.dim_vector())
+            if i == 0:
+                image0 = h
+        concentrated = all(not any(v) for d, v in profile.items() if d != 0)
+        return profile, image0, concentrated
+
     # verdicts ---------------------------------------------------------------
 
     def check_iterated_nu_stable(self):
@@ -655,15 +647,7 @@ class TiltingContext:
         check = self.check_iterated_nu_stable()
         if not check["verdict"]:
             raise NotTilting("stable image requires the stability criterion to hold")
-        t = self.complex
-        profile = {}
-        image0 = None
-        for i in range(-t.hi, -t.lo + 1):
-            h = self.f_homology(x, i)
-            profile[i] = list(h.dim_vector())
-            if i == 0:
-                image0 = h
-        concentrated = all(not any(v) for d, v in profile.items() if d != 0)
+        profile, image0, concentrated = self._profile(x)
         if not concentrated:
             raise NotConcentrated(profile)
         return StableImageCertificate(
@@ -676,21 +660,13 @@ class TiltingContext:
     def check_simple_images(self):
         report = self.nust()
         e_set = set(report.e_labels)
-        t = self.complex
         per_vertex = {}
         verdict = True
         for v in self.algebra.quiver.vertices:
             if v in e_set:
                 continue
             s_v, _ = top(projective(self.algebra, v))
-            profile = {}
-            image0 = None
-            for i in range(-t.hi, -t.lo + 1):
-                h = self.f_homology(s_v, i)
-                profile[i] = list(h.dim_vector())
-                if i == 0:
-                    image0 = h
-            concentrated = all(not any(vec) for d, vec in profile.items() if d != 0)
+            profile, image0, concentrated = self._profile(s_v)
             simple = False
             if image0 is not None and image0.total_dim() == 1:
                 from .reps import socle
@@ -722,15 +698,6 @@ class StableImageCertificate:
             "module_dims": dict(self.module.dims) if self.module is not None else None,
             "hom_dimension": self.hom_dimension,
         }
-
-
-def _combine(maps, x: dict):
-    """The combination of maps with the coefficients of the element x."""
-    acc = None
-    for k, c in x.items():
-        h = maps[k].scale(c)
-        acc = h if acc is None else acc + h
-    return acc
 
 
 def end_algebra(a: BasicAlgebra, t: ProjComplex, config: WorkbenchConfig = DEFAULT):

@@ -1,12 +1,24 @@
-"""Reference routes to homotopy spaces and their products, kept for tests:
-the dense chain-condition system that ``HomotopySpace`` solved before it
-went sparse, and the products of End(T) and ``ChainEndData`` formed by
-composing chain maps (``ChainMapC.then``) and reducing the composite, which
-``HomotopySpace.compose`` and ``class_coords`` are tested against."""
+"""Reference routes to homotopy spaces, their products and complex
+decompositions, kept for tests: the dense chain-condition system that
+``HomotopySpace`` solved before it went sparse; the products of End(T) and
+``ChainEndData`` formed by composing chain maps (``ChainMapC.then``) and
+reducing the composite, which ``HomotopySpace.compose`` and
+``class_coords`` are tested against; and the per-copy maps of a complex
+decomposition cut out of one block map D -> c and its inverse c -> D, D the
+direct sum of the copies, which ``decompose_complex`` is tested against."""
 
 from fractions import Fraction
 
 from tiltbench.algebra import el_to_vector
+from tiltbench.complex_decomp import (
+    ChainEndData,
+    _component_complex,
+    _support_components,
+    complexes_isomorphic,
+    split_strict_idempotent,
+)
+from tiltbench.complexes import ChainMapC, ProjComplex, emat_zero, minimize
+from tiltbench.decompose import primitive_idempotents
 from tiltbench.linalg import Coordinates, Matrix
 
 ZERO = Fraction(0)
@@ -108,3 +120,79 @@ def chain_end_table_by_chain_maps(data):
 def _vector(space, cm):
     """Dense coordinates of the chain map cm in space."""
     return el_to_vector(space.chain_map_terms(cm), len(space.positions))
+
+
+def decomposition_by_block_maps(c):
+    """(summands, includes, projects) of c by the block route: split every
+    support component of the minimized complex m by primitive idempotents of
+    its chain endomorphisms, group the pieces up to isomorphism (each group's
+    first piece aligned to itself by identities), assemble f : D -> c and
+    g : c -> D from the blocks, and cut the k-th copy's maps out of them by
+    the block inclusion D_k -> D and projection D -> D_k."""
+    m, eq = minimize(c)
+    leaves = []  # (piece, include into m, project from m)
+    for comp in _support_components(m):
+        sub, incl, proj = _component_complex(m, comp)
+        for piece, inc2, prj2 in _split_pieces(sub):
+            leaves.append((piece, inc2.then(incl), proj.then(prj2)))
+    groups = []
+    for piece, incl, proj in leaves:
+        for group in groups:
+            pair = complexes_isomorphic(group[0][0], piece)
+            if pair is not None:
+                group.append((piece, incl, proj, pair))
+                break
+        else:
+            ident = ChainMapC.identity(piece)
+            groups.append([(piece, incl, proj, (ident, ident))])
+    copies = [(group[0][0], incl, proj, pair) for group in groups for _, incl, proj, pair in group]
+    d_complex = ProjComplex(c.algebra, {}, {})
+    for rep, _, _, _ in copies:
+        d_complex = d_complex.direct_sum(rep)
+    f_mats = {d: emat_zero(len(d_complex.term(d)), len(m.term(d))) for d in d_complex.terms}
+    g_mats = {d: emat_zero(len(m.term(d)), len(d_complex.term(d))) for d in d_complex.terms}
+    offsets = []
+    offset = {}
+    for rep, incl, proj, (rep_to_piece, piece_to_rep) in copies:
+        offsets.append(dict(offset))
+        for d, mat in rep_to_piece.then(incl).mats.items():
+            for i, row in enumerate(mat):
+                for j, x in enumerate(row):
+                    f_mats[d][offset.get(d, 0) + i][j] = x
+        for d, mat in proj.then(piece_to_rep).mats.items():
+            for i, row in enumerate(mat):
+                for j, x in enumerate(row):
+                    g_mats[d][i][offset.get(d, 0) + j] = x
+        for d in rep.terms:
+            offset[d] = offset.get(d, 0) + len(rep.term(d))
+    f = ChainMapC(d_complex, m, f_mats).then(eq.i)
+    g = eq.p.then(ChainMapC(m, d_complex, g_mats))
+    includes, projects = [], []
+    for (rep, _, _, _), base in zip(copies, offsets):
+        inc_mats, prj_mats = {}, {}
+        for d in rep.terms:
+            inc = inc_mats[d] = emat_zero(len(rep.term(d)), len(d_complex.term(d)))
+            prj = prj_mats[d] = emat_zero(len(d_complex.term(d)), len(rep.term(d)))
+            for i, lab in enumerate(rep.term(d)):
+                ident = {c.algebra.idempotent_index[lab]: ONE}
+                inc[i][base.get(d, 0) + i] = ident
+                prj[base.get(d, 0) + i][i] = ident
+        includes.append(ChainMapC(rep, d_complex, inc_mats).then(f))
+        projects.append(g.then(ChainMapC(d_complex, rep, prj_mats)))
+    summands = [(group[0][0], len(group)) for group in groups]
+    return summands, includes, projects
+
+
+def _split_pieces(sub):
+    """(piece, include into sub, project from sub) for the indecomposable
+    pieces of one support component, identities for an indecomposable one."""
+    if sub.is_zero():
+        return []
+    ident = ChainMapC.identity(sub)
+    if sum(len(labels) for labels in sub.terms.values()) == 1:
+        return [(sub, ident, ident)]
+    data = ChainEndData(sub)
+    idems = primitive_idempotents(data)
+    if len(idems) == 1:
+        return [(sub, ident, ident)]
+    return [split_strict_idempotent(sub, data.element(coords)) for coords in idems]

@@ -196,13 +196,27 @@ def test_parse_error_exit_two(tmp_path):
         ("no_cpx.json", {"kind": "stable_image"}, recheck, "--cpx"),
         ("r_str.json", r_str, ["recheck", "--alg", "sec5_A.json"], "provenance"),
     ]
+    unknown_dim = tmp_path / "dims_unknown_vertex.json"
+    unknown_dim.write_text(json.dumps({"format": 1, "algebra": fig1, "dims": {"1": 1, "9": 1}, "arrows": {}}))
+    argvs = []
     for name, payload, argv, field in cases:
         path = tmp_path / name
         path.write_text(json.dumps(payload))
-        code, out, err = run_cli(*argv, str(path))
-        assert code == 2, (name, err)
+        argvs.append((argv + [str(path)], field))
+    # labels that are no vertex, and files of the wrong kind, which lack
+    # the terms of a complex or the dims of a module
+    argvs += [
+        (["tilting", "construct", "sec5_A.json", "--p", "9"], "labels of P are vertices (no vertex '9')"),
+        (["tilting", "construct", "sec5_A.json", "--q", "9"], "labels of Q are vertices (no vertex '9')"),
+        (["endalg", "fig1.json", "fig1_S1.json"], "missing field 'terms'"),
+        (["stable-image", "fig1.json", "fig1_T.json", "fig1.json"], "missing field 'dims'"),
+        (["stable-image", "fig1.json", "fig1_T.json", str(unknown_dim)], "no vertex '9'"),
+    ]
+    for argv, field in argvs:
+        code, out, err = run_cli(*argv)
+        assert code == 2, (argv, err)
         assert "Traceback" not in err
-        assert field in err, (name, err)
+        assert field in err, (argv, err)
 
 
 def test_recheck_golden_reports():

@@ -1,7 +1,9 @@
 import gc
 import weakref
 
-from tiltbench import corpus
+import pytest
+
+from tiltbench import complex_decomp, corpus
 from tiltbench.complex_decomp import (
     ChainEndData,
     complexes_isomorphic,
@@ -11,12 +13,17 @@ from tiltbench.complex_decomp import (
 )
 from tiltbench.complexes import ChainMapC, regular_stalk, stalk_complex
 from tiltbench.decompose import EndAlgebra
+from tiltbench.errors import DecompositionError
 from tiltbench.reps import regular_module
+
+from chain_maps import decomposition_by_block_maps
+from test_homotopy_products import _complexes
+from test_tilting import linear_a3_apr_complex
 
 
 def test_decompose_fig1_T():
     t = corpus.fig1_tilting_complex()
-    summands, f, g = decompose_complex(t)
+    summands, _, _ = decompose_complex(t)
     assert sorted(mult for _, mult in summands) == [1, 1, 1]
     shapes = sorted(
         tuple((d, tuple(sorted(s.term(d)))) for d in s.degrees()) for s, _ in summands
@@ -31,7 +38,7 @@ def test_decompose_fig1_T():
 def test_decompose_regular_stalk():
     for a in corpus.corpus_algebras().values():
         stalk = regular_stalk(a)
-        summands, f, g = decompose_complex(stalk)
+        summands, _, _ = decompose_complex(stalk)
         assert len(summands) == len(a.quiver.vertices)
         assert all(mult == 1 for _, mult in summands)
 
@@ -39,8 +46,60 @@ def test_decompose_regular_stalk():
 def test_decompose_doubled_complex():
     t = corpus.fig1_tilting_complex()
     doubled = t.direct_sum(t)
-    summands, f, g = decompose_complex(doubled)
+    summands, includes, projects = decompose_complex(doubled)
     assert sorted(mult for _, mult in summands) == [2, 2, 2]
+    assert len(includes) == len(projects) == 6
+
+
+def _certificate_cases():
+    fig1_t = corpus.fig1_tilting_complex()
+    cases = [("A3 APR", linear_a3_apr_complex()[1]), ("fig1 T + T", fig1_t.direct_sum(fig1_t))]
+    return cases + [(name, t) for name, _, t in _complexes()]
+
+
+CERTIFICATE_CASES = _certificate_cases()
+
+
+@pytest.mark.parametrize("name, c", CERTIFICATE_CASES, ids=[name for name, _ in CERTIFICATE_CASES])
+def test_per_copy_maps_match_the_block_route(name, c):
+    summands, includes, projects = decompose_complex(c)
+    ref_summands, ref_includes, ref_projects = decomposition_by_block_maps(c)
+    assert [(s.terms, s.diffs, mult) for s, mult in summands] == [
+        (s.terms, s.diffs, mult) for s, mult in ref_summands
+    ]
+    copies = [s for s, mult in summands for _ in range(mult)]
+    assert len(includes) == len(projects) == len(copies)
+    for rep, inc, prj, ref_inc, ref_prj in zip(copies, includes, projects, ref_includes, ref_projects):
+        assert inc.source is rep and prj.target is rep
+        assert inc.target is c and prj.source is c
+        assert inc.mats == ref_inc.mats
+        assert prj.mats == ref_prj.mats
+
+
+def _tamper(monkeypatch, change):
+    """Let ``_split_component`` hand its pieces through ``change`` first."""
+    split = complex_decomp._split_component
+
+    def tampered(*args):
+        return change(split(*args))
+
+    monkeypatch.setattr(complex_decomp, "_split_component", tampered)
+
+
+def test_a_wrong_projection_fails_the_certificate(monkeypatch):
+    _, t = linear_a3_apr_complex()
+    # twice the projection: include then project is twice the identity
+    _tamper(monkeypatch, lambda pieces: [(p, inc, prj.scale(2)) for p, inc, prj in pieces])
+    with pytest.raises(DecompositionError, match="include 0 then project 0"):
+        decompose_complex(t)
+
+
+def test_a_missing_copy_fails_the_certificate(monkeypatch):
+    _, t = linear_a3_apr_complex()
+    # drop the stalk P(1): the projections then include no longer sum to id
+    _tamper(monkeypatch, lambda pieces: [x for x in pieces if x[0].terms != {0: ["1"]}])
+    with pytest.raises(DecompositionError, match="up to homotopy"):
+        decompose_complex(t)
 
 
 def test_split_identity_and_zero_idempotent():

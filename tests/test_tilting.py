@@ -5,9 +5,9 @@ import pytest
 from module_maps import hom_from_projective_sum
 
 from tiltbench import corpus
-from tiltbench.complexes import HomotopySpace, regular_stalk
+from tiltbench.complexes import HomotopySpace, ProjComplex, regular_stalk
 from tiltbench.complex_decomp import complexes_isomorphic
-from tiltbench.errors import NotConcentrated, PreconditionFailed, TiltbenchError
+from tiltbench.errors import NotConcentrated, NotTilting, PreconditionFailed, TiltbenchError
 from tiltbench.presentation import presentations_match
 from tiltbench.quiver import Quiver, path_from_arrows
 from tiltbench.algebra import build_path_algebra
@@ -139,12 +139,10 @@ def test_construct_tpq_sec5():
     t = built.complex
     assert t.validate() == {"d_squared_zero": True, "is_radical": True}
     ctx = TiltingContext(a, t, proved_by_construction=True)
-    summands, f, g = ctx.decomposition()
+    summands, _, _ = ctx.decomposition()
     assert len(summands) == 4
     assert all(mult == 1 for _, mult in summands)
     # one summand is 0 -> P1 -> P2 -> P3 -> 0 up to shift
-    from tiltbench.complexes import ProjComplex
-
     alpha_p = a.paths_between("2", "1")[0]
     beta_p = a.paths_between("3", "2")[0]
     chain = ProjComplex(
@@ -348,7 +346,7 @@ def _f_homology_by_module_maps(ctx, x, i):
         wj = pres.quiver.vertex_index[ar.target]
         rows = [[Fraction(0)] * len(reps[wj]) for _ in reps[wi]]
         if reps[wi] and stalk[wj] is not None and (wi, -i) in sums:
-            b = _combine(end.class_reps, end.abstract.el_to_vector(pres.arrow_elements[ar.name]))
+            b = _combine(end.space.class_reps(), end.abstract.el_to_vector(pres.arrow_elements[ar.name]))
             chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])
             component = realize_entry_map(sums[wj, -i], sums[wi, -i], chain.component(-i))
             maps, span, classes, _ = stalk[wj]
@@ -433,6 +431,46 @@ def test_check_simple_images_matches_iterated_criterion():
     rep = ctx.check_simple_images()
     assert rep["verdict"] is True
     assert rep["per_projective"]["1"]["simple"] is True
+
+
+def linear_a3_apr_complex():
+    """(A, T): linear A3, 1 -a-> 2 -b-> 3 with no relations, and the APR
+    tilting complex at the simple projective P(3): P(3) -b-> P(2) in degrees
+    -1 and 0, plus P(1) and a second P(2) in degree 0."""
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    a = build_path_algebra(q, [])
+    b = a.paths_between("2", "3")[0]
+    return a, ProjComplex(a, {-1: ["3"], 0: ["2", "1", "2"]}, {-1: [[{b: 1}, {}, {}]]})
+
+
+def test_apr_tilt_on_linear_a3_gives_negative_verdicts():
+    a, t = linear_a3_apr_complex()
+    assert verify_tilting(t).is_tilting_verdict
+    ctx = TiltingContext(a, t)
+    assert ctx.nust().e_labels == []
+    nu = ctx.check_iterated_nu_stable()
+    assert nu["verdict"] is False
+    simples = ctx.check_simple_images()
+    assert simples["verdict"] is False
+    assert simples["per_projective"]["3"]["profile"] == {"0": [0, 0, 0], "1": [1, 0, 0]}
+    # the two oracles agree vertex by vertex: P(1) passes, P(2) and P(3) fail
+    by_terms = {
+        v: c["not_in_off_degrees"] and c["degree_zero_multiplicity"] == 1
+        for v, c in nu["per_projective"].items()
+    }
+    by_images = {v: c["concentrated"] and c["simple"] for v, c in simples["per_projective"].items()}
+    assert by_terms == by_images == {"1": True, "2": False, "3": False}
+    with pytest.raises(NotTilting):
+        ctx.stable_image(simple(a, "1"))
+    end = ctx.end_data()
+    pres = end.presentation
+    assert end.abstract.dim == 5
+    names = {v: i for i, v in enumerate(pres.quiver.vertices)}
+    arrows = sorted((names[ar.source], names[ar.target]) for ar in pres.quiver.arrows)
+    # End(T)'s vertex k is the k-th copy: the two-term summand, P(1), P(2)
+    assert [s.terms for s in end.copy_complexes] == [{-1: ["3"], 0: ["2"]}, {0: ["1"]}, {0: ["2"]}]
+    assert arrows == [(0, 2), (1, 2)]
+    assert pres.relations == []
 
 
 def test_context_builds_each_self_hom_once(monkeypatch):
