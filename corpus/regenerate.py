@@ -1,7 +1,7 @@
 """Regenerate every corpus fixture and golden output in this directory.
 
 Run from the repository root:  python3 corpus/regenerate.py
-All outputs are deterministic (seed 0), so reruns must be byte-identical.
+All outputs are deterministic, so reruns must be byte-identical.
 """
 
 import os

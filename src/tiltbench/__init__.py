@@ -3,7 +3,8 @@
 Exact rational arithmetic throughout; every verdict is backed by a
 re-checkable witness.  The layers, bottom up:
 
-  linalg        dense matrices over Fraction (rank, kernels, solving)
+  linalg        dense matrices over Fraction (rank, kernels, solving) and
+                sparse kernels and row spaces
   quiver        quivers, paths, relations (left-to-right composition)
   algebra       path algebras modulo admissible relations
   reps          modules as row-vector quiver representations
@@ -28,7 +29,6 @@ from .complexes import (
     regular_stalk,
     stalk_complex,
 )
-from .config import WorkbenchConfig
 from .decompose import decompose, is_isomorphic
 from .errors import TiltbenchError
 from .linalg import Matrix, kernel_basis, rank, solve
@@ -76,7 +76,6 @@ __all__ = [
     "Representation",
     "TiltbenchError",
     "TiltingContext",
-    "WorkbenchConfig",
     "algebra_from_structure_constants",
     "build_path_algebra",
     "check_add_nu_equal",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotAdmissible, RadicalNotNilpotent, TiltbenchError
-from .linalg import Matrix, frac, row_spaces_equal
+from .linalg import Matrix, frac, row_spaces_equal, sparse_row_space
 from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
 
 RAW_PATH_CAP = 100_000
@@ -266,36 +266,23 @@ def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> Bas
         col = {p: i for i, p in enumerate(order)}
         rows = []
         for r in by_len.get(n, []):
-            vec = [Fraction(0)] * len(order)
+            vec = {}
             for c, p in r.terms:
-                vec[col[p]] += c
+                vec[col[p]] = vec.get(col[p], 0) + c
             rows.append(vec)
         for row in span_rows[n - 1]:
             for prod in arrow_multiples(quiver, row):
-                vec = [Fraction(0)] * len(order)
-                for p, c in prod.items():
-                    vec[col[p]] = c
-                rows.append(vec)
-        if rows:
-            red, pivots = Matrix(len(rows), len(order), rows).rref()
-        else:
-            red, pivots = Matrix.zero(0, len(order)), []
-        pivot_set = set(pivots)
-        normal_n = [order[j] for j in range(len(order)) if j not in pivot_set]
+                rows.append({col[p]: c for p, c in prod.items()})
+        red = sparse_row_space(rows)
+        pivots = {min(row) for row in red}
+        normal_n = [order[j] for j in range(len(order)) if j not in pivots]
         normal_n.sort(key=lambda p: deglex_key(quiver, p))
         normal[n] = normal_n
-        span_rows[n] = [
-            {order[j]: red.data[i][j] for j in range(len(order)) if red.data[i][j] != 0}
-            for i in range(len(pivots))
-        ]
+        span_rows[n] = [{order[j]: c for j, c in row.items()} for row in red]
         rewrite[n] = {}
-        for i, pc in enumerate(pivots):
-            lead = order[pc]
-            tail = {}
-            for j in range(len(order)):
-                if j != pc and red.data[i][j] != 0:
-                    tail[order[j]] = -red.data[i][j]
-            rewrite[n][lead] = tail
+        for row in red:
+            pc = min(row)
+            rewrite[n][order[pc]] = {order[j]: -c for j, c in row.items() if j != pc}
         if not normal_n:
             nil_length = n
             break

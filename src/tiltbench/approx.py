@@ -21,6 +21,7 @@ from .reps import (
     flatten_map,
     hom_space,
     projective,
+    projective_labels,
 )
 
 ZERO = Fraction(0)
@@ -153,34 +154,12 @@ def _verify_left_approximation(a, distinct, g, x):
             raise TiltbenchError(f"left approximation not surjective on Hom(-, P({v}))")
 
 
-def minimal_right_approximation(p: Representation, x: Representation, config=None):
+def minimal_right_approximation(p: Representation, x: Representation):
     """Right add(p)-approximation for projective p, via its labels."""
-    labels = _labels_of_projective(p)
-    labs, f = minimal_right_approximation_labeled(p.algebra, labels, x)
+    labs, f = minimal_right_approximation_labeled(p.algebra, projective_labels(p), x)
     return f
 
 
-def minimal_left_approximation(q: Representation, x: Representation, config=None):
-    labels = _labels_of_projective(q)
-    labs, g = minimal_left_approximation_labeled(q.algebra, labels, x)
+def minimal_left_approximation(q: Representation, x: Representation):
+    labs, g = minimal_left_approximation_labeled(q.algebra, projective_labels(q), x)
     return g
-
-
-def _labels_of_projective(p: Representation):
-    from .decompose import decompose, _iso_between_indecomposables
-    from .errors import NotProjective
-
-    if p.total_dim() == 0:
-        return []
-    summands, _, _ = decompose(p)
-    labels = []
-    for rep, mult in summands:
-        lab = None
-        for v in p.algebra.quiver.vertices:
-            if _iso_between_indecomposables(rep, projective(p.algebra, v)) is not None:
-                lab = v
-                break
-        if lab is None:
-            raise NotProjective("module is not a direct sum of projectives")
-        labels.extend([lab] * mult)
-    return labels

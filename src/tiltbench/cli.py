@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from . import serialize
-from .config import WorkbenchConfig
 from .errors import NotConcentrated, TiltbenchError
 from .reps import projective, radical_layers
 from .tilting import TiltingContext, construct_tpq, maximal_nu_stable, verify_tilting
@@ -33,8 +32,8 @@ def _layers_as_labels(m):
     return [sorted(k for k, v in layer.items() for _ in range(v)) for layer in radical_layers(m)]
 
 
-def cmd_alg_check(args, config):
-    a = serialize.load_algebra(args.algebra, config)
+def cmd_alg_check(args):
+    a = serialize.load_algebra(args.algebra, args.max_path_len)
     projs = {}
     for v in a.quiver.vertices:
         p = projective(a, v)
@@ -62,9 +61,9 @@ def cmd_alg_check(args, config):
     return 0
 
 
-def cmd_nust(args, config):
-    a = serialize.load_algebra(args.algebra, config)
-    rep = maximal_nu_stable(a, config)
+def cmd_nust(args):
+    a = serialize.load_algebra(args.algebra, args.max_path_len)
+    rep = maximal_nu_stable(a)
     payload = {"format": serialize.FORMAT}
     payload.update(rep.to_dict())
     lines = ["E = " + (" + ".join(f"P({v})" for v in rep.e_labels) if rep.e_labels else "0")]
@@ -72,11 +71,11 @@ def cmd_nust(args, config):
     return 0
 
 
-def cmd_tilting_construct(args, config):
-    a = serialize.load_algebra(args.algebra, config)
+def cmd_tilting_construct(args):
+    a = serialize.load_algebra(args.algebra, args.max_path_len)
     p_labels = [x for x in args.p.split(",") if x] if args.p else []
     q_labels = [x for x in args.q.split(",") if x] if args.q else []
-    built = construct_tpq(a, p_labels, q_labels, args.r, args.s, config)
+    built = construct_tpq(a, p_labels, q_labels, args.r, args.s)
     payload = serialize.complex_to_dict(built.complex)
     payload["provenance"] = {
         "construction": "tpq",
@@ -89,10 +88,10 @@ def cmd_tilting_construct(args, config):
     return 0
 
 
-def cmd_tilting_verify(args, config):
-    a = serialize.load_algebra(args.algebra, config)
-    t = serialize.load_complex(args.cpx, config, algebra=a)
-    report = verify_tilting(t, proved_by_construction=False, config=config)
+def cmd_tilting_verify(args):
+    a = serialize.load_algebra(args.algebra, args.max_path_len)
+    t = serialize.load_complex(args.cpx, algebra=a)
+    report = verify_tilting(t)
     payload = {"format": serialize.FORMAT}
     payload.update(report.to_dict())
     lines = [
@@ -105,10 +104,10 @@ def cmd_tilting_verify(args, config):
     return 0 if report.is_tilting_verdict else 1
 
 
-def cmd_endalg(args, config):
-    a = serialize.load_algebra(args.algebra, config)
-    t = serialize.load_complex(args.cpx, config, algebra=a)
-    ctx = TiltingContext(a, t, config)
+def cmd_endalg(args):
+    a = serialize.load_algebra(args.algebra, args.max_path_len)
+    t = serialize.load_complex(args.cpx, algebra=a)
+    ctx = TiltingContext(a, t)
     end = ctx.end_data()
     payload = serialize.algebra_to_dict(end.presentation.algebra)
     payload["endomorphism_dimension"] = end.abstract.dim
@@ -116,10 +115,10 @@ def cmd_endalg(args, config):
     return 0
 
 
-def cmd_nustable_check(args, config):
-    a = serialize.load_algebra(args.algebra, config)
-    t = serialize.load_complex(args.cpx, config, algebra=a)
-    ctx = TiltingContext(a, t, config)
+def cmd_nustable_check(args):
+    a = serialize.load_algebra(args.algebra, args.max_path_len)
+    t = serialize.load_complex(args.cpx, algebra=a)
+    ctx = TiltingContext(a, t)
     report = ctx.check_iterated_nu_stable()
     simple_images = ctx.check_simple_images()
     payload = {
@@ -137,11 +136,11 @@ def cmd_nustable_check(args, config):
     return 0 if report["verdict"] else 1
 
 
-def cmd_stable_image(args, config):
-    a = serialize.load_algebra(args.algebra, config)
-    t = serialize.load_complex(args.cpx, config, algebra=a)
-    x = serialize.load_module(args.module, config, algebra=a)
-    ctx = TiltingContext(a, t, config)
+def cmd_stable_image(args):
+    a = serialize.load_algebra(args.algebra, args.max_path_len)
+    t = serialize.load_complex(args.cpx, algebra=a)
+    x = serialize.load_module(args.module, algebra=a)
+    ctx = TiltingContext(a, t)
     try:
         cert = ctx.stable_image(x)
     except NotConcentrated as exc:
@@ -159,7 +158,7 @@ def cmd_stable_image(args, config):
     return 0
 
 
-def cmd_recheck(args, config):
+def cmd_recheck(args):
     """Recompute a previously emitted report from its inputs and compare."""
     import io
     from contextlib import redirect_stdout
@@ -173,10 +172,10 @@ def cmd_recheck(args, config):
         return value
 
     def recompute(fn, **kw):
-        ns = argparse.Namespace(format="json", output=None, **kw)
+        ns = argparse.Namespace(format="json", output=None, max_path_len=args.max_path_len, **kw)
         buf = io.StringIO()
         with redirect_stdout(buf):
-            fn(ns, config)
+            fn(ns)
         return serialize.load_json_str(buf.getvalue())
 
     if kind == "alg_check":
@@ -220,7 +219,6 @@ def build_parser():
         prog="tiltbench",
         description="workbench for quiver algebras, tilting complexes, and stable images",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
     parser.add_argument("--max-path-len", type=int, default=30, dest="max_path_len")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("-o", "--output", default=None, help="write the report to a file")
@@ -280,9 +278,8 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = WorkbenchConfig(seed=args.seed, max_path_len=args.max_path_len)
     try:
-        return args.func(args, config)
+        return args.func(args)
     except (TiltbenchError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 
 from .algebra import el_from_vector, el_to_vector
-from .config import DEFAULT, WorkbenchConfig
 from .decompose import FiniteDimAlgebra, lift_idempotent, primitive_idempotents
 from .errors import DecompositionError, NotIdempotent, TiltbenchError
 from .linalg import Coordinates, row_space_basis
@@ -246,7 +245,7 @@ def _component_complex(c: ProjComplex, comp):
     return sub, ChainMapC(sub, c, incl_mats), ChainMapC(c, sub, proj_mats)
 
 
-def complexes_isomorphic(x: ProjComplex, y: ProjComplex, config: WorkbenchConfig = DEFAULT):
+def complexes_isomorphic(x: ProjComplex, y: ProjComplex):
     """(f: x->y, g: y->x) mutually inverse chain isos, or None.
 
     Complete for radical complexes: degreewise label multisets must match,
@@ -260,7 +259,7 @@ def complexes_isomorphic(x: ProjComplex, y: ProjComplex, config: WorkbenchConfig
     sp_xy = homotopy_hom(x, y, 0)
     if not sp_xy.chain_vectors:
         return None
-    rng = random.Random(config.seed)
+    rng = random.Random(0)
     cands = [sp_xy.vector_to_chain_map(v) for v in sp_xy.chain_vectors]
     for attempt in range(len(cands) + 16):
         if attempt < len(cands):
@@ -320,7 +319,7 @@ def _upgrade_to_iso(x: ProjComplex, y: ProjComplex, f: ChainMapC):
     return None
 
 
-def decompose_complex(c: ProjComplex, config: WorkbenchConfig = DEFAULT, _self_hom=None):
+def decompose_complex(c: ProjComplex, _self_hom=None):
     """Indecomposable radical summands of c with multiplicities, and one
     inclusion and one projection per summand copy.
 
@@ -339,9 +338,9 @@ def decompose_complex(c: ProjComplex, config: WorkbenchConfig = DEFAULT, _self_h
     # (representative, [(include into m, project from m) per copy])
     groups = []
     for comp in _support_components(m):
-        for piece, incl, proj in _split_component(*_component_complex(m, comp), config):
+        for piece, incl, proj in _split_component(*_component_complex(m, comp)):
             for rep, copies in groups:
-                pair = complexes_isomorphic(rep, piece, config)
+                pair = complexes_isomorphic(rep, piece)
                 if pair is not None:
                     rep_to_piece, piece_to_rep = pair
                     copies.append((rep_to_piece.then(incl), proj.then(piece_to_rep)))
@@ -371,7 +370,7 @@ def decompose_complex(c: ProjComplex, config: WorkbenchConfig = DEFAULT, _self_h
     return summands, includes, projects
 
 
-def _split_component(sub: ProjComplex, incl: ChainMapC, proj: ChainMapC, config: WorkbenchConfig):
+def _split_component(sub: ProjComplex, incl: ChainMapC, proj: ChainMapC):
     """Split one support component sub of m into indecomposables via chain
     idempotents; incl : sub -> m and proj : m -> sub are the component's
     block maps.  Returns [(piece, include piece -> m, project m -> piece)];
@@ -384,7 +383,7 @@ def _split_component(sub: ProjComplex, incl: ChainMapC, proj: ChainMapC, config:
     data = ChainEndData(sub)
     if data.dim == 0:
         raise DecompositionError("empty endomorphism algebra on a nonzero complex")
-    idems = primitive_idempotents(data, config)
+    idems = primitive_idempotents(data)
     if len(idems) == 1:
         return [(sub, incl, proj)]
     out = []

@@ -31,7 +31,6 @@ import random
 from fractions import Fraction
 
 from .algebra import el_add, el_from_vector, el_scale, el_sub, el_to_vector
-from .config import DEFAULT, WorkbenchConfig
 from .errors import DecompositionError, TiltbenchError
 from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_row_space
 from .polys import (
@@ -230,7 +229,7 @@ def _corner_is_local(alg: FiniteDimAlgebra, unit: dict) -> bool:
     return FiniteDimAlgebra(len(basis), corner_product, unit_coords).semisimple_dim() == 1
 
 
-def primitive_idempotents(alg: FiniteDimAlgebra, config: WorkbenchConfig = DEFAULT):
+def primitive_idempotents(alg: FiniteDimAlgebra):
     """Complete list of orthogonal primitive idempotents summing to 1, as
     elements of alg.
 
@@ -238,7 +237,7 @@ def primitive_idempotents(alg: FiniteDimAlgebra, config: WorkbenchConfig = DEFAU
     certifying primitivity via local corners.  Raises DecompositionError if
     a corner resists splitting (non-split input).
     """
-    rng = random.Random(config.seed)
+    rng = random.Random(0)
     out = []
     stack = [alg.one]
     while stack:
@@ -419,16 +418,16 @@ def _spin_split(m: Representation, rng: random.Random, attempts: int = 24):
     return None
 
 
-def decompose(m: Representation, config: WorkbenchConfig = DEFAULT):
+def decompose(m: Representation):
     """Full decomposition certificate: (summands, to_sum, from_sum).
 
     summands: list of (indecomposable Representation, multiplicity)
     to_sum:   iso m -> direct sum in listed order (copies grouped)
     from_sum: its exact two-sided inverse
     """
-    rng = random.Random(config.seed)
+    rng = random.Random(0)
     leaves = _decompose_rec(m, rng)
-    groups = _group_by_iso(leaves, config)
+    groups = _group_by_iso(leaves)
     summands = [(g[0][0][0], len(g)) for g in groups]
     # assemble maps m -> D and D -> m from the leaf data and grouping isos
     incls = []  # copy -> m
@@ -518,7 +517,7 @@ def _endo_candidates(end: EndAlgebra, rng: random.Random, rounds: int = 30):
         yield coords, end.element(coords)
 
 
-def _group_by_iso(leaves, config: WorkbenchConfig):
+def _group_by_iso(leaves):
     """Group indecomposable leaves by isomorphism; attach alignment isos.
 
     Returns a list of groups; each entry of a group is
@@ -575,7 +574,7 @@ def _iso_between_indecomposables(x: Representation, y: Representation):
     return None
 
 
-def is_isomorphic(m: Representation, n: Representation, config: WorkbenchConfig = DEFAULT):
+def is_isomorphic(m: Representation, n: Representation):
     """Mutually inverse pair (f: m->n, g: n->m), or None.
 
     Randomized fast path over the hom space, then a deterministic fallback
@@ -589,7 +588,7 @@ def is_isomorphic(m: Representation, n: Representation, config: WorkbenchConfig 
     h = hom_space(m, n)
     if not h:
         return None
-    rng = random.Random(config.seed)
+    rng = random.Random(0)
     for attempt in range(8):
         if attempt == 0 and len(h) == 1:
             f = h[0]
@@ -606,8 +605,8 @@ def is_isomorphic(m: Representation, n: Representation, config: WorkbenchConfig 
         if g is not None and f.then(g).is_identity() and g.then(f).is_identity():
             return f, g
     # deterministic fallback: decompose both sides and match summands
-    sm, m_to_d, _ = decompose(m, config)
-    sn, _, e_to_n = decompose(n, config)
+    sm, m_to_d, _ = decompose(m)
+    sn, _, e_to_n = decompose(n)
     if len(sm) != len(sn):
         return None
     used = [False] * len(sn)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import BasicAlgebra, build_path_algebra, el_add, el_from_vector, el_scale, el_sub, el_to_vector
-from .config import DEFAULT, WorkbenchConfig
 from .decompose import FiniteDimAlgebra, primitive_idempotents
 from .errors import (
     NoIdentity,
@@ -173,19 +172,14 @@ def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
     return chain
 
 
-def quiver_presentation(
-    alg: FiniteDimAlgebra,
-    idempotents=None,
-    config: WorkbenchConfig = DEFAULT,
-    vertex_names=None,
-) -> Presentation:
-    idems = idempotents if idempotents is not None else primitive_idempotents(alg, config)
+def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation:
+    idems = idempotents if idempotents is not None else primitive_idempotents(alg)
     chain = radical_chain(alg, idems)
     nil_index = len(chain)  # rad^(len) = 0
     rad = chain[0].blocks
     rad2 = chain[1].blocks if len(chain) > 1 else rad  # rad = 0 when len(chain) == 1
     n = len(idems)
-    names = [str(x) for x in (vertex_names or [str(i + 1) for i in range(n)])]
+    names = [str(i + 1) for i in range(n)]
 
     arrows = []
     arrow_elements = {}
@@ -300,9 +294,7 @@ def _prune_relations(quiver, relations):
     return [r for r in sorted(relations, key=lambda r: r.length) if ideal.add(r)]
 
 
-def algebra_from_structure_constants(
-    dim: int, table, one, config: WorkbenchConfig = DEFAULT
-) -> BasicAlgebra:
+def algebra_from_structure_constants(dim: int, table, one) -> BasicAlgebra:
     """Basic algebra from a verified structure-constant table.
 
     The returned path algebra carries the recovered presentation on its
@@ -310,20 +302,20 @@ def algebra_from_structure_constants(
     primitive idempotents found in the input coordinates).
     """
     abstract = abstract_from_table(dim, table, one)
-    pres = quiver_presentation(abstract, config=config)
+    pres = quiver_presentation(abstract)
     pres.algebra.recovered_from = pres
     return pres.algebra
 
 
-def relation_ideals_equal(quiver: Quiver, rels1, rels2, max_path_len: int = 30) -> bool:
+def relation_ideals_equal(quiver: Quiver, rels1, rels2) -> bool:
     """Whether two relation lists over the same quiver generate the same ideal.
 
     Decided by building both quotients (same dimension required) and
     reducing each relation in the homogeneous ideal of the other list.
     """
     try:
-        a1 = build_path_algebra(quiver, rels1, max_path_len)
-        a2 = build_path_algebra(quiver, rels2, max_path_len)
+        a1 = build_path_algebra(quiver, rels1)
+        a2 = build_path_algebra(quiver, rels2)
     except TiltbenchError:
         return False
     return a1.dim == a2.dim and _generates(quiver, rels1, rels2) and _generates(quiver, rels2, rels1)

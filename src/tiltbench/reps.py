@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import BasicAlgebra
-from .errors import DimensionMismatch, TiltbenchError
+from .errors import DimensionMismatch, NotProjective, TiltbenchError
 from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains, sparse_kernel
 
 ZERO = Fraction(0)
@@ -451,6 +451,22 @@ def top(m: Representation):
 
 def socle(m: Representation):
     return sub_representation(m, socle_spaces(m))
+
+
+def projective_labels(x: Representation) -> list:
+    """The labels of the indecomposable projectives whose sum is x: each
+    vertex v repeated t_v times, in vertex order, t the dimension vector of
+    top(x).  The projective cover of x, the sum of P(v) t_v times, is onto,
+    so x is projective exactly when dim x = sum of t_v * dim P(v); otherwise
+    NotProjective is raised."""
+    verts = list(x.algebra.quiver.vertices)
+    rad = radical_spaces(x)
+    tops = [x.dims[v] - rad[v].rows for v in verts]
+    cartan = x.algebra.cartan_matrix().data  # row v: dim vector of P(v)
+    for u, w in enumerate(verts):
+        if sum(t * cartan[k][u] for k, t in enumerate(tops)) != x.dims[w]:
+            raise NotProjective("module is not a direct sum of projectives")
+    return [v for v, t in zip(verts, tops) for _ in range(t)]
 
 
 def radical_submodule(m: Representation):

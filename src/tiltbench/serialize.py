@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .algebra import BasicAlgebra, build_path_algebra
 from .complexes import ProjComplex
-from .config import DEFAULT, WorkbenchConfig
 from .errors import TiltbenchError
 from .linalg import Matrix
 from .quiver import Quiver, Relation, path_from_arrows, trivial_path
@@ -46,8 +45,13 @@ def scalar_to_str(c) -> str:
     return str(Fraction(c))
 
 
-def scalar_from_str(s) -> Fraction:
-    return Fraction(str(s))
+def scalar_from_str(s, field="scalar") -> Fraction:
+    """The rational number s, a ``"p/q"`` or ``"p"`` string; otherwise a
+    TiltbenchError naming the field."""
+    try:
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        raise TiltbenchError(f"{field}: not a rational number: {json.dumps(s)[:60]}") from None
 
 
 # -- algebras -----------------------------------------------------------------
@@ -78,7 +82,7 @@ def relation_from_terms(q: Quiver, terms, field="relation") -> Relation:
     parsed = []
     for n, t in enumerate(_expect(terms, list, field)):
         where = f"{field}[{n}]"
-        c = scalar_from_str(_field(_expect(t, dict, where), "coeff", f"{where}.coeff"))
+        c = scalar_from_str(_field(_expect(t, dict, where), "coeff", f"{where}.coeff"), f"{where}.coeff")
         if c == 0:
             continue
         parsed.append((c, path_from_arrows(q, _field(t, "path", f"{where}.path", list))))
@@ -94,20 +98,20 @@ def algebra_to_dict(a: BasicAlgebra) -> dict:
     }
 
 
-def algebra_from_dict(d, config: WorkbenchConfig = DEFAULT) -> BasicAlgebra:
+def algebra_from_dict(d, max_path_len: int = 30) -> BasicAlgebra:
     if _expect(d, dict, "algebra").get("field", "rational") != "rational":
         raise TiltbenchError(f"unsupported field {d.get('field')!r}")
     q = quiver_from_dict(_field(d, "quiver", "quiver"))
     relations = _field(d, "relations", "relations", list, [])
     rels = [relation_from_terms(q, terms, f"relations[{n}]") for n, terms in enumerate(relations)]
-    return build_path_algebra(q, rels, max_path_len=config.max_path_len)
+    return build_path_algebra(q, rels, max_path_len)
 
 
-def _resolve_algebra(ref, base_dir, config) -> BasicAlgebra:
+def _resolve_algebra(ref, base_dir) -> BasicAlgebra:
     if isinstance(ref, str):
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        return load_algebra(path, config)
-    return algebra_from_dict(ref, config)
+        return load_algebra(path)
+    return algebra_from_dict(ref)
 
 
 # -- elements and complexes ----------------------------------------------------
@@ -127,7 +131,7 @@ def element_from_terms(a: BasicAlgebra, terms, src_label: str, tgt_label: str, f
     out = {}
     for n, t in enumerate(_expect(terms, list, field)):
         where = f"{field}[{n}]"
-        c = scalar_from_str(_field(_expect(t, dict, where), "coeff", f"{where}.coeff"))
+        c = scalar_from_str(_field(_expect(t, dict, where), "coeff", f"{where}.coeff"), f"{where}.coeff")
         if c == 0:
             continue
         word = list(_field(t, "path", f"{where}.path", list))
@@ -165,9 +169,9 @@ def complex_to_dict(c: ProjComplex, algebra_ref=None) -> dict:
     }
 
 
-def complex_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebra=None) -> ProjComplex:
+def complex_from_dict(d, base_dir=".", algebra=None) -> ProjComplex:
     _expect(d, dict, "complex")
-    a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir, config)
+    a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir)
     terms = {
         int(k): [str(x) for x in _expect(v, list, f"terms.{k}")]
         for k, v in _field(d, "terms", "terms", dict).items()
@@ -203,9 +207,9 @@ def module_to_dict(m: Representation, algebra_ref=None) -> dict:
     }
 
 
-def module_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebra=None) -> Representation:
+def module_from_dict(d, base_dir=".", algebra=None) -> Representation:
     _expect(d, dict, "module")
-    a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir, config)
+    a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir)
     dims = {}
     for k, v in _field(d, "dims", "dims", dict).items():
         if isinstance(v, bool) or not isinstance(v, (int, str)):
@@ -222,7 +226,10 @@ def module_from_dict(d, base_dir=".", config: WorkbenchConfig = DEFAULT, algebra
             dims.get(ar.source, 0),
             dims.get(ar.target, 0),
             [
-                [scalar_from_str(x) for x in _expect(row, list, f"arrows.{name}[{i}]")]
+                [
+                    scalar_from_str(x, f"arrows.{name}[{i}][{j}]")
+                    for j, x in enumerate(_expect(row, list, f"arrows.{name}[{i}]"))
+                ]
                 for i, row in enumerate(_expect(rows, list, f"arrows.{name}"))
             ],
         )
@@ -250,13 +257,13 @@ def load_json_str(text: str):
     return json.loads(text)
 
 
-def load_algebra(path: str, config: WorkbenchConfig = DEFAULT) -> BasicAlgebra:
-    return algebra_from_dict(load_json(path), config)
+def load_algebra(path: str, max_path_len: int = 30) -> BasicAlgebra:
+    return algebra_from_dict(load_json(path), max_path_len)
 
 
-def load_complex(path: str, config: WorkbenchConfig = DEFAULT, algebra=None) -> ProjComplex:
-    return complex_from_dict(load_json(path), os.path.dirname(path) or ".", config, algebra)
+def load_complex(path: str, algebra=None) -> ProjComplex:
+    return complex_from_dict(load_json(path), os.path.dirname(path) or ".", algebra)
 
 
-def load_module(path: str, config: WorkbenchConfig = DEFAULT, algebra=None) -> Representation:
-    return module_from_dict(load_json(path), os.path.dirname(path) or ".", config, algebra)
+def load_module(path: str, algebra=None) -> Representation:
+    return module_from_dict(load_json(path), os.path.dirname(path) or ".", algebra)

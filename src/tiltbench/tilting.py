@@ -44,8 +44,7 @@ from .complexes import (
     minimize,
     stalk_complex,
 )
-from .config import DEFAULT, WorkbenchConfig
-from .decompose import FiniteDimAlgebra, _iso_between_indecomposables
+from .decompose import FiniteDimAlgebra
 from .errors import (
     DSquaredNonzero,
     InternalDisagreement,
@@ -65,9 +64,12 @@ from .reps import (
     cokernel_of,
     extract_entry_map,
     hom_space,
-    injective,
     kernel_of,
+    nu_injective_sum,
     projective,
+    projective_labels,
+    socle,
+    socle_spaces,
     top,
     zero_rep,
 )
@@ -102,26 +104,31 @@ class NuStableReport:
         }
 
 
-def nakayama_permutation(a: BasicAlgebra, config: WorkbenchConfig = DEFAULT) -> dict:
+def nakayama_permutation(a: BasicAlgebra) -> dict:
     """Partial map v -> w with the injective at v isomorphic to the
     projective at w (defined exactly when that injective is projective).
-    I(v) and P(w) are indecomposable, so each pair is decided exactly by
-    ``_iso_between_indecomposables``; ``config`` is unused."""
+
+    sigma(v) = w exactly when soc P(w) is S(v) and Cartan row w equals
+    Cartan column v: P(w) then embeds in its injective envelope I(v), and
+    dim P(w) = dim I(v) makes that embedding an isomorphism."""
+    verts = list(a.quiver.vertices)
+    cartan = a.cartan_matrix().data
     sigma = {}
-    projectives = [(w, projective(a, w)) for w in a.quiver.vertices]
-    for v in a.quiver.vertices:
-        iv = injective(a, v)
-        for w, pw in projectives:
-            if _iso_between_indecomposables(iv, pw) is not None:
-                sigma[v] = w
-                break
-    return sigma
+    for wi, w in enumerate(verts):
+        soc = socle_spaces(projective(a, w))
+        soc_dims = [soc[v].rows for v in verts]
+        if sum(soc_dims) != 1:
+            continue
+        vi = soc_dims.index(1)
+        if all(cartan[wi][u] == cartan[u][vi] for u in range(len(verts))):
+            sigma[verts[vi]] = w
+    return {v: sigma[v] for v in verts if v in sigma}
 
 
-def maximal_nu_stable(a: BasicAlgebra, config: WorkbenchConfig = DEFAULT) -> NuStableReport:
+def maximal_nu_stable(a: BasicAlgebra) -> NuStableReport:
     """Vertices whose projective stays projective-injective under every
     forward Nakayama iterate; at most (number of vertices) + 1 steps."""
-    sigma = nakayama_permutation(a, config)
+    sigma = nakayama_permutation(a)
     proj_inj = {v: v in sigma.values() for v in a.quiver.vertices}
     stable = {}
     for v in a.quiver.vertices:
@@ -150,23 +157,14 @@ def maximal_nu_stable(a: BasicAlgebra, config: WorkbenchConfig = DEFAULT) -> NuS
     )
 
 
-def _projective_labels(x: Representation, config: WorkbenchConfig):
-    from .approx import _labels_of_projective
-
-    return _labels_of_projective(x)
-
-
-def nakayama_on_projectives(x: Representation, config: WorkbenchConfig = DEFAULT) -> Representation:
+def nakayama_on_projectives(x: Representation) -> Representation:
     """Image of a projective module under the Nakayama correspondence:
     the sum of injectives with the same labels.  Raises NotProjective when
-    some indecomposable summand is not projective."""
-    from .reps import nu_injective_sum
-
-    labels = _projective_labels(x, config)
-    return nu_injective_sum(x.algebra, labels)
+    x is not projective."""
+    return nu_injective_sum(x.algebra, projective_labels(x))
 
 
-def check_add_nu_equal(a: BasicAlgebra, x: Representation, config: WorkbenchConfig = DEFAULT) -> bool:
+def check_add_nu_equal(a: BasicAlgebra, x: Representation) -> bool:
     """Whether add(nu x) = add(x) for a projective x, Hu and Xi's condition
     for x to be a nu-stable projective: the labels of x are closed under the
     Nakayama permutation sigma, since nu P(v) = P(sigma(v)).
@@ -177,8 +175,8 @@ def check_add_nu_equal(a: BasicAlgebra, x: Representation, config: WorkbenchConf
     nu P(1) = P(3) is not a summand of P(1)."""
     if x.total_dim() == 0:
         return True
-    labels = set(_projective_labels(x, config))  # raises NotProjective if not
-    return _closed_under_nu(maximal_nu_stable(a, config), labels)
+    labels = set(projective_labels(x))  # raises NotProjective if not
+    return _closed_under_nu(maximal_nu_stable(a), labels)
 
 
 def _closed_under_nu(report: NuStableReport, labels) -> bool:
@@ -226,7 +224,6 @@ class TiltingReport:
 def verify_tilting(
     t: ProjComplex,
     proved_by_construction: bool = False,
-    config: WorkbenchConfig = DEFAULT,
     decomposition=None,
     _self_hom=None,
 ) -> TiltingReport:
@@ -250,7 +247,7 @@ def verify_tilting(
             continue
         self_orth[n] = self_hom(n).dim
     self_ok = all(v == 0 for v in self_orth.values())
-    summands = (decomposition if decomposition is not None else decompose_complex(t, config))[0]
+    summands = (decomposition if decomposition is not None else decompose_complex(t))[0]
     verts = list(t.algebra.quiver.vertices)
     k0 = []
     for s, mult in summands:
@@ -298,7 +295,6 @@ def construct_tpq(
     q_labels,
     r: int = 1,
     s: int = 1,
-    config: WorkbenchConfig = DEFAULT,
 ) -> ConstructedTilting:
     """Tilting complex from stable projectives P, Q with Hom(P, Q) = 0.
 
@@ -319,7 +315,7 @@ def construct_tpq(
     q_rep = zero_rep(a)
     for v in q_labels:
         q_rep = q_rep.direct_sum(projective(a, v))
-    report = maximal_nu_stable(a, config) if p_labels or q_labels else None
+    report = maximal_nu_stable(a) if p_labels or q_labels else None
     for name, labels in (("P", p_labels), ("Q", q_labels)):
         if labels and not _closed_under_nu(report, set(labels)):
             sigma = report.nu_image
@@ -408,11 +404,9 @@ class EndData:
 class TiltingContext:
     """Caches everything attached to one verified-tilting complex."""
 
-    def __init__(self, a: BasicAlgebra, t: ProjComplex, config: WorkbenchConfig = DEFAULT,
-                 proved_by_construction: bool = False):
+    def __init__(self, a: BasicAlgebra, t: ProjComplex, *, proved_by_construction: bool = False):
         self.algebra = a
         self.complex = t
-        self.config = config
         self.proved_by_construction = proved_by_construction
         self._nust = None
         self._decomp = None
@@ -425,7 +419,7 @@ class TiltingContext:
 
     def nust(self) -> NuStableReport:
         if self._nust is None:
-            self._nust = maximal_nu_stable(self.algebra, self.config)
+            self._nust = maximal_nu_stable(self.algebra)
         return self._nust
 
     def _self_hom(self, n: int) -> HomotopySpace:
@@ -437,7 +431,7 @@ class TiltingContext:
 
     def decomposition(self):
         if self._decomp is None:
-            self._decomp = decompose_complex(self.complex, self.config, _self_hom=self._self_hom)
+            self._decomp = decompose_complex(self.complex, _self_hom=self._self_hom)
         return self._decomp
 
     def tilting_report(self) -> TiltingReport:
@@ -445,7 +439,6 @@ class TiltingContext:
             self._tilting_report = verify_tilting(
                 self.complex,
                 proved_by_construction=self.proved_by_construction,
-                config=self.config,
                 decomposition=self.decomposition(),
                 _self_hom=self._self_hom,
             )
@@ -470,7 +463,7 @@ class TiltingContext:
         )
         # idempotents from the decomposition: one per summand copy
         idems = [el_from_vector(space.reduce(prj.then(inc))) for inc, prj in zip(includes, projects)]
-        pres = quiver_presentation(abstract, idempotents=idems, config=self.config)
+        pres = quiver_presentation(abstract, idempotents=idems)
         self._end = EndData(
             abstract=abstract,
             presentation=pres,
@@ -594,13 +587,14 @@ class TiltingContext:
 
     def _profile(self, x: Representation):
         """(profile, image0, concentrated) of x: profile maps each shift i
-        with -i between T's lowest and highest degree to the dimension
-        vector of ``f_homology(x, i)``, image0 is that module at i = 0, and
-        concentrated says whether every other shift gives zero."""
+        with -i between T's lowest and highest degree, and the shift 0, to
+        the dimension vector of ``f_homology(x, i)``, image0 is that module
+        at i = 0, and concentrated says whether every other shift gives
+        zero."""
         t = self.complex
         profile = {}
         image0 = None
-        for i in range(-t.hi, -t.lo + 1):
+        for i in range(min(-t.hi, 0), max(-t.lo, 0) + 1):
             h = self.f_homology(x, i)
             profile[i] = list(h.dim_vector())
             if i == 0:
@@ -668,9 +662,7 @@ class TiltingContext:
             s_v, _ = top(projective(self.algebra, v))
             profile, image0, concentrated = self._profile(s_v)
             simple = False
-            if image0 is not None and image0.total_dim() == 1:
-                from .reps import socle
-
+            if image0.total_dim() == 1:
                 soc, _ = socle(image0)
                 simple = soc.total_dim() == image0.total_dim()
             ok = concentrated and simple
@@ -695,13 +687,13 @@ class StableImageCertificate:
             "kind": "stable_image",
             "input_dims": self.input_dims,
             "profile": {str(k): v for k, v in sorted(self.profile.items())},
-            "module_dims": dict(self.module.dims) if self.module is not None else None,
+            "module_dims": dict(self.module.dims),
             "hom_dimension": self.hom_dimension,
         }
 
 
-def end_algebra(a: BasicAlgebra, t: ProjComplex, config: WorkbenchConfig = DEFAULT):
+def end_algebra(a: BasicAlgebra, t: ProjComplex):
     """(BasicAlgebra, Presentation) for the endomorphism algebra of t."""
-    ctx = TiltingContext(a, t, config)
+    ctx = TiltingContext(a, t)
     end = ctx.end_data()
     return end.presentation.algebra, end.presentation

@@ -1,7 +1,10 @@
+import contextlib
 import importlib.util
 import io
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 
@@ -14,7 +17,9 @@ CORPUS = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tiltbench.__file__)))
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
+    """Run the CLI in a child process with cwd CORPUS; ``kwargs`` go to
+    ``subprocess.run`` (a timeout, a ``preexec_fn``)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -23,6 +28,7 @@ def run_cli(*args):
         text=True,
         cwd=CORPUS,
         env=env,
+        **kwargs,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -252,8 +258,103 @@ def test_recheck_detects_tampering(tmp_path):
 def test_main_in_process_exit_codes():
     alg = os.path.join(CORPUS, "fig1.json")
     cpx = os.path.join(CORPUS, "fig1_T.json")
-    import contextlib
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(["nustable", "check", alg, cpx]) == 0
+
+
+def test_non_admissible_algebra_exits_two_in_bounded_memory(tmp_path):
+    """sec5_A without its first relation (alphap alpha) is not admissible.
+    Its path algebra is reduced on sparse rows, so giving up at length 14
+    stays within 512 MB of address space and 15 s."""
+    with open(os.path.join(CORPUS, "sec5_A.json")) as fh:
+        payload = json.load(fh)
+    del payload["relations"][0]
+    path = tmp_path / "sec5_A_not_admissible.json"
+    path.write_text(json.dumps(payload))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    code, out, err = run_cli(
+        "--max-path-len", "14", "alg", "check", str(path), preexec_fn=limit_memory, timeout=15
+    )
+    assert code == 2, err
+    assert "normal-form paths still survive" in err
+
+
+# replacement values of the mutation test; _DELETE removes the node instead
+_DELETE = object()
+_MUTATIONS = [None, True, 0, -1, 40, 2.5, "", "x", "0", "-1", "1/0", [], [1], {}, {"a": 1}, _DELETE]
+# file -> commands run on its mutants, the mutant's path substituted for FILE
+_MUTATED_COMMANDS = {
+    "fig1.json": [["alg", "check", "FILE"], ["nust", "FILE"]],
+    "fig1_T.json": [
+        ["tilting", "verify", "fig1.json", "FILE"],
+        ["nustable", "check", "fig1.json", "FILE"],
+        ["endalg", "fig1.json", "FILE"],
+    ],
+    "fig1_S1.json": [["stable-image", "fig1.json", "fig1_T.json", "FILE"]],
+}
+# the commands above that compute a verdict, the only ones that may exit 1
+_VERDICT_COMMANDS = {"tilting", "nustable", "stable-image"}
+
+
+def _json_nodes(value, path=()):
+    """The paths (tuples of keys and indices) of every node below value."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, child in children:
+        out.append(path + (key,))
+        out.extend(_json_nodes(child, path + (key,)))
+    return out
+
+
+def _mutated(payload, path, value):
+    payload = json.loads(json.dumps(payload))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return payload
+
+
+def test_mutated_corpus_files_exit_cleanly(tmp_path, monkeypatch):
+    """Corpus files with one JSON node replaced or deleted: every run exits
+    0, 1 or 2 with no exception escaping ``main``, and exit 1 comes only from
+    a command that computed a verdict and reported it.  Every coefficient set
+    to "1/0" is among the runs, then a seeded sample of the other mutants."""
+    monkeypatch.chdir(CORPUS)
+    originals = {}
+    for name in _MUTATED_COMMANDS:
+        with open(name) as fh:
+            originals[name] = json.load(fh)
+    cases = [
+        (name, path, value)
+        for name, payload in originals.items()
+        for path in _json_nodes(payload)
+        for value in _MUTATIONS
+    ]
+    pinned = [case for case in cases if case[1][-1] == "coeff" and case[2] == "1/0"]
+    rng = random.Random(0)
+    sample = pinned + rng.sample([case for case in cases if case not in pinned], 200 - len(pinned))
+    for n, (name, path, value) in enumerate(sample):
+        mutant = tmp_path / f"{n}_{name}"
+        mutant.write_text(json.dumps(_mutated(originals[name], path, value)))
+        argv = [str(mutant) if x == "FILE" else x for x in rng.choice(_MUTATED_COMMANDS[name])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--max-path-len", "12", *argv])
+        where = (name, path, value, argv, err.getvalue())
+        assert code in (0, 1, 2), where
+        if code == 1:
+            assert argv[0] in _VERDICT_COMMANDS, where
+            json.loads(out.getvalue())

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 from module_maps import dense_hom_space, hom_from_projective_sum
 
 from tiltbench import corpus
+from tiltbench.decompose import _iso_between_indecomposables, decompose
+from tiltbench.errors import NotProjective
 from tiltbench.linalg import Coordinates, Matrix
 from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
@@ -28,6 +31,7 @@ from tiltbench.reps import (
     realize_entry_map,
     nu_entry_map,
     nu_injective_sum,
+    projective_labels,
     zero_rep,
 )
 from tiltbench.tilting import construct_tpq
@@ -320,3 +324,44 @@ def test_nu_additivity_on_doubled_projective():
     nu2 = nu_injective_sum(a, ["1", "1"])
     single = injective(a, "1")
     assert nu2.dim_vector() == tuple(2 * x for x in single.dim_vector())
+
+
+def _labels_by_decomposition(x):
+    """The labels of a projective x found by decomposing it and matching each
+    summand with an indecomposable projective, or None if one matches none."""
+    if x.total_dim() == 0:
+        return []
+    labels = []
+    for rep, mult in decompose(x)[0]:
+        matches = [
+            v
+            for v in x.algebra.quiver.vertices
+            if _iso_between_indecomposables(rep, projective(x.algebra, v)) is not None
+        ]
+        lab = matches[0] if matches else None
+        if lab is None:
+            return None
+        labels.extend([lab] * mult)
+    return labels
+
+
+def test_projective_labels_match_decomposition():
+    """Labels read off the top agree, as multisets, with the decomposition
+    route on projective sums, simples, radicals and P + S."""
+    algebras = list(corpus.corpus_algebras().values())
+    algebras += [corpus.kupisch_algebra(s) for s in ([3, 3, 4, 4], [2, 3, 3], [3, 3, 3, 3])]
+    for a in algebras:
+        verts = list(a.quiver.vertices)
+        p = {v: projective(a, v) for v in verts}
+        modules = [regular_module(a), p[verts[0]].direct_sum(p[verts[-1]]).direct_sum(p[verts[0]])]
+        for v in verts:
+            modules += [p[v], simple(a, v), radical_submodule(p[v])[0], p[v].direct_sum(simple(a, v))]
+        for x in modules:
+            want = _labels_by_decomposition(x)
+            if want is None:
+                with pytest.raises(NotProjective):
+                    projective_labels(x)
+            else:
+                got = projective_labels(x)
+                assert sorted(got) == sorted(want)
+                assert got == sorted(got, key=verts.index)

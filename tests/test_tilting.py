@@ -57,7 +57,21 @@ def _nakayama_permutation_by_is_isomorphic(a):
 
 def test_nakayama_permutation_matches_is_isomorphic():
     algebras = list(corpus.corpus_algebras().values())
-    for series in ([2, 2, 3, 3], [3, 3, 4, 4], [4, 5, 5, 5], [3, 4, 4, 4], [2, 3, 3], [3, 3, 3, 3]):
+    series_list = [
+        [2, 2, 2],
+        [3, 3, 3],
+        [2, 2, 3, 3],
+        [3, 3, 4, 4],
+        [4, 3, 3, 3],
+        [4, 4, 5, 5],
+        [4, 5, 5, 5],
+        [3, 4, 4, 4],
+        [2, 2, 2, 3, 3],
+        [3, 3, 4, 4, 4, 4],
+        [2, 3, 3],
+        [3, 3, 3, 3],
+    ]
+    for series in series_list:
         algebras.append(corpus.kupisch_algebra(series))
     sigmas = []
     for a in algebras:
@@ -422,6 +436,21 @@ def test_stable_image_fig1():
     assert sum(exc.value.profile[1]) == 2
     cert0 = ctx.stable_image(zero_rep(a))
     assert cert0.module.total_dim() == 0
+
+
+def test_stable_image_of_a_complex_with_no_degree_zero_term():
+    """T = A[1] over self-injective Kupisch (3,3,3) has no degree-0 term; the
+    profile still covers shift 0, so the zero module has a zero image."""
+    a = corpus.kupisch_algebra([3, 3, 3])
+    ctx = TiltingContext(a, regular_stalk(a, -1))
+    assert ctx.check_iterated_nu_stable()["verdict"] is True
+    assert ctx.check_simple_images()["verdict"] is True
+    cert = ctx.stable_image(zero_rep(a))
+    assert cert.module.total_dim() == 0
+    assert cert.hom_dimension == 0
+    with pytest.raises(NotConcentrated) as exc:
+        ctx.stable_image(simple(a, "1"))
+    assert exc.value.profile == {0: [0, 0, 0], 1: [1, 0, 0]}
 
 
 def test_check_simple_images_matches_iterated_criterion():
