@@ -3,8 +3,9 @@
 Exact rational arithmetic throughout; every verdict is backed by a
 re-checkable witness.  The layers, bottom up:
 
-  linalg        dense matrices over Fraction (rank, kernels, solving) and
-                sparse kernels and row spaces
+  linalg        exact scalars (ints, Fractions where not integral, one
+                division ``div``), dense matrices over them (rank, kernels,
+                solving) and sparse kernels and row spaces
   quiver        quivers, paths, relations (left-to-right composition)
   algebra       path algebras modulo admissible relations
   reps          modules as row-vector quiver representations

@@ -7,15 +7,14 @@ row-reduced, its leading paths (largest in deglex) are rewritten into the
 surviving ones, and construction stops at the first length with no
 survivors.  Structure constants are obtained by reducing concatenations.
 
-Elements are sparse dicts ``{basis index: Fraction}``.
+Elements are sparse dicts ``{basis index: scalar}``, with the exact scalars
+of ``linalg``: ints, and Fractions where a value is not integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotAdmissible, RadicalNotNilpotent, TiltbenchError
-from .linalg import Matrix, frac, row_spaces_equal, sparse_row_space
+from .linalg import Matrix, div, frac, row_spaces_equal, sparse_row_space
 from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
 
 RAW_PATH_CAP = 100_000
@@ -53,7 +52,7 @@ def el_from_vector(v) -> dict:
 
 def el_to_vector(x: dict, dim: int) -> list:
     """Dense coordinates of length dim of the sparse element x."""
-    v = [Fraction(0)] * dim
+    v = [0] * dim
     for k, c in x.items():
         v[k] = c
     return v
@@ -104,7 +103,7 @@ class BasicAlgebra:
         if n >= self.nil_length:
             return {}
         if path in self.index:
-            return {self.index[path]: Fraction(1)}
+            return {self.index[path]: 1}
         rw = self._rewrite.get(n, {}).get(path)
         if rw is None:
             raise TiltbenchError(f"raw path {path} not covered by rewrite data")
@@ -123,13 +122,13 @@ class BasicAlgebra:
     # -- arithmetic ----------------------------------------------------------
 
     def one(self) -> dict:
-        return {i: Fraction(1) for i in self.idempotent_index.values()}
+        return {i: 1 for i in self.idempotent_index.values()}
 
     def idem(self, v) -> dict:
-        return {self.idempotent_index[str(v)]: Fraction(1)}
+        return {self.idempotent_index[str(v)]: 1}
 
     def basis_el(self, i: int) -> dict:
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def mul(self, x: dict, y: dict) -> dict:
         out = {}
@@ -162,7 +161,7 @@ class BasicAlgebra:
     def cartan_matrix(self) -> Matrix:
         """Entry (i, j) counts basis paths from vertex i to vertex j."""
         n = len(self.quiver.vertices)
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for k in range(self.dim):
             i = self.quiver.vertex_index[self.source[k]]
             j = self.quiver.vertex_index[self.target[k]]
@@ -221,10 +220,10 @@ class BasicAlgebra:
     def corner_inverse(self, u: dict, vertex: str) -> dict:
         """Inverse of a unit in the local corner e_v A e_v (Neumann series)."""
         ei = self.idempotent_index[str(vertex)]
-        c = u.get(ei, Fraction(0))
+        c = u.get(ei, 0)
         if c == 0:
             raise TiltbenchError("corner element is not a unit")
-        n = el_scale(Fraction(-1, 1) / c, el_sub(u, el_scale(c, self.basis_el(ei))))
+        n = el_scale(div(-1, c), el_sub(u, el_scale(c, self.basis_el(ei))))
         inv = self.basis_el(ei)
         power = self.basis_el(ei)
         for _ in range(self.nil_length + 1):
@@ -234,7 +233,7 @@ class BasicAlgebra:
             inv = el_add(inv, power)
         else:
             raise TiltbenchError("corner element is not a unit (series did not terminate)")
-        return el_scale(Fraction(1, 1) / c, inv)
+        return el_scale(div(1, c), inv)
 
 
 def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> BasicAlgebra:

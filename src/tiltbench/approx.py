@@ -9,8 +9,6 @@ verified by an exact rank count before returning.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import BasicAlgebra
 from .errors import TiltbenchError
 from .linalg import Coordinates, Matrix
@@ -24,8 +22,6 @@ from .reps import (
     projective_labels,
 )
 
-ZERO = Fraction(0)
-
 
 def _prepend_map(a: BasicAlgebra, k: int):
     """Module map P(target of path k) -> P(source of path k): prepend path k."""
@@ -35,7 +31,7 @@ def _prepend_map(a: BasicAlgebra, k: int):
     pt = ProjSum(a, [tgt_lab])
     from .reps import realize_entry_map
 
-    return realize_entry_map(ps, pt, [[{k: Fraction(1)}]]), ps.rep, pt.rep
+    return realize_entry_map(ps, pt, [[{k: 1}]]), ps.rep, pt.rep
 
 
 def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representation):

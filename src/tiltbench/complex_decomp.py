@@ -10,7 +10,6 @@ the summand and the symbolic form of its differentials.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .algebra import el_from_vector, el_to_vector
 from .decompose import FiniteDimAlgebra, lift_idempotent, primitive_idempotents
@@ -26,9 +25,6 @@ from .complexes import (
     minimize,
 )
 from .reps import ModuleMap, ProjSum, extract_entry_map, realize_entry_map
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ChainEndData(FiniteDimAlgebra):
@@ -59,7 +55,7 @@ class ChainEndData(FiniteDimAlgebra):
         vec = {}
         for k, c in x.items():
             for p, y in self._vectors[k].items():
-                vec[p] = vec.get(p, ZERO) + c * y
+                vec[p] = vec.get(p, 0) + c * y
         return self.space.vector_to_chain_map(el_to_vector(vec, len(self.space.positions)))
 
 
@@ -237,7 +233,7 @@ def _component_complex(c: ProjComplex, comp):
         inc = emat_zero(len(comp[d]), len(c.term(d)))
         prj = emat_zero(len(c.term(d)), len(comp[d]))
         for pos, i in enumerate(comp[d]):
-            ident = {alg.idempotent_index[c.term(d)[i]]: ONE}
+            ident = {alg.idempotent_index[c.term(d)[i]]: 1}
             inc[pos][i] = ident
             prj[i][pos] = ident
         incl_mats[d] = inc
@@ -268,7 +264,7 @@ def complexes_isomorphic(x: ProjComplex, y: ProjComplex):
             bound = 2 + attempt - len(cands)
             f = None
             for cm in cands:
-                co = Fraction(rng.randint(-bound, bound))
+                co = rng.randint(-bound, bound)
                 if co:
                     f = cm.scale(co) if f is None else f + cm.scale(co)
             if f is None:

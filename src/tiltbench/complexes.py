@@ -12,11 +12,9 @@ differentials pick up the sign (-1)^n.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import BasicAlgebra, el_add, el_is_zero, el_scale, el_sub, el_to_vector
 from .errors import TiltbenchError
-from .linalg import Coordinates, Matrix, row_space_basis, sparse_kernel
+from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_kernel
 from .reps import (
     ModuleMap,
     ProjSum,
@@ -24,9 +22,6 @@ from .reps import (
     quotient_representation,
     realize_entry_map,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # -- entry matrices -----------------------------------------------------------
@@ -40,7 +35,7 @@ def emat_identity(alg: BasicAlgebra, labels):
     n = len(labels)
     out = emat_zero(n, n)
     for i, lab in enumerate(labels):
-        out[i][i] = {alg.idempotent_index[str(lab)]: ONE}
+        out[i][i] = {alg.idempotent_index[str(lab)]: 1}
     return out
 
 
@@ -108,7 +103,7 @@ class ProjComplex:
             clean = emat_zero(len(src), len(tgt))
             for i in range(len(src)):
                 for j in range(len(tgt)):
-                    x = {k: Fraction(v) for k, v in mat[i][j].items() if Fraction(v) != 0}
+                    x = {k: c for k, c in ((k, frac(v)) for k, v in mat[i][j].items()) if c}
                     for k in x:
                         if (
                             algebra.source[k] != tgt[j]
@@ -165,7 +160,7 @@ class ProjComplex:
 
     def shift(self, n: int) -> "ProjComplex":
         terms = {d - n: labels for d, labels in self.terms.items()}
-        sign = ONE if n % 2 == 0 else -ONE
+        sign = 1 if n % 2 == 0 else -1
         diffs = {d - n: emat_scale(sign, mat) for d, mat in self.diffs.items()}
         return ProjComplex(self.algebra, terms, diffs)
 
@@ -360,15 +355,15 @@ class HomotopySpace:
                     for j in range(len(tgt_d)):
                         for k in alg.paths_between(tgt_d[j], src_d[i]):
                             p = pos[(d, i, j, k)]
-                            for kk, c in alg.mul(dy[j][m], {k: ONE}).items():
+                            for kk, c in alg.mul(dy[j][m], {k: 1}).items():
                                 row = acc.setdefault(kk, {})
-                                row[p] = row.get(p, ZERO) + c
+                                row[p] = row.get(p, 0) + c
                     for jp in range(len(src_d1)):
                         for k in alg.paths_between(tgt_d1[m], src_d1[jp]):
                             p = pos[(d + 1, jp, m, k)]
-                            for kk, c in alg.mul({k: ONE}, dx[i][jp]).items():
+                            for kk, c in alg.mul({k: 1}, dx[i][jp]).items():
                                 row = acc.setdefault(kk, {})
-                                row[p] = row.get(p, ZERO) - c
+                                row[p] = row.get(p, 0) - c
                     rows.extend(acc.values())
         self.chain_vectors = sparse_kernel(rows, n_unk)
 
@@ -389,19 +384,19 @@ class HomotopySpace:
                         terms = [
                             ((d, i, m, kk), c)
                             for m in range(len(y_shifted.term(d)))
-                            for kk, c in alg.mul(dy[j][m], {k: ONE}).items()
+                            for kk, c in alg.mul(dy[j][m], {k: 1}).items()
                         ]
                         # (dX^{d-1} then h^d): component at degree d-1, entries (ip, j)
                         terms += [
                             ((d - 1, ip, j, kk), c)
                             for ip in range(len(x.term(d - 1)))
-                            for kk, c in alg.mul({k: ONE}, dx[ip][i]).items()
+                            for kk, c in alg.mul({k: 1}, dx[ip][i]).items()
                         ]
                         row = {}
                         for key, c in terms:
                             p = pos.get(key)
                             if p is not None:
-                                row[p] = row.get(p, ZERO) + c
+                                row[p] = row.get(p, 0) + c
                         null_rows.append(el_to_vector(row, n_unk))
 
         # class representatives: the chain vectors independent of the null
@@ -436,7 +431,7 @@ class HomotopySpace:
                             if c != 0:
                                 raise TiltbenchError("chain map outside coordinate support")
                             continue
-                        s = vec.get(p, ZERO) + c
+                        s = vec.get(p, 0) + c
                         if s:
                             vec[p] = s
                         else:
@@ -470,7 +465,7 @@ class HomotopySpace:
                 ab = a * b
                 for kk, c in prod.items():
                     q = pos[(d, i, m, kk)]
-                    s = out.get(q, ZERO) + ab * c
+                    s = out.get(q, 0) + ab * c
                     if s:
                         out[q] = s
                     else:
@@ -489,7 +484,7 @@ class HomotopySpace:
     def reduce(self, cm: ChainMapC):
         """Coordinates of the homotopy class of cm in the class basis."""
         coords = self.class_coords(self.chain_map_terms(cm))
-        return [coords.get(k, ZERO) for k in range(self.dim)]
+        return [coords.get(k, 0) for k in range(self.dim)]
 
     def is_null(self, cm: ChainMapC) -> bool:
         return all(c == 0 for c in self.reduce(cm))
@@ -563,22 +558,22 @@ def _cancel(c: ProjComplex, d: int, i: int, j: int):
         if dd == d:
             p_m = emat_zero(len(src), len(keep_src))
             for ri, r in enumerate(keep_src):
-                p_m[r][ri] = {alg.idempotent_index[src[r]]: ONE}
+                p_m[r][ri] = {alg.idempotent_index[src[r]]: 1}
             p_mats[dd] = p_m
             i_m = emat_zero(len(keep_src), len(src))
             for ri, r in enumerate(keep_src):
-                i_m[ri][r] = {alg.idempotent_index[src[r]]: ONE}
+                i_m[ri][r] = {alg.idempotent_index[src[r]]: 1}
                 i_m[ri][i] = el_scale(-1, alg.mul(u_inv, c.diff(d)[r][j]))
             i_mats[dd] = i_m
         elif dd == d + 1:
             p_m = emat_zero(len(tgt), len(keep_tgt))
             for si, s in enumerate(keep_tgt):
-                p_m[s][si] = {alg.idempotent_index[tgt[s]]: ONE}
+                p_m[s][si] = {alg.idempotent_index[tgt[s]]: 1}
                 p_m[j][si] = el_scale(-1, alg.mul(c.diff(d)[i][s], u_inv))
             p_mats[dd] = p_m
             i_m = emat_zero(len(keep_tgt), len(tgt))
             for si, s in enumerate(keep_tgt):
-                i_m[si][s] = {alg.idempotent_index[tgt[s]]: ONE}
+                i_m[si][s] = {alg.idempotent_index[tgt[s]]: 1}
             i_mats[dd] = i_m
         else:
             if dd in nc.terms:

@@ -28,7 +28,6 @@ and Newton lifting of idempotents modulo the radical.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .algebra import el_add, el_from_vector, el_scale, el_sub, el_to_vector
 from .errors import DecompositionError, TiltbenchError
@@ -51,9 +50,6 @@ from .reps import (
     close_under_arrows,
     flatten_map,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # -- abstract finite-dimensional algebras -------------------------------------
@@ -91,7 +87,7 @@ class FiniteDimAlgebra:
             for j, b in y.items():
                 ab = a * b
                 for k, c in self.basis_product(i, j).items():
-                    s = out.get(k, ZERO) + ab * c
+                    s = out.get(k, 0) + ab * c
                     if s:
                         out[k] = s
                     else:
@@ -103,7 +99,7 @@ class FiniteDimAlgebra:
 
     def left_matrix(self, x: dict) -> Matrix:
         """Matrix of left multiplication by x: row j is x * e_j."""
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for i, a in x.items():
             for j, row in enumerate(rows):
                 for k, c in self.basis_product(i, j).items():
@@ -114,11 +110,11 @@ class FiniteDimAlgebra:
         """Radical as the kernel of the trace form tr L_{e_i e_j}, using
         tr L_{e_k} = sum over m of the e_m-coefficient of e_k * e_m."""
         n = self.dim
-        trace = [sum((self.basis_product(i, m).get(m, ZERO) for m in range(n)), ZERO) for i in range(n)]
-        form = [[ZERO] * n for _ in range(n)]
+        trace = [sum(self.basis_product(i, m).get(m, 0) for m in range(n)) for i in range(n)]
+        form = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                form[i][j] = form[j][i] = sum((c * trace[k] for k, c in self.basis_product(i, j).items()), ZERO)
+                form[i][j] = form[j][i] = sum(c * trace[k] for k, c in self.basis_product(i, j).items())
         return row_space_basis(Matrix(n, n, form).left_kernel_basis())
 
     def semisimple_dim(self) -> int:
@@ -145,11 +141,11 @@ def lift_idempotent(alg: FiniteDimAlgebra, x: dict, max_iter: int = 64) -> dict:
 def _probe_elements(alg: FiniteDimAlgebra, rng: random.Random, rounds: int):
     """Deterministic-then-random stream of probe elements."""
     for i in range(alg.dim):
-        yield {i: ONE}
+        yield {i: 1}
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            yield {i: ONE, j: ONE}
-            yield {i: ONE, j: -ONE}
+            yield {i: 1, j: 1}
+            yield {i: 1, j: -1}
     for r in range(rounds):
         bound = 3 + 2 * r
         yield el_from_vector([rng.randint(-bound, bound) for _ in range(alg.dim)])
@@ -185,8 +181,8 @@ def _coprime_factors(mu):
     roots = rational_roots(mu)
     if not roots:
         return None
-    lin = [-min(roots), ONE]
-    m1 = [ONE]
+    lin = [-min(roots), 1]
+    m1 = [1]
     m2 = list(mu)
     while True:
         q, rem = pdivmod(m2, lin)
@@ -212,7 +208,7 @@ def _corner_min_poly(alg: FiniteDimAlgebra, x: dict, unit: dict):
 
 def _corner_is_local(alg: FiniteDimAlgebra, unit: dict) -> bool:
     """Whether unit*A*unit is local: semisimple quotient of dimension 1."""
-    basis = sparse_row_space([alg.mul(alg.mul(unit, {i: ONE}), unit) for i in range(alg.dim)])
+    basis = sparse_row_space([alg.mul(alg.mul(unit, {i: 1}), unit) for i in range(alg.dim)])
     if not basis:
         raise DecompositionError("corner collapsed to zero")
     corner_span = Coordinates([alg.el_to_vector(b) for b in basis], alg.dim)
@@ -307,11 +303,11 @@ class EndAlgebra(FiniteDimAlgebra):
         n = self.dim
         flats = [[(k, x) for k, x in enumerate(flatten_map(f)) if x] for f in self.maps]
         transposed = [_transposed_flat(f) for f in self.maps]
-        form = [[ZERO] * n for _ in range(n)]
+        form = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 t = transposed[j]
-                form[i][j] = form[j][i] = sum((x * t[k] for k, x in flats[i] if k in t), ZERO)
+                form[i][j] = form[j][i] = sum(x * t[k] for k, x in flats[i] if k in t)
         return row_space_basis(Matrix(n, n, form).left_kernel_basis())
 
 
@@ -384,7 +380,7 @@ def _spin_split(m: Representation, rng: random.Random, attempts: int = 24):
         spaces = {v: Matrix.zero(0, m.dims[v]) for v in verts}
         for _ in range(n_vecs):
             v = rng.choice([w for w in verts if m.dims[w]])
-            vec = [Fraction(rng.randint(-3, 3)) for _ in range(m.dims[v])]
+            vec = [rng.randint(-3, 3) for _ in range(m.dims[v])]
             spaces[v] = spaces[v].vstack(Matrix(1, m.dims[v], [vec]))
         closed = close_under_arrows(m, spaces)
         sub, incl = sub_representation(m, closed)
@@ -507,10 +503,10 @@ def _endo_candidates(end: EndAlgebra, rng: random.Random, rounds: int = 30):
     """(coordinates, map) pairs: the basis maps, their pairwise sums, then
     seeded random combinations."""
     for i, f in enumerate(end.maps):
-        yield {i: ONE}, f
+        yield {i: 1}, f
     for i in range(end.dim):
         for j in range(i + 1, end.dim):
-            yield {i: ONE, j: ONE}, end.maps[i] + end.maps[j]
+            yield {i: 1, j: 1}, end.maps[i] + end.maps[j]
     for r in range(rounds):
         bound = 2 + r
         coords = el_from_vector([rng.randint(-bound, bound) for _ in range(end.dim)])
@@ -596,7 +592,7 @@ def is_isomorphic(m: Representation, n: Representation):
             bound = 2 + attempt
             f = None
             for g in h:
-                c = Fraction(rng.randint(-bound, bound))
+                c = rng.randint(-bound, bound)
                 if c:
                     f = g.scale(c) if f is None else f + g.scale(c)
             if f is None:
@@ -640,7 +636,7 @@ def is_isomorphic(m: Representation, n: Representation):
 
     off_d, d_total = copy_offsets(sm)
     off_e, e_total = copy_offsets(sn)
-    big = {v: [[ZERO] * e_total[v] for _ in range(d_total[v])] for v in verts}
+    big = {v: [[0] * e_total[v] for _ in range(d_total[v])] for v in verts}
     for idx, (rep, mult) in enumerate(sm):
         j, fij = matches[idx]
         for c in range(mult):

@@ -1,12 +1,18 @@
 """Dense exact linear algebra over the rationals.
 
-Everything is built on :class:`fractions.Fraction`, so results are exact and
-scalars are always reduced with a positive denominator.  Matrices are small
-(desk scale), dense, and immutable by convention: no routine mutates its
-inputs.  ``Matrix.rref``, behind every rank, kernel and solve, eliminates on
-integer rows (each row scaled by the lcm of its denominators) and builds
-Fractions once, dividing each pivot row by its pivot at the end.  Operations
-whose entries are Fractions by construction build their result with
+An exact scalar is a Python ``int`` when its value is integral and a
+:class:`fractions.Fraction` otherwise, never a float.  ``frac`` turns any
+input into this canonical scalar, and ``div`` is the one place where scalars
+are divided: its quotient is an int when the division is exact.  Ints and
+Fractions compare and hash equal, so which of the two an integral value is
+changes no result, only its cost.  Constructors and elimination outputs are
+canonical; sums and products of canonical scalars are ints or Fractions and
+are left as they come.  Matrices are small (desk scale), dense, and immutable
+by convention: no routine mutates its inputs.  ``Matrix.rref``, behind every
+rank, kernel and solve, eliminates on integer rows (each row scaled by the lcm
+of its denominators) and divides each pivot row by its pivot once, at the
+end; ``Matrix.det`` eliminates fraction-free (Bareiss).  Operations whose
+entries are exact scalars by construction build their result with
 ``Matrix._trusted``, skipping the public constructor's checks.
 :class:`Coordinates` eliminates a list of rows once, grows it a row at a
 time, and gives the coordinates of any vector in their span.
@@ -25,26 +31,37 @@ from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-def frac(x) -> Fraction:
-    """Coerce ints, strings like ``"-3/4"``, or Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def frac(x):
+    """The canonical exact scalar of an int, a Fraction, a string like
+    ``"-3/4"`` or a float (converted exactly): an int when its value is
+    integral, a Fraction otherwise."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def div(a, b):
+    """a / b for exact scalars (ints and Fractions), as a canonical scalar:
+    ``a // b`` when both are ints and b divides a.  Raises ZeroDivisionError
+    when b is 0 and TypeError on a float."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions.  Zero rows/cols are legal."""
+    """Immutable dense matrix of exact scalars.  Zero rows/cols are legal."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"bad shape ({rows}, {cols})")
-        data = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in data)
+        data = tuple(tuple(x if type(x) is int else frac(x) for x in row) for row in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch(f"data does not match shape ({rows}, {cols})")
         self.rows = rows
@@ -53,8 +70,9 @@ class Matrix:
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, data) -> "Matrix":
-        """Wrap data that is already a rows-tuple of cols-tuples of Fractions,
-        without the shape check and coercion of the public constructor."""
+        """Wrap data that is already a rows-tuple of cols-tuples of ints and
+        Fractions, without the shape check and canonicalization of the public
+        constructor."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
@@ -70,11 +88,11 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -129,7 +147,7 @@ class Matrix:
             raise DimensionMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = []
         for srow in self.data:
-            orow = [ZERO] * other.cols
+            orow = [0] * other.cols
             for k, a in enumerate(srow):
                 if a == 0:
                     continue
@@ -176,7 +194,7 @@ class Matrix:
         Elimination runs on integer rows: each row is scaled by the lcm of its
         denominators, an eliminated row becomes ``p * row - f * pivot_row``
         divided by the gcd of its entries, and each pivot row is divided by
-        its pivot once, at the end.
+        its pivot once, at the end, through ``div``.
         """
         m = []
         for row in self.data:
@@ -206,8 +224,8 @@ class Matrix:
         out = []
         for row, c in zip(m, pivots):
             p = row[c]
-            out.append(tuple(Fraction(a, p) if a else ZERO for a in row))
-        out.extend([(ZERO,) * self.cols] * (self.rows - r))
+            out.append(tuple(row) if p == 1 else tuple(div(a, p) for a in row))
+        out.extend([(0,) * self.cols] * (self.rows - r))
         return Matrix._trusted(self.rows, self.cols, tuple(out)), pivots
 
     def rank(self) -> int:
@@ -219,8 +237,8 @@ class Matrix:
         free = [j for j in range(self.cols) if j not in pivots]
         cols = []
         for j in free:
-            v = [ZERO] * self.cols
-            v[j] = ONE
+            v = [0] * self.cols
+            v[j] = 1
             for r, p in enumerate(pivots):
                 v[p] = -red.data[r][j]
             cols.append(v)
@@ -235,7 +253,7 @@ class Matrix:
         for p in pivots:
             if p >= self.cols:
                 return None
-        x = [[ZERO] * b.cols for _ in range(self.cols)]
+        x = [[0] * b.cols for _ in range(self.cols)]
         for r, p in enumerate(pivots):
             for j in range(b.cols):
                 x[p][j] = aug.data[r][self.cols + j]
@@ -254,26 +272,41 @@ class Matrix:
             return None
         return x
 
-    def det(self) -> Fraction:
+    def det(self):
+        """The determinant, by fraction-free (Bareiss) elimination.
+
+        Each row is scaled to integers by the lcm of its denominators, which
+        scales the determinant by their product.  The step at pivot p replaces
+        each row x below the pivot row y by ``(p * x - f * y) // prev``, where
+        f is x's entry in the pivot column and prev the pivot before p; the
+        division is exact (Sylvester's identity), every entry stays an integer
+        minor, and the last pivot is the determinant of the integer rows.
+        """
         if self.rows != self.cols:
             raise DimensionMismatch("det: not square")
-        m = [list(row) for row in self.data]
         n = self.rows
-        d = ONE
+        m = []
+        den = 1
+        for row in self.data:
+            d = lcm(*(x.denominator for x in row))
+            den *= d
+            m.append([x.numerator * (d // x.denominator) for x in row])
+        sign = 1
+        prev = 1
         for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+            pr = next((i for i in range(c, n) if m[i][c]), None)
             if pr is None:
-                return ZERO
+                return 0
             if pr != c:
                 m[c], m[pr] = m[pr], m[c]
-                d = -d
-            d *= m[c][c]
-            inv = ONE / m[c][c]
+                sign = -sign
+            prow = m[c]
+            p = prow[c]
             for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return d
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+            prev = p
+        return div(sign * prev, den)
 
 
 class Coordinates:
@@ -317,7 +350,7 @@ class Coordinates:
         pivot = next((j for j, x in enumerate(rest) if x), None)
         if pivot is None:
             return coeffs
-        inv = ONE / rest[pivot]
+        inv = div(1, rest[pivot])
         combination = [(k, -c * inv) for k, c in enumerate(coeffs) if c]
         combination.append((self.count, inv))
         self._row_at[pivot] = len(self._echelon)
@@ -332,7 +365,7 @@ class Coordinates:
         rest = list(v)
         if len(rest) != self.width:
             raise DimensionMismatch(f"vector of length {len(rest)} against rows of width {self.width}")
-        coeffs = [ZERO] * self.count
+        coeffs = [0] * self.count
         for pivot, entries, combination in self._echelon:
             c = rest[pivot]
             if c:
@@ -379,7 +412,7 @@ class Coordinates:
                     else:
                         del rest[j]
             for k, y in combination:
-                y = coeffs.get(k, ZERO) + c * y
+                y = coeffs.get(k, 0) + c * y
                 if y:
                     coeffs[k] = y
                 else:
@@ -389,7 +422,7 @@ class Coordinates:
 
 def sparse_kernel(rows, width: int) -> list:
     """Basis of the right kernel of a sparse matrix with ``width`` columns,
-    as tuples of Fractions: the basis ``Matrix.kernel_basis`` gives, one
+    as tuples of exact scalars: the basis ``Matrix.kernel_basis`` gives, one
     vector per free column j in increasing order, with 1 at j and minus the
     reduced entries of column j at the pivots.  ``rows`` are
     ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``.
@@ -400,12 +433,12 @@ def sparse_kernel(rows, width: int) -> list:
         p = row[c]
         for j, x in row.items():
             if j != c:
-                free_entries.setdefault(j, []).append((c, Fraction(-x, p)))
+                free_entries.setdefault(j, []).append((c, div(-x, p)))
     out = []
     for j in range(width):
         if j not in position:
-            vec = [ZERO] * width
-            vec[j] = ONE
+            vec = [0] * width
+            vec[j] = 1
             for c, x in free_entries.get(j, ()):
                 vec[c] = x
             out.append(tuple(vec))
@@ -414,13 +447,13 @@ def sparse_kernel(rows, width: int) -> list:
 
 def sparse_row_space(rows) -> list:
     """The nonzero rows of the RREF of a sparse matrix, in order, as
-    ``{column: Fraction}`` dicts with increasing columns: the rows
+    ``{column: scalar}`` dicts with increasing columns: the rows
     ``row_space_basis`` gives, without their zero entries.  ``rows`` are
     ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``."""
     out = []
     for c, row in sorted(_sparse_echelon(rows)[0], key=lambda e: e[0]):
         p = row[c]
-        out.append({j: Fraction(row[j], p) for j in sorted(row)})
+        out.append({j: div(row[j], p) for j in sorted(row)})
     return out
 
 
@@ -528,7 +561,7 @@ def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
     rows = []
     for i in range(ker.rows):
         coeffs = ker.row(i)[: a.rows]
-        vec = [ZERO] * a.cols
+        vec = [0] * a.cols
         for r, c in enumerate(coeffs):
             if c != 0:
                 for j in range(a.cols):

@@ -6,17 +6,13 @@ entry is nonzero (the zero polynomial is the empty list).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import Coordinates, Matrix
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import Coordinates, Matrix, div, frac
 
 
 def pnorm(p):
-    p = [Fraction(c) for c in p]
+    p = [frac(c) for c in p]
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -30,7 +26,7 @@ def padd(p, q):
 def pmul(p, q):
     if not p or not q:
         return []
-    out = [ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -40,7 +36,7 @@ def pmul(p, q):
 
 
 def pscale(c, p):
-    c = Fraction(c)
+    c = frac(c)
     return pnorm([c * x for x in p])
 
 
@@ -48,10 +44,10 @@ def pdivmod(p, q):
     p, q = pnorm(p), pnorm(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    quo = [ZERO] * max(0, len(p) - len(q) + 1)
+    quo = [0] * max(0, len(p) - len(q) + 1)
     rem = list(p)
     while len(rem) >= len(q) and rem:
-        c = rem[-1] / q[-1]
+        c = div(rem[-1], q[-1])
         k = len(rem) - len(q)
         quo[k] = c
         for i, b in enumerate(q):
@@ -62,7 +58,7 @@ def pdivmod(p, q):
 
 def pmonic(p):
     p = pnorm(p)
-    return pscale(ONE / p[-1], p) if p else p
+    return pscale(div(1, p[-1]), p) if p else p
 
 
 def pgcd(p, q):
@@ -83,8 +79,8 @@ def squarefree_part(p):
     return pmonic(pdivmod(p, g)[0])
 
 
-def peval_frac(p, x: Fraction) -> Fraction:
-    acc = ZERO
+def peval_frac(p, x):
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -105,15 +101,15 @@ def peval_matrix(p, m: Matrix) -> Matrix:
 def bezout(p, q):
     """(u, v) with u*p + v*q = gcd(p, q) monic."""
     r0, r1 = pnorm(p), pnorm(q)
-    u0, u1 = [ONE], []
-    v0, v1 = [], [ONE]
+    u0, u1 = [1], []
+    v0, v1 = [], [1]
     while r1:
         quo, rem = pdivmod(r0, r1)
         r0, r1 = r1, rem
         u0, u1 = u1, padd(u0, pscale(-1, pmul(quo, u1)))
         v0, v1 = v1, padd(v0, pscale(-1, pmul(quo, v1)))
-    lead = r0[-1]
-    return pscale(ONE / lead, u0), pscale(ONE / lead, v0)
+    inv = div(1, r0[-1])
+    return pscale(inv, u0), pscale(inv, v0)
 
 
 def min_poly_of_sequence(vectors, width: int):
@@ -128,7 +124,7 @@ def min_poly_of_sequence(vectors, width: int):
     for v in vectors:
         coords = span.add_or_coords(v)
         if coords is not None:
-            return pnorm([-c for c in coords] + [ONE])
+            return pnorm([-c for c in coords] + [1])
     raise ValueError("the sequence ended before its vectors became dependent")
 
 
@@ -165,12 +161,12 @@ def rational_roots(p):
     ints = [c // g for c in ints]
     roots = set()
     if ints and ints[0] == 0:  # square-free, so t divides it once
-        roots.add(ZERO)
+        roots.add(0)
         ints = ints[1:]
     if len(ints) > 1:
         for s in _divisors(ints[-1]):
             for r in _divisors(ints[0]):
-                for x in (Fraction(r, s), Fraction(-r, s)):
+                for x in (div(r, s), div(-r, s)):
                     if x not in roots and peval_frac(ints, x) == 0:
                         roots.add(x)
     return sorted(roots)

@@ -29,7 +29,6 @@ certifies that this suffices for the input at hand).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import BasicAlgebra, build_path_algebra, el_add, el_from_vector, el_scale, el_sub, el_to_vector
 from .decompose import FiniteDimAlgebra, primitive_idempotents
@@ -41,11 +40,8 @@ from .errors import (
     RadicalNotNilpotent,
     TiltbenchError,
 )
-from .linalg import Coordinates, Matrix, frac, sparse_row_space
+from .linalg import Coordinates, Matrix, div, frac, sparse_row_space
 from .quiver import Path, Quiver, Relation, arrow_multiples, longer_paths
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -66,7 +62,7 @@ def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
     """
     cells = [[el_from_vector(cell) for cell in row] for row in table]
     alg = FiniteDimAlgebra(dim, lambda i, j: cells[i][j], el_from_vector(one))
-    basis = [{i: ONE} for i in range(dim)]
+    basis = [{i: 1} for i in range(dim)]
     for i in range(dim):
         if alg.mul(alg.one, basis[i]) != basis[i] or alg.mul(basis[i], alg.one) != basis[i]:
             raise NoIdentity("declared identity is not two-sided")
@@ -134,7 +130,7 @@ def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
     # e_i A = span of the e_i e_k
     pieces = []
     for e in idems:
-        left = sparse_row_space([alg.mul(e, {k: ONE}) for k in range(dim)])
+        left = sparse_row_space([alg.mul(e, {k: 1}) for k in range(dim)])
         pieces.append([sparse_row_space([alg.mul(r, f) for r in left]) for f in idems])
     # traces[i]: (pivot column, trace of L_b on e_i A e_i) for each RREF basis
     # row b of e_i A e_i.  On that basis, an element of e_i A e_i has as its
@@ -142,20 +138,20 @@ def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
     traces = []
 
     def chi(i, x):  # chi_i(x) * dim(e_i A e_i), for x in e_i A e_i
-        return sum((x.get(p, ZERO) * t for p, t in traces[i]), ZERO)
+        return sum(x.get(p, 0) * t for p, t in traces[i])
 
     rad = [list(row) for row in pieces]
     for i in range(n):
         basis = pieces[i][i]
         pivots = [min(b) for b in basis]
         traces.append(
-            [(p, sum((alg.mul(b, c).get(q, ZERO) for c, q in zip(basis, pivots)), ZERO)) for b, p in zip(basis, pivots)]
+            [(p, sum(alg.mul(b, c).get(q, 0) for c, q in zip(basis, pivots))) for b, p in zip(basis, pivots)]
         )
         top = next(b for b in basis if chi(i, b))  # exists: chi_i(e_i) = 1
         kernel = []
         for b in basis:
             if b is not top:
-                c = chi(i, b) / chi(i, top)
+                c = div(chi(i, b), chi(i, top))
                 kernel.append(el_sub(b, el_scale(c, top)) if c else b)
         rad[i][i] = sparse_row_space(kernel)
     chain = [PeirceLayer(rad, dim)]
@@ -260,7 +256,7 @@ class _HomogeneousIdeal:
                 self._keep(prod)
 
     def _vector(self, row: dict):
-        vec = [ZERO] * self._span.width
+        vec = [0] * self._span.width
         for p, c in row.items():
             vec[self._index[p]] = c
         return vec
@@ -284,7 +280,7 @@ class _HomogeneousIdeal:
 def _row(rel: Relation) -> dict:
     row = {}
     for c, p in rel.terms:
-        row[p] = row.get(p, ZERO) + c
+        row[p] = row.get(p, 0) + c
     return row
 
 

@@ -8,7 +8,6 @@ composable when ``target(alpha) == source(beta)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import TiltbenchError, MixedLengthRelation
 from .linalg import frac
@@ -145,7 +144,7 @@ class Relation:
 
 
 def monomial_relation(q: Quiver, arrow_names) -> Relation:
-    return Relation(q, [(Fraction(1), path_from_arrows(q, arrow_names))])
+    return Relation(q, [(1, path_from_arrows(q, arrow_names))])
 
 
 def relation_from_words(q: Quiver, terms) -> Relation:

@@ -14,14 +14,9 @@ Conventions (used consistently everywhere):
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import BasicAlgebra
 from .errors import DimensionMismatch, NotProjective, TiltbenchError
 from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains, sparse_kernel
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Representation:
@@ -68,8 +63,8 @@ class Representation:
         for a in self.algebra.quiver.arrows:
             m1, m2 = self.mats[a.name], other.mats[a.name]
             block = [
-                list(m1.data[i]) + [ZERO] * m2.cols for i in range(m1.rows)
-            ] + [[ZERO] * m1.cols + list(m2.data[i]) for i in range(m2.rows)]
+                list(m1.data[i]) + [0] * m2.cols for i in range(m1.rows)
+            ] + [[0] * m1.cols + list(m2.data[i]) for i in range(m2.rows)]
             mats[a.name] = Matrix(dims[a.source], dims[a.target], block)
         return Representation(self.algebra, dims, mats, check=False)
 
@@ -189,7 +184,7 @@ def hom_space(m: Representation, n: Representation) -> list:
                 row = {col + j: x for col, x in left}
                 for k, y in enumerate(n_col):
                     if y:
-                        row[right + k] = row.get(right + k, ZERO) - y
+                        row[right + k] = row.get(right + k, 0) - y
                 rows.append(row)
     out = []
     for vec in sparse_kernel(rows, total):
@@ -232,7 +227,7 @@ class YonedaAction:
         """Rows of x's dim x(source) x dim x(target) matrix of el, an element
         supported on paths source -> target."""
         basis = self.x.algebra.basis
-        out = [[ZERO] * self.x.dims[target] for _ in range(self.x.dims[source])]
+        out = [[0] * self.x.dims[target] for _ in range(self.x.dims[source])]
         for k, c in el.items():
             p = basis[k]
             for row, prow in zip(out, self._path_matrix(p.source, p.arrows).data):
@@ -286,10 +281,10 @@ def projective(a: BasicAlgebra, v) -> Representation:
         rows = []
         src_idx = layout[ar.source]
         tgt_pos = {k: c for c, k in enumerate(layout[ar.target])}
-        ar_el = {a.index[p]: ONE for p in [q_path(a, ar)]}
+        ar_el = {a.index[p]: 1 for p in [q_path(a, ar)]}
         for k in src_idx:
             prod = a.mul(a.basis_el(k), ar_el)
-            row = [ZERO] * dims[ar.target]
+            row = [0] * dims[ar.target]
             for kk, c in prod.items():
                 row[tgt_pos[kk]] = c
             rows.append(row)
@@ -313,13 +308,13 @@ def injective(a: BasicAlgebra, v) -> Representation:
     for ar in q.arrows:
         src_idx = layout[ar.source]  # dual basis indexed by paths source -> v
         tgt_idx = layout[ar.target]
-        ar_el = {a.index[q_path(a, ar)]: ONE}
+        ar_el = {a.index[q_path(a, ar)]: 1}
         rows = []
         for p in src_idx:
-            row = [ZERO] * dims[ar.target]
+            row = [0] * dims[ar.target]
             for c_pos, r in enumerate(tgt_idx):
                 prod = a.mul(ar_el, a.basis_el(r))  # arrow * (path target->v)
-                row[c_pos] = prod.get(p, ZERO)
+                row[c_pos] = prod.get(p, 0)
             rows.append(row)
         mats[ar.name] = Matrix(dims[ar.source], dims[ar.target], rows)
     return Representation(a, dims, mats, check=False)
@@ -406,16 +401,16 @@ def quotient_representation(m: Representation, spaces: dict):
     for v in m.dims:
         rows = []
         for i in range(m.dims[v]):
-            e = [ZERO] * m.dims[v]
-            e[i] = ONE
+            e = [0] * m.dims[v]
+            e[i] = 1
             rows.append(project_vec(v, e))
         proj_mats[v] = Matrix(m.dims[v], dims[v], rows)
     mats = {}
     for a in m.algebra.quiver.arrows:
         rows = []
         for j in free[a.source]:
-            e = [ZERO] * m.dims[a.source]
-            e[j] = ONE
+            e = [0] * m.dims[a.source]
+            e[j] = 1
             img = Matrix(1, m.dims[a.source], [e]) * m.mats[a.name]
             rows.append(project_vec(a.target, img.row(0)))
         mats[a.name] = Matrix(dims[a.source], dims[a.target], rows)
@@ -550,7 +545,7 @@ def realize_entry_map(src: ProjSum, tgt: ProjSum, entries) -> ModuleMap:
     for w in alg.quiver.vertices:
         rows = []
         for (i, k) in src.layout[w]:
-            row = [ZERO] * len(tgt.layout[w])
+            row = [0] * len(tgt.layout[w])
             for j, lab_b in enumerate(tgt.labels):
                 x = entries[i][j]
                 if not x:
@@ -614,7 +609,7 @@ def nu_entry_map(algebra: BasicAlgebra, src_labels, tgt_labels, entries) -> Modu
     for w in q.vertices:
         rows = []
         for (i, k) in src_layout[w]:  # dual basis of paths w -> a_i
-            row = [ZERO] * len(tgt_layout[w])
+            row = [0] * len(tgt_layout[w])
             for j in range(len(tgt_labels)):
                 x = entries[i][j]
                 if not x:
@@ -624,7 +619,7 @@ def nu_entry_map(algebra: BasicAlgebra, src_labels, tgt_labels, entries) -> Modu
                     if jj != j:
                         continue
                     prod = algebra.mul(algebra.basis_el(r), x)
-                    c = prod.get(k, ZERO)
+                    c = prod.get(k, 0)
                     if c:
                         row[tgt_pos[w][(jj, r)]] += c
             rows.append(row)

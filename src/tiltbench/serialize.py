@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 from .algebra import BasicAlgebra, build_path_algebra
 from .complexes import ProjComplex
 from .errors import TiltbenchError
-from .linalg import Matrix
+from .linalg import Matrix, frac
 from .quiver import Quiver, Relation, path_from_arrows, trivial_path
 from .reps import Representation
 
@@ -42,14 +41,14 @@ def _field(d, key, field, kind=None, default=None):
 
 
 def scalar_to_str(c) -> str:
-    return str(Fraction(c))
+    return str(frac(c))
 
 
-def scalar_from_str(s, field="scalar") -> Fraction:
+def scalar_from_str(s, field="scalar"):
     """The rational number s, a ``"p/q"`` or ``"p"`` string; otherwise a
     TiltbenchError naming the field."""
     try:
-        return Fraction(str(s))
+        return frac(str(s))
     except (ValueError, ZeroDivisionError):
         raise TiltbenchError(f"{field}: not a rational number: {json.dumps(s)[:60]}") from None
 

@@ -28,7 +28,6 @@ The central objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import BasicAlgebra, el_from_vector
 from .approx import (
@@ -73,9 +72,6 @@ from .reps import (
     top,
     zero_rep,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # -- nu-stability of projectives ----------------------------------------------
@@ -260,7 +256,7 @@ def verify_tilting(
     square = len(k0) == len(verts)
     unimodular = False
     if square and k0:
-        det = Matrix(len(k0), len(verts), [[Fraction(c) for c in row] for row in k0]).det()
+        det = Matrix(len(k0), len(verts), k0).det()
         unimodular = det in (1, -1)
     basic = all(mult == 1 for _, mult in summands)
     return TiltingReport(
@@ -502,7 +498,7 @@ class TiltingContext:
         for ar in pres.quiver.arrows:
             wi = pres.quiver.vertex_index[ar.source]
             wj = pres.quiver.vertex_index[ar.target]
-            vec = [ZERO] * len(end.space.positions)
+            vec = [0] * len(end.space.positions)
             for k, c in pres.arrow_elements[ar.name].items():
                 for p, y in enumerate(end.space.class_vectors[k]):
                     if y:
@@ -538,7 +534,7 @@ class TiltingContext:
             pre_in = act.precomposition(d_in, parts[("term", w, deg - 1)], labels)
             chain_coords = list(pre_in.left_kernel_basis().data)
         else:
-            chain_coords = [[ONE if k == j else ZERO for k in range(n)] for j in range(n)]
+            chain_coords = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
         # null maps: (next differential) then psi for psi on the next term
         null_coords = []
         d_out = parts.get(("diff", w, deg))
@@ -572,7 +568,7 @@ class TiltingContext:
             wj = pres.quiver.vertex_index[ar.target]
             component = parts.get(("component", ar.name, -i))  # T_wj^{-i} -> T_wi^{-i}
             if not reps[wi] or component is None or stalk[wj] is None:
-                rows = [[ZERO] * len(reps[wj]) for _ in reps[wi]]
+                rows = [[0] * len(reps[wj]) for _ in reps[wi]]
             else:
                 pre = act.precomposition(component, parts[("term", wj, -i)], parts[("term", wi, -i)])
                 images = Matrix(len(reps[wi]), pre.rows, [coords for _, coords in reps[wi]]) * pre

@@ -7,12 +7,54 @@ from tiltbench.errors import DimensionMismatch
 from tiltbench.linalg import (
     Coordinates,
     Matrix,
+    div,
+    frac,
     intersect_row_spaces,
     row_space_basis,
     row_spaces_equal,
     sparse_kernel,
     sparse_row_space,
 )
+
+
+def canonical(x):
+    """An exact scalar in canonical form: an int, or a Fraction that is not
+    integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def exact(x):
+    """An exact scalar, canonical or not: never a float, string or bool."""
+    return type(x) is int or type(x) is Fraction
+
+
+def test_div_gives_canonical_quotients():
+    assert div(6, 3) == 2 and type(div(6, 3)) is int
+    assert div(-6, 3) == -2 and type(div(-6, 3)) is int
+    assert div(0, -5) == 0 and type(div(0, -5)) is int
+    assert div(6, 4) == Fraction(3, 2) and type(div(6, 4)) is Fraction
+    assert div(-1, 3) == Fraction(-1, 3) and div(1, -3) == Fraction(-1, 3)
+    # mixed and Fraction inputs: canonical whichever way the quotient falls
+    assert div(Fraction(3, 2), Fraction(1, 2)) == 3 and type(div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert div(3, Fraction(3)) == 1 and type(div(3, Fraction(3))) is int
+    assert div(Fraction(4), 2) == 2 and type(div(Fraction(4), 2)) is int
+    assert div(1, Fraction(2, 3)) == Fraction(3, 2) and type(div(1, Fraction(2, 3))) is Fraction
+    assert div(Fraction(1, 2), 3) == Fraction(1, 6)
+    for a, b in [(1, 0), (0, 0), (Fraction(1, 2), 0), (1, Fraction(0)), (Fraction(0), Fraction(0))]:
+        with pytest.raises(ZeroDivisionError):
+            div(a, b)
+    with pytest.raises(TypeError):
+        div(1.0, 2)
+    rng = random.Random(5)
+    scalars = [rng.randint(-12, 12) for _ in range(40)] + [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(40)]
+    for a in scalars:
+        for b in scalars:
+            if b:
+                q = div(a, b)
+                assert canonical(q) and q == Fraction(a) / Fraction(b)
+    assert all(canonical(frac(x)) for x in scalars + ["-3/4", "6/3", 0.5, 2.0, True])
+    assert frac(Fraction(6, 3)) == 2 and type(frac(Fraction(6, 3))) is int
+    assert frac(True) == 1 and type(frac(True)) is int
 
 
 def test_rank_identity_and_zero():
@@ -146,6 +188,50 @@ def fraction_gauss_jordan(rows, cols, data):
     return m, pivots
 
 
+def fraction_det(data):
+    """Reference: the determinant by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in data]
+    n = len(m)
+    d = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return d
+
+
+def test_det_matches_fraction_elimination():
+    rng = random.Random(1982)
+    for case in range(400):
+        n = rng.randint(0, 7)
+        if case % 2:  # integer entries, large ones in every fourth case
+            bound = 10**20 if case % 4 == 1 else 5
+            data = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+        else:
+            data = [
+                [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 10**12])) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+        if n >= 2 and rng.random() < 0.25:  # singular: a row that depends on another
+            i, k = rng.sample(range(n), 2)
+            data[i] = [3 * x for x in data[k]]
+        got = Matrix(n, n, data).det()
+        assert got == fraction_det(data)
+        assert canonical(got)
+    assert Matrix.zero(0, 0).det() == 1
+    assert Matrix.from_rows([[0, 1], [1, 0]]).det() == -1
+    assert Matrix.from_rows([[Fraction(1, 2), 0], [0, 4]]).det() == 2
+    with pytest.raises(DimensionMismatch):
+        Matrix.zero(2, 3).det()
+
+
 def test_rref_matches_fraction_gauss_jordan():
     rng = random.Random(1968)
     for case in range(400):
@@ -178,10 +264,10 @@ def test_rref_matches_fraction_gauss_jordan():
         assert pivots == want_pivots
         assert (red.rows, red.cols) == (rows, cols)
         assert [list(row) for row in red.data] == want
-        assert all(type(x) is Fraction for row in red.data for x in row)
+        assert all(canonical(x) for row in red.data for x in row)
 
 
-def test_matrix_operations_hold_only_fractions():
+def test_matrix_operations_hold_only_exact_scalars():
     rng = random.Random(7)
 
     def rand(rows, cols):
@@ -189,16 +275,9 @@ def test_matrix_operations_hold_only_fractions():
 
     a, b, c = rand(3, 4), rand(3, 4), rand(4, 2)
     sq = Matrix.from_rows([[2, 1, 0], [Fraction(1, 2), -3, 1], [0, 4, Fraction(-5, 7)]])
-    results = [
-        a + b,
-        a - b,
-        -a,
-        a * c,
-        a.scale(Fraction(-2, 3)),
-        a.scale(2),
-        a * 2,
-        3 * a,
-        a.transpose(),
+    # constructors and elimination give canonical scalars
+    canonical_results = [
+        a,
         a.hstack(b),
         a.vstack(b),
         a.submatrix([2, 0], [3, 1]),
@@ -206,18 +285,37 @@ def test_matrix_operations_hold_only_fractions():
         a.kernel_basis(),
         a.solve(a * c),
         sq.inverse(),
-        Matrix.zero(0, 3).transpose(),
-        Matrix.zero(3, 0).transpose(),
-        Matrix.zero(2, 0) * Matrix.zero(0, 3),
+        Matrix.identity(3),
+        Matrix.zero(2, 3),
         Matrix.zero(0, 3).rref()[0],
         Matrix.zero(3, 0).rref()[0],
     ]
+    # arithmetic gives ints and Fractions, integral Fractions included
+    arithmetic_results = [
+        a + b,
+        a - b,
+        -a,
+        a * c,
+        a.scale(Fraction(-2, 3)),
+        a.scale(2),
+        a.scale(Fraction(4, 2)),
+        a * 2,
+        3 * a,
+        a.transpose(),
+        Matrix.zero(0, 3).transpose(),
+        Matrix.zero(3, 0).transpose(),
+        Matrix.zero(2, 0) * Matrix.zero(0, 3),
+    ]
     assert sq.inverse() is not None and a.solve(a * c) is not None
-    for m in results:
-        assert all(type(x) is Fraction for row in m.data for x in row)
+    for m in canonical_results:
+        assert all(canonical(x) for row in m.data for x in row)
+    for m in canonical_results + arithmetic_results:
+        assert all(exact(x) for row in m.data for x in row)
         assert m == Matrix(m.rows, m.cols, [list(row) for row in m.data])
-    assert Matrix(1, 3, [[2, "-3/4", Fraction(1, 2)]]).data == ((Fraction(2), Fraction(-3, 4), Fraction(1, 2)),)
-    assert all(type(x) is Fraction for x in Matrix(1, 2, [[1, "5"]]).data[0])
+    data = Matrix(1, 6, [[2, "-3/4", Fraction(1, 2), Fraction(6, 3), "5", 0.25]]).data
+    assert data == ((2, Fraction(-3, 4), Fraction(1, 2), 2, 5, Fraction(1, 4)),)
+    assert all(canonical(x) for x in data[0])
+    assert [type(x) for x in Matrix(1, 3, [[True, 2.0, False]]).data[0]] == [int, int, int]
     for rows, cols, data in [(2, 2, [[1, 2], [3]]), (2, 2, [[1, 2]]), (1, 2, [[1, 2, 3]]), (0, 1, [[1]]), (-1, 0, [])]:
         with pytest.raises(DimensionMismatch):
             Matrix(rows, cols, data)

@@ -9,7 +9,7 @@ from tiltbench.complexes import HomotopySpace, ProjComplex, regular_stalk
 from tiltbench.complex_decomp import complexes_isomorphic
 from tiltbench.errors import NotConcentrated, NotTilting, PreconditionFailed, TiltbenchError
 from tiltbench.presentation import presentations_match
-from tiltbench.quiver import Quiver, path_from_arrows
+from tiltbench.quiver import Quiver, path_from_arrows, relation_from_words
 from tiltbench.algebra import build_path_algebra
 from tiltbench.linalg import Coordinates, Matrix
 from tiltbench.reps import (
@@ -290,7 +290,8 @@ def test_f_homology_cache_holds_only_module_independent_parts():
         fresh = make()
         assert [answer(fresh, x) for x in reversed(mods)] == again[::-1]
         # every cached value is a label list or an entry matrix of algebra
-        # elements: nothing in the cache is built from a module
+        # elements with exact scalars: nothing in the cache is built from a
+        # module
         for v in ctx._f_hom_cache.values():
             assert isinstance(v, list)
             labels = all(isinstance(lab, str) for lab in v)
@@ -298,7 +299,7 @@ def test_f_homology_cache_holds_only_module_independent_parts():
                 isinstance(row, list)
                 and all(
                     isinstance(el, dict)
-                    and all(isinstance(k, int) and isinstance(c, Fraction) for k, c in el.items())
+                    and all(isinstance(k, int) and type(c) in (int, Fraction) for k, c in el.items())
                     for el in row
                 )
                 for row in v
@@ -559,3 +560,44 @@ def test_construct_computes_nu_stability_once(monkeypatch):
     reports.clear()
     construct_tpq(a, [], [], 1, 1)
     assert reports == []
+
+
+def test_sec5_with_a_non_integral_coefficient_gives_the_same_results():
+    """sec5 with its commutativity relation betap beta - gamma gammap = 0
+    rescaled to betap beta - 2/3 gamma gammap = 0 is isomorphic to sec5
+    (rescale gamma), so the pipeline must give the same answers on it, while
+    its structure constants carry the non-integral scalars that the corpus
+    never does."""
+    q = corpus.sec5_quiver()
+    relations = corpus.sec5_relations(q)
+    assert [t[0] for t in relations[-1].terms] == [1, -1]
+    relations[-1] = relation_from_words(q, [(1, ["betap", "beta"]), (Fraction(-2, 3), ["gamma", "gammap"])])
+    scaled = build_path_algebra(q, relations)
+    assert any(type(c) is Fraction for prod in scaled.table.values() for c in prod.values())
+
+    def results(a):
+        built = construct_tpq(a, ["1"], ["3", "4"], 1, 1)
+        for mat in built.complex.diffs.values():
+            for row in mat:
+                for el in row:
+                    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in el.values())
+        report = verify_tilting(built.complex)
+        ctx = TiltingContext(a, built.complex, proved_by_construction=True)
+        criterion = ctx.check_iterated_nu_stable()
+        images = ctx.check_simple_images()
+        end, pres = end_algebra(a, built.complex)
+        profiles = {v: entry["profile"] for v, entry in images["per_projective"].items()}
+        return {
+            "tilting": report.to_dict(),
+            "criterion": criterion,
+            "simple_images_verdict": images["verdict"],
+            "profiles": profiles,
+            "end_quiver": (pres.quiver.vertices, [(x.name, x.source, x.target) for x in pres.quiver.arrows]),
+            "end_relations": [[(str(c), p.arrows) for c, p in r.terms] for r in pres.relations],
+            "end_cartan": end.cartan_matrix(),
+        }
+
+    want = results(corpus.sec5_algebra())
+    got = results(scaled)
+    assert want["tilting"]["verdict"] and want["criterion"]["verdict"] and want["simple_images_verdict"]
+    assert got == want
