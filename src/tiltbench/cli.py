@@ -8,6 +8,7 @@ concentrated); 2 = error (parse failure, bad preconditions, validation).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import serialize
@@ -214,7 +215,10 @@ def cmd_recheck(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared afterwards:
+    parsing leaves it unchanged and gives each argv a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="tiltbench",
         description="workbench for quiver algebras, tilting complexes, and stable images",
@@ -276,8 +280,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    main may be called repeatedly in one process: the parser is built on the
+    first call and reused, and each call parses argv into a fresh Namespace,
+    so no option carries over from one call to the next.  A usage error
+    raises SystemExit(2), as argparse does."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TiltbenchError, OSError, ValueError, KeyError) as exc:

@@ -88,11 +88,16 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch(f"bad shape ({rows}, {cols})")
+        return cls._trusted(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 0:
+            raise DimensionMismatch(f"bad shape ({n}, {n})")
+        zeros = (0,) * n
+        return cls._trusted(n, n, tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -120,6 +125,11 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
+
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and all(
+            x == (1 if i == j else 0) for i, row in enumerate(self.data) for j, x in enumerate(row)
+        )
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -267,8 +277,9 @@ class Matrix:
         """Inverse matrix, or None if not square/invertible."""
         if self.rows != self.cols:
             return None
-        x = self.solve(Matrix.identity(self.rows))
-        if x is None or not (self * x == Matrix.identity(self.rows)):
+        identity = Matrix.identity(self.rows)
+        x = self.solve(identity)
+        if x is None or not (self * x == identity):
             return None
         return x
 

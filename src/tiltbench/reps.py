@@ -131,9 +131,7 @@ class ModuleMap:
         return all(m.is_zero() for m in self.mats.values())
 
     def is_identity(self) -> bool:
-        return self.source.dims == self.target.dims and all(
-            self.mats[v] == Matrix.identity(self.source.dims[v]) for v in self.mats
-        )
+        return self.source.dims == self.target.dims and all(m.is_identity() for m in self.mats.values())
 
     def is_vertexwise_invertible(self) -> bool:
         return self.source.dims == self.target.dims and all(

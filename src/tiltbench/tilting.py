@@ -305,6 +305,10 @@ def construct_tpq(
         unknown = next((v for v in labels if v not in a.quiver.vertex_index), None)
         if unknown is not None:
             raise PreconditionFailed(f"the labels of {name} are vertices", f"no vertex {unknown!r}")
+        # a repeated label would make T non-basic
+        repeated = next((v for i, v in enumerate(labels) if v in labels[:i]), None)
+        if repeated is not None:
+            raise PreconditionFailed(f"the labels of {name} are distinct", f"vertex {repeated!r} is repeated")
     p_rep = zero_rep(a)
     for v in p_labels:
         p_rep = p_rep.direct_sum(projective(a, v))

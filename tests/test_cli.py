@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -214,6 +215,13 @@ def test_parse_error_exit_two(tmp_path):
     argvs += [
         (["tilting", "construct", "sec5_A.json", "--p", "9"], "labels of P are vertices (no vertex '9')"),
         (["tilting", "construct", "sec5_A.json", "--q", "9"], "labels of Q are vertices (no vertex '9')"),
+        # a repeated label would give a non-basic complex
+        (["tilting", "construct", "sec5_A.json", "--p", "1,1"], "labels of P are distinct (vertex '1' is repeated)"),
+        (["tilting", "construct", "sec5_A.json", "--q", "3,3"], "labels of Q are distinct (vertex '3' is repeated)"),
+        (
+            ["tilting", "construct", "sec5_A.json", "--p", "1", "--q", "3,4,3"],
+            "labels of Q are distinct (vertex '3' is repeated)",
+        ),
         (["endalg", "fig1.json", "fig1_S1.json"], "missing field 'terms'"),
         (["stable-image", "fig1.json", "fig1_T.json", "fig1.json"], "missing field 'dims'"),
         (["stable-image", "fig1.json", "fig1_T.json", str(unknown_dim)], "no vertex '9'"),
@@ -261,6 +269,45 @@ def test_main_in_process_exit_codes():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(["nustable", "check", alg, cpx]) == 0
+
+
+def test_main_reuses_its_parser_without_carrying_options_over(monkeypatch):
+    """Repeated in-process main calls print what fresh processes print, and
+    only the first call builds argument parsers."""
+    monkeypatch.chdir(CORPUS)
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    construct = ["tilting", "construct", "sec5_A.json", "--p", "1"]
+    argvs = [
+        ["--format", "text", "alg", "check", "sec5_A.json"],
+        ["alg", "check", "sec5_A.json"],
+        construct + ["--q", "3,4", "-r", "1", "-s", "1"],
+        ["tilting", "construct"],
+        construct,  # the defaults of --q, -r and -s
+    ]
+    codes, child_codes = [], []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(("SystemExit", exc.code))
+        if len(codes) == 1:
+            built.clear()
+        child_code, child_out, child_err = run_cli(*argv)
+        child_codes.append(child_code)
+        assert (out.getvalue(), err.getvalue()) == (child_out, child_err), argv
+    assert codes == [0, 0, 0, ("SystemExit", 2), 0]
+    assert child_codes == [0, 0, 0, 2, 0]
+    assert built == []
 
 
 def test_non_admissible_algebra_exits_two_in_bounded_memory(tmp_path):

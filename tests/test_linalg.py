@@ -107,6 +107,19 @@ def test_zero_dimension_matrices_behave():
     assert (z2.transpose() * z2).rows == 0
 
 
+def test_identity_and_zero_constructors():
+    assert Matrix.identity(3) == Matrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert Matrix.zero(2, 3) == Matrix(2, 3, [[0, 0, 0], [0, 0, 0]])
+    assert Matrix.identity(0) == Matrix(0, 0, [])
+    assert all(type(x) is int for row in Matrix.identity(3).data for x in row)
+    assert Matrix.identity(3).is_identity() and Matrix.identity(0).is_identity()
+    assert not Matrix.zero(2, 2).is_identity()
+    assert not Matrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_identity()
+    for bad in (lambda: Matrix.zero(-1, 2), lambda: Matrix.identity(-1)):
+        with pytest.raises(DimensionMismatch):
+            bad()
+
+
 def test_inverse_and_det():
     m = Matrix.from_rows([[1, 2], [3, 5]])
     assert m.det() == -1
