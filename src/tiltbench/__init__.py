@@ -4,8 +4,9 @@ Exact rational arithmetic throughout; every verdict is backed by a
 re-checkable witness.  The layers, bottom up:
 
   linalg        exact scalars (ints, Fractions where not integral, one
-                division ``div``), dense matrices over them (rank, kernels,
-                solving) and sparse kernels and row spaces
+                division ``div``), dense matrices over them, and one sparse
+                fraction-free elimination behind every rank, kernel, solve
+                and row space
   quiver        quivers, paths, relations (left-to-right composition)
   algebra       path algebras modulo admissible relations
   reps          modules as row-vector quiver representations
@@ -32,7 +33,7 @@ from .complexes import (
 )
 from .decompose import decompose, is_isomorphic
 from .errors import TiltbenchError
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import Matrix
 from .presentation import (
     algebra_from_structure_constants,
     presentations_match,
@@ -52,7 +53,6 @@ from .reps import (
     socle,
     top,
 )
-from .approx import minimal_left_approximation, minimal_right_approximation
 from .tilting import (
     TiltingContext,
     check_add_nu_equal,
@@ -90,10 +90,7 @@ __all__ = [
     "homotopy_hom",
     "injective",
     "is_isomorphic",
-    "kernel_basis",
     "maximal_nu_stable",
-    "minimal_left_approximation",
-    "minimal_right_approximation",
     "minimize",
     "monomial_relation",
     "nakayama_on_projectives",
@@ -101,14 +98,12 @@ __all__ = [
     "projective",
     "quiver_presentation",
     "radical_layers",
-    "rank",
     "regular_module",
     "regular_stalk",
     "relation_from_words",
     "relation_ideals_equal",
     "simple",
     "socle",
-    "solve",
     "split_idempotent",
     "stalk_complex",
     "top",

@@ -19,7 +19,6 @@ from .reps import (
     flatten_map,
     hom_space,
     projective,
-    projective_labels,
 )
 
 
@@ -149,13 +148,3 @@ def _verify_left_approximation(a, distinct, g, x):
         if rank != target_dim:
             raise TiltbenchError(f"left approximation not surjective on Hom(-, P({v}))")
 
-
-def minimal_right_approximation(p: Representation, x: Representation):
-    """Right add(p)-approximation for projective p, via its labels."""
-    labs, f = minimal_right_approximation_labeled(p.algebra, projective_labels(p), x)
-    return f
-
-
-def minimal_left_approximation(q: Representation, x: Representation):
-    labs, g = minimal_left_approximation_labeled(q.algebra, projective_labels(q), x)
-    return g

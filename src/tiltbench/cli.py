@@ -164,7 +164,7 @@ def cmd_recheck(args):
     import io
     from contextlib import redirect_stdout
 
-    report = serialize._expect(serialize.load_json(args.report), dict, "report")
+    report = serialize._file_object(serialize.load_json(args.report), "report")
     kind = report.get("kind")
 
     def flag(option, value):

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 An exact scalar is a Python ``int`` when its value is integral and a
 :class:`fractions.Fraction` otherwise, never a float.  ``frac`` turns any
@@ -8,19 +8,21 @@ Fractions compare and hash equal, so which of the two an integral value is
 changes no result, only its cost.  Constructors and elimination outputs are
 canonical; sums and products of canonical scalars are ints or Fractions and
 are left as they come.  Matrices are small (desk scale), dense, and immutable
-by convention: no routine mutates its inputs.  ``Matrix.rref``, behind every
-rank, kernel and solve, eliminates on integer rows (each row scaled by the lcm
-of its denominators) and divides each pivot row by its pivot once, at the
-end; ``Matrix.det`` eliminates fraction-free (Bareiss).  Operations whose
-entries are exact scalars by construction build their result with
-``Matrix._trusted``, skipping the public constructor's checks.
-:class:`Coordinates` eliminates a list of rows once, grows it a row at a
-time, and gives the coordinates of any vector in their span.
-``Coordinates.of_sparse`` takes a vector as ``{column: entry}`` and visits
-only the echelon rows whose pivots it reaches.  ``sparse_kernel`` and
-``sparse_row_space`` find the right kernel and the RREF row space of a
-matrix given as sparse rows, by the same fraction-free integer elimination
-on ``{column: int}`` rows.
+by convention: no routine mutates its inputs.  Operations whose entries are
+exact scalars by construction build their result with ``Matrix._trusted``,
+skipping the public constructor's checks.
+
+One engine, ``_sparse_echelon``, row-reduces every batch of rows: it takes
+rows as ``{column: entry}`` dicts, scales each to integers by the lcm of its
+denominators, eliminates fraction-free and leaves the reduced row echelon
+form, each row a multiple of its RREF row.  ``sparse_row_space`` reads the
+RREF rows off it and ``sparse_kernel`` the right-kernel basis; ``Matrix.rref``,
+``rank``, ``kernel_basis``, ``solve``, ``inverse``, ``left_kernel_basis`` and
+the row-space helpers below are built on these, the dense rows turned into
+sparse ones.  Two routines eliminate on their own terms: :class:`Coordinates`,
+the incremental front end, eliminates a list of rows once, grows it a row at a
+time and gives the coordinates of any vector in their span, and ``Matrix.det``
+eliminates fraction-free by Bareiss's method.
 """
 
 from __future__ import annotations
@@ -80,13 +82,6 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, data) -> "Matrix":
-        data = [list(r) for r in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data)
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"bad shape ({rows}, {cols})")
@@ -99,15 +94,8 @@ class Matrix:
         zeros = (0,) * n
         return cls._trusted(n, n, tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n)))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def row(self, i):
         return self.data[i]
-
-    def column(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
 
     def __eq__(self, other):
         return (
@@ -151,8 +139,6 @@ class Matrix:
         return Matrix._trusted(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return self.scale(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = []
@@ -167,9 +153,6 @@ class Matrix:
                         orow[j] += a * brow[j]
             out.append(tuple(orow))
         return Matrix._trusted(self.rows, other.cols, tuple(out))
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     def transpose(self) -> "Matrix":
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
@@ -199,75 +182,36 @@ class Matrix:
     # -- elimination -----------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form.  Returns (matrix, pivot column list).
-
-        Elimination runs on integer rows: each row is scaled by the lcm of its
-        denominators, an eliminated row becomes ``p * row - f * pivot_row``
-        divided by the gcd of its entries, and each pivot row is divided by
-        its pivot once, at the end, through ``div``.
-        """
-        m = []
-        for row in self.data:
-            nums = [x.numerator for x in row]
-            dens = [x.denominator for x in row]
-            den = lcm(*dens)
-            m.append(nums if den == 1 else [a * (den // d) for a, d in zip(nums, dens)])
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            prow = m[r]
-            p = prow[c]
-            for i in range(self.rows):
-                f = m[i][c]
-                if f and i != r:
-                    row = [p * a - f * b for a, b in zip(m[i], prow)]
-                    g = gcd(*row)
-                    m[i] = [a // g for a in row] if g > 1 else row
-            pivots.append(c)
-            r += 1
-        out = []
-        for row, c in zip(m, pivots):
-            p = row[c]
-            out.append(tuple(row) if p == 1 else tuple(div(a, p) for a in row))
-        out.extend([(0,) * self.cols] * (self.rows - r))
-        return Matrix._trusted(self.rows, self.cols, tuple(out)), pivots
+        """Reduced row echelon form.  Returns (matrix, pivot column list): the
+        rows of ``sparse_row_space``, then zero rows."""
+        basis = sparse_row_space(_sparse(self.data))
+        data = _dense(basis, self.cols) + ((0,) * self.cols,) * (self.rows - len(basis))
+        return Matrix._trusted(self.rows, self.cols, data), [min(row) for row in basis]
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_sparse_echelon(_sparse(self.data))[0])
 
     def kernel_basis(self) -> "Matrix":
-        """Columns span the right kernel: self * result == 0 exactly."""
-        red, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        cols = []
-        for j in free:
-            v = [0] * self.cols
-            v[j] = 1
-            for r, p in enumerate(pivots):
-                v[p] = -red.data[r][j]
-            cols.append(v)
-        return Matrix(self.cols, len(cols), [[col[i] for col in cols] for i in range(self.cols)])
+        """Columns span the right kernel: self * result == 0 exactly.  They
+        are the vectors of ``sparse_kernel``."""
+        vecs = sparse_kernel(_sparse(self.data), self.cols)
+        return Matrix._trusted(self.cols, len(vecs), tuple(zip(*vecs)) if vecs else ((),) * self.cols)
 
     def solve(self, b: "Matrix"):
-        """Some x with self * x == b, or None when inconsistent."""
+        """Some x with self * x == b, or None when inconsistent: x is zero at
+        the free columns of self and reads the reduced b at its pivots."""
         if b.rows != self.rows:
             raise DimensionMismatch("solve: row counts differ")
-        aug, pivots = self.hstack(b).rref()
-        # a pivot in the b-block means inconsistency
-        for p in pivots:
-            if p >= self.cols:
+        n = self.cols
+        x = [[0] * b.cols for _ in range(n)]
+        for row in sparse_row_space(_sparse([r + s for r, s in zip(self.data, b.data)])):
+            p = min(row)
+            if p >= n:  # a pivot in the b-block means inconsistency
                 return None
-        x = [[0] * b.cols for _ in range(self.cols)]
-        for r, p in enumerate(pivots):
-            for j in range(b.cols):
-                x[p][j] = aug.data[r][self.cols + j]
-        return Matrix(self.cols, b.cols, x)
+            for j, y in row.items():
+                if j >= n:
+                    x[p][j - n] = y
+        return Matrix._trusted(n, b.cols, tuple(map(tuple, x)))
 
     def left_kernel_basis(self) -> "Matrix":
         """Rows span the left kernel: result * self == 0 exactly."""
@@ -433,10 +377,10 @@ class Coordinates:
 
 def sparse_kernel(rows, width: int) -> list:
     """Basis of the right kernel of a sparse matrix with ``width`` columns,
-    as tuples of exact scalars: the basis ``Matrix.kernel_basis`` gives, one
-    vector per free column j in increasing order, with 1 at j and minus the
-    reduced entries of column j at the pivots.  ``rows`` are
-    ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``.
+    as tuples of exact scalars: one vector per free column j of the RREF, in
+    increasing order, with 1 at j and minus the reduced entries of column j at
+    the pivots.  ``rows`` are ``{column: entry}`` dicts, eliminated by
+    ``_sparse_echelon``.
     """
     echelon, position = _sparse_echelon(rows)
     free_entries = {}  # free column -> [(pivot, kernel entry)]
@@ -458,8 +402,7 @@ def sparse_kernel(rows, width: int) -> list:
 
 def sparse_row_space(rows) -> list:
     """The nonzero rows of the RREF of a sparse matrix, in order, as
-    ``{column: scalar}`` dicts with increasing columns: the rows
-    ``row_space_basis`` gives, without their zero entries.  ``rows`` are
+    ``{column: scalar}`` dicts with increasing columns.  ``rows`` are
     ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``."""
     out = []
     for c, row in sorted(_sparse_echelon(rows)[0], key=lambda e: e[0]):
@@ -532,50 +475,33 @@ def _eliminate(row: dict, prow: dict, c) -> dict:
     return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
+def _sparse(rows) -> list:
+    """Dense rows as ``{column: entry}`` dicts of their nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, b: Matrix):
-    return m.solve(b)
+def _dense(rows, width: int) -> tuple:
+    """Sparse rows as a tuple of dense tuples of the given width."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def row_space_basis(m: Matrix) -> Matrix:
     """Matrix whose rows are the nonzero rows of rref(m)."""
     red, pivots = m.rref()
-    return Matrix(len(pivots), m.cols, [red.data[i] for i in range(len(pivots))])
+    return Matrix._trusted(len(pivots), m.cols, red.data[: len(pivots)])
 
 
 def row_space_contains(space: Matrix, vec) -> bool:
     """Whether the row vector lies in the row space of `space`."""
-    v = Matrix(1, space.cols, [list(vec)])
-    return space.vstack(v).rank() == space.rank()
+    return Coordinates(space.data, space.cols).of(vec) is not None
 
 
 def row_spaces_equal(a: Matrix, b: Matrix) -> bool:
-    if a.cols != b.cols:
-        return False
-    ra, rb = a.rank(), b.rank()
-    return ra == rb and a.vstack(b).rank() == ra
-
-
-def intersect_row_spaces(a: Matrix, b: Matrix) -> Matrix:
-    """Row-space intersection via the kernel of the stacked transpose."""
-    if a.cols != b.cols:
-        raise DimensionMismatch("intersect: ambient dims differ")
-    stacked = a.vstack(b)
-    ker = stacked.left_kernel_basis()  # rows (x | y) with x*a + y*b = 0
-    rows = []
-    for i in range(ker.rows):
-        coeffs = ker.row(i)[: a.rows]
-        vec = [0] * a.cols
-        for r, c in enumerate(coeffs):
-            if c != 0:
-                for j in range(a.cols):
-                    vec[j] += c * a.data[r][j]
-        rows.append(vec)
-    return row_space_basis(Matrix(len(rows), a.cols, rows)) if rows else Matrix.zero(0, a.cols)
+    """Whether a and b have the same row space, that is the same RREF rows."""
+    return a.cols == b.cols and sparse_row_space(_sparse(a.data)) == sparse_row_space(_sparse(b.data))

@@ -133,11 +133,6 @@ class ModuleMap:
     def is_identity(self) -> bool:
         return self.source.dims == self.target.dims and all(m.is_identity() for m in self.mats.values())
 
-    def is_vertexwise_invertible(self) -> bool:
-        return self.source.dims == self.target.dims and all(
-            self.mats[v].inverse() is not None for v in self.mats
-        )
-
     def inverse(self) -> "ModuleMap":
         inv = {}
         for v, m in self.mats.items():
@@ -486,11 +481,6 @@ def kernel_of(f: ModuleMap):
     return sub_representation(f.source, spaces)
 
 
-def image_of(f: ModuleMap):
-    spaces = {v: row_space_basis(f.mats[v]) for v in f.source.dims}
-    return sub_representation(f.target, spaces)
-
-
 def cokernel_of(f: ModuleMap):
     spaces = {v: row_space_basis(f.mats[v]) for v in f.source.dims}
     return quotient_representation(f.target, spaces)
@@ -581,47 +571,3 @@ def nu_injective_sum(algebra: BasicAlgebra, labels):
         i = injective(algebra, lab)
         rep = i if rep is None else rep.direct_sum(i)
     return rep if rep is not None else zero_rep(algebra)
-
-
-def nu_entry_map(algebra: BasicAlgebra, src_labels, tgt_labels, entries) -> ModuleMap:
-    """Nakayama image of a map between labeled projective sums.
-
-    The entry x (paths b -> a) becomes the dual of right concatenation by x,
-    an injective-module map I(a) -> I(b).
-    """
-    q = algebra.quiver
-    src_labels = [str(x) for x in src_labels]
-    tgt_labels = [str(x) for x in tgt_labels]
-    src_layout = {w: [] for w in q.vertices}
-    for i, lab in enumerate(src_labels):
-        for w in q.vertices:
-            for k in algebra.paths_between(w, lab):
-                src_layout[w].append((i, k))
-    tgt_layout = {w: [] for w in q.vertices}
-    for j, lab in enumerate(tgt_labels):
-        for w in q.vertices:
-            for k in algebra.paths_between(w, lab):
-                tgt_layout[w].append((j, k))
-    tgt_pos = {w: {pair: c for c, pair in enumerate(tgt_layout[w])} for w in q.vertices}
-    mats = {}
-    for w in q.vertices:
-        rows = []
-        for (i, k) in src_layout[w]:  # dual basis of paths w -> a_i
-            row = [0] * len(tgt_layout[w])
-            for j in range(len(tgt_labels)):
-                x = entries[i][j]
-                if not x:
-                    continue
-                # column (j, r) with r a path w -> b_j: coefficient of k in r*x
-                for (jj, r) in tgt_layout[w]:
-                    if jj != j:
-                        continue
-                    prod = algebra.mul(algebra.basis_el(r), x)
-                    c = prod.get(k, 0)
-                    if c:
-                        row[tgt_pos[w][(jj, r)]] += c
-            rows.append(row)
-        mats[w] = Matrix(len(src_layout[w]), len(tgt_layout[w]), rows)
-    src_rep = nu_injective_sum(algebra, src_labels)
-    tgt_rep = nu_injective_sum(algebra, tgt_labels)
-    return ModuleMap(src_rep, tgt_rep, mats, check=False)

@@ -1,14 +1,17 @@
 """JSON formats for algebras, modules, complexes, and reports.
 
-All files carry a top-level ``"format": 1``.  Scalars serialize as decimal
-strings ``"p/q"`` or ``"p"``.  An algebra reference is either an inline
-algebra object or a string path relative to the referencing file.
+All files carry a top-level ``"format": 1``, and a file whose ``"format"``
+is anything else is refused.  Scalars serialize as decimal strings ``"p/q"``
+or ``"p"``; these and JSON integers are the only scalar forms read.  An
+algebra reference is either an inline algebra object or a string path
+relative to the referencing file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 
 from .algebra import BasicAlgebra, build_path_algebra
 from .complexes import ProjComplex
@@ -18,6 +21,7 @@ from .quiver import Quiver, Relation, path_from_arrows, trivial_path
 from .reps import Representation
 
 FORMAT = 1
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _expect(value, kind, field):
@@ -27,6 +31,15 @@ def _expect(value, kind, field):
         shape = "object" if kind is dict else "array"
         raise TiltbenchError(f"{field}: expected a JSON {shape}, got {json.dumps(value)[:60]}")
     return value
+
+
+def _file_object(d, field):
+    """d, when it is a JSON object whose "format", if present, is FORMAT;
+    otherwise a TiltbenchError naming the field."""
+    version = _expect(d, dict, field).get("format", FORMAT)
+    if type(version) is not int or version != FORMAT:
+        raise TiltbenchError(f"{field}.format: unsupported file format {json.dumps(version)[:60]}, expected {FORMAT}")
+    return d
 
 
 def _field(d, key, field, kind=None, default=None):
@@ -45,12 +58,18 @@ def scalar_to_str(c) -> str:
 
 
 def scalar_from_str(s, field="scalar"):
-    """The rational number s, a ``"p/q"`` or ``"p"`` string; otherwise a
-    TiltbenchError naming the field."""
-    try:
-        return frac(str(s))
-    except (ValueError, ZeroDivisionError):
-        raise TiltbenchError(f"{field}: not a rational number: {json.dumps(s)[:60]}") from None
+    """The rational number s: a JSON integer, or a ``"p"`` or ``"p/q"``
+    string of decimal digits with an optional sign; otherwise a
+    TiltbenchError naming the field.  No other form is read, so no exponent
+    such as ``"1e10000000"`` is ever expanded."""
+    if type(s) is int:
+        return s
+    if type(s) is str and _SCALAR.fullmatch(s):
+        try:
+            return frac(s)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
+    raise TiltbenchError(f"{field}: not a rational number: {json.dumps(s)[:60]}")
 
 
 # -- algebras -----------------------------------------------------------------
@@ -98,7 +117,7 @@ def algebra_to_dict(a: BasicAlgebra) -> dict:
 
 
 def algebra_from_dict(d, max_path_len: int = 30) -> BasicAlgebra:
-    if _expect(d, dict, "algebra").get("field", "rational") != "rational":
+    if _file_object(d, "algebra").get("field", "rational") != "rational":
         raise TiltbenchError(f"unsupported field {d.get('field')!r}")
     q = quiver_from_dict(_field(d, "quiver", "quiver"))
     relations = _field(d, "relations", "relations", list, [])
@@ -169,7 +188,7 @@ def complex_to_dict(c: ProjComplex, algebra_ref=None) -> dict:
 
 
 def complex_from_dict(d, base_dir=".", algebra=None) -> ProjComplex:
-    _expect(d, dict, "complex")
+    _file_object(d, "complex")
     a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir)
     terms = {
         int(k): [str(x) for x in _expect(v, list, f"terms.{k}")]
@@ -207,7 +226,7 @@ def module_to_dict(m: Representation, algebra_ref=None) -> dict:
 
 
 def module_from_dict(d, base_dir=".", algebra=None) -> Representation:
-    _expect(d, dict, "module")
+    _file_object(d, "module")
     a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir)
     dims = {}
     for k, v in _field(d, "dims", "dims", dict).items():

@@ -73,7 +73,7 @@ def _dense_system(x, y):
                             row[pos[(d + 1, jp, m, k)]] -= c
                 rows.extend(acc.values())
     ker = (Matrix(len(rows), n_unk, rows) if rows else Matrix.zero(0, n_unk)).kernel_basis()
-    chain = [ker.column(c) for c in range(ker.cols)]
+    chain = list(zip(*ker.data))
     null = []
     for d in sorted(set(x.terms)):
         if not y.term(d - 1):

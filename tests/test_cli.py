@@ -202,6 +202,19 @@ def test_parse_error_exit_two(tmp_path):
         ("report_array.json", [1, 2], recheck, "report"),
         ("no_cpx.json", {"kind": "stable_image"}, recheck, "--cpx"),
         ("r_str.json", r_str, ["recheck", "--alg", "sec5_A.json"], "provenance"),
+        (
+            "format_2.json",
+            {"format": 2, "algebra": fig1, "dims": {"1": 1}, "arrows": {}},
+            ["stable-image", "fig1.json", "fig1_T.json"],
+            "module.format",
+        ),
+        # only "p" and "p/q" scalars are read: an exponent is never expanded
+        (
+            "exponent.json",
+            {"format": 1, "algebra": fig1, "dims": {"1": 1, "2": 1}, "arrows": {"alpha": [["1e100000"]]}},
+            ["stable-image", "fig1.json", "fig1_T.json"],
+            "arrows.alpha[0][0]",
+        ),
     ]
     unknown_dim = tmp_path / "dims_unknown_vertex.json"
     unknown_dim.write_text(json.dumps({"format": 1, "algebra": fig1, "dims": {"1": 1, "9": 1}, "arrows": {}}))

@@ -9,12 +9,17 @@ from tiltbench.linalg import (
     Matrix,
     div,
     frac,
-    intersect_row_spaces,
     row_space_basis,
+    row_space_contains,
     row_spaces_equal,
     sparse_kernel,
     sparse_row_space,
 )
+
+
+def matrix(rows):
+    """The Matrix with the given list of rows."""
+    return Matrix(len(rows), len(rows[0]) if rows else 0, rows)
 
 
 def canonical(x):
@@ -63,24 +68,24 @@ def test_rank_identity_and_zero():
 
 
 def test_rank_proportional_rows():
-    m = Matrix.from_rows([[1, 2], [2, 4]])
+    m = matrix([[1, 2], [2, 4]])
     assert m.rank() == 1
 
 
 def test_kernel_identity_zero_and_relation():
     assert Matrix.identity(4).kernel_basis().cols == 0
     assert Matrix.zero(2, 3).kernel_basis().cols == 3
-    k = Matrix.from_rows([[1, 1]]).kernel_basis()
+    k = matrix([[1, 1]]).kernel_basis()
     assert k.cols == 1
     # spans (1, -1)
     assert k.data[0][0] == -k.data[1][0] != 0
 
 
 def test_solve_cases():
-    b = Matrix.from_rows([[1], [2]])
+    b = matrix([[1], [2]])
     assert Matrix.identity(2).solve(b) == b
-    assert Matrix.from_rows([[1], [1]]).solve(b) is None
-    x = Matrix.from_rows([[2]]).solve(Matrix.from_rows([[1]]))
+    assert matrix([[1], [1]]).solve(b) is None
+    x = matrix([[2]]).solve(matrix([[1]]))
     assert x.data[0][0] == Fraction(1, 2)
 
 
@@ -114,30 +119,27 @@ def test_identity_and_zero_constructors():
     assert all(type(x) is int for row in Matrix.identity(3).data for x in row)
     assert Matrix.identity(3).is_identity() and Matrix.identity(0).is_identity()
     assert not Matrix.zero(2, 2).is_identity()
-    assert not Matrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_identity()
+    assert not matrix([[1, 0, 0], [0, 1, 0]]).is_identity()
     for bad in (lambda: Matrix.zero(-1, 2), lambda: Matrix.identity(-1)):
         with pytest.raises(DimensionMismatch):
             bad()
 
 
 def test_inverse_and_det():
-    m = Matrix.from_rows([[1, 2], [3, 5]])
+    m = matrix([[1, 2], [3, 5]])
     assert m.det() == -1
     inv = m.inverse()
     assert m * inv == Matrix.identity(2)
-    assert Matrix.from_rows([[1, 2], [2, 4]]).inverse() is None
+    assert matrix([[1, 2], [2, 4]]).inverse() is None
 
 
 def test_row_space_helpers():
-    a = Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    b = Matrix.from_rows([[1, 1, 2], [1, -1, 0]])
-    assert row_spaces_equal(a, b)
-    c = Matrix.from_rows([[1, 0, 0]])
-    inter = intersect_row_spaces(a, c)
-    assert inter.rows == 0
-    inter2 = intersect_row_spaces(a, Matrix.from_rows([[2, 2, 4]]))
-    assert inter2.rows == 1
-    assert row_spaces_equal(row_space_basis(inter2), Matrix.from_rows([[1, 1, 2]]))
+    a = matrix([[1, 0, 1], [0, 1, 1]])
+    b = matrix([[1, 1, 2], [1, -1, 0]])
+    assert row_spaces_equal(a, b) and row_space_basis(b) == a
+    assert not row_spaces_equal(a, matrix([[1, 0, 1], [0, 1, 0]]))
+    assert not row_spaces_equal(a, Matrix.zero(0, 2))
+    assert row_space_contains(b, [2, 2, 4]) and not row_space_contains(b, [1, 0, 0])
 
 
 def test_coordinates_match_solve_on_transposed_rows():
@@ -164,17 +166,17 @@ def test_coordinates_match_solve_on_transposed_rows():
         added = [grown.add(row) for row in rows]
         assert grown.count == coords.count == len(rows)
         assert grown.independent == coords.independent == [k for k, new in enumerate(added) if new]
-        columns = Matrix(len(rows), width, rows).transpose() if rows else Matrix.zero(width, 0)
+        columns = [[row[j] for row in rows] for j in range(width)]
         for _ in range(4):
             if rows and rng.random() < 0.5:  # inside the span
                 mix = [Fraction(rng.randint(-2, 2)) for _ in rows]
                 v = [sum((m * row[j] for m, row in zip(mix, rows)), Fraction(0)) for j in range(width)]
             else:  # usually outside the span
                 v = [entry() for _ in range(width)]
-            sol = columns.solve(Matrix(width, 1, [[x] for x in v]))
-            want = None if sol is None else list(sol.column(0))
+            sol = fraction_solve(width, len(rows), columns, [[x] for x in v], 1)
+            want = None if sol is None else [x[0] for x in sol]
             assert coords.of(v) == grown.of(v) == want
-        ranks = [Matrix(k, width, rows[:k]).rank() for k in range(len(rows) + 1)]
+        ranks = [len(fraction_gauss_jordan(k, width, rows[:k])[1]) for k in range(len(rows) + 1)]
         assert coords.independent == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]
 
 
@@ -199,6 +201,35 @@ def fraction_gauss_jordan(rows, cols, data):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def fraction_kernel(rows, cols, data):
+    """Reference: the right kernel basis read off ``fraction_gauss_jordan``,
+    one vector per free column j, with 1 at j and minus the reduced entries
+    of column j at the pivots."""
+    red, pivots = fraction_gauss_jordan(rows, cols, data)
+    out = []
+    for j in range(cols):
+        if j not in pivots:
+            vec = [Fraction(0)] * cols
+            vec[j] = Fraction(1)
+            for r, p in enumerate(pivots):
+                vec[p] = -red[r][j]
+            out.append(tuple(vec))
+    return out
+
+
+def fraction_solve(rows, cols, data, rhs, width):
+    """Reference: the x with data * x == rhs (rhs has ``width`` columns) that
+    is zero at the free columns, read off ``fraction_gauss_jordan`` on the
+    augmented rows; None when a pivot falls in the rhs block."""
+    red, pivots = fraction_gauss_jordan(rows, cols + width, [list(a) + list(b) for a, b in zip(data, rhs)])
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = [[Fraction(0)] * width for _ in range(cols)]
+    for r, p in enumerate(pivots):
+        x[p] = red[r][cols:]
+    return x
 
 
 def fraction_det(data):
@@ -239,14 +270,17 @@ def test_det_matches_fraction_elimination():
         assert got == fraction_det(data)
         assert canonical(got)
     assert Matrix.zero(0, 0).det() == 1
-    assert Matrix.from_rows([[0, 1], [1, 0]]).det() == -1
-    assert Matrix.from_rows([[Fraction(1, 2), 0], [0, 4]]).det() == 2
+    assert matrix([[0, 1], [1, 0]]).det() == -1
+    assert matrix([[Fraction(1, 2), 0], [0, 4]]).det() == 2
     with pytest.raises(DimensionMismatch):
         Matrix.zero(2, 3).det()
 
 
 def test_rref_matches_fraction_gauss_jordan():
+    """rref, and kernel_basis, solve and inverse built on it, against the
+    Fraction reference."""
     rng = random.Random(1968)
+    consistent = inconsistent = singular = 0
     for case in range(400):
         big = case % 3 == 0
         if case % 25 == 0:
@@ -273,11 +307,37 @@ def test_rref_matches_fraction_gauss_jordan():
             a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             data[i] = [a * x + b * y for x, y in zip(data[k], data[l])]
         want, want_pivots = fraction_gauss_jordan(rows, cols, data)
-        red, pivots = Matrix(rows, cols, data).rref()
+        m = Matrix(rows, cols, data)
+        red, pivots = m.rref()
         assert pivots == want_pivots
         assert (red.rows, red.cols) == (rows, cols)
         assert [list(row) for row in red.data] == want
-        assert all(canonical(x) for row in red.data for x in row)
+        ker = m.kernel_basis()
+        want_ker = fraction_kernel(rows, cols, data)
+        assert (ker.rows, ker.cols) == (cols, len(want_ker)) and list(zip(*ker.data)) == want_ker
+        # solve: b = m * x is consistent; a random b usually is not when m
+        # has fewer pivots than rows
+        width = rng.randint(1, 2)
+        x = Matrix(cols, width, [[entry() for _ in range(width)] for _ in range(cols)])
+        solved = []
+        for b in (m * x, Matrix(rows, width, [[entry() for _ in range(width)] for _ in range(rows)])):
+            sol = m.solve(b)
+            want_sol = fraction_solve(rows, cols, data, b.data, width)
+            assert (None if sol is None else [list(row) for row in sol.data]) == want_sol
+            solved.append(sol)
+        consistent += solved[0] is not None
+        inconsistent += solved[1] is None
+        # inverse of the leading square block, singular when a zero or
+        # dependent row or a zero column lands in it
+        k = min(rows, cols)
+        block = [row[:k] for row in data[:k]]
+        inv = Matrix(k, k, block).inverse()
+        identity = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        assert (None if inv is None else [list(row) for row in inv.data]) == fraction_solve(k, k, block, identity, k)
+        singular += inv is None
+        results = [red, ker, *(r for r in solved + [inv] if r is not None)]
+        assert all(canonical(x) for result in results for row in result.data for x in row)
+    assert consistent == 400 and inconsistent > 50 and 50 < singular < 350
 
 
 def test_matrix_operations_hold_only_exact_scalars():
@@ -287,7 +347,7 @@ def test_matrix_operations_hold_only_exact_scalars():
         return Matrix(rows, cols, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)])
 
     a, b, c = rand(3, 4), rand(3, 4), rand(4, 2)
-    sq = Matrix.from_rows([[2, 1, 0], [Fraction(1, 2), -3, 1], [0, 4, Fraction(-5, 7)]])
+    sq = matrix([[2, 1, 0], [Fraction(1, 2), -3, 1], [0, 4, Fraction(-5, 7)]])
     # constructors and elimination give canonical scalars
     canonical_results = [
         a,
@@ -312,8 +372,6 @@ def test_matrix_operations_hold_only_exact_scalars():
         a.scale(Fraction(-2, 3)),
         a.scale(2),
         a.scale(Fraction(4, 2)),
-        a * 2,
-        3 * a,
         a.transpose(),
         Matrix.zero(0, 3).transpose(),
         Matrix.zero(3, 0).transpose(),
@@ -345,9 +403,9 @@ def test_sparse_kernel_is_the_rref_kernel_basis():
         ]
         if rows > 1:
             data.append([a - 2 * b for a, b in zip(data[0], data[-1])])  # a dependent row
-        ker = Matrix(len(data), cols, data).kernel_basis()
-        sparse = sparse_kernel([{j: x for j, x in enumerate(row) if x} for row in data], cols)
-        assert sparse == [ker.column(j) for j in range(ker.cols)]
+        sparse = sparse_kernel([_sparse(row) for row in data], cols)
+        assert sparse == fraction_kernel(len(data), cols, data)
+        assert all(canonical(x) for vec in sparse for x in vec)
     # integer entries and an empty row
     assert sparse_kernel([{0: 2, 2: -4}, {}, {1: 1}], 3) == [(2, 0, 1)]
     assert sparse_kernel([], 2) == [(1, 0), (0, 1)]
@@ -408,7 +466,9 @@ def test_sparse_row_space_is_row_space_basis():
         ]
         if rows > 1:
             data.append([a + 3 * b for a, b in zip(data[0], data[1])])
-        basis = row_space_basis(Matrix(len(data), cols, data))
+        red, pivots = fraction_gauss_jordan(len(data), cols, data)
         got = sparse_row_space([_sparse(r) for r in data])
-        assert got == [_sparse(r) for r in basis.data]
+        assert got == [_sparse(r) for r in red[: len(pivots)]]
+        assert row_space_basis(Matrix(len(data), cols, data)).data == tuple(map(tuple, red[: len(pivots)]))
+        assert all(canonical(x) for row in got for x in row.values())
         assert all(list(x) == sorted(x) for x in got)

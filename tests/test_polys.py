@@ -78,7 +78,7 @@ def _old_min_poly_of_matrix(m):
     while True:
         powers.append(powers[-1] * m)
         flat.append(sum([list(r) for r in powers[-1].data], []))
-        ker = Matrix.from_rows(flat).left_kernel_basis()
+        ker = Matrix(len(flat), len(flat[0]), flat).left_kernel_basis()
         if ker.rows:
             row = list(ker.row(0))
             top = max(i for i, c in enumerate(row) if c != 0)
@@ -133,7 +133,7 @@ def test_krylov_min_poly_edge_cases():
     assert module_min_poly(ModuleMap.identity(zero_rep(a))) == [1]
     assert min_poly_of_matrices([Matrix.zero(0, 0)]) == _old_min_poly_of_matrix(Matrix.zero(0, 0)) == [1]
     for rows in ([[0, 1], [0, 0]], [[2, 1], [0, 2]], [[1, 2], [3, 4]], [[Fraction(1, 3)]]):
-        m = Matrix.from_rows(rows)
+        m = Matrix(len(rows), len(rows[0]), rows)
         assert min_poly_of_matrices([m]) == _old_min_poly_of_matrix(m)
     with pytest.raises(ValueError):
         min_poly_of_matrices([Matrix.zero(1, 2)])
@@ -147,7 +147,7 @@ def _old_corner_min_poly(alg, x, unit):
     while True:
         cur = alg.mul(cur, x)
         flats.append(alg.el_to_vector(cur))
-        ker = Matrix.from_rows(flats).left_kernel_basis()
+        ker = Matrix(len(flats), len(flats[0]), flats).left_kernel_basis()
         if ker.rows:
             row = list(ker.row(0))
             top = max(i for i, c in enumerate(row) if c != 0)

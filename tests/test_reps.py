@@ -23,13 +23,11 @@ from tiltbench.reps import (
     socle,
     top,
     kernel_of,
-    image_of,
     cokernel_of,
     ProjSum,
     YonedaAction,
     extract_entry_map,
     realize_entry_map,
-    nu_entry_map,
     nu_injective_sum,
     projective_labels,
     zero_rep,
@@ -267,10 +265,10 @@ def test_kernel_image_cokernel():
     p1, p2 = projective(a, "1"), projective(a, "2")
     f = hom_space(p1, p2)[0]
     ker, _ = kernel_of(f)
-    img, _ = image_of(f)
+    img_dim = sum(f.mats[v].rank() for v in a.quiver.vertices)
     cok, _ = cokernel_of(f)
-    assert ker.total_dim() + img.total_dim() == p1.total_dim()
-    assert cok.total_dim() == p2.total_dim() - img.total_dim()
+    assert ker.total_dim() + img_dim == p1.total_dim()
+    assert cok.total_dim() == p2.total_dim() - img_dim
 
 
 def test_radical_of_p1_is_uniserial_dim2():
@@ -301,22 +299,6 @@ def test_nakayama_sends_projectives_to_injectives():
     for v in a.quiver.vertices:
         nu = nu_injective_sum(a, [v])
         assert nu.dim_vector() == injective(a, v).dim_vector()
-
-
-def test_nu_is_functorial_on_maps():
-    a = corpus.fig1_algebra()
-    # f: P(2) -> P(1) prepends alpha, g: P(1) -> P(3) prepends a path 3->1
-    alpha = a.paths_between("1", "2")[0]
-    g31 = a.paths_between("3", "1")[0]
-    f_e = [[{alpha: 1}]]
-    g_e = [[{g31: 1}]]
-    comp = [[a.mul({g31: 1}, {alpha: 1})]]
-    nf = nu_entry_map(a, ["2"], ["1"], f_e)
-    ng = nu_entry_map(a, ["1"], ["3"], g_e)
-    ncomp = nu_entry_map(a, ["2"], ["3"], comp)
-    both = nf.then(ng)
-    for v in a.quiver.vertices:
-        assert both.mats[v] == ncomp.mats[v]
 
 
 def test_nu_additivity_on_doubled_projective():

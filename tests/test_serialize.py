@@ -1,7 +1,10 @@
 import os
 
+import pytest
+
 from tiltbench import corpus, serialize
 from tiltbench.complexes import homotopy_hom
+from tiltbench.errors import TiltbenchError
 from tiltbench.reps import hom_space, projective
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -55,3 +58,10 @@ def test_scalar_strings():
     assert serialize.scalar_to_str(Fraction(-3, 4)) == "-3/4"
     assert serialize.scalar_from_str("7") == 7
     assert serialize.scalar_from_str("-3/4") == Fraction(-3, 4)
+    assert serialize.scalar_from_str("+6/4") == Fraction(3, 2) and serialize.scalar_from_str("4/2") == 2
+    assert serialize.scalar_from_str(-5) == -5
+    # only the documented forms: no exponent, decimal point, space,
+    # underscore, sign on the denominator, zero denominator, bool or float
+    for bad in ["1e3", "1.5", " 1", "1_0", "1/-2", "1/0", "", "x", True, 1.5, None]:
+        with pytest.raises(TiltbenchError, match="coeff: not a rational number"):
+            serialize.scalar_from_str(bad, "coeff")
