@@ -10,7 +10,8 @@ re-checkable witness.  The layers, bottom up:
   quiver        quivers, paths, relations (left-to-right composition)
   algebra       path algebras modulo admissible relations
   reps          modules as row-vector quiver representations
-  decompose     indecomposable decompositions and isomorphism testing
+  decompose     splitting by primitive idempotents, one engine for modules
+                (via End(M)) and abstract algebras; isomorphism testing
   approx        minimal right/left approximations by projectives
   complexes     bounded complexes of projectives, homotopy homs, minimization
   complex_decomp  idempotent splitting of complexes

@@ -6,23 +6,25 @@ Both work over the rationals and assume the split situation in which every
 simple endomorphism quotient is the ground field; anything else raises
 ``DecompositionError`` rather than guessing.
 
-Splitting strategy for a module M:
-  1. if End(M) is local, M is indecomposable.  Its radical is the kernel of
-     the trace form tr_M(f g) of End(M) acting faithfully on M (Dickson's
-     criterion), so deciding this multiplies no endomorphisms;
-  2. otherwise look for an endomorphism whose minimal polynomial factors
-     into coprime pieces with at least one rational root; the kernels of the
-     pieces split M (Fitting).  Candidates in K*1 + rad End(M) are skipped
-     without a minimal polynomial: c + n with n nilpotent and commuting with
-     c has minimal polynomial (t - c)^k, so its Fitting decomposition is
-     trivial;
-  3. otherwise spin submodules from seeded random vectors and try to split
-     off a generated direct summand via an explicit retraction.
-
-Abstract algebras (e.g. chain endomorphism rings) go through the same ideas
-phrased with idempotents: central splitting in the semisimple quotient via a
-probe with rational spectrum, Bezout spectral idempotents inside corners,
-and Newton lifting of idempotents modulo the radical.
+One splitting strategy serves modules, complexes and abstract algebras:
+``primitive_idempotents`` finds orthogonal primitive idempotents summing to
+1, and each cuts out one indecomposable summand.  A module M is split by
+those of End(M), a complex by those of its chain endomorphism ring
+(``complex_decomp``).  Corners e A e are split until each is local:
+  1. rad(eAe) = e rad(A) e, so eAe is local exactly when
+     dim eAe - dim e rad(A) e = 1.  rad(A) is computed once, as the kernel
+     of a trace form; for End(M) that is tr_M(f g) on M (Dickson's
+     criterion), which multiplies no endomorphisms;
+  2. otherwise probes (basis elements, their pairwise sums and differences,
+     then seeded random combinations) are pushed into the corner, and coprime
+     factors of a probe's minimal polynomial, one of them a power of a linear
+     factor, give a Bezout spectral idempotent.  A probe in K*1 + rad(A) is
+     skipped before any minimal polynomial: its corner minimal polynomial is
+     a power of one linear factor, so it splits nothing.
+A primitive idempotent e of End(M) gives the summand of M spanned by the
+images of e; its projection p is the solution of "p then incl = e".
+``lift_idempotent`` lifts an idempotent modulo the radical by Newton
+iteration.
 """
 
 from __future__ import annotations
@@ -32,24 +34,8 @@ import random
 from .algebra import el_add, el_from_vector, el_scale, el_sub, el_to_vector
 from .errors import DecompositionError, TiltbenchError
 from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_row_space
-from .polys import (
-    bezout,
-    min_poly_of_matrices,
-    min_poly_of_sequence,
-    pdivmod,
-    peval_matrix,
-    pmul,
-    rational_roots,
-)
-from .reps import (
-    ModuleMap,
-    Representation,
-    hom_space,
-    map_coordinates,
-    sub_representation,
-    close_under_arrows,
-    flatten_map,
-)
+from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
+from .reps import ModuleMap, Representation, flatten_map, hom_space, sub_representation
 
 
 # -- abstract finite-dimensional algebras -------------------------------------
@@ -117,9 +103,6 @@ class FiniteDimAlgebra:
                 form[i][j] = form[j][i] = sum(c * trace[k] for k, c in self.basis_product(i, j).items())
         return row_space_basis(Matrix(n, n, form).left_kernel_basis())
 
-    def semisimple_dim(self) -> int:
-        return self.dim - self.radical_rows().rows
-
     def eval_poly(self, p, x: dict) -> dict:
         acc = {}
         for c in reversed(p):
@@ -151,10 +134,16 @@ def _probe_elements(alg: FiniteDimAlgebra, rng: random.Random, rounds: int):
         yield el_from_vector([rng.randint(-bound, bound) for _ in range(alg.dim)])
 
 
-def _split_corner_once(alg: FiniteDimAlgebra, unit: dict, rng: random.Random, rounds: int = 40):
+def _split_corner_once(
+    alg: FiniteDimAlgebra, unit: dict, trivial: Coordinates, rng: random.Random, rounds: int = 40
+):
     """A nontrivial idempotent pair (e, unit - e) inside the corner with the
-    given unit, or None if the corner resisted all probes."""
+    given unit, or None if the corner resisted all probes.  Probes in the
+    span ``trivial`` of 1 and rad(A) are skipped: c + n, n in the radical,
+    has corner minimal polynomial (t - c)^k, which has no coprime factors."""
     for x in _probe_elements(alg, rng, rounds):
+        if trivial.of_sparse(x) is not None:
+            continue
         # force the probe into the corner
         x = alg.mul(alg.mul(unit, x), unit)
         factors = _coprime_factors(_corner_min_poly(alg, x, unit))
@@ -175,7 +164,8 @@ def _split_corner_once(alg: FiniteDimAlgebra, unit: dict, rng: random.Random, ro
 def _coprime_factors(mu):
     """(m1, m2) with m1 = (t - r)^k for the least rational root r of mu, k its
     multiplicity, and m2 = mu / m1 not constant; None when mu has no rational
-    root or is a power of one linear factor, so that Fitting splits nothing."""
+    root or is a power of one linear factor, so that no spectral idempotent
+    splits the corner."""
     if len(mu) <= 2:
         return None
     roots = rational_roots(mu)
@@ -206,23 +196,18 @@ def _corner_min_poly(alg: FiniteDimAlgebra, x: dict, unit: dict):
     return min_poly_of_sequence(powers(), alg.dim)
 
 
-def _corner_is_local(alg: FiniteDimAlgebra, unit: dict) -> bool:
-    """Whether unit*A*unit is local: semisimple quotient of dimension 1."""
-    basis = sparse_row_space([alg.mul(alg.mul(unit, {i: 1}), unit) for i in range(alg.dim)])
-    if not basis:
+def _corner_is_local(alg: FiniteDimAlgebra, unit: dict, rad: list) -> bool:
+    """Whether unit*A*unit is local, given rad(A) as elements: the radical of
+    the corner is unit*rad(A)*unit, so the corner is local exactly when the
+    two differ by one dimension.  The corner of 1 is A itself."""
+    if unit == alg.one:
+        dim, rad_dim = alg.dim, len(rad)
+    else:
+        dim = len(sparse_row_space([alg.mul(alg.mul(unit, {i: 1}), unit) for i in range(alg.dim)]))
+        rad_dim = len(sparse_row_space([alg.mul(alg.mul(unit, r), unit) for r in rad]))
+    if not dim:
         raise DecompositionError("corner collapsed to zero")
-    corner_span = Coordinates([alg.el_to_vector(b) for b in basis], alg.dim)
-
-    def corner_product(i, j):
-        coords = corner_span.of_sparse(alg.mul(basis[i], basis[j]))
-        if coords is None:
-            raise DecompositionError("corner not multiplicatively closed")
-        return coords
-
-    unit_coords = corner_span.of_sparse(unit)
-    if unit_coords is None:
-        raise DecompositionError("corner unit not in corner span")
-    return FiniteDimAlgebra(len(basis), corner_product, unit_coords).semisimple_dim() == 1
+    return dim - rad_dim == 1
 
 
 def primitive_idempotents(alg: FiniteDimAlgebra):
@@ -234,14 +219,17 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
     a corner resists splitting (non-split input).
     """
     rng = random.Random(0)
+    rad = alg.radical_rows()
+    rad_elements = [el_from_vector(r) for r in rad.data]
+    trivial = Coordinates(list(rad.data) + [alg.el_to_vector(alg.one)], alg.dim)
     out = []
     stack = [alg.one]
     while stack:
         unit = stack.pop()
-        if _corner_is_local(alg, unit):
+        if _corner_is_local(alg, unit, rad_elements):
             out.append(unit)
             continue
-        pair = _split_corner_once(alg, unit, rng)
+        pair = _split_corner_once(alg, unit, trivial, rng)
         if pair is None:
             raise DecompositionError("corner resisted splitting; is the algebra split over Q?")
         e, comp = pair
@@ -325,95 +313,6 @@ def _map_coords(span: Coordinates, f: ModuleMap) -> dict:
     return el_from_vector(coords)
 
 
-def module_min_poly(f: ModuleMap):
-    """Minimal polynomial of a module endomorphism: that of its block-diagonal
-    matrix, the lcm over vertices."""
-    return min_poly_of_matrices(f.mats.values())
-
-
-def _split_by_endo(m: Representation, f: ModuleMap):
-    """Split m by Fitting's lemma along coprime factors m1 * m2 of the minimal
-    polynomial of f, or None.  The pieces are ker m1(f) and
-    ker m2(f) = im m1(f), so only m1 is evaluated; the inclusions form a
-    direct sum because the factors are coprime, which ``_projections_for``
-    checks."""
-    factors = _coprime_factors(module_min_poly(f))
-    if factors is None:
-        return None
-    values = {v: peval_matrix(factors[0], x) for v, x in f.mats.items()}
-    return [
-        sub_representation(m, {v: x.left_kernel_basis() for v, x in values.items()}),
-        sub_representation(m, values),
-    ]
-
-
-def _projections_for(m: Representation, pieces):
-    """Projections m -> piece inverting the combined inclusion."""
-    verts = list(m.dims)
-    combined = {}
-    for v in verts:
-        rows = []
-        for _, incl in pieces:
-            rows.extend(list(incl.mats[v].data))
-        combined[v] = Matrix(len(rows), m.dims[v], rows)
-    inv = {v: combined[v].inverse() for v in verts}
-    if any(inv[v] is None for v in verts):
-        raise DecompositionError("inclusions do not form a direct sum")
-    projs = []
-    offset = {v: 0 for v in verts}
-    for sub, _ in pieces:
-        mats = {}
-        for v in verts:
-            k = sub.dims[v]
-            cols = range(offset[v], offset[v] + k)
-            mats[v] = inv[v].submatrix(range(m.dims[v]), cols)
-            offset[v] += k
-        projs.append(ModuleMap(m, sub, mats, check=False))
-    return projs
-
-
-def _spin_split(m: Representation, rng: random.Random, attempts: int = 24):
-    """Split off a direct summand generated by random vectors, or None."""
-    verts = list(m.dims)
-    for trial in range(attempts):
-        n_vecs = 1 + trial // 8
-        spaces = {v: Matrix.zero(0, m.dims[v]) for v in verts}
-        for _ in range(n_vecs):
-            v = rng.choice([w for w in verts if m.dims[w]])
-            vec = [rng.randint(-3, 3) for _ in range(m.dims[v])]
-            spaces[v] = spaces[v].vstack(Matrix(1, m.dims[v], [vec]))
-        closed = close_under_arrows(m, spaces)
-        sub, incl = sub_representation(m, closed)
-        if sub.total_dim() in (0, m.total_dim()):
-            continue
-        # retraction: pi with incl then pi = identity on sub
-        cands = hom_space(m, sub)
-        if not cands:
-            continue
-        n = len(cands)
-        ident = ModuleMap.identity(sub)
-        comps = [incl.then(c) for c in cands]
-        try:
-            coords = map_coordinates(ident, comps)
-        except TiltbenchError:
-            continue
-        pi = None
-        for c, cand in zip(coords, cands):
-            if c == 0:
-                continue
-            pi = cand.scale(c) if pi is None else pi + cand.scale(c)
-        if pi is None:
-            continue
-        e = pi.then(incl)  # idempotent on m with image sub
-        comp_spaces = {v: e.mats[v] - Matrix.identity(m.dims[v]) for v in verts}
-        rows = {v: row_space_basis(comp_spaces[v]) for v in verts}
-        other, other_incl = sub_representation(m, rows)
-        if sub.total_dim() + other.total_dim() != m.total_dim():
-            continue
-        return [(sub, incl), (other, other_incl)]
-    return None
-
-
 def decompose(m: Representation):
     """Full decomposition certificate: (summands, to_sum, from_sum).
 
@@ -421,8 +320,7 @@ def decompose(m: Representation):
     to_sum:   iso m -> direct sum in listed order (copies grouped)
     from_sum: its exact two-sided inverse
     """
-    rng = random.Random(0)
-    leaves = _decompose_rec(m, rng)
+    leaves = _split_module(m)
     groups = _group_by_iso(leaves)
     summands = [(g[0][0][0], len(g)) for g in groups]
     # assemble maps m -> D and D -> m from the leaf data and grouping isos
@@ -466,51 +364,28 @@ def decompose(m: Representation):
     return summands, to_sum, from_sum
 
 
-def _decompose_rec(m: Representation, rng: random.Random):
-    """List of (indecomposable piece, inclusion into m, projection from m)."""
+def _split_module(m: Representation):
+    """List of (indecomposable piece, inclusion into m, projection from m),
+    one per primitive idempotent of End(m)."""
     if m.total_dim() == 0:
         return []
     end = EndAlgebra(m)
-    rad = end.radical_rows() if end.dim > 1 else None
-    if rad is None or end.dim - rad.rows == 1:
+    idems = primitive_idempotents(end)
+    if len(idems) == 1:
         ident = ModuleMap.identity(m)
         return [(m, ident, ident)]
-    # an endomorphism c + n with c scalar and n in the radical has minimal
-    # polynomial (t - c)^k, so its Fitting decomposition is trivial: skip it
-    trivial = Coordinates(list(rad.data) + [end.el_to_vector(end.one)], end.dim)
-    pieces = None
-    for coords, f in _endo_candidates(end, rng):
-        if trivial.of_sparse(coords) is not None:
-            continue
-        pieces = _split_by_endo(m, f)
-        if pieces:
-            break
-    if pieces is None:
-        pieces = _spin_split(m, rng)
-    if pieces is None:
-        raise DecompositionError(
-            "module resisted splitting although its endomorphism ring is not local"
-        )
-    projs = _projections_for(m, pieces)
     out = []
-    for (sub, incl), proj in zip(pieces, projs):
-        for piece, sub_incl, sub_proj in _decompose_rec(sub, rng):
-            out.append((piece, sub_incl.then(incl), proj.then(sub_proj)))
+    for coords in idems:
+        e = end.element(coords)
+        piece, incl = sub_representation(m, e.mats)
+        proj = {}
+        for v, x in e.mats.items():
+            sol = incl.mats[v].transpose().solve(x.transpose())
+            if sol is None:
+                raise DecompositionError("idempotent image rows escaped their row space")
+            proj[v] = sol.transpose()
+        out.append((piece, incl, ModuleMap(m, piece, proj, check=False)))
     return out
-
-
-def _endo_candidates(end: EndAlgebra, rng: random.Random, rounds: int = 30):
-    """(coordinates, map) pairs: the basis maps, their pairwise sums, then
-    seeded random combinations."""
-    for i, f in enumerate(end.maps):
-        yield {i: 1}, f
-    for i in range(end.dim):
-        for j in range(i + 1, end.dim):
-            yield {i: 1, j: 1}, end.maps[i] + end.maps[j]
-    for r in range(rounds):
-        bound = 2 + r
-        coords = el_from_vector([rng.randint(-bound, bound) for _ in range(end.dim)])
-        yield coords, end.element(coords)
 
 
 def _group_by_iso(leaves):

@@ -172,13 +172,6 @@ class Matrix:
             raise DimensionMismatch("vstack: column counts differ")
         return Matrix(self.rows + other.rows, self.cols, list(self.data) + list(other.data))
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        row_idx = list(row_idx)
-        col_idx = list(col_idx)
-        return Matrix(
-            len(row_idx), len(col_idx), [[self.data[i][j] for j in col_idx] for i in row_idx]
-        )
-
     # -- elimination -----------------------------------------------------
 
     def rref(self):

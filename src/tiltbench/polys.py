@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .linalg import Coordinates, Matrix, div, frac
+from .linalg import Coordinates, div, frac
 
 
 def pnorm(p):
@@ -86,18 +86,6 @@ def peval_frac(p, x):
     return acc
 
 
-def peval_matrix(p, m: Matrix) -> Matrix:
-    """p(m) by Horner's rule, adding each coefficient on the diagonal only."""
-    n = m.rows
-    acc = Matrix.zero(n, n)
-    for c in reversed(p):
-        data = (acc * m).data
-        if c:
-            data = tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(data))
-        acc = Matrix._trusted(n, n, data)
-    return acc
-
-
 def bezout(p, q):
     """(u, v) with u*p + v*q = gcd(p, q) monic."""
     r0, r1 = pnorm(p), pnorm(q)
@@ -126,24 +114,6 @@ def min_poly_of_sequence(vectors, width: int):
         if coords is not None:
             return pnorm([-c for c in coords] + [1])
     raise ValueError("the sequence ended before its vectors became dependent")
-
-
-def min_poly_of_matrices(mats):
-    """Monic minimal polynomial of the block-diagonal matrix with the given
-    square blocks, i.e. the lcm of theirs, from the powers of all blocks at
-    once; 1 when every block is 0 x 0."""
-    mats = list(mats)
-    if any(m.rows != m.cols for m in mats):
-        raise ValueError("min poly of nonsquare matrix")
-    mats = [m for m in mats if m.rows]
-
-    def powers():
-        cur = [Matrix.identity(m.rows) for m in mats]
-        while True:
-            yield [x for p in cur for row in p.data for x in row]
-            cur = [p * m for p, m in zip(cur, mats)]
-
-    return min_poly_of_sequence(powers(), sum(m.rows * m.rows for m in mats))
 
 
 def rational_roots(p):

@@ -327,21 +327,6 @@ def regular_module(a: BasicAlgebra) -> Representation:
 # -- submodules and quotients -------------------------------------------------
 
 
-def close_under_arrows(m: Representation, spaces: dict) -> dict:
-    """Smallest arrow-stable row spaces containing the given ones."""
-    cur = {v: row_space_basis(spaces.get(v, Matrix.zero(0, m.dims[v]))) for v in m.dims}
-    changed = True
-    while changed:
-        changed = False
-        for a in m.algebra.quiver.arrows:
-            img = cur[a.source] * m.mats[a.name]
-            for i in range(img.rows):
-                if not row_space_contains(cur[a.target], img.row(i)):
-                    cur[a.target] = row_space_basis(cur[a.target].vstack(img.submatrix([i], range(img.cols))))
-                    changed = True
-    return cur
-
-
 def is_arrow_stable(m: Representation, spaces: dict) -> bool:
     for a in m.algebra.quiver.arrows:
         img = spaces[a.source] * m.mats[a.name]
@@ -372,21 +357,17 @@ def quotient_representation(m: Representation, spaces: dict):
     bases = {v: row_space_basis(spaces.get(v, Matrix.zero(0, m.dims[v]))) for v in m.dims}
     if not is_arrow_stable(m, bases):
         raise TiltbenchError("spaces are not arrow-stable")
-    red = {}
-    free = {}
-    for v in m.dims:
-        r, piv = bases[v].rref()
-        red[v] = (r, piv)
-        free[v] = [j for j in range(m.dims[v]) if j not in piv]
+    # the bases are RREF rows already: each pivot is a row's first nonzero entry
+    pivots = {v: [next(j for j, x in enumerate(row) if x) for row in bases[v].data] for v in m.dims}
+    free = {v: [j for j in range(m.dims[v]) if j not in pivots[v]] for v in m.dims}
 
     def project_vec(v, vec):
-        r, piv = red[v]
         vec = list(vec)
-        for i, p in enumerate(piv):
+        for row, p in zip(bases[v].data, pivots[v]):
             c = vec[p]
             if c != 0:
                 for j in range(m.dims[v]):
-                    vec[j] -= c * r.data[i][j]
+                    vec[j] -= c * row[j]
         return [vec[j] for j in free[v]]
 
     dims = {v: len(free[v]) for v in m.dims}

@@ -267,8 +267,13 @@ def save(obj, path: str):
 
 
 def load_json(path: str):
+    """The JSON value in the file at path.  Malformed JSON, a JSON integer
+    longer than Python reads included, is a TiltbenchError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise TiltbenchError(f"{path}: not valid JSON: {exc}") from None
 
 
 def load_json_str(text: str):

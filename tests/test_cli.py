@@ -218,6 +218,15 @@ def test_parse_error_exit_two(tmp_path):
     ]
     unknown_dim = tmp_path / "dims_unknown_vertex.json"
     unknown_dim.write_text(json.dumps({"format": 1, "algebra": fig1, "dims": {"1": 1, "9": 1}, "arrows": {}}))
+    # json refuses both files with a ValueError that does not name them
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text(
+        json.dumps({"format": 1, "algebra": fig1, "dims": {"1": 1, "2": 1}, "arrows": {"alpha": [["0"]]}}).replace(
+            '"0"', "9" * 5000
+        )
+    )
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps({"format": 1, "quiver": {"vertices": ["1"]}})[:-5])
     argvs = []
     for name, payload, argv, field in cases:
         path = tmp_path / name
@@ -238,6 +247,8 @@ def test_parse_error_exit_two(tmp_path):
         (["endalg", "fig1.json", "fig1_S1.json"], "missing field 'terms'"),
         (["stable-image", "fig1.json", "fig1_T.json", "fig1.json"], "missing field 'dims'"),
         (["stable-image", "fig1.json", "fig1_T.json", str(unknown_dim)], "no vertex '9'"),
+        (["stable-image", "fig1.json", "fig1_T.json", str(long_int)], str(long_int)),
+        (["alg", "check", str(truncated)], str(truncated)),
     ]
     for argv, field in argvs:
         code, out, err = run_cli(*argv)

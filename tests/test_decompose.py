@@ -1,11 +1,11 @@
 import random
 import sys
-from fractions import Fraction
 
 from tiltbench import corpus
+from tiltbench.complex_decomp import ChainEndData
+from tiltbench.complexes import regular_stalk
 from tiltbench.decompose import EndAlgebra, FiniteDimAlgebra, decompose, is_isomorphic, primitive_idempotents
-from tiltbench.linalg import Matrix
-from tiltbench.polys import pgcd, pmul, peval_matrix
+from tiltbench.linalg import Coordinates, Matrix, sparse_row_space
 from tiltbench.reps import (
     ModuleMap,
     Representation,
@@ -14,9 +14,9 @@ from tiltbench.reps import (
     radical_submodule,
     regular_module,
     simple,
-    sub_representation,
     zero_rep,
 )
+from tiltbench.tilting import TiltingContext, construct_tpq
 
 # the package re-exports the function ``decompose`` under the module's name
 decompose_module = sys.modules["tiltbench.decompose"]
@@ -192,44 +192,14 @@ def _twisted(m: Representation, rng: random.Random) -> Representation:
     return Representation(m.algebra, dict(m.dims), mats)
 
 
-def _reference_decompose_rec(m, rng):
-    """The candidate loop without the skip span: locality from End(M)'s
-    product table, and every candidate through ``_split_by_endo``."""
-    d = decompose_module
-    if m.total_dim() == 0:
-        return []
-    end = EndAlgebra(m)
-    if end.dim == 1 or end.dim - FiniteDimAlgebra.radical_rows(end).rows == 1:
-        ident = d.ModuleMap.identity(m)
-        return [(m, ident, ident)]
-
-    def candidates():
-        yield from end.maps
-        for i in range(end.dim):
-            for j in range(i + 1, end.dim):
-                yield end.maps[i] + end.maps[j]
-        for r in range(30):
-            bound = 2 + r
-            yield end.element([Fraction(rng.randint(-bound, bound)) for _ in range(end.dim)])
-
-    pieces = None
-    for f in candidates():
-        pieces = d._split_by_endo(m, f)
-        if pieces:
-            break
-    if pieces is None:
-        pieces = d._spin_split(m, rng)
-    out = []
-    for (sub, incl), proj in zip(pieces, d._projections_for(m, pieces)):
-        for piece, sub_incl, sub_proj in _reference_decompose_rec(sub, rng):
-            out.append((piece, sub_incl.then(incl), proj.then(sub_proj)))
-    return out
-
-
 def _seeded_modules():
+    """(module, picks): five regular modules, built from their projectives,
+    then fifteen seeded sums of projectives and simples with one pick
+    repeated, every other one after a change of basis."""
     rng = random.Random(20)
     for s in ([2, 3, 3], [3, 3, 3, 3], [2, 2, 3, 3], [3, 3, 4, 4], [4, 5, 5, 5]):
-        yield regular_module(corpus.kupisch_algebra(s))
+        a = corpus.kupisch_algebra(s)
+        yield regular_module(a), [projective(a, v) for v in a.quiver.vertices]
     pools = [
         [f(a, v) for v in a.quiver.vertices for f in (projective, simple)]
         for a in (corpus.fig1_algebra(), corpus.sec5_algebra(), corpus.kupisch_algebra([3, 3, 4, 4]))
@@ -241,77 +211,70 @@ def _seeded_modules():
         m = picks[0]
         for p in picks[1:]:
             m = m.direct_sum(p)
-        yield _twisted(m, rng) if k % 2 else m
+        yield (_twisted(m, rng) if k % 2 else m), picks
 
 
-def _certificate(result):
-    summands, to_sum, from_sum = result
-    return (
-        [(s.dims, {a: x.data for a, x in s.mats.items()}, mult) for s, mult in summands],
-        {v: x.data for v, x in to_sum.mats.items()},
-        {v: x.data for v, x in from_sum.mats.items()},
+def test_decompose_recovers_the_summands_a_module_was_built_from():
+    cases = list(_seeded_modules())
+    assert len(cases) == 20
+    repeated = 0
+    for m, picks in cases:
+        # the picks up to isomorphism, with how often each class was picked
+        classes = []
+        for p in picks:
+            for entry in classes:
+                if is_isomorphic(entry[0], p) is not None:
+                    entry[1] += 1
+                    break
+            else:
+                classes.append([p, 1])
+        summands, to_sum, from_sum = decompose(m)
+        assert len(summands) == len(classes), m.dim_vector()
+        for rep, count in classes:
+            hits = [mult for piece, mult in summands if is_isomorphic(piece, rep) is not None]
+            assert hits == [count], m.dim_vector()
+        repeated += any(mult > 1 for _, mult in summands)
+        assert to_sum.then(from_sum).is_identity() and from_sum.then(to_sum).is_identity()
+    assert repeated == 15
+
+
+def _reference_corner_is_local(alg, unit, rad):
+    """Locality from the corner's own algebra, ignoring rad(A): the product
+    table of unit*A*unit on an RREF basis and the kernel of its trace form."""
+    basis = sparse_row_space([alg.mul(alg.mul(unit, {i: 1}), unit) for i in range(alg.dim)])
+    span = Coordinates([alg.el_to_vector(b) for b in basis], alg.dim)
+    corner = FiniteDimAlgebra(len(basis), lambda i, j: span.of_sparse(alg.mul(basis[i], basis[j])), span.of_sparse(unit))
+    return corner.dim - corner.radical_rows().rows == 1
+
+
+class _NoSkip:
+    """A skip span that holds no probe, so that every probe is tried."""
+
+    @staticmethod
+    def of_sparse(x):
+        return None
+
+
+def _algebras_for_idempotent_check():
+    for m in _modules_for_radical_check():
+        if m.total_dim():
+            yield EndAlgebra(m)
+    for a in corpus.corpus_algebras().values():
+        yield ChainEndData(regular_stalk(a))
+    fig1 = corpus.fig1_algebra()
+    yield TiltingContext(fig1, corpus.fig1_tilting_complex(fig1)).end_data().abstract
+    sec5 = corpus.sec5_algebra()
+    built = construct_tpq(sec5, ["1"], ["3", "4"], 1, 1)
+    yield TiltingContext(sec5, built.complex, proved_by_construction=True).end_data().abstract
+
+
+def test_primitive_idempotents_match_per_corner_reference_trying_every_probe(monkeypatch):
+    algebras = list(_algebras_for_idempotent_check())
+    new = [primitive_idempotents(alg) for alg in algebras]
+    split = decompose_module._split_corner_once
+    monkeypatch.setattr(decompose_module, "_corner_is_local", _reference_corner_is_local)
+    monkeypatch.setattr(
+        decompose_module, "_split_corner_once", lambda alg, unit, trivial, rng: split(alg, unit, _NoSkip, rng)
     )
-
-
-def test_decompose_matches_loop_that_tries_every_candidate(monkeypatch):
-    modules = list(_seeded_modules())
-    assert len(modules) == 20
-    new = [_certificate(decompose(m)) for m in modules]
-    monkeypatch.setattr(decompose_module, "_decompose_rec", _reference_decompose_rec)
-    old = [_certificate(decompose(m)) for m in modules]
-    assert new == old
-    assert any(mult > 1 for summands, _, _ in new for _, _, mult in summands)
-
-
-def test_decompose_asks_no_product_and_tries_only_splitting_candidates(monkeypatch):
-    ends = []
-    split_calls = []
-    init, split = EndAlgebra.__init__, decompose_module._split_by_endo
-
-    def recorded(self, m):
-        init(self, m)
-        ends.append(self)
-
-    monkeypatch.setattr(EndAlgebra, "__init__", recorded)
-    monkeypatch.setattr(decompose_module, "_split_by_endo", lambda m, f: split_calls.append(1) or split(m, f))
-    summands, _, _ = decompose(regular_module(corpus.kupisch_algebra([4, 5, 5, 5])))
-    assert len(summands) == 4
-    # every split succeeds: three splits leave the four projectives
-    assert len(split_calls) == 3
-    assert sum(cell is not None for end in ends for row in end._table for cell in row) == 0
-
-
-def test_endo_candidates_carry_their_coordinates():
-    # the skip span judges a candidate by its coordinates alone
-    a = corpus.sec5_algebra()
-    end = EndAlgebra(projective(a, "3").direct_sum(simple(a, "3")).direct_sum(projective(a, "3")))
-    candidates = list(decompose_module._endo_candidates(end, random.Random(0), rounds=3))
-    assert len(candidates) == end.dim + end.dim * (end.dim - 1) // 2 + 3
-    for coords, f in candidates:
-        assert end.coords(f) == coords
-
-
-def test_fitting_pieces_are_the_kernels_of_both_factors():
-    # ker m2(f) = im m1(f) for coprime m1 * m2 = mu_f: the second piece comes
-    # from m1(f) alone, and must be the submodule ker m2(f)
-    splits = 0
-    for series in ([3, 3, 4, 4], [4, 5, 5, 5]):
-        m = regular_module(corpus.kupisch_algebra(series))
-        end = EndAlgebra(m)
-        candidates = end.maps + [f + g for f, g in zip(end.maps, end.maps[1:])]
-        for f in candidates:
-            pieces = decompose_module._split_by_endo(m, f)
-            if pieces is None:
-                continue
-            mu = decompose_module.module_min_poly(f)
-            m1, m2 = decompose_module._coprime_factors(mu)
-            assert pmul(m1, m2) == mu and pgcd(m1, m2) == [1]
-            for factor, (sub, incl) in zip((m1, m2), pieces):
-                ref, ref_incl = sub_representation(
-                    m, {v: peval_matrix(factor, x).left_kernel_basis() for v, x in f.mats.items()}
-                )
-                assert sub.dims == ref.dims
-                assert all(sub.mats[a] == ref.mats[a] for a in ref.mats)
-                assert all(incl.mats[v] == ref_incl.mats[v] for v in m.dims)
-            splits += 1
-    assert splits >= 4
+    assert [primitive_idempotents(alg) for alg in algebras] == new
+    assert sum(len(idems) > 1 for idems in new) >= 10

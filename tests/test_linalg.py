@@ -353,7 +353,6 @@ def test_matrix_operations_hold_only_exact_scalars():
         a,
         a.hstack(b),
         a.vstack(b),
-        a.submatrix([2, 0], [3, 1]),
         a.rref()[0],
         a.kernel_basis(),
         a.solve(a * c),

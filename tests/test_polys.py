@@ -4,15 +4,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import pytest
-
 import tiltbench
 from tiltbench import corpus
 from tiltbench.algebra import el_from_vector
-from tiltbench.decompose import EndAlgebra, _corner_min_poly, module_min_poly, primitive_idempotents
+from tiltbench.decompose import _corner_min_poly, primitive_idempotents
 from tiltbench.linalg import Matrix
-from tiltbench.polys import min_poly_of_matrices, pdivmod, pgcd, pmul, pnorm, rational_roots
-from tiltbench.reps import ModuleMap, projective, regular_module, simple, zero_rep
+from tiltbench.polys import pmul, pnorm, rational_roots
 from tiltbench.tilting import TiltingContext
 
 
@@ -65,78 +62,6 @@ def test_decompose_imports_no_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-
-
-def _old_min_poly_of_matrix(m):
-    """Minimal polynomial from the left kernel of the Krylov matrix of
-    flattened powers, rebuilt for every power."""
-    n = m.rows
-    if n == 0:
-        return [Fraction(1)]
-    powers = [Matrix.identity(n)]
-    flat = [sum([list(r) for r in powers[0].data], [])]
-    while True:
-        powers.append(powers[-1] * m)
-        flat.append(sum([list(r) for r in powers[-1].data], []))
-        ker = Matrix(len(flat), len(flat[0]), flat).left_kernel_basis()
-        if ker.rows:
-            row = list(ker.row(0))
-            top = max(i for i, c in enumerate(row) if c != 0)
-            return pnorm([c / row[top] for c in row[: top + 1]])
-
-
-def _old_module_min_poly(f):
-    """lcm of the minimal polynomials of the vertex matrices."""
-    mu = [Fraction(1)]
-    for m in f.mats.values():
-        if m.rows == 0:
-            continue
-        mv = _old_min_poly_of_matrix(m)
-        mu = pdivmod(pmul(mu, mv), pgcd(mu, mv))[0]
-    return pnorm(mu)
-
-
-def test_krylov_min_poly_matches_lcm_of_vertex_min_polys():
-    rng = random.Random(3)
-    modules = [regular_module(corpus.kupisch_algebra(s)) for s in ([2, 3, 3], [3, 3, 4, 4], [4, 5, 5, 5])]
-    a = corpus.sec5_algebra()
-    modules += [
-        regular_module(a),
-        projective(a, "3").direct_sum(projective(a, "3")),
-        simple(a, "1").direct_sum(projective(a, "2")).direct_sum(simple(a, "1")),
-    ]
-    degrees = set()
-    for m in modules:
-        end = EndAlgebra(m)
-        for _ in range(15):
-            f = end.element(el_from_vector([Fraction(rng.randint(-3, 3)) for _ in range(end.dim)]))
-            mu = module_min_poly(f)
-            assert mu == _old_module_min_poly(f)
-            degrees.add(len(mu) - 1)
-    assert degrees >= {2, 3, 4, 5}
-
-
-def test_krylov_min_poly_edge_cases():
-    a = corpus.sec5_algebra()
-    p = projective(a, "1")
-    assert module_min_poly(ModuleMap.identity(p)) == linear(1)
-    # a nonzero radical endomorphism of P(1) is nilpotent
-    end = EndAlgebra(p)
-    rad = end.radical_rows()
-    assert rad.rows
-    nil = end.element(el_from_vector(rad.row(0)))
-    mu = module_min_poly(nil)
-    assert mu == _old_module_min_poly(nil) and len(mu) > 2 and mu[:-1] == [0] * (len(mu) - 1)
-    # S(1) is zero at every other vertex
-    s = simple(a, "1")
-    assert module_min_poly(ModuleMap.identity(s).scale(Fraction(-2, 3))) == linear(Fraction(-2, 3))
-    assert module_min_poly(ModuleMap.identity(zero_rep(a))) == [1]
-    assert min_poly_of_matrices([Matrix.zero(0, 0)]) == _old_min_poly_of_matrix(Matrix.zero(0, 0)) == [1]
-    for rows in ([[0, 1], [0, 0]], [[2, 1], [0, 2]], [[1, 2], [3, 4]], [[Fraction(1, 3)]]):
-        m = Matrix(len(rows), len(rows[0]), rows)
-        assert min_poly_of_matrices([m]) == _old_min_poly_of_matrix(m)
-    with pytest.raises(ValueError):
-        min_poly_of_matrices([Matrix.zero(1, 2)])
 
 
 def _old_corner_min_poly(alg, x, unit):
