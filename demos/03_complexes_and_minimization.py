@@ -38,4 +38,4 @@ for i in (-1, 0):
 summands, includes, projects = decompose_complex(t)
 for s, mult in summands:
     print("summand", {d: s.term(d) for d in s.degrees()}, "x", mult)
-print("copy 0: include then project is the identity:", includes[0].then(projects[0]).is_identity_shape())
+print("copy 0: include then project is the identity:", includes[0].then(projects[0]).is_identity())

@@ -11,7 +11,9 @@ re-checkable witness.  The layers, bottom up:
   algebra       path algebras modulo admissible relations
   reps          modules as row-vector quiver representations
   decompose     splitting by primitive idempotents, one engine for modules
-                (via End(M)) and abstract algebras; isomorphism testing
+                (via End(M)) and abstract algebras; a decomposition is its
+                list of summand copies, each with an inclusion and a
+                projection; isomorphism testing
   approx        minimal right/left approximations by projectives
   complexes     bounded complexes of projectives, homotopy homs, minimization
   complex_decomp  idempotent splitting of complexes

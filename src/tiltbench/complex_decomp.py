@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .algebra import el_from_vector, el_to_vector
-from .decompose import FiniteDimAlgebra, lift_idempotent, primitive_idempotents
+from .decompose import FiniteDimAlgebra, group_copies, lift_idempotent, primitive_idempotents
 from .errors import DecompositionError, NotIdempotent, TiltbenchError
 from .linalg import Coordinates, row_space_basis
 from .complexes import (
@@ -168,7 +168,7 @@ def split_strict_idempotent(c: ProjComplex, strict: ChainMapC):
     project = ChainMapC(c, summand, {d: psi_entries[d] for d in labels})
     if not include.is_chain_map() or not project.is_chain_map():
         raise DecompositionError("split maps are not chain maps")
-    if not include.then(project).is_identity_shape():
+    if not include.then(project).is_identity():
         raise DecompositionError("include then project is not the identity")
     return summand, include, project
 
@@ -310,7 +310,7 @@ def _upgrade_to_iso(x: ProjComplex, y: ProjComplex, f: ChainMapC):
     g = ChainMapC(y, x, inv_entries)
     if not g.is_chain_map():
         return None
-    if f.then(g).is_identity_shape() and g.then(f).is_identity_shape():
+    if f.then(g).is_identity() and g.then(f).is_identity():
         return f, g
     return None
 
@@ -331,32 +331,15 @@ def decompose_complex(c: ProjComplex, _self_hom=None):
     last check (``TiltingContext`` shares its own).
     """
     m, eq = minimize(c)
-    # (representative, [(include into m, project from m) per copy])
-    groups = []
-    for comp in _support_components(m):
-        for piece, incl, proj in _split_component(*_component_complex(m, comp)):
-            for rep, copies in groups:
-                pair = complexes_isomorphic(rep, piece)
-                if pair is not None:
-                    rep_to_piece, piece_to_rep = pair
-                    copies.append((rep_to_piece.then(incl), proj.then(piece_to_rep)))
-                    break
-            else:
-                groups.append((piece, [(incl, proj)]))
-    summands = [(rep, len(copies)) for rep, copies in groups]
-    includes = []
-    projects = []
-    for _, copies in groups:
-        for incl, proj in copies:
-            includes.append(incl.then(eq.i))
-            projects.append(eq.p.then(proj))
-    for k, (incl, proj) in enumerate(zip(includes, projects)):
+    pieces = (
+        (piece, incl.then(eq.i), eq.p.then(proj))
+        for comp in _support_components(m)
+        for piece, incl, proj in _split_component(*_component_complex(m, comp))
+    )
+    summands, includes, projects = group_copies(pieces, complexes_isomorphic)
+    for incl, proj in zip(includes, projects):
         if not incl.is_chain_map() or not proj.is_chain_map():
             raise DecompositionError("certificate maps are not chain maps")
-        for l, proj_l in enumerate(projects):
-            through = incl.then(proj_l)
-            if not (through.is_identity_shape() if k == l else through.is_zero()):
-                raise DecompositionError(f"summand certificate failed: include {k} then project {l}")
     back = ChainMapC.zero(c, c)
     for incl, proj in zip(includes, projects):
         back = back + proj.then(incl)

@@ -274,7 +274,7 @@ class ChainMapC:
                 return False
         return True
 
-    def is_identity_shape(self) -> bool:
+    def is_identity(self) -> bool:
         if self.source.terms.keys() != self.target.terms.keys():
             return False
         ident = ChainMapC.identity(self.source)
@@ -595,7 +595,7 @@ class HomotopyEquivalence:
     def verify(self) -> bool:
         if not (self.p.is_chain_map() and self.i.is_chain_map()):
             return False
-        if not self.i.then(self.p).is_identity_shape():
+        if not self.i.then(self.p).is_identity():
             return False
         back = self.p.then(self.i)
         ident = ChainMapC.identity(self.source)

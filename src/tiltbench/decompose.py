@@ -1,7 +1,8 @@
 """Splitting modules and finite-dimensional algebras into indecomposables.
 
-The module-level entry points are ``decompose`` (full decomposition with a
-verified certificate) and ``is_isomorphic`` (explicit inverse pair or None).
+The module-level entry points are ``decompose`` (the summands with one
+inclusion and one projection per copy, a certificate checked before it is
+returned) and ``is_isomorphic`` (explicit inverse pair or None).
 Both work over the rationals and assume the split situation in which every
 simple endomorphism quotient is the ground field; anything else raises
 ``DecompositionError`` rather than guessing.
@@ -23,6 +24,8 @@ those of End(M), a complex by those of its chain endomorphism ring
      a power of one linear factor, so it splits nothing.
 A primitive idempotent e of End(M) gives the summand of M spanned by the
 images of e; its projection p is the solution of "p then incl = e".
+``group_copies`` groups the split pieces of a module or a complex by
+isomorphism into that list of copies.
 ``lift_idempotent`` lifts an idempotent modulo the radical by Newton
 iteration.
 """
@@ -314,54 +317,26 @@ def _map_coords(span: Coordinates, f: ModuleMap) -> dict:
 
 
 def decompose(m: Representation):
-    """Full decomposition certificate: (summands, to_sum, from_sum).
+    """Indecomposable summands of m with multiplicities, and one inclusion
+    and one projection per summand copy.
 
-    summands: list of (indecomposable Representation, multiplicity)
-    to_sum:   iso m -> direct sum in listed order (copies grouped)
-    from_sum: its exact two-sided inverse
+    Returns (summands, includes, projects) as ``decompose_complex`` does for
+    complexes: summands is a list of (indecomposable Representation,
+    multiplicity), and the copies are listed in summand order, each summand
+    repeated by its multiplicity; ``includes[k]`` : M_k -> m and
+    ``projects[k]`` : m -> M_k are module maps of the k-th copy M_k.  The
+    certificate is checked before it is returned: ``includes[k]`` then
+    ``projects[l]`` is the identity of M_k for k = l and zero otherwise, and
+    the sum over k of ``projects[k]`` then ``includes[k]`` is the identity of
+    m; otherwise DecompositionError is raised.
     """
-    leaves = _split_module(m)
-    groups = _group_by_iso(leaves)
-    summands = [(g[0][0][0], len(g)) for g in groups]
-    # assemble maps m -> D and D -> m from the leaf data and grouping isos
-    incls = []  # copy -> m
-    projs = []  # m -> copy
-    for group in groups:
-        for (piece, incl, proj), iso_pair in group:
-            rep_to_piece, piece_to_rep = iso_pair
-            incls.append(rep_to_piece.then(incl))
-            projs.append(proj.then(piece_to_rep))
-    d = None
-    for rep, mult in summands:
-        for _ in range(mult):
-            d = rep if d is None else d.direct_sum(rep)
-    if d is None:
-        from .reps import zero_rep
-
-        d = zero_rep(m.algebra)
-    verts = list(m.dims)
-    to_mats = {}
-    from_mats = {}
-    for v in verts:
-        cols = []
-        for proj in projs:
-            cols.append(proj.mats[v])
-        if cols:
-            acc = cols[0]
-            for c in cols[1:]:
-                acc = acc.hstack(c)
-        else:
-            acc = Matrix.zero(m.dims[v], 0)
-        to_mats[v] = acc
-        rows = []
-        for incl in incls:
-            rows.extend(list(incl.mats[v].data))
-        from_mats[v] = Matrix(len(rows), m.dims[v], rows)
-    to_sum = ModuleMap(m, d, to_mats, check=False)
-    from_sum = ModuleMap(d, m, from_mats, check=False)
-    if not to_sum.then(from_sum).is_identity() or not from_sum.then(to_sum).is_identity():
-        raise DecompositionError("decomposition certificate failed verification")
-    return summands, to_sum, from_sum
+    summands, includes, projects = group_copies(_split_module(m), _iso_between_indecomposables)
+    back = ModuleMap.zero(m, m)
+    for incl, proj in zip(includes, projects):
+        back = back + proj.then(incl)
+    if not back.is_identity():
+        raise DecompositionError("summand certificate failed: the copies do not sum to the identity")
+    return summands, includes, projects
 
 
 def _split_module(m: Representation):
@@ -388,30 +363,38 @@ def _split_module(m: Representation):
     return out
 
 
-def _group_by_iso(leaves):
-    """Group indecomposable leaves by isomorphism; attach alignment isos.
+def group_copies(pieces, isomorphic):
+    """(summands, includes, projects) of a split into indecomposable pieces,
+    for modules and complexes alike: both kinds of map compose with
+    ``then`` and answer ``is_identity`` and ``is_zero``.
 
-    Returns a list of groups; each entry of a group is
-    ((piece, incl, proj), (rep_to_piece, piece_to_rep)) where the inner pair
-    aligns the group representative with this copy.
+    ``pieces`` lists (piece, include: piece -> X, project: X -> piece), and
+    ``isomorphic(x, y)`` returns mutually inverse maps (x -> y, y -> x) or
+    None.  Each piece joins the first earlier summand it is isomorphic to,
+    and its maps are carried over to that summand along the isomorphism.
+    The copies come in summand order, each summand's copies in split order.
+    Checks that ``includes[k]`` then ``projects[l]`` is the identity for
+    k = l and zero otherwise; whether the copies sum to the identity of X is
+    left to the caller.
     """
-    groups = []
-    for leaf in leaves:
-        piece = leaf[0]
-        placed = False
-        for group in groups:
-            rep = group[0][0][0]
-            if rep.dim_vector() != piece.dim_vector():
-                continue
-            pair = _iso_between_indecomposables(rep, piece)
+    groups = []  # (summand, [(include, project) per copy])
+    for piece, incl, proj in pieces:
+        for rep, copies in groups:
+            pair = isomorphic(rep, piece)
             if pair is not None:
-                group.append((leaf, pair))
-                placed = True
+                rep_to_piece, piece_to_rep = pair
+                copies.append((rep_to_piece.then(incl), proj.then(piece_to_rep)))
                 break
-        if not placed:
-            ident = ModuleMap.identity(piece)
-            groups.append([(leaf, (ident, ident))])
-    return groups
+        else:
+            groups.append((piece, [(incl, proj)]))
+    includes = [incl for _, copies in groups for incl, _ in copies]
+    projects = [proj for _, copies in groups for _, proj in copies]
+    for k, incl in enumerate(includes):
+        for l, proj in enumerate(projects):
+            through = incl.then(proj)
+            if not (through.is_identity() if k == l else through.is_zero()):
+                raise DecompositionError(f"summand certificate failed: include {k} then project {l}")
+    return [(rep, len(copies)) for rep, copies in groups], includes, projects
 
 
 def _iso_between_indecomposables(x: Representation, y: Representation):
@@ -475,60 +458,28 @@ def is_isomorphic(m: Representation, n: Representation):
         g = _vertexwise_inverse(f)
         if g is not None and f.then(g).is_identity() and g.then(f).is_identity():
             return f, g
-    # deterministic fallback: decompose both sides and match summands
-    sm, m_to_d, _ = decompose(m)
-    sn, _, e_to_n = decompose(n)
+    # deterministic fallback: match the summands of both sides, then send
+    # each copy in m to a copy of the matched summand in n
+    sm, _, projects_m = decompose(m)
+    sn, includes_n, _ = decompose(n)
     if len(sm) != len(sn):
         return None
-    used = [False] * len(sn)
-    matches = {}
-    for idx, (rep, mult) in enumerate(sm):
-        found = None
-        for j, (rep2, mult2) in enumerate(sn):
-            if used[j] or mult2 != mult:
-                continue
-            pair = _iso_between_indecomposables(rep, rep2)
-            if pair is not None:
-                found = (j, pair[0])
-                break
-        if found is None:
+    first_n = [sum(mult for _, mult in sn[:j]) for j in range(len(sn))]
+    unmatched = list(range(len(sn)))
+    f = ModuleMap.zero(m, n)
+    k = 0
+    for rep, mult in sm:
+        for j in unmatched:
+            if sn[j][1] == mult:
+                pair = _iso_between_indecomposables(rep, sn[j][0])
+                if pair is not None:
+                    break
+        else:
             return None
-        used[found[0]] = True
-        matches[idx] = found
-    verts = list(m.dims)
-
-    def copy_offsets(summands):
-        out = []
-        start = {v: 0 for v in verts}
-        for rep, mult in summands:
-            group = []
-            for _ in range(mult):
-                group.append(dict(start))
-                for v in verts:
-                    start[v] += rep.dims[v]
-            out.append(group)
-        return out, start
-
-    off_d, d_total = copy_offsets(sm)
-    off_e, e_total = copy_offsets(sn)
-    big = {v: [[0] * e_total[v] for _ in range(d_total[v])] for v in verts}
-    for idx, (rep, mult) in enumerate(sm):
-        j, fij = matches[idx]
+        unmatched.remove(j)
         for c in range(mult):
-            src_off = off_d[idx][c]
-            tgt_off = off_e[j][c]
-            for v in verts:
-                mat = fij.mats[v]
-                for r in range(mat.rows):
-                    for s in range(mat.cols):
-                        big[v][src_off[v] + r][tgt_off[v] + s] = mat.data[r][s]
-    perm = ModuleMap(
-        m_to_d.target,
-        e_to_n.source,
-        {v: Matrix(d_total[v], e_total[v], big[v]) for v in verts},
-        check=False,
-    )
-    f = m_to_d.then(perm).then(e_to_n)
+            f = f + projects_m[k + c].then(pair[0]).then(includes_n[first_n[j] + c])
+        k += mult
     g = _vertexwise_inverse(f)
     if g is not None and f.then(g).is_identity() and g.then(f).is_identity():
         return f, g

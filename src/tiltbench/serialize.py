@@ -53,6 +53,19 @@ def _field(d, key, field, kind=None, default=None):
     return d[key] if kind is None else _expect(d[key], kind, field)
 
 
+def _integer(v, field):
+    """v as an int: a JSON integer, or a string that ``int`` reads;
+    otherwise a TiltbenchError naming the field."""
+    if type(v) is int:
+        return v
+    if type(v) is str:
+        try:
+            return int(v)
+        except ValueError:  # not decimal digits, or too many of them
+            pass
+    raise TiltbenchError(f"{field}: expected an integer, got {json.dumps(v)[:60]}")
+
+
 def scalar_to_str(c) -> str:
     return str(frac(c))
 
@@ -191,12 +204,12 @@ def complex_from_dict(d, base_dir=".", algebra=None) -> ProjComplex:
     _file_object(d, "complex")
     a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir)
     terms = {
-        int(k): [str(x) for x in _expect(v, list, f"terms.{k}")]
+        _integer(k, f"terms.{k}"): [str(x) for x in _expect(v, list, f"terms.{k}")]
         for k, v in _field(d, "terms", "terms", dict).items()
     }
     diffs = {}
     for k, mat in _field(d, "diffs", "diffs", dict, {}).items():
-        deg = int(k)
+        deg = _integer(k, f"diffs.{k}")
         src = terms.get(deg, [])
         tgt = terms.get(deg + 1, [])
         rows = [_expect(row, list, f"diffs.{k}[{i}]") for i, row in enumerate(_expect(mat, list, f"diffs.{k}"))]
@@ -230,27 +243,28 @@ def module_from_dict(d, base_dir=".", algebra=None) -> Representation:
     a = algebra if algebra is not None else _resolve_algebra(_field(d, "algebra", "algebra"), base_dir)
     dims = {}
     for k, v in _field(d, "dims", "dims", dict).items():
-        if isinstance(v, bool) or not isinstance(v, (int, str)):
-            raise TiltbenchError(f"dims.{k}: expected an integer, got {json.dumps(v)[:60]}")
+        n = _integer(v, f"dims.{k}")
+        if n < 0:
+            raise TiltbenchError(f"dims.{k}: expected a nonnegative integer, got {n}")
         if str(k) not in a.quiver.vertex_index:
             raise TiltbenchError(f"dims.{k}: the quiver has no vertex {k!r}")
-        dims[str(k)] = int(v)
+        dims[str(k)] = n
     mats = {}
     for name, rows in _field(d, "arrows", "arrows", dict, {}).items():
         ar = a.quiver.arrow_by_name.get(name)
         if ar is None:
             raise TiltbenchError(f"unknown arrow {name!r} in module file")
-        mats[name] = Matrix(
-            dims.get(ar.source, 0),
-            dims.get(ar.target, 0),
+        data = [
             [
-                [
-                    scalar_from_str(x, f"arrows.{name}[{i}][{j}]")
-                    for j, x in enumerate(_expect(row, list, f"arrows.{name}[{i}]"))
-                ]
-                for i, row in enumerate(_expect(rows, list, f"arrows.{name}"))
-            ],
-        )
+                scalar_from_str(x, f"arrows.{name}[{i}][{j}]")
+                for j, x in enumerate(_expect(row, list, f"arrows.{name}[{i}]"))
+            ]
+            for i, row in enumerate(_expect(rows, list, f"arrows.{name}"))
+        ]
+        shape = (dims.get(ar.source, 0), dims.get(ar.target, 0))
+        if len(data) != shape[0] or any(len(row) != shape[1] for row in data):
+            raise TiltbenchError(f"arrows.{name}: expected a {shape[0]}x{shape[1]} matrix, as dims give")
+        mats[name] = Matrix(*shape, data)
     return Representation(a, dims, mats)
 
 

@@ -208,6 +208,38 @@ def test_parse_error_exit_two(tmp_path):
             ["stable-image", "fig1.json", "fig1_T.json"],
             "module.format",
         ),
+        # a degree key that is no integer, a dimension that is no count, and
+        # an arrow matrix of another shape than dims give
+        (
+            "terms_key.json",
+            {"format": 1, "algebra": fig1, "terms": {"x": ["1"]}},
+            ["tilting", "verify", "fig1.json"],
+            "terms.x",
+        ),
+        (
+            "diffs_key.json",
+            {"format": 1, "algebra": fig1, "terms": {"0": ["1"]}, "diffs": {"x": []}},
+            ["tilting", "verify", "fig1.json"],
+            "diffs.x",
+        ),
+        (
+            "dims_negative.json",
+            {"format": 1, "algebra": fig1, "dims": {"1": -1}, "arrows": {}},
+            ["stable-image", "fig1.json", "fig1_T.json"],
+            "dims.1",
+        ),
+        (
+            "dims_word.json",
+            {"format": 1, "algebra": fig1, "dims": {"1": "abc"}, "arrows": {}},
+            ["stable-image", "fig1.json", "fig1_T.json"],
+            "dims.1",
+        ),
+        (
+            "arrow_shape.json",
+            {"format": 1, "algebra": fig1, "dims": {"1": 1, "2": 1}, "arrows": {"alpha": [["1", "2"]]}},
+            ["stable-image", "fig1.json", "fig1_T.json"],
+            "arrows.alpha",
+        ),
         # only "p" and "p/q" scalars are read: an exponent is never expanded
         (
             "exponent.json",

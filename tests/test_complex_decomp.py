@@ -149,7 +149,7 @@ def test_complexes_isomorphic_positive_and_negative():
     pair = complexes_isomorphic(t, t)
     assert pair is not None
     f, g = pair
-    assert f.then(g).is_identity_shape()
+    assert f.then(g).is_identity()
     s2 = stalk_complex(a, ["2"], 0)
     s3 = stalk_complex(a, ["3"], 0)
     assert complexes_isomorphic(s2, s3) is None
@@ -160,7 +160,7 @@ def test_chain_end_data_identity():
     t = corpus.fig1_tilting_complex()
     data = ChainEndData(t)
     one = data.one
-    assert data.element(one).is_identity_shape()
+    assert data.element(one).is_identity()
     sq = data.mul(one, one)
     assert sq == one
 

@@ -1,10 +1,14 @@
 import random
 import sys
+import types
+
+import pytest
 
 from tiltbench import corpus
 from tiltbench.complex_decomp import ChainEndData
 from tiltbench.complexes import regular_stalk
 from tiltbench.decompose import EndAlgebra, FiniteDimAlgebra, decompose, is_isomorphic, primitive_idempotents
+from tiltbench.errors import DecompositionError
 from tiltbench.linalg import Coordinates, Matrix, sparse_row_space
 from tiltbench.reps import (
     ModuleMap,
@@ -24,7 +28,7 @@ decompose_module = sys.modules["tiltbench.decompose"]
 
 def test_regular_module_decomposes_into_projectives():
     for name, a in corpus.corpus_algebras().items():
-        summands, to_sum, from_sum = decompose(regular_module(a))
+        summands, _, _ = decompose(regular_module(a))
         assert sorted(s.total_dim() for s, _ in summands) == sorted(
             projective(a, v).total_dim() for v in a.quiver.vertices
         )
@@ -90,11 +94,26 @@ def test_fig1_nu_orbit():
 def test_mixed_direct_sum_roundtrip():
     a = corpus.fig1_algebra()
     m = projective(a, "1").direct_sum(simple(a, "2")).direct_sum(projective(a, "1"))
-    summands, to_sum, from_sum = decompose(m)
+    summands, includes, projects = decompose(m)
     mults = sorted(mult for _, mult in summands)
     assert mults == [1, 2]
-    assert to_sum.then(from_sum).is_identity()
-    assert from_sum.then(to_sum).is_identity()
+    _assert_copy_certificate(m, summands, includes, projects)
+
+
+def _assert_copy_certificate(m, summands, includes, projects):
+    """One include/project pair per copy, in summand order: include k then
+    project l is the identity for k = l and zero otherwise, and the copies
+    sum to the identity of m."""
+    copies = [rep for rep, mult in summands for _ in range(mult)]
+    assert len(includes) == len(projects) == len(copies)
+    back = ModuleMap.zero(m, m)
+    for k, (rep, incl) in enumerate(zip(copies, includes)):
+        assert incl.source is rep and incl.target is m
+        for l, proj in enumerate(projects):
+            through = incl.then(proj)
+            assert through.is_identity() if k == l else through.is_zero()
+        back = back + projects[k].then(incl)
+    assert back.is_identity()
 
 
 def test_primitive_idempotents_of_end_algebra():
@@ -228,14 +247,69 @@ def test_decompose_recovers_the_summands_a_module_was_built_from():
                     break
             else:
                 classes.append([p, 1])
-        summands, to_sum, from_sum = decompose(m)
+        summands, includes, projects = decompose(m)
         assert len(summands) == len(classes), m.dim_vector()
         for rep, count in classes:
             hits = [mult for piece, mult in summands if is_isomorphic(piece, rep) is not None]
             assert hits == [count], m.dim_vector()
         repeated += any(mult > 1 for _, mult in summands)
-        assert to_sum.then(from_sum).is_identity() and from_sum.then(to_sum).is_identity()
+        _assert_copy_certificate(m, summands, includes, projects)
     assert repeated == 15
+
+
+def test_decompose_refuses_a_split_whose_projection_is_scaled(monkeypatch):
+    a = corpus.sec5_algebra()
+    m = projective(a, "3").direct_sum(simple(a, "2")).direct_sum(projective(a, "3"))
+    split = decompose_module._split_module
+    monkeypatch.setattr(
+        decompose_module, "_split_module", lambda m: [(piece, incl, proj.scale(2)) for piece, incl, proj in split(m)]
+    )
+    with pytest.raises(DecompositionError):
+        decompose(m)
+
+
+class _ZeroRandom(random.Random):
+    """A generator that draws 0 from every randint."""
+
+    def randint(self, a, b):
+        return 0
+
+
+def test_is_isomorphic_exact_fallback_on_isomorphic_and_non_isomorphic_pairs(monkeypatch):
+    # with every random coefficient 0 the fast path tries only the basis map
+    # of a one-dimensional hom space, so every pair below reaches the exact
+    # fallback through decompose
+    monkeypatch.setattr(decompose_module, "random", types.SimpleNamespace(Random=_ZeroRandom))
+    decomposed = []
+    inner = decompose_module.decompose
+    monkeypatch.setattr(decompose_module, "decompose", lambda m: decomposed.append(m) or inner(m))
+    rng = random.Random(18)
+    sec5, fig1 = corpus.sec5_algebra(), corpus.fig1_algebra()
+    p3, s2, rad1 = projective(sec5, "3"), simple(sec5, "2"), radical_submodule(projective(sec5, "1"))[0]
+    q2, q3 = projective(fig1, "2"), projective(fig1, "3")
+    isomorphic = [
+        (p3.direct_sum(rad1).direct_sum(p3).direct_sum(s2), s2.direct_sum(p3).direct_sum(p3).direct_sum(rad1)),
+        (rad1.direct_sum(s2).direct_sum(s2), _twisted(s2.direct_sum(rad1).direct_sum(s2), rng)),
+        (q2.direct_sum(q3).direct_sum(q2), _twisted(q2.direct_sum(q2).direct_sum(q3), rng)),
+        (projective(sec5, "1"), _twisted(injective(sec5, "1"), rng)),
+    ]
+    for m, n in isomorphic:
+        decomposed.clear()
+        f, g = is_isomorphic(m, n)
+        assert decomposed == [m, n]
+        ModuleMap(m, n, f.mats)  # f and g are module maps
+        ModuleMap(n, m, g.mats)
+        assert f.then(g).is_identity() and g.then(f).is_identity()
+    not_isomorphic = [
+        (projective(sec5, "2"), injective(sec5, "2")),
+        (projective(sec5, "2").direct_sum(p3), injective(sec5, "2").direct_sum(p3)),
+        (injective(fig1, "1").direct_sum(q2), projective(fig1, "1").direct_sum(q2)),
+        (s2.direct_sum(projective(sec5, "2")), s2.direct_sum(_twisted(injective(sec5, "2"), rng))),
+    ]
+    for m, n in not_isomorphic:
+        decomposed.clear()
+        assert is_isomorphic(m, n) is None
+        assert decomposed == [m, n]
 
 
 def _reference_corner_is_local(alg, unit, rad):
