@@ -5,8 +5,8 @@ re-checkable witness.  The layers, bottom up:
 
   linalg        exact scalars (ints, Fractions where not integral, one
                 division ``div``), dense matrices over them, and one sparse
-                fraction-free elimination behind every rank, kernel, solve
-                and row space
+                row reduction behind every rank, kernel, solve, row space
+                and coordinate lookup
   quiver        quivers, paths, relations (left-to-right composition)
   algebra       path algebras modulo admissible relations
   reps          modules as row-vector quiver representations

@@ -19,18 +19,13 @@ from .reps import (
     flatten_map,
     hom_space,
     projective,
+    realize_entry_map,
 )
 
 
-def _prepend_map(a: BasicAlgebra, k: int):
+def _prepend_map(a: BasicAlgebra, k: int) -> ModuleMap:
     """Module map P(target of path k) -> P(source of path k): prepend path k."""
-    src_lab = a.target[k]
-    tgt_lab = a.source[k]
-    ps = ProjSum(a, [src_lab])
-    pt = ProjSum(a, [tgt_lab])
-    from .reps import realize_entry_map
-
-    return realize_entry_map(ps, pt, [[{k: 1}]]), ps.rep, pt.rep
+    return realize_entry_map(ProjSum(a, [a.target[k]]), ProjSum(a, [a.source[k]]), [[{k: 1}]])
 
 
 def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representation):
@@ -54,7 +49,7 @@ def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representati
                 # prepend path k: P(v) -> P(w); radical unless trivial
                 if len(a.basis[k]) == 0 and w == v:
                     continue
-                pre, _, _ = _prepend_map(a, k)
+                pre = _prepend_map(a, k)
                 for h in homs[w]:
                     rad_rows.append(flatten_map(pre.then(h)))
         # keep the maps independent of the radical ones and of those kept before
@@ -72,14 +67,15 @@ def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representati
                 rows.extend(list(h.mats[w].data))
         mats[w] = Matrix(len(rows), x.dims[w], rows)
     f = ModuleMap(psum.rep, x, mats, check=False)
-    _verify_right_approximation(a, distinct, out_labels, f, x)
+    _verify_right_approximation(a, {v: len(homs[v]) for v in distinct}, f)
     return out_labels, f
 
 
-def _verify_right_approximation(a, distinct, out_labels, f, x):
+def _verify_right_approximation(a, hom_dims, f):
+    """Checks that every map P(v) -> x factors through f, given
+    hom_dims[v] = dim Hom(P(v), x)."""
     psum_rep = f.source
-    for v in distinct:
-        target_dim = len(hom_space(projective(a, v), x))
+    for v, target_dim in hom_dims.items():
         if target_dim == 0:
             continue
         comps = [g.then(f) for g in hom_space(projective(a, v), psum_rep)]
@@ -112,7 +108,7 @@ def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representatio
                 # prepend path k: P(w) -> P(v); postcompose h: x -> P(w)
                 if len(a.basis[k]) == 0 and w == v:
                     continue
-                pre, _, _ = _prepend_map(a, k)
+                pre = _prepend_map(a, k)
                 for h in homs[w]:
                     rad_rows.append(flatten_map(h.then(pre)))
         # keep the maps independent of the radical ones and of those kept before
@@ -130,14 +126,15 @@ def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representatio
                 cols = h.mats[w] if cols is None else cols.hstack(h.mats[w])
         mats[w] = cols if cols is not None else Matrix.zero(x.dims[w], 0)
     g = ModuleMap(x, psum.rep, mats, check=False)
-    _verify_left_approximation(a, distinct, g, x)
+    _verify_left_approximation(a, {v: len(homs[v]) for v in distinct}, g)
     return out_labels, g
 
 
-def _verify_left_approximation(a, distinct, g, x):
+def _verify_left_approximation(a, hom_dims, g):
+    """Checks that every map x -> P(v) factors through g, given
+    hom_dims[v] = dim Hom(x, P(v))."""
     psum_rep = g.target
-    for v in distinct:
-        target_dim = len(hom_space(x, projective(a, v)))
+    for v, target_dim in hom_dims.items():
         if target_dim == 0:
             continue
         comps = [g.then(h) for h in hom_space(psum_rep, projective(a, v))]

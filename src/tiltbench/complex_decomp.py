@@ -36,7 +36,7 @@ class ChainEndData(FiniteDimAlgebra):
         self.complex = c
         self.space = space = HomotopySpace(c, c.shift(0))
         self._vectors = vectors = [el_from_vector(v) for v in space.chain_vectors]
-        self._span = span = Coordinates(space.chain_vectors, len(space.positions))
+        self._span = span = Coordinates(vectors, len(space.positions))
         # the product closes over the vectors and their span, not over self,
         # so that a ChainEndData is no reference cycle and dies with its last use
         super().__init__(

@@ -12,7 +12,7 @@ differentials pick up the sign (-1)^n.
 
 from __future__ import annotations
 
-from .algebra import BasicAlgebra, el_add, el_is_zero, el_scale, el_sub, el_to_vector
+from .algebra import BasicAlgebra, el_add, el_is_zero, el_scale, el_sub
 from .errors import TiltbenchError
 from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_kernel
 from .reps import (
@@ -21,6 +21,7 @@ from .reps import (
     kernel_of,
     quotient_representation,
     realize_entry_map,
+    zero_rep,
 )
 
 
@@ -397,7 +398,7 @@ class HomotopySpace:
                             p = pos.get(key)
                             if p is not None:
                                 row[p] = row.get(p, 0) + c
-                        null_rows.append(el_to_vector(row, n_unk))
+                        null_rows.append(row)
 
         # class representatives: the chain vectors independent of the null
         # rows and of the chain vectors before them
@@ -634,8 +635,6 @@ def homology(c: ProjComplex, i: int):
     """H^i as a Representation (kernel of d^i modulo image of d^{i-1})."""
     sums, dmaps = c.realize()
     if i not in sums:
-        from .reps import zero_rep
-
         return zero_rep(c.algebra)
     term = sums[i].rep
     if i in dmaps:

@@ -49,8 +49,9 @@ class FiniteDimAlgebra:
 
     Elements are sparse dicts {k: coefficient} of their nonzero coordinates,
     the form ``BasicAlgebra`` uses, so ``algebra.el_add``, ``el_sub`` and
-    ``el_scale`` apply to them; ``el_to_vector`` gives the dense row where
-    an element enters a ``Matrix`` or a ``Coordinates``.
+    ``el_scale`` apply to them, and a ``Coordinates`` takes them as they are;
+    ``el_to_vector`` gives the dense row where an element enters a
+    ``Matrix``.
 
     ``product(i, j)`` returns e_i * e_j as such a dict, nonzero coefficients
     only; the algebra asks for each pair at most once, on first use, and
@@ -193,7 +194,7 @@ def _corner_min_poly(alg: FiniteDimAlgebra, x: dict, unit: dict):
     def powers():
         cur = unit
         while True:
-            yield alg.el_to_vector(cur)
+            yield cur
             cur = alg.mul(cur, x)
 
     return min_poly_of_sequence(powers(), alg.dim)
@@ -224,7 +225,7 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
     rng = random.Random(0)
     rad = alg.radical_rows()
     rad_elements = [el_from_vector(r) for r in rad.data]
-    trivial = Coordinates(list(rad.data) + [alg.el_to_vector(alg.one)], alg.dim)
+    trivial = Coordinates(rad_elements + [alg.one], alg.dim)
     out = []
     stack = [alg.one]
     while stack:
@@ -265,7 +266,8 @@ class EndAlgebra(FiniteDimAlgebra):
     def __init__(self, m: Representation):
         self.module = m
         self.maps = maps = hom_space(m, m)
-        self._span = span = Coordinates([flatten_map(f) for f in maps], sum(d * d for d in m.dims.values()))
+        self._flats = flats = [_sparse_flat(f) for f in maps]
+        self._span = span = Coordinates(flats, sum(d * d for d in m.dims.values()))
         # the product closes over the maps and their span, not over self, so
         # that an EndAlgebra is no reference cycle and dies with its last use
         super().__init__(
@@ -292,14 +294,19 @@ class EndAlgebra(FiniteDimAlgebra):
         regular trace form gives.  Each entry is one sparse dot product,
         flatten(F_i) . flatten(F_j^T), summed over all vertices at once."""
         n = self.dim
-        flats = [[(k, x) for k, x in enumerate(flatten_map(f)) if x] for f in self.maps]
         transposed = [_transposed_flat(f) for f in self.maps]
         form = [[0] * n for _ in range(n)]
         for i in range(n):
+            flat = self._flats[i].items()
             for j in range(i, n):
                 t = transposed[j]
-                form[i][j] = form[j][i] = sum(x * t[k] for k, x in flats[i] if k in t)
+                form[i][j] = form[j][i] = sum(x * t[k] for k, x in flat if k in t)
         return row_space_basis(Matrix(n, n, form).left_kernel_basis())
+
+
+def _sparse_flat(f: ModuleMap) -> dict:
+    """Nonzero entries of flatten_map(f), keyed by position."""
+    return {k: x for k, x in enumerate(flatten_map(f)) if x}
 
 
 def _transposed_flat(f: ModuleMap) -> dict:
@@ -310,10 +317,10 @@ def _transposed_flat(f: ModuleMap) -> dict:
 
 
 def _map_coords(span: Coordinates, f: ModuleMap) -> dict:
-    coords = span.of(flatten_map(f))
+    coords = span.of_sparse(_sparse_flat(f))
     if coords is None:
         raise TiltbenchError("map not in span of basis")
-    return el_from_vector(coords)
+    return coords
 
 
 def decompose(m: Representation):

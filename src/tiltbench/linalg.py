@@ -12,24 +12,27 @@ by convention: no routine mutates its inputs.  Operations whose entries are
 exact scalars by construction build their result with ``Matrix._trusted``,
 skipping the public constructor's checks.
 
-One engine, ``_sparse_echelon``, row-reduces every batch of rows: it takes
-rows as ``{column: entry}`` dicts, scales each to integers by the lcm of its
-denominators, eliminates fraction-free and leaves the reduced row echelon
-form, each row a multiple of its RREF row.  ``sparse_row_space`` reads the
-RREF rows off it and ``sparse_kernel`` the right-kernel basis; ``Matrix.rref``,
-``rank``, ``kernel_basis``, ``solve``, ``inverse``, ``left_kernel_basis`` and
-the row-space helpers below are built on these, the dense rows turned into
-sparse ones.  Two routines eliminate on their own terms: :class:`Coordinates`,
-the incremental front end, eliminates a list of rows once, grows it a row at a
-time and gives the coordinates of any vector in their span, and ``Matrix.det``
-eliminates fraction-free by Bareiss's method.
+One loop, ``_reduce``, reduces every row: it takes the row as a
+``{column: entry}`` dict and subtracts the monic echelon rows whose pivots it
+reaches, in the order they were found.  ``_sparse_echelon`` runs it on each
+row of a batch, keeps each nonzero rest as a monic echelon row, and then runs
+it on each echelon row against the later ones, which leaves the reduced row
+echelon form.  ``sparse_row_space`` reads the RREF rows off it and
+``sparse_kernel`` the right-kernel basis; ``Matrix.rref``, ``rank``,
+``kernel_basis``, ``solve``, ``inverse``, ``left_kernel_basis`` and the
+row-space helpers below are built on these, the dense rows turned into sparse
+ones.  :class:`Coordinates` is the incremental front end: it runs the same
+loop on each row as it is added and on each vector it is asked about, and
+keeps with each echelon row its combination of the input rows.  Only
+``Matrix.det`` eliminates on its own terms, fraction-free by Bareiss's
+method.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionMismatch
 
@@ -260,32 +263,33 @@ class Matrix:
 class Coordinates:
     """Coordinates of vectors in the span of a list of rows.
 
-    The rows are eliminated once, in order, and ``add`` appends one more
-    without eliminating the earlier ones again; each echelon row keeps its
-    pivot and its combination of input rows.  ``of(v)`` reduces ``v`` against
-    the echelon rows and answers as ``Matrix.solve`` on the transposed rows does:
-    coefficient zero on every row that depends on earlier rows, and None when
-    ``v`` lies outside the span.  ``of_sparse`` gives the same answer for a
-    sparse vector, visiting only the echelon rows whose pivots it reaches.
-    ``independent`` lists the indices of the rows that do not depend on
-    earlier rows.
+    Rows and vectors are given dense, as sequences of length ``width``, or
+    sparse, as ``{column: entry}`` dicts.  Each row is reduced once, by
+    ``_reduce``, against the echelon rows kept so far, and ``add`` appends one
+    more without reducing the earlier ones again; each echelon row is kept
+    monic, with its combination of input rows.  ``of_sparse(v)`` reduces v the
+    same way and answers as ``Matrix.solve`` on the transposed rows does: the
+    nonzero coefficients as {row index: coefficient}, zero on every row that
+    depends on earlier rows, and None when v lies outside the span.  ``of``
+    gives the same coefficients as a dense list.  ``independent`` lists the
+    indices of the rows that do not depend on earlier rows.
     """
 
-    __slots__ = ("width", "count", "independent", "_echelon", "_row_at")
+    __slots__ = ("width", "count", "independent", "_echelon", "_position")
 
     def __init__(self, rows, width: int):
         self.width = width
         self.count = 0
         self.independent = []
-        self._echelon = []  # (pivot column, [(column, entry)], [(row index, coefficient)])
-        self._row_at = {}  # pivot column -> index in _echelon
+        self._echelon = []  # (pivot column, monic row without its pivot, {row index: coefficient})
+        self._position = {}  # pivot column -> index in _echelon
         for row in rows:
             self.add(row)
 
     def add(self, row) -> bool:
-        """Append row to the list, eliminating it against the echelon rows
+        """Append row to the list, reducing it against the echelon rows
         only; True when it does not depend on the earlier rows."""
-        if self.add_or_coords(row) is None:
+        if self._append(row) is None:
             return True
         self.count += 1  # a dependent row keeps its index in the list
         return False
@@ -294,78 +298,51 @@ class Coordinates:
         """None after appending row when it does not depend on the earlier
         rows; otherwise its coefficients, as ``of`` gives them, and row is not
         appended.  Either way row is reduced once."""
-        rest, coeffs = self._reduce(row)
-        pivot = next((j for j, x in enumerate(rest) if x), None)
-        if pivot is None:
+        coeffs = self._append(row)
+        return None if coeffs is None else self._dense(coeffs)
+
+    def of(self, v):
+        """Coefficients of v on the rows, as a list, or None when v is outside
+        their span."""
+        coeffs = self.of_sparse(v)
+        return None if coeffs is None else self._dense(coeffs)
+
+    def of_sparse(self, v):
+        """The nonzero coefficients of v on the rows as {row index:
+        coefficient}, or None when v is outside their span."""
+        coeffs = {}
+        return None if _reduce(_sparse_vector(v, self.width), self._echelon, self._position, coeffs) else coeffs
+
+    def _append(self, row):
+        """Appends row when it does not depend on the earlier rows and returns
+        None; otherwise returns its coefficients as {row index: coefficient}."""
+        coeffs = {}
+        rest = _reduce(_sparse_vector(row, self.width), self._echelon, self._position, coeffs)
+        if not rest:
             return coeffs
-        inv = div(1, rest[pivot])
-        combination = [(k, -c * inv) for k, c in enumerate(coeffs) if c]
-        combination.append((self.count, inv))
-        self._row_at[pivot] = len(self._echelon)
-        self._echelon.append((pivot, [(j, x * inv) for j, x in enumerate(rest) if x], combination))
+        # rest = row - sum of coeffs[k] * row k
+        combination = {k: -c for k, c in coeffs.items()} if coeffs else {}
+        combination[self.count] = 1
+        _push(self._echelon, self._position, rest, combination)
         self.independent.append(self.count)
         self.count += 1
         return None
 
-    def _reduce(self, v):
-        """(rest, coeffs) with v == rest + sum of coeffs[k] * row k, where rest
-        is zero at every pivot."""
-        rest = list(v)
-        if len(rest) != self.width:
-            raise DimensionMismatch(f"vector of length {len(rest)} against rows of width {self.width}")
-        coeffs = [0] * self.count
-        for pivot, entries, combination in self._echelon:
-            c = rest[pivot]
-            if c:
-                for j, x in entries:
-                    rest[j] -= c * x
-                for k, y in combination:
-                    coeffs[k] += c * y
-        return rest, coeffs
+    def _dense(self, coeffs: dict) -> list:
+        out = [0] * self.count
+        for k, c in coeffs.items():
+            out[k] = c
+        return out
 
-    def of(self, v):
-        """Coefficients of v on the rows, or None when v is outside their span."""
-        rest, coeffs = self._reduce(v)
-        return None if any(rest) else coeffs
 
-    def of_sparse(self, v: dict):
-        """``of`` for a vector given as {column: entry}: the nonzero
-        coefficients as {row index: coefficient}, or None when v is outside
-        the span.
-
-        Where ``of`` visits every echelon row, this visits only those whose
-        pivots v reaches.  An echelon row is zero at the pivots of the rows
-        before it, so subtracting it brings in pivots of later rows only: the
-        rows are visited in order from a heap of the pivots present."""
-        rest = {j: x for j, x in v.items() if x}
-        row_at = self._row_at
-        pending = [row_at[j] for j in rest if j in row_at]
-        heapq.heapify(pending)
-        coeffs = {}
-        while pending:
-            pivot, entries, combination = self._echelon[heapq.heappop(pending)]
-            c = rest.get(pivot)
-            if c is None:
-                continue  # a repeat: this row was subtracted already
-            for j, x in entries:
-                y = rest.get(j)
-                if y is None:
-                    rest[j] = -c * x
-                    if j in row_at:
-                        heapq.heappush(pending, row_at[j])
-                else:
-                    y -= c * x
-                    if y:
-                        rest[j] = y
-                    else:
-                        del rest[j]
-            for k, y in combination:
-                y = coeffs.get(k, 0) + c * y
-                if y:
-                    coeffs[k] = y
-                else:
-                    del coeffs[k]
-        return None if rest else coeffs
+def _sparse_vector(v, width: int) -> dict:
+    """A new {column: entry} dict of the nonzero entries of v, given dense
+    (of length width) or as such a dict."""
+    if isinstance(v, dict):
+        return {j: x for j, x in v.items() if x}
+    if len(v) != width:
+        raise DimensionMismatch(f"vector of length {len(v)} against rows of width {width}")
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def sparse_kernel(rows, width: int) -> list:
@@ -377,11 +354,9 @@ def sparse_kernel(rows, width: int) -> list:
     """
     echelon, position = _sparse_echelon(rows)
     free_entries = {}  # free column -> [(pivot, kernel entry)]
-    for c, row in echelon:
-        p = row[c]
-        for j, x in row.items():
-            if j != c:
-                free_entries.setdefault(j, []).append((c, div(-x, p)))
+    for c, tail, _ in echelon:
+        for j, x in tail.items():
+            free_entries.setdefault(j, []).append((c, frac(-x)))
     out = []
     for j in range(width):
         if j not in position:
@@ -398,74 +373,90 @@ def sparse_row_space(rows) -> list:
     ``{column: scalar}`` dicts with increasing columns.  ``rows`` are
     ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``."""
     out = []
-    for c, row in sorted(_sparse_echelon(rows)[0], key=lambda e: e[0]):
-        p = row[c]
-        out.append({j: div(row[j], p) for j in sorted(row)})
+    for c, tail, _ in sorted(_sparse_echelon(rows)[0], key=lambda e: e[0]):
+        row = {c: 1}
+        for j in sorted(tail):
+            row[j] = frac(tail[j])
+        out.append(row)
     return out
 
 
 def _sparse_echelon(rows):
     """(echelon, position): the reduced row echelon form of the sparse rows
-    as (pivot column, {column: int}) in the order the pivots were found,
-    each row a multiple of its RREF row, and pivot column -> index in
-    echelon.
+    as (pivot column, RREF row without its pivot entry 1, None) in the order
+    the pivots were found, and pivot column -> index in echelon.
 
-    Each row is scaled to integers by the lcm of its denominators and
-    reduced fraction-free against the echelon rows found so far, in the
-    order they were found; its first nonzero column becomes its pivot.  Each
-    echelon row is then reduced against the later ones, which leaves the
-    reduced row echelon form.
+    Each row is reduced by ``_reduce`` against the echelon rows found so far,
+    and what is left of it, when nonzero, is appended monic, its first column
+    its pivot.  Then each echelon row, the last first, is reduced against the
+    later ones, which are reduced already; that leaves the reduced row
+    echelon form.
     """
-    echelon = []  # (pivot column, {column: int})
-    position = {}  # pivot column -> index in echelon
+    echelon = []
+    position = {}
     for row in rows:
-        row = _integer_row(row)
-        # a row is zero at the pivots of the echelon rows before it, so
-        # eliminating pivot k only brings in pivots of later rows
-        pending = [position[j] for j in row if j in position]
-        heapq.heapify(pending)
-        while pending:
-            c, prow = echelon[heapq.heappop(pending)]
-            if c in row:
-                row = _eliminate(row, prow, c)
-                for j in prow:
-                    if j != c and j in position and j in row:
-                        heapq.heappush(pending, position[j])
-        if row:
-            pivot = min(row)
-            position[pivot] = len(echelon)
-            echelon.append((pivot, row))
-    for k in range(len(echelon) - 1, -1, -1):
-        c, row = echelon[k]
-        # the later rows are reduced already, so each elimination brings in
-        # no other pivot
-        for j in [j for j in row if j != c and j in position]:
-            row = _eliminate(row, echelon[position[j]][1], j)
-        echelon[k] = (c, row)
+        rest = _reduce({j: x for j, x in row.items() if x}, echelon, position)
+        if rest:
+            _push(echelon, position, rest)
+    for _, tail, _ in reversed(echelon):
+        _reduce(tail, echelon, position)
     return echelon, position
 
 
-def _integer_row(row) -> dict:
-    """The nonzero entries of a sparse row, scaled by the lcm of their
-    denominators to integers."""
-    entries = [(j, x) for j, x in row.items() if x]
-    den = lcm(*(x.denominator for _, x in entries))
-    return {j: x.numerator * (den // x.denominator) for j, x in entries}
+def _reduce(row: dict, echelon: list, position: dict, coeffs=None) -> dict:
+    """Subtract from the sparse row, in place, the multiple of each echelon
+    row that clears it at that row's pivot, and return the rest: zero at
+    every pivot.  When coeffs is a dict, each echelon row subtracted c times
+    adds c times its combination to coeffs.
+
+    An echelon row is zero at the pivots of the rows before it, so
+    subtracting it brings in pivots of later rows only: the rows are visited
+    in order from a heap of the pivots present.  ``_sparse_echelon`` and
+    ``Coordinates`` reduce every row through here."""
+    pending = [position[j] for j in row if j in position]
+    if not pending:
+        return row
+    heapq.heapify(pending)
+    while pending:
+        pivot, tail, combination = echelon[heapq.heappop(pending)]
+        c = row.pop(pivot, None)
+        if c is None:
+            continue  # a repeat: this row was subtracted already
+        for j, x in tail.items():
+            y = row.get(j)
+            if y is None:
+                row[j] = -c * x
+                if j in position:
+                    heapq.heappush(pending, position[j])
+            else:
+                y -= c * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        if coeffs is not None:
+            for k, y in combination.items():
+                y = coeffs.get(k, 0) + c * y
+                if y:
+                    coeffs[k] = y
+                else:
+                    del coeffs[k]
+    return row
 
 
-def _eliminate(row: dict, prow: dict, c) -> dict:
-    """p * row - f * prow, with p = prow[c] and f = row[c], divided by the gcd
-    of its entries: an integer row that is zero at c."""
-    p, f = prow[c], row[c]
-    out = {j: p * x for j, x in row.items()} if p != 1 else dict(row)
-    for j, y in prow.items():
-        x = out.get(j, 0) - f * y
-        if x:
-            out[j] = x
-        else:
-            del out[j]
-    g = gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
+def _push(echelon: list, position: dict, row: dict, combination=None):
+    """Append a reduced nonzero row to the echelon as (pivot, tail,
+    combination): its first column is its pivot, and the rest of the row and
+    the combination are divided by the pivot entry, so that the row is
+    monic."""
+    pivot = min(row)
+    p = row.pop(pivot)
+    if p != 1:
+        row = {j: div(x, p) for j, x in row.items()}
+        if combination is not None:
+            combination = {k: div(c, p) for k, c in combination.items()}
+    position[pivot] = len(echelon)
+    echelon.append((pivot, row, combination))
 
 
 def _sparse(rows) -> list:
@@ -488,11 +479,6 @@ def row_space_basis(m: Matrix) -> Matrix:
     """Matrix whose rows are the nonzero rows of rref(m)."""
     red, pivots = m.rref()
     return Matrix._trusted(len(pivots), m.cols, red.data[: len(pivots)])
-
-
-def row_space_contains(space: Matrix, vec) -> bool:
-    """Whether the row vector lies in the row space of `space`."""
-    return Coordinates(space.data, space.cols).of(vec) is not None
 
 
 def row_spaces_equal(a: Matrix, b: Matrix) -> bool:

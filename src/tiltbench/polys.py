@@ -106,8 +106,9 @@ def min_poly_of_sequence(vectors, width: int):
 
     When v_k is the flattened k-th power of a matrix (or of an algebra
     element), this is its minimal polynomial.  The vectors, of length
-    ``width``, are reduced once each against one growing ``Coordinates``,
-    and no vector after v_k is asked for."""
+    ``width``, dense or as ``{column: entry}`` dicts, are reduced once each
+    against one growing ``Coordinates``, and no vector after v_k is asked
+    for."""
     span = Coordinates([], width)
     for v in vectors:
         coords = span.add_or_coords(v)

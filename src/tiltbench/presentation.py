@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BasicAlgebra, build_path_algebra, el_add, el_from_vector, el_scale, el_sub, el_to_vector
+from .algebra import BasicAlgebra, build_path_algebra, el_add, el_from_vector, el_scale, el_sub
 from .decompose import FiniteDimAlgebra, primitive_idempotents
 from .errors import (
     NoIdentity,
@@ -77,17 +77,13 @@ def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
 
 class PeirceLayer:
     """rad^k of a basic algebra, one Peirce block at a time: ``elements[i][j]``
-    is the RREF basis of e_i rad^k e_j as elements, ``blocks[i][j]`` the
-    same basis as a Matrix, and ``rows`` the dimension of rad^k."""
+    is the RREF basis of e_i rad^k e_j as elements, and ``rows`` the
+    dimension of rad^k."""
 
-    __slots__ = ("blocks", "elements", "rows")
+    __slots__ = ("elements", "rows")
 
-    def __init__(self, elements, dim: int):
+    def __init__(self, elements):
         self.elements = elements
-        self.blocks = [
-            [Matrix._trusted(len(b), dim, tuple(tuple(el_to_vector(x, dim)) for x in b)) for b in line]
-            for line in elements
-        ]
         self.rows = sum(len(b) for line in elements for b in line)
 
 
@@ -154,9 +150,9 @@ def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
                 c = div(chi(i, b), chi(i, top))
                 kernel.append(el_sub(b, el_scale(c, top)) if c else b)
         rad[i][i] = sparse_row_space(kernel)
-    chain = [PeirceLayer(rad, dim)]
+    chain = [PeirceLayer(rad)]
     while chain[-1].rows:
-        nxt = PeirceLayer(_block_product(alg, chain[-1].elements, rad), dim)
+        nxt = PeirceLayer(_block_product(alg, chain[-1].elements, rad))
         if len(chain) == 1 and any(chi(i, x) for i in range(n) for x in nxt.elements[i][i]):
             raise NotBasic(
                 f"rad * rad leaves rad on a diagonal Peirce block: the semisimple "
@@ -172,8 +168,8 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
     idems = idempotents if idempotents is not None else primitive_idempotents(alg)
     chain = radical_chain(alg, idems)
     nil_index = len(chain)  # rad^(len) = 0
-    rad = chain[0].blocks
-    rad2 = chain[1].blocks if len(chain) > 1 else rad  # rad = 0 when len(chain) == 1
+    rad = chain[0].elements
+    rad2 = chain[1].elements if len(chain) > 1 else rad  # rad = 0 when len(chain) == 1
     n = len(idems)
     names = [str(i + 1) for i in range(n)]
 
@@ -182,13 +178,13 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
     for i in range(n):
         for j in range(n):
             # arrows i -> j: rows of e_i rad e_j independent modulo e_i rad^2 e_j
-            s2_ij = rad2[i][j].data
-            s_ij = rad[i][j].data
+            s2_ij = rad2[i][j]
+            s_ij = rad[i][j]
             for r in Coordinates(s2_ij + s_ij, alg.dim).independent:
                 if r >= len(s2_ij):
                     name = f"a{len(arrows)}"
                     arrows.append((name, names[i], names[j]))
-                    arrow_elements[name] = chain[0].elements[i][j][r - len(s2_ij)]
+                    arrow_elements[name] = s_ij[r - len(s2_ij)]
     quiver = Quiver(names, arrows)
 
     # evaluate paths in the abstract algebra, as dense rows
@@ -255,11 +251,8 @@ class _HomogeneousIdeal:
             for prod in products:
                 self._keep(prod)
 
-    def _vector(self, row: dict):
-        vec = [0] * self._span.width
-        for p, c in row.items():
-            vec[self._index[p]] = c
-        return vec
+    def _vector(self, row: dict) -> dict:
+        return {self._index[p]: c for p, c in row.items()}
 
     def _keep(self, row: dict) -> bool:
         if not self._span.add(self._vector(row)):
@@ -274,7 +267,7 @@ class _HomogeneousIdeal:
 
     def contains(self, rel: Relation) -> bool:
         self._advance(rel.length)
-        return self._span.of(self._vector(_row(rel))) is not None
+        return self._span.of_sparse(self._vector(_row(rel))) is not None
 
 
 def _row(rel: Relation) -> dict:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra
 from .errors import DimensionMismatch, NotProjective, TiltbenchError
-from .linalg import Coordinates, Matrix, row_space_basis, row_space_contains, sparse_kernel
+from .linalg import Coordinates, Matrix, row_space_basis, sparse_kernel
+from .quiver import Path
 
 
 class Representation:
@@ -286,8 +287,6 @@ def projective(a: BasicAlgebra, v) -> Representation:
 
 
 def q_path(a: BasicAlgebra, arrow):
-    from .quiver import Path
-
     return Path(arrow.source, (arrow.name,))
 
 
@@ -328,11 +327,11 @@ def regular_module(a: BasicAlgebra) -> Representation:
 
 
 def is_arrow_stable(m: Representation, spaces: dict) -> bool:
+    spans = {v: Coordinates(spaces[v].data, m.dims[v]) for v in m.dims}
     for a in m.algebra.quiver.arrows:
         img = spaces[a.source] * m.mats[a.name]
-        for i in range(img.rows):
-            if not row_space_contains(spaces[a.target], img.row(i)):
-                return False
+        if any(spans[a.target].of(row) is None for row in img.data):
+            return False
     return True
 
 

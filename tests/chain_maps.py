@@ -30,7 +30,7 @@ class DenseHomotopy:
     system of the chain condition, one row per basis path of each entry of
     each chain square, and dense null-homotopy rows, in the coordinates of
     ``HomotopySpace(x, y).positions``; ``reduce`` gives the class
-    coordinates of a dense coordinate vector by the dense ``Coordinates.of``."""
+    coordinates of a dense coordinate vector by ``Coordinates.of``."""
 
     def __init__(self, x, y):
         self.chain_vectors, self._null, self._span, self._class_index = _dense_system(x, y)

@@ -10,7 +10,6 @@ from tiltbench.linalg import (
     div,
     frac,
     row_space_basis,
-    row_space_contains,
     row_spaces_equal,
     sparse_kernel,
     sparse_row_space,
@@ -139,7 +138,8 @@ def test_row_space_helpers():
     assert row_spaces_equal(a, b) and row_space_basis(b) == a
     assert not row_spaces_equal(a, matrix([[1, 0, 1], [0, 1, 0]]))
     assert not row_spaces_equal(a, Matrix.zero(0, 2))
-    assert row_space_contains(b, [2, 2, 4]) and not row_space_contains(b, [1, 0, 0])
+    assert Coordinates(b.data, b.cols).of([2, 2, 4]) is not None
+    assert Coordinates(b.data, b.cols).of([1, 0, 0]) is None
 
 
 def test_coordinates_match_solve_on_transposed_rows():
@@ -164,8 +164,10 @@ def test_coordinates_match_solve_on_transposed_rows():
         coords = Coordinates(rows, width)
         grown = Coordinates([], width)  # the same rows, added one at a time
         added = [grown.add(row) for row in rows]
-        assert grown.count == coords.count == len(rows)
-        assert grown.independent == coords.independent == [k for k, new in enumerate(added) if new]
+        sparse = Coordinates([_sparse(row) for row in rows], width)  # the same rows as dicts
+        assert grown.count == coords.count == sparse.count == len(rows)
+        independent = [k for k, new in enumerate(added) if new]
+        assert grown.independent == coords.independent == sparse.independent == independent
         columns = [[row[j] for row in rows] for j in range(width)]
         for _ in range(4):
             if rows and rng.random() < 0.5:  # inside the span
@@ -175,7 +177,20 @@ def test_coordinates_match_solve_on_transposed_rows():
                 v = [entry() for _ in range(width)]
             sol = fraction_solve(width, len(rows), columns, [[x] for x in v], 1)
             want = None if sol is None else [x[0] for x in sol]
-            assert coords.of(v) == grown.of(v) == want
+            assert coords.of(v) == grown.of(v) == sparse.of(v) == sparse.of(_sparse(v)) == want
+        # add_or_coords appends only the independent rows; a dependent or
+        # zero row gets its coefficients on the rows appended before it
+        kept = []
+        span = Coordinates([], width)
+        for k, row in enumerate(rows):
+            got = span.add_or_coords(row if k % 2 else _sparse(row))
+            sol = fraction_solve(width, len(kept), [[r[j] for r in kept] for j in range(width)], [[x] for x in row], 1)
+            if k in independent:
+                assert got is None and sol is None
+                kept.append(row)
+            else:
+                assert got == [x[0] for x in sol]
+        assert span.count == len(kept) and span.independent == list(range(len(kept)))
         ranks = [len(fraction_gauss_jordan(k, width, rows[:k])[1]) for k in range(len(rows) + 1)]
         assert coords.independent == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]
 
@@ -423,7 +438,7 @@ def _sparse(v):
     return {j: x for j, x in enumerate(v) if x}
 
 
-def test_of_sparse_matches_of():
+def test_of_sparse_and_of_match_fraction_solve():
     # by hand: row 2 depends on rows 0 and 1, so its coefficient is 0 and
     # the sparse answer leaves it out
     span = Coordinates([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]], 4)
@@ -442,17 +457,16 @@ def test_of_sparse_matches_of():
         if len(rows) > 1:
             rows.insert(rng.randrange(len(rows)), [a - b for a, b in zip(rows[0], rows[-1])])  # a dependent row
         span = Coordinates(rows, width)
+        columns = [[row[j] for row in rows] for j in range(width)]
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in rows]
         inside = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(width)]
         outside = [Fraction(rng.randint(-2, 2)) for _ in range(width)]
         for v in (inside, outside):
-            dense = span.of(v)
-            sparse = span.of_sparse(_sparse(v))
-            assert sparse == (None if dense is None else _sparse(dense))
+            sol = fraction_solve(width, len(rows), columns, [[x] for x in v], 1)
+            want = None if sol is None else [x[0] for x in sol]
+            assert span.of(v) == want
+            assert span.of_sparse(_sparse(v)) == (None if want is None else _sparse(want))
         assert span.of(inside) is not None
-        for k in range(len(rows)):
-            if k not in span.independent:
-                assert k not in span.of_sparse(_sparse(inside))
 
 
 def test_sparse_row_space_is_row_space_basis():

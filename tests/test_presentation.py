@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from tiltbench import corpus
-from tiltbench.algebra import build_path_algebra, el_from_vector
+from tiltbench.algebra import build_path_algebra, el_from_vector, el_to_vector
 from tiltbench.complexes import regular_stalk
 from tiltbench.decompose import FiniteDimAlgebra
 from tiltbench import presentation
 from tiltbench.errors import NoIdentity, NotAssociative, NotBasic, TiltbenchError
-from tiltbench.linalg import Matrix, row_space_basis, row_space_contains, row_spaces_equal
+from tiltbench.linalg import Coordinates, Matrix, row_space_basis, row_spaces_equal
 from tiltbench.presentation import (
     _prune_relations,
     abstract_from_table,
@@ -276,13 +276,13 @@ def _assert_peirce_layers_match(alg, idems, chain):
     assert len(chain) == len(reference)
     for layer, ref in zip(chain, reference):
         assert layer.rows == ref.rows
-        rows = [r for line in layer.blocks for block in line for r in block.data]
+        rows = [el_to_vector(x, alg.dim) for line in layer.elements for block in line for x in block]
         assert row_spaces_equal(Matrix(len(rows), alg.dim, rows), ref)
         # block (i, j) lies in e_i A e_j
         for i, e in enumerate(idems):
             for j, f in enumerate(idems):
-                for row in layer.blocks[i][j].data:
-                    assert alg.mul(alg.mul(e, el_from_vector(row)), f) == el_from_vector(row)
+                for x in layer.elements[i][j]:
+                    assert alg.mul(alg.mul(e, x), f) == x
 
 
 @pytest.mark.parametrize("case", list(END_PRESENTATIONS))
@@ -395,7 +395,7 @@ def _old_relation_in_ideal(quiver, gens, rel):
     vec = _old_vector(rel, index)
     if span.rows == 0:
         return all(c == 0 for c in vec)
-    return row_space_contains(span, vec)
+    return Coordinates(span.data, span.cols).of(vec) is not None
 
 
 def _old_prune(quiver, relations):
