@@ -13,10 +13,11 @@ re-checkable witness.  The layers, bottom up:
   decompose     splitting by primitive idempotents, one engine for modules
                 (via End(M)) and abstract algebras; a decomposition is its
                 list of summand copies, each with an inclusion and a
-                projection; isomorphism testing
+                projection; one isomorphism test for modules and complexes
+                (match the summands, invert the assembled map once)
   approx        minimal right/left approximations by projectives
   complexes     bounded complexes of projectives, homotopy homs, minimization
-  complex_decomp  idempotent splitting of complexes
+  complex_decomp  idempotent splitting and isomorphism of radical complexes
   presentation  quivers with relations recovered from abstract algebras
   tilting       stability of terms, tilting verification, the approximation
                 construction, endomorphism algebras, stable images

@@ -14,7 +14,7 @@ of ``linalg``: ints, and Fractions where a value is not integral.
 from __future__ import annotations
 
 from .errors import NotAdmissible, RadicalNotNilpotent, TiltbenchError
-from .linalg import Matrix, div, frac, row_spaces_equal, sparse_row_space
+from .linalg import Matrix, div, frac, sparse_row_space
 from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
 
 RAW_PATH_CAP = 100_000
@@ -180,14 +180,8 @@ class BasicAlgebra:
             from .decompose import FiniteDimAlgebra
 
             regular = FiniteDimAlgebra(self.dim, lambda i, j: self.table.get((i, j), {}), self.one())
-            got = regular.radical_rows()
-            expected = sorted(self.radical_indices())
-            span = Matrix(
-                len(expected),
-                self.dim,
-                [self.el_to_vector(self.basis_el(i)) for i in expected],
-            )
-            if not row_spaces_equal(got, span):
+            got = sparse_row_space(el_from_vector(r) for r in regular.radical_rows().data)
+            if got != sparse_row_space(self.basis_el(i) for i in self.radical_indices()):
                 raise RadicalNotNilpotent("trace-form radical disagrees with path radical")
             self._radical_checked = True
         return [self.basis_el(i) for i in self.radical_indices()]

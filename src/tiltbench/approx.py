@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra
 from .errors import TiltbenchError
-from .linalg import Coordinates, Matrix
+from .linalg import Coordinates, Matrix, sparse_row_space
 from .reps import (
     ModuleMap,
     ProjSum,
@@ -81,9 +81,7 @@ def _verify_right_approximation(a, hom_dims, f):
         comps = [g.then(f) for g in hom_space(projective(a, v), psum_rep)]
         if not comps:
             raise TiltbenchError("approximation property failed: no maps to lift")
-        width = len(flatten_map(comps[0]))
-        rank = Matrix(len(comps), width, [flatten_map(c) for c in comps]).rank()
-        if rank != target_dim:
+        if len(sparse_row_space(dict(enumerate(flatten_map(c))) for c in comps)) != target_dim:
             raise TiltbenchError(f"right approximation not surjective on Hom(P({v}), -)")
 
 
@@ -140,8 +138,6 @@ def _verify_left_approximation(a, hom_dims, g):
         comps = [g.then(h) for h in hom_space(psum_rep, projective(a, v))]
         if not comps:
             raise TiltbenchError("approximation property failed: no maps to lift")
-        width = len(flatten_map(comps[0]))
-        rank = Matrix(len(comps), width, [flatten_map(c) for c in comps]).rank()
-        if rank != target_dim:
+        if len(sparse_row_space(dict(enumerate(flatten_map(c))) for c in comps)) != target_dim:
             raise TiltbenchError(f"left approximation not surjective on Hom(-, P({v}))")
 

@@ -5,15 +5,25 @@ Idempotent homotopy classes are strictified to exact chain-level idempotents
 complex), and a strict idempotent is split degreewise: the generators of the
 image of each component are read off its top, which recovers the labels of
 the summand and the symbolic form of its differentials.
+
+Isomorphism of complexes is the module engine of ``decompose`` on chain
+maps: ``indecomposable_iso`` with End(y) a ``ChainEndData`` groups the
+pieces of ``decompose_complex``, and ``complexes_isomorphic`` is
+``isomorphism_by_summands`` behind the sorted labels per degree.
 """
 
 from __future__ import annotations
 
-import random
-
 from .algebra import el_from_vector, el_to_vector
-from .decompose import FiniteDimAlgebra, group_copies, lift_idempotent, primitive_idempotents
-from .errors import DecompositionError, NotIdempotent, TiltbenchError
+from .decompose import (
+    FiniteDimAlgebra,
+    group_copies,
+    indecomposable_iso,
+    isomorphism_by_summands,
+    lift_idempotent,
+    primitive_idempotents,
+)
+from .errors import DecompositionError, NotIdempotent, NotRadical, TiltbenchError
 from .linalg import Coordinates, row_space_basis
 from .complexes import (
     ChainMapC,
@@ -24,7 +34,7 @@ from .complexes import (
     homotopy_hom,
     minimize,
 )
-from .reps import ModuleMap, ProjSum, extract_entry_map, realize_entry_map
+from .reps import ProjSum, extract_entry_map, realize_entry_map
 
 
 class ChainEndData(FiniteDimAlgebra):
@@ -144,16 +154,7 @@ def split_strict_idempotent(c: ProjComplex, strict: ChainMapC):
         # phi: new -> c, entries indexed (new summand k, ambient summand i)
         phi_entries[d] = entries
         # psi: c -> new with psi * phi = e and phi * psi = id
-        phi_map = realize_entry_map(new_sums[d], sums[d], entries)
-        psi_mats = {}
-        for v in alg.quiver.vertices:
-            phi_v = phi_map.mats[v]
-            e_v = e_d.mats[v]
-            sol = phi_v.transpose().solve(e_v.transpose())
-            if sol is None:
-                raise DecompositionError("idempotent image rows escaped the generator span")
-            psi_mats[v] = sol.transpose()
-        psi_map = ModuleMap(sums[d].rep, new_sums[d].rep, psi_mats, check=False)
+        psi_map = e_d.factor_through(realize_entry_map(new_sums[d], sums[d], entries))
         psi_entries[d] = extract_entry_map(sums[d], new_sums[d], psi_map)
     # differentials of the summand
     terms = {d: labels[d] for d in labels}
@@ -241,78 +242,35 @@ def _component_complex(c: ProjComplex, comp):
     return sub, ChainMapC(sub, c, incl_mats), ChainMapC(c, sub, proj_mats)
 
 
+def _labels(c: ProjComplex) -> dict:
+    return {d: sorted(labels) for d, labels in c.terms.items()}
+
+
+def _chain_maps(x: ProjComplex, y: ProjComplex) -> list:
+    """Basis of the chain maps x -> y."""
+    space = homotopy_hom(x, y, 0)
+    return [space.vector_to_chain_map(v) for v in space.chain_vectors]
+
+
+def _iso_between_indecomposable_complexes(x: ProjComplex, y: ProjComplex):
+    """Iso pair (f: x->y, g: y->x) of indecomposable radical complexes, or
+    None: equal sorted labels per degree, then ``indecomposable_iso`` with
+    End(y) its ``ChainEndData``."""
+    if _labels(x) != _labels(y):
+        return None
+    return indecomposable_iso(_chain_maps(x, y), _chain_maps(y, x), lambda: ChainEndData(y))
+
+
 def complexes_isomorphic(x: ProjComplex, y: ProjComplex):
-    """(f: x->y, g: y->x) mutually inverse chain isos, or None.
-
-    Complete for radical complexes: degreewise label multisets must match,
-    then an invertible chain map is searched; for indecomposables the
-    radical-avoidance pairing decides nonexistence exactly.
-    """
-    if {d: sorted(x.term(d)) for d in x.degrees()} != {d: sorted(y.term(d)) for d in y.degrees()}:
+    """(f: x->y, g: y->x) mutually inverse chain isomorphisms of radical
+    complexes, or None: equal sorted labels per degree, then
+    ``isomorphism_by_summands``.  Raises NotRadical on a complex that is not
+    radical."""
+    if not (x.is_radical() and y.is_radical()):
+        raise NotRadical("isomorphism test needs radical complexes")
+    if _labels(x) != _labels(y):
         return None
-    if x.is_zero():
-        return ChainMapC.zero(x, y), ChainMapC.zero(y, x)
-    sp_xy = homotopy_hom(x, y, 0)
-    if not sp_xy.chain_vectors:
-        return None
-    rng = random.Random(0)
-    cands = [sp_xy.vector_to_chain_map(v) for v in sp_xy.chain_vectors]
-    for attempt in range(len(cands) + 16):
-        if attempt < len(cands):
-            f = cands[attempt]
-        else:
-            bound = 2 + attempt - len(cands)
-            f = None
-            for cm in cands:
-                co = rng.randint(-bound, bound)
-                if co:
-                    f = cm.scale(co) if f is None else f + cm.scale(co)
-            if f is None:
-                continue
-        pair = _upgrade_to_iso(x, y, f)
-        if pair is not None:
-            return pair
-    # deterministic: pairing through End(y) classes
-    sp_yx = homotopy_hom(y, x, 0)
-    end_y = ChainEndData(y)
-    radical = Coordinates(end_y.radical_rows().data, end_y.dim)
-    for fv in sp_xy.chain_vectors:
-        f = sp_xy.vector_to_chain_map(fv)
-        for gv in sp_yx.chain_vectors:
-            g = sp_yx.vector_to_chain_map(gv)
-            u = g.then(f)  # y -> y
-            if radical.of_sparse(end_y.coords(u)) is not None:
-                continue  # u is zero or lies in the radical
-            pair = _upgrade_to_iso(x, y, f)
-            if pair is not None:
-                return pair
-    return None
-
-
-def _upgrade_to_iso(x: ProjComplex, y: ProjComplex, f: ChainMapC):
-    """If f realizes to vertexwise invertible maps, build its chain inverse."""
-    sums_x = {d: ProjSum(x.algebra, x.term(d)) for d in x.terms}
-    sums_y = {d: ProjSum(y.algebra, y.term(d)) for d in y.terms}
-    realized = f.realize(sums_x, sums_y)
-    inv_entries = {}
-    for d in x.terms:
-        m = realized.get(d)
-        if m is None:
-            return None
-        mats = {}
-        for v in x.algebra.quiver.vertices:
-            mi = m.mats[v].inverse()
-            if mi is None:
-                return None
-            mats[v] = mi
-        inv_map = ModuleMap(sums_y[d].rep, sums_x[d].rep, mats, check=False)
-        inv_entries[d] = extract_entry_map(sums_y[d], sums_x[d], inv_map)
-    g = ChainMapC(y, x, inv_entries)
-    if not g.is_chain_map():
-        return None
-    if f.then(g).is_identity() and g.then(f).is_identity():
-        return f, g
-    return None
+    return isomorphism_by_summands(x, y, decompose_complex, _iso_between_indecomposable_complexes, ChainMapC.zero)
 
 
 def decompose_complex(c: ProjComplex, _self_hom=None):
@@ -336,7 +294,7 @@ def decompose_complex(c: ProjComplex, _self_hom=None):
         for comp in _support_components(m)
         for piece, incl, proj in _split_component(*_component_complex(m, comp))
     )
-    summands, includes, projects = group_copies(pieces, complexes_isomorphic)
+    summands, includes, projects = group_copies(pieces, _iso_between_indecomposable_complexes)
     for incl, proj in zip(includes, projects):
         if not incl.is_chain_map() or not proj.is_chain_map():
             raise DecompositionError("certificate maps are not chain maps")

@@ -18,6 +18,7 @@ from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_kernel
 from .reps import (
     ModuleMap,
     ProjSum,
+    extract_entry_map,
     kernel_of,
     quotient_representation,
     realize_entry_map,
@@ -285,6 +286,24 @@ class ChainMapC:
             if not emat_is_zero(emat_sub(self.component(d), ident.component(d))):
                 return False
         return True
+
+    def inverse(self):
+        """The inverse chain map, or None: each degree is realized, inverted
+        by ``ModuleMap.inverse`` and read back as entries, and the result
+        must be a chain map.  None when some degree has a term on one side
+        only or a singular realization."""
+        alg = self.source.algebra
+        src = {d: ProjSum(alg, labels) for d, labels in self.source.terms.items()}
+        tgt = {d: ProjSum(alg, labels) for d, labels in self.target.terms.items()}
+        realized = self.realize(src, tgt)
+        mats = {}
+        for d in sorted(set(src) | set(tgt)):
+            inv = realized[d].inverse() if d in realized else None
+            if inv is None:
+                return None
+            mats[d] = extract_entry_map(tgt[d], src[d], inv)
+        g = ChainMapC(self.target, self.source, mats)
+        return g if g.is_chain_map() else None
 
     def realize(self, src_sums=None, tgt_sums=None):
         """Per-degree module maps (only degrees where both sides have terms)."""

@@ -23,9 +23,17 @@ those of End(M), a complex by those of its chain endomorphism ring
      skipped before any minimal polynomial: its corner minimal polynomial is
      a power of one linear factor, so it splits nothing.
 A primitive idempotent e of End(M) gives the summand of M spanned by the
-images of e; its projection p is the solution of "p then incl = e".
-``group_copies`` groups the split pieces of a module or a complex by
-isomorphism into that list of copies.
+images of e; its projection p, with p then incl = e, is
+``e.factor_through(incl)``.
+
+One isomorphism engine serves modules and complexes alike, with no random
+search.  ``indecomposable_iso`` decides indecomposables by radical
+avoidance in End(y); ``group_copies`` groups the split pieces of a module or
+a complex by it into that list of copies; ``isomorphism_by_summands``
+decomposes both sides, matches the summands with it and inverts the
+assembled map once.  ``is_isomorphic`` and
+``complex_decomp.complexes_isomorphic`` are that test behind a cheap
+invariant check.
 ``lift_idempotent`` lifts an idempotent modulo the radical by Newton
 iteration.
 """
@@ -97,15 +105,20 @@ class FiniteDimAlgebra:
         return Matrix._trusted(self.dim, self.dim, tuple(map(tuple, rows)))
 
     def radical_rows(self) -> Matrix:
-        """Radical as the kernel of the trace form tr L_{e_i e_j}, using
-        tr L_{e_k} = sum over m of the e_m-coefficient of e_k * e_m."""
+        """Radical as the RREF rows of the left kernel of ``trace_form``."""
+        return row_space_basis(Matrix(self.dim, self.dim, self.trace_form()).left_kernel_basis())
+
+    def trace_form(self) -> list:
+        """Rows of the regular trace form tr L_{e_i e_j}, using
+        tr L_{e_k} = sum over m of the e_m-coefficient of e_k * e_m.  Over Q
+        its kernel is the radical."""
         n = self.dim
         trace = [sum(self.basis_product(i, m).get(m, 0) for m in range(n)) for i in range(n)]
         form = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 form[i][j] = form[j][i] = sum(c * trace[k] for k, c in self.basis_product(i, j).items())
-        return row_space_basis(Matrix(n, n, form).left_kernel_basis())
+        return form
 
     def eval_poly(self, p, x: dict) -> dict:
         acc = {}
@@ -258,7 +271,7 @@ class EndAlgebra(FiniteDimAlgebra):
     """End(M) on a basis of its hom space; the product a * b is "a then b".
 
     Products are tabulated lazily, as in any ``FiniteDimAlgebra``, but the
-    radical is not read from them: ``radical_rows`` works on the vertex
+    radical is not read from them: ``trace_form`` works on the vertex
     matrices of the basis maps, so deciding whether End(M) is local asks for
     no product at all.
     """
@@ -287,11 +300,11 @@ class EndAlgebra(FiniteDimAlgebra):
             acc = f if acc is None else acc + f
         return acc if acc is not None else ModuleMap.zero(self.module, self.module)
 
-    def radical_rows(self) -> Matrix:
-        """Radical as the left kernel of the trace form tr_M(f_i f_j) of End(M)
-        acting on M.  The action is faithful, so over Q this kernel is the
-        radical (Dickson's criterion), and the RREF basis equals the one the
-        regular trace form gives.  Each entry is one sparse dot product,
+    def trace_form(self) -> list:
+        """Rows of the trace form tr_M(f_i f_j) of End(M) acting on M.  The
+        action is faithful, so over Q its kernel is the radical (Dickson's
+        criterion), and the RREF basis equals the one the regular trace form
+        gives.  Each entry is one sparse dot product,
         flatten(F_i) . flatten(F_j^T), summed over all vertices at once."""
         n = self.dim
         transposed = [_transposed_flat(f) for f in self.maps]
@@ -301,7 +314,7 @@ class EndAlgebra(FiniteDimAlgebra):
             for j in range(i, n):
                 t = transposed[j]
                 form[i][j] = form[j][i] = sum(x * t[k] for k, x in flat if k in t)
-        return row_space_basis(Matrix(n, n, form).left_kernel_basis())
+        return form
 
 
 def _sparse_flat(f: ModuleMap) -> dict:
@@ -360,13 +373,7 @@ def _split_module(m: Representation):
     for coords in idems:
         e = end.element(coords)
         piece, incl = sub_representation(m, e.mats)
-        proj = {}
-        for v, x in e.mats.items():
-            sol = incl.mats[v].transpose().solve(x.transpose())
-            if sol is None:
-                raise DecompositionError("idempotent image rows escaped their row space")
-            proj[v] = sol.transpose()
-        out.append((piece, incl, ModuleMap(m, piece, proj, check=False)))
+        out.append((piece, incl, e.factor_through(incl)))
     return out
 
 
@@ -404,81 +411,60 @@ def group_copies(pieces, isomorphic):
     return [(rep, len(copies)) for rep, copies in groups], includes, projects
 
 
-def _iso_between_indecomposables(x: Representation, y: Representation):
-    """Iso pair (f: x->y, g: y->x) or None, decided exactly.
+def indecomposable_iso(hxy: list, hyx: list, end_y):
+    """Mutually inverse pair (f: x -> y, g: y -> x) of indecomposable modules
+    or radical complexes x and y, or None, decided exactly.
 
-    For indecomposables, x and y are isomorphic iff some composite
-    y -> x -> y avoids the radical of End(y); locality then upgrades the
-    composite to an isomorphism.
+    ``hxy`` and ``hyx`` are bases of Hom(x, y) and Hom(y, x), and ``end_y()``
+    gives End(y), an ``EndAlgebra`` or a ``ChainEndData``.  End(y) is local,
+    so x and y are isomorphic iff some composite y -> x -> y of basis maps
+    avoids rad End(y); then that composite is invertible, f is split onto y
+    from an indecomposable, hence an isomorphism, and g is f.inverse().
     """
-    if x.dim_vector() != y.dim_vector():
-        return None
-    if x.total_dim() == 0:
-        return ModuleMap.zero(x, y), ModuleMap.zero(y, x)
-    hxy = hom_space(x, y)
-    hyx = hom_space(y, x)
     if not hxy or not hyx:
         return None
-    end_y = EndAlgebra(y)
-    radical = Coordinates(end_y.radical_rows().data, end_y.dim)
-    for b in hxy:
-        for a in hyx:
-            u = a.then(b)  # y -> y, invertible iff it avoids rad End(y)
-            if radical.of_sparse(end_y.coords(u)) is not None:
-                continue  # composite is zero or lies in the radical
-            u_inv = _vertexwise_inverse(u)
-            if u_inv is None:
-                continue  # should not happen for a local End, but stay exact
-            g = u_inv.then(a)  # y -> x, a left inverse of b up to order
-            if g.then(b).is_identity() and b.then(g).is_identity():
-                return b, g
+    end = end_y()
+    radical = Coordinates(end.radical_rows().data, end.dim)
+    for f in hxy:
+        for g in hyx:
+            if radical.of_sparse(end.coords(g.then(f))) is None:
+                inverse = f.inverse()
+                if inverse is not None:
+                    return f, inverse
     return None
 
 
-def is_isomorphic(m: Representation, n: Representation):
-    """Mutually inverse pair (f: m->n, g: n->m), or None.
+def _iso_between_indecomposables(x: Representation, y: Representation):
+    """Iso pair (f: x->y, g: y->x) of indecomposable modules, or None."""
+    if x.dim_vector() != y.dim_vector():
+        return None
+    return indecomposable_iso(hom_space(x, y), hom_space(y, x), lambda: EndAlgebra(y))
 
-    Randomized fast path over the hom space, then a deterministic fallback
-    through full decompositions.
+
+def isomorphism_by_summands(m, n, split, indecomposable, zero):
+    """Mutually inverse pair (f: m->n, g: n->m), or None, for two modules
+    or two radical complexes.
+
+    ``split`` is ``decompose`` or ``decompose_complex``, ``indecomposable``
+    the isomorphism test on indecomposables of that kind and ``zero`` the
+    zero map of that kind.  Each summand of m is matched with a summand of n
+    of the same multiplicity that it is isomorphic to, by ψ; f is the sum
+    over matched copies of ``projects_m[k]`` then ψ then ``includes_n[k']``,
+    inverted once and checked.  For complexes f is a homotopy equivalence
+    between radical complexes, hence an isomorphism.
     """
-    if m.dim_vector() != n.dim_vector():
-        return None
-    if m.total_dim() == 0:
-        z = ModuleMap.zero(m, n)
-        return z, ModuleMap.zero(n, m)
-    h = hom_space(m, n)
-    if not h:
-        return None
-    rng = random.Random(0)
-    for attempt in range(8):
-        if attempt == 0 and len(h) == 1:
-            f = h[0]
-        else:
-            bound = 2 + attempt
-            f = None
-            for g in h:
-                c = rng.randint(-bound, bound)
-                if c:
-                    f = g.scale(c) if f is None else f + g.scale(c)
-            if f is None:
-                continue
-        g = _vertexwise_inverse(f)
-        if g is not None and f.then(g).is_identity() and g.then(f).is_identity():
-            return f, g
-    # deterministic fallback: match the summands of both sides, then send
-    # each copy in m to a copy of the matched summand in n
-    sm, _, projects_m = decompose(m)
-    sn, includes_n, _ = decompose(n)
+    sm, _, projects_m = split(m)
+    sn, includes_n, _ = split(n)
     if len(sm) != len(sn):
         return None
     first_n = [sum(mult for _, mult in sn[:j]) for j in range(len(sn))]
     unmatched = list(range(len(sn)))
-    f = ModuleMap.zero(m, n)
+    f = zero(m, n)
     k = 0
     for rep, mult in sm:
         for j in unmatched:
             if sn[j][1] == mult:
-                pair = _iso_between_indecomposables(rep, sn[j][0])
+                pair = indecomposable(rep, sn[j][0])
                 if pair is not None:
                     break
         else:
@@ -487,21 +473,15 @@ def is_isomorphic(m: Representation, n: Representation):
         for c in range(mult):
             f = f + projects_m[k + c].then(pair[0]).then(includes_n[first_n[j] + c])
         k += mult
-    g = _vertexwise_inverse(f)
+    g = f.inverse()
     if g is not None and f.then(g).is_identity() and g.then(f).is_identity():
         return f, g
     return None
 
 
-def _vertexwise_inverse(f: ModuleMap):
-    """The inverse of f, each vertex matrix inverted once, or None when the
-    dimensions differ or some vertex matrix is singular."""
-    if f.source.dims != f.target.dims:
+def is_isomorphic(m: Representation, n: Representation):
+    """Mutually inverse pair (f: m->n, g: n->m), or None: equal dimension
+    vectors, then ``isomorphism_by_summands``."""
+    if m.dim_vector() != n.dim_vector():
         return None
-    inv = {}
-    for v, m in f.mats.items():
-        mi = m.inverse()
-        if mi is None:
-            return None
-        inv[v] = mi
-    return ModuleMap(f.target, f.source, inv, check=False)
+    return isomorphism_by_summands(m, n, decompose, _iso_between_indecomposables, ModuleMap.zero)

@@ -18,14 +18,14 @@ reaches, in the order they were found.  ``_sparse_echelon`` runs it on each
 row of a batch, keeps each nonzero rest as a monic echelon row, and then runs
 it on each echelon row against the later ones, which leaves the reduced row
 echelon form.  ``sparse_row_space`` reads the RREF rows off it and
-``sparse_kernel`` the right-kernel basis; ``Matrix.rref``, ``rank``,
-``kernel_basis``, ``solve``, ``inverse``, ``left_kernel_basis`` and the
-row-space helpers below are built on these, the dense rows turned into sparse
-ones.  :class:`Coordinates` is the incremental front end: it runs the same
-loop on each row as it is added and on each vector it is asked about, and
-keeps with each echelon row its combination of the input rows.  Only
-``Matrix.det`` eliminates on its own terms, fraction-free by Bareiss's
-method.
+``sparse_kernel`` the right-kernel basis; ``Matrix.rref``, ``solve``,
+``inverse``, ``left_kernel_basis`` and ``row_space_basis`` are built on
+these, the dense rows turned into sparse ones, and a rank is the length of
+``sparse_row_space``.  :class:`Coordinates` is the incremental front end:
+it runs the same loop on each row as it is added and on each vector it is
+asked about, and keeps with each echelon row its combination of the input
+rows.  Only ``Matrix.det`` eliminates on its own terms, fraction-free by
+Bareiss's method.
 """
 
 from __future__ import annotations
@@ -184,15 +184,6 @@ class Matrix:
         data = _dense(basis, self.cols) + ((0,) * self.cols,) * (self.rows - len(basis))
         return Matrix._trusted(self.rows, self.cols, data), [min(row) for row in basis]
 
-    def rank(self) -> int:
-        return len(_sparse_echelon(_sparse(self.data))[0])
-
-    def kernel_basis(self) -> "Matrix":
-        """Columns span the right kernel: self * result == 0 exactly.  They
-        are the vectors of ``sparse_kernel``."""
-        vecs = sparse_kernel(_sparse(self.data), self.cols)
-        return Matrix._trusted(self.cols, len(vecs), tuple(zip(*vecs)) if vecs else ((),) * self.cols)
-
     def solve(self, b: "Matrix"):
         """Some x with self * x == b, or None when inconsistent: x is zero at
         the free columns of self and reads the reduced b at its pivots."""
@@ -210,8 +201,10 @@ class Matrix:
         return Matrix._trusted(n, b.cols, tuple(map(tuple, x)))
 
     def left_kernel_basis(self) -> "Matrix":
-        """Rows span the left kernel: result * self == 0 exactly."""
-        return self.transpose().kernel_basis().transpose()
+        """Rows span the left kernel: result * self == 0 exactly.  They are
+        the vectors of ``sparse_kernel`` of the columns."""
+        vecs = sparse_kernel(_sparse(zip(*self.data)), self.rows)
+        return Matrix._trusted(len(vecs), self.rows, tuple(vecs))
 
     def inverse(self):
         """Inverse matrix, or None if not square/invertible."""
@@ -479,8 +472,3 @@ def row_space_basis(m: Matrix) -> Matrix:
     """Matrix whose rows are the nonzero rows of rref(m)."""
     red, pivots = m.rref()
     return Matrix._trusted(len(pivots), m.cols, red.data[: len(pivots)])
-
-
-def row_spaces_equal(a: Matrix, b: Matrix) -> bool:
-    """Whether a and b have the same row space, that is the same RREF rows."""
-    return a.cols == b.cols and sparse_row_space(_sparse(a.data)) == sparse_row_space(_sparse(b.data))

@@ -208,7 +208,7 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
         for r in Matrix(len(rows), alg.dim, rows).left_kernel_basis().data:
             relations.append(Relation(quiver, [(c, p) for c, p in zip(r, paths) if c != 0]))
         span_rows.extend(rows)
-    if Matrix(len(span_rows), alg.dim, span_rows).rank() != alg.dim:
+    if len(sparse_row_space(dict(enumerate(r)) for r in span_rows)) != alg.dim:
         raise PresentationError("vertex and arrow products do not span the algebra")
 
     relations = _prune_relations(quiver, relations)

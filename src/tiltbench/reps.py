@@ -15,7 +15,7 @@ Conventions (used consistently everywhere):
 from __future__ import annotations
 
 from .algebra import BasicAlgebra
-from .errors import DimensionMismatch, NotProjective, TiltbenchError
+from .errors import DecompositionError, DimensionMismatch, NotProjective, TiltbenchError
 from .linalg import Coordinates, Matrix, row_space_basis, sparse_kernel
 from .quiver import Path
 
@@ -134,14 +134,30 @@ class ModuleMap:
     def is_identity(self) -> bool:
         return self.source.dims == self.target.dims and all(m.is_identity() for m in self.mats.values())
 
-    def inverse(self) -> "ModuleMap":
+    def inverse(self):
+        """The inverse map, each vertex matrix inverted once, or None when
+        the dimensions differ or some vertex matrix is singular."""
+        if self.source.dims != self.target.dims:
+            return None
         inv = {}
         for v, m in self.mats.items():
-            mi = m.inverse()
-            if mi is None:
-                raise TiltbenchError("map is not invertible")
-            inv[v] = mi
+            inv[v] = m.inverse()
+            if inv[v] is None:
+                return None
         return ModuleMap(self.target, self.source, inv, check=False)
+
+    def factor_through(self, incl: "ModuleMap") -> "ModuleMap":
+        """The map p with p then incl = self, for incl injective at every
+        vertex: each row of self read in the ``Coordinates`` of incl's rows.
+        Raises DecompositionError when a row leaves their span."""
+        mats = {}
+        for v, x in self.mats.items():
+            span = Coordinates(incl.mats[v].data, incl.mats[v].cols)
+            rows = [span.of(r) for r in x.data]
+            if any(r is None for r in rows):
+                raise DecompositionError("image rows escaped the row space of the inclusion")
+            mats[v] = Matrix(x.rows, span.count, rows)
+        return ModuleMap(self.source, incl.source, mats, check=False)
 
 
 # -- hom spaces ------------------------------------------------------------

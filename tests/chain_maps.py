@@ -19,7 +19,7 @@ from tiltbench.complex_decomp import (
 )
 from tiltbench.complexes import ChainMapC, ProjComplex, emat_zero, minimize
 from tiltbench.decompose import primitive_idempotents
-from tiltbench.linalg import Coordinates, Matrix
+from tiltbench.linalg import Coordinates, sparse_kernel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,8 +72,7 @@ def _dense_system(x, y):
                             row = acc.setdefault(kk, [ZERO] * n_unk)
                             row[pos[(d + 1, jp, m, k)]] -= c
                 rows.extend(acc.values())
-    ker = (Matrix(len(rows), n_unk, rows) if rows else Matrix.zero(0, n_unk)).kernel_basis()
-    chain = list(zip(*ker.data))
+    chain = sparse_kernel([dict(enumerate(row)) for row in rows], n_unk)
     null = []
     for d in sorted(set(x.terms)):
         if not y.term(d - 1):

@@ -6,7 +6,7 @@ against, and the dense linear system for Hom(m, n), which the sparse
 from fractions import Fraction
 
 from tiltbench.errors import TiltbenchError
-from tiltbench.linalg import Matrix
+from tiltbench.linalg import Matrix, sparse_kernel
 from tiltbench.reps import ModuleMap
 
 ZERO = Fraction(0)
@@ -79,15 +79,13 @@ def dense_hom_space(m, n) -> list:
                 for k in range(n.dims[u]):
                     row[offsets[u] + i * n.dims[u] + k] -= n.mats[a.name].data[k][j]
                 rows.append(row)
-    sys = Matrix(len(rows), total, rows) if rows else Matrix.zero(0, total)
-    ker = sys.kernel_basis()
     out = []
-    for c in range(ker.cols):
+    for vec in sparse_kernel([dict(enumerate(row)) for row in rows], total):
         mats = {}
         for v in verts:
             if m.dims[v] and n.dims[v]:
                 block = [
-                    [ker.data[offsets[v] + i * n.dims[v] + j][c] for j in range(n.dims[v])]
+                    [vec[offsets[v] + i * n.dims[v] + j] for j in range(n.dims[v])]
                     for i in range(m.dims[v])
                 ]
                 mats[v] = Matrix(m.dims[v], n.dims[v], block)

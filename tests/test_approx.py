@@ -3,6 +3,7 @@ from tiltbench.approx import (
     minimal_left_approximation_labeled,
     minimal_right_approximation_labeled,
 )
+from tiltbench.linalg import row_space_basis
 from tiltbench.reps import kernel_of, projective, regular_module
 
 
@@ -33,7 +34,7 @@ def test_sec5_right_approx_of_regular_by_p1():
     ker, _ = kernel_of(f)
     assert f.source.total_dim() == 6
     # image dimensions: P1 fully (3) plus a 1-dim piece of P2
-    img_dim = sum(f.mats[v].rank() for v in a.quiver.vertices)
+    img_dim = sum(row_space_basis(f.mats[v]).rows for v in a.quiver.vertices)
     assert img_dim == 4
 
 

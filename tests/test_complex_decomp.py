@@ -1,4 +1,5 @@
 import gc
+import types
 import weakref
 
 import pytest
@@ -11,12 +12,14 @@ from tiltbench.complex_decomp import (
     split_idempotent,
     strictify_idempotent,
 )
-from tiltbench.complexes import ChainMapC, regular_stalk, stalk_complex
+from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk, stalk_complex
 from tiltbench.decompose import EndAlgebra
-from tiltbench.errors import DecompositionError
+from tiltbench.errors import DecompositionError, NotRadical
 from tiltbench.reps import regular_module
+from tiltbench.tilting import construct_tpq
 
 from chain_maps import decomposition_by_block_maps
+from test_decompose import _ZeroRandom
 from test_homotopy_products import _complexes
 from test_tilting import linear_a3_apr_complex
 
@@ -154,6 +157,33 @@ def test_complexes_isomorphic_positive_and_negative():
     s3 = stalk_complex(a, ["3"], 0)
     assert complexes_isomorphic(s2, s3) is None
     assert complexes_isomorphic(s2, s2.shift(0)) is not None
+
+
+def test_complexes_isomorphic_draws_no_random_maps(monkeypatch):
+    # were isomorphisms searched by random draws, every draw would be 0; the
+    # pairs below have no invertible basis map, so random search alone
+    # could not find their isomorphisms
+    monkeypatch.setattr(complex_decomp, "random", types.SimpleNamespace(Random=_ZeroRandom), raising=False)
+    a = corpus.fig1_algebra()
+    x, y = stalk_complex(a, ["1"], 0), stalk_complex(a, ["2"], 1)
+    t, p1 = corpus.fig1_tilting_complex(), stalk_complex(a, ["1"], 0)
+    tt, p11 = t.direct_sum(t), p1.direct_sum(p1)
+    for m, n in [(x.direct_sum(y), y.direct_sum(x)), (tt, tt), (p11, p11)]:
+        f, g = complexes_isomorphic(m, n)
+        assert f.is_chain_map() and g.is_chain_map()
+        assert f.then(g).is_identity() and g.then(f).is_identity()
+    # the same labels joined by a nonzero differential P(1) -> P(2)
+    cone = ProjComplex(a, {0: ["1"], 1: ["2"]}, {0: [[{a.paths_between("2", "1")[0]: 1}]]})
+    assert cone.is_radical() and complexes_isomorphic(x.direct_sum(y), cone) is None
+
+
+def test_complexes_isomorphic_refuses_a_non_radical_complex():
+    a = corpus.sec5_algebra()
+    raw = construct_tpq(a, ["1"], ["3", "4"], 1, 1).raw
+    assert not raw.is_radical()
+    for m, n in [(raw, raw), (raw, regular_stalk(a)), (regular_stalk(a), raw)]:
+        with pytest.raises(NotRadical):
+            complexes_isomorphic(m, n)
 
 
 def test_chain_end_data_identity():

@@ -5,11 +5,11 @@ import types
 import pytest
 
 from tiltbench import corpus
-from tiltbench.complex_decomp import ChainEndData
-from tiltbench.complexes import regular_stalk
+from tiltbench.complex_decomp import ChainEndData, decompose_complex
+from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk
 from tiltbench.decompose import EndAlgebra, FiniteDimAlgebra, decompose, is_isomorphic, primitive_idempotents
 from tiltbench.errors import DecompositionError
-from tiltbench.linalg import Coordinates, Matrix, sparse_row_space
+from tiltbench.linalg import Coordinates, Matrix, row_space_basis, sparse_row_space
 from tiltbench.reps import (
     ModuleMap,
     Representation,
@@ -156,15 +156,36 @@ def test_isomorphic_after_base_change():
 
 def test_is_isomorphic_inverts_each_vertex_matrix_once(monkeypatch):
     a = corpus.sec5_algebra()
-    s = simple(a, "1")  # Hom(s, s) is one-dimensional: the first attempt is the identity
-    inverted = []
-    inverse = Matrix.inverse
-    monkeypatch.setattr(Matrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+    s = simple(a, "1")  # one summand, and Hom(s, s) is one-dimensional
+    maps, matrices = [], []
+    map_inverse, matrix_inverse = ModuleMap.inverse, Matrix.inverse
+    monkeypatch.setattr(ModuleMap, "inverse", lambda f: maps.append(f) or map_inverse(f))
+    monkeypatch.setattr(Matrix, "inverse", lambda m: matrices.append(m) or matrix_inverse(m))
     f, g = is_isomorphic(s, s)
     assert f.then(g).is_identity() and g.then(f).is_identity()
-    assert len(inverted) == len(a.quiver.vertices)
-    # a singular vertex matrix is no isomorphism
-    assert decompose_module._vertexwise_inverse(ModuleMap.zero(s, s)) is None
+    # the summand pairing inverts its basis map, then the assembled f is
+    # inverted once: one ModuleMap.inverse each, one matrix per vertex
+    assert len(maps) == 2 and maps[1] is f
+    assert len(matrices) == 2 * len(a.quiver.vertices)
+    # a singular map, or one between different dimension vectors, has no inverse
+    m = s.direct_sum(s)
+    _, includes, projects = decompose(m)
+    assert ModuleMap.zero(s, s).inverse() is None
+    assert projects[0].then(includes[0]).inverse() is None
+    assert ModuleMap.zero(s, simple(a, "2")).inverse() is None
+    t = corpus.fig1_tilting_complex()
+    doubled = t.direct_sum(t)
+    _, includes, projects = decompose_complex(doubled)
+    assert ChainMapC.zero(t, t).inverse() is None
+    assert projects[0].then(includes[0]).inverse() is None
+    identity = ChainMapC.identity(doubled)
+    assert identity.inverse().then(identity).is_identity()
+    # invertible in each degree but no chain map: no chain inverse
+    fig1 = corpus.fig1_algebra()
+    cone = ProjComplex(fig1, {0: ["1"], 1: ["2"]}, {0: [[{fig1.paths_between("2", "1")[0]: 1}]]})
+    one, two = fig1.idempotent_index["1"], fig1.idempotent_index["2"]
+    assert ChainMapC(cone, cone, {0: [[{one: 1}]], 1: [[{two: 1}]]}).inverse() is not None
+    assert ChainMapC(cone, cone, {0: [[{one: 1}]], 1: [[{two: 2}]]}).inverse() is None
 
 
 def _modules_for_radical_check():
@@ -189,7 +210,9 @@ def test_end_radical_from_module_trace_form():
     for m in _modules_for_radical_check():
         end = EndAlgebra(m)
         rad = end.radical_rows()
-        assert rad == FiniteDimAlgebra.radical_rows(end), m.dim_vector()
+        # the kernel of the regular trace form, read from End(M)'s products
+        regular = Matrix(end.dim, end.dim, FiniteDimAlgebra.trace_form(end)).left_kernel_basis()
+        assert rad == row_space_basis(regular), m.dim_vector()
         seen_local |= end.dim > 1 and end.dim - rad.rows == 1
         seen_matrix_ring |= end.dim == 4 and rad.rows == 0
     assert seen_local and seen_matrix_ring
@@ -276,9 +299,8 @@ class _ZeroRandom(random.Random):
 
 
 def test_is_isomorphic_exact_fallback_on_isomorphic_and_non_isomorphic_pairs(monkeypatch):
-    # with every random coefficient 0 the fast path tries only the basis map
-    # of a one-dimensional hom space, so every pair below reaches the exact
-    # fallback through decompose
+    # no random draw decides an isomorphism: with every random coefficient 0
+    # each pair is still decided through decompose
     monkeypatch.setattr(decompose_module, "random", types.SimpleNamespace(Random=_ZeroRandom))
     decomposed = []
     inner = decompose_module.decompose

@@ -10,7 +10,6 @@ from tiltbench.linalg import (
     div,
     frac,
     row_space_basis,
-    row_spaces_equal,
     sparse_kernel,
     sparse_row_space,
 )
@@ -61,23 +60,29 @@ def test_div_gives_canonical_quotients():
     assert frac(True) == 1 and type(frac(True)) is int
 
 
+def rank(m):
+    """The rank of m: the number of its RREF rows."""
+    return len(sparse_row_space([_sparse(row) for row in m.data]))
+
+
 def test_rank_identity_and_zero():
-    assert Matrix.identity(3).rank() == 3
-    assert Matrix.zero(2, 5).rank() == 0
+    assert rank(Matrix.identity(3)) == 3 == row_space_basis(Matrix.identity(3)).rows
+    assert rank(Matrix.zero(2, 5)) == 0 == row_space_basis(Matrix.zero(2, 5)).rows
 
 
 def test_rank_proportional_rows():
     m = matrix([[1, 2], [2, 4]])
-    assert m.rank() == 1
+    assert rank(m) == 1 == row_space_basis(m).rows
 
 
 def test_kernel_identity_zero_and_relation():
-    assert Matrix.identity(4).kernel_basis().cols == 0
-    assert Matrix.zero(2, 3).kernel_basis().cols == 3
-    k = matrix([[1, 1]]).kernel_basis()
-    assert k.cols == 1
+    assert Matrix.identity(4).left_kernel_basis().rows == 0
+    assert Matrix.zero(3, 2).left_kernel_basis().rows == 3
+    assert sparse_kernel([{}, {}], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    k = matrix([[1], [1]]).left_kernel_basis()
+    assert (k.rows, k.cols) == (1, 2)
     # spans (1, -1)
-    assert k.data[0][0] == -k.data[1][0] != 0
+    assert k.data[0][0] == -k.data[0][1] != 0
 
 
 def test_solve_cases():
@@ -93,9 +98,11 @@ def test_solve_substitutes_exactly_and_kernel_annihilates():
     for _ in range(25):
         r, c = rng.randint(0, 4), rng.randint(0, 4)
         m = Matrix(r, c, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)])
-        ker = m.kernel_basis()
-        assert (m * ker).is_zero()
-        assert m.rank() + ker.cols == c
+        ker = m.transpose().left_kernel_basis()  # rows span the right kernel of m
+        assert (m * ker.transpose()).is_zero()
+        assert rank(m) + ker.rows == c
+        left = m.left_kernel_basis()
+        assert (left * m).is_zero() and rank(m) + left.rows == r
         x = Matrix(c, 1, [[Fraction(rng.randint(-2, 2))] for _ in range(c)])
         b = m * x
         sol = m.solve(b)
@@ -104,10 +111,12 @@ def test_solve_substitutes_exactly_and_kernel_annihilates():
 
 def test_zero_dimension_matrices_behave():
     z = Matrix.zero(0, 3)
-    assert z.rank() == 0
-    assert z.kernel_basis().cols == 3
+    assert rank(z) == 0
+    assert z.transpose().left_kernel_basis().rows == 3
+    assert (z.left_kernel_basis().rows, z.left_kernel_basis().cols) == (0, 0)
     z2 = Matrix.zero(3, 0)
-    assert z2.kernel_basis().cols == 0
+    assert z2.transpose().left_kernel_basis().rows == 0
+    assert z2.left_kernel_basis() == Matrix.identity(3)
     assert (z2.transpose() * z2).rows == 0
 
 
@@ -135,9 +144,10 @@ def test_inverse_and_det():
 def test_row_space_helpers():
     a = matrix([[1, 0, 1], [0, 1, 1]])
     b = matrix([[1, 1, 2], [1, -1, 0]])
-    assert row_spaces_equal(a, b) and row_space_basis(b) == a
-    assert not row_spaces_equal(a, matrix([[1, 0, 1], [0, 1, 0]]))
-    assert not row_spaces_equal(a, Matrix.zero(0, 2))
+    assert row_space_basis(b) == a == row_space_basis(a)
+    assert sparse_row_space([_sparse(r) for r in b.data]) == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    assert row_space_basis(matrix([[1, 0, 1], [0, 1, 0]])) != a
+    assert row_space_basis(Matrix.zero(2, 3)) == Matrix.zero(0, 3) != a
     assert Coordinates(b.data, b.cols).of([2, 2, 4]) is not None
     assert Coordinates(b.data, b.cols).of([1, 0, 0]) is None
 
@@ -292,8 +302,8 @@ def test_det_matches_fraction_elimination():
 
 
 def test_rref_matches_fraction_gauss_jordan():
-    """rref, and kernel_basis, solve and inverse built on it, against the
-    Fraction reference."""
+    """rref, and left_kernel_basis, solve and inverse built on the same
+    reduction, against the Fraction reference."""
     rng = random.Random(1968)
     consistent = inconsistent = singular = 0
     for case in range(400):
@@ -327,9 +337,14 @@ def test_rref_matches_fraction_gauss_jordan():
         assert pivots == want_pivots
         assert (red.rows, red.cols) == (rows, cols)
         assert [list(row) for row in red.data] == want
-        ker = m.kernel_basis()
+        # the right kernel of m is the left kernel of its transpose, and the
+        # left kernel of m the right kernel of its transpose
+        ker = m.transpose().left_kernel_basis()
         want_ker = fraction_kernel(rows, cols, data)
-        assert (ker.rows, ker.cols) == (cols, len(want_ker)) and list(zip(*ker.data)) == want_ker
+        assert (ker.rows, ker.cols) == (len(want_ker), cols) and list(ker.data) == want_ker
+        left = m.left_kernel_basis()
+        want_left = fraction_kernel(cols, rows, [[row[j] for row in data] for j in range(cols)])
+        assert (left.rows, left.cols) == (len(want_left), rows) and list(left.data) == want_left
         # solve: b = m * x is consistent; a random b usually is not when m
         # has fewer pivots than rows
         width = rng.randint(1, 2)
@@ -350,7 +365,7 @@ def test_rref_matches_fraction_gauss_jordan():
         identity = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
         assert (None if inv is None else [list(row) for row in inv.data]) == fraction_solve(k, k, block, identity, k)
         singular += inv is None
-        results = [red, ker, *(r for r in solved + [inv] if r is not None)]
+        results = [red, ker, left, *(r for r in solved + [inv] if r is not None)]
         assert all(canonical(x) for result in results for row in result.data for x in row)
     assert consistent == 400 and inconsistent > 50 and 50 < singular < 350
 
@@ -369,7 +384,7 @@ def test_matrix_operations_hold_only_exact_scalars():
         a.hstack(b),
         a.vstack(b),
         a.rref()[0],
-        a.kernel_basis(),
+        a.transpose().left_kernel_basis(),
         a.solve(a * c),
         sq.inverse(),
         Matrix.identity(3),

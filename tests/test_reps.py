@@ -7,7 +7,7 @@ from module_maps import dense_hom_space, hom_from_projective_sum
 from tiltbench import corpus
 from tiltbench.decompose import _iso_between_indecomposables, decompose
 from tiltbench.errors import NotProjective
-from tiltbench.linalg import Coordinates, Matrix
+from tiltbench.linalg import Coordinates, Matrix, row_space_basis
 from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
     ModuleMap,
@@ -265,7 +265,7 @@ def test_kernel_image_cokernel():
     p1, p2 = projective(a, "1"), projective(a, "2")
     f = hom_space(p1, p2)[0]
     ker, _ = kernel_of(f)
-    img_dim = sum(f.mats[v].rank() for v in a.quiver.vertices)
+    img_dim = sum(row_space_basis(f.mats[v]).rows for v in a.quiver.vertices)
     cok, _ = cokernel_of(f)
     assert ker.total_dim() + img_dim == p1.total_dim()
     assert cok.total_dim() == p2.total_dim() - img_dim
