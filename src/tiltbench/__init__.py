@@ -8,7 +8,9 @@ re-checkable witness.  The layers, bottom up:
                 row reduction behind every rank, kernel, solve, row space
                 and coordinate lookup
   quiver        quivers, paths, relations (left-to-right composition)
-  algebra       path algebras modulo admissible relations
+  algebra       one algebra type: finite-dimensional algebras by lazily
+                tabulated structure constants, path algebras modulo
+                admissible relations among them
   reps          modules as row-vector quiver representations
   decompose     splitting by primitive idempotents, one engine for modules
                 (via End(M)) and abstract algebras; a decomposition is its

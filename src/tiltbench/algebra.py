@@ -1,20 +1,27 @@
-"""Finite-dimensional basic algebras presented by quivers with relations.
+"""Finite-dimensional algebras: by structure constants, or by a quiver with
+relations.
 
-The algebra of a quiver with admissible relations is built on a basis of
-normal-form paths.  Normal forms come from length-graded linear reduction:
-for each length, the homogeneous span of (relations sandwiched by paths) is
-row-reduced, its leading paths (largest in deglex) are rewritten into the
-surviving ones, and construction stops at the first length with no
+``FiniteDimAlgebra`` is an algebra on a basis whose product table is filled
+on first use from a callback; multiplication, the trace-form radical and the
+associativity and idempotent checks are written for it once.  End(M) and
+End(T) are such algebras (``decompose``, ``complex_decomp``, ``tilting``).
+
+``BasicAlgebra`` is the one of a quiver with admissible relations, on a
+basis of normal-form paths.  Normal forms come from length-graded linear
+reduction: for each length, the homogeneous span of (relations sandwiched by
+paths) is row-reduced, its leading paths (largest in deglex) are rewritten
+into the surviving ones, and construction stops at the first length with no
 survivors.  Structure constants are obtained by reducing concatenations.
 
-Elements are sparse dicts ``{basis index: scalar}``, with the exact scalars
-of ``linalg``: ints, and Fractions where a value is not integral.
+Elements are sparse dicts ``{basis index: scalar}`` of their nonzero
+coordinates, with the exact scalars of ``linalg``: ints, and Fractions where
+a value is not integral.
 """
 
 from __future__ import annotations
 
-from .errors import NotAdmissible, RadicalNotNilpotent, TiltbenchError
-from .linalg import Matrix, div, frac, sparse_row_space
+from .errors import NotAdmissible, NotAssociative, NotBasic, RadicalNotNilpotent, TiltbenchError
+from .linalg import Matrix, div, frac, sparse_kernel, sparse_row_space
 from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
 
 RAW_PATH_CAP = 100_000
@@ -58,83 +65,41 @@ def el_to_vector(x: dict, dim: int) -> list:
     return v
 
 
-def el_is_zero(x: dict) -> bool:
-    return not x
+class FiniteDimAlgebra:
+    """An associative unital algebra on the basis e_0, ..., e_{dim-1}.
 
+    Elements are sparse dicts {k: coefficient} of their nonzero coordinates,
+    so ``el_add``, ``el_sub`` and ``el_scale`` apply to them, and a
+    ``Coordinates`` takes them as they are; ``el_to_vector`` gives the dense
+    row where an element enters a ``Matrix``.
 
-def el_eq(x: dict, y: dict) -> bool:
-    return el_is_zero(el_sub(x, y))
-
-
-class BasicAlgebra:
-    """Path algebra modulo an admissible ideal, on a normal-form path basis.
-
-    Attributes of note:
-      basis             list of Path in a fixed deglex order (trivial first)
-      index             Path -> basis position
-      idempotent_index  vertex label -> basis position of its trivial path
-      dim               len(basis)
-      table             (i, j) -> basis i * basis j as a {k: coefficient},
-                        present only when the product is nonzero
+    ``product(i, j)`` returns e_i * e_j as such a dict, nonzero coefficients
+    only; the algebra asks for each pair at most once, on first use, and
+    keeps the answer as the cell of its table.  ``one`` is the element 1.
     """
 
-    def __init__(self, quiver: Quiver, relations, basis, rewrite, nil_length: int):
-        self.quiver = quiver
-        self.relations = tuple(relations)
-        self.basis = list(basis)
-        self.dim = len(self.basis)
-        self.index = {p: i for i, p in enumerate(self.basis)}
-        self.nil_length = nil_length  # all paths of this length or more vanish
-        self._rewrite = rewrite  # length -> {Path: {Path: coeff}} for non-normal paths
-        self.idempotent_index = {v: self.index[trivial_path(v)] for v in quiver.vertices}
-        self.source = [p.source for p in self.basis]
-        self.target = [p.target(quiver) for p in self.basis]
-        self.table = {}
-        self._build_table()
-        self._sandwich = {}
-        for i in range(self.dim):
-            self._sandwich.setdefault((self.source[i], self.target[i]), []).append(i)
+    def __init__(self, dim: int, product, one: dict):
+        self.dim = dim
+        self.one = {k: frac(c) for k, c in one.items() if c}
+        self._product = product
+        self._table = [[None] * dim for _ in range(dim)]
 
-    # -- construction ------------------------------------------------------
-
-    def _reduce_raw(self, path: Path) -> dict:
-        """Express a raw path in the normal basis."""
-        n = len(path)
-        if n >= self.nil_length:
-            return {}
-        if path in self.index:
-            return {self.index[path]: 1}
-        rw = self._rewrite.get(n, {}).get(path)
-        if rw is None:
-            raise TiltbenchError(f"raw path {path} not covered by rewrite data")
-        return {self.index[p]: c for p, c in rw.items() if c != 0}
-
-    def _build_table(self):
-        for i, p in enumerate(self.basis):
-            for j, q in enumerate(self.basis):
-                if self.target[i] != self.source[j]:
-                    continue
-                raw = Path(p.source, p.arrows + q.arrows)
-                red = self._reduce_raw(raw)
-                if red:
-                    self.table[(i, j)] = red
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def one(self) -> dict:
-        return {i: 1 for i in self.idempotent_index.values()}
-
-    def idem(self, v) -> dict:
-        return {self.idempotent_index[str(v)]: 1}
-
-    def basis_el(self, i: int) -> dict:
-        return {i: 1}
+    def basis_product(self, i: int, j: int) -> dict:
+        """e_i * e_j."""
+        cell = self._table[i][j]
+        if cell is None:
+            cell = self._table[i][j] = self._product(i, j)
+        return cell
 
     def mul(self, x: dict, y: dict) -> dict:
         out = {}
+        table = self._table
         for i, a in x.items():
+            row = table[i]
             for j, b in y.items():
-                prod = self.table.get((i, j))
+                prod = row[j]
+                if prod is None:
+                    prod = self.basis_product(i, j)
                 if not prod:
                     continue
                 ab = a * b
@@ -146,15 +111,113 @@ class BasicAlgebra:
                         out.pop(k, None)
         return out
 
+    def left_matrix(self, x: dict) -> Matrix:
+        """Matrix of left multiplication by x: row j is x * e_j."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for i, a in x.items():
+            for j, row in enumerate(rows):
+                for k, c in self.basis_product(i, j).items():
+                    row[k] += a * c
+        return Matrix._trusted(self.dim, self.dim, tuple(map(tuple, rows)))
+
+    def radical_rows(self) -> list:
+        """The radical as sparse RREF rows: the kernel of the symmetric
+        ``trace_form``."""
+        return sparse_row_space(dict(enumerate(v)) for v in sparse_kernel(self.trace_form(), self.dim))
+
+    def trace_form(self) -> list:
+        """Rows, as {column: entry} dicts, of the regular trace form
+        tr L_{e_i e_j}, using tr L_{e_k} = sum over m of the e_m-coefficient
+        of e_k * e_m.  Over Q its kernel is the radical."""
+        n = self.dim
+        trace = [sum(self.basis_product(i, m).get(m, 0) for m in range(n)) for i in range(n)]
+        form = [{} for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x = sum(c * trace[k] for k, c in self.basis_product(i, j).items())
+                if x:
+                    form[i][j] = form[j][i] = x
+        return form
+
+    def eval_poly(self, p, x: dict) -> dict:
+        acc = {}
+        for c in reversed(p):
+            acc = el_add(self.mul(acc, x), el_scale(c, self.one))
+        return acc
+
+    def check_associative(self):
+        """Raises NotAssociative on the first basis triple (i, j, k) with
+        (e_i e_j) e_k != e_i (e_j e_k)."""
+        for i in range(self.dim):
+            for j in range(self.dim):
+                ij = self.basis_product(i, j)
+                for k in range(self.dim):
+                    if self.mul(ij, {k: 1}) != self.mul({i: 1}, self.basis_product(j, k)):
+                        raise NotAssociative(f"associativity fails on basis triple ({i},{j},{k})")
+
+    def check_idempotents(self, idems):
+        """Raises NotBasic unless idems are nonzero orthogonal idempotents
+        that sum to 1."""
+        total = {}
+        for e in idems:
+            total = el_add(total, e)
+        if total != self.one:
+            raise NotBasic("the idempotents do not sum to 1")
+        for i, e in enumerate(idems):
+            if not e:
+                raise NotBasic(f"idempotent {i} is zero")
+            for j, f in enumerate(idems):
+                if self.mul(e, f) != (e if i == j else {}):
+                    raise NotBasic(f"idempotents {i} and {j} are not orthogonal idempotents")
+
+
+class BasicAlgebra(FiniteDimAlgebra):
+    """Path algebra modulo an admissible ideal, on a normal-form path basis.
+
+    A ``FiniteDimAlgebra`` whose product of two basis paths is their
+    concatenation reduced to normal form, tabulated on first use.
+
+    Attributes of note:
+      basis             list of Path in a fixed deglex order (trivial first)
+      index             Path -> basis position
+      idempotent_index  vertex label -> basis position of its trivial path
+      dim               len(basis)
+    """
+
+    def __init__(self, quiver: Quiver, relations, basis, rewrite, nil_length: int):
+        self.quiver = quiver
+        self.relations = tuple(relations)
+        self.basis = basis = list(basis)
+        self.index = {p: i for i, p in enumerate(basis)}
+        self.nil_length = nil_length  # all paths of this length or more vanish
+        self._reduce_raw = reduce_raw = _path_reducer(self.index, rewrite, nil_length)
+        self.idempotent_index = {v: self.index[trivial_path(v)] for v in quiver.vertices}
+        self.source = source = [p.source for p in basis]
+        self.target = target = [p.target(quiver) for p in basis]
+
+        def product(i, j):
+            """basis i * basis j: the reduced concatenation, or {} when basis
+            i does not end where basis j starts."""
+            if target[i] != source[j]:
+                return {}
+            return reduce_raw(Path(source[i], basis[i].arrows + basis[j].arrows))
+
+        # the product closes over the basis, not over self, so that a
+        # BasicAlgebra is no reference cycle and dies with its last use
+        super().__init__(len(basis), product, {i: 1 for i in self.idempotent_index.values()})
+        self._sandwich = {}
+        for i in range(self.dim):
+            self._sandwich.setdefault((source[i], target[i]), []).append(i)
+
+    def basis_el(self, i: int) -> dict:
+        return {i: 1}
+
     def paths_between(self, a, b):
         """Basis indices i with source a and target b (the sandwich e_a A e_b)."""
         return self._sandwich.get((str(a), str(b)), [])
 
     def radical_indices(self):
         return [i for i in range(self.dim) if len(self.basis[i]) >= 1]
-
-    def el_to_vector(self, x: dict):
-        return el_to_vector(x, self.dim)
 
     # -- invariants ----------------------------------------------------------
 
@@ -171,45 +234,15 @@ class BasicAlgebra:
     def radical_basis(self):
         """Jacobson radical as a list of elements (the nontrivial basis paths).
 
-        Cross-checked once against the trace-form kernel of the regular
-        representation, which is the radical in characteristic zero; the
-        form is computed from the structure constants by
-        ``FiniteDimAlgebra.radical_rows``.
+        Cross-checked once against ``radical_rows``, the kernel of the
+        regular trace form, which is the radical in characteristic zero.
         """
+        rad = [self.basis_el(i) for i in self.radical_indices()]
         if not hasattr(self, "_radical_checked"):
-            from .decompose import FiniteDimAlgebra
-
-            regular = FiniteDimAlgebra(self.dim, lambda i, j: self.table.get((i, j), {}), self.one())
-            got = sparse_row_space(el_from_vector(r) for r in regular.radical_rows().data)
-            if got != sparse_row_space(self.basis_el(i) for i in self.radical_indices()):
+            if self.radical_rows() != rad:
                 raise RadicalNotNilpotent("trace-form radical disagrees with path radical")
             self._radical_checked = True
-        return [self.basis_el(i) for i in self.radical_indices()]
-
-    def check_associative(self) -> bool:
-        for i in range(self.dim):
-            bi = self.basis_el(i)
-            for j in range(self.dim):
-                bj = self.basis_el(j)
-                ij = self.mul(bi, bj)
-                for k in range(self.dim):
-                    bk = self.basis_el(k)
-                    if not el_eq(self.mul(ij, bk), self.mul(bi, self.mul(bj, bk))):
-                        return False
-        return True
-
-    def check_idempotents(self) -> bool:
-        total = {}
-        for v in self.quiver.vertices:
-            ev = self.idem(v)
-            for w in self.quiver.vertices:
-                ew = self.idem(w)
-                prod = self.mul(ev, ew)
-                want = ev if v == w else {}
-                if not el_eq(prod, want):
-                    return False
-            total = el_add(total, ev)
-        return el_eq(total, self.one())
+        return rad
 
     def corner_inverse(self, u: dict, vertex: str) -> dict:
         """Inverse of a unit in the local corner e_v A e_v (Neumann series)."""
@@ -222,12 +255,31 @@ class BasicAlgebra:
         power = self.basis_el(ei)
         for _ in range(self.nil_length + 1):
             power = self.mul(power, n)
-            if el_is_zero(power):
+            if not power:
                 break
             inv = el_add(inv, power)
         else:
             raise TiltbenchError("corner element is not a unit (series did not terminate)")
         return el_scale(div(1, c), inv)
+
+
+def _path_reducer(index: dict, rewrite: dict, nil_length: int):
+    """The function that expresses a raw path in the normal basis, from the
+    basis positions ``index`` and ``rewrite``: length -> {Path: {Path:
+    coefficient}} for the paths that are not normal forms."""
+
+    def reduce_raw(path: Path) -> dict:
+        n = len(path)
+        if n >= nil_length:
+            return {}
+        if path in index:
+            return {index[path]: 1}
+        rw = rewrite.get(n, {}).get(path)
+        if rw is None:
+            raise TiltbenchError(f"raw path {path} not covered by rewrite data")
+        return {index[p]: c for p, c in rw.items() if c != 0}
+
+    return reduce_raw
 
 
 def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> BasicAlgebra:

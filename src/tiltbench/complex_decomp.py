@@ -7,16 +7,15 @@ image of each component are read off its top, which recovers the labels of
 the summand and the symbolic form of its differentials.
 
 Isomorphism of complexes is the module engine of ``decompose`` on chain
-maps: ``indecomposable_iso`` with End(y) a ``ChainEndData`` groups the
-pieces of ``decompose_complex``, and ``complexes_isomorphic`` is
-``isomorphism_by_summands`` behind the sorted labels per degree.
+maps: ``indecomposable_iso`` groups the pieces of ``decompose_complex``, and
+``complexes_isomorphic`` is ``isomorphism_by_summands`` behind the sorted
+labels per degree.
 """
 
 from __future__ import annotations
 
-from .algebra import el_from_vector, el_to_vector
+from .algebra import FiniteDimAlgebra, el_from_vector, el_to_vector
 from .decompose import (
-    FiniteDimAlgebra,
     group_copies,
     indecomposable_iso,
     isomorphism_by_summands,
@@ -254,11 +253,10 @@ def _chain_maps(x: ProjComplex, y: ProjComplex) -> list:
 
 def _iso_between_indecomposable_complexes(x: ProjComplex, y: ProjComplex):
     """Iso pair (f: x->y, g: y->x) of indecomposable radical complexes, or
-    None: equal sorted labels per degree, then ``indecomposable_iso`` with
-    End(y) its ``ChainEndData``."""
+    None: equal sorted labels per degree, then ``indecomposable_iso``."""
     if _labels(x) != _labels(y):
         return None
-    return indecomposable_iso(_chain_maps(x, y), _chain_maps(y, x), lambda: ChainEndData(y))
+    return indecomposable_iso(_chain_maps(x, y), _chain_maps(y, x))
 
 
 def complexes_isomorphic(x: ProjComplex, y: ProjComplex):

@@ -12,7 +12,7 @@ differentials pick up the sign (-1)^n.
 
 from __future__ import annotations
 
-from .algebra import BasicAlgebra, el_add, el_is_zero, el_scale, el_sub
+from .algebra import BasicAlgebra, el_add, el_scale, el_sub
 from .errors import TiltbenchError
 from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_kernel
 from .reps import (
@@ -74,7 +74,7 @@ def emat_compose(alg: BasicAlgebra, f, g):
 
 
 def emat_is_zero(a):
-    return all(el_is_zero(x) for row in a for x in row)
+    return not any(x for row in a for x in row)
 
 
 # -- complexes ---------------------------------------------------------------
@@ -469,7 +469,7 @@ class HomotopySpace:
         if not self._endomorphisms:
             raise TiltbenchError("compose needs a space of endomorphisms")
         positions = self.positions
-        table = self.alg.table
+        product = self.alg.basis_product
         pos = self._pos
         after = {}  # (degree, source summand) -> [(target summand, path, c)] of v
         for p, b in v.items():
@@ -479,8 +479,8 @@ class HomotopySpace:
         for p, a in u.items():
             d, i, j, k = positions[p]
             for m, l, b in after.get((d, j), ()):
-                prod = table.get((l, k))
-                if prod is None:
+                prod = product(l, k)
+                if not prod:
                     continue
                 ab = a * b
                 for kk, c in prod.items():

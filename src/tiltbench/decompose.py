@@ -27,8 +27,9 @@ images of e; its projection p, with p then incl = e, is
 ``e.factor_through(incl)``.
 
 One isomorphism engine serves modules and complexes alike, with no random
-search.  ``indecomposable_iso`` decides indecomposables by radical
-avoidance in End(y); ``group_copies`` groups the split pieces of a module or
+search.  ``indecomposable_iso`` decides indecomposables x, y by an invertible
+composite y -> x -> y, which is radical avoidance in the local End(y), so
+no End(y) is built; ``group_copies`` groups the split pieces of a module or
 a complex by it into that list of copies; ``isomorphism_by_summands``
 decomposes both sides, matches the summands with it and inverts the
 assembled map once.  ``is_isomorphic`` and
@@ -42,89 +43,11 @@ from __future__ import annotations
 
 import random
 
-from .algebra import el_add, el_from_vector, el_scale, el_sub, el_to_vector
+from .algebra import FiniteDimAlgebra, el_add, el_from_vector, el_scale, el_sub
 from .errors import DecompositionError, TiltbenchError
-from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_row_space
+from .linalg import Coordinates, sparse_row_space
 from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
 from .reps import ModuleMap, Representation, flatten_map, hom_space, sub_representation
-
-
-# -- abstract finite-dimensional algebras -------------------------------------
-
-
-class FiniteDimAlgebra:
-    """An associative unital algebra on the basis e_0, ..., e_{dim-1}.
-
-    Elements are sparse dicts {k: coefficient} of their nonzero coordinates,
-    the form ``BasicAlgebra`` uses, so ``algebra.el_add``, ``el_sub`` and
-    ``el_scale`` apply to them, and a ``Coordinates`` takes them as they are;
-    ``el_to_vector`` gives the dense row where an element enters a
-    ``Matrix``.
-
-    ``product(i, j)`` returns e_i * e_j as such a dict, nonzero coefficients
-    only; the algebra asks for each pair at most once, on first use, and
-    keeps the answer as the cell of its table.  ``one`` is the element 1.
-    """
-
-    def __init__(self, dim: int, product, one: dict):
-        self.dim = dim
-        self.one = {k: frac(c) for k, c in one.items() if c}
-        self._product = product
-        self._table = [[None] * dim for _ in range(dim)]
-
-    def basis_product(self, i: int, j: int) -> dict:
-        """e_i * e_j."""
-        cell = self._table[i][j]
-        if cell is None:
-            cell = self._table[i][j] = self._product(i, j)
-        return cell
-
-    def mul(self, x: dict, y: dict) -> dict:
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                ab = a * b
-                for k, c in self.basis_product(i, j).items():
-                    s = out.get(k, 0) + ab * c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return out
-
-    def el_to_vector(self, x: dict) -> list:
-        return el_to_vector(x, self.dim)
-
-    def left_matrix(self, x: dict) -> Matrix:
-        """Matrix of left multiplication by x: row j is x * e_j."""
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for i, a in x.items():
-            for j, row in enumerate(rows):
-                for k, c in self.basis_product(i, j).items():
-                    row[k] += a * c
-        return Matrix._trusted(self.dim, self.dim, tuple(map(tuple, rows)))
-
-    def radical_rows(self) -> Matrix:
-        """Radical as the RREF rows of the left kernel of ``trace_form``."""
-        return row_space_basis(Matrix(self.dim, self.dim, self.trace_form()).left_kernel_basis())
-
-    def trace_form(self) -> list:
-        """Rows of the regular trace form tr L_{e_i e_j}, using
-        tr L_{e_k} = sum over m of the e_m-coefficient of e_k * e_m.  Over Q
-        its kernel is the radical."""
-        n = self.dim
-        trace = [sum(self.basis_product(i, m).get(m, 0) for m in range(n)) for i in range(n)]
-        form = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                form[i][j] = form[j][i] = sum(c * trace[k] for k, c in self.basis_product(i, j).items())
-        return form
-
-    def eval_poly(self, p, x: dict) -> dict:
-        acc = {}
-        for c in reversed(p):
-            acc = el_add(self.mul(acc, x), el_scale(c, self.one))
-        return acc
 
 
 def lift_idempotent(alg: FiniteDimAlgebra, x: dict, max_iter: int = 64) -> dict:
@@ -237,13 +160,12 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
     """
     rng = random.Random(0)
     rad = alg.radical_rows()
-    rad_elements = [el_from_vector(r) for r in rad.data]
-    trivial = Coordinates(rad_elements + [alg.one], alg.dim)
+    trivial = Coordinates(rad + [alg.one], alg.dim)
     out = []
     stack = [alg.one]
     while stack:
         unit = stack.pop()
-        if _corner_is_local(alg, unit, rad_elements):
+        if _corner_is_local(alg, unit, rad):
             out.append(unit)
             continue
         pair = _split_corner_once(alg, unit, trivial, rng)
@@ -301,19 +223,21 @@ class EndAlgebra(FiniteDimAlgebra):
         return acc if acc is not None else ModuleMap.zero(self.module, self.module)
 
     def trace_form(self) -> list:
-        """Rows of the trace form tr_M(f_i f_j) of End(M) acting on M.  The
-        action is faithful, so over Q its kernel is the radical (Dickson's
-        criterion), and the RREF basis equals the one the regular trace form
-        gives.  Each entry is one sparse dot product,
+        """Rows, as {column: entry} dicts, of the trace form tr_M(f_i f_j) of
+        End(M) acting on M.  The action is faithful, so over Q its kernel is
+        the radical (Dickson's criterion), and the RREF basis equals the one
+        the regular trace form gives.  Each entry is one sparse dot product,
         flatten(F_i) . flatten(F_j^T), summed over all vertices at once."""
         n = self.dim
         transposed = [_transposed_flat(f) for f in self.maps]
-        form = [[0] * n for _ in range(n)]
+        form = [{} for _ in range(n)]
         for i in range(n):
             flat = self._flats[i].items()
             for j in range(i, n):
                 t = transposed[j]
-                form[i][j] = form[j][i] = sum(x * t[k] for k, x in flat if k in t)
+                x = sum(x * t[k] for k, x in flat if k in t)
+                if x:
+                    form[i][j] = form[j][i] = x
         return form
 
 
@@ -411,23 +335,18 @@ def group_copies(pieces, isomorphic):
     return [(rep, len(copies)) for rep, copies in groups], includes, projects
 
 
-def indecomposable_iso(hxy: list, hyx: list, end_y):
+def indecomposable_iso(hxy: list, hyx: list):
     """Mutually inverse pair (f: x -> y, g: y -> x) of indecomposable modules
     or radical complexes x and y, or None, decided exactly.
 
-    ``hxy`` and ``hyx`` are bases of Hom(x, y) and Hom(y, x), and ``end_y()``
-    gives End(y), an ``EndAlgebra`` or a ``ChainEndData``.  End(y) is local,
-    so x and y are isomorphic iff some composite y -> x -> y of basis maps
-    avoids rad End(y); then that composite is invertible, f is split onto y
+    ``hxy`` and ``hyx`` are bases of Hom(x, y) and Hom(y, x).  End(y) is
+    local, so x and y are isomorphic iff some composite y -> x -> y of basis
+    maps avoids rad End(y), that is, is invertible; then f is split onto y
     from an indecomposable, hence an isomorphism, and g is f.inverse().
     """
-    if not hxy or not hyx:
-        return None
-    end = end_y()
-    radical = Coordinates(end.radical_rows().data, end.dim)
     for f in hxy:
         for g in hyx:
-            if radical.of_sparse(end.coords(g.then(f))) is None:
+            if g.then(f).inverse() is not None:
                 inverse = f.inverse()
                 if inverse is not None:
                     return f, inverse
@@ -438,7 +357,7 @@ def _iso_between_indecomposables(x: Representation, y: Representation):
     """Iso pair (f: x->y, g: y->x) of indecomposable modules, or None."""
     if x.dim_vector() != y.dim_vector():
         return None
-    return indecomposable_iso(hom_space(x, y), hom_space(y, x), lambda: EndAlgebra(y))
+    return indecomposable_iso(hom_space(x, y), hom_space(y, x))
 
 
 def isomorphism_by_summands(m, n, split, indecomposable, zero):

@@ -30,16 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BasicAlgebra, build_path_algebra, el_add, el_from_vector, el_scale, el_sub
-from .decompose import FiniteDimAlgebra, primitive_idempotents
-from .errors import (
-    NoIdentity,
-    NotAssociative,
-    NotBasic,
-    PresentationError,
-    RadicalNotNilpotent,
-    TiltbenchError,
+from .algebra import (
+    BasicAlgebra,
+    FiniteDimAlgebra,
+    build_path_algebra,
+    el_from_vector,
+    el_scale,
+    el_sub,
+    el_to_vector,
 )
+from .decompose import primitive_idempotents
+from .errors import NoIdentity, NotBasic, PresentationError, RadicalNotNilpotent, TiltbenchError
 from .linalg import Coordinates, Matrix, div, frac, sparse_row_space
 from .quiver import Path, Quiver, Relation, arrow_multiples, longer_paths
 
@@ -62,16 +63,10 @@ def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
     """
     cells = [[el_from_vector(cell) for cell in row] for row in table]
     alg = FiniteDimAlgebra(dim, lambda i, j: cells[i][j], el_from_vector(one))
-    basis = [{i: 1} for i in range(dim)]
     for i in range(dim):
-        if alg.mul(alg.one, basis[i]) != basis[i] or alg.mul(basis[i], alg.one) != basis[i]:
+        if alg.mul(alg.one, {i: 1}) != {i: 1} or alg.mul({i: 1}, alg.one) != {i: 1}:
             raise NoIdentity("declared identity is not two-sided")
-    for i in range(dim):
-        for j in range(dim):
-            ij = alg.mul(basis[i], basis[j])
-            for k in range(dim):
-                if alg.mul(ij, basis[k]) != alg.mul(basis[i], alg.mul(basis[j], basis[k])):
-                    raise NotAssociative(f"associativity fails on basis triple ({i},{j},{k})")
+    alg.check_associative()
     return alg
 
 
@@ -100,28 +95,19 @@ def _block_product(alg: FiniteDimAlgebra, left, right):
 def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
     """[rad, rad^2, ..., 0] as Peirce layers, certified.
 
-    ``idempotents`` are elements of alg that must be orthogonal and sum to
-    1; ``primitive_idempotents`` supplies them when omitted.  R_ij = e_i A e_j
-    for i != j, and R_ii is the kernel of
-    chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i).  Raises NotBasic unless
-    the diagonal blocks of R * R lie in R, and RadicalNotNilpotent unless the
-    powers of R drop strictly to 0.  Together the checks show that R is a
-    nilpotent ideal with A / R = K^n, so R is the radical and A is basic.
+    ``idempotents`` are elements of alg that ``check_idempotents`` accepts,
+    nonzero orthogonal idempotents that sum to 1; ``primitive_idempotents``
+    supplies them when omitted.  R_ij = e_i A e_j for i != j, and R_ii is
+    the kernel of chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i).  Raises
+    NotBasic unless the diagonal blocks of R * R lie in R, and
+    RadicalNotNilpotent unless the powers of R drop strictly to 0.  Together
+    the checks show that R is a nilpotent ideal with A / R = K^n, so R is
+    the radical and A is basic.
     """
     idems = idempotents if idempotents is not None else primitive_idempotents(alg)
     idems = [{k: frac(c) for k, c in e.items() if c} for e in idems]
     n, dim = len(idems), alg.dim
-    total = {}
-    for e in idems:
-        total = el_add(total, e)
-    if total != alg.one:
-        raise NotBasic("the idempotents do not sum to 1")
-    for i, e in enumerate(idems):
-        if not e:
-            raise NotBasic(f"idempotent {i} is zero")
-        for j, f in enumerate(idems):
-            if alg.mul(e, f) != (e if i == j else {}):
-                raise NotBasic(f"idempotents {i} and {j} are not orthogonal idempotents")
+    alg.check_idempotents(idems)
     # pieces[i][j]: RREF basis of e_i A e_j, from the RREF basis of
     # e_i A = span of the e_i e_k
     pieces = []
@@ -190,15 +176,15 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
     # evaluate paths in the abstract algebra, as dense rows
     def eval_path(p: Path):
         if not p.arrows:
-            return alg.el_to_vector(idems[names.index(p.source)])
+            return el_to_vector(idems[names.index(p.source)], alg.dim)
         acc = arrow_elements[p.arrows[0]]
         for a in p.arrows[1:]:
             acc = alg.mul(acc, arrow_elements[a])
-        return alg.el_to_vector(acc)
+        return el_to_vector(acc, alg.dim)
 
     # surjectivity: vertices and arrow products must span the algebra
     paths = [Path(a[1], (a[0],)) for a in arrows]
-    span_rows = [alg.el_to_vector(e) for e in idems] + [eval_path(p) for p in paths]
+    span_rows = [el_to_vector(e, alg.dim) for e in idems] + [eval_path(p) for p in paths]
     relations = []
     for _ in range(2, nil_index + 1):
         paths = longer_paths(quiver, paths)

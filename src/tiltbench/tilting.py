@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BasicAlgebra, el_from_vector
+from .algebra import BasicAlgebra, FiniteDimAlgebra, el_from_vector
 from .approx import (
     minimal_left_approximation_labeled,
     minimal_right_approximation_labeled,
@@ -43,7 +43,6 @@ from .complexes import (
     minimize,
     stalk_complex,
 )
-from .decompose import FiniteDimAlgebra
 from .errors import (
     DSquaredNonzero,
     InternalDisagreement,

@@ -5,9 +5,10 @@ import types
 import pytest
 
 from tiltbench import corpus
+from tiltbench.algebra import FiniteDimAlgebra, el_to_vector
 from tiltbench.complex_decomp import ChainEndData, decompose_complex
 from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk
-from tiltbench.decompose import EndAlgebra, FiniteDimAlgebra, decompose, is_isomorphic, primitive_idempotents
+from tiltbench.decompose import EndAlgebra, decompose, is_isomorphic, primitive_idempotents
 from tiltbench.errors import DecompositionError
 from tiltbench.linalg import Coordinates, Matrix, row_space_basis, sparse_row_space
 from tiltbench.reps import (
@@ -163,10 +164,11 @@ def test_is_isomorphic_inverts_each_vertex_matrix_once(monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", lambda m: matrices.append(m) or matrix_inverse(m))
     f, g = is_isomorphic(s, s)
     assert f.then(g).is_identity() and g.then(f).is_identity()
-    # the summand pairing inverts its basis map, then the assembled f is
-    # inverted once: one ModuleMap.inverse each, one matrix per vertex
-    assert len(maps) == 2 and maps[1] is f
-    assert len(matrices) == 2 * len(a.quiver.vertices)
+    # the summand pairing inverts the composite s -> s -> s of its basis maps,
+    # then its basis map, and the assembled f is inverted once: three
+    # ModuleMap.inverse calls, one matrix per vertex each
+    assert len(maps) == 3 and maps[2] is f
+    assert len(matrices) == 3 * len(a.quiver.vertices)
     # a singular map, or one between different dimension vectors, has no inverse
     m = s.direct_sum(s)
     _, includes, projects = decompose(m)
@@ -210,11 +212,13 @@ def test_end_radical_from_module_trace_form():
     for m in _modules_for_radical_check():
         end = EndAlgebra(m)
         rad = end.radical_rows()
-        # the kernel of the regular trace form, read from End(M)'s products
-        regular = Matrix(end.dim, end.dim, FiniteDimAlgebra.trace_form(end)).left_kernel_basis()
-        assert rad == row_space_basis(regular), m.dim_vector()
-        seen_local |= end.dim > 1 and end.dim - rad.rows == 1
-        seen_matrix_ring |= end.dim == 4 and rad.rows == 0
+        # the left kernel of the regular trace form, read from End(M)'s
+        # products, by the dense route
+        form = [el_to_vector(row, end.dim) for row in FiniteDimAlgebra.trace_form(end)]
+        regular = row_space_basis(Matrix(end.dim, end.dim, form).left_kernel_basis())
+        assert Matrix(len(rad), end.dim, [el_to_vector(x, end.dim) for x in rad]) == regular, m.dim_vector()
+        seen_local |= end.dim > 1 and end.dim - len(rad) == 1
+        seen_matrix_ring |= end.dim == 4 and not rad
     assert seen_local and seen_matrix_ring
 
 
@@ -338,9 +342,9 @@ def _reference_corner_is_local(alg, unit, rad):
     """Locality from the corner's own algebra, ignoring rad(A): the product
     table of unit*A*unit on an RREF basis and the kernel of its trace form."""
     basis = sparse_row_space([alg.mul(alg.mul(unit, {i: 1}), unit) for i in range(alg.dim)])
-    span = Coordinates([alg.el_to_vector(b) for b in basis], alg.dim)
+    span = Coordinates([el_to_vector(b, alg.dim) for b in basis], alg.dim)
     corner = FiniteDimAlgebra(len(basis), lambda i, j: span.of_sparse(alg.mul(basis[i], basis[j])), span.of_sparse(unit))
-    return corner.dim - corner.radical_rows().rows == 1
+    return corner.dim - len(corner.radical_rows()) == 1
 
 
 class _NoSkip:

@@ -8,10 +8,9 @@ from functools import lru_cache
 import pytest
 
 from tiltbench import corpus
-from tiltbench.algebra import el_to_vector
+from tiltbench.algebra import FiniteDimAlgebra, el_to_vector
 from tiltbench.complex_decomp import ChainEndData
 from tiltbench.complexes import HomotopySpace, homotopy_hom, regular_stalk
-from tiltbench.decompose import FiniteDimAlgebra
 from tiltbench.errors import TiltbenchError
 from tiltbench.presentation import quiver_presentation
 from tiltbench.tilting import TiltingContext, construct_tpq

@@ -100,6 +100,11 @@ def test_end_composition_associative_and_unital():
                 left = (u.then(v)).then(w)
                 right = u.then(v.then(w))
                 assert space.reduce(left) == space.reduce(right)
+    # every basis triple of End(T), for fig1's T and a construct_tpq complex
+    TiltingContext(a, t).end_data().abstract.check_associative()
+    sec5 = corpus.sec5_algebra()
+    built = construct_tpq(sec5, ["1"], ["3", "4"], 1, 1)
+    TiltingContext(sec5, built.complex, proved_by_construction=True).end_data().abstract.check_associative()
 
 
 def test_summand_count_equals_vertex_count_for_construction():

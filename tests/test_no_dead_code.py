@@ -1,11 +1,22 @@
 """Every top-level function, class and method of the package has a caller.
 
-A definition counts as used when its name is referenced, outside its own
-body, from the package itself, the demos, the benchmark or the corpus
-scripts; when it is exported in ``tiltbench.__all__``; or when the
-benchmark's tracer wraps it by name.  Dunder methods are called by Python
-itself and are not checked.  Helpers that only tests call are listed below
-with the reason they stay.
+A definition counts as used when it is referenced, outside its own body,
+from the package itself, the demos, the benchmark or the corpus scripts;
+when it is exported in ``tiltbench.__all__``; or when the benchmark's tracer
+wraps it by name.  Dunder methods are called by Python itself and are not
+checked.  Helpers that only tests call are listed in ``TEST_ONLY`` with the
+reason they stay.
+
+References are matched by name, except to a method whose name two or more
+package classes define: ``Matrix.inverse`` must not count as a caller of
+``ModuleMap.inverse``.  Such a method needs a reference resolved to it:
+  - ``Class.method``, looked up in Class and then its package bases;
+  - ``self.method`` (or ``cls.method``) in a method of class C: the method C
+    finds, and every override of it in a package subclass of C;
+  - ``super().method`` in a method of class C, looked up in C's bases.
+A shared name that some method reaches only through values of unknown
+class (``f.then(g)``) is listed in ``AMBIGUOUS`` with the reason, and is
+matched by name again.
 """
 
 import ast
@@ -18,10 +29,22 @@ SRC = os.path.join(ROOT, "src", "tiltbench")
 CALLER_DIRS = [SRC, os.path.join(ROOT, "demos"), os.path.join(ROOT, "bench"), os.path.join(ROOT, "corpus")]
 
 TEST_ONLY = {
-    "BasicAlgebra.check_associative": "tests check every corpus algebra's product table is associative",
-    "BasicAlgebra.check_idempotents": "tests check every corpus algebra's vertex idempotents are orthogonal",
     "HomotopySpace.class_reps": "tests compose class representatives to check chain maps against realization",
     "corpus_algebras": "the named corpus algebras that tests iterate over",
+}
+
+AMBIGUOUS = {
+    "add": "presentation grows each _HomogeneousIdeal through a local variable",
+    "direct_sum": "reps and tilting sum modules and complexes held in local variables",
+    "element": "decompose and complex_decomp read idempotents through an End algebra held in a local",
+    "inverse": "indecomposable_iso and isomorphism_by_summands invert module and chain maps alike; "
+    "ModuleMap.inverse inverts its vertex matrices",
+    "is_identity": "the copy certificates test module maps and chain maps alike; ModuleMap tests its matrices",
+    "is_zero": "the copy certificates test module maps and chain maps alike; ModuleMap tests its matrices",
+    "realize": "complex_decomp realizes a strict idempotent chain map held in a local",
+    "scale": "ModuleMap scales its vertex matrices, and EndAlgebra its basis maps",
+    "then": "group_copies and isomorphism_by_summands compose module and chain maps alike",
+    "to_dict": "the CLI serializes the report each command returns",
 }
 
 
@@ -50,12 +73,77 @@ def _definitions():
                         yield path, f"{node.name}.{item.name}", item
 
 
-def _references():
-    """bare name -> set of the definitions a reference to it sits in, as
-    tuples of enclosing (file, def line) pairs; () at module level."""
-    refs = {}
+def _classes():
+    """class name -> (package base names, {method name: (file, def line)})
+    for each top-level class of the package."""
+    found = {}
+    for path in _python_files(SRC):
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef):
+                assert node.name not in found, f"two package classes named {node.name}"
+                bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                methods = {item.name: (path, item.lineno) for item in node.body if isinstance(item, ast.FunctionDef)}
+                found[node.name] = (bases, methods)
+    return {name: ([b for b in bases if b in found], methods) for name, (bases, methods) in found.items()}
 
-    def visit(node, path, enclosing):
+
+def _lookup(classes, name, method):
+    """The method that name.method finds, through the package bases, or None."""
+    bases, methods = classes[name]
+    if method in methods:
+        return methods[method]
+    for base in bases:
+        found = _lookup(classes, base, method)
+        if found is not None:
+            return found
+    return None
+
+
+def _overrides(classes, name, method):
+    """The definitions of method in the package subclasses of name."""
+    for sub, (bases, methods) in classes.items():
+        if name in bases:
+            if method in methods:
+                yield methods[method]
+            yield from _overrides(classes, sub, method)
+
+
+def _shared_names(classes):
+    """Method names, dunders aside, that two or more package classes define."""
+    count = {}
+    for _, methods in classes.values():
+        for name in methods:
+            count[name] = count.get(name, 0) + 1
+    return {name for name, n in count.items() if n > 1 and not (name.startswith("__") and name.endswith("__"))}
+
+
+def _references(classes):
+    """(by_name, resolved): bare name -> set of the definitions a reference to
+    it sits in, as tuples of enclosing (file, def line) pairs, () at module
+    level; and method (file, def line) -> the same for the references
+    resolved to that method."""
+    by_name, resolved = {}, {}
+
+    def resolve(node, owner, self_name):
+        """The method definitions an attribute reference resolves to."""
+        value, attr = node.value, node.attr
+        if isinstance(value, ast.Name) and value.id in classes and value.id != self_name:
+            return [_lookup(classes, value.id, attr)]
+        if owner is None:
+            return []
+        if isinstance(value, ast.Name) and value.id == self_name:
+            return [_lookup(classes, owner, attr), *_overrides(classes, owner, attr)]
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "super" and not value.args:
+            return [_lookup(classes, base, attr) for base in classes[owner][0]]
+        return []
+
+    def visit(node, path, enclosing, owner, self_name):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name if path.startswith(SRC) and not enclosing else None
+            self_name = None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is not None and self_name is None:
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            self_name = node.args.args[0].arg if node.args.args and not static else ""
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing + ((path, node.lineno),)
         name = None
@@ -63,17 +151,20 @@ def _references():
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
+            for target in resolve(node, owner, self_name):
+                if target is not None:
+                    resolved.setdefault(target, set()).add(enclosing)
         elif isinstance(node, ast.alias):
             name = node.name.split(".")[-1]
         if name is not None:
-            refs.setdefault(name, set()).add(enclosing)
+            by_name.setdefault(name, set()).add(enclosing)
         for child in ast.iter_child_nodes(node):
-            visit(child, path, enclosing)
+            visit(child, path, enclosing, owner, self_name)
 
     for directory in CALLER_DIRS:
         for path in _python_files(directory):
-            visit(_parse(path), path, ())
-    return refs
+            visit(_parse(path), path, (), None, None)
+    return by_name, resolved
 
 
 def _traced_entry_points():
@@ -85,15 +176,39 @@ def _traced_entry_points():
     raise AssertionError("bench/tracing.py has no ENTRY_POINTS")
 
 
-def test_every_definition_has_a_caller_outside_tests():
+def _checked_definitions():
+    """(file, qualified name, node, own (file, def line)) of each definition
+    that needs a caller."""
     exempt = set(tiltbench.__all__) | _traced_entry_points() | set(TEST_ONLY)
-    refs = _references()
-    unused = []
     for path, qualified, node in _definitions():
         name = node.name
-        if (name.startswith("__") and name.endswith("__")) or qualified in exempt:
-            continue
-        own = (path, node.lineno)
-        if not any(own not in enclosing for enclosing in refs.get(name, ())):
+        if not ((name.startswith("__") and name.endswith("__")) or qualified in exempt):
+            yield path, qualified, node, (path, node.lineno)
+
+
+def _called(own, enclosings):
+    return any(own not in enclosing for enclosing in enclosings)
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    classes = _classes()
+    shared = _shared_names(classes) - set(AMBIGUOUS)
+    by_name, resolved = _references(classes)
+    unused = []
+    for path, qualified, node, own in _checked_definitions():
+        method = "." in qualified
+        if not _called(own, resolved.get(own, ()) if method and node.name in shared else by_name.get(node.name, ())):
             unused.append(f"{os.path.relpath(path, ROOT)}: {qualified}")
     assert not unused, "definitions that nothing outside tests calls:\n" + "\n".join(unused)
+
+
+def test_ambiguous_lists_exactly_the_shared_names_without_a_resolved_caller():
+    classes = _classes()
+    shared = _shared_names(classes)
+    _, resolved = _references(classes)
+    need = {
+        node.name
+        for _, qualified, node, own in _checked_definitions()
+        if "." in qualified and node.name in shared and not _called(own, resolved.get(own, ()))
+    }
+    assert set(AMBIGUOUS) == need

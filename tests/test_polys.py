@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import tiltbench
 from tiltbench import corpus
-from tiltbench.algebra import el_from_vector
+from tiltbench.algebra import el_from_vector, el_to_vector
 from tiltbench.decompose import _corner_min_poly, primitive_idempotents
 from tiltbench.linalg import Matrix
 from tiltbench.polys import pmul, pnorm, rational_roots
@@ -67,11 +67,11 @@ def test_decompose_imports_no_numpy():
 def _old_corner_min_poly(alg, x, unit):
     """Minimal polynomial of x in unit*A*unit from the left kernel of the
     Krylov matrix, rebuilt for every power."""
-    flats = [alg.el_to_vector(unit)]
+    flats = [el_to_vector(unit, alg.dim)]
     cur = unit
     while True:
         cur = alg.mul(cur, x)
-        flats.append(alg.el_to_vector(cur))
+        flats.append(el_to_vector(cur, alg.dim))
         ker = Matrix(len(flats), len(flats[0]), flats).left_kernel_basis()
         if ker.rows:
             row = list(ker.row(0))

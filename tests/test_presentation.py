@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tiltbench import corpus
-from tiltbench.algebra import build_path_algebra, el_from_vector, el_to_vector
+from tiltbench.algebra import FiniteDimAlgebra, build_path_algebra, el_from_vector, el_to_vector
 from tiltbench.complexes import regular_stalk
-from tiltbench.decompose import FiniteDimAlgebra
 from tiltbench import presentation
 from tiltbench.errors import NoIdentity, NotAssociative, NotBasic, TiltbenchError
 from tiltbench.linalg import Coordinates, Matrix, row_space_basis
@@ -79,6 +78,13 @@ def test_bad_tables_rejected():
     ]
     with pytest.raises((NotAssociative, NoIdentity)):
         abstract_from_table(2, table, [1, 0])
+    # e0 = 1, e1 * e2 = e1 and every other product of e1 and e2 zero:
+    # (e1 e2) e2 = e1 but e1 (e2 e2) = 0
+    table = [[[int(k == i + j) for k in range(3)] for j in range(3)] for i in range(3)]
+    table[1][1] = [0, 0, 0]
+    table[1][2] = [0, 1, 0]
+    with pytest.raises(NotAssociative, match=r"\(1,2,2\)"):
+        abstract_from_table(3, table, [1, 0, 0])
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "sec5"])
@@ -166,8 +172,8 @@ def test_left_matrix_and_radical_of_fig1_table():
     x = el_from_vector([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)])
     left = alg.left_matrix(x)
     for j in range(alg.dim):
-        assert list(left.row(j)) == alg.el_to_vector(alg.mul(x, {j: Fraction(1)}))
-    assert alg.radical_rows().rows == alg.dim - len(a.quiver.vertices)
+        assert list(left.row(j)) == el_to_vector(alg.mul(x, {j: Fraction(1)}), alg.dim)
+    assert len(alg.radical_rows()) == alg.dim - len(a.quiver.vertices)
 
 
 def test_not_basic_is_raised():
@@ -197,11 +203,9 @@ def test_not_basic_is_raised():
 def _layers_by_all_pairs(alg):
     """[rad, rad^2, ..., 0] from the trace-form radical by all-pairs products."""
     rad = alg.radical_rows()
-    chain = [rad]
+    chain = [Matrix(len(rad), alg.dim, [el_to_vector(x, alg.dim) for x in rad])]
     while chain[-1].rows:
-        rows = [
-            alg.el_to_vector(alg.mul(el_from_vector(x), el_from_vector(y))) for x in chain[-1].data for y in rad.data
-        ]
+        rows = [el_to_vector(alg.mul(el_from_vector(x), y), alg.dim) for x in chain[-1].data for y in rad]
         chain.append(row_space_basis(Matrix(len(rows), alg.dim, rows)))
     return chain
 

@@ -10,7 +10,7 @@ from tiltbench.complex_decomp import complexes_isomorphic
 from tiltbench.errors import NotConcentrated, NotTilting, PreconditionFailed, TiltbenchError
 from tiltbench.presentation import presentations_match
 from tiltbench.quiver import Quiver, path_from_arrows, relation_from_words
-from tiltbench.algebra import build_path_algebra
+from tiltbench.algebra import build_path_algebra, el_to_vector
 from tiltbench.linalg import Coordinates, Matrix
 from tiltbench.reps import (
     ProjSum,
@@ -361,7 +361,7 @@ def _f_homology_by_module_maps(ctx, x, i):
         wj = pres.quiver.vertex_index[ar.target]
         rows = [[Fraction(0)] * len(reps[wj]) for _ in reps[wi]]
         if reps[wi] and stalk[wj] is not None and (wi, -i) in sums:
-            b = _combine(end.space.class_reps(), end.abstract.el_to_vector(pres.arrow_elements[ar.name]))
+            b = _combine(end.space.class_reps(), el_to_vector(pres.arrow_elements[ar.name], end.abstract.dim))
             chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])
             component = realize_entry_map(sums[wj, -i], sums[wi, -i], chain.component(-i))
             maps, span, classes, _ = stalk[wj]
@@ -573,7 +573,8 @@ def test_sec5_with_a_non_integral_coefficient_gives_the_same_results():
     assert [t[0] for t in relations[-1].terms] == [1, -1]
     relations[-1] = relation_from_words(q, [(1, ["betap", "beta"]), (Fraction(-2, 3), ["gamma", "gammap"])])
     scaled = build_path_algebra(q, relations)
-    assert any(type(c) is Fraction for prod in scaled.table.values() for c in prod.values())
+    products = (scaled.basis_product(i, j) for i in range(scaled.dim) for j in range(scaled.dim))
+    assert any(type(c) is Fraction for prod in products for c in prod.values())
 
     def results(a):
         built = construct_tpq(a, ["1"], ["3", "4"], 1, 1)
