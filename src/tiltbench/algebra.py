@@ -20,7 +20,7 @@ a value is not integral.
 
 from __future__ import annotations
 
-from .errors import NotAdmissible, NotAssociative, NotBasic, RadicalNotNilpotent, TiltbenchError
+from .errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, RadicalNotNilpotent, TiltbenchError
 from .linalg import Matrix, div, frac, sparse_kernel, sparse_row_space
 from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
 
@@ -69,9 +69,10 @@ class FiniteDimAlgebra:
     """An associative unital algebra on the basis e_0, ..., e_{dim-1}.
 
     Elements are sparse dicts {k: coefficient} of their nonzero coordinates,
-    so ``el_add``, ``el_sub`` and ``el_scale`` apply to them, and a
-    ``Coordinates`` takes them as they are; ``el_to_vector`` gives the dense
-    row where an element enters a ``Matrix``.
+    the form of the vectors ``linalg.sparse_kernel`` and
+    ``linalg.sparse_row_space`` return, so ``el_add``, ``el_sub`` and
+    ``el_scale`` apply to them and a ``Coordinates`` takes them as they are.
+    Dense coordinates enter only as input, through ``abstract_from_table``.
 
     ``product(i, j)`` returns e_i * e_j as such a dict, nonzero coefficients
     only; the algebra asks for each pair at most once, on first use, and
@@ -123,7 +124,7 @@ class FiniteDimAlgebra:
     def radical_rows(self) -> list:
         """The radical as sparse RREF rows: the kernel of the symmetric
         ``trace_form``."""
-        return sparse_row_space(dict(enumerate(v)) for v in sparse_kernel(self.trace_form(), self.dim))
+        return sparse_row_space(sparse_kernel(self.trace_form(), self.dim))
 
     def trace_form(self) -> list:
         """Rows, as {column: entry} dicts, of the regular trace form
@@ -169,6 +170,21 @@ class FiniteDimAlgebra:
             for j, f in enumerate(idems):
                 if self.mul(e, f) != (e if i == j else {}):
                     raise NotBasic(f"idempotents {i} and {j} are not orthogonal idempotents")
+
+
+def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
+    """Algebra from structure constants; verifies associativity and identity.
+
+    ``table[i][j]`` is the coordinate vector of (basis i) * (basis j), and
+    ``one`` the coordinate vector of 1.
+    """
+    cells = [[el_from_vector(cell) for cell in row] for row in table]
+    alg = FiniteDimAlgebra(dim, lambda i, j: cells[i][j], el_from_vector(one))
+    for i in range(dim):
+        if alg.mul(alg.one, {i: 1}) != {i: 1} or alg.mul({i: 1}, alg.one) != {i: 1}:
+            raise NoIdentity("declared identity is not two-sided")
+    alg.check_associative()
+    return alg
 
 
 class BasicAlgebra(FiniteDimAlgebra):

@@ -14,7 +14,7 @@ labels per degree.
 
 from __future__ import annotations
 
-from .algebra import FiniteDimAlgebra, el_from_vector, el_to_vector
+from .algebra import FiniteDimAlgebra
 from .decompose import (
     group_copies,
     indecomposable_iso,
@@ -44,7 +44,7 @@ class ChainEndData(FiniteDimAlgebra):
     def __init__(self, c: ProjComplex):
         self.complex = c
         self.space = space = HomotopySpace(c, c.shift(0))
-        self._vectors = vectors = [el_from_vector(v) for v in space.chain_vectors]
+        self._vectors = vectors = space.chain_vectors
         self._span = span = Coordinates(vectors, len(space.positions))
         # the product closes over the vectors and their span, not over self,
         # so that a ChainEndData is no reference cycle and dies with its last use
@@ -65,7 +65,7 @@ class ChainEndData(FiniteDimAlgebra):
         for k, c in x.items():
             for p, y in self._vectors[k].items():
                 vec[p] = vec.get(p, 0) + c * y
-        return self.space.vector_to_chain_map(el_to_vector(vec, len(self.space.positions)))
+        return self.space.vector_to_chain_map(vec)
 
 
 def _chain_coords(span: Coordinates, vec: dict) -> dict:
@@ -84,14 +84,13 @@ def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
         raise TiltbenchError("strictification needs a radical complex")
     data = ChainEndData(c)
     space = data.space
-    diff = space.reduce(e.then(e) - e)
-    if any(x != 0 for x in diff):
+    if not space.is_null(e.then(e) - e):
         raise NotIdempotent("class is not idempotent up to homotopy")
     lifted = lift_idempotent(data, data.coords(e))
     strict = data.element(lifted)
     if not (strict.then(strict) - strict).is_zero():
         raise NotIdempotent("strictification failed")
-    if any(x != 0 for x in space.reduce(strict - e)):
+    if not space.is_null(strict - e):
         raise NotIdempotent("strictified idempotent left its homotopy class")
     return strict
 

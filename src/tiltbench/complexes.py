@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra, el_add, el_scale, el_sub
 from .errors import TiltbenchError
-from .linalg import Coordinates, Matrix, frac, row_space_basis, sparse_kernel
+from .linalg import Coordinates, frac, sparse_kernel
 from .reps import (
     ModuleMap,
     ProjSum,
@@ -319,105 +319,77 @@ class ChainMapC:
 # -- homotopy hom spaces ------------------------------------------------------
 
 
+def _differential(x: ProjComplex, y: ProjComplex, n: int):
+    """The differential of the Hom complex from x to y at degree n, one basis
+    map at a time.
+
+    A degree-n map e has components x^d -> y^(d+n); its basis maps are the
+    terms (d, i, j, k): degree d, source summand i, target summand j, basis
+    path k of the sandwich y^(d+n)_j -> x^d_i, in that order.  For each one
+    this yields the term and D(e) = e·d_y - (-1)^n d_x·e ("e then d_y" minus
+    the sign times "d_x then e", as ``emat_compose`` composes), as
+    {degree-(n+1) term: c} with nonzero entries only."""
+    alg = x.algebra
+    sign = -1 if n % 2 == 0 else 1  # -(-1)^n, the coefficient of d_x·e
+    for d in sorted(x.terms):
+        src, tgt = x.term(d), y.term(d + n)
+        if not tgt:
+            continue
+        dy = y.diff(d + n)  # y^(d+n) -> y^(d+n+1)
+        dx = x.diff(d - 1)  # x^(d-1) -> x^d
+        after = range(len(y.term(d + n + 1)))
+        before = range(len(x.term(d - 1)))
+        for i in range(len(src)):
+            for j in range(len(tgt)):
+                for k in alg.paths_between(tgt[j], src[i]):
+                    # e·d_y sits at degree d and d_x·e at degree d - 1, so no
+                    # two of these terms share a key
+                    image = {(d, i, m, kk): c for m in after for kk, c in alg.mul(dy[j][m], {k: 1}).items()}
+                    for ip in before:
+                        for kk, c in alg.mul({k: 1}, dx[ip][i]).items():
+                            image[(d - 1, ip, j, kk)] = sign * c
+                    yield (d, i, j, k), image
+
+
 class HomotopySpace:
     """Hom in the homotopy category between two complexes (at a fixed shift),
-    with chain-level data retained.
+    with chain-level data retained: H^0 of the Hom complex.
 
     A degree-0 map x -> y has one coordinate per (degree d, source summand
     i, target summand j, basis path k of the sandwich y^d_j -> x^d_i);
-    ``positions`` lists them.  The chain condition is a sparse system in
-    these coordinates, and each basis element of a null homotopy gives one
-    sparse null row.
+    ``positions`` lists them.  Both linear systems come from the Hom
+    complex's differential D (``_differential``): the chain maps are the
+    kernel of D at degree 0, one sparse equation per degree-1 term, and the
+    null-homotopic maps are spanned by the images under D of the degree -1
+    basis maps, one sparse null row each.
 
-    chain_vectors: basis of honest chain maps X -> Y[n], as coordinate rows
-                   (the RREF kernel basis of the chain condition)
+    chain_vectors: basis of honest chain maps X -> Y[n], as sparse
+                   coordinate vectors {position: c} (the RREF kernel basis
+                   of the chain condition, from ``linalg.sparse_kernel``)
     class_vectors: subset of chain_vectors descending to a basis of the
                    quotient by the null-homotopic maps
 
     ``compose`` multiplies two endomorphisms given as sparse coordinate
-    vectors {position: c} term by term through the algebra's structure
-    constants, and ``class_coords`` reduces a sparse coordinate vector to
-    its class coordinates; together they fill End's product table without
-    forming a chain map.
+    vectors term by term through the algebra's structure constants, and
+    ``class_coords`` reduces a sparse coordinate vector to its sparse class
+    coordinates {class index: c}; together they fill End's product table
+    without forming a chain map.
     """
 
     def __init__(self, x: ProjComplex, y_shifted: ProjComplex):
         self.x = x
         self.y = y_shifted
-        alg = x.algebra
-        self.alg = alg
+        self.alg = x.algebra
         self.positions = []  # (degree, i, j, basis path index)
-        pos = {}
-        for d in sorted(set(x.terms) & set(y_shifted.terms)):
-            src, tgt = x.term(d), y_shifted.term(d)
-            for i in range(len(src)):
-                for j in range(len(tgt)):
-                    for k in alg.paths_between(tgt[j], src[i]):
-                        pos[(d, i, j, k)] = len(self.positions)
-                        self.positions.append((d, i, j, k))
-        self._pos = pos
+        equations = {}  # degree-1 term -> {position: coefficient}: D at degree 0, transposed
+        for p, (term, image) in enumerate(_differential(x, y_shifted, 0)):
+            self.positions.append(term)
+            for t, c in image.items():
+                equations.setdefault(t, {})[p] = c
+        self._pos = pos = {term: p for p, term in enumerate(self.positions)}
         n_unk = len(self.positions)
-
-        rows = []  # {position: coefficient}
-        for d in sorted(set(x.terms)):
-            # chain square between degrees d and d+1
-            src_d, src_d1 = x.term(d), x.term(d + 1)
-            tgt_d, tgt_d1 = y_shifted.term(d), y_shifted.term(d + 1)
-            if not src_d or not tgt_d1:
-                continue
-            dx = x.diff(d)
-            dy = y_shifted.diff(d)
-            # (u^d then dY) - (dX then u^{d+1}) = 0 at entry (i, m); one scalar
-            # equation per basis path of the sandwich tgt_d1[m] -> src_d[i]
-            for i in range(len(src_d)):
-                for m in range(len(tgt_d1)):
-                    acc = {}  # basis path -> {unknown position: coefficient}
-                    for j in range(len(tgt_d)):
-                        for k in alg.paths_between(tgt_d[j], src_d[i]):
-                            p = pos[(d, i, j, k)]
-                            for kk, c in alg.mul(dy[j][m], {k: 1}).items():
-                                row = acc.setdefault(kk, {})
-                                row[p] = row.get(p, 0) + c
-                    for jp in range(len(src_d1)):
-                        for k in alg.paths_between(tgt_d1[m], src_d1[jp]):
-                            p = pos[(d + 1, jp, m, k)]
-                            for kk, c in alg.mul({k: 1}, dx[i][jp]).items():
-                                row = acc.setdefault(kk, {})
-                                row[p] = row.get(p, 0) - c
-                    rows.extend(acc.values())
-        self.chain_vectors = sparse_kernel(rows, n_unk)
-
-        # null-homotopic image: h has components X^d -> Y^{d-1}, and each
-        # basis element of h gives the row of u = d_X h + h d_Y
-        null_rows = []
-        for d in sorted(set(x.terms)):
-            tgt = y_shifted.term(d - 1)
-            if not tgt:
-                continue
-            src = x.term(d)
-            dy = y_shifted.diff(d - 1)
-            dx = x.diff(d - 1)
-            for i in range(len(src)):
-                for j in range(len(tgt)):
-                    for k in alg.paths_between(tgt[j], src[i]):
-                        # (h^d then dY^{d-1}): component at degree d, entries (i, m)
-                        terms = [
-                            ((d, i, m, kk), c)
-                            for m in range(len(y_shifted.term(d)))
-                            for kk, c in alg.mul(dy[j][m], {k: 1}).items()
-                        ]
-                        # (dX^{d-1} then h^d): component at degree d-1, entries (ip, j)
-                        terms += [
-                            ((d - 1, ip, j, kk), c)
-                            for ip in range(len(x.term(d - 1)))
-                            for kk, c in alg.mul({k: 1}, dx[ip][i]).items()
-                        ]
-                        row = {}
-                        for key, c in terms:
-                            p = pos.get(key)
-                            if p is not None:
-                                row[p] = row.get(p, 0) + c
-                        null_rows.append(row)
+        self.chain_vectors = sparse_kernel(equations.values(), n_unk)
+        null_rows = [{pos[t]: c for t, c in image.items()} for _, image in _differential(x, y_shifted, -1)]
 
         # class representatives: the chain vectors independent of the null
         # rows and of the chain vectors before them
@@ -428,12 +400,14 @@ class HomotopySpace:
         self.dim = len(self.class_vectors)
         self._endomorphisms = x.terms == y_shifted.terms and x.diffs == y_shifted.diffs
 
-    def vector_to_chain_map(self, vec) -> ChainMapC:
+    def vector_to_chain_map(self, vec: dict) -> ChainMapC:
+        """The chain map with sparse coordinates vec {position: c}."""
         mats = {}
-        for p, (d, i, j, k) in enumerate(self.positions):
+        for p in sorted(vec):
             c = vec[p]
             if c == 0:
                 continue
+            d, i, j, k = self.positions[p]
             if d not in mats:
                 mats[d] = emat_zero(len(self.x.term(d)), len(self.y.term(d)))
             mats[d][i][j] = el_add(mats[d][i][j], {k: c})
@@ -501,13 +475,13 @@ class HomotopySpace:
         class_of_row = self._class_of_row
         return {class_of_row[k]: c for k, c in coords.items() if k in class_of_row}
 
-    def reduce(self, cm: ChainMapC):
-        """Coordinates of the homotopy class of cm in the class basis."""
-        coords = self.class_coords(self.chain_map_terms(cm))
-        return [coords.get(k, 0) for k in range(self.dim)]
+    def reduce(self, cm: ChainMapC) -> dict:
+        """Sparse coordinates {class index: c} of the homotopy class of cm in
+        the class basis."""
+        return self.class_coords(self.chain_map_terms(cm))
 
     def is_null(self, cm: ChainMapC) -> bool:
-        return all(c == 0 for c in self.reduce(cm))
+        return not self.reduce(cm)
 
 
 def homotopy_hom(x: ProjComplex, y: ProjComplex, n: int = 0) -> HomotopySpace:
@@ -660,18 +634,7 @@ def homology(c: ProjComplex, i: int):
         ker_rep, incl = kernel_of(dmaps[i])
     else:
         ker_rep, incl = kernel_of(ModuleMap.zero(term, term))
-    if (i - 1) in dmaps:
-        prev = dmaps[i - 1]
-        img_rows = {v: row_space_basis(prev.mats[v]) for v in term.dims}
-    else:
-        img_rows = {v: Matrix.zero(0, term.dims[v]) for v in term.dims}
-    # express the image inside kernel coordinates
-    inside = {}
-    for v in term.dims:
-        kernel = Coordinates(incl.mats[v].data, term.dims[v])
-        rows = [kernel.of(r) for r in img_rows[v].data]
-        if any(r is None for r in rows):
-            raise TiltbenchError("image of the differential is not inside its kernel")
-        inside[v] = Matrix(len(rows), ker_rep.dims[v], rows)
+    # the image of the incoming differential, in kernel coordinates
+    inside = dmaps[i - 1].factor_through(incl).mats if (i - 1) in dmaps else {}
     quot, _ = quotient_representation(ker_rep, inside)
     return quot

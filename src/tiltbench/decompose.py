@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import FiniteDimAlgebra, el_add, el_from_vector, el_scale, el_sub
+from .algebra import FiniteDimAlgebra, el_from_vector, el_scale, el_sub
 from .errors import DecompositionError, TiltbenchError
 from .linalg import Coordinates, sparse_row_space
 from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
@@ -156,7 +156,9 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
 
     Found by repeatedly splitting corners with spectral idempotents and
     certifying primitivity via local corners.  Raises DecompositionError if
-    a corner resists splitting (non-split input).
+    a corner resists splitting (non-split input), and NotBasic from
+    ``check_idempotents`` unless the result is a complete set of orthogonal
+    idempotents.
     """
     rng = random.Random(0)
     rad = alg.radical_rows()
@@ -174,15 +176,7 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
         e, comp = pair
         stack.append(e)
         stack.append(comp)
-    total = {}
-    for e in out:
-        total = el_add(total, e)
-    if total != alg.one:
-        raise DecompositionError("primitive idempotents do not sum to 1")
-    for i, e in enumerate(out):
-        for f in out[i + 1 :]:
-            if alg.mul(e, f) or alg.mul(f, e):
-                raise DecompositionError("idempotents are not orthogonal")
+    alg.check_idempotents(out)
     return out
 
 
@@ -192,27 +186,37 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
 class EndAlgebra(FiniteDimAlgebra):
     """End(M) on a basis of its hom space; the product a * b is "a then b".
 
-    Products are tabulated lazily, as in any ``FiniteDimAlgebra``, but the
-    radical is not read from them: ``trace_form`` works on the vertex
-    matrices of the basis maps, so deciding whether End(M) is local asks for
-    no product at all.
+    Each basis map is kept as its sparse flattened vertex matrices
+    ({position: entry}, positions as ``flatten_map`` lists them), and
+    ``_cells`` gives the (vertex offset, dim, row, col) of each position.
+    Products are tabulated lazily, as in any ``FiniteDimAlgebra``, and each
+    cell composes two such maps block by block (``_compose_flats``) without
+    forming a ``ModuleMap``.  The radical is not read from the products:
+    ``trace_form`` works on the same entries, so deciding whether End(M) is
+    local asks for no product at all.
     """
 
     def __init__(self, m: Representation):
         self.module = m
         self.maps = maps = hom_space(m, m)
+        self._cells = cells = []
+        for v in m.algebra.quiver.vertices:
+            d, o = m.dims[v], len(cells)
+            cells.extend((o, d, r, c) for r in range(d) for c in range(d))
         self._flats = flats = [_sparse_flat(f) for f in maps]
-        self._span = span = Coordinates(flats, sum(d * d for d in m.dims.values()))
-        # the product closes over the maps and their span, not over self, so
+        self._span = span = Coordinates(flats, len(cells))
+        # the product closes over the flats and their span, not over self, so
         # that an EndAlgebra is no reference cycle and dies with its last use
         super().__init__(
-            len(maps), lambda i, j: _map_coords(span, maps[i].then(maps[j])), self.coords(ModuleMap.identity(m))
+            len(maps),
+            lambda i, j: _flat_coords(span, _compose_flats(cells, flats[i], flats[j])),
+            self.coords(ModuleMap.identity(m)),
         )
 
     def coords(self, f: ModuleMap) -> dict:
         """An endomorphism as an element: its coordinates in the hom-space
         basis."""
-        return _map_coords(self._span, f)
+        return _flat_coords(self._span, _sparse_flat(f))
 
     def element(self, x: dict) -> ModuleMap:
         """The endomorphism of an element."""
@@ -227,15 +231,18 @@ class EndAlgebra(FiniteDimAlgebra):
         End(M) acting on M.  The action is faithful, so over Q its kernel is
         the radical (Dickson's criterion), and the RREF basis equals the one
         the regular trace form gives.  Each entry is one sparse dot product,
-        flatten(F_i) . flatten(F_j^T), summed over all vertices at once."""
+        flatten(F_i^T) . flatten(F_j), summed over all vertices at once."""
         n = self.dim
-        transposed = [_transposed_flat(f) for f in self.maps]
+        cells, flats = self._cells, self._flats
         form = [{} for _ in range(n)]
         for i in range(n):
-            flat = self._flats[i].items()
+            transposed = []  # F_i[r][c], which pairs with F_j[c][r], at (c, r)
+            for p, x in flats[i].items():
+                o, d, r, c = cells[p]
+                transposed.append((o + c * d + r, x))
             for j in range(i, n):
-                t = transposed[j]
-                x = sum(x * t[k] for k, x in flat if k in t)
+                flat = flats[j]
+                x = sum(y * flat[q] for q, y in transposed if q in flat)
                 if x:
                     form[i][j] = form[j][i] = x
         return form
@@ -246,15 +253,30 @@ def _sparse_flat(f: ModuleMap) -> dict:
     return {k: x for k, x in enumerate(flatten_map(f)) if x}
 
 
-def _transposed_flat(f: ModuleMap) -> dict:
-    """Nonzero entries of flatten_map(f) with every vertex matrix transposed,
-    keyed by position."""
-    entries = (x for v in f.source.algebra.quiver.vertices for col in zip(*f.mats[v].data) for x in col)
-    return {k: x for k, x in enumerate(entries) if x}
+def _compose_flats(cells: list, u: dict, v: dict) -> dict:
+    """The sparse flat of "u then v" for two sparse flats of endomorphisms:
+    at each vertex, u's matrix times v's.  Only the nonzero entries are
+    visited: u's (r, c) and v's (c, s) of one vertex give (r, s), as
+    ``HomotopySpace.compose`` does for chain maps."""
+    after = {}  # (vertex offset, row) -> [(col, entry)] of v
+    for p, b in v.items():
+        o, _, r, c = cells[p]
+        after.setdefault((o, r), []).append((c, b))
+    out = {}
+    for p, a in u.items():
+        o, d, r, c = cells[p]
+        for s, b in after.get((o, c), ()):
+            q = o + r * d + s
+            x = out.get(q, 0) + a * b
+            if x:
+                out[q] = x
+            else:
+                del out[q]
+    return out
 
 
-def _map_coords(span: Coordinates, f: ModuleMap) -> dict:
-    coords = span.of_sparse(_sparse_flat(f))
+def _flat_coords(span: Coordinates, flat: dict) -> dict:
+    coords = span.of_sparse(flat)
     if coords is None:
         raise TiltbenchError("map not in span of basis")
     return coords

@@ -18,10 +18,12 @@ reaches, in the order they were found.  ``_sparse_echelon`` runs it on each
 row of a batch, keeps each nonzero rest as a monic echelon row, and then runs
 it on each echelon row against the later ones, which leaves the reduced row
 echelon form.  ``sparse_row_space`` reads the RREF rows off it and
-``sparse_kernel`` the right-kernel basis; ``Matrix.rref``, ``solve``,
-``inverse``, ``left_kernel_basis`` and ``row_space_basis`` are built on
-these, the dense rows turned into sparse ones, and a rank is the length of
-``sparse_row_space``.  :class:`Coordinates` is the incremental front end:
+``sparse_kernel`` the right-kernel basis, both as ``{column: scalar}`` dicts
+with increasing columns, no zero entry and canonical scalars; callers keep
+them sparse.  ``Matrix.rref``, ``solve``, ``inverse``, ``left_kernel_basis``
+and ``row_space_basis`` are built on these, the dense rows turned into
+sparse ones and the results back into dense rows, and a rank is the length
+of ``sparse_row_space``.  :class:`Coordinates` is the incremental front end:
 it runs the same loop on each row as it is added and on each vector it is
 asked about, and keeps with each echelon row its combination of the input
 rows.  Only ``Matrix.det`` eliminates on its own terms, fraction-free by
@@ -204,7 +206,7 @@ class Matrix:
         """Rows span the left kernel: result * self == 0 exactly.  They are
         the vectors of ``sparse_kernel`` of the columns."""
         vecs = sparse_kernel(_sparse(zip(*self.data)), self.rows)
-        return Matrix._trusted(len(vecs), self.rows, tuple(vecs))
+        return Matrix._trusted(len(vecs), self.rows, _dense(vecs, self.rows))
 
     def inverse(self):
         """Inverse matrix, or None if not square/invertible."""
@@ -340,9 +342,10 @@ def _sparse_vector(v, width: int) -> dict:
 
 def sparse_kernel(rows, width: int) -> list:
     """Basis of the right kernel of a sparse matrix with ``width`` columns,
-    as tuples of exact scalars: one vector per free column j of the RREF, in
-    increasing order, with 1 at j and minus the reduced entries of column j at
-    the pivots.  ``rows`` are ``{column: entry}`` dicts, eliminated by
+    as ``{column: scalar}`` dicts with increasing columns and no zero entry:
+    one vector per free column j of the RREF, in increasing order, with 1 at
+    j and minus the reduced entries of column j at the pivots, all of which
+    lie before j.  ``rows`` are ``{column: entry}`` dicts, eliminated by
     ``_sparse_echelon``.
     """
     echelon, position = _sparse_echelon(rows)
@@ -353,11 +356,9 @@ def sparse_kernel(rows, width: int) -> list:
     out = []
     for j in range(width):
         if j not in position:
-            vec = [0] * width
+            vec = dict(sorted(free_entries.get(j, ())))
             vec[j] = 1
-            for c, x in free_entries.get(j, ()):
-                vec[c] = x
-            out.append(tuple(vec))
+            out.append(vec)
     return out
 
 

@@ -33,15 +33,14 @@ from dataclasses import dataclass
 from .algebra import (
     BasicAlgebra,
     FiniteDimAlgebra,
+    abstract_from_table,
     build_path_algebra,
-    el_from_vector,
     el_scale,
     el_sub,
-    el_to_vector,
 )
 from .decompose import primitive_idempotents
-from .errors import NoIdentity, NotBasic, PresentationError, RadicalNotNilpotent, TiltbenchError
-from .linalg import Coordinates, Matrix, div, frac, sparse_row_space
+from .errors import NotBasic, PresentationError, RadicalNotNilpotent, TiltbenchError
+from .linalg import Coordinates, div, frac, sparse_kernel, sparse_row_space
 from .quiver import Path, Quiver, Relation, arrow_multiples, longer_paths
 
 
@@ -53,21 +52,6 @@ class Presentation:
     arrow_elements: dict  # arrow name -> element of the abstract algebra
     vertex_idempotents: dict  # vertex label -> element of the abstract algebra
     nil_index: int
-
-
-def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:
-    """Algebra from structure constants; verifies associativity and identity.
-
-    ``table[i][j]`` is the coordinate vector of (basis i) * (basis j), and
-    ``one`` the coordinate vector of 1.
-    """
-    cells = [[el_from_vector(cell) for cell in row] for row in table]
-    alg = FiniteDimAlgebra(dim, lambda i, j: cells[i][j], el_from_vector(one))
-    for i in range(dim):
-        if alg.mul(alg.one, {i: 1}) != {i: 1} or alg.mul({i: 1}, alg.one) != {i: 1}:
-            raise NoIdentity("declared identity is not two-sided")
-    alg.check_associative()
-    return alg
 
 
 class PeirceLayer:
@@ -173,28 +157,32 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
                     arrow_elements[name] = s_ij[r - len(s2_ij)]
     quiver = Quiver(names, arrows)
 
-    # evaluate paths in the abstract algebra, as dense rows
+    # evaluate paths of length >= 1 in the abstract algebra, as elements
     def eval_path(p: Path):
-        if not p.arrows:
-            return el_to_vector(idems[names.index(p.source)], alg.dim)
         acc = arrow_elements[p.arrows[0]]
         for a in p.arrows[1:]:
             acc = alg.mul(acc, arrow_elements[a])
-        return el_to_vector(acc, alg.dim)
+        return acc
 
     # surjectivity: vertices and arrow products must span the algebra
     paths = [Path(a[1], (a[0],)) for a in arrows]
-    span_rows = [el_to_vector(e, alg.dim) for e in idems] + [eval_path(p) for p in paths]
+    span_rows = list(idems) + [eval_path(p) for p in paths]
     relations = []
     for _ in range(2, nil_index + 1):
         paths = longer_paths(quiver, paths)
         if not paths:
             break
         rows = [eval_path(p) for p in paths]
-        for r in Matrix(len(rows), alg.dim, rows).left_kernel_basis().data:
-            relations.append(Relation(quiver, [(c, p) for c, p in zip(r, paths) if c != 0]))
+        # candidate relations: the left kernel of the rows, that is the
+        # kernel of their columns
+        columns = {}
+        for j, row in enumerate(rows):
+            for k, c in row.items():
+                columns.setdefault(k, {})[j] = c
+        for vec in sparse_kernel(columns.values(), len(paths)):
+            relations.append(Relation(quiver, [(c, paths[j]) for j, c in vec.items()]))
         span_rows.extend(rows)
-    if len(sparse_row_space(dict(enumerate(r)) for r in span_rows)) != alg.dim:
+    if len(sparse_row_space(span_rows)) != alg.dim:
         raise PresentationError("vertex and arrow products do not span the algebra")
 
     relations = _prune_relations(quiver, relations)

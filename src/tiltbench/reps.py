@@ -198,11 +198,14 @@ def hom_space(m: Representation, n: Representation) -> list:
                 rows.append(row)
     out = []
     for vec in sparse_kernel(rows, total):
+        dense = [0] * total
+        for p, x in vec.items():
+            dense[p] = x
         mats = {}
         for v in verts:
             d, e = m.dims[v], n.dims[v]
             o = offsets[v]
-            mats[v] = Matrix._trusted(d, e, tuple(vec[o + i * e : o + (i + 1) * e] for i in range(d)))
+            mats[v] = Matrix._trusted(d, e, tuple(tuple(dense[o + i * e : o + (i + 1) * e]) for i in range(d)))
         out.append(ModuleMap(m, n, mats, check=False))
     return out
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BasicAlgebra, FiniteDimAlgebra, el_from_vector
+from .algebra import BasicAlgebra, FiniteDimAlgebra
 from .approx import (
     minimal_left_approximation_labeled,
     minimal_right_approximation_labeled,
@@ -453,15 +453,15 @@ class TiltingContext:
                 raise NotSelfOrthogonal(f"nonzero homotopy hom at shift {n}")
         summands, includes, projects = self.decomposition()
         space = self._self_hom(0)
-        classes = [el_from_vector(v) for v in space.class_vectors]
+        classes = space.class_vectors
         # the algebra product x*y corresponds to composition "y then x"
         abstract = FiniteDimAlgebra(
             space.dim,
             lambda i, j: space.class_coords(space.compose(classes[j], classes[i])),
-            el_from_vector(space.reduce(ChainMapC.identity(t))),
+            space.reduce(ChainMapC.identity(t)),
         )
         # idempotents from the decomposition: one per summand copy
-        idems = [el_from_vector(space.reduce(prj.then(inc))) for inc, prj in zip(includes, projects)]
+        idems = [space.reduce(prj.then(inc)) for inc, prj in zip(includes, projects)]
         pres = quiver_presentation(abstract, idempotents=idems)
         self._end = EndData(
             abstract=abstract,
@@ -501,11 +501,10 @@ class TiltingContext:
         for ar in pres.quiver.arrows:
             wi = pres.quiver.vertex_index[ar.source]
             wj = pres.quiver.vertex_index[ar.target]
-            vec = [0] * len(end.space.positions)
+            vec = {}
             for k, c in pres.arrow_elements[ar.name].items():
-                for p, y in enumerate(end.space.class_vectors[k]):
-                    if y:
-                        vec[p] += c * y
+                for p, y in end.space.class_vectors[k].items():
+                    vec[p] = vec.get(p, 0) + c * y
             b = end.space.vector_to_chain_map(vec)
             chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])  # T_wj -> T_wi
             for d in end.copy_complexes[wj].degrees():

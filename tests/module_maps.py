@@ -85,7 +85,7 @@ def dense_hom_space(m, n) -> list:
         for v in verts:
             if m.dims[v] and n.dims[v]:
                 block = [
-                    [vec[offsets[v] + i * n.dims[v] + j] for j in range(n.dims[v])]
+                    [vec.get(offsets[v] + i * n.dims[v] + j, ZERO) for j in range(n.dims[v])]
                     for i in range(m.dims[v])
                 ]
                 mats[v] = Matrix(m.dims[v], n.dims[v], block)

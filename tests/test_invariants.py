@@ -3,9 +3,10 @@
 import pytest
 
 from tiltbench import corpus
+from tiltbench.algebra import abstract_from_table
 from tiltbench.complexes import homotopy_hom
 from tiltbench.decompose import is_isomorphic
-from tiltbench.presentation import abstract_from_table, quiver_presentation, radical_chain
+from tiltbench.presentation import quiver_presentation, radical_chain
 from tiltbench.reps import injective, projective, radical_layers
 from tiltbench.tilting import (
     TiltingContext,

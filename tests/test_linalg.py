@@ -78,7 +78,7 @@ def test_rank_proportional_rows():
 def test_kernel_identity_zero_and_relation():
     assert Matrix.identity(4).left_kernel_basis().rows == 0
     assert Matrix.zero(3, 2).left_kernel_basis().rows == 3
-    assert sparse_kernel([{}, {}], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert sparse_kernel([{}, {}], 3) == [{0: 1}, {1: 1}, {2: 1}]
     k = matrix([[1], [1]]).left_kernel_basis()
     assert (k.rows, k.cols) == (1, 2)
     # spans (1, -1)
@@ -433,11 +433,14 @@ def test_sparse_kernel_is_the_rref_kernel_basis():
         if rows > 1:
             data.append([a - 2 * b for a, b in zip(data[0], data[-1])])  # a dependent row
         sparse = sparse_kernel([_sparse(row) for row in data], cols)
-        assert sparse == fraction_kernel(len(data), cols, data)
-        assert all(canonical(x) for vec in sparse for x in vec)
+        assert sparse == [_sparse(vec) for vec in fraction_kernel(len(data), cols, data)]
+        # sorted {column: scalar} dicts, no zero entry, canonical scalars
+        for vec in sparse:
+            assert type(vec) is dict and list(vec) == sorted(vec)
+            assert all(x != 0 and canonical(x) for x in vec.values())
     # integer entries and an empty row
-    assert sparse_kernel([{0: 2, 2: -4}, {}, {1: 1}], 3) == [(2, 0, 1)]
-    assert sparse_kernel([], 2) == [(1, 0), (0, 1)]
+    assert sparse_kernel([{0: 2, 2: -4}, {}, {1: 1}], 3) == [{0: 2, 2: 1}]
+    assert sparse_kernel([], 2) == [{0: 1}, {1: 1}]
 
 
 def test_coordinates_add_or_coords_reduces_once():

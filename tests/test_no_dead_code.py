@@ -31,6 +31,7 @@ CALLER_DIRS = [SRC, os.path.join(ROOT, "demos"), os.path.join(ROOT, "bench"), os
 TEST_ONLY = {
     "HomotopySpace.class_reps": "tests compose class representatives to check chain maps against realization",
     "corpus_algebras": "the named corpus algebras that tests iterate over",
+    "el_to_vector": "tests write elements as dense rows to compare them with Matrix-based references",
 }
 
 AMBIGUOUS = {
@@ -190,16 +191,43 @@ def _called(own, enclosings):
     return any(own not in enclosing for enclosing in enclosings)
 
 
-def test_every_definition_has_a_caller_outside_tests():
+def _has_caller():
+    """The test has_caller(qualified name, node, own): whether that
+    definition is referenced outside its own body by the package, demos,
+    benchmark or corpus scripts."""
     classes = _classes()
     shared = _shared_names(classes) - set(AMBIGUOUS)
     by_name, resolved = _references(classes)
-    unused = []
-    for path, qualified, node, own in _checked_definitions():
+
+    def has_caller(qualified, node, own):
         method = "." in qualified
-        if not _called(own, resolved.get(own, ()) if method and node.name in shared else by_name.get(node.name, ())):
-            unused.append(f"{os.path.relpath(path, ROOT)}: {qualified}")
+        return _called(own, resolved.get(own, ()) if method and node.name in shared else by_name.get(node.name, ()))
+
+    return has_caller
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    has_caller = _has_caller()
+    unused = [
+        f"{os.path.relpath(path, ROOT)}: {qualified}"
+        for path, qualified, node, own in _checked_definitions()
+        if not has_caller(qualified, node, own)
+    ]
     assert not unused, "definitions that nothing outside tests calls:\n" + "\n".join(unused)
+
+
+def test_test_only_lists_package_definitions_that_only_tests_call():
+    has_caller = _has_caller()
+    definitions = {qualified: (path, node) for path, qualified, node in _definitions()}
+    stale = []
+    for qualified in TEST_ONLY:
+        if qualified not in definitions:
+            stale.append(f"{qualified}: no such package definition")
+        else:
+            path, node = definitions[qualified]
+            if has_caller(qualified, node, (path, node.lineno)):
+                stale.append(f"{qualified}: called outside tests")
+    assert not stale, "stale TEST_ONLY entries:\n" + "\n".join(stale)
 
 
 def test_ambiguous_lists_exactly_the_shared_names_without_a_resolved_caller():

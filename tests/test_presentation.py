@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 from tiltbench import corpus
-from tiltbench.algebra import FiniteDimAlgebra, build_path_algebra, el_from_vector, el_to_vector
+from tiltbench.algebra import FiniteDimAlgebra, abstract_from_table, build_path_algebra, el_from_vector, el_to_vector
 from tiltbench.complexes import regular_stalk
 from tiltbench import presentation
 from tiltbench.errors import NoIdentity, NotAssociative, NotBasic, TiltbenchError
 from tiltbench.linalg import Coordinates, Matrix, row_space_basis
 from tiltbench.presentation import (
     _prune_relations,
-    abstract_from_table,
     presentations_match,
     quiver_presentation,
     radical_chain,
