@@ -3,141 +3,109 @@
 The right approximation of X by add of the projectives with the given labels
 is assembled from a minimal generating set of each Hom(P(v), X) as a module
 over the category of projectives: generators are chosen modulo composites
-through radical maps between the projectives.  Approximation surjectivity is
-verified by an exact rank count before returning.
+through radical maps between the projectives.  The left approximation is
+its dual, and one helper, ``_choose_generators``, makes the choice for both.
+
+Maps out of a projective are read by Yoneda, Hom(P(v), X) = X(v): a map is
+its image y of the generator e_v, and its composite with the radical path
+k: w -> v is y X(k).  So the radical composites into X(v) are the rows of
+X's path matrices, f is written out from its generator images, and its
+certificate, Hom(P(v), f) onto, is rank f_v = dim X(v).  Maps into a
+projective are module maps.  Hom(P(w_1) + ... + P(w_m), P(v)) has a basis
+of one map per summand i and path p: v -> w_i, so the left certificate,
+Hom(g, P(v)) onto, is that the chosen maps into P(w_i) followed by
+prepending p, trivial paths included, span a space as large as Hom(X, P(v)).
+Both certificates are checked before returning.
 """
 
 from __future__ import annotations
 
 from .algebra import BasicAlgebra
 from .errors import TiltbenchError
-from .linalg import Coordinates, Matrix, sparse_row_space
+from .linalg import Coordinates, Matrix, row_space_basis, sparse_row_space
 from .reps import (
     ModuleMap,
     ProjSum,
     Representation,
-    flatten_map,
+    YonedaAction,
+    flat,
     hom_space,
     projective,
     realize_entry_map,
 )
 
 
-def _prepend_map(a: BasicAlgebra, k: int) -> ModuleMap:
-    """Module map P(target of path k) -> P(source of path k): prepend path k."""
-    return realize_entry_map(ProjSum(a, [a.target[k]]), ProjSum(a, [a.source[k]]), [[{k: 1}]])
+def _choose_generators(labels, basis, width, composites):
+    """Per label v, the positions in basis[v] of the vectors that are
+    independent of the radical composites and of the vectors before them.
+    ``composites(v, w)`` lists the composites of the maps of label w with
+    the radical paths between w and v, as vectors of width[v] like those
+    of basis[v]."""
+    chosen = {}
+    for v in labels:
+        if not basis[v]:
+            chosen[v] = []
+            continue
+        rad = [row for w in labels for row in composites(v, w)]
+        independent = Coordinates(rad + basis[v], width[v]).independent
+        chosen[v] = [k - len(rad) for k in independent if k >= len(rad)]
+    return chosen
 
 
 def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representation):
     """(multiset of labels, f: ProjSum(labels').rep -> x) minimal right
     approximation of x by add of the listed projectives."""
-    distinct = []
-    for lab in [str(t) for t in labels]:
-        if lab not in distinct:
-            distinct.append(lab)
-    homs = {v: hom_space(projective(a, v), x) for v in distinct}
-    chosen = {}
-    for v in distinct:
-        h_v = homs[v]
-        if not h_v:
-            chosen[v] = []
-            continue
-        width = len(flatten_map(h_v[0]))
-        rad_rows = []
-        for w in distinct:
-            for k in a.paths_between(w, v):
-                # prepend path k: P(v) -> P(w); radical unless trivial
-                if len(a.basis[k]) == 0 and w == v:
-                    continue
-                pre = _prepend_map(a, k)
-                for h in homs[w]:
-                    rad_rows.append(flatten_map(pre.then(h)))
-        # keep the maps independent of the radical ones and of those kept before
-        independent = Coordinates(rad_rows + [flatten_map(h) for h in h_v], width).independent
-        chosen[v] = [h_v[k - len(rad_rows)] for k in independent if k >= len(rad_rows)]
-    out_labels = []
-    for v in distinct:
-        out_labels.extend([v] * len(chosen[v]))
-    psum = ProjSum(a, out_labels)
-    mats = {}
-    for w in a.quiver.vertices:
-        rows = []
-        for v in distinct:
-            for h in chosen[v]:
-                rows.extend(list(h.mats[w].data))
-        mats[w] = Matrix(len(rows), x.dims[w], rows)
-    f = ModuleMap(psum.rep, x, mats, check=False)
-    _verify_right_approximation(a, {v: len(homs[v]) for v in distinct}, f)
-    return out_labels, f
+    distinct = list(dict.fromkeys(str(t) for t in labels))
+    act = YonedaAction(x)
+    # the images of e_v, the first path from v to v, under the basis maps
+    gens = {v: [h.mats[v].row(0) for h in hom_space(projective(a, v), x)] for v in distinct}
 
+    def composites(v, w):
+        return [
+            row for k in a.paths_between(w, v) if a.basis[k].arrows for row in act.element({k: 1}, w, v)
+        ]
 
-def _verify_right_approximation(a, hom_dims, f):
-    """Checks that every map P(v) -> x factors through f, given
-    hom_dims[v] = dim Hom(P(v), x)."""
-    psum_rep = f.source
-    for v, target_dim in hom_dims.items():
-        if target_dim == 0:
-            continue
-        comps = [g.then(f) for g in hom_space(projective(a, v), psum_rep)]
-        if not comps:
-            raise TiltbenchError("approximation property failed: no maps to lift")
-        if len(sparse_row_space(dict(enumerate(flatten_map(c))) for c in comps)) != target_dim:
+    chosen = _choose_generators(distinct, gens, x.dims, composites)
+    out_labels = [v for v in distinct for _ in chosen[v]]
+    f = act.module_map(ProjSum(a, out_labels), [gens[v][j] for v in distinct for j in chosen[v]])
+    for v in distinct:
+        if row_space_basis(f.mats[v]).rows != x.dims[v]:
             raise TiltbenchError(f"right approximation not surjective on Hom(P({v}), -)")
+    return out_labels, f
 
 
 def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representation):
     """(multiset of labels, g: x -> ProjSum(labels').rep) minimal left
     approximation of x by add of the listed projectives."""
-    distinct = []
-    for lab in [str(t) for t in labels]:
-        if lab not in distinct:
-            distinct.append(lab)
+    distinct = list(dict.fromkeys(str(t) for t in labels))
     homs = {v: hom_space(x, projective(a, v)) for v in distinct}
-    chosen = {}
-    for v in distinct:
-        h_v = homs[v]
-        if not h_v:
-            chosen[v] = []
-            continue
-        width = len(flatten_map(h_v[0]))
-        rad_rows = []
-        for w in distinct:
-            for k in a.paths_between(v, w):
-                # prepend path k: P(w) -> P(v); postcompose h: x -> P(w)
-                if len(a.basis[k]) == 0 and w == v:
-                    continue
-                pre = _prepend_map(a, k)
-                for h in homs[w]:
-                    rad_rows.append(flatten_map(h.then(pre)))
-        # keep the maps independent of the radical ones and of those kept before
-        independent = Coordinates(rad_rows + [flatten_map(h) for h in h_v], width).independent
-        chosen[v] = [h_v[k - len(rad_rows)] for k in independent if k >= len(rad_rows)]
-    out_labels = []
-    for v in distinct:
-        out_labels.extend([v] * len(chosen[v]))
-    psum = ProjSum(a, out_labels)
+    prepends = {}  # path k -> the map P(target of k) -> P(source of k) prepending k
+
+    def through(h, k):
+        """The flat of h: x -> P(w) followed by prepending the path k: v -> w."""
+        pre = prepends.get(k)
+        if pre is None:
+            src, tgt = ProjSum(a, [a.target[k]]), ProjSum(a, [a.source[k]])
+            pre = prepends[k] = realize_entry_map(src, tgt, [[{k: 1}]])
+        return flat(h.then(pre))
+
+    def composites(v, w):
+        return [through(h, k) for k in a.paths_between(v, w) if a.basis[k].arrows for h in homs[w]]
+
+    basis = {v: [flat(h) for h in homs[v]] for v in distinct}
+    width = {v: sum(x.dims[u] * len(a.paths_between(v, u)) for u in x.dims) for v in distinct}
+    chosen = _choose_generators(distinct, basis, width, composites)
+    picked = [(v, homs[v][j]) for v in distinct for j in chosen[v]]
+    out_labels = [v for v, _ in picked]
     mats = {}
     for w in a.quiver.vertices:
-        cols = None
-        for v in distinct:
-            for h in chosen[v]:
-                cols = h.mats[w] if cols is None else cols.hstack(h.mats[w])
-        mats[w] = cols if cols is not None else Matrix.zero(x.dims[w], 0)
-    g = ModuleMap(x, psum.rep, mats, check=False)
-    _verify_left_approximation(a, {v: len(homs[v]) for v in distinct}, g)
-    return out_labels, g
-
-
-def _verify_left_approximation(a, hom_dims, g):
-    """Checks that every map x -> P(v) factors through g, given
-    hom_dims[v] = dim Hom(x, P(v))."""
-    psum_rep = g.target
-    for v, target_dim in hom_dims.items():
-        if target_dim == 0:
-            continue
-        comps = [g.then(h) for h in hom_space(psum_rep, projective(a, v))]
-        if not comps:
-            raise TiltbenchError("approximation property failed: no maps to lift")
-        if len(sparse_row_space(dict(enumerate(flatten_map(c))) for c in comps)) != target_dim:
+        cols = Matrix.zero(x.dims[w], 0)
+        for _, h in picked:
+            cols = cols.hstack(h.mats[w])
+        mats[w] = cols
+    g = ModuleMap(x, ProjSum(a, out_labels).rep, mats, check=False)
+    for v in distinct:
+        spanned = [through(h, k) for w, h in picked for k in a.paths_between(v, w)]
+        if len(sparse_row_space(spanned)) != len(homs[v]):
             raise TiltbenchError(f"left approximation not surjective on Hom(-, P({v}))")
-
+    return out_labels, g

@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import random
 
-from .algebra import FiniteDimAlgebra, el_from_vector, el_scale, el_sub
+from .algebra import FiniteDimAlgebra, el_add, el_from_vector, el_scale, el_sub
 from .errors import DecompositionError, TiltbenchError
 from .linalg import Coordinates, sparse_row_space
 from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
-from .reps import ModuleMap, Representation, flatten_map, hom_space, sub_representation
+from .reps import ModuleMap, Representation, flat, hom_space, hom_vectors, map_from_flat, sub_representation
 
 
 def lift_idempotent(alg: FiniteDimAlgebra, x: dict, max_iter: int = 64) -> dict:
@@ -186,29 +186,28 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
 class EndAlgebra(FiniteDimAlgebra):
     """End(M) on a basis of its hom space; the product a * b is "a then b".
 
-    Each basis map is kept as its sparse flattened vertex matrices
-    ({position: entry}, positions as ``flatten_map`` lists them), and
-    ``_cells`` gives the (vertex offset, dim, row, col) of each position.
-    Products are tabulated lazily, as in any ``FiniteDimAlgebra``, and each
-    cell composes two such maps block by block (``_compose_flats``) without
-    forming a ``ModuleMap``.  The radical is not read from the products:
-    ``trace_form`` works on the same entries, so deciding whether End(M) is
-    local asks for no product at all.
+    Each basis map is kept as its ``reps.flat``, the sparse vector
+    ``reps.hom_vectors`` returns, and ``_cells`` gives the (vertex offset,
+    dim, row, col) of each position.  Products are tabulated lazily, as in
+    any ``FiniteDimAlgebra``, and each cell composes two such maps block by
+    block (``_compose_flats``) without forming a ``ModuleMap``; ``element``
+    writes one summed flat out as a map.  The radical is not read from the
+    products: ``trace_form`` works on the same entries, so deciding whether
+    End(M) is local asks for no product at all.
     """
 
     def __init__(self, m: Representation):
         self.module = m
-        self.maps = maps = hom_space(m, m)
         self._cells = cells = []
         for v in m.algebra.quiver.vertices:
             d, o = m.dims[v], len(cells)
             cells.extend((o, d, r, c) for r in range(d) for c in range(d))
-        self._flats = flats = [_sparse_flat(f) for f in maps]
+        self._flats = flats = hom_vectors(m, m)
         self._span = span = Coordinates(flats, len(cells))
         # the product closes over the flats and their span, not over self, so
         # that an EndAlgebra is no reference cycle and dies with its last use
         super().__init__(
-            len(maps),
+            len(flats),
             lambda i, j: _flat_coords(span, _compose_flats(cells, flats[i], flats[j])),
             self.coords(ModuleMap.identity(m)),
         )
@@ -216,15 +215,14 @@ class EndAlgebra(FiniteDimAlgebra):
     def coords(self, f: ModuleMap) -> dict:
         """An endomorphism as an element: its coordinates in the hom-space
         basis."""
-        return _flat_coords(self._span, _sparse_flat(f))
+        return _flat_coords(self._span, flat(f))
 
     def element(self, x: dict) -> ModuleMap:
         """The endomorphism of an element."""
-        acc = None
+        acc = {}
         for k, c in x.items():
-            f = self.maps[k].scale(c)
-            acc = f if acc is None else acc + f
-        return acc if acc is not None else ModuleMap.zero(self.module, self.module)
+            acc = el_add(acc, el_scale(c, self._flats[k]))
+        return map_from_flat(self.module, self.module, acc)
 
     def trace_form(self) -> list:
         """Rows, as {column: entry} dicts, of the trace form tr_M(f_i f_j) of
@@ -246,11 +244,6 @@ class EndAlgebra(FiniteDimAlgebra):
                 if x:
                     form[i][j] = form[j][i] = x
         return form
-
-
-def _sparse_flat(f: ModuleMap) -> dict:
-    """Nonzero entries of flatten_map(f), keyed by position."""
-    return {k: x for k, x in enumerate(flatten_map(f)) if x}
 
 
 def _compose_flats(cells: list, u: dict, v: dict) -> dict:

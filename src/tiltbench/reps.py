@@ -163,8 +163,8 @@ class ModuleMap:
 # -- hom spaces ------------------------------------------------------------
 
 
-def hom_space(m: Representation, n: Representation) -> list:
-    """Basis of the space of module maps m -> n.
+def hom_vectors(m: Representation, n: Representation) -> list:
+    """Basis of the space of module maps m -> n, each map as its ``flat``.
 
     The unknowns are the entries of the vertex matrices F_v, vertex by
     vertex in quiver order, each row by row.  Each entry (i, j) of
@@ -173,10 +173,9 @@ def hom_space(m: Representation, n: Representation) -> list:
     basis of these equations (``linalg.sparse_kernel``)."""
     if m.algebra is not n.algebra and m.algebra.basis != n.algebra.basis:
         raise TiltbenchError("modules over different algebras")
-    verts = list(m.algebra.quiver.vertices)
     offsets = {}
     total = 0
-    for v in verts:
+    for v in m.algebra.quiver.vertices:
         offsets[v] = total
         total += m.dims[v] * n.dims[v]
     if total == 0:
@@ -196,18 +195,33 @@ def hom_space(m: Representation, n: Representation) -> list:
                     if y:
                         row[right + k] = row.get(right + k, 0) - y
                 rows.append(row)
-    out = []
-    for vec in sparse_kernel(rows, total):
-        dense = [0] * total
-        for p, x in vec.items():
-            dense[p] = x
-        mats = {}
-        for v in verts:
-            d, e = m.dims[v], n.dims[v]
-            o = offsets[v]
-            mats[v] = Matrix._trusted(d, e, tuple(tuple(dense[o + i * e : o + (i + 1) * e]) for i in range(d)))
-        out.append(ModuleMap(m, n, mats, check=False))
-    return out
+    return sparse_kernel(rows, total)
+
+
+def hom_space(m: Representation, n: Representation) -> list:
+    """Basis of the space of module maps m -> n: ``hom_vectors`` written out
+    as module maps."""
+    return [map_from_flat(m, n, vec) for vec in hom_vectors(m, n)]
+
+
+def flat(f: ModuleMap) -> dict:
+    """The nonzero entries of f's vertex matrices as {position: entry}, the
+    positions running row by row through the vertices in quiver order, as
+    the unknowns of ``hom_vectors`` do."""
+    entries = (x for v in f.source.algebra.quiver.vertices for row in f.mats[v].data for x in row)
+    return {p: x for p, x in enumerate(entries) if x}
+
+
+def map_from_flat(m: Representation, n: Representation, vec: dict) -> ModuleMap:
+    """The module map m -> n whose ``flat`` is vec."""
+    mats = {}
+    o = 0
+    for v in m.algebra.quiver.vertices:
+        d, e = m.dims[v], n.dims[v]
+        rows = (tuple(vec.get(o + i * e + j, 0) for j in range(e)) for i in range(d))
+        mats[v] = Matrix._trusted(d, e, tuple(rows))
+        o += d * e
+    return ModuleMap(m, n, mats, check=False)
 
 
 class YonedaAction:
@@ -217,8 +231,9 @@ class YonedaAction:
     a map is the list of its generator images, summand-major, and its k-th
     basis map sends one generator to one basis vector of x.  ``element``
     gives x's matrix of an algebra element, and ``precomposition`` the
-    matrix of h -> E then h for an entry map E, so no module map is built.
-    x's path matrices are kept for the life of the object."""
+    matrix of h -> E then h for an entry map E, so no module map is built;
+    ``module_map`` writes one out from its generator images where a caller
+    needs it.  x's path matrices are kept for the life of the object."""
 
     def __init__(self, x: Representation):
         self.x = x
@@ -265,16 +280,31 @@ class YonedaAction:
             out.extend(tuple(row) for row in block)
         return Matrix._trusted(len(out), sum(dims[a] for a in src_labels), tuple(out))
 
-
-def flatten_map(f: ModuleMap) -> list:
-    """The entries of f's vertex matrices, row by row, vertices in quiver order."""
-    return [x for v in f.source.algebra.quiver.vertices for row in f.mats[v].data for x in row]
+    def module_map(self, psum: "ProjSum", images) -> ModuleMap:
+        """The module map psum.rep -> x that sends the generator of summand
+        i to ``images[i]``, a vector of x at its label: the path k from that
+        label goes to images[i] times x's matrix of k."""
+        basis, dims = self.x.algebra.basis, self.x.dims
+        mats = {}
+        for w, layout in psum.layout.items():
+            rows = []
+            for i, k in layout:
+                row = [0] * dims[w]
+                p = basis[k]
+                for c, prow in zip(images[i], self._path_matrix(p.source, p.arrows).data):
+                    if c:
+                        for j, y in enumerate(prow):
+                            if y:
+                                row[j] += c * y
+                rows.append(row)
+            mats[w] = Matrix(len(rows), dims[w], rows)
+        return ModuleMap(psum.rep, self.x, mats, check=False)
 
 
 def map_coordinates(f: ModuleMap, basis: list) -> list:
     """Coordinates of f in a hom-space basis (raises if not in the span)."""
-    flat = flatten_map(f)
-    coords = Coordinates([flatten_map(b) for b in basis], len(flat)).of(flat)
+    width = sum(f.source.dims[v] * f.target.dims[v] for v in f.mats)
+    coords = Coordinates([flat(b) for b in basis], width).of(flat(f))
     if coords is None:
         raise TiltbenchError("map not in span of basis")
     return coords
@@ -284,29 +314,9 @@ def map_coordinates(f: ModuleMap, basis: list) -> list:
 
 
 def projective(a: BasicAlgebra, v) -> Representation:
-    """Paths starting at v; arrows act by appending."""
-    v = str(v)
-    q = a.quiver
-    layout = {w: a.paths_between(v, w) for w in q.vertices}
-    dims = {w: len(layout[w]) for w in q.vertices}
-    mats = {}
-    for ar in q.arrows:
-        rows = []
-        src_idx = layout[ar.source]
-        tgt_pos = {k: c for c, k in enumerate(layout[ar.target])}
-        ar_el = {a.index[p]: 1 for p in [q_path(a, ar)]}
-        for k in src_idx:
-            prod = a.mul(a.basis_el(k), ar_el)
-            row = [0] * dims[ar.target]
-            for kk, c in prod.items():
-                row[tgt_pos[kk]] = c
-            rows.append(row)
-        mats[ar.name] = Matrix(dims[ar.source], dims[ar.target], rows)
-    return Representation(a, dims, mats, check=False)
-
-
-def q_path(a: BasicAlgebra, arrow):
-    return Path(arrow.source, (arrow.name,))
+    """P(v): the paths starting at v, arrows acting by appending, in the
+    layout of ``ProjSum(a, [v])``."""
+    return ProjSum(a, [v]).rep
 
 
 def injective(a: BasicAlgebra, v) -> Representation:
@@ -319,7 +329,7 @@ def injective(a: BasicAlgebra, v) -> Representation:
     for ar in q.arrows:
         src_idx = layout[ar.source]  # dual basis indexed by paths source -> v
         tgt_idx = layout[ar.target]
-        ar_el = {a.index[q_path(a, ar)]: 1}
+        ar_el = {a.index[Path(ar.source, (ar.name,))]: 1}
         rows = []
         for p in src_idx:
             row = [0] * dims[ar.target]
@@ -336,10 +346,9 @@ def simple(a: BasicAlgebra, v) -> Representation:
 
 
 def regular_module(a: BasicAlgebra) -> Representation:
-    out = zero_rep(a)
-    for v in a.quiver.vertices:
-        out = out.direct_sum(projective(a, v))
-    return out
+    """A as a module: the sum of the P(v), v in vertex order, in the layout
+    of ``ProjSum``."""
+    return ProjSum(a, a.quiver.vertices).rep
 
 
 # -- submodules and quotients -------------------------------------------------
@@ -489,10 +498,14 @@ def cokernel_of(f: ModuleMap):
 
 
 class ProjSum:
-    """Direct sum of labeled projectives with explicit coordinate layout.
+    """Direct sum of labeled projectives with explicit coordinate layout, the
+    one layout of a sum of projectives: ``projective`` and
+    ``regular_module`` are such sums.
 
     Vertex space at w is spanned by pairs (summand i with label a_i, basis
-    path a_i -> w), in summand-major order.
+    path k: a_i -> w), in summand-major order.  ``rep`` is built from the
+    layout: an arrow b sends (i, k) to (i, k b), read in the path basis
+    through ``algebra.basis_product``.
     """
 
     def __init__(self, algebra: BasicAlgebra, labels):
@@ -507,12 +520,19 @@ class ProjSum:
                 for k in algebra.paths_between(lab, w):
                     self.layout[w].append((i, k))
         self.pos = {w: {pair: c for c, pair in enumerate(self.layout[w])} for w in q.vertices}
-        rep = None
-        for lab in self.labels:
-            p = projective(algebra, lab)
-            rep = p if rep is None else rep.direct_sum(p)
-        self.rep = rep if rep is not None else zero_rep(algebra)
-        # direct_sum concatenates summand coordinates in order, matching layout
+        dims = {w: len(self.layout[w]) for w in q.vertices}
+        mats = {}
+        for ar in q.arrows:
+            b = algebra.index[Path(ar.source, (ar.name,))]
+            tgt_pos = self.pos[ar.target]
+            rows = []
+            for i, k in self.layout[ar.source]:
+                row = [0] * dims[ar.target]
+                for kk, c in algebra.basis_product(k, b).items():
+                    row[tgt_pos[(i, kk)]] = c
+                rows.append(tuple(row))
+            mats[ar.name] = Matrix._trusted(dims[ar.source], dims[ar.target], tuple(rows))
+        self.rep = Representation(algebra, dims, mats, check=False)
 
     def generator_position(self, i: int):
         lab = self.labels[i]

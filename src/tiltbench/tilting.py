@@ -69,7 +69,6 @@ from .reps import (
     socle,
     socle_spaces,
     top,
-    zero_rep,
 )
 
 
@@ -308,12 +307,8 @@ def construct_tpq(
         repeated = next((v for i, v in enumerate(labels) if v in labels[:i]), None)
         if repeated is not None:
             raise PreconditionFailed(f"the labels of {name} are distinct", f"vertex {repeated!r} is repeated")
-    p_rep = zero_rep(a)
-    for v in p_labels:
-        p_rep = p_rep.direct_sum(projective(a, v))
-    q_rep = zero_rep(a)
-    for v in q_labels:
-        q_rep = q_rep.direct_sum(projective(a, v))
+    p_rep = ProjSum(a, p_labels).rep
+    q_rep = ProjSum(a, q_labels).rep
     report = maximal_nu_stable(a) if p_labels or q_labels else None
     for name, labels in (("P", p_labels), ("Q", q_labels)):
         if labels and not _closed_under_nu(report, set(labels)):

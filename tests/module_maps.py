@@ -1,7 +1,8 @@
 """Reference routes to hom spaces, kept for tests: the module-map route to
 Hom out of a sum of projectives, which ``reps.YonedaAction`` is tested
-against, and the dense linear system for Hom(m, n), which the sparse
-``reps.hom_space`` is tested against."""
+against, the dense linear system for Hom(m, n), which the sparse
+``reps.hom_space`` is tested against, and the dense flattening of a module
+map that these references compare in."""
 
 from fractions import Fraction
 
@@ -10,6 +11,12 @@ from tiltbench.linalg import Matrix, sparse_kernel
 from tiltbench.reps import ModuleMap
 
 ZERO = Fraction(0)
+
+
+def flatten_map(f) -> list:
+    """The entries of f's vertex matrices, row by row, vertices in quiver
+    order: ``reps.flat`` written out dense."""
+    return [x for v in f.source.algebra.quiver.vertices for row in f.mats[v].data for x in row]
 
 
 def hom_from_projective_sum(psum, x) -> list:
@@ -48,7 +55,6 @@ def hom_from_projective_sum(psum, x) -> list:
                 mats[w] = Matrix(len(rows), x.dims[w], rows)
             out.append(ModuleMap(psum.rep, x, mats, check=False))
     return out
-
 
 
 def dense_hom_space(m, n) -> list:

@@ -36,14 +36,14 @@ TEST_ONLY = {
 
 AMBIGUOUS = {
     "add": "presentation grows each _HomogeneousIdeal through a local variable",
-    "direct_sum": "reps and tilting sum modules and complexes held in local variables",
+    "direct_sum": "nu_injective_sum sums injectives and construct_tpq sums complexes, held in local variables",
     "element": "decompose and complex_decomp read idempotents through an End algebra held in a local",
     "inverse": "indecomposable_iso and isomorphism_by_summands invert module and chain maps alike; "
     "ModuleMap.inverse inverts its vertex matrices",
     "is_identity": "the copy certificates test module maps and chain maps alike; ModuleMap tests its matrices",
     "is_zero": "the copy certificates test module maps and chain maps alike; ModuleMap tests its matrices",
     "realize": "complex_decomp realizes a strict idempotent chain map held in a local",
-    "scale": "ModuleMap scales its vertex matrices, and EndAlgebra its basis maps",
+    "scale": "ModuleMap and ChainMapC subtract through other.scale(-1); ModuleMap scales its vertex matrices",
     "then": "group_copies and isomorphism_by_summands compose module and chain maps alike",
     "to_dict": "the CLI serializes the report each command returns",
 }

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from module_maps import dense_hom_space, hom_from_projective_sum
+from module_maps import dense_hom_space, flatten_map, hom_from_projective_sum
 
 from tiltbench import corpus
 from tiltbench.decompose import _iso_between_indecomposables, decompose
@@ -12,7 +12,6 @@ from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
     ModuleMap,
     Representation,
-    flatten_map,
     hom_space,
     injective,
     projective,

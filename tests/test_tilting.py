@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from module_maps import hom_from_projective_sum
+from module_maps import flatten_map, hom_from_projective_sum
 
 from tiltbench import corpus
 from tiltbench.complexes import HomotopySpace, ProjComplex, regular_stalk
@@ -15,7 +15,6 @@ from tiltbench.linalg import Coordinates, Matrix
 from tiltbench.reps import (
     ProjSum,
     Representation,
-    flatten_map,
     injective,
     projective,
     radical_submodule,
@@ -555,8 +554,8 @@ def test_construct_computes_nu_stability_once(monkeypatch):
     monkeypatch.setattr(tilting, "projective", lambda *args: projectives.append(args[1]) or build(*args))
     construct_tpq(a, ["1"], ["3", "4"], 1, 1)
     assert len(reports) == 1
-    # one projective per label of P and Q, and one per vertex for sigma
-    assert sorted(projectives) == ["1", "1", "2", "3", "3", "4", "4"]
+    # P and Q are ProjSums; one projective per vertex for sigma
+    assert sorted(projectives) == ["1", "2", "3", "4"]
     reports.clear()
     construct_tpq(a, [], [], 1, 1)
     assert reports == []
