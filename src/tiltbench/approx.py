@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra
 from .errors import TiltbenchError
-from .linalg import Coordinates, Matrix, row_space_basis, sparse_row_space
+from .linalg import Basis, Matrix, row_space_basis, sparse_row_space
 from .reps import (
     ModuleMap,
     ProjSum,
@@ -46,9 +46,7 @@ def _choose_generators(labels, basis, width, composites):
         if not basis[v]:
             chosen[v] = []
             continue
-        rad = [row for w in labels for row in composites(v, w)]
-        independent = Coordinates(rad + basis[v], width[v]).independent
-        chosen[v] = [k - len(rad) for k in independent if k >= len(rad)]
+        chosen[v] = Basis(basis[v], width[v], [row for w in labels for row in composites(v, w)]).positions
     return chosen
 
 

@@ -23,7 +23,7 @@ from .decompose import (
     primitive_idempotents,
 )
 from .errors import DecompositionError, NotIdempotent, NotRadical, TiltbenchError
-from .linalg import Coordinates, row_space_basis
+from .linalg import Basis, row_space_basis
 from .complexes import (
     ChainMapC,
     HomotopySpace,
@@ -44,35 +44,24 @@ class ChainEndData(FiniteDimAlgebra):
     def __init__(self, c: ProjComplex):
         self.complex = c
         self.space = space = HomotopySpace(c, c.shift(0))
-        self._vectors = vectors = space.chain_vectors
-        self._span = span = Coordinates(vectors, len(space.positions))
-        # the product closes over the vectors and their span, not over self,
+        vectors = space.chain_vectors
+        self._basis = basis = Basis(vectors, len(space.positions))
+        # the product closes over the vectors and their basis, not over self,
         # so that a ChainEndData is no reference cycle and dies with its last use
         super().__init__(
             len(vectors),
-            lambda i, j: _chain_coords(span, space.compose(vectors[i], vectors[j])),
+            lambda i, j: basis.coordinates(space.compose(vectors[i], vectors[j])),
             self.coords(ChainMapC.identity(c)),
         )
 
     def coords(self, cm: ChainMapC) -> dict:
         """A chain endomorphism as an element: its coordinates in the
         chain-map basis."""
-        return _chain_coords(self._span, self.space.chain_map_terms(cm))
+        return self._basis.coordinates(self.space.chain_map_terms(cm))
 
     def element(self, x: dict) -> ChainMapC:
         """The chain endomorphism of an element."""
-        vec = {}
-        for k, c in x.items():
-            for p, y in self._vectors[k].items():
-                vec[p] = vec.get(p, 0) + c * y
-        return self.space.vector_to_chain_map(vec)
-
-
-def _chain_coords(span: Coordinates, vec: dict) -> dict:
-    coords = span.of_sparse(vec)
-    if coords is None:
-        raise TiltbenchError("endomorphism outside the chain-map space")
-    return coords
+        return self.space.vector_to_chain_map(self._basis.vector(x))
 
 
 def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
@@ -112,7 +101,7 @@ def _image_generators(alg, psum: ProjSum, rows_by_vertex):
             if len(alg.basis[k]) == 0
         ]
         tops = [[row[c] for c in triv_cols] for row in rows.data]
-        for r in Coordinates(tops, len(triv_cols)).independent:
+        for r in Basis(tops, len(triv_cols)).positions:
             labels.append(w)
             gen_rows.append((w, list(rows.row(r))))
     entries = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra, el_add, el_scale, el_sub
 from .errors import TiltbenchError
-from .linalg import Coordinates, frac, sparse_kernel
+from .linalg import Basis, frac, sparse_kernel
 from .reps import (
     ModuleMap,
     ProjSum,
@@ -366,8 +366,11 @@ class HomotopySpace:
     chain_vectors: basis of honest chain maps X -> Y[n], as sparse
                    coordinate vectors {position: c} (the RREF kernel basis
                    of the chain condition, from ``linalg.sparse_kernel``)
-    class_vectors: subset of chain_vectors descending to a basis of the
-                   quotient by the null-homotopic maps
+    classes:       the ``linalg.Basis`` of the chain vectors modulo the null
+                   rows: the chain vectors independent of the null rows and
+                   of the chain vectors before them
+    class_vectors: ``classes.rows``, the chain vectors descending to a basis
+                   of the quotient by the null-homotopic maps
 
     ``compose`` multiplies two endomorphisms given as sparse coordinate
     vectors term by term through the algebra's structure constants, and
@@ -390,13 +393,8 @@ class HomotopySpace:
         n_unk = len(self.positions)
         self.chain_vectors = sparse_kernel(equations.values(), n_unk)
         null_rows = [{pos[t]: c for t, c in image.items()} for _, image in _differential(x, y_shifted, -1)]
-
-        # class representatives: the chain vectors independent of the null
-        # rows and of the chain vectors before them
-        self._span = Coordinates(null_rows + self.chain_vectors, n_unk)
-        class_index = [k for k in self._span.independent if k >= len(null_rows)]
-        self._class_of_row = {k: c for c, k in enumerate(class_index)}
-        self.class_vectors = [self.chain_vectors[k - len(null_rows)] for k in class_index]
+        self.classes = Basis(self.chain_vectors, n_unk, null_rows)
+        self.class_vectors = self.classes.rows
         self.dim = len(self.class_vectors)
         self._endomorphisms = x.terms == y_shifted.terms and x.diffs == y_shifted.diffs
 
@@ -469,11 +467,7 @@ class HomotopySpace:
     def class_coords(self, vec: dict) -> dict:
         """Class coordinates {class index: c} of the chain map with sparse
         coordinates vec; raises when vec is no chain map."""
-        coords = self._span.of_sparse(vec)
-        if coords is None:
-            raise TiltbenchError("chain map is not in the hom space")
-        class_of_row = self._class_of_row
-        return {class_of_row[k]: c for k, c in coords.items() if k in class_of_row}
+        return self.classes.coordinates(vec)
 
     def reduce(self, cm: ChainMapC) -> dict:
         """Sparse coordinates {class index: c} of the homotopy class of cm in

@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import random
 
-from .algebra import FiniteDimAlgebra, el_add, el_from_vector, el_scale, el_sub
-from .errors import DecompositionError, TiltbenchError
-from .linalg import Coordinates, sparse_row_space
+from .algebra import FiniteDimAlgebra, el_from_vector, el_scale, el_sub
+from .errors import DecompositionError
+from .linalg import Basis, Coordinates, sparse_row_space
 from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
 from .reps import ModuleMap, Representation, flat, hom_space, hom_vectors, map_from_flat, sub_representation
 
@@ -188,10 +188,12 @@ class EndAlgebra(FiniteDimAlgebra):
 
     Each basis map is kept as its ``reps.flat``, the sparse vector
     ``reps.hom_vectors`` returns, and ``_cells`` gives the (vertex offset,
-    dim, row, col) of each position.  Products are tabulated lazily, as in
-    any ``FiniteDimAlgebra``, and each cell composes two such maps block by
-    block (``_compose_flats``) without forming a ``ModuleMap``; ``element``
-    writes one summed flat out as a map.  The radical is not read from the
+    dim, row, col) of each position.  A ``linalg.Basis`` of the flats gives
+    the coordinates of a map and the summed flat of an element.  Products
+    are tabulated lazily, as in any ``FiniteDimAlgebra``, and each cell
+    composes two such maps block by block (``_compose_flats``) without
+    forming a ``ModuleMap``; ``element`` writes one summed flat out as a
+    map.  The radical is not read from the
     products: ``trace_form`` works on the same entries, so deciding whether
     End(M) is local asks for no product at all.
     """
@@ -203,26 +205,23 @@ class EndAlgebra(FiniteDimAlgebra):
             d, o = m.dims[v], len(cells)
             cells.extend((o, d, r, c) for r in range(d) for c in range(d))
         self._flats = flats = hom_vectors(m, m)
-        self._span = span = Coordinates(flats, len(cells))
-        # the product closes over the flats and their span, not over self, so
+        self._basis = basis = Basis(flats, len(cells))
+        # the product closes over the flats and their basis, not over self, so
         # that an EndAlgebra is no reference cycle and dies with its last use
         super().__init__(
             len(flats),
-            lambda i, j: _flat_coords(span, _compose_flats(cells, flats[i], flats[j])),
+            lambda i, j: basis.coordinates(_compose_flats(cells, flats[i], flats[j])),
             self.coords(ModuleMap.identity(m)),
         )
 
     def coords(self, f: ModuleMap) -> dict:
         """An endomorphism as an element: its coordinates in the hom-space
         basis."""
-        return _flat_coords(self._span, flat(f))
+        return self._basis.coordinates(flat(f))
 
     def element(self, x: dict) -> ModuleMap:
         """The endomorphism of an element."""
-        acc = {}
-        for k, c in x.items():
-            acc = el_add(acc, el_scale(c, self._flats[k]))
-        return map_from_flat(self.module, self.module, acc)
+        return map_from_flat(self.module, self.module, self._basis.vector(x))
 
     def trace_form(self) -> list:
         """Rows, as {column: entry} dicts, of the trace form tr_M(f_i f_j) of
@@ -266,13 +265,6 @@ def _compose_flats(cells: list, u: dict, v: dict) -> dict:
             else:
                 del out[q]
     return out
-
-
-def _flat_coords(span: Coordinates, flat: dict) -> dict:
-    coords = span.of_sparse(flat)
-    if coords is None:
-        raise TiltbenchError("map not in span of basis")
-    return coords
 
 
 def decompose(m: Representation):

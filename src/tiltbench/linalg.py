@@ -26,8 +26,10 @@ sparse ones and the results back into dense rows, and a rank is the length
 of ``sparse_row_space``.  :class:`Coordinates` is the incremental front end:
 it runs the same loop on each row as it is added and on each vector it is
 asked about, and keeps with each echelon row its combination of the input
-rows.  Only ``Matrix.det`` eliminates on its own terms, fraction-free by
-Bareiss's method.
+rows.  :class:`Basis`, on one ``Coordinates``, is the basis modulo a
+subspace, and the coordinates on it, of every hom space.  Only
+``Matrix.det`` eliminates on its own terms, fraction-free by Bareiss's
+method.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import heapq
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TiltbenchError
 
 
 def frac(x):
@@ -327,6 +329,49 @@ class Coordinates:
         out = [0] * self.count
         for k, c in coeffs.items():
             out[k] = c
+        return out
+
+
+class Basis:
+    """A basis of span(null + rows) modulo span(null), picked from rows.
+
+    ``positions`` lists the indices of the rows independent of the null rows
+    and of the rows before them, and ``rows`` those rows as given, dense or
+    sparse.  One ``Coordinates`` on the null rows followed by the rows gives
+    the coordinates: a row left out depends on earlier rows and gets
+    coefficient 0, so only the coefficients on null rows are dropped."""
+
+    __slots__ = ("positions", "rows", "_span", "_index")
+
+    def __init__(self, rows, width: int, null=()):
+        n = len(null)
+        self._span = span = Coordinates([*null, *rows], width)
+        self.positions = [k - n for k in span.independent if k >= n]
+        self.rows = [rows[k] for k in self.positions]
+        self._index = {k + n: c for c, k in enumerate(self.positions)}  # row in the span -> basis index
+
+    def coordinates(self, v) -> dict:
+        """The nonzero coordinates {basis index: c} of v modulo the null
+        rows; raises TiltbenchError when v is outside span(null + rows)."""
+        coeffs = self._span.of_sparse(v)
+        if coeffs is None:
+            raise TiltbenchError("vector not in the hom space spanned by the basis")
+        if len(self.rows) == self._span.count:  # no null rows and no row left out
+            return coeffs
+        index = self._index
+        return {index[k]: c for k, c in coeffs.items() if k in index}
+
+    def vector(self, x: dict) -> dict:
+        """The sum of x[k] times rows[k] over x = {basis index: c}, for rows
+        given sparse, as a {column: entry} dict without zero entries."""
+        out = {}
+        for k, c in x.items():
+            for j, y in self.rows[k].items():
+                s = out.get(j, 0) + c * y
+                if s:
+                    out[j] = s
+                else:
+                    out.pop(j, None)
         return out
 
 

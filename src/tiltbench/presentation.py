@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .decompose import primitive_idempotents
 from .errors import NotBasic, PresentationError, RadicalNotNilpotent, TiltbenchError
-from .linalg import Coordinates, div, frac, sparse_kernel, sparse_row_space
+from .linalg import Basis, Coordinates, div, frac, sparse_kernel, sparse_row_space
 from .quiver import Path, Quiver, Relation, arrow_multiples, longer_paths
 
 
@@ -148,13 +148,10 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
     for i in range(n):
         for j in range(n):
             # arrows i -> j: rows of e_i rad e_j independent modulo e_i rad^2 e_j
-            s2_ij = rad2[i][j]
-            s_ij = rad[i][j]
-            for r in Coordinates(s2_ij + s_ij, alg.dim).independent:
-                if r >= len(s2_ij):
-                    name = f"a{len(arrows)}"
-                    arrows.append((name, names[i], names[j]))
-                    arrow_elements[name] = s_ij[r - len(s2_ij)]
+            for el in Basis(rad[i][j], alg.dim, rad2[i][j]).rows:
+                name = f"a{len(arrows)}"
+                arrows.append((name, names[i], names[j]))
+                arrow_elements[name] = el
     quiver = Quiver(names, arrows)
 
     # evaluate paths of length >= 1 in the abstract algebra, as elements

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra
 from .errors import DecompositionError, DimensionMismatch, NotProjective, TiltbenchError
-from .linalg import Coordinates, Matrix, row_space_basis, sparse_kernel
+from .linalg import Basis, Coordinates, Matrix, row_space_basis, sparse_kernel
 from .quiver import Path
 
 
@@ -302,12 +302,11 @@ class YonedaAction:
 
 
 def map_coordinates(f: ModuleMap, basis: list) -> list:
-    """Coordinates of f in a hom-space basis (raises if not in the span)."""
+    """Coordinates of f in a hom-space basis, as a list; raises
+    TiltbenchError when f is not in its span."""
     width = sum(f.source.dims[v] * f.target.dims[v] for v in f.mats)
-    coords = Coordinates([flat(b) for b in basis], width).of(flat(f))
-    if coords is None:
-        raise TiltbenchError("map not in span of basis")
-    return coords
+    coords = Basis([flat(b) for b in basis], width).coordinates(flat(f))
+    return [coords.get(k, 0) for k in range(len(basis))]
 
 
 # -- standard modules --------------------------------------------------------
@@ -320,25 +319,9 @@ def projective(a: BasicAlgebra, v) -> Representation:
 
 
 def injective(a: BasicAlgebra, v) -> Representation:
-    """Linear dual of the paths ending at v."""
-    v = str(v)
-    q = a.quiver
-    layout = {w: a.paths_between(w, v) for w in q.vertices}
-    dims = {w: len(layout[w]) for w in q.vertices}
-    mats = {}
-    for ar in q.arrows:
-        src_idx = layout[ar.source]  # dual basis indexed by paths source -> v
-        tgt_idx = layout[ar.target]
-        ar_el = {a.index[Path(ar.source, (ar.name,))]: 1}
-        rows = []
-        for p in src_idx:
-            row = [0] * dims[ar.target]
-            for c_pos, r in enumerate(tgt_idx):
-                prod = a.mul(ar_el, a.basis_el(r))  # arrow * (path target->v)
-                row[c_pos] = prod.get(p, 0)
-            rows.append(row)
-        mats[ar.name] = Matrix(dims[ar.source], dims[ar.target], rows)
-    return Representation(a, dims, mats, check=False)
+    """I(v), the linear dual of the paths ending at v, in the layout of
+    ``nu_injective_sum(a, [v])``."""
+    return nu_injective_sum(a, [v])
 
 
 def simple(a: BasicAlgebra, v) -> Representation:
@@ -583,10 +566,24 @@ def extract_entry_map(src: ProjSum, tgt: ProjSum, f: ModuleMap):
     return entries
 
 
-def nu_injective_sum(algebra: BasicAlgebra, labels):
-    """Direct sum of injectives with the same layout discipline as ProjSum."""
-    rep = None
-    for lab in labels:
-        i = injective(algebra, lab)
-        rep = i if rep is None else rep.direct_sum(i)
-    return rep if rep is not None else zero_rep(algebra)
+def nu_injective_sum(algebra: BasicAlgebra, labels) -> Representation:
+    """The sum of the injectives I(a_1) + ... + I(a_m), in the layout dual to
+    ``ProjSum``'s: the vertex space at w is spanned by the duals of the pairs
+    (summand i, basis path k: w -> a_i), in summand-major order.  An arrow b
+    sends the dual of (i, k) to the sum, over the pairs (i, l) at its
+    target, of the coefficient of k in b l times the dual of (i, l), read
+    through ``algebra.basis_product``."""
+    labels = [str(x) for x in labels]
+    q = algebra.quiver
+    layout = {w: [(i, k) for i, a in enumerate(labels) for k in algebra.paths_between(w, a)] for w in q.vertices}
+    dims = {w: len(layout[w]) for w in q.vertices}
+    mats = {}
+    for ar in q.arrows:
+        b = algebra.index[Path(ar.source, (ar.name,))]
+        src_pos = {pair: r for r, pair in enumerate(layout[ar.source])}
+        rows = [[0] * dims[ar.target] for _ in range(dims[ar.source])]
+        for col, (i, l) in enumerate(layout[ar.target]):
+            for k, c in algebra.basis_product(b, l).items():
+                rows[src_pos[(i, k)]][col] = c
+        mats[ar.name] = Matrix(dims[ar.source], dims[ar.target], rows)
+    return Representation(algebra, dims, mats, check=False)

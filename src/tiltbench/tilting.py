@@ -19,10 +19,10 @@ The central objects:
   modules over the endomorphism algebra, and the degree-zero image module
   when those homs are concentrated in degree zero.  The hom spaces out of a
   term of T are taken in Yoneda coordinates (``reps.YonedaAction``), so
-  neither a linear system is solved nor a module map built for them, and
-  ``TiltingContext`` keeps the parts that do not depend on the module (term
-  labels, differentials and arrow components, as entry matrices) and reuses
-  them for every query.
+  neither a linear system is solved nor a module map built for them; the
+  classes are a ``linalg.Basis`` modulo the null maps, and
+  ``TiltingContext`` keeps the one part that does not depend on the module
+  (the arrow components, as entry matrices) and reuses it for every query.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     PreconditionFailed,
     TiltbenchError,
 )
-from .linalg import Coordinates, Matrix
+from .linalg import Basis, Matrix
 from .presentation import Presentation, quiver_presentation
 from .reps import (
     ProjSum,
@@ -61,7 +61,6 @@ from .reps import (
     YonedaAction,
     cokernel_of,
     extract_entry_map,
-    hom_space,
     kernel_of,
     nu_injective_sum,
     projective,
@@ -307,8 +306,6 @@ def construct_tpq(
         repeated = next((v for i, v in enumerate(labels) if v in labels[:i]), None)
         if repeated is not None:
             raise PreconditionFailed(f"the labels of {name} are distinct", f"vertex {repeated!r} is repeated")
-    p_rep = ProjSum(a, p_labels).rep
-    q_rep = ProjSum(a, q_labels).rep
     report = maximal_nu_stable(a) if p_labels or q_labels else None
     for name, labels in (("P", p_labels), ("Q", q_labels)):
         if labels and not _closed_under_nu(report, set(labels)):
@@ -319,7 +316,7 @@ def construct_tpq(
             else:
                 detail = f"nu P({v}) is not projective"
             raise PreconditionFailed(f"add({name}) = add(nu {name})", detail)
-    if p_rep.total_dim() and q_rep.total_dim() and hom_space(p_rep, q_rep):
+    if _hom_nonzero(a, p_labels, q_labels):
         raise PreconditionFailed("Hom(P, Q) = 0")
 
     reg_labels = list(a.quiver.vertices)
@@ -375,6 +372,13 @@ def construct_tpq(
     )
 
 
+def _hom_nonzero(a: BasicAlgebra, p_labels, q_labels) -> bool:
+    """Whether Hom(P, Q) != 0 for the sums P and Q of the projectives with
+    the given labels, by Yoneda: Hom(P(v), Q) = Q(v), and Q(v) is spanned by
+    the paths from the labels of Q to v."""
+    return any(a.paths_between(q, v) for q in q_labels for v in p_labels)
+
+
 # -- endomorphism algebra of a tilting complex ---------------------------------
 
 
@@ -406,7 +410,7 @@ class TiltingContext:
         self._decomp = None
         self._tilting_report = None
         self._end = None
-        self._f_hom_cache = {}
+        self._f_hom_cache = None  # arrow components, built on first use
         self._self_homs = {}  # shift n -> HomotopySpace(t, t[n])
 
     # cached building blocks ------------------------------------------------
@@ -471,110 +475,51 @@ class TiltingContext:
 
     # hom spaces into shifted stalk modules ---------------------------------
 
-    def _f_hom_parts(self) -> dict:
-        """The parts of f_homology that do not depend on the module, built
-        for every degree on first use and kept in ``_f_hom_cache``:
-
-        * ``("term", w, d)``: the labels of the w-th summand's degree-d term;
-        * ``("diff", w, d)``: that summand's differential d -> d + 1 as an
-          entry matrix;
-        * ``("component", name, d)``: the degree-d component of the chain map
-          (target summand) -> (source summand) realizing the arrow ``name`` of
-          the recovered quiver, as an entry matrix.
-
-        A key is absent when a term it needs is empty."""
-        if self._f_hom_cache:
-            return self._f_hom_cache
-        end = self.end_data()
-        parts = {}
-        for w, tw in enumerate(end.copy_complexes):
-            for d in tw.degrees():
-                parts[("term", w, d)] = tw.term(d)
-                if tw.term(d + 1):
-                    parts[("diff", w, d)] = tw.diff(d)
-        pres = end.presentation
-        for ar in pres.quiver.arrows:
-            wi = pres.quiver.vertex_index[ar.source]
-            wj = pres.quiver.vertex_index[ar.target]
-            vec = {}
-            for k, c in pres.arrow_elements[ar.name].items():
-                for p, y in end.space.class_vectors[k].items():
-                    vec[p] = vec.get(p, 0) + c * y
-            b = end.space.vector_to_chain_map(vec)
-            chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])  # T_wj -> T_wi
-            for d in end.copy_complexes[wj].degrees():
-                if ("term", wi, d) in parts:
-                    parts[("component", ar.name, d)] = chain.component(d)
-        self._f_hom_cache.update(parts)
+    def _arrow_components(self) -> dict:
+        """The part of f_homology that does not depend on the module, built
+        on first use and kept in ``_f_hom_cache``: ``(name, d)`` gives the
+        degree-d component of the chain map (target summand) -> (source
+        summand) realizing the arrow ``name`` of the recovered quiver, as an
+        entry matrix."""
+        if self._f_hom_cache is None:
+            end = self.end_data()
+            pres = end.presentation
+            components = {}
+            for ar in pres.quiver.arrows:
+                wi = pres.quiver.vertex_index[ar.source]
+                wj = pres.quiver.vertex_index[ar.target]
+                b = end.space.vector_to_chain_map(end.space.classes.vector(pres.arrow_elements[ar.name]))
+                chain = end.copy_includes[wj].then(b).then(end.copy_projects[wi])  # T_wj -> T_wi
+                for d in end.copy_complexes[wj].degrees():
+                    components[(ar.name, d)] = chain.component(d)
+            self._f_hom_cache = components
         return self._f_hom_cache
-
-    def _stalk_hom_classes(self, w: int, act: YonedaAction, i: int):
-        """Classes of chain maps (w-th summand) -> stalk x placed so the only
-        component sits in degree -i, or None when there are no such maps;
-        ``act`` is x's ``YonedaAction``.
-
-        Returns (classes, reps) in the Yoneda coordinates of the degree -i
-        hom space: ``classes`` gives coordinates on the null maps followed by
-        the chain maps, and ``reps`` pairs the index in ``classes`` of each
-        class representative with its coordinates."""
-        parts = self._f_hom_parts()
-        deg = -i
-        labels = parts.get(("term", w, deg))
-        if labels is None:
-            return None
-        n = sum(act.x.dims[a] for a in labels)
-        if not n:
-            return None
-        # chain condition: precomposition with the incoming differential dies
-        d_in = parts.get(("diff", w, deg - 1))
-        if d_in is not None:
-            pre_in = act.precomposition(d_in, parts[("term", w, deg - 1)], labels)
-            chain_coords = list(pre_in.left_kernel_basis().data)
-        else:
-            chain_coords = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-        # null maps: (next differential) then psi for psi on the next term
-        null_coords = []
-        d_out = parts.get(("diff", w, deg))
-        if d_out is not None:
-            pre_out = act.precomposition(d_out, labels, parts[("term", w, deg + 1)])
-            if d_in is not None and not (pre_out * pre_in).is_zero():
-                raise TiltbenchError(f"d^2 != 0 on Hom(T, x) at degree {deg}")
-            null_coords = list(pre_out.data)
-        # class representatives: chain maps independent of the null maps and
-        # of the chain maps before them
-        classes = Coordinates(null_coords + chain_coords, n)
-        n_null = len(null_coords)
-        reps = [(k, chain_coords[k - n_null]) for k in classes.independent if k >= n_null]
-        return classes, reps
 
     def f_homology(self, x: Representation, i: int) -> Representation:
         """Hom classes into the stalk of x shifted by i, as a module over the
         recovered quiver of the endomorphism algebra."""
         if x.algebra is not self.algebra and x.algebra.basis != self.algebra.basis:
             raise TiltbenchError("modules over different algebras")
-        pres = self.end_data().presentation
-        parts = self._f_hom_parts()
+        end = self.end_data()
+        pres, summands = end.presentation, end.copy_complexes
+        components = self._arrow_components()
         act = YonedaAction(x)
-        stalk = [self._stalk_hom_classes(w, act, i) for w in range(len(pres.quiver.vertices))]
-        reps = [s[1] if s else [] for s in stalk]
+        stalk = [_stalk_hom_classes(tw, act, i) for tw in summands]
+        reps = [s.rows if s else [] for s in stalk]
         dims = {v: len(r) for v, r in zip(pres.quiver.vertices, reps)}
         # arrow actions: precompose with the arrow's degree -i component
         mats = {}
         for ar in pres.quiver.arrows:
             wi = pres.quiver.vertex_index[ar.source]
             wj = pres.quiver.vertex_index[ar.target]
-            component = parts.get(("component", ar.name, -i))  # T_wj^{-i} -> T_wi^{-i}
+            component = components.get((ar.name, -i))  # T_wj^{-i} -> T_wi^{-i}
             if not reps[wi] or component is None or stalk[wj] is None:
                 rows = [[0] * len(reps[wj]) for _ in reps[wi]]
             else:
-                pre = act.precomposition(component, parts[("term", wj, -i)], parts[("term", wi, -i)])
-                images = Matrix(len(reps[wi]), pre.rows, [coords for _, coords in reps[wi]]) * pre
-                rows = []
-                for image in images.data:
-                    in_classes = stalk[wj][0].of(image)
-                    if in_classes is None:
-                        raise TiltbenchError("class coordinates outside the span")
-                    rows.append([in_classes[k] for k, _ in reps[wj]])
+                pre = act.precomposition(component, summands[wj].terms[-i], summands[wi].terms[-i])
+                images = Matrix(len(reps[wi]), pre.rows, reps[wi]) * pre
+                coords = [stalk[wj].coordinates(image) for image in images.data]
+                rows = [[c.get(k, 0) for k in range(len(reps[wj]))] for c in coords]
             mats[ar.name] = Matrix(len(reps[wi]), len(reps[wj]), rows)
         return Representation(pres.algebra, dims, mats)
 
@@ -666,6 +611,35 @@ class TiltingContext:
             }
             verdict = verdict and ok
         return {"kind": "simple_images", "per_projective": per_vertex, "verdict": verdict}
+
+
+def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
+    """The classes of chain maps from the summand complex tw to the stalk x
+    placed so that its only component sits in degree -i, or None when there
+    are no such maps; ``act`` is x's ``YonedaAction``.
+
+    The result is the ``linalg.Basis`` of the chain maps modulo the null
+    maps, in the Yoneda coordinates of the degree -i hom space."""
+    deg, terms = -i, tw.terms
+    n = sum(act.x.dims[a] for a in terms.get(deg, ()))
+    if not n:
+        return None
+    # a complex keeps only its nonzero differentials
+    d_in, d_out = tw.diffs.get(deg - 1), tw.diffs.get(deg)
+    # chain condition: precomposition with the incoming differential dies
+    if d_in:
+        pre_in = act.precomposition(d_in, terms[deg - 1], terms[deg])
+        chain = pre_in.left_kernel_basis().data
+    else:
+        chain = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
+    # null maps: (next differential) then psi for psi on the next term
+    null = ()
+    if d_out:
+        pre_out = act.precomposition(d_out, terms[deg], terms[deg + 1])
+        if d_in and not (pre_out * pre_in).is_zero():
+            raise TiltbenchError(f"d^2 != 0 on Hom(T, x) at degree {deg}")
+        null = pre_out.data
+    return Basis(chain, n, null)
 
 
 @dataclass

@@ -2,13 +2,16 @@
 Hom out of a sum of projectives, which ``reps.YonedaAction`` is tested
 against, the dense linear system for Hom(m, n), which the sparse
 ``reps.hom_space`` is tested against, and the dense flattening of a module
-map that these references compare in."""
+map that these references compare in; and the injectives built one at a
+time and summed by ``direct_sum``, which ``reps.nu_injective_sum`` is
+tested against."""
 
 from fractions import Fraction
 
 from tiltbench.errors import TiltbenchError
 from tiltbench.linalg import Matrix, sparse_kernel
-from tiltbench.reps import ModuleMap
+from tiltbench.quiver import Path
+from tiltbench.reps import ModuleMap, Representation, zero_rep
 
 ZERO = Fraction(0)
 
@@ -97,3 +100,34 @@ def dense_hom_space(m, n) -> list:
                 mats[v] = Matrix(m.dims[v], n.dims[v], block)
         out.append(ModuleMap(m, n, mats, check=False))
     return out
+
+
+def injective_by_dual_paths(a, v):
+    """I(v) as the linear dual of the paths ending at v: the arrow b: u -> w
+    has the matrix whose entry (p, r), p: u -> v and r: w -> v, is the
+    coefficient of p in b * r, each entry one product in the algebra."""
+    v = str(v)
+    q = a.quiver
+    layout = {w: a.paths_between(w, v) for w in q.vertices}
+    dims = {w: len(layout[w]) for w in q.vertices}
+    mats = {}
+    for ar in q.arrows:
+        ar_el = {a.index[Path(ar.source, (ar.name,))]: 1}
+        rows = []
+        for p in layout[ar.source]:
+            row = [0] * dims[ar.target]
+            for col, r in enumerate(layout[ar.target]):
+                row[col] = a.mul(ar_el, a.basis_el(r)).get(p, 0)
+            rows.append(row)
+        mats[ar.name] = Matrix(dims[ar.source], dims[ar.target], rows)
+    return Representation(a, dims, mats, check=False)
+
+
+def injective_sum_by_direct_sums(a, labels):
+    """The sum of the injectives with the given labels, each built by
+    ``injective_by_dual_paths`` and summed by ``Representation.direct_sum``."""
+    rep = None
+    for lab in labels:
+        i = injective_by_dual_paths(a, lab)
+        rep = i if rep is None else rep.direct_sum(i)
+    return rep if rep is not None else zero_rep(a)

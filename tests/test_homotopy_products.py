@@ -56,7 +56,7 @@ def _table(alg: FiniteDimAlgebra):
 
 
 def _null_rows(space):
-    return space._span.count - len(space.chain_vectors)
+    return DenseHomotopy(space.x, space.y)._null
 
 
 def test_the_set_has_null_homotopies():

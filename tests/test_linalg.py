@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tiltbench.errors import DimensionMismatch
+from tiltbench.errors import DimensionMismatch, TiltbenchError
 from tiltbench.linalg import (
+    Basis,
     Coordinates,
     Matrix,
     div,
@@ -503,3 +504,63 @@ def test_sparse_row_space_is_row_space_basis():
         assert row_space_basis(Matrix(len(data), cols, data)).data == tuple(map(tuple, red[: len(pivots)]))
         assert all(canonical(x) for row in got for x in row.values())
         assert all(list(x) == sorted(x) for x in got)
+
+
+def test_basis_modulo_null_rows():
+    """``Basis(rows, width, null)`` picks the rows that raise the rank of the
+    null rows and the rows before them, gives coordinates on them modulo the
+    null rows, and sums sparse rows back by ``vector``, on dense and sparse
+    rows."""
+    # by hand: row 1 lies in the null span, row 2 depends on row 0 modulo it
+    basis = Basis([[1, 1, 0], [2, 0, 0], [3, 1, 0], [0, 0, 1]], 3, [[1, 0, 0]])
+    assert basis.positions == [0, 3] and basis.rows == [[1, 1, 0], [0, 0, 1]]
+    assert basis.coordinates({0: 5, 1: 2, 2: 7}) == {0: 2, 1: 7}
+    assert Basis([_sparse(r) for r in basis.rows], 3).vector({0: 2, 1: 7}) == {0: 2, 1: 2, 2: 7}
+    assert basis.coordinates([4, 0, 0]) == {}
+    rng = random.Random(24)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+
+    raised = 0
+    for _ in range(300):
+        width = rng.randint(1, 7)
+        null = [[entry() for _ in range(width)] for _ in range(rng.randint(0, 3))]
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.random()
+            if kind < 0.2 and null:  # in the null span
+                rows.append([2 * x - y for x, y in zip(rng.choice(null), rng.choice(null))])
+            elif kind < 0.4 and rows:  # depends on an earlier row modulo the null span
+                extra = rng.choice(null) if null else [Fraction(0)] * width
+                rows.append([3 * x + y for x, y in zip(rng.choice(rows), extra)])
+            else:
+                rows.append([entry() for _ in range(width)])
+        dense = Basis(rows, width, null)
+        sparse = Basis([_sparse(r) for r in rows], width, [_sparse(r) for r in null])
+        # the positions are the offset filter of one Coordinates, and the rows
+        # that raise the rank of the null rows and the rows before them
+        independent = Coordinates(null + rows, width).independent
+        assert dense.positions == sparse.positions == [k - len(null) for k in independent if k >= len(null)]
+        ranks = [len(fraction_gauss_jordan(len(null) + k, width, null + rows[:k])[1]) for k in range(len(rows) + 1)]
+        assert dense.positions == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]
+        assert dense.rows == [rows[k] for k in dense.positions]
+        # coordinates(vector(x)) == x, also after adding a null vector
+        x = {k: Fraction(rng.randint(-3, 3)) for k in range(len(dense.rows)) if rng.random() < 0.7}
+        x = {k: c for k, c in x.items() if c}
+        vec = sparse.vector(x)
+        assert vec == _sparse([sum((c * dense.rows[k][j] for k, c in x.items()), Fraction(0)) for j in range(width)])
+        assert dense.coordinates(vec) == sparse.coordinates(vec) == x
+        shift = [Fraction(rng.randint(-2, 2)) for _ in null]
+        in_null = [sum((c * r[j] for c, r in zip(shift, null)), Fraction(0)) for j in range(width)]
+        moved = [vec.get(j, 0) + in_null[j] for j in range(width)]
+        assert dense.coordinates(moved) == sparse.coordinates(_sparse(moved)) == x
+        assert dense.coordinates(in_null) == {}
+        # a vector outside span(null + rows) raises
+        v = [entry() for _ in range(width)]
+        if len(fraction_gauss_jordan(len(null) + len(rows) + 1, width, null + rows + [v])[1]) > ranks[-1]:
+            raised += 1
+            for b in (dense, sparse):
+                with pytest.raises(TiltbenchError, match="not in the hom space"):
+                    b.coordinates(v)
+    assert raised > 50

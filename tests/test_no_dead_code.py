@@ -36,7 +36,7 @@ TEST_ONLY = {
 
 AMBIGUOUS = {
     "add": "presentation grows each _HomogeneousIdeal through a local variable",
-    "direct_sum": "nu_injective_sum sums injectives and construct_tpq sums complexes, held in local variables",
+    "direct_sum": "the demos and the benchmark sum modules, and construct_tpq sums complexes, held in local variables",
     "element": "decompose and complex_decomp read idempotents through an End algebra held in a local",
     "inverse": "indecomposable_iso and isomorphism_by_summands invert module and chain maps alike; "
     "ModuleMap.inverse inverts its vertex matrices",
@@ -240,3 +240,49 @@ def test_ambiguous_lists_exactly_the_shared_names_without_a_resolved_caller():
         if "." in qualified and node.name in shared and not _called(own, resolved.get(own, ()))
     }
     assert set(AMBIGUOUS) == need
+
+
+def _annotations(tree):
+    """The annotation expressions of the functions and assignments in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _unused_imports(path):
+    """(line, name) of each name a module imports and never reads.  A name
+    counts as read where it appears as a name, also inside a string
+    annotation; the ``__future__`` imports are directives, not names."""
+    tree = _parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_every_import_of_the_package_is_used():
+    """No module of the package imports a name it does not use; the
+    package's ``__init__`` re-exports its imports and is exempt."""
+    unused = [
+        f"{os.path.relpath(path, ROOT)}:{line}: {name}"
+        for path in _python_files(SRC)
+        if os.path.basename(path) != "__init__.py"
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, "imports that nothing in their module uses:\n" + "\n".join(unused)

@@ -2,7 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from module_maps import dense_hom_space, flatten_map, hom_from_projective_sum
+from kupisch import seeded_kupisch_series
+from module_maps import (
+    dense_hom_space,
+    flatten_map,
+    hom_from_projective_sum,
+    injective_by_dual_paths,
+    injective_sum_by_direct_sums,
+)
 
 from tiltbench import corpus
 from tiltbench.decompose import _iso_between_indecomposables, decompose
@@ -346,3 +353,29 @@ def test_projective_labels_match_decomposition():
                 got = projective_labels(x)
                 assert sorted(got) == sorted(want)
                 assert got == sorted(got, key=verts.index)
+
+
+def test_injective_sums_equal_the_direct_sums_of_dual_paths():
+    """``nu_injective_sum``, and so ``injective``, equal the injectives built
+    one at a time as duals of paths and summed by ``direct_sum``: the same
+    dimensions, matrices and scalar types, repeated labels included."""
+    rng = random.Random(2008)
+    algebras = list(corpus.corpus_algebras().values())
+    algebras += [corpus.kupisch_algebra(s) for s in seeded_kupisch_series(rng, 6)]
+    compared = 0
+    for a in algebras:
+        verts = list(a.quiver.vertices)
+        label_sets = [[], verts, verts[::-1], [verts[-1], verts[0], verts[-1]]]
+        label_sets += [rng.choices(verts, k=3) for _ in range(2)]
+        for labels in label_sets:
+            got, want = nu_injective_sum(a, labels), injective_sum_by_direct_sums(a, labels)
+            assert got.dims == want.dims, labels
+            for name, m in got.mats.items():
+                assert m == want.mats[name], (labels, name)
+                assert [type(x) for row in m.data for x in row] == [
+                    type(x) for row in want.mats[name].data for x in row
+                ]
+            compared += 1
+        for v in verts:
+            assert injective(a, v).mats == injective_by_dual_paths(a, v).mats
+    assert compared == 6 * len(algebras)

@@ -1,7 +1,9 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from kupisch import seeded_kupisch_series
 from module_maps import flatten_map, hom_from_projective_sum
 
 from tiltbench import corpus
@@ -15,6 +17,8 @@ from tiltbench.linalg import Coordinates, Matrix
 from tiltbench.reps import (
     ProjSum,
     Representation,
+    YonedaAction,
+    hom_space,
     injective,
     projective,
     radical_submodule,
@@ -25,6 +29,8 @@ from tiltbench.reps import (
 from tiltbench.decompose import is_isomorphic
 from tiltbench.tilting import (
     TiltingContext,
+    _hom_nonzero,
+    _stalk_hom_classes,
     check_add_nu_equal,
     construct_tpq,
     end_algebra,
@@ -288,13 +294,13 @@ def test_f_homology_cache_holds_only_module_independent_parts():
         assert again[0] == first
         fresh = make()
         assert [answer(fresh, x) for x in reversed(mods)] == again[::-1]
-        # every cached value is a label list or an entry matrix of algebra
-        # elements with exact scalars: nothing in the cache is built from a
-        # module
-        for v in ctx._f_hom_cache.values():
-            assert isinstance(v, list)
-            labels = all(isinstance(lab, str) for lab in v)
-            entries = all(
+        # every cached value is an arrow component, an entry matrix of
+        # algebra elements with exact scalars: nothing in the cache is built
+        # from a module
+        arrows = {ar.name for ar in ctx.end_data().presentation.quiver.arrows}
+        for (name, d), v in ctx._f_hom_cache.items():
+            assert name in arrows and isinstance(d, int) and isinstance(v, list)
+            assert all(
                 isinstance(row, list)
                 and all(
                     isinstance(el, dict)
@@ -303,7 +309,6 @@ def test_f_homology_cache_holds_only_module_independent_parts():
                 )
                 for row in v
             )
-            assert labels or entries
 
 
 def _combine(maps, coords):
@@ -402,23 +407,17 @@ def test_f_homology_matches_module_map_route():
 
 
 def test_f_homology_checks_d_squared_on_homs():
-    """A cached summand P(3) -> P(2) -> P(1) whose differentials compose to
-    the nonzero path 1 -> 2 -> 3 gives d^2 != 0 on Hom(T, P(1))."""
+    """A summand P(3) -> P(2) -> P(1) whose differentials compose to the
+    nonzero path 1 -> 2 -> 3 gives d^2 != 0 on Hom(T, P(1))."""
     a = corpus.kupisch_algebra([4, 5, 5, 5])
-    ctx = TiltingContext(a, construct_tpq(a, ["2"], [], 1, 1).complex)
     out_of = {ar.source: a.index[path_from_arrows(a.quiver, [ar.name])] for ar in a.quiver.arrows}
-    ctx._f_hom_cache.clear()
-    ctx._f_hom_cache.update(
-        {
-            ("term", 0, -1): ["3"],
-            ("term", 0, 0): ["2"],
-            ("term", 0, 1): ["1"],
-            ("diff", 0, -1): [[{out_of["2"]: Fraction(1)}]],
-            ("diff", 0, 0): [[{out_of["1"]: Fraction(1)}]],
-        }
+    summand = ProjComplex(
+        a,
+        {-1: ["3"], 0: ["2"], 1: ["1"]},
+        {-1: [[{out_of["2"]: Fraction(1)}]], 0: [[{out_of["1"]: Fraction(1)}]]},
     )
     with pytest.raises(TiltbenchError, match=r"d\^2 != 0"):
-        ctx.f_homology(projective(a, "1"), 0)
+        _stalk_hom_classes(summand, YonedaAction(projective(a, "1")), 0)
 
 
 def test_stable_image_fig1():
@@ -601,3 +600,27 @@ def test_sec5_with_a_non_integral_coefficient_gives_the_same_results():
     got = results(scaled)
     assert want["tilting"]["verdict"] and want["criterion"]["verdict"] and want["simple_images_verdict"]
     assert got == want
+
+
+def test_hom_p_to_q_by_yoneda_matches_the_hom_space_route():
+    """Hom(P, Q) != 0, read by Yoneda as Q(v) != 0 for a label v of P,
+    agrees with a solved ``hom_space`` between the sums of projectives, over
+    every pair of label sets of the corpus algebras and of seeded Kupisch
+    series."""
+    rng = random.Random(24)
+    algebras = list(corpus.corpus_algebras().values())
+    algebras += [corpus.kupisch_algebra(s) for s in seeded_kupisch_series(rng, 5)]
+    nonzero = 0
+    for a in algebras:
+        verts = list(a.quiver.vertices)
+        subsets = [[v for k, v in enumerate(verts) if mask >> k & 1] for mask in range(1 << len(verts))]
+        reps = {tuple(s): ProjSum(a, s).rep for s in subsets}
+        for p in subsets:
+            for q in subsets:
+                want = bool(hom_space(reps[tuple(p)], reps[tuple(q)]))
+                assert _hom_nonzero(a, p, q) == want, (p, q)
+                nonzero += want
+    assert nonzero > 100
+    # N(2, 3) is symmetric, so every label set is nu-stable, and P(2)(1) != 0
+    with pytest.raises(PreconditionFailed, match=r"Hom\(P, Q\) = 0"):
+        construct_tpq(corpus.kupisch_algebra([3, 3]), ["1"], ["2"])
