@@ -7,11 +7,15 @@ associativity and idempotent checks are written for it once.  End(M) and
 End(T) are such algebras (``decompose``, ``complex_decomp``, ``tilting``).
 
 ``BasicAlgebra`` is the one of a quiver with admissible relations, on a
-basis of normal-form paths.  Normal forms come from length-graded linear
-reduction: for each length, the homogeneous span of (relations sandwiched by
-paths) is row-reduced, its leading paths (largest in deglex) are rewritten
-into the surviving ones, and construction stops at the first length with no
-survivors.  Structure constants are obtained by reducing concatenations.
+basis of normal-form paths.  ``length_filtration`` is the one place the
+relation ideal I is computed: I_n = R_n + arrow * I_(n-1) + I_(n-1) * arrow,
+with R_n the relations of length n, one elimination per length n >= 1.  Its
+RREF rows rewrite the leading paths (largest in deglex) into the surviving
+ones, the relations that raise the rank form a minimal generating set, and
+it stops at the first length with no survivors.  ``build_path_algebra``,
+the pruning in ``presentation.quiver_presentation`` and
+``presentation.relation_ideals_equal`` all read it.  Structure constants are
+obtained by reducing concatenations.
 
 Elements are sparse dicts ``{basis index: scalar}`` of their nonzero
 coordinates, with the exact scalars of ``linalg``: ints, and Fractions where
@@ -21,7 +25,7 @@ a value is not integral.
 from __future__ import annotations
 
 from .errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, RadicalNotNilpotent, TiltbenchError
-from .linalg import Matrix, div, frac, sparse_kernel, sparse_row_space
+from .linalg import Matrix, div, frac, sparse_kernel, sparse_row_space, sparse_rref
 from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
 
 RAW_PATH_CAP = 100_000
@@ -299,61 +303,71 @@ def _path_reducer(index: dict, rewrite: dict, nil_length: int):
 
 
 def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> BasicAlgebra:
-    """Quotient of the path algebra by the ideal the relations generate.
-
-    Raises NotAdmissible when normal-form paths still survive at
-    ``max_path_len``.
-    """
+    """Quotient of the path algebra by the ideal the relations generate, on
+    the normal forms of ``length_filtration``, which raises its errors."""
     relations = list(relations)
+    basis, rewrite, nil_length, _ = length_filtration(quiver, relations, max_path_len)
+    return BasicAlgebra(quiver, relations, basis, rewrite, nil_length)
+
+
+def length_filtration(quiver: Quiver, relations, max_path_len: int = 30):
+    """The ideal I that the relations generate, one path length at a time.
+
+    I_n = R_n + arrow * I_(n-1) + I_(n-1) * arrow, with R_n the relations of
+    length n.  Each length n >= 1 takes one elimination: of the products of
+    the RREF rows of I_(n-1), then the relations of length n in their given
+    order, on the paths of length n in reverse deglex order.  Its RREF rows
+    rewrite each pivot (leading) path into the normal forms, the paths at no
+    pivot, and the relations that raise the rank are kept: a greedy minimal
+    generating set, shortest first.  The filtration stops at the nil length,
+    the first length with no normal form.
+
+    Returns (basis, rewrite, nil_length, kept): the normal forms of length
+    below the nil length in deglex order, length -> {Path: {Path:
+    coefficient}} for the pivot paths, the nil length and the kept
+    relations.  The RREF of a span is unique for a fixed column order, so
+    two relation lists generate the same ideal exactly when their nil
+    lengths and rewrite tables agree.  Raises TiltbenchError when
+    max_path_len < 1, and NotAdmissible when more than RAW_PATH_CAP paths
+    have some length or normal forms survive at max_path_len.
+    """
+    if max_path_len < 1:
+        raise TiltbenchError(f"max_path_len must be at least 1, got {max_path_len}")
     by_len = {}
     for r in relations:
         by_len.setdefault(r.length, []).append(r)
-
-    trivials = [trivial_path(v) for v in quiver.vertices]
-    raw = {0: trivials, 1: [Path(a.source, (a.name,)) for a in quiver.arrows]}
-    normal = {0: list(trivials), 1: list(raw[1])}
-    span_rows = {1: []}  # list of dict(Path -> coeff), an rref'd spanning set
+    paths = [trivial_path(v) for v in quiver.vertices]
+    basis = list(paths)
+    ideal = []  # RREF rows of I_(n-1) as {Path: coefficient}
     rewrite = {}
-    nil_length = None
-
-    for n in range(2, max_path_len + 1):
-        raw[n] = longer_paths(quiver, raw[n - 1])
-        if len(raw[n]) > RAW_PATH_CAP:
+    kept = []
+    for n in range(1, max_path_len + 1):
+        paths = longer_paths(quiver, paths)
+        if len(paths) > RAW_PATH_CAP:
             raise NotAdmissible(f"more than {RAW_PATH_CAP} raw paths at length {n}")
-        if not raw[n]:
-            nil_length = n
-            break
-        order = sorted(raw[n], key=lambda p: deglex_key(quiver, p), reverse=True)
+        order = sorted(paths, key=lambda p: deglex_key(quiver, p), reverse=True)
         col = {p: i for i, p in enumerate(order)}
-        rows = []
-        for r in by_len.get(n, []):
+        rows = [{col[p]: c for p, c in prod.items()} for row in ideal for prod in arrow_multiples(quiver, row)]
+        products = len(rows)
+        rels = by_len.get(n, [])
+        for r in rels:
             vec = {}
             for c, p in r.terms:
                 vec[col[p]] = vec.get(col[p], 0) + c
             rows.append(vec)
-        for row in span_rows[n - 1]:
-            for prod in arrow_multiples(quiver, row):
-                rows.append({col[p]: c for p, c in prod.items()})
-        red = sparse_row_space(rows)
-        pivots = {min(row) for row in red}
-        normal_n = [order[j] for j in range(len(order)) if j not in pivots]
-        normal_n.sort(key=lambda p: deglex_key(quiver, p))
-        normal[n] = normal_n
-        span_rows[n] = [{order[j]: c for j, c in row.items()} for row in red]
+        red, raised = sparse_rref(rows)
+        kept.extend(rels[k - products] for k in raised if k >= products)
+        ideal = [{order[j]: c for j, c in row.items()} for row in red]
         rewrite[n] = {}
-        for row in red:
-            pc = min(row)
-            rewrite[n][order[pc]] = {order[j]: -c for j, c in row.items() if j != pc}
-        if not normal_n:
-            nil_length = n
-            break
-    if nil_length is None:
-        raise NotAdmissible(
-            f"normal-form paths still survive at length {max_path_len}; "
-            "raise max_path_len or fix the relations"
-        )
-
-    basis = []
-    for n in range(0, nil_length):
-        basis.extend(normal.get(n, []))
-    return BasicAlgebra(quiver, relations, basis, rewrite, nil_length)
+        for row in ideal:
+            (lead, _), *tail = row.items()  # the pivot path first, with entry 1
+            rewrite[n][lead] = {p: -c for p, c in tail}
+        pivots = {min(row) for row in red}
+        # order is reverse deglex, a total order: read backwards, the normal
+        # forms come in deglex order
+        basis.extend(order[j] for j in reversed(range(len(order))) if j not in pivots)
+        if len(red) == len(order):
+            return basis, rewrite, n, kept
+    raise NotAdmissible(
+        f"normal-form paths still survive at length {max_path_len}; raise max_path_len or fix the relations"
+    )

@@ -17,11 +17,12 @@ One loop, ``_reduce``, reduces every row: it takes the row as a
 reaches, in the order they were found.  ``_sparse_echelon`` runs it on each
 row of a batch, keeps each nonzero rest as a monic echelon row, and then runs
 it on each echelon row against the later ones, which leaves the reduced row
-echelon form.  ``sparse_row_space`` reads the RREF rows off it and
-``sparse_kernel`` the right-kernel basis, both as ``{column: scalar}`` dicts
-with increasing columns, no zero entry and canonical scalars; callers keep
-them sparse.  ``Matrix.rref``, ``solve``, ``inverse``, ``left_kernel_basis``
-and ``row_space_basis`` are built on these, the dense rows turned into
+echelon form.  ``sparse_row_space`` reads the RREF rows off it, and
+``sparse_rref`` also which rows raised the rank, and ``sparse_kernel`` the
+right-kernel basis, all as ``{column: scalar}`` dicts with increasing
+columns, no zero entry and canonical scalars; callers keep them sparse.
+``Matrix.rref``, ``solve``, ``inverse``, ``left_kernel_basis`` and
+``row_space_basis`` are built on these, the dense rows turned into
 sparse ones and the results back into dense rows, and a rank is the length
 of ``sparse_row_space``.  :class:`Coordinates` is the incremental front end:
 it runs the same loop on each row as it is added and on each vector it is
@@ -393,7 +394,7 @@ def sparse_kernel(rows, width: int) -> list:
     lie before j.  ``rows`` are ``{column: entry}`` dicts, eliminated by
     ``_sparse_echelon``.
     """
-    echelon, position = _sparse_echelon(rows)
+    echelon, position, _ = _sparse_echelon(rows)
     free_entries = {}  # free column -> [(pivot, kernel entry)]
     for c, tail, _ in echelon:
         for j, x in tail.items():
@@ -411,19 +412,28 @@ def sparse_row_space(rows) -> list:
     """The nonzero rows of the RREF of a sparse matrix, in order, as
     ``{column: scalar}`` dicts with increasing columns.  ``rows`` are
     ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``."""
+    return sparse_rref(rows)[0]
+
+
+def sparse_rref(rows) -> tuple:
+    """(rref, raised): the rows of ``sparse_row_space`` and, from the same
+    elimination, the indices of the rows independent of the rows before
+    them, in increasing order."""
+    echelon, _, raised = _sparse_echelon(rows)
     out = []
-    for c, tail, _ in sorted(_sparse_echelon(rows)[0], key=lambda e: e[0]):
+    for c, tail, _ in sorted(echelon, key=lambda e: e[0]):
         row = {c: 1}
         for j in sorted(tail):
             row[j] = frac(tail[j])
         out.append(row)
-    return out
+    return out, raised
 
 
 def _sparse_echelon(rows):
-    """(echelon, position): the reduced row echelon form of the sparse rows
-    as (pivot column, RREF row without its pivot entry 1, None) in the order
-    the pivots were found, and pivot column -> index in echelon.
+    """(echelon, position, raised): the reduced row echelon form of the
+    sparse rows as (pivot column, RREF row without its pivot entry 1, None)
+    in the order the pivots were found, pivot column -> index in echelon,
+    and the indices of the rows that raised the rank, in order.
 
     Each row is reduced by ``_reduce`` against the echelon rows found so far,
     and what is left of it, when nonzero, is appended monic, its first column
@@ -433,13 +443,15 @@ def _sparse_echelon(rows):
     """
     echelon = []
     position = {}
-    for row in rows:
+    raised = []
+    for k, row in enumerate(rows):
         rest = _reduce({j: x for j, x in row.items() if x}, echelon, position)
         if rest:
             _push(echelon, position, rest)
+            raised.append(k)
     for _, tail, _ in reversed(echelon):
         _reduce(tail, echelon, position)
-    return echelon, position
+    return echelon, position, raised
 
 
 def _reduce(row: dict, echelon: list, position: dict, coeffs=None) -> dict:

@@ -16,32 +16,26 @@ the radical.
 Arrows i -> j lift a basis of R_ij modulo (R^2)_ij, read from the RREF bases
 of the two blocks, and candidate relations are kernel elements of the induced
 map from the path algebra, collected degree by degree up to the nilpotency
-index.  They are pruned to a minimal generating set greedily, by increasing
-length, against one filtration of the ideal I they generate: I_(n+1) is
-spanned by arrow * I_n, I_n * arrow and the kept relations of length n + 1,
-each span grows a row at a time (``Coordinates.add``), and a candidate is
-kept only when it lies outside the span at its length.  The result is
-certified by rebuilding the path algebra and comparing dimensions; only
-ideals with length-homogeneous generators are supported (the rebuild
-certifies that this suffices for the input at hand).
+index.  One ``algebra.length_filtration`` of the ideal I they generate both
+prunes them and rebuilds the path algebra: at each length n it eliminates
+arrow * I_(n-1), I_(n-1) * arrow and then the candidates of length n once,
+and keeps a candidate only when it raises the rank, a minimal generating set
+found greedily by increasing length.  The result is certified by comparing
+the dimension of the rebuilt path algebra; only ideals with
+length-homogeneous generators are supported (the rebuild certifies that this
+suffices for the input at hand).  ``relation_ideals_equal`` compares the
+RREF rows of one such filtration of each side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    BasicAlgebra,
-    FiniteDimAlgebra,
-    abstract_from_table,
-    build_path_algebra,
-    el_scale,
-    el_sub,
-)
+from .algebra import BasicAlgebra, FiniteDimAlgebra, abstract_from_table, el_scale, el_sub, length_filtration
 from .decompose import primitive_idempotents
 from .errors import NotBasic, PresentationError, RadicalNotNilpotent, TiltbenchError
-from .linalg import Basis, Coordinates, div, frac, sparse_kernel, sparse_row_space
-from .quiver import Path, Quiver, Relation, arrow_multiples, longer_paths
+from .linalg import Basis, div, frac, sparse_kernel, sparse_row_space
+from .quiver import Path, Quiver, Relation, longer_paths
 
 
 @dataclass
@@ -164,7 +158,7 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
     # surjectivity: vertices and arrow products must span the algebra
     paths = [Path(a[1], (a[0],)) for a in arrows]
     span_rows = list(idems) + [eval_path(p) for p in paths]
-    relations = []
+    candidates = []
     for _ in range(2, nil_index + 1):
         paths = longer_paths(quiver, paths)
         if not paths:
@@ -177,13 +171,14 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
             for k, c in row.items():
                 columns.setdefault(k, {})[j] = c
         for vec in sparse_kernel(columns.values(), len(paths)):
-            relations.append(Relation(quiver, [(c, paths[j]) for j, c in vec.items()]))
+            candidates.append(Relation(quiver, [(c, paths[j]) for j, c in vec.items()]))
         span_rows.extend(rows)
     if len(sparse_row_space(span_rows)) != alg.dim:
         raise PresentationError("vertex and arrow products do not span the algebra")
 
-    relations = _prune_relations(quiver, relations)
-    rebuilt = build_path_algebra(quiver, relations, max_path_len=max(nil_index + 1, 4))
+    # one filtration prunes the candidates and rebuilds the path algebra
+    basis, rewrite, nil_length, relations = length_filtration(quiver, candidates, max(nil_index + 1, 4))
+    rebuilt = BasicAlgebra(quiver, relations, basis, rewrite, nil_length)
     if rebuilt.dim != alg.dim:
         raise PresentationError(
             f"rebuilt path algebra has dimension {rebuilt.dim}, expected {alg.dim}; "
@@ -191,67 +186,6 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
         )
     vertex_idems = {names[i]: idems[i] for i in range(n)}
     return Presentation(quiver, relations, rebuilt, arrow_elements, vertex_idems, nil_index)
-
-
-class _HomogeneousIdeal:
-    """The ideal I of KQ generated by the relations added so far, one path
-    length n at a time: the paths of length n, a span of I_n grown a row at
-    a time, and the independent rows of I_n as {Path: coefficient}.  Moving
-    to length n + 1 spans a * I_n and I_n * a over the arrows a from those
-    rows.  Relations must come in nondecreasing length."""
-
-    __slots__ = ("quiver", "length", "_index", "_span", "_rows")
-
-    def __init__(self, quiver: Quiver):
-        self.quiver = quiver
-        self.length = 1
-        self._index = {Path(a.source, (a.name,)): k for k, a in enumerate(quiver.arrows)}
-        self._span = Coordinates([], len(self._index))
-        self._rows = []
-
-    def _advance(self, length: int):
-        if length < self.length:
-            raise TiltbenchError(f"relation of length {length} comes after length {self.length}")
-        while self.length < length:
-            products = [prod for row in self._rows for prod in arrow_multiples(self.quiver, row)]
-            paths = longer_paths(self.quiver, self._index)
-            self.length += 1
-            self._index = {p: k for k, p in enumerate(paths)}
-            self._span = Coordinates([], len(paths))
-            self._rows = []
-            for prod in products:
-                self._keep(prod)
-
-    def _vector(self, row: dict) -> dict:
-        return {self._index[p]: c for p, c in row.items()}
-
-    def _keep(self, row: dict) -> bool:
-        if not self._span.add(self._vector(row)):
-            return False
-        self._rows.append(row)
-        return True
-
-    def add(self, rel: Relation) -> bool:
-        """Adds rel as a generator when it lies outside I; True then."""
-        self._advance(rel.length)
-        return self._keep(_row(rel))
-
-    def contains(self, rel: Relation) -> bool:
-        self._advance(rel.length)
-        return self._span.of_sparse(self._vector(_row(rel))) is not None
-
-
-def _row(rel: Relation) -> dict:
-    row = {}
-    for c, p in rel.terms:
-        row[p] = row.get(p, 0) + c
-    return row
-
-
-def _prune_relations(quiver, relations):
-    """Greedy minimal generating subset, by increasing length."""
-    ideal = _HomogeneousIdeal(quiver)
-    return [r for r in sorted(relations, key=lambda r: r.length) if ideal.add(r)]
 
 
 def algebra_from_structure_constants(dim: int, table, one) -> BasicAlgebra:
@@ -270,27 +204,17 @@ def algebra_from_structure_constants(dim: int, table, one) -> BasicAlgebra:
 def relation_ideals_equal(quiver: Quiver, rels1, rels2) -> bool:
     """Whether two relation lists over the same quiver generate the same ideal.
 
-    Decided by building both quotients (same dimension required) and
-    reducing each relation in the homogeneous ideal of the other list.
+    Decided by one ``length_filtration`` of each list: the ideals agree when
+    the RREF rows of I_n agree at every length n up to the nil length.  A
+    list that is not admissible equals none.
     """
     try:
-        a1 = build_path_algebra(quiver, rels1)
-        a2 = build_path_algebra(quiver, rels2)
+        first = length_filtration(quiver, rels1)
+        second = length_filtration(quiver, rels2)
     except TiltbenchError:
         return False
-    return a1.dim == a2.dim and _generates(quiver, rels1, rels2) and _generates(quiver, rels2, rels1)
-
-
-def _generates(quiver, gens, rels) -> bool:
-    """Whether every relation of rels lies in the ideal generated by gens."""
-    ideal = _HomogeneousIdeal(quiver)
-    tagged = [(r.length, False, r) for r in gens] + [(r.length, True, r) for r in rels]
-    for _, test, r in sorted(tagged, key=lambda x: x[:2]):
-        if not test:
-            ideal.add(r)
-        elif not ideal.contains(r):
-            return False
-    return True
+    # (rewrite, nil_length): the RREF rows of each I_n, as pivot rewrites
+    return first[1:3] == second[1:3]
 
 
 def presentations_match(q1: Quiver, rels1, q2: Quiver, rels2) -> dict | None:

@@ -575,6 +575,9 @@ def nu_injective_sum(algebra: BasicAlgebra, labels) -> Representation:
     through ``algebra.basis_product``."""
     labels = [str(x) for x in labels]
     q = algebra.quiver
+    for lab in labels:
+        if lab not in q.vertex_index:
+            raise TiltbenchError(f"unknown vertex label {lab!r}")
     layout = {w: [(i, k) for i, a in enumerate(labels) for k in algebra.paths_between(w, a)] for w in q.vertices}
     dims = {w: len(layout[w]) for w in q.vertices}
     mats = {}

@@ -5,7 +5,7 @@ import pytest
 
 from tiltbench import corpus
 from tiltbench.algebra import build_path_algebra
-from tiltbench.errors import NotAdmissible
+from tiltbench.errors import NotAdmissible, TiltbenchError
 from tiltbench.quiver import Quiver, monomial_relation
 
 
@@ -119,3 +119,18 @@ def test_corner_inverse():
     e2 = {a.idempotent_index["2"]: 1}
     assert a.mul(u, inv) == e2
     assert a.mul(inv, u) == e2
+
+
+def test_max_path_len_edge_cases():
+    # no arrows: no path of length 1, so the nil length is 1 whatever the bound
+    q = Quiver(["1", "2"], [])
+    a = build_path_algebra(q, [], max_path_len=1)
+    assert (a.dim, a.nil_length) == (2, 1)
+    # arrows survive at length 1
+    line = Quiver(["1", "2"], [("a", "1", "2")])
+    with pytest.raises(NotAdmissible, match="survive at length 1"):
+        build_path_algebra(line, [], max_path_len=1)
+    assert build_path_algebra(line, [], max_path_len=2).nil_length == 2
+    for bad in (0, -3):
+        with pytest.raises(TiltbenchError, match=f"max_path_len must be at least 1, got {bad}"):
+            build_path_algebra(q, [], max_path_len=bad)

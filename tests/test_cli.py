@@ -366,6 +366,23 @@ def test_main_reuses_its_parser_without_carrying_options_over(monkeypatch):
     assert built == []
 
 
+def test_max_path_len_below_one_exits_two_and_one_is_enough_without_arrows(tmp_path):
+    """A quiver with no arrows has no path of length 1, so --max-path-len 1
+    suffices for it; a bound below 1 is refused with exit 2."""
+    path = tmp_path / "two_points.json"
+    path.write_text(json.dumps({"format": 1, "quiver": {"vertices": ["1", "2"], "arrows": []}, "relations": []}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["--max-path-len", "1", "alg", "check", str(path)]) == 0
+    assert json.loads(out.getvalue())["dim"] == 2
+    for bad in ("0", "-3"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["--max-path-len", bad, "alg", "check", str(path)]) == 2
+        assert err.getvalue() == f"error: max_path_len must be at least 1, got {bad}\n"
+        assert out.getvalue() == ""
+
+
 def test_non_admissible_algebra_exits_two_in_bounded_memory(tmp_path):
     """sec5_A without its first relation (alphap alpha) is not admissible.
     Its path algebra is reduced on sparse rows, so giving up at length 14

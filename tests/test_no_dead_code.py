@@ -35,7 +35,6 @@ TEST_ONLY = {
 }
 
 AMBIGUOUS = {
-    "add": "presentation grows each _HomogeneousIdeal through a local variable",
     "direct_sum": "the demos and the benchmark sum modules, and construct_tpq sums complexes, held in local variables",
     "element": "decompose and complex_decomp read idempotents through an End algebra held in a local",
     "inverse": "indecomposable_iso and isomorphism_by_summands invert module and chain maps alike; "

@@ -3,20 +3,37 @@ from fractions import Fraction
 
 import pytest
 
-from tiltbench import corpus
-from tiltbench.algebra import FiniteDimAlgebra, abstract_from_table, build_path_algebra, el_from_vector, el_to_vector
+from kupisch import seeded_kupisch_series
+from tiltbench import algebra, corpus, presentation
+from tiltbench.algebra import (
+    RAW_PATH_CAP,
+    BasicAlgebra,
+    FiniteDimAlgebra,
+    abstract_from_table,
+    build_path_algebra,
+    el_from_vector,
+    el_to_vector,
+    length_filtration,
+)
 from tiltbench.complexes import regular_stalk
-from tiltbench import presentation
-from tiltbench.errors import NoIdentity, NotAssociative, NotBasic, TiltbenchError
-from tiltbench.linalg import Coordinates, Matrix, row_space_basis
+from tiltbench.errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, TiltbenchError
+from tiltbench.linalg import Coordinates, Matrix, row_space_basis, sparse_row_space
 from tiltbench.presentation import (
-    _prune_relations,
     presentations_match,
     quiver_presentation,
     radical_chain,
     relation_ideals_equal,
 )
-from tiltbench.quiver import Path, Quiver, Relation, deglex_key, monomial_relation
+from tiltbench.quiver import (
+    Path,
+    Quiver,
+    Relation,
+    arrow_multiples,
+    deglex_key,
+    longer_paths,
+    monomial_relation,
+    trivial_path,
+)
 from tiltbench.tilting import TiltingContext, construct_tpq, end_algebra
 
 
@@ -135,12 +152,23 @@ def test_algebra_from_structure_constants_public_api():
     ) is not None
 
 
-def test_relation_ideal_equality_up_to_generators():
+def test_relation_ideal_equality_up_to_generators(monkeypatch):
     q = corpus.fig1_quiver()
     rels = corpus.fig1_relations(q)
     # adding a consequence does not change the ideal
     extra = rels + [monomial_relation(q, ["alpha", "beta", "gamma", "alpha"])]
+    calls = []
+
+    def recording(quiver, relations):
+        calls.append(list(relations))
+        return length_filtration(quiver, relations)
+
+    monkeypatch.setattr(presentation, "length_filtration", recording)
+    sizes = _count_eliminations(monkeypatch)
     assert relation_ideals_equal(q, rels, extra)
+    # one filtration of each side, one elimination per path length of each
+    assert calls == [rels, extra]
+    assert len(sizes) == 2 * corpus.fig1_algebra().nil_length
 
 
 def test_finite_dim_algebra_asks_each_product_once():
@@ -331,15 +359,73 @@ def test_relation_ideals_equal_lets_only_package_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(presentation, "build_path_algebra", broken)
+    monkeypatch.setattr(presentation, "length_filtration", broken)
     with pytest.raises(RuntimeError):
         relation_ideals_equal(q, rels, list(rels))
 
 
-# The pruning route before one ideal filtration replaced it: for every
-# candidate, the homogeneous ideal spans of the kept relations are rebuilt
-# from scratch, one RREF per path length, and the candidate tested in the
-# span at its length.  Kept as the reference the filtration must agree with.
+# The routes before one length filtration replaced them, kept as the
+# reference it must agree with.  Pruning: for every candidate, the
+# homogeneous ideal spans of the kept relations are rebuilt from scratch, one
+# RREF per path length, and the candidate tested in the span at its length.
+# Ideal comparison: both quotients built, then each relation tested in the
+# other list's spans.  The path algebra: one RREF per length from 2 on.
+
+
+def _old_build_path_algebra(quiver, relations, max_path_len=30):
+    relations = list(relations)
+    by_len = {}
+    for r in relations:
+        by_len.setdefault(r.length, []).append(r)
+
+    trivials = [trivial_path(v) for v in quiver.vertices]
+    raw = {0: trivials, 1: [Path(a.source, (a.name,)) for a in quiver.arrows]}
+    normal = {0: list(trivials), 1: list(raw[1])}
+    span_rows = {1: []}  # list of dict(Path -> coeff), an rref'd spanning set
+    rewrite = {}
+    nil_length = None
+
+    for n in range(2, max_path_len + 1):
+        raw[n] = longer_paths(quiver, raw[n - 1])
+        if len(raw[n]) > RAW_PATH_CAP:
+            raise NotAdmissible(f"more than {RAW_PATH_CAP} raw paths at length {n}")
+        if not raw[n]:
+            nil_length = n
+            break
+        order = sorted(raw[n], key=lambda p: deglex_key(quiver, p), reverse=True)
+        col = {p: i for i, p in enumerate(order)}
+        rows = []
+        for r in by_len.get(n, []):
+            vec = {}
+            for c, p in r.terms:
+                vec[col[p]] = vec.get(col[p], 0) + c
+            rows.append(vec)
+        for row in span_rows[n - 1]:
+            for prod in arrow_multiples(quiver, row):
+                rows.append({col[p]: c for p, c in prod.items()})
+        red = sparse_row_space(rows)
+        pivots = {min(row) for row in red}
+        normal_n = [order[j] for j in range(len(order)) if j not in pivots]
+        normal_n.sort(key=lambda p: deglex_key(quiver, p))
+        normal[n] = normal_n
+        span_rows[n] = [{order[j]: c for j, c in row.items()} for row in red]
+        rewrite[n] = {}
+        for row in red:
+            pc = min(row)
+            rewrite[n][order[pc]] = {order[j]: -c for j, c in row.items() if j != pc}
+        if not normal_n:
+            nil_length = n
+            break
+    if nil_length is None:
+        raise NotAdmissible(
+            f"normal-form paths still survive at length {max_path_len}; "
+            "raise max_path_len or fix the relations"
+        )
+
+    basis = []
+    for n in range(0, nil_length):
+        basis.extend(normal.get(n, []))
+    return BasicAlgebra(quiver, relations, basis, rewrite, nil_length)
 
 
 def _old_vector(rel, index):
@@ -411,8 +497,8 @@ def _old_prune(quiver, relations):
 
 def _old_ideals_equal(quiver, rels1, rels2):
     try:
-        a1 = build_path_algebra(quiver, rels1)
-        a2 = build_path_algebra(quiver, rels2)
+        a1 = _old_build_path_algebra(quiver, rels1)
+        a2 = _old_build_path_algebra(quiver, rels2)
     except TiltbenchError:
         return False
     if a1.dim != a2.dim:
@@ -425,9 +511,9 @@ def _old_ideals_equal(quiver, rels1, rels2):
 
 
 def _end_candidates(monkeypatch):
-    """(name, quiver, candidate relations) that quiver_presentation prunes
-    for the End(T)s of fig1, sec5, N(6,3), N(8,4) and Kupisch (4,5,5,5)
-    with P = {2}."""
+    """(name, quiver, candidate relations, kept relations) of the length
+    filtration that quiver_presentation runs for the End(T)s of fig1, sec5,
+    N(6,3), N(8,4) and Kupisch (4,5,5,5) with P = {2}."""
     fig1, sec5, k = corpus.fig1_algebra(), corpus.sec5_algebra(), corpus.kupisch_algebra([4, 5, 5, 5])
     cases = [
         ("fig1", fig1, corpus.fig1_tilting_complex(fig1)),
@@ -438,14 +524,16 @@ def _end_candidates(monkeypatch):
     ]
     seen = []
 
-    def recording(quiver, relations):
-        seen.append((quiver, list(relations)))
-        return _prune_relations(quiver, relations)
+    def recording(quiver, relations, max_path_len):
+        out = length_filtration(quiver, relations, max_path_len)
+        seen.append((quiver, list(relations), out[3]))
+        return out
 
-    monkeypatch.setattr(presentation, "_prune_relations", recording)
+    monkeypatch.setattr(presentation, "length_filtration", recording)
     out = []
     for name, a, t in cases:
         TiltingContext(a, t if t is not None else regular_stalk(a)).end_data()
+        assert len(seen) == 1, name
         out.append((name,) + seen.pop())
     monkeypatch.undo()
     return out
@@ -511,50 +599,107 @@ def _random_quiver(rng):
     return Quiver(vs, [(f"x{k}", s, t) for k, (s, t) in enumerate(arrows)])
 
 
+def _assert_same_algebra(new, old):
+    assert new.basis == old.basis and new.nil_length == old.nil_length
+    assert all(new.basis_product(i, j) == old.basis_product(i, j) for i in range(new.dim) for j in range(new.dim))
+
+
+def _build_or_error(build, quiver, relations, max_path_len):
+    try:
+        return build(quiver, relations, max_path_len)
+    except TiltbenchError as exc:
+        return type(exc)
+
+
+def test_length_filtration_builds_the_reference_path_algebras():
+    """build_path_algebra on the length filtration gives the basis, nil
+    length and products of the reference route, or raises what it raised:
+    on the corpus algebras, seeded Kupisch series and seeded random
+    relations."""
+    algebras = [*corpus.corpus_algebras().values(), corpus.sec5_b_algebra()]
+    series = seeded_kupisch_series(random.Random(25), 12, max_vertices=5, max_length=6)
+    algebras += [corpus.kupisch_algebra(s) for s in series]
+    cases = [(a.quiver, a.relations, 30) for a in algebras]
+    rng = random.Random(8)
+    for _ in range(30):
+        q = _random_quiver(rng)
+        cases.append((q, _random_relations(rng, q, rng.randint(3, 10)), 9))
+    errors = 0
+    for quiver, relations, max_path_len in cases:
+        new = _build_or_error(build_path_algebra, quiver, relations, max_path_len)
+        old = _build_or_error(_old_build_path_algebra, quiver, relations, max_path_len)
+        if isinstance(old, type):
+            errors += 1
+            assert new is old, (quiver, relations)
+        else:
+            _assert_same_algebra(new, old)
+    assert 0 < errors < len(cases)
+
+
 def test_prune_matches_per_candidate_route(monkeypatch):
-    for name, q, candidates in _end_candidates(monkeypatch):
-        kept = _prune_relations(q, candidates)
+    for name, q, candidates, kept in _end_candidates(monkeypatch):
         old = _old_prune(q, candidates)
         assert len(kept) == len(old) and all(x is y for x, y in zip(kept, old)), name
         for rels, equal in ((kept, True), (kept[:-1], False)):
             assert relation_ideals_equal(q, rels, candidates) is equal, name
             assert _old_ideals_equal(q, rels, candidates) is equal, name
     rng = random.Random(8)
+    admissible = 0
     for _ in range(30):
         q = _random_quiver(rng)
         rels = _random_relations(rng, q, rng.randint(3, 10))
-        kept = _prune_relations(q, rels)
+        try:
+            kept = length_filtration(q, rels, 9)[3]
+        except NotAdmissible:
+            # no kept list; and at the default max_path_len both routes of the
+            # ideal comparison enumerate raw paths for seconds before they fail
+            assert _build_or_error(_old_build_path_algebra, q, rels, 9) is NotAdmissible
+            continue
+        admissible += 1
         old = _old_prune(q, rels)
         assert len(kept) == len(old) and all(x is y for x, y in zip(kept, old))
-        # a minimal generating set without one member spans a smaller ideal
+        cases = [(kept, rels, True), (rels, kept, True)]
+        # a minimal generating set without one member spans a smaller ideal,
+        # compared when it is admissible, for the reason above
         drop = rng.randrange(len(kept))
-        for gens, others, generated in (
-            (kept, rels, True),
-            (rels, kept, True),
-            (kept[:drop] + kept[drop + 1:], rels, False),
-        ):
-            assert presentation._generates(q, gens, others) is generated
-            assert all(_old_relation_in_ideal(q, gens, r) for r in others) is generated
+        smaller = kept[:drop] + kept[drop + 1:]
+        if not isinstance(_build_or_error(build_path_algebra, q, smaller, 9), type):
+            cases.append((smaller, rels, False))
+        for gens, others, equal in cases:
+            assert relation_ideals_equal(q, gens, others) is equal
+            assert _old_ideals_equal(q, gens, others) is equal
+    assert admissible >= 15
+
+
+def _count_eliminations(monkeypatch):
+    """The number of rows of each elimination the length filtration runs."""
+    sizes = []
+    sparse_rref = algebra.sparse_rref
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return sparse_rref(rows)
+
+    monkeypatch.setattr(algebra, "sparse_rref", counted)
+    return sizes
 
 
 def test_pruning_builds_one_span_per_path_length(monkeypatch):
-    name, q, candidates = next(c for c in _end_candidates(monkeypatch) if c[0] == "sec5")
-    lengths = sorted({r.length for r in candidates})
-    assert len(candidates) == 22 and lengths == [2, 3, 4]
-    spans = []
+    sec5 = corpus.sec5_algebra()
+    end = TiltingContext(sec5, construct_tpq(sec5, ["1"], ["3", "4"], 1, 1).complex).end_data()
+    seen = []
 
-    class Counted(presentation.Coordinates):
-        __slots__ = ()
+    def recording(quiver, relations, max_path_len):
+        seen.append(list(relations))
+        return length_filtration(quiver, relations, max_path_len)
 
-        def __init__(self, rows, width):
-            spans.append(width)
-            super().__init__(rows, width)
-
-    monkeypatch.setattr(presentation, "Coordinates", Counted)
-    kept = _prune_relations(q, candidates)
-    # lengths 1 (the arrows), 2, 3 and 4, once each
-    assert len(spans) == lengths[-1] and len(kept) == 5
-    ideal = presentation._HomogeneousIdeal(q)
-    ideal.add(max(candidates, key=lambda r: r.length))
-    with pytest.raises(TiltbenchError, match="length 2 comes after length 4"):
-        ideal.contains(kept[0])
+    monkeypatch.setattr(presentation, "length_filtration", recording)
+    sizes = _count_eliminations(monkeypatch)
+    pres = quiver_presentation(end.abstract, list(end.presentation.vertex_idempotents.values()))
+    [candidates] = seen
+    assert len(candidates) == 22 and sorted({r.length for r in candidates}) == [2, 3, 4]
+    assert len(pres.relations) == 5
+    # one elimination per path length, 1 to 4, prunes the candidates and
+    # rebuilds the path algebra together; length 1 has no row
+    assert len(sizes) == pres.algebra.nil_length == 4
+    assert sizes[0] == 0

@@ -13,7 +13,7 @@ from module_maps import (
 
 from tiltbench import corpus
 from tiltbench.decompose import _iso_between_indecomposables, decompose
-from tiltbench.errors import NotProjective
+from tiltbench.errors import NotProjective, TiltbenchError
 from tiltbench.linalg import Coordinates, Matrix, row_space_basis
 from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
@@ -379,3 +379,10 @@ def test_injective_sums_equal_the_direct_sums_of_dual_paths():
         for v in verts:
             assert injective(a, v).mats == injective_by_dual_paths(a, v).mats
     assert compared == 6 * len(algebras)
+
+
+def test_unknown_vertex_labels_are_refused_like_projsum():
+    a = corpus.fig1_algebra()
+    for build in (lambda: injective(a, "9"), lambda: nu_injective_sum(a, ["1", "zz"]), lambda: ProjSum(a, ["9"])):
+        with pytest.raises(TiltbenchError, match="unknown vertex label"):
+            build()
