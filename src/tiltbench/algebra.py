@@ -3,8 +3,11 @@ relations.
 
 ``FiniteDimAlgebra`` is an algebra on a basis whose product table is filled
 on first use from a callback; multiplication, the trace-form radical and the
-associativity and idempotent checks are written for it once.  End(M) and
-End(T) are such algebras (``decompose``, ``complex_decomp``, ``tilting``).
+associativity and idempotent checks are written for it once.
+``EndomorphismAlgebra`` is the one whose basis is a ``linalg.Basis`` of a hom
+space and whose product of two basis maps is their composite, read in that
+basis: End(M), the chain-level End(C) and End(T) are all built on it
+(``decompose``, ``complex_decomp``, ``tilting``).
 
 ``BasicAlgebra`` is the one of a quiver with admissible relations, on a
 basis of normal-form paths.  ``length_filtration`` is the one place the
@@ -174,6 +177,22 @@ class FiniteDimAlgebra:
             for j, f in enumerate(idems):
                 if self.mul(e, f) != (e if i == j else {}):
                     raise NotBasic(f"idempotents {i} and {j} are not orthogonal idempotents")
+
+
+class EndomorphismAlgebra(FiniteDimAlgebra):
+    """The algebra on the rows of a ``linalg.Basis`` of a hom space, with
+    e_i * e_j the coordinates of ``compose(rows[i], rows[j])`` and 1 those
+    of ``identity``, both given as vectors in the basis's columns."""
+
+    def __init__(self, basis, compose, identity):
+        self.basis = basis
+        # the product closes over the basis and compose, not over self, so
+        # that the algebra is no reference cycle and dies with its last use
+        super().__init__(
+            len(basis.rows),
+            lambda i, j: basis.coordinates(compose(basis.rows[i], basis.rows[j])),
+            basis.coordinates(identity),
+        )
 
 
 def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:

@@ -14,7 +14,7 @@ labels per degree.
 
 from __future__ import annotations
 
-from .algebra import FiniteDimAlgebra
+from .algebra import EndomorphismAlgebra
 from .decompose import (
     group_copies,
     indecomposable_iso,
@@ -36,7 +36,7 @@ from .complexes import (
 from .reps import ProjSum, extract_entry_map, realize_entry_map
 
 
-class ChainEndData(FiniteDimAlgebra):
+class ChainEndData(EndomorphismAlgebra):
     """Chain-level endomorphism algebra of a complex, on the basis of chain
     maps of its homotopy space; the product a * b is "a then b", composed by
     ``HomotopySpace.compose`` on the sparse chain vectors."""
@@ -44,24 +44,15 @@ class ChainEndData(FiniteDimAlgebra):
     def __init__(self, c: ProjComplex):
         self.complex = c
         self.space = space = HomotopySpace(c, c.shift(0))
-        vectors = space.chain_vectors
-        self._basis = basis = Basis(vectors, len(space.positions))
-        # the product closes over the vectors and their basis, not over self,
-        # so that a ChainEndData is no reference cycle and dies with its last use
         super().__init__(
-            len(vectors),
-            lambda i, j: basis.coordinates(space.compose(vectors[i], vectors[j])),
-            self.coords(ChainMapC.identity(c)),
+            Basis(space.chain_vectors, len(space.positions)),
+            space.compose,
+            space.chain_map_terms(ChainMapC.identity(c)),
         )
-
-    def coords(self, cm: ChainMapC) -> dict:
-        """A chain endomorphism as an element: its coordinates in the
-        chain-map basis."""
-        return self._basis.coordinates(self.space.chain_map_terms(cm))
 
     def element(self, x: dict) -> ChainMapC:
         """The chain endomorphism of an element."""
-        return self.space.vector_to_chain_map(self._basis.vector(x))
+        return self.space.vector_to_chain_map(self.basis.vector(x))
 
 
 def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
@@ -75,7 +66,7 @@ def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
     space = data.space
     if not space.is_null(e.then(e) - e):
         raise NotIdempotent("class is not idempotent up to homotopy")
-    lifted = lift_idempotent(data, data.coords(e))
+    lifted = lift_idempotent(data, data.basis.coordinates(space.chain_map_terms(e)))
     strict = data.element(lifted)
     if not (strict.then(strict) - strict).is_zero():
         raise NotIdempotent("strictification failed")
@@ -233,18 +224,14 @@ def _labels(c: ProjComplex) -> dict:
     return {d: sorted(labels) for d, labels in c.terms.items()}
 
 
-def _chain_maps(x: ProjComplex, y: ProjComplex) -> list:
-    """Basis of the chain maps x -> y."""
-    space = homotopy_hom(x, y, 0)
-    return [space.vector_to_chain_map(v) for v in space.chain_vectors]
-
-
 def _iso_between_indecomposable_complexes(x: ProjComplex, y: ProjComplex):
     """Iso pair (f: x->y, g: y->x) of indecomposable radical complexes, or
-    None: equal sorted labels per degree, then ``indecomposable_iso``."""
+    None: equal sorted labels per degree, then ``indecomposable_iso`` on the
+    chain maps x -> y."""
     if _labels(x) != _labels(y):
         return None
-    return indecomposable_iso(_chain_maps(x, y), _chain_maps(y, x))
+    space = homotopy_hom(x, y, 0)
+    return indecomposable_iso([space.vector_to_chain_map(v) for v in space.chain_vectors])
 
 
 def complexes_isomorphic(x: ProjComplex, y: ProjComplex):

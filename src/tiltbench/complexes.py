@@ -374,9 +374,8 @@ class HomotopySpace:
 
     ``compose`` multiplies two endomorphisms given as sparse coordinate
     vectors term by term through the algebra's structure constants, and
-    ``class_coords`` reduces a sparse coordinate vector to its sparse class
-    coordinates {class index: c}; together they fill End's product table
-    without forming a chain map.
+    ``classes.coordinates`` reads the result in the class basis; together
+    they fill End's product table without forming a chain map.
     """
 
     def __init__(self, x: ProjComplex, y_shifted: ProjComplex):
@@ -464,15 +463,10 @@ class HomotopySpace:
                         del out[q]
         return out
 
-    def class_coords(self, vec: dict) -> dict:
-        """Class coordinates {class index: c} of the chain map with sparse
-        coordinates vec; raises when vec is no chain map."""
-        return self.classes.coordinates(vec)
-
     def reduce(self, cm: ChainMapC) -> dict:
         """Sparse coordinates {class index: c} of the homotopy class of cm in
         the class basis."""
-        return self.class_coords(self.chain_map_terms(cm))
+        return self.classes.coordinates(self.chain_map_terms(cm))
 
     def is_null(self, cm: ChainMapC) -> bool:
         return not self.reduce(cm)

@@ -145,7 +145,8 @@ def kupisch_algebra(series) -> BasicAlgebra:
     has Loewy length ``series[i - 1]``.
 
     Arrows ``a<i>: i -> i+1`` (indices mod n); the relations kill the path of
-    length ``series[i - 1]`` starting at i.
+    length ``series[i - 1]`` starting at i, so every path of length
+    max(series) vanishes, whatever the Loewy length.
     """
     n = len(series)
     for i, c in enumerate(series):
@@ -156,7 +157,7 @@ def kupisch_algebra(series) -> BasicAlgebra:
     relations = [
         monomial_relation(q, [f"a{(i + k) % n + 1}" for k in range(c)]) for i, c in enumerate(series)
     ]
-    return build_path_algebra(q, relations)
+    return build_path_algebra(q, relations, max_path_len=max(series) + 1)
 
 
 def corpus_algebras() -> dict:

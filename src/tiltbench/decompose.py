@@ -28,8 +28,8 @@ images of e; its projection p, with p then incl = e, is
 
 One isomorphism engine serves modules and complexes alike, with no random
 search.  ``indecomposable_iso`` decides indecomposables x, y by an invertible
-composite y -> x -> y, which is radical avoidance in the local End(y), so
-no End(y) is built; ``group_copies`` groups the split pieces of a module or
+basis map x -> y, which exists exactly when x ≅ y since End(x) is local, so
+no End(x) is built; ``group_copies`` groups the split pieces of a module or
 a complex by it into that list of copies; ``isomorphism_by_summands``
 decomposes both sides, matches the summands with it and inverts the
 assembled map once.  ``is_isomorphic`` and
@@ -42,8 +42,9 @@ iteration.
 from __future__ import annotations
 
 import random
+from functools import partial
 
-from .algebra import FiniteDimAlgebra, el_from_vector, el_scale, el_sub
+from .algebra import EndomorphismAlgebra, FiniteDimAlgebra, el_from_vector, el_scale, el_sub
 from .errors import DecompositionError
 from .linalg import Basis, Coordinates, sparse_row_space
 from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
@@ -183,19 +184,17 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
 # -- endomorphism algebras of modules ----------------------------------------
 
 
-class EndAlgebra(FiniteDimAlgebra):
+class EndAlgebra(EndomorphismAlgebra):
     """End(M) on a basis of its hom space; the product a * b is "a then b".
 
     Each basis map is kept as its ``reps.flat``, the sparse vector
-    ``reps.hom_vectors`` returns, and ``_cells`` gives the (vertex offset,
-    dim, row, col) of each position.  A ``linalg.Basis`` of the flats gives
-    the coordinates of a map and the summed flat of an element.  Products
-    are tabulated lazily, as in any ``FiniteDimAlgebra``, and each cell
-    composes two such maps block by block (``_compose_flats``) without
-    forming a ``ModuleMap``; ``element`` writes one summed flat out as a
-    map.  The radical is not read from the
-    products: ``trace_form`` works on the same entries, so deciding whether
-    End(M) is local asks for no product at all.
+    ``reps.hom_vectors`` returns, in the ``basis`` of the algebra, and
+    ``_cells`` gives the (vertex offset, dim, row, col) of each position.  A
+    product cell composes two such maps block by block (``_compose_flats``)
+    without forming a ``ModuleMap``; ``element`` writes one summed flat out
+    as a map.  The radical is not read from the products: ``trace_form``
+    works on the same entries, so deciding whether End(M) is local asks for
+    no product at all.
     """
 
     def __init__(self, m: Representation):
@@ -204,24 +203,13 @@ class EndAlgebra(FiniteDimAlgebra):
         for v in m.algebra.quiver.vertices:
             d, o = m.dims[v], len(cells)
             cells.extend((o, d, r, c) for r in range(d) for c in range(d))
-        self._flats = flats = hom_vectors(m, m)
-        self._basis = basis = Basis(flats, len(cells))
-        # the product closes over the flats and their basis, not over self, so
-        # that an EndAlgebra is no reference cycle and dies with its last use
         super().__init__(
-            len(flats),
-            lambda i, j: basis.coordinates(_compose_flats(cells, flats[i], flats[j])),
-            self.coords(ModuleMap.identity(m)),
+            Basis(hom_vectors(m, m), len(cells)), partial(_compose_flats, cells), flat(ModuleMap.identity(m))
         )
-
-    def coords(self, f: ModuleMap) -> dict:
-        """An endomorphism as an element: its coordinates in the hom-space
-        basis."""
-        return self._basis.coordinates(flat(f))
 
     def element(self, x: dict) -> ModuleMap:
         """The endomorphism of an element."""
-        return map_from_flat(self.module, self.module, self._basis.vector(x))
+        return map_from_flat(self.module, self.module, self.basis.vector(x))
 
     def trace_form(self) -> list:
         """Rows, as {column: entry} dicts, of the trace form tr_M(f_i f_j) of
@@ -230,7 +218,7 @@ class EndAlgebra(FiniteDimAlgebra):
         the regular trace form gives.  Each entry is one sparse dot product,
         flatten(F_i^T) . flatten(F_j), summed over all vertices at once."""
         n = self.dim
-        cells, flats = self._cells, self._flats
+        cells, flats = self._cells, self.basis.rows  # an RREF kernel basis keeps every row
         form = [{} for _ in range(n)]
         for i in range(n):
             transposed = []  # F_i[r][c], which pairs with F_j[c][r], at (c, r)
@@ -342,21 +330,21 @@ def group_copies(pieces, isomorphic):
     return [(rep, len(copies)) for rep, copies in groups], includes, projects
 
 
-def indecomposable_iso(hxy: list, hyx: list):
+def indecomposable_iso(hxy: list):
     """Mutually inverse pair (f: x -> y, g: y -> x) of indecomposable modules
     or radical complexes x and y, or None, decided exactly.
 
-    ``hxy`` and ``hyx`` are bases of Hom(x, y) and Hom(y, x).  End(y) is
-    local, so x and y are isomorphic iff some composite y -> x -> y of basis
-    maps avoids rad End(y), that is, is invertible; then f is split onto y
-    from an indecomposable, hence an isomorphism, and g is f.inverse().
+    ``hxy`` is a basis of Hom(x, y); the first invertible f in it comes
+    back with g = f.inverse().  If x ≅ y by some φ, every map x -> y is
+    "a then φ" for an a in End(x), which is local, so a is invertible or in
+    rad End(x).  Were no basis map invertible, Hom(x, y) would be
+    "rad End(x) then φ", which does not contain φ.  So some basis map is
+    invertible exactly when x ≅ y.
     """
     for f in hxy:
-        for g in hyx:
-            if g.then(f).inverse() is not None:
-                inverse = f.inverse()
-                if inverse is not None:
-                    return f, inverse
+        inverse = f.inverse()
+        if inverse is not None:
+            return f, inverse
     return None
 
 
@@ -364,7 +352,7 @@ def _iso_between_indecomposables(x: Representation, y: Representation):
     """Iso pair (f: x->y, g: y->x) of indecomposable modules, or None."""
     if x.dim_vector() != y.dim_vector():
         return None
-    return indecomposable_iso(hom_space(x, y), hom_space(y, x))
+    return indecomposable_iso(hom_space(x, y))
 
 
 def isomorphism_by_summands(m, n, split, indecomposable, zero):

@@ -222,7 +222,12 @@ def presentations_match(q1: Quiver, rels1, q2: Quiver, rels2) -> dict | None:
     the relation ideals agree, or None.
 
     Parallel arrows are not searched (at most one arrow per ordered vertex
-    pair), which covers every algebra this package constructs.
+    pair), which covers every algebra this package constructs.  Only vertex
+    permutations are tried, and each arrow goes to the arrow between the
+    image vertices unscaled.  So two presentations that an arrow rescaling
+    relates are missed: on the square 1 -a-> 2 -b-> 4, 1 -c-> 3 -d-> 4 the
+    relations ab - cd and ab + cd give None, though c -> -c carries one onto
+    the other.
     """
     import itertools
 

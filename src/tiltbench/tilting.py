@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BasicAlgebra, FiniteDimAlgebra
+from .algebra import BasicAlgebra, EndomorphismAlgebra
 from .approx import (
     minimal_left_approximation_labeled,
     minimal_right_approximation_labeled,
@@ -390,7 +390,7 @@ class EndData:
     ``copy_complexes[k]`` = T_k with its chain maps
     ``copy_includes[k]`` : T_k -> t and ``copy_projects[k]`` : t -> T_k."""
 
-    abstract: FiniteDimAlgebra
+    abstract: EndomorphismAlgebra
     presentation: Presentation
     space: HomotopySpace
     summands: list  # (ProjComplex, multiplicity)
@@ -452,12 +452,9 @@ class TiltingContext:
                 raise NotSelfOrthogonal(f"nonzero homotopy hom at shift {n}")
         summands, includes, projects = self.decomposition()
         space = self._self_hom(0)
-        classes = space.class_vectors
         # the algebra product x*y corresponds to composition "y then x"
-        abstract = FiniteDimAlgebra(
-            space.dim,
-            lambda i, j: space.class_coords(space.compose(classes[j], classes[i])),
-            space.reduce(ChainMapC.identity(t)),
+        abstract = EndomorphismAlgebra(
+            space.classes, lambda u, v: space.compose(v, u), space.chain_map_terms(ChainMapC.identity(t))
         )
         # idempotents from the decomposition: one per summand copy
         idems = [space.reduce(prj.then(inc)) for inc, prj in zip(includes, projects)]

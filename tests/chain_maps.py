@@ -3,7 +3,7 @@ decompositions, kept for tests: the dense chain-condition system that
 ``HomotopySpace`` solved before it went sparse; the products of End(T) and
 ``ChainEndData`` formed by composing chain maps (``ChainMapC.then``) and
 reducing the composite, which ``HomotopySpace.compose`` and
-``class_coords`` are tested against; and the per-copy maps of a complex
+``classes.coordinates`` are tested against; and the per-copy maps of a complex
 decomposition cut out of one block map D -> c and its inverse c -> D, D the
 direct sum of the copies, which ``decompose_complex`` is tested against."""
 

@@ -134,3 +134,11 @@ def test_max_path_len_edge_cases():
     for bad in (0, -3):
         with pytest.raises(TiltbenchError, match=f"max_path_len must be at least 1, got {bad}"):
             build_path_algebra(q, [], max_path_len=bad)
+
+
+def test_kupisch_algebra_builds_any_loewy_length():
+    # the default path-length bound of 30 would stop a Loewy length of 31
+    a = corpus.kupisch_algebra([31, 31])
+    assert (a.dim, a.nil_length) == (62, 31)
+    with pytest.raises(NotAdmissible):
+        build_path_algebra(a.quiver, a.relations)

@@ -16,7 +16,7 @@ from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk, stalk_com
 from tiltbench.decompose import EndAlgebra
 from tiltbench.errors import DecompositionError, NotRadical
 from tiltbench.reps import regular_module
-from tiltbench.tilting import construct_tpq
+from tiltbench.tilting import TiltingContext, construct_tpq
 
 from chain_maps import decomposition_by_block_maps
 from test_decompose import _ZeroRandom
@@ -200,10 +200,11 @@ def test_endomorphism_algebras_are_freed_without_the_cyclic_gc():
     gc.disable()
     try:
         refs = []
-        for alg in (EndAlgebra(regular_module(a)), ChainEndData(regular_stalk(a))):
+        end_t = TiltingContext(a, corpus.fig1_tilting_complex(a)).end_data().abstract
+        for alg in (EndAlgebra(regular_module(a)), ChainEndData(regular_stalk(a)), end_t):
             alg.mul(alg.one, alg.one)  # fill part of the product table
             refs.append(weakref.ref(alg))
-        del alg
-        assert [r() for r in refs] == [None, None]
+        del alg, end_t
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()

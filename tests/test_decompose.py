@@ -164,11 +164,11 @@ def test_is_isomorphic_inverts_each_vertex_matrix_once(monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", lambda m: matrices.append(m) or matrix_inverse(m))
     f, g = is_isomorphic(s, s)
     assert f.then(g).is_identity() and g.then(f).is_identity()
-    # the summand pairing inverts the composite s -> s -> s of its basis maps,
-    # then its basis map, and the assembled f is inverted once: three
-    # ModuleMap.inverse calls, one matrix per vertex each
-    assert len(maps) == 3 and maps[2] is f
-    assert len(matrices) == 3 * len(a.quiver.vertices)
+    # the summand pairing inverts its basis map s -> s, and the assembled f
+    # is inverted once: two ModuleMap.inverse calls, one matrix per vertex
+    # each
+    assert len(maps) == 2 and maps[1] is f
+    assert len(matrices) == 2 * len(a.quiver.vertices)
     # a singular map, or one between different dimension vectors, has no inverse
     m = s.direct_sum(s)
     _, includes, projects = decompose(m)

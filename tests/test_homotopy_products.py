@@ -1,5 +1,5 @@
 """End(T) and ChainEndData multiply in homotopy coordinates
-(``HomotopySpace.compose`` and ``class_coords``); these tests hold them to
+(``HomotopySpace.compose`` and ``classes.coordinates``); these tests hold them to
 the chain-map route of ``tests/chain_maps.py`` cell for cell, and the sparse
 chain-condition system to the dense one."""
 
@@ -123,4 +123,4 @@ def test_compose_needs_endomorphisms():
     n = len(end.positions)
     outside = next(p for p in range(n) if ref.reduce([int(q == p) for q in range(n)]) is None)
     with pytest.raises(TiltbenchError, match="not in the hom space"):
-        end.class_coords({outside: 1})
+        end.classes.coordinates({outside: 1})

@@ -703,3 +703,16 @@ def test_pruning_builds_one_span_per_path_length(monkeypatch):
     # rebuilds the path algebra together; length 1 has no row
     assert len(sizes) == pres.algebra.nil_length == 4
     assert sizes[0] == 0
+
+
+def test_presentations_match_does_not_rescale_arrows():
+    # the commutative and the anticommutative square are isomorphic by
+    # c -> -c, but the matcher only permutes vertices
+    q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")])
+    ab, cd = Path("1", ("a", "b")), Path("1", ("c", "d"))
+    commuting = [Relation(q, [(1, ab), (-1, cd)])]
+    anticommuting = [Relation(q, [(1, ab), (1, cd)])]
+    assert presentations_match(q, commuting, q, commuting) is not None
+    assert presentations_match(q, commuting, q, anticommuting) is None
+    rescaled = [Relation(q, [(c if p == ab else -c, p) for c, p in r.terms]) for r in commuting]
+    assert relation_ideals_equal(q, rescaled, anticommuting)
