@@ -7,7 +7,8 @@ associativity and idempotent checks are written for it once.
 ``EndomorphismAlgebra`` is the one whose basis is a ``linalg.Basis`` of a hom
 space and whose product of two basis maps is their composite, read in that
 basis: End(M), the chain-level End(C) and End(T) are all built on it
-(``decompose``, ``complex_decomp``, ``tilting``).
+(``decompose``, ``complex_decomp``, ``tilting``), and so is the semisimple
+quotient A/rad(A) that ``decompose.primitive_idempotents`` reads corners in.
 
 ``BasicAlgebra`` is the one of a quiver with admissible relations, on a
 basis of normal-form paths.  ``length_filtration`` is the one place the
@@ -182,7 +183,9 @@ class FiniteDimAlgebra:
 class EndomorphismAlgebra(FiniteDimAlgebra):
     """The algebra on the rows of a ``linalg.Basis`` of a hom space, with
     e_i * e_j the coordinates of ``compose(rows[i], rows[j])`` and 1 those
-    of ``identity``, both given as vectors in the basis's columns."""
+    of ``identity``, both given as vectors in the basis's columns.  A basis
+    of an algebra modulo an ideal, with compose its product, gives the
+    quotient algebra."""
 
     def __init__(self, basis, compose, identity):
         self.basis = basis

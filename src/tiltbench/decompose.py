@@ -12,16 +12,20 @@ One splitting strategy serves modules, complexes and abstract algebras:
 1, and each cuts out one indecomposable summand.  A module M is split by
 those of End(M), a complex by those of its chain endomorphism ring
 (``complex_decomp``).  Corners e A e are split until each is local:
-  1. rad(eAe) = e rad(A) e, so eAe is local exactly when
-     dim eAe - dim e rad(A) e = 1.  rad(A) is computed once, as the kernel
+  1. rad(eAe) = e rad(A) e, so eAe modulo its radical is the corner of
+     e in the semisimple quotient A/rad(A), and eAe is local exactly when
+     that corner has dimension 1.  rad(A) is computed once, as the kernel
      of a trace form; for End(M) that is tr_M(f g) on M (Dickson's
-     criterion), which multiplies no endomorphisms;
+     criterion), which multiplies no endomorphisms.  A/rad(A) is then one
+     algebra on a basis modulo rad(A), of dimension s, whose table asks for
+     at most s^2 products in A; every corner is read there;
   2. otherwise probes (basis elements, their pairwise sums and differences,
      then seeded random combinations) are pushed into the corner, and coprime
      factors of a probe's minimal polynomial, one of them a power of a linear
-     factor, give a Bezout spectral idempotent.  A probe in K*1 + rad(A) is
-     skipped before any minimal polynomial: its corner minimal polynomial is
-     a power of one linear factor, so it splits nothing.
+     factor, give a Bezout spectral idempotent.  A probe whose corner image
+     in A/rad(A) is a multiple of e's, so that it lies in K*e + rad(A), is
+     skipped before any product in A: its corner minimal polynomial is a
+     power of one linear factor, so it splits nothing.
 A primitive idempotent e of End(M) gives the summand of M spanned by the
 images of e; its projection p, with p then incl = e, is
 ``e.factor_through(incl)``.
@@ -46,7 +50,7 @@ from functools import partial
 
 from .algebra import EndomorphismAlgebra, FiniteDimAlgebra, el_from_vector, el_scale, el_sub
 from .errors import DecompositionError
-from .linalg import Basis, Coordinates, sparse_row_space
+from .linalg import Basis, div
 from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
 from .reps import ModuleMap, Representation, flat, hom_space, hom_vectors, map_from_flat, sub_representation
 
@@ -76,14 +80,15 @@ def _probe_elements(alg: FiniteDimAlgebra, rng: random.Random, rounds: int):
 
 
 def _split_corner_once(
-    alg: FiniteDimAlgebra, unit: dict, trivial: Coordinates, rng: random.Random, rounds: int = 40
+    alg: FiniteDimAlgebra, unit: dict, top: EndomorphismAlgebra, rng: random.Random, rounds: int = 40
 ):
     """A nontrivial idempotent pair (e, unit - e) inside the corner with the
-    given unit, or None if the corner resisted all probes.  Probes in the
-    span ``trivial`` of 1 and rad(A) are skipped: c + n, n in the radical,
-    has corner minimal polynomial (t - c)^k, which has no coprime factors."""
+    given unit, or None if the corner resisted all probes.  ``top`` is
+    A/rad(A) (``_semisimple_top``); probes that ``_splits_nothing`` are
+    skipped before any product in A."""
+    unit_top = top.basis.coordinates(unit)
     for x in _probe_elements(alg, rng, rounds):
-        if trivial.of_sparse(x) is not None:
+        if _splits_nothing(top, unit_top, x):
             continue
         # force the probe into the corner
         x = alg.mul(alg.mul(unit, x), unit)
@@ -100,6 +105,16 @@ def _split_corner_once(
             raise DecompositionError("spectral idempotent failed exactness check")
         return e, el_sub(unit, e)
     return None
+
+
+def _splits_nothing(top: EndomorphismAlgebra, unit_top: dict, x: dict) -> bool:
+    """Whether the probe x has its corner image unit*x*unit in K*unit +
+    rad(A), read in top = A/rad(A), where unit is unit_top: then the image
+    is c*unit + n, n in the radical, whose corner minimal polynomial
+    (t - c)^k has no coprime factors."""
+    image = top.mul(top.mul(unit_top, top.basis.coordinates(x)), unit_top)
+    k = next(iter(unit_top))
+    return image == el_scale(div(image.get(k, 0), unit_top[k]), unit_top)
 
 
 def _coprime_factors(mu):
@@ -137,18 +152,30 @@ def _corner_min_poly(alg: FiniteDimAlgebra, x: dict, unit: dict):
     return min_poly_of_sequence(powers(), alg.dim)
 
 
-def _corner_is_local(alg: FiniteDimAlgebra, unit: dict, rad: list) -> bool:
-    """Whether unit*A*unit is local, given rad(A) as elements: the radical of
-    the corner is unit*rad(A)*unit, so the corner is local exactly when the
-    two differ by one dimension.  The corner of 1 is A itself."""
+def _semisimple_top(alg: FiniteDimAlgebra, rad: list) -> EndomorphismAlgebra:
+    """A/rad(A), given rad(A) as sparse RREF rows: the algebra on the unit
+    vectors at the columns where no row of rad has its pivot, a basis of A
+    modulo rad(A), with the product of A read modulo rad(A)."""
+    pivots = {min(row) for row in rad}
+    units = [{j: 1} for j in range(alg.dim) if j not in pivots]
+    return EndomorphismAlgebra(Basis(units, alg.dim, rad), alg.mul, alg.one)
+
+
+def _corner_is_local(alg: FiniteDimAlgebra, unit: dict, top: EndomorphismAlgebra) -> bool:
+    """Whether unit*A*unit is local, given top = A/rad(A).  The radical of
+    the corner is unit*rad(A)*unit, so the corner modulo its radical is the
+    corner u*top*u at the image u of unit, and the corner is local exactly
+    when that has dimension 1.  s -> u*s*u projects top onto it, so its
+    dimension is the trace of that projection.  The corner of 1 is A itself,
+    local when dim A/rad(A) = 1."""
     if unit == alg.one:
-        dim, rad_dim = alg.dim, len(rad)
+        dim = top.dim
     else:
-        dim = len(sparse_row_space([alg.mul(alg.mul(unit, {i: 1}), unit) for i in range(alg.dim)]))
-        rad_dim = len(sparse_row_space([alg.mul(alg.mul(unit, r), unit) for r in rad]))
+        u = top.basis.coordinates(unit)
+        dim = sum(top.mul(top.mul(u, {i: 1}), u).get(i, 0) for i in range(top.dim))
     if not dim:
         raise DecompositionError("corner collapsed to zero")
-    return dim - rad_dim == 1
+    return dim == 1
 
 
 def primitive_idempotents(alg: FiniteDimAlgebra):
@@ -162,16 +189,15 @@ def primitive_idempotents(alg: FiniteDimAlgebra):
     idempotents.
     """
     rng = random.Random(0)
-    rad = alg.radical_rows()
-    trivial = Coordinates(rad + [alg.one], alg.dim)
+    top = _semisimple_top(alg, alg.radical_rows())
     out = []
     stack = [alg.one]
     while stack:
         unit = stack.pop()
-        if _corner_is_local(alg, unit, rad):
+        if _corner_is_local(alg, unit, top):
             out.append(unit)
             continue
-        pair = _split_corner_once(alg, unit, trivial, rng)
+        pair = _split_corner_once(alg, unit, top, rng)
         if pair is None:
             raise DecompositionError("corner resisted splitting; is the algebra split over Q?")
         e, comp = pair

@@ -206,11 +206,13 @@ def relation_ideals_equal(quiver: Quiver, rels1, rels2) -> bool:
 
     Decided by one ``length_filtration`` of each list: the ideals agree when
     the RREF rows of I_n agree at every length n up to the nil length.  A
-    list that is not admissible equals none.
+    list that is not admissible equals none.  Equal ideals have equal nil
+    lengths, so the second list is filtered only up to the first's: when it
+    is not admissible there, the answer is False without longer paths.
     """
     try:
         first = length_filtration(quiver, rels1)
-        second = length_filtration(quiver, rels2)
+        second = length_filtration(quiver, rels2, first[2])
     except TiltbenchError:
         return False
     # (rewrite, nil_length): the RREF rows of each I_n, as pivot rewrites

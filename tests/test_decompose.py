@@ -338,21 +338,13 @@ def test_is_isomorphic_exact_fallback_on_isomorphic_and_non_isomorphic_pairs(mon
         assert decomposed == [m, n]
 
 
-def _reference_corner_is_local(alg, unit, rad):
-    """Locality from the corner's own algebra, ignoring rad(A): the product
+def _reference_corner_is_local(alg, unit, top):
+    """Locality from the corner's own algebra, ignoring A/rad(A): the product
     table of unit*A*unit on an RREF basis and the kernel of its trace form."""
     basis = sparse_row_space([alg.mul(alg.mul(unit, {i: 1}), unit) for i in range(alg.dim)])
     span = Coordinates([el_to_vector(b, alg.dim) for b in basis], alg.dim)
     corner = FiniteDimAlgebra(len(basis), lambda i, j: span.of_sparse(alg.mul(basis[i], basis[j])), span.of_sparse(unit))
     return corner.dim - len(corner.radical_rows()) == 1
-
-
-class _NoSkip:
-    """A skip span that holds no probe, so that every probe is tried."""
-
-    @staticmethod
-    def of_sparse(x):
-        return None
 
 
 def _algebras_for_idempotent_check():
@@ -371,10 +363,54 @@ def _algebras_for_idempotent_check():
 def test_primitive_idempotents_match_per_corner_reference_trying_every_probe(monkeypatch):
     algebras = list(_algebras_for_idempotent_check())
     new = [primitive_idempotents(alg) for alg in algebras]
-    split = decompose_module._split_corner_once
     monkeypatch.setattr(decompose_module, "_corner_is_local", _reference_corner_is_local)
-    monkeypatch.setattr(
-        decompose_module, "_split_corner_once", lambda alg, unit, trivial, rng: split(alg, unit, _NoSkip, rng)
-    )
+    # no probe is skipped: each one goes through its corner minimal polynomial
+    monkeypatch.setattr(decompose_module, "_splits_nothing", lambda top, unit_top, x: False)
     assert [primitive_idempotents(alg) for alg in algebras] == new
     assert sum(len(idems) > 1 for idems in new) >= 10
+
+
+def test_quotient_locality_matches_the_corner_reference(monkeypatch):
+    visited = []
+    local = decompose_module._corner_is_local
+
+    def recording(alg, unit, top):
+        answer = local(alg, unit, top)
+        visited.append((alg, unit, answer))
+        return answer
+
+    monkeypatch.setattr(decompose_module, "_corner_is_local", recording)
+    for alg in _algebras_for_idempotent_check():
+        primitive_idempotents(alg)
+    assert all(_reference_corner_is_local(alg, unit, None) is answer for alg, unit, answer in visited)
+    assert sum(answer for _, _, answer in visited) > sum(not answer for _, _, answer in visited) >= 10
+
+
+def test_non_basic_end_splits_into_projective_twice_and_simple_once():
+    a = corpus.kupisch_algebra([3, 3, 4, 4])
+    for v in a.quiver.vertices:
+        p, s = projective(a, v), simple(a, v)
+        m = p.direct_sum(p).direct_sum(s)
+        summands, includes, projects = decompose(m)
+        assert len(summands) == 2, v
+        for rep, count in ((p, 2), (s, 1)):
+            assert [mult for piece, mult in summands if is_isomorphic(piece, rep) is not None] == [count], v
+        _assert_copy_certificate(m, summands, includes, projects)
+
+
+def test_module_decomposition_asks_part_of_end_m_product_table(monkeypatch):
+    built = []
+
+    class Recorded(EndAlgebra):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+    monkeypatch.setattr(decompose_module, "EndAlgebra", Recorded)
+    decompose(regular_module(corpus.kupisch_algebra([4, 5, 5, 5])))
+    [end] = built
+    asked = sum(cell is not None for row in end._table for cell in row)
+    # locality and the probe skip read every corner in End(M)/rad, of
+    # dimension 4, whose table takes 16 products; reading each corner in
+    # End(M) itself filled 115 cells
+    assert end.dim == 19 and asked == 16

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -159,9 +160,9 @@ def test_relation_ideal_equality_up_to_generators(monkeypatch):
     extra = rels + [monomial_relation(q, ["alpha", "beta", "gamma", "alpha"])]
     calls = []
 
-    def recording(quiver, relations):
+    def recording(quiver, relations, max_path_len=30):
         calls.append(list(relations))
-        return length_filtration(quiver, relations)
+        return length_filtration(quiver, relations, max_path_len)
 
     monkeypatch.setattr(presentation, "length_filtration", recording)
     sizes = _count_eliminations(monkeypatch)
@@ -669,6 +670,37 @@ def test_prune_matches_per_candidate_route(monkeypatch):
             assert relation_ideals_equal(q, gens, others) is equal
             assert _old_ideals_equal(q, gens, others) is equal
     assert admissible >= 15
+
+
+def test_relation_ideals_equal_filters_the_second_list_to_the_first_nil_length(monkeypatch):
+    # the seeded random case of 3 vertices, 5 arrows and 5 relations that is
+    # not admissible: filtered at the default bound it enumerates raw paths
+    # up to length 29 for seconds before NotAdmissible
+    rng = random.Random(8)
+    for _ in range(23):
+        q = _random_quiver(rng)
+        rels = _random_relations(rng, q, rng.randint(3, 10))
+    assert (len(q.vertices), len(q.arrows), len(rels)) == (3, 5, 5)
+    with pytest.raises(NotAdmissible):
+        length_filtration(q, rels, 9)
+    cubes = [monomial_relation(q, list(p.arrows)) for p in _paths_of_length(q, 3)]
+    nil = length_filtration(q, rels + cubes)[2]
+    bounds = []
+
+    def recording(quiver, relations, max_path_len=30):
+        bounds.append(max_path_len)
+        return length_filtration(quiver, relations, max_path_len)
+
+    monkeypatch.setattr(presentation, "length_filtration", recording)
+    start = time.perf_counter()
+    assert not relation_ideals_equal(q, rels + cubes, rels)
+    assert time.perf_counter() - start < 1
+    # an equal pair is filtered to exactly the first nil length, and the
+    # bound is tight: one length less is not admissible
+    assert relation_ideals_equal(q, rels + cubes, cubes + rels)
+    assert bounds == [30, nil, 30, nil]
+    with pytest.raises(NotAdmissible):
+        length_filtration(q, cubes + rels, nil - 1)
 
 
 def _count_eliminations(monkeypatch):
