@@ -185,17 +185,19 @@ class EndomorphismAlgebra(FiniteDimAlgebra):
     e_i * e_j the coordinates of ``compose(rows[i], rows[j])`` and 1 those
     of ``identity``, both given as vectors in the basis's columns.  A basis
     of an algebra modulo an ideal, with compose its product, gives the
-    quotient algebra."""
+    quotient algebra.  A zero composite has zero coordinates, so it is not
+    read in the basis."""
 
     def __init__(self, basis, compose, identity):
         self.basis = basis
+
         # the product closes over the basis and compose, not over self, so
         # that the algebra is no reference cycle and dies with its last use
-        super().__init__(
-            len(basis.rows),
-            lambda i, j: basis.coordinates(compose(basis.rows[i], basis.rows[j])),
-            basis.coordinates(identity),
-        )
+        def product(i, j):
+            composite = compose(basis.rows[i], basis.rows[j])
+            return basis.coordinates(composite) if composite else {}
+
+        super().__init__(len(basis.rows), product, basis.coordinates(identity))
 
 
 def abstract_from_table(dim: int, table, one) -> FiniteDimAlgebra:

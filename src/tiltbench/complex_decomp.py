@@ -14,6 +14,8 @@ labels per degree.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .algebra import EndomorphismAlgebra
 from .decompose import (
     group_copies,
@@ -32,6 +34,7 @@ from .complexes import (
     emat_zero,
     homotopy_hom,
     minimize,
+    stack_copies,
 )
 from .reps import ProjSum, extract_entry_map, realize_entry_map
 
@@ -258,6 +261,8 @@ def decompose_complex(c: ProjComplex, _self_hom=None):
     ``projects[l]`` is the identity of T_k for k = l and zero otherwise, on
     the nose, and the sum over k of ``projects[k]`` then ``includes[k]`` is
     homotopic to the identity of c; otherwise DecompositionError is raised.
+    Each half is one composite of the stacked maps of ``group_copies``, and
+    the chain condition is checked once on each stacked map.
     ``_self_hom(0)``, when given, returns the homotopy space c -> c for that
     last check (``TiltingContext`` shares its own).
     """
@@ -267,15 +272,13 @@ def decompose_complex(c: ProjComplex, _self_hom=None):
         for comp in _support_components(m)
         for piece, incl, proj in _split_component(*_component_complex(m, comp))
     )
-    summands, includes, projects = group_copies(pieces, _iso_between_indecomposable_complexes)
-    for incl, proj in zip(includes, projects):
-        if not incl.is_chain_map() or not proj.is_chain_map():
-            raise DecompositionError("certificate maps are not chain maps")
-    back = ChainMapC.zero(c, c)
-    for incl, proj in zip(includes, projects):
-        back = back + proj.then(incl)
+    summands, includes, projects, stacked_in, stacked_out = group_copies(
+        pieces, _iso_between_indecomposable_complexes, partial(stack_copies, c)
+    )
+    if not stacked_in.is_chain_map() or not stacked_out.is_chain_map():
+        raise DecompositionError("certificate maps are not chain maps")
     space = _self_hom(0) if _self_hom is not None else HomotopySpace(c, c.shift(0))
-    if not space.is_null(ChainMapC.identity(c) - back):
+    if not space.is_null(ChainMapC.identity(c) - stacked_out.then(stacked_in)):
         raise DecompositionError("summand certificate failed up to homotopy")
     return summands, includes, projects
 

@@ -166,22 +166,20 @@ class ProjComplex:
         diffs = {d - n: emat_scale(sign, mat) for d, mat in self.diffs.items()}
         return ProjComplex(self.algebra, terms, diffs)
 
-    def direct_sum(self, other: "ProjComplex") -> "ProjComplex":
-        terms = {}
-        for d in set(self.terms) | set(other.terms):
-            terms[d] = self.term(d) + other.term(d)
+    def direct_sum(self, *others: "ProjComplex") -> "ProjComplex":
+        """The direct sum of this complex and the others, in that order:
+        labels concatenated and differentials block diagonal, degree by
+        degree."""
+        parts = (self, *others)
+        terms = {d: [lab for p in parts for lab in p.term(d)] for d in set().union(*(p.terms for p in parts))}
         diffs = {}
-        for d in set(self.diffs) | set(other.diffs):
-            s1, s2 = self.term(d), other.term(d)
-            t1, t2 = self.term(d + 1), other.term(d + 1)
-            mat = emat_zero(len(s1) + len(s2), len(t1) + len(t2))
-            d1, d2 = self.diff(d), other.diff(d)
-            for i in range(len(s1)):
-                for j in range(len(t1)):
-                    mat[i][j] = d1[i][j]
-            for i in range(len(s2)):
-                for j in range(len(t2)):
-                    mat[len(s1) + i][len(t1) + j] = d2[i][j]
+        for d in set().union(*(p.diffs for p in parts)):
+            mat, before, after = [], 0, len(terms[d + 1])
+            for p in parts:
+                width = len(p.term(d + 1))
+                after -= width
+                mat.extend([{} for _ in range(before)] + row + [{} for _ in range(after)] for row in p.diff(d))
+                before += width
             diffs[d] = mat
         return ProjComplex(self.algebra, terms, diffs)
 
@@ -276,6 +274,10 @@ class ChainMapC:
                 return False
         return True
 
+    def support(self) -> list:
+        """(degree, row, column) of each nonzero entry."""
+        return [(d, i, j) for d, m in self.mats.items() for i, row in enumerate(m) for j, x in enumerate(row) if x]
+
     def is_identity(self) -> bool:
         if self.source.terms.keys() != self.target.terms.keys():
             return False
@@ -314,6 +316,25 @@ class ChainMapC:
             if d in self.target.terms:
                 out[d] = realize_entry_map(src_sums[d], tgt_sums[d], self.component(d))
         return out
+
+
+def stack_copies(x: ProjComplex, includes, projects):
+    """(I, P, owner) for chain maps includes[k] : T_k -> x and projects[k] :
+    x -> T_k.  I : sum of the T_k -> x has the rows of the includes and
+    P : x -> sum of the T_k the columns of the projects, degree by degree,
+    so block (k, l) of "I then P" is "includes[k] then projects[l]" and
+    "P then I" is the sum of the "projects[k] then includes[k]".  The sum's
+    differential is block diagonal, so I (or P) is a chain map exactly when
+    every include (or project) is.  ``owner[d][r]`` is the copy k that
+    summand r of the sum in degree d belongs to."""
+    total = ProjComplex(x.algebra, {}, {}).direct_sum(*(f.source for f in includes))
+    owner = {d: [k for k, f in enumerate(includes) for _ in f.source.term(d)] for d in total.terms}
+    rows = {d: [row for f in includes for row in f.component(d)] for d in total.terms}
+    cols = {}
+    for d, labels in x.terms.items():
+        blocks = [f.component(d) for f in projects]
+        cols[d] = [[y for block in blocks for y in block[r]] for r in range(len(labels))]
+    return ChainMapC(total, x, rows), ChainMapC(x, total, cols), owner
 
 
 # -- homotopy hom spaces ------------------------------------------------------

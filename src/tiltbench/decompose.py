@@ -34,7 +34,9 @@ One isomorphism engine serves modules and complexes alike, with no random
 search.  ``indecomposable_iso`` decides indecomposables x, y by an invertible
 basis map x -> y, which exists exactly when x ≅ y since End(x) is local, so
 no End(x) is built; ``group_copies`` groups the split pieces of a module or
-a complex by it into that list of copies; ``isomorphism_by_summands``
+a complex by it into that list of copies, and checks every include/project
+pair at once as the blocks of one composite of stacked maps;
+``isomorphism_by_summands``
 decomposes both sides, matches the summands with it and inverts the
 assembled map once.  ``is_isomorphic`` and
 ``complex_decomp.complexes_isomorphic`` are that test behind a cheap
@@ -52,7 +54,16 @@ from .algebra import EndomorphismAlgebra, FiniteDimAlgebra, el_from_vector, el_s
 from .errors import DecompositionError
 from .linalg import Basis, div
 from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
-from .reps import ModuleMap, Representation, flat, hom_space, hom_vectors, map_from_flat, sub_representation
+from .reps import (
+    ModuleMap,
+    Representation,
+    flat,
+    hom_space,
+    hom_vectors,
+    map_from_flat,
+    stack_copies,
+    sub_representation,
+)
 
 
 def lift_idempotent(alg: FiniteDimAlgebra, x: dict, max_iter: int = 64) -> dict:
@@ -293,13 +304,13 @@ def decompose(m: Representation):
     certificate is checked before it is returned: ``includes[k]`` then
     ``projects[l]`` is the identity of M_k for k = l and zero otherwise, and
     the sum over k of ``projects[k]`` then ``includes[k]`` is the identity of
-    m; otherwise DecompositionError is raised.
+    m; otherwise DecompositionError is raised.  Each half is one composite
+    of the stacked maps of ``group_copies``.
     """
-    summands, includes, projects = group_copies(_split_module(m), _iso_between_indecomposables)
-    back = ModuleMap.zero(m, m)
-    for incl, proj in zip(includes, projects):
-        back = back + proj.then(incl)
-    if not back.is_identity():
+    summands, includes, projects, stacked_in, stacked_out = group_copies(
+        _split_module(m), _iso_between_indecomposables, partial(stack_copies, m)
+    )
+    if not stacked_out.then(stacked_in).is_identity():
         raise DecompositionError("summand certificate failed: the copies do not sum to the identity")
     return summands, includes, projects
 
@@ -322,19 +333,27 @@ def _split_module(m: Representation):
     return out
 
 
-def group_copies(pieces, isomorphic):
-    """(summands, includes, projects) of a split into indecomposable pieces,
-    for modules and complexes alike: both kinds of map compose with
-    ``then`` and answer ``is_identity`` and ``is_zero``.
+def group_copies(pieces, isomorphic, stack):
+    """(summands, includes, projects, I, P) of a split into indecomposable
+    pieces, for modules and complexes alike: both kinds of map compose with
+    ``then``, answer ``is_identity``, subtract, and list their nonzero
+    entries by ``support``.
 
     ``pieces`` lists (piece, include: piece -> X, project: X -> piece), and
     ``isomorphic(x, y)`` returns mutually inverse maps (x -> y, y -> x) or
     None.  Each piece joins the first earlier summand it is isomorphic to,
     and its maps are carried over to that summand along the isomorphism.
     The copies come in summand order, each summand's copies in split order.
-    Checks that ``includes[k]`` then ``projects[l]`` is the identity for
-    k = l and zero otherwise; whether the copies sum to the identity of X is
-    left to the caller.
+
+    ``stack(includes, projects)`` (``reps.stack_copies`` or
+    ``complexes.stack_copies``) gives I : sum of the X_k -> X with the
+    includes as its block rows, P : X -> sum of the X_k with the projects as
+    its block columns, and the copy that owns each position of the sum.
+    Block (k, l) of "I then P" is ``includes[k]`` then ``projects[l]``, so
+    one composite checks on the nose that this is the identity for k = l
+    and zero otherwise; on failure the first failing block (k, l) is named.
+    "P then I" is the sum over k of ``projects[k]`` then ``includes[k]``;
+    whether it is the identity of X is left to the caller.
     """
     groups = []  # (summand, [(include, project) per copy])
     for piece, incl, proj in pieces:
@@ -348,12 +367,13 @@ def group_copies(pieces, isomorphic):
             groups.append((piece, [(incl, proj)]))
     includes = [incl for _, copies in groups for incl, _ in copies]
     projects = [proj for _, copies in groups for _, proj in copies]
-    for k, incl in enumerate(includes):
-        for l, proj in enumerate(projects):
-            through = incl.then(proj)
-            if not (through.is_identity() if k == l else through.is_zero()):
-                raise DecompositionError(f"summand certificate failed: include {k} then project {l}")
-    return [(rep, len(copies)) for rep, copies in groups], includes, projects
+    stacked_in, stacked_out, owner = stack(includes, projects)
+    through = stacked_in.then(stacked_out)
+    if not through.is_identity():
+        wrong = through - type(through).identity(through.source)
+        k, l = min((owner[key][r], owner[key][c]) for key, r, c in wrong.support())
+        raise DecompositionError(f"summand certificate failed: include {k} then project {l}")
+    return [(rep, len(copies)) for rep, copies in groups], includes, projects, stacked_in, stacked_out
 
 
 def indecomposable_iso(hxy: list):

@@ -6,12 +6,13 @@ e_i A is spanned by the products e_i e_k and e_i A e_j by its basis times
 e_j, each block kept as the sparse RREF rows of ``linalg.sparse_row_space``;
 the radical R has R_ij = e_i A e_j for i != j and R_ii = ker chi_i, where
 chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i); and
-(R^(k+1))_ij = sum over l of (R^k)_il R_lj.  No full trace form and no
-product over all pairs of radical rows is formed.  The layers certify that
-the algebra is basic: the diagonal blocks of R * R must lie in R (else
-``NotBasic``) and the powers of R must drop strictly to 0 (else
-``RadicalNotNilpotent``), so R is a nilpotent ideal with A / R = K^n, hence
-the radical.
+(R^(k+1))_ij = sum over l of (R^k)_il R_lj, taken only over the l where
+both blocks are nonzero, with one elimination per block that some product
+reaches.  No full trace form and no product over all pairs of radical rows
+is formed.  The layers certify that the algebra is basic: the diagonal
+blocks of R * R must lie in R (else ``NotBasic``) and the powers of R must
+drop strictly to 0 (else ``RadicalNotNilpotent``), so R is a nilpotent
+ideal with A / R = K^n, hence the radical.
 
 Arrows i -> j lift a basis of R_ij modulo (R^2)_ij, read from the RREF bases
 of the two blocks, and candidate relations are kernel elements of the induced
@@ -62,12 +63,22 @@ class PeirceLayer:
 
 def _block_product(alg: FiniteDimAlgebra, left, right):
     """Peirce blocks of X * Y, as RREF elements, from those of X and Y:
-    (XY)_ij = sum_l X_il Y_lj."""
-    n = len(left)
-    return [
-        [sparse_row_space([alg.mul(x, y) for l in range(n) for x in left[i][l] for y in right[l][j]]) for j in range(n)]
-        for i in range(n)
-    ]
+    (XY)_ij = sum_l X_il Y_lj over the l with both blocks nonzero.  Each
+    nonzero block takes one elimination, of its products in the order of l;
+    a block no product reaches stays empty without one."""
+    nonzero_right = [[(j, block) for j, block in enumerate(line) if block] for line in right]
+    out = []
+    for line in left:
+        products = {}  # j -> products of (XY)_ij
+        for l, block in enumerate(line):
+            if block:
+                for j, other in nonzero_right[l]:
+                    products.setdefault(j, []).extend(alg.mul(x, y) for x in block for y in other)
+        row = [[] for _ in line]
+        for j, rows in products.items():
+            row[j] = sparse_row_space(rows)
+        out.append(row)
+    return out
 
 
 def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
@@ -201,22 +212,38 @@ def algebra_from_structure_constants(dim: int, table, one) -> BasicAlgebra:
     return pres.algebra
 
 
+_IDEAL_BOUNDS = (4, 8, 16, 30)  # the common bounds relation_ideals_equal tries
+
+
 def relation_ideals_equal(quiver: Quiver, rels1, rels2) -> bool:
     """Whether two relation lists over the same quiver generate the same ideal.
 
     Decided by one ``length_filtration`` of each list: the ideals agree when
     the RREF rows of I_n agree at every length n up to the nil length.  A
     list that is not admissible equals none.  Equal ideals have equal nil
-    lengths, so the second list is filtered only up to the first's: when it
-    is not admissible there, the answer is False without longer paths.
+    lengths, so both lists are filtered under one bound, doubled from 4 up
+    to the default 30 while neither is admissible under it: when only one
+    is, the answer is False without longer paths, and once the first is, the
+    second is filtered only up to the first's nil length.
     """
+    for bound in _IDEAL_BOUNDS:
+        first = _filtration_or_none(quiver, rels1, bound)
+        if first is not None:
+            second = _filtration_or_none(quiver, rels2, first[2])
+            # (rewrite, nil_length): the RREF rows of each I_n, as pivot rewrites
+            return second is not None and first[1:3] == second[1:3]
+        if _filtration_or_none(quiver, rels2, bound) is not None:
+            return False
+    return False
+
+
+def _filtration_or_none(quiver: Quiver, relations, bound: int):
+    """``length_filtration`` of the relations up to the bound, or None when
+    they raise a package error there (not admissible under the bound)."""
     try:
-        first = length_filtration(quiver, rels1)
-        second = length_filtration(quiver, rels2, first[2])
+        return length_filtration(quiver, relations, bound)
     except TiltbenchError:
-        return False
-    # (rewrite, nil_length): the RREF rows of each I_n, as pivot rewrites
-    return first[1:3] == second[1:3]
+        return None
 
 
 def presentations_match(q1: Quiver, rels1, q2: Quiver, rels2) -> dict | None:

@@ -58,15 +58,20 @@ class Representation:
             m = m * self.mats[name]
         return m
 
-    def direct_sum(self, other: "Representation") -> "Representation":
-        dims = {v: self.dims[v] + other.dims[v] for v in self.dims}
+    def direct_sum(self, *others: "Representation") -> "Representation":
+        """The direct sum of this module and the others, in that order:
+        block diagonal at every arrow."""
+        parts = (self, *others)
+        dims = {v: sum(p.dims[v] for p in parts) for v in self.dims}
         mats = {}
         for a in self.algebra.quiver.arrows:
-            m1, m2 = self.mats[a.name], other.mats[a.name]
-            block = [
-                list(m1.data[i]) + [0] * m2.cols for i in range(m1.rows)
-            ] + [[0] * m1.cols + list(m2.data[i]) for i in range(m2.rows)]
-            mats[a.name] = Matrix(dims[a.source], dims[a.target], block)
+            rows, before, after = [], 0, dims[a.target]
+            for p in parts:
+                m = p.mats[a.name]
+                after -= m.cols
+                rows.extend((0,) * before + row + (0,) * after for row in m.data)
+                before += m.cols
+            mats[a.name] = Matrix._trusted(dims[a.source], dims[a.target], tuple(rows))
         return Representation(self.algebra, dims, mats, check=False)
 
     def __repr__(self):
@@ -134,6 +139,10 @@ class ModuleMap:
     def is_identity(self) -> bool:
         return self.source.dims == self.target.dims and all(m.is_identity() for m in self.mats.values())
 
+    def support(self) -> list:
+        """(vertex, row, column) of each nonzero entry."""
+        return [(v, r, c) for v, m in self.mats.items() for r, row in enumerate(m.data) for c, x in enumerate(row) if x]
+
     def inverse(self):
         """The inverse map, each vertex matrix inverted once, or None when
         the dimensions differ or some vertex matrix is singular."""
@@ -158,6 +167,24 @@ class ModuleMap:
                 raise DecompositionError("image rows escaped the row space of the inclusion")
             mats[v] = Matrix(x.rows, span.count, rows)
         return ModuleMap(self.source, incl.source, mats, check=False)
+
+
+def stack_copies(x: Representation, includes, projects):
+    """(I, P, owner) for module maps includes[k] : M_k -> x and projects[k] :
+    x -> M_k.  I : sum of the M_k -> x has the rows of the includes and
+    P : x -> sum of the M_k the columns of the projects, vertex by vertex,
+    so block (k, l) of "I then P" is "includes[k] then projects[l]" and
+    "P then I" is the sum of the "projects[k] then includes[k]".
+    ``owner[v][r]`` is the copy k that row r of the sum at v belongs to."""
+    total = zero_rep(x.algebra).direct_sum(*(f.source for f in includes))
+    owner = {v: [k for k, f in enumerate(includes) for _ in range(f.source.dims[v])] for v in x.dims}
+    rows, cols = {}, {}
+    for v, d in x.dims.items():
+        rows[v] = Matrix._trusted(total.dims[v], d, tuple(r for f in includes for r in f.mats[v].data))
+        cols[v] = Matrix._trusted(
+            d, total.dims[v], tuple(tuple(y for f in projects for y in f.mats[v].data[r]) for r in range(d))
+        )
+    return ModuleMap(total, x, rows, check=False), ModuleMap(x, total, cols, check=False), owner
 
 
 # -- hom spaces ------------------------------------------------------------

@@ -12,14 +12,14 @@ from tiltbench.complex_decomp import (
     split_idempotent,
     strictify_idempotent,
 )
-from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk, stalk_complex
+from tiltbench.complexes import ChainMapC, ProjComplex, homotopy_hom, regular_stalk, stalk_complex
 from tiltbench.decompose import EndAlgebra
 from tiltbench.errors import DecompositionError, NotRadical
 from tiltbench.reps import regular_module
 from tiltbench.tilting import TiltingContext, construct_tpq
 
 from chain_maps import decomposition_by_block_maps
-from test_decompose import _ZeroRandom
+from test_decompose import _ZeroRandom, _count_thens
 from test_homotopy_products import _complexes
 from test_tilting import linear_a3_apr_complex
 
@@ -95,6 +95,44 @@ def test_a_wrong_projection_fails_the_certificate(monkeypatch):
     _tamper(monkeypatch, lambda pieces: [(p, inc, prj.scale(2)) for p, inc, prj in pieces])
     with pytest.raises(DecompositionError, match="include 0 then project 0"):
         decompose_complex(t)
+
+
+def test_contractible_complex_decomposes_empty():
+    # no copies: the stacked maps go through the zero complex, and the
+    # identity of the cone of P(1) -> P(1) is null-homotopic
+    a = corpus.fig1_algebra()
+    cone = ProjComplex(a, {0: ["1"], 1: ["1"]}, {0: [[{a.idempotent_index["1"]: 1}]]})
+    assert decompose_complex(cone) == ([], [], [])
+
+
+def test_an_off_diagonal_block_fails_the_certificate(monkeypatch):
+    # piece 0's inclusion picks up a chain map through piece 1: include 0
+    # then project 0 is still the identity, include 0 then project 1 is not
+    # zero
+    group = complex_decomp.group_copies
+
+    def coupled(pieces, *rest):
+        pieces = list(pieces)
+        (p0, i0, q0), (p1, i1, _) = pieces[:2]
+        space = homotopy_hom(p0, p1)
+        [g] = [space.vector_to_chain_map(v) for v in space.chain_vectors]
+        pieces[0] = (p0, i0 + g.then(i1), q0)
+        return group(pieces, *rest)
+
+    monkeypatch.setattr(complex_decomp, "group_copies", coupled)
+    with pytest.raises(DecompositionError, match="include 0 then project 1"):
+        decompose_complex(regular_stalk(corpus.fig1_algebra()))
+
+
+def test_complex_certificate_compositions_grow_linearly(monkeypatch):
+    c = regular_stalk(corpus.kupisch_algebra([4] * 8))
+    calls = _count_thens(monkeypatch, ChainMapC)
+    _, includes, _ = decompose_complex(c)
+    copies = len(includes)
+    # two per piece carry its maps through the minimization, and two check
+    # the certificate: "I then P" for all include/project blocks and "P then
+    # I" for the sum of the copies, where copies^2 + copies compositions did
+    assert (copies, len(calls)) == (8, 2 * copies + 2)
 
 
 def test_a_missing_copy_fails_the_certificate(monkeypatch):

@@ -1,10 +1,11 @@
 import random
 import sys
 import types
+from functools import partial
 
 import pytest
 
-from tiltbench import corpus
+from tiltbench import complex_decomp, corpus
 from tiltbench.algebra import FiniteDimAlgebra, el_to_vector
 from tiltbench.complex_decomp import ChainEndData, decompose_complex
 from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk
@@ -14,6 +15,7 @@ from tiltbench.linalg import Coordinates, Matrix, row_space_basis, sparse_row_sp
 from tiltbench.reps import (
     ModuleMap,
     Representation,
+    hom_space,
     injective,
     projective,
     radical_submodule,
@@ -22,6 +24,8 @@ from tiltbench.reps import (
     zero_rep,
 )
 from tiltbench.tilting import TiltingContext, construct_tpq
+
+from test_presentation import _assert_filled_cells_match
 
 # the package re-exports the function ``decompose`` under the module's name
 decompose_module = sys.modules["tiltbench.decompose"]
@@ -284,6 +288,46 @@ def test_decompose_recovers_the_summands_a_module_was_built_from():
     assert repeated == 15
 
 
+def _count_thens(monkeypatch, cls):
+    """A list that gets one entry per ``cls.then`` call from now on."""
+    calls = []
+    then = cls.then
+
+    def counted(self, other):
+        calls.append(self)
+        return then(self, other)
+
+    monkeypatch.setattr(cls, "then", counted)
+    return calls
+
+
+def test_an_off_diagonal_block_fails_the_module_certificate(monkeypatch):
+    # piece 0's inclusion picks up a map through piece 1: include 0 then
+    # project 0 is still the identity, include 0 then project 1 is not zero
+    split = decompose_module._split_module
+
+    def coupled(m):
+        pieces = split(m)
+        (p0, i0, q0), (p1, i1, _) = pieces[:2]
+        [g] = hom_space(p0, p1)
+        pieces[0] = (p0, i0 + g.then(i1), q0)
+        return pieces
+
+    monkeypatch.setattr(decompose_module, "_split_module", coupled)
+    with pytest.raises(DecompositionError, match="include 0 then project 1"):
+        decompose(regular_module(corpus.fig1_algebra()))
+
+
+def test_module_certificate_is_two_compositions(monkeypatch):
+    m = regular_module(corpus.kupisch_algebra([4, 5, 5, 5]))
+    calls = _count_thens(monkeypatch, ModuleMap)
+    _, includes, _ = decompose(m)
+    c = len(includes)
+    # "I then P" checks all c^2 include/project blocks and "P then I" sums
+    # the c copies, where c^2 + c compositions did
+    assert (c, len(calls)) == (4, 2)
+
+
 def test_decompose_refuses_a_split_whose_projection_is_scaled(monkeypatch):
     a = corpus.sec5_algebra()
     m = projective(a, "3").direct_sum(simple(a, "2")).direct_sum(projective(a, "3"))
@@ -414,3 +458,28 @@ def test_module_decomposition_asks_part_of_end_m_product_table(monkeypatch):
     # dimension 4, whose table takes 16 products; reading each corner in
     # End(M) itself filled 115 cells
     assert end.dim == 19 and asked == 16
+
+
+def test_filled_end_cells_are_coordinates_of_composites(monkeypatch):
+    built = []
+    for module, cls in ((decompose_module, EndAlgebra), (complex_decomp, ChainEndData)):
+
+        class Recorded(cls):
+            def __init__(self, x):
+                super().__init__(x)
+                built.append(self)
+
+        monkeypatch.setattr(module, cls.__name__, Recorded)
+    fig1_t = corpus.fig1_tilting_complex()
+    for a in (corpus.sec5_algebra(), corpus.kupisch_algebra([4, 5, 5, 5])):
+        decompose(regular_module(a))
+        decompose(projective(a, "3").direct_sum(projective(a, "3")))
+    decompose_complex(fig1_t.direct_sum(fig1_t))
+    for end in built:
+        if isinstance(end, EndAlgebra):
+            compose = partial(decompose_module._compose_flats, end._cells)
+        else:
+            compose = end.space.compose
+        filled, _ = _assert_filled_cells_match(end, compose)
+        assert filled
+    assert {type(end).__mro__[1] for end in built} == {EndAlgebra, ChainEndData}

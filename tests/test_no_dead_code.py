@@ -40,9 +40,11 @@ AMBIGUOUS = {
     "inverse": "indecomposable_iso and isomorphism_by_summands invert module and chain maps alike; "
     "ModuleMap.inverse inverts its vertex matrices",
     "is_identity": "the copy certificates test module maps and chain maps alike; ModuleMap tests its matrices",
-    "is_zero": "the copy certificates test module maps and chain maps alike; ModuleMap tests its matrices",
+    "is_zero": "the demos test module map certificates and complex_decomp tests chain idempotents in locals; "
+    "ModuleMap tests its matrices",
     "realize": "complex_decomp realizes a strict idempotent chain map held in a local",
     "scale": "ModuleMap and ChainMapC subtract through other.scale(-1); ModuleMap scales its vertex matrices",
+    "support": "group_copies names the failing block of a module or chain map certificate from its nonzero entries",
     "then": "group_copies and isomorphism_by_summands compose module and chain maps alike",
     "to_dict": "the CLI serializes the report each command returns",
 }

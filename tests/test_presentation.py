@@ -9,6 +9,7 @@ from tiltbench import algebra, corpus, presentation
 from tiltbench.algebra import (
     RAW_PATH_CAP,
     BasicAlgebra,
+    EndomorphismAlgebra,
     FiniteDimAlgebra,
     abstract_from_table,
     build_path_algebra,
@@ -16,7 +17,7 @@ from tiltbench.algebra import (
     el_to_vector,
     length_filtration,
 )
-from tiltbench.complexes import regular_stalk
+from tiltbench.complexes import ChainMapC, regular_stalk
 from tiltbench.errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, TiltbenchError
 from tiltbench.linalg import Coordinates, Matrix, row_space_basis, sparse_row_space
 from tiltbench.presentation import (
@@ -303,9 +304,23 @@ def _end_cases():
     yield "tpq", a, construct_tpq(a, ["2"], [], 1, 1).complex
 
 
+def _all_pairs_block_product(alg, left, right):
+    """The Peirce block product of the radical layers before it skipped
+    empty blocks, kept as the reference: one elimination per (i, j) over
+    every l, empty blocks included."""
+    n = len(left)
+    return [
+        [sparse_row_space([alg.mul(x, y) for l in range(n) for x in left[i][l] for y in right[l][j]]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def _assert_peirce_layers_match(alg, idems, chain):
     reference = _layers_by_all_pairs(alg)
     assert len(chain) == len(reference)
+    # every layer's blocks are those of the all-pairs product, row for row
+    for layer, nxt in zip(chain, chain[1:]):
+        assert nxt.elements == _all_pairs_block_product(alg, layer.elements, chain[0].elements)
     for layer, ref in zip(chain, reference):
         assert layer.rows == ref.rows
         rows = [el_to_vector(x, alg.dim) for line in layer.elements for block in line for x in block]
@@ -324,6 +339,77 @@ def test_peirce_layers_of_end_algebras(case):
     idems = list(end.presentation.vertex_idempotents.values())
     _assert_peirce_layers_match(end.abstract, idems, radical_chain(end.abstract, idems))
     assert _summary(end.presentation) == END_PRESENTATIONS[case]
+
+
+def _layer_cases():
+    """(name, algebra, complex) of the End(T)s whose layers and product cells
+    are compared with their references: the corpus complexes (fig1's T and
+    sec5's construct_tpq with P = {1}, Q = {3, 4}), the regular stalks of
+    N(6,3) and N(8,4), and those of seeded Kupisch series."""
+    fig1, sec5 = corpus.fig1_algebra(), corpus.sec5_algebra()
+    yield "fig1 T", fig1, corpus.fig1_tilting_complex(fig1)
+    yield "sec5 tpq", sec5, construct_tpq(sec5, ["1"], ["3", "4"], 1, 1).complex
+    for series in [[3] * 6, [4] * 8, *seeded_kupisch_series(random.Random(28), 6)]:
+        a = corpus.kupisch_algebra(series)
+        yield str(tuple(series)), a, regular_stalk(a)
+
+
+def _assert_filled_cells_match(alg, compose):
+    """Every product cell the algebra filled is the coordinates of the
+    composite of its two basis rows; returns (filled, zero) cell counts."""
+    rows = alg.basis.rows
+    filled = zero = 0
+    for i, line in enumerate(alg._table):
+        for j, cell in enumerate(line):
+            if cell is not None:
+                assert cell == alg.basis.coordinates(compose(rows[i], rows[j]))
+                filled += 1
+                zero += not cell
+    return filled, zero
+
+
+LAYER_CASES = [name for name, _, _ in _layer_cases()]
+
+
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_radical_layers_and_end_products_match_their_references(case):
+    name, a, t = next(c for c in _layer_cases() if c[0] == case)
+    end = TiltingContext(a, t).end_data()
+    idems = list(end.presentation.vertex_idempotents.values())
+    _assert_peirce_layers_match(end.abstract, idems, radical_chain(end.abstract, idems))
+    filled, _ = _assert_filled_cells_match(end.abstract, lambda u, v: end.space.compose(v, u))
+    assert filled
+
+
+def test_end_of_n84_fills_mostly_zero_cells():
+    a = corpus.kupisch_algebra([4] * 8)
+    end = TiltingContext(a, regular_stalk(a)).end_data()
+    classes = end.space.classes
+
+    def compose(u, v):
+        return end.space.compose(v, u)
+
+    assert _assert_filled_cells_match(end.abstract, compose) == (520, 440)
+
+    class Recording:
+        """The class basis, recording each vector it is asked to read."""
+
+        def __init__(self):
+            self.rows = classes.rows
+            self.read = []
+
+        def coordinates(self, v):
+            self.read.append(v)
+            return classes.coordinates(v)
+
+    basis = Recording()
+    again = EndomorphismAlgebra(basis, compose, end.space.chain_map_terms(ChainMapC.identity(end.space.x)))
+    for i in range(again.dim):
+        for j in range(again.dim):
+            assert again.basis_product(i, j) == end.abstract.basis_product(i, j)
+    # the identity and the nonzero composites only: no zero vector is read
+    assert all(basis.read)
+    assert len(basis.read) == 1 + sum(bool(cell) for line in again._table for cell in line)
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "sec5", "(5, 5)", "(5, 5) reversed"])
@@ -672,10 +758,11 @@ def test_prune_matches_per_candidate_route(monkeypatch):
     assert admissible >= 15
 
 
-def test_relation_ideals_equal_filters_the_second_list_to_the_first_nil_length(monkeypatch):
-    # the seeded random case of 3 vertices, 5 arrows and 5 relations that is
-    # not admissible: filtered at the default bound it enumerates raw paths
-    # up to length 29 for seconds before NotAdmissible
+def _inadmissible_random_case():
+    """(quiver, relations, cubes): the seeded random case of 3 vertices, 5
+    arrows and 5 relations that is not admissible, filtered at the default
+    bound it enumerates raw paths up to length 29 for seconds before
+    NotAdmissible, and every path of length 3 as a monomial relation."""
     rng = random.Random(8)
     for _ in range(23):
         q = _random_quiver(rng)
@@ -683,7 +770,11 @@ def test_relation_ideals_equal_filters_the_second_list_to_the_first_nil_length(m
     assert (len(q.vertices), len(q.arrows), len(rels)) == (3, 5, 5)
     with pytest.raises(NotAdmissible):
         length_filtration(q, rels, 9)
-    cubes = [monomial_relation(q, list(p.arrows)) for p in _paths_of_length(q, 3)]
+    return q, rels, [monomial_relation(q, list(p.arrows)) for p in _paths_of_length(q, 3)]
+
+
+def test_relation_ideals_equal_filters_the_second_list_to_the_first_nil_length(monkeypatch):
+    q, rels, cubes = _inadmissible_random_case()
     nil = length_filtration(q, rels + cubes)[2]
     bounds = []
 
@@ -698,9 +789,39 @@ def test_relation_ideals_equal_filters_the_second_list_to_the_first_nil_length(m
     # an equal pair is filtered to exactly the first nil length, and the
     # bound is tight: one length less is not admissible
     assert relation_ideals_equal(q, rels + cubes, cubes + rels)
-    assert bounds == [30, nil, 30, nil]
+    # the first list is filtered under the first common bound, 4
+    assert bounds == [4, nil, 4, nil]
     with pytest.raises(NotAdmissible):
         length_filtration(q, cubes + rels, nil - 1)
+
+
+def test_relation_ideals_equal_filters_both_lists_under_one_bound(monkeypatch):
+    q, rels, cubes = _inadmissible_random_case()
+    nil = length_filtration(q, rels + cubes)[2]
+    bounds = []
+
+    def recording(quiver, relations, max_path_len=30):
+        bounds.append((len(relations), max_path_len))
+        return length_filtration(quiver, relations, max_path_len)
+
+    monkeypatch.setattr(presentation, "length_filtration", recording)
+    # the admissible list first or second: False in under a second either
+    # way, and neither list is filtered beyond the bound 4
+    for first, second, expected in (
+        (rels + cubes, rels, [(len(rels + cubes), 4), (len(rels), nil)]),
+        (rels, rels + cubes, [(len(rels), 4), (len(rels + cubes), 4)]),
+    ):
+        bounds.clear()
+        start = time.perf_counter()
+        assert not relation_ideals_equal(q, first, second)
+        assert time.perf_counter() - start < 1
+        assert bounds == expected
+    # neither list admissible (a cycle without relations): the common bound
+    # doubles up to the default
+    cycle = corpus.fig1_quiver()
+    bounds.clear()
+    assert not relation_ideals_equal(cycle, [], [])
+    assert bounds == [(0, b) for b in (4, 8, 16, 30) for _ in range(2)]
 
 
 def _count_eliminations(monkeypatch):
