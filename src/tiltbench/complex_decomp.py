@@ -267,11 +267,9 @@ def decompose_complex(c: ProjComplex, _self_hom=None):
     last check (``TiltingContext`` shares its own).
     """
     m, eq = minimize(c)
-    pieces = (
-        (piece, incl.then(eq.i), eq.p.then(proj))
-        for comp in _support_components(m)
-        for piece, incl, proj in _split_component(*_component_complex(m, comp))
-    )
+    pieces = (piece for comp in _support_components(m) for piece in _split_component(*_component_complex(m, comp)))
+    if m is not c:  # else minimize cancelled nothing and eq.i, eq.p are identities
+        pieces = ((piece, incl.then(eq.i), eq.p.then(proj)) for piece, incl, proj in pieces)
     summands, includes, projects, stacked_in, stacked_out = group_copies(
         pieces, _iso_between_indecomposable_complexes, partial(stack_copies, c)
     )

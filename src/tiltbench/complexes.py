@@ -607,23 +607,22 @@ class HomotopyEquivalence:
 
 def minimize(c: ProjComplex):
     """(radical complex, HomotopyEquivalence).  Deterministic elimination:
-    scan degrees ascending, rows then columns, cancel, repeat."""
+    scan degrees ascending, rows then columns, cancel, repeat.  When nothing
+    cancels, the complex returned is c itself and both maps are identities."""
     cur = c
-    p_total = ChainMapC.identity(c)
-    i_total = ChainMapC.identity(c)
-    first = True
+    p_total = i_total = None
     while True:
         found = _find_unit_entry(cur)
         if found is None:
             break
         d, i, j = found
         cur, p_step, i_step = _cancel(cur, d, i, j)
-        if first:
-            p_total, i_total, first = p_step, i_step, False
+        if p_total is None:
+            p_total, i_total = p_step, i_step
         else:
             p_total = p_total.then(p_step)
             i_total = i_step.then(i_total)
-    if first:
+    if p_total is None:  # nothing cancelled: cur is c
         p_total = ChainMapC.identity(c)
         i_total = ChainMapC.identity(c)
     eq = HomotopyEquivalence(c, cur, p_total, i_total)

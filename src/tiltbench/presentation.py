@@ -2,11 +2,16 @@
 
 Vertices are the given (or found) primitive idempotents e_1, ..., e_n.  The
 radical layers are computed Peirce block by Peirce block (``radical_chain``):
-e_i A is spanned by the products e_i e_k and e_i A e_j by its basis times
-e_j, each block kept as the sparse RREF rows of ``linalg.sparse_row_space``;
-the radical R has R_ij = e_i A e_j for i != j and R_ii = ker chi_i, where
-chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i); and
-(R^(k+1))_ij = sum over l of (R^k)_il R_lj, taken only over the l where
+e_i A e_j is spanned by the e_i b e_j over the basis elements b, found by
+splitting each b into its components e_i b and each component x into its
+x e_j.  Each split takes the products in cyclic order from where the last
+one found a part and stops once the parts sum to the element: the e_i sum
+to 1 and A is the direct sum of the e_i A (and of the A e_j), so the
+products not taken are 0.  Each block is kept as the sparse RREF rows of
+``linalg.sparse_row_space``, and a block no part reaches takes no
+elimination.  The radical R has R_ij = e_i A e_j for i != j and
+R_ii = ker chi_i, where chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i);
+and (R^(k+1))_ij = sum over l of (R^k)_il R_lj, taken only over the l where
 both blocks are nonzero, with one elimination per block that some product
 reaches.  No full trace form and no product over all pairs of radical rows
 is formed.  The layers certify that the algebra is basic: the diagonal
@@ -81,28 +86,60 @@ def _block_product(alg: FiniteDimAlgebra, left, right):
     return out
 
 
+def _components(x, idems, product, start):
+    """[(i, product(e_i, x))] over the nonzero products, i taken cyclically
+    from start, stopping once they sum to x.  The e_i sum to 1 and the sum
+    of their images is direct, so the products not taken are 0."""
+    n, rest, out = len(idems), x, []
+    for step in range(n):
+        i = (start + step) % n
+        part = product(idems[i], x)
+        if part:
+            out.append((i, part))
+            rest = el_sub(rest, part)
+            if not rest:
+                break
+    return out
+
+
+def _peirce_pieces(alg: FiniteDimAlgebra, idems):
+    """pieces[i][j]: the RREF basis of e_i A e_j, spanned by the e_i b e_j
+    over the basis elements b.  Each b is split into its components e_i b
+    and each component x into its x e_j by ``_components``, each search
+    starting where the last one found a part, so an element in one Peirce
+    block costs one product per side."""
+    n = len(idems)
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    i = j = 0  # where the last left and right searches found a part
+    for k in range(alg.dim):
+        for i, x in _components({k: 1}, idems, alg.mul, i):
+            for j, y in _components(x, idems, lambda f, z: alg.mul(z, f), j):
+                rows[i][j].append(y)
+    return [[sparse_row_space(block) if block else [] for block in line] for line in rows]
+
+
 def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
     """[rad, rad^2, ..., 0] as Peirce layers, certified.
 
     ``idempotents`` are elements of alg that ``check_idempotents`` accepts,
     nonzero orthogonal idempotents that sum to 1; ``primitive_idempotents``
-    supplies them when omitted.  R_ij = e_i A e_j for i != j, and R_ii is
-    the kernel of chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i).  Raises
-    NotBasic unless the diagonal blocks of R * R lie in R, and
-    RadicalNotNilpotent unless the powers of R drop strictly to 0.  Together
-    the checks show that R is a nilpotent ideal with A / R = K^n, so R is
-    the radical and A is basic.
+    supplies them when omitted.  The pieces e_i A e_j come from the
+    components of each basis element (``_peirce_pieces``); since
+    ``check_idempotents`` has shown that the e_i are orthogonal and sum to
+    1, A = sum of the e_i A is direct, so once the components found sum to
+    the element the others are 0 and are not computed.  R_ij = e_i A e_j
+    for i != j, and R_ii is the kernel of
+    chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i).  Raises NotBasic
+    unless the diagonal blocks of R * R lie in R, and RadicalNotNilpotent
+    unless the powers of R drop strictly to 0.  Together the checks show
+    that R is a nilpotent ideal with A / R = K^n, so R is the radical and A
+    is basic.
     """
     idems = idempotents if idempotents is not None else primitive_idempotents(alg)
     idems = [{k: frac(c) for k, c in e.items() if c} for e in idems]
-    n, dim = len(idems), alg.dim
+    n = len(idems)
     alg.check_idempotents(idems)
-    # pieces[i][j]: RREF basis of e_i A e_j, from the RREF basis of
-    # e_i A = span of the e_i e_k
-    pieces = []
-    for e in idems:
-        left = sparse_row_space([alg.mul(e, {k: 1}) for k in range(dim)])
-        pieces.append([sparse_row_space([alg.mul(r, f) for r in left]) for f in idems])
+    pieces = _peirce_pieces(alg, idems)
     # traces[i]: (pivot column, trace of L_b on e_i A e_i) for each RREF basis
     # row b of e_i A e_i.  On that basis, an element of e_i A e_i has as its
     # coordinate on b its entry at b's pivot column.

@@ -125,13 +125,21 @@ def test_an_off_diagonal_block_fails_the_certificate(monkeypatch):
 
 
 def test_complex_certificate_compositions_grow_linearly(monkeypatch):
-    c = regular_stalk(corpus.kupisch_algebra([4] * 8))
+    a = corpus.kupisch_algebra([4] * 8)
+    c = regular_stalk(a)
     calls = _count_thens(monkeypatch, ChainMapC)
     _, includes, _ = decompose_complex(c)
+    # two check the certificate: "I then P" for all include/project blocks
+    # and "P then I" for the sum of the copies, where copies^2 + copies
+    # compositions did; c is radical, so no piece's maps go through the
+    # identity equivalence of its minimization
+    assert (len(includes), len(calls)) == (8, 2)
+    # a cone of P(1) -> P(1) is cancelled: two compositions per piece carry
+    # its maps through the minimization
+    cone = ProjComplex(a, {0: ["1"], 1: ["1"]}, {0: [[{a.idempotent_index["1"]: 1}]]})
+    calls.clear()
+    _, includes, _ = decompose_complex(c.direct_sum(cone))
     copies = len(includes)
-    # two per piece carry its maps through the minimization, and two check
-    # the certificate: "I then P" for all include/project blocks and "P then
-    # I" for the sum of the copies, where copies^2 + copies compositions did
     assert (copies, len(calls)) == (8, 2 * copies + 2)
 
 

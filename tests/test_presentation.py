@@ -315,6 +315,18 @@ def _all_pairs_block_product(alg, left, right):
     ]
 
 
+def _all_pairs_pieces(alg, idems):
+    """The Peirce pieces e_i A e_j as ``radical_chain`` formed them before it
+    split each basis element into its components, kept as the reference:
+    the RREF basis of e_i A from the products e_i b over every basis
+    element b, then one elimination of (e_i A) e_j for every pair."""
+    pieces = []
+    for e in idems:
+        left = sparse_row_space([alg.mul(e, {k: 1}) for k in range(alg.dim)])
+        pieces.append([sparse_row_space([alg.mul(r, f) for r in left]) for f in idems])
+    return pieces
+
+
 def _assert_peirce_layers_match(alg, idems, chain):
     reference = _layers_by_all_pairs(alg)
     assert len(chain) == len(reference)
@@ -376,9 +388,42 @@ def test_radical_layers_and_end_products_match_their_references(case):
     name, a, t = next(c for c in _layer_cases() if c[0] == case)
     end = TiltingContext(a, t).end_data()
     idems = list(end.presentation.vertex_idempotents.values())
+    assert presentation._peirce_pieces(end.abstract, idems) == _all_pairs_pieces(end.abstract, idems)
     _assert_peirce_layers_match(end.abstract, idems, radical_chain(end.abstract, idems))
     filled, _ = _assert_filled_cells_match(end.abstract, lambda u, v: end.space.compose(v, u))
     assert filled
+
+
+@pytest.mark.parametrize("series", [(2, 2, 2), (3, 4, 4), (4, 5, 5, 5)])
+def test_peirce_pieces_of_elements_over_several_blocks(series, monkeypatch):
+    # conjugating the vertex idempotents by u = 1 + a1 (a1 : 1 -> 2, so
+    # a1^2 = 0 and u^-1 = 1 - a1) splits some basis paths over two blocks
+    a = corpus.kupisch_algebra(list(series))
+    arrow = {a.index[Path("1", ("a1",))]: 1}
+    u, u_inv = algebra.el_add(a.one, arrow), algebra.el_sub(a.one, arrow)
+    idems = [a.mul(a.mul(u, {a.idempotent_index[v]: 1}), u_inv) for v in a.quiver.vertices]
+    n = len(idems)
+    components = [[x for e in idems if (x := a.mul(e, {k: 1}))] for k in range(a.dim)]
+    assert max(len(parts) for parts in components) > 1
+    reference = _all_pairs_pieces(a, idems)
+    left, right = [], []
+    mul = a.mul
+
+    def counted(x, y):
+        if any(x is e for e in idems):
+            left.append(y)
+        elif any(y is e for e in idems):
+            right.append(x)
+        return mul(x, y)
+
+    monkeypatch.setattr(a, "mul", counted)
+    assert presentation._peirce_pieces(a, idems) == reference
+    # at most n products per basis element on the left and per component on
+    # the right, as many as the reference takes per row of e_i A
+    assert a.dim <= len(left) <= n * a.dim
+    assert len(right) <= n * sum(len(parts) for parts in components)
+    monkeypatch.undo()
+    _assert_peirce_layers_match(a, idems, radical_chain(a, idems))
 
 
 def test_end_of_n84_fills_mostly_zero_cells():
@@ -389,7 +434,7 @@ def test_end_of_n84_fills_mostly_zero_cells():
     def compose(u, v):
         return end.space.compose(v, u)
 
-    assert _assert_filled_cells_match(end.abstract, compose) == (520, 440)
+    assert _assert_filled_cells_match(end.abstract, compose) == (247, 167)
 
     class Recording:
         """The class basis, recording each vector it is asked to read."""
