@@ -19,8 +19,9 @@ row of a batch, keeps each nonzero rest as a monic echelon row, and then runs
 it on each echelon row against the later ones, which leaves the reduced row
 echelon form.  ``sparse_row_space`` reads the RREF rows off it, and
 ``sparse_rref`` also which rows raised the rank, and ``sparse_kernel`` the
-right-kernel basis, all as ``{column: scalar}`` dicts with increasing
-columns, no zero entry and canonical scalars; callers keep them sparse.
+right-kernel basis (``sparse_left_kernel`` that of the columns), all as
+``{column: scalar}`` dicts with increasing columns, no zero entry and
+canonical scalars; callers keep them sparse.
 ``Matrix.rref``, ``solve``, ``inverse``, ``left_kernel_basis`` and
 ``row_space_basis`` are built on these, the dense rows turned into
 sparse ones and the results back into dense rows, and a rank is the length
@@ -365,15 +366,22 @@ class Basis:
     def vector(self, x: dict) -> dict:
         """The sum of x[k] times rows[k] over x = {basis index: c}, for rows
         given sparse, as a {column: entry} dict without zero entries."""
-        out = {}
-        for k, c in x.items():
-            for j, y in self.rows[k].items():
-                s = out.get(j, 0) + c * y
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
-        return out
+        return sparse_combination(x, self.rows)
+
+
+def sparse_combination(x: dict, rows) -> dict:
+    """The sum of x[k] times rows[k] over x = {row index: c}, for sparse
+    rows, as a {column: entry} dict without zero entries: the product of
+    the row vector x with the matrix of the rows."""
+    out = {}
+    for k, c in x.items():
+        for j, y in rows[k].items():
+            s = out.get(j, 0) + c * y
+            if s:
+                out[j] = s
+            else:
+                out.pop(j, None)
+    return out
 
 
 def _sparse_vector(v, width: int) -> dict:
@@ -406,6 +414,17 @@ def sparse_kernel(rows, width: int) -> list:
             vec[j] = 1
             out.append(vec)
     return out
+
+
+def sparse_left_kernel(rows) -> list:
+    """Basis of the left kernel of a list of sparse rows: the vectors v with
+    sum of v[k] times rows[k] zero, as ``{row index: scalar}`` dicts, which
+    are the ``sparse_kernel`` of the columns."""
+    columns = {}
+    for k, row in enumerate(rows):
+        for j, y in row.items():
+            columns.setdefault(j, {})[k] = y
+    return sparse_kernel(columns.values(), len(rows))
 
 
 def sparse_row_space(rows) -> list:

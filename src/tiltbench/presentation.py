@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from .algebra import BasicAlgebra, FiniteDimAlgebra, abstract_from_table, el_scale, el_sub, length_filtration
 from .decompose import primitive_idempotents
 from .errors import NotBasic, PresentationError, RadicalNotNilpotent, TiltbenchError
-from .linalg import Basis, div, frac, sparse_kernel, sparse_row_space
+from .linalg import Basis, div, frac, sparse_left_kernel, sparse_row_space
 from .quiver import Path, Quiver, Relation, longer_paths
 
 
@@ -189,6 +189,8 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
     arrow_elements = {}
     for i in range(n):
         for j in range(n):
+            if not rad[i][j]:
+                continue  # e_i rad e_j = 0 holds no arrow
             # arrows i -> j: rows of e_i rad e_j independent modulo e_i rad^2 e_j
             for el in Basis(rad[i][j], alg.dim, rad2[i][j]).rows:
                 name = f"a{len(arrows)}"
@@ -212,13 +214,8 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
         if not paths:
             break
         rows = [eval_path(p) for p in paths]
-        # candidate relations: the left kernel of the rows, that is the
-        # kernel of their columns
-        columns = {}
-        for j, row in enumerate(rows):
-            for k, c in row.items():
-                columns.setdefault(k, {})[j] = c
-        for vec in sparse_kernel(columns.values(), len(paths)):
+        # candidate relations: the left kernel of the rows
+        for vec in sparse_left_kernel(rows):
             candidates.append(Relation(quiver, [(c, paths[j]) for j, c in vec.items()]))
         span_rows.extend(rows)
     if len(sparse_row_space(span_rows)) != alg.dim:

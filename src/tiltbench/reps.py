@@ -258,9 +258,10 @@ class YonedaAction:
     a map is the list of its generator images, summand-major, and its k-th
     basis map sends one generator to one basis vector of x.  ``element``
     gives x's matrix of an algebra element, and ``precomposition`` the
-    matrix of h -> E then h for an entry map E, so no module map is built;
-    ``module_map`` writes one out from its generator images where a caller
-    needs it.  x's path matrices are kept for the life of the object."""
+    sparse rows of h -> E then h for an entry map E, so neither a module map
+    nor a dense matrix is built; ``module_map`` writes a module map out from
+    its generator images where a caller needs it.  x's path matrices are
+    kept for the life of the object."""
 
     def __init__(self, x: Representation):
         self.x = x
@@ -291,21 +292,37 @@ class YonedaAction:
                         row[j] += c * y
         return out
 
-    def precomposition(self, entries, src_labels, tgt_labels) -> Matrix:
-        """Matrix of h -> E then h, from Hom(P(b_1..b_n), x) to
+    def precomposition(self, entries, src_labels, tgt_labels) -> list:
+        """Sparse rows of h -> E then h, from Hom(P(b_1..b_n), x) to
         Hom(P(a_1..a_m), x) in Yoneda coordinates, for the entry map E with
-        ``entries[i][j]`` supported on paths b_j -> a_i.  Block (j, i) is
-        x(entries[i][j]); row k holds the coordinates of E then (k-th basis
-        map)."""
-        dims = self.x.dims
+        ``entries[i][j]`` supported on paths b_j -> a_i.  Row k is the
+        {column: entry} dict, without zero entries, of the coordinates of E
+        then (k-th basis map); block (j, i) is x(entries[i][j]).  A label b
+        with x(b) = 0 gives no row and a label a with x(a) = 0 no column."""
+        dims, basis = self.x.dims, self.x.algebra.basis
+        offsets, o = [], 0
+        for a in src_labels:
+            offsets.append(o)
+            o += dims[a]
         out = []
         for j, b in enumerate(tgt_labels):
-            block = [[] for _ in range(dims[b])]
-            for i, a in enumerate(src_labels):
-                for row, part in zip(block, self.element(entries[i][j], b, a)):
-                    row.extend(part)
-            out.extend(tuple(row) for row in block)
-        return Matrix._trusted(len(out), sum(dims[a] for a in src_labels), tuple(out))
+            block = [{} for _ in range(dims[b])]
+            if block:
+                for i, a in enumerate(src_labels):
+                    if not dims[a]:
+                        continue
+                    for k, c in entries[i][j].items():
+                        p = basis[k]
+                        for row, prow in zip(block, self._path_matrix(p.source, p.arrows).data):
+                            for col, y in enumerate(prow, offsets[i]):
+                                if y:
+                                    s = row.get(col, 0) + c * y
+                                    if s:
+                                        row[col] = s
+                                    else:
+                                        row.pop(col, None)
+            out.extend(block)
+        return out
 
     def module_map(self, psum: "ProjSum", images) -> ModuleMap:
         """The module map psum.rep -> x that sends the generator of summand

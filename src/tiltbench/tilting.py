@@ -19,8 +19,11 @@ The central objects:
   modules over the endomorphism algebra, and the degree-zero image module
   when those homs are concentrated in degree zero.  The hom spaces out of a
   term of T are taken in Yoneda coordinates (``reps.YonedaAction``), so
-  neither a linear system is solved nor a module map built for them; the
-  classes are a ``linalg.Basis`` modulo the null maps, and
+  neither a linear system is solved nor a module map built for them.  They
+  stay sparse rows from the precomposition to the class coordinates: the
+  classes are a ``linalg.Basis`` of sparse rows modulo the null maps, an
+  arrow acts on a class by a sparse sum of precomposition rows, and no
+  dense matrix is built before the arrow matrices of the result.
   ``TiltingContext`` keeps the one part that does not depend on the module
   (the arrow components, as entry matrices) and reuses it for every query.
 """
@@ -53,7 +56,7 @@ from .errors import (
     PreconditionFailed,
     TiltbenchError,
 )
-from .linalg import Basis, Matrix
+from .linalg import Basis, Matrix, frac, sparse_combination, sparse_left_kernel
 from .presentation import Presentation, quiver_presentation
 from .reps import (
     ProjSum,
@@ -511,13 +514,14 @@ class TiltingContext:
             wj = pres.quiver.vertex_index[ar.target]
             component = components.get((ar.name, -i))  # T_wj^{-i} -> T_wi^{-i}
             if not reps[wi] or component is None or stalk[wj] is None:
-                rows = [[0] * len(reps[wj]) for _ in reps[wi]]
-            else:
-                pre = act.precomposition(component, summands[wj].terms[-i], summands[wi].terms[-i])
-                images = Matrix(len(reps[wi]), pre.rows, reps[wi]) * pre
-                coords = [stalk[wj].coordinates(image) for image in images.data]
-                rows = [[c.get(k, 0) for k in range(len(reps[wj]))] for c in coords]
-            mats[ar.name] = Matrix(len(reps[wi]), len(reps[wj]), rows)
+                mats[ar.name] = Matrix.zero(len(reps[wi]), len(reps[wj]))
+                continue
+            pre = act.precomposition(component, summands[wj].terms[-i], summands[wi].terms[-i])
+            rows = []
+            for rep in reps[wi]:
+                c = stalk[wj].coordinates(sparse_combination(rep, pre))
+                rows.append(tuple(frac(c.get(k, 0)) for k in range(len(reps[wj]))))
+            mats[ar.name] = Matrix._trusted(len(reps[wi]), len(reps[wj]), tuple(rows))
         return Representation(pres.algebra, dims, mats)
 
     def _profile(self, x: Representation):
@@ -616,7 +620,11 @@ def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
     are no such maps; ``act`` is x's ``YonedaAction``.
 
     The result is the ``linalg.Basis`` of the chain maps modulo the null
-    maps, in the Yoneda coordinates of the degree -i hom space."""
+    maps, in the Yoneda coordinates of the degree -i hom space, its rows
+    ``{column: entry}`` dicts.  Both come from the sparse rows of
+    ``YonedaAction.precomposition``: the chain maps are the left kernel of
+    the incoming differential's rows, and the null maps the outgoing one's
+    rows; no dense matrix is built."""
     deg, terms = -i, tw.terms
     n = sum(act.x.dims[a] for a in terms.get(deg, ()))
     if not n:
@@ -626,16 +634,15 @@ def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
     # chain condition: precomposition with the incoming differential dies
     if d_in:
         pre_in = act.precomposition(d_in, terms[deg - 1], terms[deg])
-        chain = pre_in.left_kernel_basis().data
+        chain = sparse_left_kernel(pre_in)
     else:
-        chain = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
+        chain = [{j: 1} for j in range(n)]
     # null maps: (next differential) then psi for psi on the next term
     null = ()
     if d_out:
-        pre_out = act.precomposition(d_out, terms[deg], terms[deg + 1])
-        if d_in and not (pre_out * pre_in).is_zero():
+        null = act.precomposition(d_out, terms[deg], terms[deg + 1])
+        if d_in and any(sparse_combination(row, pre_in) for row in null):
             raise TiltbenchError(f"d^2 != 0 on Hom(T, x) at degree {deg}")
-        null = pre_out.data
     return Basis(chain, n, null)
 
 

@@ -160,8 +160,9 @@ def _random_entry_map(a, rng, m, n):
 
 
 def test_precomposition_matrix_matches_module_maps():
-    """Row k of the precomposition matrix of E holds the Yoneda coordinates
-    of (realized E) then h_k, for the k-th Yoneda basis map h_k."""
+    """Sparse row k of the precomposition of E holds the Yoneda coordinates
+    of (realized E) then h_k, for the k-th Yoneda basis map h_k: one row per
+    basis map, no zero entry and no column outside the target hom space."""
     fig1 = corpus.fig1_algebra()
     sec5 = corpus.sec5_algebra()
     kupisch = corpus.kupisch_algebra([4, 5, 5, 5])
@@ -187,12 +188,14 @@ def test_precomposition_matrix_matches_module_maps():
                 pre = YonedaAction(x).precomposition(entries, src, tgt)
                 out_basis = hom_from_projective_sum(tgt_sum, x)
                 in_basis = hom_from_projective_sum(src_sum, x)
-                assert (pre.rows, pre.cols) == (len(out_basis), len(in_basis))
+                assert len(pre) == len(out_basis)
+                assert all(0 <= j < len(in_basis) and y for row in pre for j, y in row.items())
                 if not in_basis:
                     continue
                 span = Coordinates([flatten_map(h) for h in in_basis], len(flatten_map(in_basis[0])))
                 for k, h in enumerate(out_basis):
-                    assert span.of(flatten_map(realized.then(h))) == list(pre.row(k))
+                    dense = [pre[k].get(j, 0) for j in range(len(in_basis))]
+                    assert span.of(flatten_map(realized.then(h))) == dense
                     checked += 1
     assert checked > 150
 

@@ -377,7 +377,21 @@ def _f_homology_by_module_maps(ctx, x, i):
     return Representation(pres.algebra, dims, mats)
 
 
+def _base_modules(a):
+    """The simple, the projective and the radical of the projective at each
+    vertex of a: the base modules of the stable-queries benchmark."""
+    mods = []
+    for v in a.quiver.vertices:
+        p = projective(a, v)
+        mods += [simple(a, v), p, radical_submodule(p)[0]]
+    return mods
+
+
 def test_f_homology_matches_module_map_route():
+    """f_homology against the module-map route on the base modules and two
+    sums at every shift, and, for Kupisch (4,5,5,5), on all 144 ordered sums
+    of two base modules at shifts 0 and 1, the stable-queries benchmark's
+    queries."""
     fig1 = corpus.fig1_algebra()
     sec5 = corpus.sec5_algebra()
     kupisch = corpus.kupisch_algebra([4, 5, 5, 5])
@@ -392,18 +406,48 @@ def test_f_homology_matches_module_map_route():
         mods = [
             projective(a, verts[0]).direct_sum(simple(a, verts[-1])),
             radical_submodule(projective(a, verts[-1]))[0].direct_sum(projective(a, verts[1])),
-        ]
-        for v in verts:
-            p = projective(a, v)
-            mods += [simple(a, v), p, radical_submodule(p)[0]]
+        ] + _base_modules(a)
         ctx = TiltingContext(a, t)
-        for x in mods:
-            for i in range(-t.hi - 1, -t.lo + 2):
-                fast, ref = ctx.f_homology(x, i), _f_homology_by_module_maps(ctx, x, i)
-                assert fast.dims == ref.dims
-                assert fast.mats == ref.mats
-                nonzero_actions += sum(not m.is_zero() for m in fast.mats.values())
+        queries = [(x, i) for x in mods for i in range(-t.hi - 1, -t.lo + 2)]
+        if a is kupisch:
+            base = _base_modules(a)
+            queries += [(y.direct_sum(z), i) for y in base for z in base for i in (0, 1)]
+        for x, i in queries:
+            fast, ref = ctx.f_homology(x, i), _f_homology_by_module_maps(ctx, x, i)
+            assert fast.dims == ref.dims
+            assert fast.mats == ref.mats
+            nonzero_actions += sum(not m.is_zero() for m in fast.mats.values())
     assert nonzero_actions > 50
+
+
+def test_f_homology_builds_no_dense_matrix(monkeypatch):
+    """f_homology keeps Hom(T_w, x) in sparse rows from the precomposition
+    to the class coordinates: over the 12 base modules of Kupisch (4,5,5,5),
+    T = construct_tpq(A, ["2"], [], 1, 1), at shifts 0 and 1, it calls
+    neither the dense Matrix constructor nor Matrix.left_kernel_basis."""
+    a = corpus.kupisch_algebra([4, 5, 5, 5])
+    ctx = TiltingContext(a, construct_tpq(a, ["2"], [], 1, 1).complex)
+    ctx.end_data()
+    mods = _base_modules(a)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(Matrix, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Matrix, name, wrapper)
+
+    counted("__init__")
+    counted("left_kernel_basis")
+    dims = 0
+    for x in mods:
+        for i in (0, 1):
+            dims += ctx.f_homology(x, i).total_dim()
+    assert dims > 0
+    assert calls == Counter()
 
 
 def test_f_homology_checks_d_squared_on_homs():
