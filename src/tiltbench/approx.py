@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra
 from .errors import TiltbenchError
-from .linalg import Basis, Matrix, row_space_basis, sparse_row_space
+from .linalg import Basis, Matrix, sparse_row_space
 from .reps import (
     ModuleMap,
     ProjSum,
@@ -67,7 +67,7 @@ def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representati
     out_labels = [v for v in distinct for _ in chosen[v]]
     f = act.module_map(ProjSum(a, out_labels), [gens[v][j] for v in distinct for j in chosen[v]])
     for v in distinct:
-        if row_space_basis(f.mats[v]).rows != x.dims[v]:
+        if len(Basis(f.mats[v].data, x.dims[v]).rows) != x.dims[v]:
             raise TiltbenchError(f"right approximation not surjective on Hom(P({v}), -)")
     return out_labels, f
 
@@ -97,10 +97,8 @@ def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representatio
     out_labels = [v for v, _ in picked]
     mats = {}
     for w in a.quiver.vertices:
-        cols = Matrix.zero(x.dims[w], 0)
-        for _, h in picked:
-            cols = cols.hstack(h.mats[w])
-        mats[w] = cols
+        rows = tuple(tuple(y for _, h in picked for y in h.mats[w].data[r]) for r in range(x.dims[w]))
+        mats[w] = Matrix._trusted(x.dims[w], sum(h.mats[w].cols for _, h in picked), rows)
     g = ModuleMap(x, ProjSum(a, out_labels).rep, mats, check=False)
     for v in distinct:
         spanned = [through(h, k) for w, h in picked for k in a.paths_between(v, w)]

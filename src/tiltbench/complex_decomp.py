@@ -25,7 +25,7 @@ from .decompose import (
     primitive_idempotents,
 )
 from .errors import DecompositionError, NotIdempotent, NotRadical, TiltbenchError
-from .linalg import Basis, row_space_basis
+from .linalg import Basis, _sparse, sparse_row_space
 from .complexes import (
     ChainMapC,
     HomotopySpace,
@@ -81,11 +81,12 @@ def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
 def _image_generators(alg, psum: ProjSum, rows_by_vertex):
     """Pick image vectors whose tops form a basis; return (labels, entries).
 
+    ``rows_by_vertex[w]`` are sparse rows spanning the image at w, and
     ``entries[k]`` is the row of hom entries describing generator k as a map
     P(b_k) -> sum of the ambient labels.
     """
     labels = []
-    gen_rows = []  # (vertex, coordinate row)
+    entries = []
     for w in alg.quiver.vertices:
         rows = rows_by_vertex[w]
         # trivial-path coordinates at w detect the top
@@ -94,20 +95,14 @@ def _image_generators(alg, psum: ProjSum, rows_by_vertex):
             for c, (i, k) in enumerate(psum.layout[w])
             if len(alg.basis[k]) == 0
         ]
-        tops = [[row[c] for c in triv_cols] for row in rows.data]
+        tops = [[row.get(c, 0) for c in triv_cols] for row in rows]
         for r in Basis(tops, len(triv_cols)).positions:
             labels.append(w)
-            gen_rows.append((w, list(rows.row(r))))
-    entries = []
-    for w, row in gen_rows:
-        entry_row = []
-        for i, lab_a in enumerate(psum.labels):
-            x = {}
-            for c, (ii, k) in enumerate(psum.layout[w]):
-                if ii == i and row[c] != 0:
-                    x[k] = row[c]
-            entry_row.append(x)
-        entries.append(entry_row)
+            entry_row = [{} for _ in psum.labels]
+            for c, y in rows[r].items():
+                i, k = psum.layout[w][c]
+                entry_row[i][k] = y
+            entries.append(entry_row)
     return labels, entries
 
 
@@ -126,7 +121,7 @@ def split_strict_idempotent(c: ProjComplex, strict: ChainMapC):
         e_d = realized.get(d)
         if e_d is None:
             continue
-        rows_by_vertex = {v: row_space_basis(e_d.mats[v]) for v in alg.quiver.vertices}
+        rows_by_vertex = {v: sparse_row_space(_sparse(x.data)) for v, x in e_d.mats.items()}
         labs, entries = _image_generators(alg, sums[d], rows_by_vertex)
         if not labs:
             continue

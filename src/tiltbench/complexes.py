@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra, el_add, el_scale, el_sub
 from .errors import TiltbenchError
-from .linalg import Basis, frac, sparse_kernel
+from .linalg import Basis, _sparse, frac, sparse_kernel
 from .reps import (
     ModuleMap,
     ProjSum,
@@ -644,5 +644,5 @@ def homology(c: ProjComplex, i: int):
         ker_rep, incl = kernel_of(ModuleMap.zero(term, term))
     # the image of the incoming differential, in kernel coordinates
     inside = dmaps[i - 1].factor_through(incl).mats if (i - 1) in dmaps else {}
-    quot, _ = quotient_representation(ker_rep, inside)
+    quot, _ = quotient_representation(ker_rep, {v: _sparse(x.data) for v, x in inside.items()})
     return quot

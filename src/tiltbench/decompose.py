@@ -52,7 +52,7 @@ from functools import partial
 
 from .algebra import EndomorphismAlgebra, FiniteDimAlgebra, el_from_vector, el_scale, el_sub
 from .errors import DecompositionError
-from .linalg import Basis, div
+from .linalg import Basis, _sparse, div
 from .polys import bezout, min_poly_of_sequence, pdivmod, pmul, rational_roots
 from .reps import (
     ModuleMap,
@@ -328,7 +328,7 @@ def _split_module(m: Representation):
     out = []
     for coords in idems:
         e = end.element(coords)
-        piece, incl = sub_representation(m, e.mats)
+        piece, incl = sub_representation(m, {v: _sparse(x.data) for v, x in e.mats.items()})
         out.append((piece, incl, e.factor_through(incl)))
     return out
 

@@ -22,23 +22,22 @@ echelon form.  ``sparse_row_space`` reads the RREF rows off it, and
 right-kernel basis (``sparse_left_kernel`` that of the columns), all as
 ``{column: scalar}`` dicts with increasing columns, no zero entry and
 canonical scalars; callers keep them sparse.
-``Matrix.rref``, ``solve``, ``inverse``, ``left_kernel_basis`` and
-``row_space_basis`` are built on these, the dense rows turned into
-sparse ones and the results back into dense rows, and a rank is the length
-of ``sparse_row_space``.  :class:`Coordinates` is the incremental front end:
+``Matrix.solve``, ``inverse`` and ``rref`` are built on these: ``_sparse``
+turns the dense rows into sparse ones and ``_dense`` the results back into
+dense rows, the two converters that the module layer also uses between its
+``Matrix`` values and sparse rows.  A rank is the length of
+``sparse_row_space``.  :class:`Coordinates` is the incremental front end:
 it runs the same loop on each row as it is added and on each vector it is
 asked about, and keeps with each echelon row its combination of the input
 rows.  :class:`Basis`, on one ``Coordinates``, is the basis modulo a
-subspace, and the coordinates on it, of every hom space.  Only
-``Matrix.det`` eliminates on its own terms, fraction-free by Bareiss's
-method.
+subspace, and the coordinates on it, of every hom space and of every
+quotient module.  There is no other elimination.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatch, TiltbenchError
 
@@ -167,20 +166,6 @@ class Matrix:
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
         return Matrix._trusted(self.cols, self.rows, data)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack: row counts differ")
-        return Matrix(
-            self.rows,
-            self.cols + other.cols,
-            [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)],
-        )
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack: column counts differ")
-        return Matrix(self.rows + other.rows, self.cols, list(self.data) + list(other.data))
-
     # -- elimination -----------------------------------------------------
 
     def rref(self):
@@ -206,12 +191,6 @@ class Matrix:
                     x[p][j - n] = y
         return Matrix._trusted(n, b.cols, tuple(map(tuple, x)))
 
-    def left_kernel_basis(self) -> "Matrix":
-        """Rows span the left kernel: result * self == 0 exactly.  They are
-        the vectors of ``sparse_kernel`` of the columns."""
-        vecs = sparse_kernel(_sparse(zip(*self.data)), self.rows)
-        return Matrix._trusted(len(vecs), self.rows, _dense(vecs, self.rows))
-
     def inverse(self):
         """Inverse matrix, or None if not square/invertible."""
         if self.rows != self.cols:
@@ -221,43 +200,6 @@ class Matrix:
         if x is None or not (self * x == identity):
             return None
         return x
-
-    def det(self):
-        """The determinant, by fraction-free (Bareiss) elimination.
-
-        Each row is scaled to integers by the lcm of its denominators, which
-        scales the determinant by their product.  The step at pivot p replaces
-        each row x below the pivot row y by ``(p * x - f * y) // prev``, where
-        f is x's entry in the pivot column and prev the pivot before p; the
-        division is exact (Sylvester's identity), every entry stays an integer
-        minor, and the last pivot is the determinant of the integer rows.
-        """
-        if self.rows != self.cols:
-            raise DimensionMismatch("det: not square")
-        n = self.rows
-        m = []
-        den = 1
-        for row in self.data:
-            d = lcm(*(x.denominator for x in row))
-            den *= d
-            m.append([x.numerator * (d // x.denominator) for x in row])
-        sign = 1
-        prev = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c]), None)
-            if pr is None:
-                return 0
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                sign = -sign
-            prow = m[c]
-            p = prow[c]
-            for i in range(c + 1, n):
-                f = m[i][c]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
-            prev = p
-        return div(sign * prev, den)
-
 
 class Coordinates:
     """Coordinates of vectors in the span of a list of rows.
@@ -544,8 +486,3 @@ def _dense(rows, width: int) -> tuple:
         out.append(tuple(dense))
     return tuple(out)
 
-
-def row_space_basis(m: Matrix) -> Matrix:
-    """Matrix whose rows are the nonzero rows of rref(m)."""
-    red, pivots = m.rref()
-    return Matrix._trusted(len(pivots), m.cols, red.data[: len(pivots)])

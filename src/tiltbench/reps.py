@@ -16,7 +16,17 @@ from __future__ import annotations
 
 from .algebra import BasicAlgebra
 from .errors import DecompositionError, DimensionMismatch, NotProjective, TiltbenchError
-from .linalg import Basis, Coordinates, Matrix, row_space_basis, sparse_kernel
+from .linalg import (
+    Basis,
+    Coordinates,
+    Matrix,
+    _dense,
+    _sparse,
+    sparse_combination,
+    sparse_kernel,
+    sparse_left_kernel,
+    sparse_row_space,
+)
 from .quiver import Path
 
 
@@ -381,91 +391,79 @@ def regular_module(a: BasicAlgebra) -> Representation:
 # -- submodules and quotients -------------------------------------------------
 
 
-def is_arrow_stable(m: Representation, spaces: dict) -> bool:
-    spans = {v: Coordinates(spaces[v].data, m.dims[v]) for v in m.dims}
-    for a in m.algebra.quiver.arrows:
-        img = spaces[a.source] * m.mats[a.name]
-        if any(spans[a.target].of(row) is None for row in img.data):
-            return False
-    return True
+def _arrow_rows(m: Representation) -> dict:
+    """Each arrow's matrix in m as sparse rows, for ``sparse_combination``."""
+    return {name: _sparse(x.data) for name, x in m.mats.items()}
 
 
 def sub_representation(m: Representation, spaces: dict):
-    """(submodule, inclusion) from arrow-stable row spaces."""
-    bases = {v: row_space_basis(spaces.get(v, Matrix.zero(0, m.dims[v]))) for v in m.dims}
-    spans = {v: Coordinates(bases[v].data, m.dims[v]) for v in m.dims}
-    dims = {v: bases[v].rows for v in m.dims}
+    """(submodule, inclusion) from arrow-stable spaces, each given by sparse
+    rows that span it (none where a vertex is missing).  The submodule's
+    basis at v is the ``sparse_row_space`` of spaces[v], and an arrow reads
+    the images of these rows in the basis at its target."""
+    bases = {v: sparse_row_space(spaces.get(v, ())) for v in m.dims}
+    spans = {v: Coordinates(bases[v], m.dims[v]) for v in m.dims}
+    dims = {v: len(bases[v]) for v in m.dims}
+    arrows = _arrow_rows(m)
     mats = {}
     for a in m.algebra.quiver.arrows:
-        rows = [spans[a.target].of(r) for r in (bases[a.source] * m.mats[a.name]).data]
+        rows = [spans[a.target].of(sparse_combination(r, arrows[a.name])) for r in bases[a.source]]
         if any(r is None for r in rows):
             raise TiltbenchError("spaces are not arrow-stable")
         mats[a.name] = Matrix(dims[a.source], dims[a.target], rows)
     sub = Representation(m.algebra, dims, mats, check=False)
-    incl = ModuleMap(sub, m, {v: bases[v] for v in m.dims}, check=False)
-    return sub, incl
+    incl = {v: Matrix._trusted(dims[v], m.dims[v], _dense(bases[v], m.dims[v])) for v in m.dims}
+    return sub, ModuleMap(sub, m, incl, check=False)
 
 
 def quotient_representation(m: Representation, spaces: dict):
-    """(quotient, projection) by arrow-stable row spaces."""
-    bases = {v: row_space_basis(spaces.get(v, Matrix.zero(0, m.dims[v]))) for v in m.dims}
-    if not is_arrow_stable(m, bases):
-        raise TiltbenchError("spaces are not arrow-stable")
-    # the bases are RREF rows already: each pivot is a row's first nonzero entry
-    pivots = {v: [next(j for j, x in enumerate(row) if x) for row in bases[v].data] for v in m.dims}
-    free = {v: [j for j in range(m.dims[v]) if j not in pivots[v]] for v in m.dims}
+    """(quotient, projection) by arrow-stable spaces, given as for
+    ``sub_representation``.  At each vertex one ``Basis`` takes the unit
+    vectors, from the highest column down, modulo the RREF rows of the
+    space: that picks the unit vectors of the free columns, and its
+    coordinates, listed by increasing column, are the projection.  The
+    spaces are arrow-stable when every arrow image of a space row projects
+    to 0."""
+    space = {v: sparse_row_space(spaces.get(v, ())) for v in m.dims}
+    quotients = {v: Basis([{j: 1} for j in reversed(range(d))], d, space[v]) for v, d in m.dims.items()}
+    dims = {v: len(q.rows) for v, q in quotients.items()}
 
-    def project_vec(v, vec):
-        vec = list(vec)
-        for row, p in zip(bases[v].data, pivots[v]):
-            c = vec[p]
-            if c != 0:
-                for j in range(m.dims[v]):
-                    vec[j] -= c * row[j]
-        return [vec[j] for j in free[v]]
+    def project(v, vec) -> list:
+        row = [0] * dims[v]
+        for k, c in quotients[v].coordinates(vec).items():
+            row[-1 - k] = c
+        return row
 
-    dims = {v: len(free[v]) for v in m.dims}
-    proj_mats = {}
-    for v in m.dims:
-        rows = []
-        for i in range(m.dims[v]):
-            e = [0] * m.dims[v]
-            e[i] = 1
-            rows.append(project_vec(v, e))
-        proj_mats[v] = Matrix(m.dims[v], dims[v], rows)
+    arrows = _arrow_rows(m)
     mats = {}
     for a in m.algebra.quiver.arrows:
-        rows = []
-        for j in free[a.source]:
-            e = [0] * m.dims[a.source]
-            e[j] = 1
-            img = Matrix(1, m.dims[a.source], [e]) * m.mats[a.name]
-            rows.append(project_vec(a.target, img.row(0)))
+        image = arrows[a.name]
+        if any(quotients[a.target].coordinates(sparse_combination(r, image)) for r in space[a.source]):
+            raise TiltbenchError("spaces are not arrow-stable")
+        rows = [project(a.target, image[min(e)]) for e in reversed(quotients[a.source].rows)]
         mats[a.name] = Matrix(dims[a.source], dims[a.target], rows)
     quot = Representation(m.algebra, dims, mats, check=False)
-    proj = ModuleMap(m, quot, proj_mats, check=False)
-    return quot, proj
+    proj = {v: Matrix(d, dims[v], [project(v, {i: 1}) for i in range(d)]) for v, d in m.dims.items()}
+    return quot, ModuleMap(m, quot, proj, check=False)
 
 
 def radical_spaces(m: Representation) -> dict:
-    out = {v: Matrix.zero(0, m.dims[v]) for v in m.dims}
+    """rad m as {vertex: its RREF rows}: at v, the row space of the arrow
+    matrices into v."""
+    out = {v: [] for v in m.dims}
     for a in m.algebra.quiver.arrows:
-        out[a.target] = row_space_basis(out[a.target].vstack(m.mats[a.name]))
-    return out
+        out[a.target].extend(_sparse(m.mats[a.name].data))
+    return {v: sparse_row_space(rows) for v, rows in out.items()}
 
 
 def socle_spaces(m: Representation) -> dict:
-    out = {}
-    for v in m.dims:
-        arrows = [a for a in m.algebra.quiver.arrows if a.source == v]
-        if not arrows:
-            out[v] = Matrix.identity(m.dims[v])
-            continue
-        stacked = None
-        for a in arrows:
-            stacked = m.mats[a.name] if stacked is None else stacked.hstack(m.mats[a.name])
-        out[v] = stacked.left_kernel_basis()
-    return out
+    """soc m as {vertex: sparse rows}: at v, the RREF kernel basis of the
+    vectors that every arrow out of v sends to 0 (all of m(v) when none
+    leaves v)."""
+    columns = {v: [] for v in m.dims}
+    for a in m.algebra.quiver.arrows:
+        columns[a.source].extend(zip(*m.mats[a.name].data))
+    return {v: sparse_kernel(_sparse(columns[v]), d) for v, d in m.dims.items()}
 
 
 def top(m: Representation):
@@ -484,7 +482,7 @@ def projective_labels(x: Representation) -> list:
     NotProjective is raised."""
     verts = list(x.algebra.quiver.vertices)
     rad = radical_spaces(x)
-    tops = [x.dims[v] - rad[v].rows for v in verts]
+    tops = [x.dims[v] - len(rad[v]) for v in verts]
     cartan = x.algebra.cartan_matrix().data  # row v: dim vector of P(v)
     for u, w in enumerate(verts):
         if sum(t * cartan[k][u] for k, t in enumerate(tops)) != x.dims[w]:
@@ -497,27 +495,30 @@ def radical_submodule(m: Representation):
 
 
 def radical_layers(m: Representation) -> list:
-    """Loewy layers top-down, each as {vertex: multiplicity of its simple}."""
+    """Loewy layers top-down, each as {vertex: multiplicity of its simple}:
+    rad^(k+1) m at w is the row space of the arrow images of rad^k m into w,
+    each kept as its RREF rows."""
+    arrows = _arrow_rows(m)
     layers = []
-    cur = {v: Matrix.identity(m.dims[v]) for v in m.dims}
-    while any(cur[v].rows for v in cur):
-        nxt = {v: Matrix.zero(0, m.dims[v]) for v in m.dims}
+    cur = {v: [{i: 1} for i in range(d)] for v, d in m.dims.items()}
+    while any(cur.values()):
+        images = {v: [] for v in m.dims}
         for a in m.algebra.quiver.arrows:
-            img = cur[a.source] * m.mats[a.name]
-            nxt[a.target] = row_space_basis(nxt[a.target].vstack(img))
-        layer = {v: cur[v].rows - nxt[v].rows for v in cur}
+            images[a.target].extend(sparse_combination(r, arrows[a.name]) for r in cur[a.source])
+        nxt = {v: sparse_row_space(rows) for v, rows in images.items()}
+        layer = {v: len(cur[v]) - len(nxt[v]) for v in cur}
         layers.append({v: d for v, d in layer.items() if d})
         cur = nxt
     return layers
 
 
 def kernel_of(f: ModuleMap):
-    spaces = {v: f.mats[v].left_kernel_basis() for v in f.source.dims}
+    spaces = {v: sparse_left_kernel(_sparse(x.data)) for v, x in f.mats.items()}
     return sub_representation(f.source, spaces)
 
 
 def cokernel_of(f: ModuleMap):
-    spaces = {v: row_space_basis(f.mats[v]) for v in f.source.dims}
+    spaces = {v: _sparse(x.data) for v, x in f.mats.items()}
     return quotient_representation(f.target, spaces)
 
 

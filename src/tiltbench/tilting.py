@@ -112,7 +112,7 @@ def nakayama_permutation(a: BasicAlgebra) -> dict:
     sigma = {}
     for wi, w in enumerate(verts):
         soc = socle_spaces(projective(a, w))
-        soc_dims = [soc[v].rows for v in verts]
+        soc_dims = [len(soc[v]) for v in verts]
         if sum(soc_dims) != 1:
             continue
         vi = soc_dims.index(1)
@@ -256,8 +256,9 @@ def verify_tilting(
     square = len(k0) == len(verts)
     unimodular = False
     if square and k0:
-        det = Matrix(len(k0), len(verts), k0).det()
-        unimodular = det in (1, -1)
+        # an integer matrix has determinant +-1 exactly when its inverse is integral
+        inv = Matrix(len(k0), len(verts), k0).inverse()
+        unimodular = inv is not None and all(type(x) is int for row in inv.data for x in row)
     basic = all(mult == 1 for _, mult in summands)
     return TiltingReport(
         self_orthogonal=self_orth,

@@ -122,12 +122,10 @@ def left_approximation(a, labels, x):
     out_labels = [v for v in distinct for _ in chosen[v]]
     psum = ProjSum(a, out_labels)
     mats = {}
+    picked = [h for v in distinct for h in chosen[v]]
     for w in a.quiver.vertices:
-        cols = None
-        for v in distinct:
-            for h in chosen[v]:
-                cols = h.mats[w] if cols is None else cols.hstack(h.mats[w])
-        mats[w] = cols if cols is not None else Matrix.zero(x.dims[w], 0)
+        rows = [[y for h in picked for y in h.mats[w].data[r]] for r in range(x.dims[w])]
+        mats[w] = Matrix(x.dims[w], sum(h.mats[w].cols for h in picked), rows)
     g = ModuleMap(x, psum.rep, mats, check=False)
     for v in distinct:
         if not homs[v]:

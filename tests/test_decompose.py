@@ -11,7 +11,7 @@ from tiltbench.complex_decomp import ChainEndData, decompose_complex
 from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk
 from tiltbench.decompose import EndAlgebra, decompose, is_isomorphic, primitive_idempotents
 from tiltbench.errors import DecompositionError
-from tiltbench.linalg import Coordinates, Matrix, row_space_basis, sparse_row_space
+from tiltbench.linalg import Coordinates, Matrix, _sparse, sparse_left_kernel, sparse_row_space
 from tiltbench.reps import (
     ModuleMap,
     Representation,
@@ -217,10 +217,10 @@ def test_end_radical_from_module_trace_form():
         end = EndAlgebra(m)
         rad = end.radical_rows()
         # the left kernel of the regular trace form, read from End(M)'s
-        # products, by the dense route
+        # products, as the RREF rows of its left kernel
         form = [el_to_vector(row, end.dim) for row in FiniteDimAlgebra.trace_form(end)]
-        regular = row_space_basis(Matrix(end.dim, end.dim, form).left_kernel_basis())
-        assert Matrix(len(rad), end.dim, [el_to_vector(x, end.dim) for x in rad]) == regular, m.dim_vector()
+        regular = sparse_row_space(sparse_left_kernel(_sparse(form)))
+        assert _sparse(el_to_vector(x, end.dim) for x in rad) == regular, m.dim_vector()
         seen_local |= end.dim > 1 and end.dim - len(rad) == 1
         seen_matrix_ring |= end.dim == 4 and not rad
     assert seen_local and seen_matrix_ring

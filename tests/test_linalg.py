@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ from tiltbench.linalg import (
     Matrix,
     div,
     frac,
-    row_space_basis,
+    sparse_combination,
     sparse_kernel,
+    sparse_left_kernel,
     sparse_row_space,
 )
 
@@ -67,23 +69,21 @@ def rank(m):
 
 
 def test_rank_identity_and_zero():
-    assert rank(Matrix.identity(3)) == 3 == row_space_basis(Matrix.identity(3)).rows
-    assert rank(Matrix.zero(2, 5)) == 0 == row_space_basis(Matrix.zero(2, 5)).rows
+    assert rank(Matrix.identity(3)) == 3
+    assert rank(Matrix.zero(2, 5)) == 0
 
 
 def test_rank_proportional_rows():
     m = matrix([[1, 2], [2, 4]])
-    assert rank(m) == 1 == row_space_basis(m).rows
+    assert rank(m) == 1
 
 
 def test_kernel_identity_zero_and_relation():
-    assert Matrix.identity(4).left_kernel_basis().rows == 0
-    assert Matrix.zero(3, 2).left_kernel_basis().rows == 3
+    assert sparse_left_kernel([{i: 1} for i in range(4)]) == []
+    assert sparse_left_kernel([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
     assert sparse_kernel([{}, {}], 3) == [{0: 1}, {1: 1}, {2: 1}]
-    k = matrix([[1], [1]]).left_kernel_basis()
-    assert (k.rows, k.cols) == (1, 2)
-    # spans (1, -1)
-    assert k.data[0][0] == -k.data[0][1] != 0
+    # the rows (1) and (1): the left kernel is spanned by (-1, 1)
+    assert sparse_left_kernel([{0: 1}, {0: 1}]) == [{0: -1, 1: 1}]
 
 
 def test_solve_cases():
@@ -99,11 +99,12 @@ def test_solve_substitutes_exactly_and_kernel_annihilates():
     for _ in range(25):
         r, c = rng.randint(0, 4), rng.randint(0, 4)
         m = Matrix(r, c, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)])
-        ker = m.transpose().left_kernel_basis()  # rows span the right kernel of m
-        assert (m * ker.transpose()).is_zero()
-        assert rank(m) + ker.rows == c
-        left = m.left_kernel_basis()
-        assert (left * m).is_zero() and rank(m) + left.rows == r
+        rows = [_sparse(row) for row in m.data]
+        ker = sparse_kernel(rows, c)
+        assert all(sum(x * vec.get(j, 0) for j, x in row.items()) == 0 for row in rows for vec in ker)
+        assert rank(m) + len(ker) == c
+        left = sparse_left_kernel(rows)
+        assert all(sparse_combination(vec, rows) == {} for vec in left) and rank(m) + len(left) == r
         x = Matrix(c, 1, [[Fraction(rng.randint(-2, 2))] for _ in range(c)])
         b = m * x
         sol = m.solve(b)
@@ -113,11 +114,13 @@ def test_solve_substitutes_exactly_and_kernel_annihilates():
 def test_zero_dimension_matrices_behave():
     z = Matrix.zero(0, 3)
     assert rank(z) == 0
-    assert z.transpose().left_kernel_basis().rows == 3
-    assert (z.left_kernel_basis().rows, z.left_kernel_basis().cols) == (0, 0)
+    # no rows of width 3: the right kernel is everything, the left kernel empty
+    assert sparse_kernel([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert sparse_left_kernel([]) == []
+    # three empty rows of width 0: the right kernel is empty, the left kernel everything
     z2 = Matrix.zero(3, 0)
-    assert z2.transpose().left_kernel_basis().rows == 0
-    assert z2.left_kernel_basis() == Matrix.identity(3)
+    assert sparse_kernel([{}, {}, {}], 0) == []
+    assert sparse_left_kernel([_sparse(row) for row in z2.data]) == [{0: 1}, {1: 1}, {2: 1}]
     assert (z2.transpose() * z2).rows == 0
 
 
@@ -136,19 +139,19 @@ def test_identity_and_zero_constructors():
 
 def test_inverse_and_det():
     m = matrix([[1, 2], [3, 5]])
-    assert m.det() == -1
+    assert leibniz_det(m.data) == -1
     inv = m.inverse()
     assert m * inv == Matrix.identity(2)
+    assert inv == matrix([[-5, 2], [3, -1]]) and all(type(x) is int for row in inv.data for x in row)
     assert matrix([[1, 2], [2, 4]]).inverse() is None
 
 
 def test_row_space_helpers():
-    a = matrix([[1, 0, 1], [0, 1, 1]])
+    a = [{0: 1, 2: 1}, {1: 1, 2: 1}]
     b = matrix([[1, 1, 2], [1, -1, 0]])
-    assert row_space_basis(b) == a == row_space_basis(a)
-    assert sparse_row_space([_sparse(r) for r in b.data]) == [{0: 1, 2: 1}, {1: 1, 2: 1}]
-    assert row_space_basis(matrix([[1, 0, 1], [0, 1, 0]])) != a
-    assert row_space_basis(Matrix.zero(2, 3)) == Matrix.zero(0, 3) != a
+    assert sparse_row_space([_sparse(r) for r in b.data]) == a == sparse_row_space(a)
+    assert sparse_row_space([{0: 1, 2: 1}, {1: 1}]) != a
+    assert sparse_row_space([{}, {}]) == []
     assert Coordinates(b.data, b.cols).of([2, 2, 4]) is not None
     assert Coordinates(b.data, b.cols).of([1, 0, 0]) is None
 
@@ -258,53 +261,48 @@ def fraction_solve(rows, cols, data, rhs, width):
     return x
 
 
-def fraction_det(data):
-    """Reference: the determinant by Gaussian elimination on Fractions."""
-    m = [[Fraction(x) for x in row] for row in data]
-    n = len(m)
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return d
+def leibniz_det(data):
+    """Reference: the determinant as the signed sum over permutations."""
+    n = len(data)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= data[i][j]
+        total += term
+    return total
 
 
-def test_det_matches_fraction_elimination():
+def test_integral_inverse_exactly_when_det_is_unit():
+    """The K0 check of verify_tilting: a square integer matrix has
+    determinant +-1 exactly when ``inverse()`` returns a matrix of ints."""
     rng = random.Random(1982)
-    for case in range(400):
-        n = rng.randint(0, 7)
-        if case % 2:  # integer entries, large ones in every fourth case
-            bound = 10**20 if case % 4 == 1 else 5
-            data = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
-        else:
-            data = [
-                [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 10**12])) if rng.random() < 0.7 else 0 for _ in range(n)]
-                for _ in range(n)
-            ]
-        if n >= 2 and rng.random() < 0.25:  # singular: a row that depends on another
-            i, k = rng.sample(range(n), 2)
-            data[i] = [3 * x for x in data[k]]
-        got = Matrix(n, n, data).det()
-        assert got == fraction_det(data)
-        assert canonical(got)
-    assert Matrix.zero(0, 0).det() == 1
-    assert matrix([[0, 1], [1, 0]]).det() == -1
-    assert matrix([[Fraction(1, 2), 0], [0, 4]]).det() == 2
-    with pytest.raises(DimensionMismatch):
-        Matrix.zero(2, 3).det()
+    cases = [
+        [],
+        [[2, 0], [0, 1]],  # det 2
+        [[0, 1], [1, 0]],  # det -1
+        [[1, 2, 3], [2, 4, 6], [0, 1, 1]],  # det 0
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],  # det 2, not unimodular though invertible
+    ]
+    cases += [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for n in range(6) for _ in range(60)]
+    units = nonunits = singular = 0
+    for data in cases:
+        n = len(data)
+        det = leibniz_det(data)
+        inv = Matrix(n, n, data).inverse()
+        integral = inv is not None and all(type(x) is int for row in inv.data for x in row)
+        assert integral == (det in (1, -1)), data
+        assert (inv is None) == (det == 0), data
+        units += integral
+        nonunits += det not in (0, 1, -1)
+        singular += det == 0
+    assert units > 30 and nonunits > 30 and singular > 30
 
 
 def test_rref_matches_fraction_gauss_jordan():
-    """rref, and left_kernel_basis, solve and inverse built on the same
-    reduction, against the Fraction reference."""
+    """rref, solve and inverse, and the sparse right and left kernels from
+    the same reduction, against the Fraction reference."""
     rng = random.Random(1968)
     consistent = inconsistent = singular = 0
     for case in range(400):
@@ -338,14 +336,14 @@ def test_rref_matches_fraction_gauss_jordan():
         assert pivots == want_pivots
         assert (red.rows, red.cols) == (rows, cols)
         assert [list(row) for row in red.data] == want
-        # the right kernel of m is the left kernel of its transpose, and the
-        # left kernel of m the right kernel of its transpose
-        ker = m.transpose().left_kernel_basis()
-        want_ker = fraction_kernel(rows, cols, data)
-        assert (ker.rows, ker.cols) == (len(want_ker), cols) and list(ker.data) == want_ker
-        left = m.left_kernel_basis()
+        # the left kernel of m is the right kernel of its transpose
+        sparse = [_sparse(row) for row in data]
+        ker = sparse_kernel(sparse, cols)
+        assert ker == [_sparse(vec) for vec in fraction_kernel(rows, cols, data)]
+        left = sparse_left_kernel(sparse)
         want_left = fraction_kernel(cols, rows, [[row[j] for row in data] for j in range(cols)])
-        assert (left.rows, left.cols) == (len(want_left), rows) and list(left.data) == want_left
+        assert left == [_sparse(vec) for vec in want_left]
+        assert all(x != 0 and canonical(x) for vec in ker + left for x in vec.values())
         # solve: b = m * x is consistent; a random b usually is not when m
         # has fewer pivots than rows
         width = rng.randint(1, 2)
@@ -366,7 +364,7 @@ def test_rref_matches_fraction_gauss_jordan():
         identity = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
         assert (None if inv is None else [list(row) for row in inv.data]) == fraction_solve(k, k, block, identity, k)
         singular += inv is None
-        results = [red, ker, left, *(r for r in solved + [inv] if r is not None)]
+        results = [red, *(r for r in solved + [inv] if r is not None)]
         assert all(canonical(x) for result in results for row in result.data for x in row)
     assert consistent == 400 and inconsistent > 50 and 50 < singular < 350
 
@@ -382,10 +380,7 @@ def test_matrix_operations_hold_only_exact_scalars():
     # constructors and elimination give canonical scalars
     canonical_results = [
         a,
-        a.hstack(b),
-        a.vstack(b),
         a.rref()[0],
-        a.transpose().left_kernel_basis(),
         a.solve(a * c),
         sq.inverse(),
         Matrix.identity(3),
@@ -501,7 +496,6 @@ def test_sparse_row_space_is_row_space_basis():
         red, pivots = fraction_gauss_jordan(len(data), cols, data)
         got = sparse_row_space([_sparse(r) for r in data])
         assert got == [_sparse(r) for r in red[: len(pivots)]]
-        assert row_space_basis(Matrix(len(data), cols, data)).data == tuple(map(tuple, red[: len(pivots)]))
         assert all(canonical(x) for row in got for x in row.values())
         assert all(list(x) == sorted(x) for x in got)
 

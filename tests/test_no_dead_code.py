@@ -1,11 +1,12 @@
 """Every top-level function, class and method of the package has a caller.
 
 A definition counts as used when it is referenced, outside its own body,
-from the package itself, the demos, the benchmark or the corpus scripts;
-when it is exported in ``tiltbench.__all__``; or when the benchmark's tracer
-wraps it by name.  Dunder methods are called by Python itself and are not
-checked.  Helpers that only tests call are listed in ``TEST_ONLY`` with the
-reason they stay.
+from the package itself, the demos, the benchmark or the corpus scripts, or
+when it is exported in ``tiltbench.__all__``.  Dunder methods are called by
+Python itself and are not checked.  Helpers that only tests call are listed
+in ``TEST_ONLY``, and entry points that only the benchmark's tracer names
+(in strings, which are not references) in ``TRACER_ONLY``, each with the
+reason it stays.
 
 References are matched by name, except to a method whose name two or more
 package classes define: ``Matrix.inverse`` must not count as a caller of
@@ -32,6 +33,12 @@ TEST_ONLY = {
     "HomotopySpace.class_reps": "tests compose class representatives to check chain maps against realization",
     "corpus_algebras": "the named corpus algebras that tests iterate over",
     "el_to_vector": "tests write elements as dense rows to compare them with Matrix-based references",
+}
+
+TRACER_ONLY = {
+    "Matrix.rref": "the tracer counts its calls and cells as linalg.rref; the package eliminates by the sparse routines",
+    "FiniteDimAlgebra.left_matrix": "the tracer counts its calls; the package forms no left-multiplication matrix",
+    "map_coordinates": "the tracer times it; the package reads hom-space coordinates from a Basis",
 }
 
 AMBIGUOUS = {
@@ -181,7 +188,7 @@ def _traced_entry_points():
 def _checked_definitions():
     """(file, qualified name, node, own (file, def line)) of each definition
     that needs a caller."""
-    exempt = set(tiltbench.__all__) | _traced_entry_points() | set(TEST_ONLY)
+    exempt = set(tiltbench.__all__) | set(TRACER_ONLY) | set(TEST_ONLY)
     for path, qualified, node in _definitions():
         name = node.name
         if not ((name.startswith("__") and name.endswith("__")) or qualified in exempt):
@@ -229,6 +236,19 @@ def test_test_only_lists_package_definitions_that_only_tests_call():
             if has_caller(qualified, node, (path, node.lineno)):
                 stale.append(f"{qualified}: called outside tests")
     assert not stale, "stale TEST_ONLY entries:\n" + "\n".join(stale)
+
+
+def test_tracer_only_lists_exactly_the_traced_definitions_without_another_caller():
+    """TRACER_ONLY names each definition that the benchmark's tracer wraps
+    and nothing else keeps alive: not a caller, not an export."""
+    has_caller = _has_caller()
+    traced = _traced_entry_points() - set(tiltbench.__all__)
+    uncalled = {
+        qualified
+        for path, qualified, node in _definitions()
+        if qualified in traced and not has_caller(qualified, node, (path, node.lineno))
+    }
+    assert uncalled == set(TRACER_ONLY)
 
 
 def test_ambiguous_lists_exactly_the_shared_names_without_a_resolved_caller():

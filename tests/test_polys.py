@@ -8,7 +8,7 @@ import tiltbench
 from tiltbench import corpus
 from tiltbench.algebra import el_from_vector, el_to_vector
 from tiltbench.decompose import _corner_min_poly, primitive_idempotents
-from tiltbench.linalg import Matrix
+from tiltbench.linalg import _sparse, sparse_left_kernel
 from tiltbench.polys import pmul, pnorm, rational_roots
 from tiltbench.tilting import TiltingContext
 
@@ -72,11 +72,11 @@ def _old_corner_min_poly(alg, x, unit):
     while True:
         cur = alg.mul(cur, x)
         flats.append(el_to_vector(cur, alg.dim))
-        ker = Matrix(len(flats), len(flats[0]), flats).left_kernel_basis()
-        if ker.rows:
-            row = list(ker.row(0))
-            top = max(i for i, c in enumerate(row) if c != 0)
-            return pnorm([c / row[top] for c in row[: top + 1]])
+        ker = sparse_left_kernel(_sparse(flats))
+        if ker:
+            row = ker[0]
+            top = max(row)
+            return pnorm([row.get(i, 0) / row[top] for i in range(top + 1)])
 
 
 def test_corner_min_poly_unchanged_on_end_of_corpus_tilting_complex():

@@ -19,7 +19,7 @@ from tiltbench.algebra import (
 )
 from tiltbench.complexes import ChainMapC, regular_stalk
 from tiltbench.errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, TiltbenchError
-from tiltbench.linalg import Coordinates, Matrix, row_space_basis, sparse_row_space
+from tiltbench.linalg import Coordinates, _sparse, sparse_row_space
 from tiltbench.presentation import (
     presentations_match,
     quiver_presentation,
@@ -232,10 +232,9 @@ def test_not_basic_is_raised():
 def _layers_by_all_pairs(alg):
     """[rad, rad^2, ..., 0] from the trace-form radical by all-pairs products."""
     rad = alg.radical_rows()
-    chain = [Matrix(len(rad), alg.dim, [el_to_vector(x, alg.dim) for x in rad])]
-    while chain[-1].rows:
-        rows = [el_to_vector(alg.mul(el_from_vector(x), y), alg.dim) for x in chain[-1].data for y in rad]
-        chain.append(row_space_basis(Matrix(len(rows), alg.dim, rows)))
+    chain = [rad]
+    while chain[-1]:
+        chain.append(sparse_row_space([alg.mul(x, y) for x in chain[-1] for y in rad]))
     return chain
 
 
@@ -334,9 +333,9 @@ def _assert_peirce_layers_match(alg, idems, chain):
     for layer, nxt in zip(chain, chain[1:]):
         assert nxt.elements == _all_pairs_block_product(alg, layer.elements, chain[0].elements)
     for layer, ref in zip(chain, reference):
-        assert layer.rows == ref.rows
-        rows = [el_to_vector(x, alg.dim) for line in layer.elements for block in line for x in block]
-        assert row_space_basis(Matrix(len(rows), alg.dim, rows)) == row_space_basis(ref)
+        assert layer.rows == len(ref)
+        rows = [x for line in layer.elements for block in line for x in block]
+        assert sparse_row_space(rows) == sparse_row_space(ref)
         # block (i, j) lies in e_i A e_j
         for i, e in enumerate(idems):
             for j, f in enumerate(idems):
@@ -589,9 +588,8 @@ def _old_ideal_spans(quiver, gens, up_to):
                     left = [Fraction(0)] * len(order)
                     right = [Fraction(0)] * len(order)
                     any_l = any_r = False
-                    for p, c in zip(prev_order, row):
-                        if c == 0:
-                            continue
+                    for j, c in row.items():
+                        p = prev_order[j]
                         if a.target == p.source:
                             left[index[Path(a.source, (a.name,) + p.arrows)]] += c
                             any_l = True
@@ -602,9 +600,9 @@ def _old_ideal_spans(quiver, gens, up_to):
                         rows.append(left)
                     if any_r:
                         rows.append(right)
-        span = row_space_basis(Matrix(len(rows), len(order), rows)) if rows else Matrix.zero(0, len(order))
+        span = sparse_row_space(_sparse(rows))
         out[n] = (order, index, span)
-        prev_rows = [list(span.row(i)) for i in range(span.rows)]
+        prev_rows = span
         prev_order = order
     return out
 
@@ -614,9 +612,9 @@ def _old_relation_in_ideal(quiver, gens, rel):
     if order is None:
         return False
     vec = _old_vector(rel, index)
-    if span.rows == 0:
+    if not span:
         return all(c == 0 for c in vec)
-    return Coordinates(span.data, span.cols).of(vec) is not None
+    return Coordinates(span, len(order)).of(vec) is not None
 
 
 def _old_prune(quiver, relations):

@@ -14,7 +14,7 @@ from module_maps import (
 from tiltbench import corpus
 from tiltbench.decompose import _iso_between_indecomposables, decompose
 from tiltbench.errors import NotProjective, TiltbenchError
-from tiltbench.linalg import Coordinates, Matrix, row_space_basis
+from tiltbench.linalg import Coordinates, Matrix, _sparse, sparse_left_kernel, sparse_row_space
 from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
     ModuleMap,
@@ -36,6 +36,8 @@ from tiltbench.reps import (
     realize_entry_map,
     nu_injective_sum,
     projective_labels,
+    quotient_representation,
+    sub_representation,
     zero_rep,
 )
 from tiltbench.tilting import construct_tpq
@@ -274,10 +276,70 @@ def test_kernel_image_cokernel():
     p1, p2 = projective(a, "1"), projective(a, "2")
     f = hom_space(p1, p2)[0]
     ker, _ = kernel_of(f)
-    img_dim = sum(row_space_basis(f.mats[v]).rows for v in a.quiver.vertices)
+    img_dim = sum(len(sparse_row_space(_sparse(f.mats[v].data))) for v in a.quiver.vertices)
     cok, _ = cokernel_of(f)
     assert ker.total_dim() + img_dim == p1.total_dim()
     assert cok.total_dim() == p2.total_dim() - img_dim
+
+
+def _quotient_by_project_vec(m, spaces):
+    """Reference for quotient_representation: the projection and arrow
+    matrices, as lists of rows, of m modulo arrow-stable spaces.  A vector
+    is reduced by each RREF row of the space at that row's pivot and read
+    at the free columns."""
+    rref = {v: sparse_row_space(spaces.get(v, [])) for v in m.dims}
+    free = {v: [j for j in range(d) if all(min(row) != j for row in rref[v])] for v, d in m.dims.items()}
+
+    def project_vec(v, vec):
+        vec = list(vec)
+        for row in rref[v]:
+            c = vec[min(row)]
+            if c != 0:
+                for j, x in row.items():
+                    vec[j] -= c * x
+        return [vec[j] for j in free[v]]
+
+    proj = {v: [project_vec(v, [int(i == j) for j in range(d)]) for i in range(d)] for v, d in m.dims.items()}
+    mats = {
+        a.name: [project_vec(a.target, m.mats[a.name].data[j]) for j in free[a.source]]
+        for a in m.algebra.quiver.arrows
+    }
+    return proj, mats
+
+
+def test_quotient_projects_onto_the_free_columns():
+    """On the images and kernels of seeded random maps between Kupisch
+    (3,3,4,4) modules, quotient_representation's projection and arrow
+    matrices are those of the reduction at the pivots of the space's RREF
+    rows; a space that is not arrow-stable raises, as it does for
+    sub_representation."""
+    a = corpus.kupisch_algebra([3, 3, 4, 4])
+    verts = a.quiver.vertices
+    mods = [f(a, v) for v in verts for f in (projective, injective, simple)]
+    mods += [radical_submodule(projective(a, v))[0] for v in verts]
+    rng = random.Random(3344)
+    mods += [regular_module(a)] + [rng.choice(mods).direct_sum(rng.choice(mods)) for _ in range(8)]
+    proper = 0
+    for _ in range(60):
+        m, n = rng.choice(mods), rng.choice(mods)
+        f = ModuleMap.zero(m, n)
+        for h in hom_space(m, n):
+            f = f + h.scale(rng.randint(-2, 2))
+        image = {v: _sparse(x.data) for v, x in f.mats.items()}
+        kernel = {v: sparse_left_kernel(_sparse(x.data)) for v, x in f.mats.items()}
+        for x, spaces in ((n, image), (m, kernel)):
+            quot, proj = quotient_representation(x, spaces)
+            want_proj, want_mats = _quotient_by_project_vec(x, spaces)
+            assert {v: [list(r) for r in p.data] for v, p in proj.mats.items()} == want_proj
+            assert {name: [list(r) for r in q.data] for name, q in quot.mats.items()} == want_mats
+            proper += 0 < quot.total_dim() < x.total_dim()
+    assert proper > 20
+    v = verts[0]
+    p = projective(a, v)
+    _, pos = ProjSum(a, [v]).generator_position(0)
+    for construct in (quotient_representation, sub_representation):
+        with pytest.raises(TiltbenchError, match="spaces are not arrow-stable"):
+            construct(p, {v: [{pos: 1}]})
 
 
 def test_radical_of_p1_is_uniserial_dim2():
