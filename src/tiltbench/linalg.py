@@ -31,7 +31,8 @@ it runs the same loop on each row as it is added and on each vector it is
 asked about, and keeps with each echelon row its combination of the input
 rows.  :class:`Basis`, on one ``Coordinates``, is the basis modulo a
 subspace, and the coordinates on it, of every hom space and of every
-quotient module.  There is no other elimination.
+quotient module; ``Basis.of_kernel`` skips that elimination for rows that
+``sparse_kernel`` has reduced already.  There is no other elimination.
 """
 
 from __future__ import annotations
@@ -283,20 +284,49 @@ class Basis:
     and of the rows before them, and ``rows`` those rows as given, dense or
     sparse.  One ``Coordinates`` on the null rows followed by the rows gives
     the coordinates: a row left out depends on earlier rows and gets
-    coefficient 0, so only the coefficients on null rows are dropped."""
+    coefficient 0, so only the coefficients on null rows are dropped.
 
-    __slots__ = ("positions", "rows", "_span", "_index")
+    ``Basis.of_kernel`` is the basis of rows that need no elimination: rows
+    in the form ``sparse_kernel`` gives them, with no null rows.  There a
+    vector's coordinates are its entries at the rows' free columns, and one
+    ``sparse_combination`` checks that they give the vector back."""
+
+    __slots__ = ("positions", "rows", "_width", "_span", "_index")
 
     def __init__(self, rows, width: int, null=()):
         n = len(null)
+        self._width = width
         self._span = span = Coordinates([*null, *rows], width)
         self.positions = [k - n for k in span.independent if k >= n]
         self.rows = [rows[k] for k in self.positions]
         self._index = {k + n: c for c, k in enumerate(self.positions)}  # row in the span -> basis index
 
+    @classmethod
+    def of_kernel(cls, rows, width: int) -> "Basis":
+        """The basis of the sparse rows, for rows in the form ``sparse_kernel``
+        gives them: each row has entry 1 at its largest column, its free
+        column, and no other row has an entry there, so the rows are
+        independent; the unit vectors are such rows.  Its ``positions``,
+        ``rows`` and ``coordinates`` are those of ``Basis(rows, width)``,
+        found without an elimination."""
+        basis = object.__new__(cls)
+        basis._width = width
+        basis._span = None
+        basis.positions = list(range(len(rows)))
+        basis.rows = list(rows)
+        basis._index = {max(row): k for k, row in enumerate(rows)}  # free column -> basis index
+        return basis
+
     def coordinates(self, v) -> dict:
         """The nonzero coordinates {basis index: c} of v modulo the null
         rows; raises TiltbenchError when v is outside span(null + rows)."""
+        if self._span is None:  # of_kernel: v's entries at the free columns
+            v = _sparse_vector(v, self._width)
+            index = self._index
+            coeffs = {index[j]: x for j, x in v.items() if j in index}
+            if sparse_combination(coeffs, self.rows) != v:
+                raise TiltbenchError("vector not in the hom space spanned by the basis")
+            return coeffs
         coeffs = self._span.of_sparse(v)
         if coeffs is None:
             raise TiltbenchError("vector not in the hom space spanned by the basis")

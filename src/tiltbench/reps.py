@@ -31,6 +31,14 @@ from .quiver import Path
 
 
 class Representation:
+    """A module over ``algebra``: ``dims`` gives each vertex's dimension (0
+    when left out) and ``mats`` each arrow's matrix by arrow name (zero when
+    left out).  With ``check`` the constructor certifies, by
+    ``_check_relations``, that every relation of the algebra acts as zero,
+    and raises TiltbenchError "relation violated" otherwise; the terms whose
+    paths touch a vertex of dimension 0 act by zero matrices, and the check
+    forms none of them."""
+
     def __init__(self, algebra: BasicAlgebra, dims: dict, mats: dict, check: bool = True):
         self.algebra = algebra
         q = algebra.quiver
@@ -47,11 +55,20 @@ class Representation:
             self._check_relations()
 
     def _check_relations(self):
+        """Raise TiltbenchError when some relation does not act as zero.  A
+        relation from or to a vertex of dimension 0, and a term whose path
+        passes through one, act by zero matrices, so they are skipped: the
+        check tests the same equations without forming them."""
+        dims, arrows = self.dims, self.algebra.quiver.arrow_by_name
         for r in self.algebra.relations:
-            acc = Matrix.zero(self.dims[r.source], self.dims[r.target])
+            if not (dims[r.source] and dims[r.target]):
+                continue
+            acc = None
             for c, p in r.terms:
-                acc = acc + self.path_matrix(p).scale(c)
-            if not acc.is_zero():
+                if all(dims[arrows[name].target] for name in p.arrows[:-1]):
+                    term = self.path_matrix(p).scale(c)
+                    acc = term if acc is None else acc + term
+            if acc is not None and not acc.is_zero():
                 raise TiltbenchError(f"relation violated: {r}")
 
     def total_dim(self) -> int:

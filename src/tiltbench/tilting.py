@@ -624,8 +624,12 @@ def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
     maps, in the Yoneda coordinates of the degree -i hom space, its rows
     ``{column: entry}`` dicts.  Both come from the sparse rows of
     ``YonedaAction.precomposition``: the chain maps are the left kernel of
-    the incoming differential's rows, and the null maps the outgoing one's
-    rows; no dense matrix is built."""
+    the incoming differential's rows, or every unit vector when there is no
+    incoming differential, and the null maps the outgoing one's rows; no
+    dense matrix is built.  With no outgoing differential there are no null
+    maps, and the chain rows, in ``sparse_kernel``'s form, are the basis as
+    they are: ``Basis.of_kernel`` reads coordinates off them without an
+    elimination."""
     deg, terms = -i, tw.terms
     n = sum(act.x.dims[a] for a in terms.get(deg, ()))
     if not n:
@@ -638,12 +642,12 @@ def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
         chain = sparse_left_kernel(pre_in)
     else:
         chain = [{j: 1} for j in range(n)]
+    if not d_out:
+        return Basis.of_kernel(chain, n)
     # null maps: (next differential) then psi for psi on the next term
-    null = ()
-    if d_out:
-        null = act.precomposition(d_out, terms[deg], terms[deg + 1])
-        if d_in and any(sparse_combination(row, pre_in) for row in null):
-            raise TiltbenchError(f"d^2 != 0 on Hom(T, x) at degree {deg}")
+    null = act.precomposition(d_out, terms[deg], terms[deg + 1])
+    if d_in and any(sparse_combination(row, pre_in) for row in null):
+        raise TiltbenchError(f"d^2 != 0 on Hom(T, x) at degree {deg}")
     return Basis(chain, n, null)
 
 

@@ -14,3 +14,23 @@ def seeded_kupisch_series(rng, count, max_vertices=4, max_length=5):
         if series[0] >= series[-1] - 1 and series not in out:
             out.append(series)
     return out
+
+
+def nakayama_indecomposables(a):
+    """The indecomposable modules of a Nakayama algebra a, each once up to
+    isomorphism: P(v)/rad^k P(v) for each vertex v, in quiver order, and
+    k = 1, ..., the Loewy length of P(v), in that order.  Each is the
+    ``quotient_representation`` of P(v) by rad^k P(v), whose spaces are the
+    rows of the composite inclusion of the radical powers into P(v)."""
+    from tiltbench.linalg import _sparse
+    from tiltbench.reps import ModuleMap, projective, quotient_representation, radical_submodule
+
+    out = []
+    for v in a.quiver.vertices:
+        p = projective(a, v)
+        power, into_p = p, ModuleMap.identity(p)
+        while power.total_dim():
+            power, incl = radical_submodule(power)
+            into_p = incl.then(into_p)
+            out.append(quotient_representation(p, {w: _sparse(m.data) for w, m in into_p.mats.items()})[0])
+    return out

@@ -169,6 +169,27 @@ def test_stable_image_positive_and_not_concentrated():
         os.remove(path)
 
 
+def test_stable_image_of_a_module_that_violates_a_relation_exits_two(tmp_path):
+    """A module file whose arrows make alpha*beta*gamma act as 1 is refused
+    when it is read: exit 2 with "relation violated", and nothing on
+    stdout."""
+    path = tmp_path / "M.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": 1,
+                "algebra": "fig1.json",
+                "dims": {"1": 1, "2": 1, "3": 1},
+                "arrows": {"alpha": [["1"]], "beta": [["1"]], "gamma": [["1"]]},
+            }
+        )
+    )
+    code, out, err = run_cli("stable-image", "fig1.json", "fig1_T.json", str(path))
+    assert code == 2
+    assert out == ""
+    assert "relation violated" in err and "Traceback" not in err
+
+
 def test_parse_error_exit_two(tmp_path):
     code, out, err = run_cli("alg", "check", "no_such_file.json")
     assert code == 2

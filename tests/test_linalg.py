@@ -558,3 +558,49 @@ def test_basis_modulo_null_rows():
                 with pytest.raises(TiltbenchError, match="not in the hom space"):
                     b.coordinates(v)
     assert raised > 50
+
+
+def test_basis_of_kernel_matches_the_eliminating_basis():
+    """``Basis.of_kernel`` on ``sparse_left_kernel`` rows of seeded random
+    sparse matrices, and on unit vectors, has the positions, rows and
+    coordinates of ``Basis(rows, width)``, on dense and sparse vectors; a
+    vector outside the span raises as there, and so does every unit vector
+    at a pivot column, which has no entry at a free column."""
+    rng = random.Random(32)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else Fraction(0)
+
+    raised = 0
+    for trial in range(300):
+        n = rng.randint(0, 7)
+        if trial % 5 == 0:
+            rows = [{j: 1} for j in range(n)]
+        else:
+            matrix_rows = [_sparse([entry() for _ in range(rng.randint(0, 6))]) for _ in range(n)]
+            rows = sparse_left_kernel(matrix_rows)
+        fast, ref = Basis.of_kernel(rows, n), Basis(rows, n)
+        assert fast.positions == ref.positions == list(range(len(rows)))
+        assert fast.rows == ref.rows == rows
+        for _ in range(3):
+            x = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for k in range(len(rows)) if rng.random() < 0.6}
+            x = {k: c for k, c in x.items() if c}
+            vec = fast.vector(x)
+            dense = [vec.get(j, 0) for j in range(n)]
+            assert fast.coordinates(vec) == fast.coordinates(dense) == ref.coordinates(vec) == x
+        v = [entry() for _ in range(n)]
+        try:
+            want = ref.coordinates(v)
+        except TiltbenchError:
+            raised += 1
+            with pytest.raises(TiltbenchError, match="not in the hom space"):
+                fast.coordinates(v)
+        else:
+            assert fast.coordinates(v) == want
+        free = {max(row) for row in rows}
+        for c in set(range(n)) - free:
+            with pytest.raises(TiltbenchError, match="not in the hom space"):
+                fast.coordinates({c: 1})
+    assert raised > 50
+    with pytest.raises(DimensionMismatch):
+        Basis.of_kernel([{0: 1}, {1: 1}], 2).coordinates([1, 2, 3])

@@ -451,3 +451,96 @@ def test_unknown_vertex_labels_are_refused_like_projsum():
     for build in (lambda: injective(a, "9"), lambda: nu_injective_sum(a, ["1", "zz"]), lambda: ProjSum(a, ["9"])):
         with pytest.raises(TiltbenchError, match="unknown vertex label"):
             build()
+
+
+def _dense_relation_check(x):
+    """The relation certificate without its zero-dimensional shortcut: every
+    term's path product, summed as dense matrices."""
+    for r in x.algebra.relations:
+        acc = Matrix.zero(x.dims[r.source], x.dims[r.target])
+        for c, p in r.terms:
+            acc = acc + x.path_matrix(p).scale(c)
+        if not acc.is_zero():
+            raise TiltbenchError(f"relation violated: {r}")
+
+
+def _random_module_data(a, rng):
+    """(dims, mats) of a seeded random representation of a's quiver, valid
+    or not: a sum of one or two simples, projectives or radicals of
+    projectives in a random basis at each vertex, then maybe with one vertex
+    cut to dimension 0 and maybe with one matrix entry moved; or, two times
+    in five, random matrices on small dimensions that are positive along
+    one relation path and often 0 elsewhere."""
+    q = a.quiver
+    if rng.random() < 0.4:
+        path = rng.choice(rng.choice(a.relations).terms)[1]
+        on_path = {path.source} | {q.arrow_by_name[name].target for name in path.arrows}
+        dims = {v: rng.choice([1, 2]) if v in on_path else rng.choice([0, 0, 1]) for v in q.vertices}
+        mats = {
+            ar.name: Matrix(
+                dims[ar.source],
+                dims[ar.target],
+                [[rng.choice([-1, 0, 1, 1]) for _ in range(dims[ar.target])] for _ in range(dims[ar.source])],
+            )
+            for ar in q.arrows
+        }
+        return dims, mats
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        v = rng.choice(q.vertices)
+        p = projective(a, v)
+        parts.append(rng.choice([simple(a, v), p, radical_submodule(p)[0]]))
+    x = parts[0].direct_sum(*parts[1:])
+    dims = dict(x.dims)
+    change, inverse = {}, {}
+    for v, d in dims.items():
+        g = [[Fraction(int(i == j)) if i >= j else Fraction(rng.randint(-2, 2)) for j in range(d)] for i in range(d)]
+        change[v] = Matrix(d, d, g)
+        inverse[v] = change[v].inverse()
+    mats = {ar.name: change[ar.source] * x.mats[ar.name] * inverse[ar.target] for ar in q.arrows}
+    if rng.random() < 0.5:
+        cut = rng.choice(q.vertices)
+        dims[cut] = 0
+        for ar in q.arrows:
+            if cut in (ar.source, ar.target):
+                mats[ar.name] = Matrix.zero(dims[ar.source], dims[ar.target])
+    shaped = [ar.name for ar in q.arrows if dims[ar.source] and dims[ar.target]]
+    if shaped and rng.random() < 0.5:
+        name = rng.choice(shaped)
+        m = mats[name]
+        data = [list(row) for row in m.data]
+        data[rng.randrange(m.rows)][rng.randrange(m.cols)] += rng.choice([-1, 1])
+        mats[name] = Matrix(m.rows, m.cols, data)
+    return dims, mats
+
+
+def test_relation_check_raises_on_the_modules_the_dense_check_raises_on():
+    """The relation certificate, which skips relations and terms through
+    vertices of dimension 0, raises with the same message on exactly the
+    seeded random representations that the dense check without the skip
+    raises on, over two Kupisch series, fig1 and sec5."""
+    rng = random.Random(3244)
+    algebras = [
+        corpus.kupisch_algebra([3, 3, 4, 4]),
+        corpus.kupisch_algebra([4, 5, 5, 5]),
+        corpus.fig1_algebra(),
+        corpus.sec5_algebra(),
+    ]
+    outcomes = {"valid": 0, "violated": 0, "zero vertex": 0}
+    for a in algebras:
+        for _ in range(120):
+            dims, mats = _random_module_data(a, rng)
+            try:
+                _dense_relation_check(Representation(a, dims, mats, check=False))
+                want = None
+            except TiltbenchError as exc:
+                want = str(exc)
+            try:
+                Representation(a, dims, mats)
+                got = None
+            except TiltbenchError as exc:
+                got = str(exc)
+            assert got == want, (dims, mats)
+            outcomes["valid" if want is None else "violated"] += 1
+            outcomes["zero vertex"] += 0 in dims.values()
+    assert min(outcomes.values()) > 100, outcomes

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from kupisch import seeded_kupisch_series
+from kupisch import nakayama_indecomposables, seeded_kupisch_series
 from module_maps import flatten_map, hom_from_projective_sum
 
 from tiltbench import corpus
@@ -13,7 +13,7 @@ from tiltbench.errors import NotConcentrated, NotTilting, PreconditionFailed, Ti
 from tiltbench.presentation import presentations_match
 from tiltbench.quiver import Quiver, path_from_arrows, relation_from_words
 from tiltbench.algebra import build_path_algebra, el_to_vector
-from tiltbench.linalg import Coordinates, Matrix, _dense, _sparse, sparse_left_kernel
+from tiltbench.linalg import Basis, Coordinates, Matrix, _dense, _sparse, sparse_left_kernel
 from tiltbench.reps import (
     ProjSum,
     Representation,
@@ -24,6 +24,7 @@ from tiltbench.reps import (
     radical_submodule,
     realize_entry_map,
     simple,
+    top,
     zero_rep,
 )
 from tiltbench.decompose import is_isomorphic
@@ -420,6 +421,35 @@ def test_f_homology_matches_module_map_route():
     assert nonzero_actions > 50
 
 
+def test_f_homology_on_every_nakayama_indecomposable():
+    """On every indecomposable P(v)/rad^k P(v) of three Kupisch series, with
+    T = construct_tpq(A, P, [], 1, 1) for a P that passes the stability
+    criterion: f_homology agrees with the module-map route at every shift,
+    and stable_image answers or raises NotConcentrated, nothing else."""
+    answered = not_concentrated = 0
+    for series, labels in (([3, 4, 4], ["2"]), ([3, 3, 4, 4], ["2", "3", "4"]), ([4, 5, 5, 5], ["2"])):
+        a = corpus.kupisch_algebra(series)
+        t = construct_tpq(a, labels, [], 1, 1).complex
+        ctx = TiltingContext(a, t, proved_by_construction=True)
+        mods = nakayama_indecomposables(a)
+        # uniserial P(v)/rad^k P(v): simple top at v and dimension k
+        tops = [top(x)[0].dims for x in mods]
+        assert all(sum(dims.values()) == 1 for dims in tops)
+        assert [(next(v for v, d in dims.items() if d), x.total_dim()) for dims, x in zip(tops, mods)] == [
+            (v, k) for v, length in zip(a.quiver.vertices, series) for k in range(1, length + 1)
+        ]
+        for x in mods:
+            for i in range(-t.hi - 1, -t.lo + 2):
+                fast, ref = ctx.f_homology(x, i), _f_homology_by_module_maps(ctx, x, i)
+                assert (fast.dims, fast.mats) == (ref.dims, ref.mats)
+            try:
+                ctx.stable_image(x)
+                answered += 1
+            except NotConcentrated:
+                not_concentrated += 1
+    assert (answered, not_concentrated) == (10, 34)
+
+
 def test_f_homology_builds_no_dense_matrix(monkeypatch):
     """f_homology keeps Hom(T_w, x) in sparse rows from the precomposition
     to the class coordinates: over the 12 base modules of Kupisch (4,5,5,5),
@@ -447,6 +477,46 @@ def test_f_homology_builds_no_dense_matrix(monkeypatch):
             dims += ctx.f_homology(x, i).total_dim()
     assert dims > 0
     assert calls == Counter()
+
+
+def test_stable_queries_skip_zero_vertices_and_eliminate_only_modulo_null_maps(monkeypatch):
+    """Over the 144 sums of two base modules of Kupisch (4,5,5,5), with
+    T = construct_tpq(A, ["2"], [], 1, 1), at shifts 0 and 1, the
+    stable-queries benchmark's pass: the relation certificate of the image
+    modules forms no path product through a vertex of dimension 0 (189 of
+    the 864 relation terms remain), and 533 of the 938 stalk bases, those
+    with no outgoing differential, are ``Basis.of_kernel`` bases without an
+    elimination."""
+    a = corpus.kupisch_algebra([4, 5, 5, 5])
+    ctx = TiltingContext(a, construct_tpq(a, ["2"], [], 1, 1).complex)
+    ctx.end_data()
+    base = _base_modules(a)
+    sums = [y.direct_sum(z) for y in base for z in base]
+    calls = Counter()
+    path_matrix = Representation.path_matrix
+
+    def counted_path_matrix(self, path):
+        calls["path products"] += 1
+        vertices = [path.source] + [self.algebra.quiver.arrow_by_name[name].target for name in path.arrows]
+        assert all(self.dims[v] for v in vertices), path
+        return path_matrix(self, path)
+
+    init, of_kernel = Basis.__init__, Basis.of_kernel.__func__
+
+    def counted_init(self, *args, **kwargs):
+        calls["eliminated bases"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_of_kernel(cls, rows, width):
+        calls["kernel bases"] += 1
+        return of_kernel(cls, rows, width)
+
+    monkeypatch.setattr(Representation, "path_matrix", counted_path_matrix)
+    monkeypatch.setattr(Basis, "__init__", counted_init)
+    monkeypatch.setattr(Basis, "of_kernel", classmethod(counted_of_kernel))
+    dims = sum(ctx.f_homology(x, i).total_dim() for x in sums for i in (0, 1))
+    assert len(sums) == 144 and dims > 0
+    assert calls == Counter({"path products": 189, "kernel bases": 533, "eliminated bases": 405})
 
 
 def test_f_homology_checks_d_squared_on_homs():
