@@ -79,7 +79,7 @@ class FiniteDimAlgebra:
     Elements are sparse dicts {k: coefficient} of their nonzero coordinates,
     the form of the vectors ``linalg.sparse_kernel`` and
     ``linalg.sparse_row_space`` return, so ``el_add``, ``el_sub`` and
-    ``el_scale`` apply to them and a ``Coordinates`` takes them as they are.
+    ``el_scale`` apply to them and a ``linalg.Basis`` takes them as they are.
     Dense coordinates enter only as input, through ``abstract_from_table``.
 
     ``product(i, j)`` returns e_i * e_j as such a dict, nonzero coefficients

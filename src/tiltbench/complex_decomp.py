@@ -48,7 +48,7 @@ class ChainEndData(EndomorphismAlgebra):
         self.complex = c
         self.space = space = HomotopySpace(c, c.shift(0))
         super().__init__(
-            Basis(space.chain_vectors, len(space.positions)),
+            Basis.of_kernel(space.chain_vectors, len(space.positions)),
             space.compose,
             space.chain_map_terms(ChainMapC.identity(c)),
         )

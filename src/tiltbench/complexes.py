@@ -389,7 +389,8 @@ class HomotopySpace:
                    of the chain condition, from ``linalg.sparse_kernel``)
     classes:       the ``linalg.Basis`` of the chain vectors modulo the null
                    rows: the chain vectors independent of the null rows and
-                   of the chain vectors before them
+                   of the chain vectors before them (``Basis.of_kernel``,
+                   without an elimination, when there are no null rows)
     class_vectors: ``classes.rows``, the chain vectors descending to a basis
                    of the quotient by the null-homotopic maps
 
@@ -413,7 +414,10 @@ class HomotopySpace:
         n_unk = len(self.positions)
         self.chain_vectors = sparse_kernel(equations.values(), n_unk)
         null_rows = [{pos[t]: c for t, c in image.items()} for _, image in _differential(x, y_shifted, -1)]
-        self.classes = Basis(self.chain_vectors, n_unk, null_rows)
+        if null_rows:
+            self.classes = Basis(self.chain_vectors, n_unk, null_rows)
+        else:
+            self.classes = Basis.of_kernel(self.chain_vectors, n_unk)
         self.class_vectors = self.classes.rows
         self.dim = len(self.class_vectors)
         self._endomorphisms = x.terms == y_shifted.terms and x.diffs == y_shifted.diffs
@@ -432,7 +436,7 @@ class HomotopySpace:
         return ChainMapC(self.x, self.y, mats)
 
     def chain_map_terms(self, cm: ChainMapC) -> dict:
-        """Coordinates of cm as {position: c}, nonzero entries only."""
+        """The coordinates of cm as {position: c}, nonzero entries only."""
         vec = {}
         for d, mat in cm.mats.items():
             for i, row in enumerate(mat):

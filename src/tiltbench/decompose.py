@@ -225,7 +225,8 @@ class EndAlgebra(EndomorphismAlgebra):
     """End(M) on a basis of its hom space; the product a * b is "a then b".
 
     Each basis map is kept as its ``reps.flat``, the sparse vector
-    ``reps.hom_vectors`` returns, in the ``basis`` of the algebra, and
+    ``reps.hom_vectors`` returns, in the ``basis`` of the algebra (a
+    ``Basis.of_kernel``: the vectors are ``sparse_kernel`` rows), and
     ``_cells`` gives the (vertex offset, dim, row, col) of each position.  A
     product cell composes two such maps block by block (``_compose_flats``)
     without forming a ``ModuleMap``; ``element`` writes one summed flat out
@@ -241,7 +242,7 @@ class EndAlgebra(EndomorphismAlgebra):
             d, o = m.dims[v], len(cells)
             cells.extend((o, d, r, c) for r in range(d) for c in range(d))
         super().__init__(
-            Basis(hom_vectors(m, m), len(cells)), partial(_compose_flats, cells), flat(ModuleMap.identity(m))
+            Basis.of_kernel(hom_vectors(m, m), len(cells)), partial(_compose_flats, cells), flat(ModuleMap.identity(m))
         )
 
     def element(self, x: dict) -> ModuleMap:

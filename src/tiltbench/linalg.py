@@ -26,13 +26,14 @@ canonical scalars; callers keep them sparse.
 turns the dense rows into sparse ones and ``_dense`` the results back into
 dense rows, the two converters that the module layer also uses between its
 ``Matrix`` values and sparse rows.  A rank is the length of
-``sparse_row_space``.  :class:`Coordinates` is the incremental front end:
-it runs the same loop on each row as it is added and on each vector it is
-asked about, and keeps with each echelon row its combination of the input
-rows.  :class:`Basis`, on one ``Coordinates``, is the basis modulo a
+``sparse_row_space``.  :class:`Basis` is the incremental front end and
+the one way to find coordinates in a fixed basis: the basis modulo a
 subspace, and the coordinates on it, of every hom space and of every
-quotient module; ``Basis.of_kernel`` skips that elimination for rows that
-``sparse_kernel`` has reduced already.  There is no other elimination.
+quotient module.  It runs the same loop on each row as it is added and on
+each vector it is asked about, and keeps with each echelon row its
+combination of basis rows; ``Basis.of_kernel`` skips that elimination for
+rows that ``sparse_kernel`` has reduced already.  There is no other
+elimination.
 """
 
 from __future__ import annotations
@@ -202,104 +203,39 @@ class Matrix:
             return None
         return x
 
-class Coordinates:
-    """Coordinates of vectors in the span of a list of rows.
-
-    Rows and vectors are given dense, as sequences of length ``width``, or
-    sparse, as ``{column: entry}`` dicts.  Each row is reduced once, by
-    ``_reduce``, against the echelon rows kept so far, and ``add`` appends one
-    more without reducing the earlier ones again; each echelon row is kept
-    monic, with its combination of input rows.  ``of_sparse(v)`` reduces v the
-    same way and answers as ``Matrix.solve`` on the transposed rows does: the
-    nonzero coefficients as {row index: coefficient}, zero on every row that
-    depends on earlier rows, and None when v lies outside the span.  ``of``
-    gives the same coefficients as a dense list.  ``independent`` lists the
-    indices of the rows that do not depend on earlier rows.
-    """
-
-    __slots__ = ("width", "count", "independent", "_echelon", "_position")
-
-    def __init__(self, rows, width: int):
-        self.width = width
-        self.count = 0
-        self.independent = []
-        self._echelon = []  # (pivot column, monic row without its pivot, {row index: coefficient})
-        self._position = {}  # pivot column -> index in _echelon
-        for row in rows:
-            self.add(row)
-
-    def add(self, row) -> bool:
-        """Append row to the list, reducing it against the echelon rows
-        only; True when it does not depend on the earlier rows."""
-        if self._append(row) is None:
-            return True
-        self.count += 1  # a dependent row keeps its index in the list
-        return False
-
-    def add_or_coords(self, row):
-        """None after appending row when it does not depend on the earlier
-        rows; otherwise its coefficients, as ``of`` gives them, and row is not
-        appended.  Either way row is reduced once."""
-        coeffs = self._append(row)
-        return None if coeffs is None else self._dense(coeffs)
-
-    def of(self, v):
-        """Coefficients of v on the rows, as a list, or None when v is outside
-        their span."""
-        coeffs = self.of_sparse(v)
-        return None if coeffs is None else self._dense(coeffs)
-
-    def of_sparse(self, v):
-        """The nonzero coefficients of v on the rows as {row index:
-        coefficient}, or None when v is outside their span."""
-        coeffs = {}
-        return None if _reduce(_sparse_vector(v, self.width), self._echelon, self._position, coeffs) else coeffs
-
-    def _append(self, row):
-        """Appends row when it does not depend on the earlier rows and returns
-        None; otherwise returns its coefficients as {row index: coefficient}."""
-        coeffs = {}
-        rest = _reduce(_sparse_vector(row, self.width), self._echelon, self._position, coeffs)
-        if not rest:
-            return coeffs
-        # rest = row - sum of coeffs[k] * row k
-        combination = {k: -c for k, c in coeffs.items()} if coeffs else {}
-        combination[self.count] = 1
-        _push(self._echelon, self._position, rest, combination)
-        self.independent.append(self.count)
-        self.count += 1
-        return None
-
-    def _dense(self, coeffs: dict) -> list:
-        out = [0] * self.count
-        for k, c in coeffs.items():
-            out[k] = c
-        return out
-
 
 class Basis:
     """A basis of span(null + rows) modulo span(null), picked from rows.
 
     ``positions`` lists the indices of the rows independent of the null rows
-    and of the rows before them, and ``rows`` those rows as given, dense or
-    sparse.  One ``Coordinates`` on the null rows followed by the rows gives
-    the coordinates: a row left out depends on earlier rows and gets
-    coefficient 0, so only the coefficients on null rows are dropped.
+    and of the rows before them, and ``rows`` those rows as given, dense (of
+    length ``width``) or sparse, as ``{column: entry}`` dicts.  Each null
+    row and then each row is reduced once, by ``_reduce``, against the
+    echelon rows kept so far, and a nonzero rest is kept monic, with its
+    combination of basis rows: the null rows' part is dropped, since
+    coordinates are taken modulo them.  ``add_or_coords`` offers one more
+    row.
 
     ``Basis.of_kernel`` is the basis of rows that need no elimination: rows
     in the form ``sparse_kernel`` gives them, with no null rows.  There a
     vector's coordinates are its entries at the rows' free columns, and one
     ``sparse_combination`` checks that they give the vector back."""
 
-    __slots__ = ("positions", "rows", "_width", "_span", "_index")
+    __slots__ = ("positions", "rows", "_width", "_count", "_echelon", "_position", "_index")
 
     def __init__(self, rows, width: int, null=()):
-        n = len(null)
+        self.positions = []
+        self.rows = []
         self._width = width
-        self._span = span = Coordinates([*null, *rows], width)
-        self.positions = [k - n for k in span.independent if k >= n]
-        self.rows = [rows[k] for k in self.positions]
-        self._index = {k + n: c for c, k in enumerate(self.positions)}  # row in the span -> basis index
+        self._count = 0  # rows offered, independent or not
+        self._echelon = []  # (pivot column, monic row without its pivot, {basis index: coefficient})
+        self._position = {}  # pivot column -> index in _echelon
+        for row in null:
+            rest = _reduce(_sparse_vector(row, width), self._echelon, self._position)
+            if rest:
+                _push(self._echelon, self._position, rest, {})
+        for row in rows:
+            self.add_or_coords(row)
 
     @classmethod
     def of_kernel(cls, rows, width: int) -> "Basis":
@@ -308,32 +244,50 @@ class Basis:
         column, and no other row has an entry there, so the rows are
         independent; the unit vectors are such rows.  Its ``positions``,
         ``rows`` and ``coordinates`` are those of ``Basis(rows, width)``,
-        found without an elimination."""
+        found without an elimination; it keeps no echelon rows, so it takes
+        no more rows by ``add_or_coords``."""
         basis = object.__new__(cls)
         basis._width = width
-        basis._span = None
+        basis._echelon = None
         basis.positions = list(range(len(rows)))
         basis.rows = list(rows)
         basis._index = {max(row): k for k, row in enumerate(rows)}  # free column -> basis index
         return basis
 
+    def add_or_coords(self, row):
+        """None after taking row as the next basis row, when it does not
+        depend on the null rows and the rows before it; otherwise its
+        coordinates, as ``coordinates`` gives them, and row is left out.
+        Either way row is reduced once and counts as offered in
+        ``positions``."""
+        coeffs = {}
+        rest = _reduce(_sparse_vector(row, self._width), self._echelon, self._position, coeffs)
+        offered = self._count
+        self._count += 1
+        if not rest:
+            return coeffs
+        # rest = row - sum of coeffs[k] * rows[k], modulo the null rows
+        combination = {k: -c for k, c in coeffs.items()}
+        combination[len(self.rows)] = 1
+        _push(self._echelon, self._position, rest, combination)
+        self.positions.append(offered)
+        self.rows.append(row)
+        return None
+
     def coordinates(self, v) -> dict:
         """The nonzero coordinates {basis index: c} of v modulo the null
         rows; raises TiltbenchError when v is outside span(null + rows)."""
-        if self._span is None:  # of_kernel: v's entries at the free columns
-            v = _sparse_vector(v, self._width)
+        v = _sparse_vector(v, self._width)
+        if self._echelon is None:  # of_kernel: v's entries at the free columns
             index = self._index
             coeffs = {index[j]: x for j, x in v.items() if j in index}
             if sparse_combination(coeffs, self.rows) != v:
                 raise TiltbenchError("vector not in the hom space spanned by the basis")
             return coeffs
-        coeffs = self._span.of_sparse(v)
-        if coeffs is None:
+        coeffs = {}
+        if _reduce(v, self._echelon, self._position, coeffs):
             raise TiltbenchError("vector not in the hom space spanned by the basis")
-        if len(self.rows) == self._span.count:  # no null rows and no row left out
-            return coeffs
-        index = self._index
-        return {index[k]: c for k, c in coeffs.items() if k in index}
+        return coeffs
 
     def vector(self, x: dict) -> dict:
         """The sum of x[k] times rows[k] over x = {basis index: c}, for rows
@@ -454,7 +408,7 @@ def _reduce(row: dict, echelon: list, position: dict, coeffs=None) -> dict:
     An echelon row is zero at the pivots of the rows before it, so
     subtracting it brings in pivots of later rows only: the rows are visited
     in order from a heap of the pivots present.  ``_sparse_echelon`` and
-    ``Coordinates`` reduce every row through here."""
+    ``Basis`` reduce every row through here."""
     pending = [position[j] for j in row if j in position]
     if not pending:
         return row

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .linalg import Coordinates, div, frac
+from .linalg import Basis, div, frac
 
 
 def pnorm(p):
@@ -107,13 +107,12 @@ def min_poly_of_sequence(vectors, width: int):
     When v_k is the flattened k-th power of a matrix (or of an algebra
     element), this is its minimal polynomial.  The vectors, of length
     ``width``, dense or as ``{column: entry}`` dicts, are reduced once each
-    against one growing ``Coordinates``, and no vector after v_k is asked
-    for."""
-    span = Coordinates([], width)
+    against one growing ``Basis``, and no vector after v_k is asked for."""
+    span = Basis([], width)
     for v in vectors:
         coords = span.add_or_coords(v)
         if coords is not None:
-            return pnorm([-c for c in coords] + [1])
+            return pnorm([-coords.get(k, 0) for k in range(len(span.rows))] + [1])
     raise ValueError("the sequence ended before its vectors became dependent")
 
 

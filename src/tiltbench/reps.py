@@ -18,7 +18,6 @@ from .algebra import BasicAlgebra
 from .errors import DecompositionError, DimensionMismatch, NotProjective, TiltbenchError
 from .linalg import (
     Basis,
-    Coordinates,
     Matrix,
     _dense,
     _sparse,
@@ -184,15 +183,17 @@ class ModuleMap:
 
     def factor_through(self, incl: "ModuleMap") -> "ModuleMap":
         """The map p with p then incl = self, for incl injective at every
-        vertex: each row of self read in the ``Coordinates`` of incl's rows.
+        vertex: each row of self read in the ``Basis`` of incl's rows.
         Raises DecompositionError when a row leaves their span."""
         mats = {}
         for v, x in self.mats.items():
-            span = Coordinates(incl.mats[v].data, incl.mats[v].cols)
-            rows = [span.of(r) for r in x.data]
-            if any(r is None for r in rows):
-                raise DecompositionError("image rows escaped the row space of the inclusion")
-            mats[v] = Matrix(x.rows, span.count, rows)
+            n = incl.mats[v].rows
+            span = Basis(incl.mats[v].data, incl.mats[v].cols)
+            try:
+                rows = [{span.positions[k]: c for k, c in span.coordinates(r).items()} for r in x.data]
+            except TiltbenchError:
+                raise DecompositionError("image rows escaped the row space of the inclusion") from None
+            mats[v] = Matrix(x.rows, n, _dense(rows, n))
         return ModuleMap(self.source, incl.source, mats, check=False)
 
 
@@ -373,7 +374,7 @@ class YonedaAction:
 
 
 def map_coordinates(f: ModuleMap, basis: list) -> list:
-    """Coordinates of f in a hom-space basis, as a list; raises
+    """The coordinates of f in a hom-space basis, as a list; raises
     TiltbenchError when f is not in its span."""
     width = sum(f.source.dims[v] * f.target.dims[v] for v in f.mats)
     coords = Basis([flat(b) for b in basis], width).coordinates(flat(f))
@@ -419,15 +420,16 @@ def sub_representation(m: Representation, spaces: dict):
     basis at v is the ``sparse_row_space`` of spaces[v], and an arrow reads
     the images of these rows in the basis at its target."""
     bases = {v: sparse_row_space(spaces.get(v, ())) for v in m.dims}
-    spans = {v: Coordinates(bases[v], m.dims[v]) for v in m.dims}
+    spans = {v: Basis(bases[v], m.dims[v]) for v in m.dims}
     dims = {v: len(bases[v]) for v in m.dims}
     arrows = _arrow_rows(m)
     mats = {}
     for a in m.algebra.quiver.arrows:
-        rows = [spans[a.target].of(sparse_combination(r, arrows[a.name])) for r in bases[a.source]]
-        if any(r is None for r in rows):
-            raise TiltbenchError("spaces are not arrow-stable")
-        mats[a.name] = Matrix(dims[a.source], dims[a.target], rows)
+        try:
+            rows = [spans[a.target].coordinates(sparse_combination(r, arrows[a.name])) for r in bases[a.source]]
+        except TiltbenchError:
+            raise TiltbenchError("spaces are not arrow-stable") from None
+        mats[a.name] = Matrix(dims[a.source], dims[a.target], _dense(rows, dims[a.target]))
     sub = Representation(m.algebra, dims, mats, check=False)
     incl = {v: Matrix._trusted(dims[v], m.dims[v], _dense(bases[v], m.dims[v])) for v in m.dims}
     return sub, ModuleMap(sub, m, incl, check=False)

@@ -68,9 +68,8 @@ from .reps import (
     nu_injective_sum,
     projective,
     projective_labels,
-    socle,
+    simple,
     socle_spaces,
-    top,
 )
 
 
@@ -599,19 +598,14 @@ class TiltingContext:
         for v in self.algebra.quiver.vertices:
             if v in e_set:
                 continue
-            s_v, _ = top(projective(self.algebra, v))
-            profile, image0, concentrated = self._profile(s_v)
-            simple = False
-            if image0.total_dim() == 1:
-                soc, _ = socle(image0)
-                simple = soc.total_dim() == image0.total_dim()
-            ok = concentrated and simple
+            profile, image0, concentrated = self._profile(simple(self.algebra, v))
+            is_simple = image0.total_dim() == 1  # a one-dimensional module is simple
             per_vertex[v] = {
                 "profile": {str(k): vec for k, vec in sorted(profile.items())},
                 "concentrated": concentrated,
-                "simple": simple,
+                "simple": is_simple,
             }
-            verdict = verdict and ok
+            verdict = verdict and concentrated and is_simple
         return {"kind": "simple_images", "per_projective": per_vertex, "verdict": verdict}
 
 
@@ -626,10 +620,10 @@ def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
     ``YonedaAction.precomposition``: the chain maps are the left kernel of
     the incoming differential's rows, or every unit vector when there is no
     incoming differential, and the null maps the outgoing one's rows; no
-    dense matrix is built.  With no outgoing differential there are no null
-    maps, and the chain rows, in ``sparse_kernel``'s form, are the basis as
-    they are: ``Basis.of_kernel`` reads coordinates off them without an
-    elimination."""
+    dense matrix is built.  When there are no null rows (no outgoing
+    differential, or no hom space from the next term into x), the chain
+    rows, in ``sparse_kernel``'s form, are the basis as they are:
+    ``Basis.of_kernel`` reads coordinates off them without an elimination."""
     deg, terms = -i, tw.terms
     n = sum(act.x.dims[a] for a in terms.get(deg, ()))
     if not n:
@@ -642,10 +636,10 @@ def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
         chain = sparse_left_kernel(pre_in)
     else:
         chain = [{j: 1} for j in range(n)]
-    if not d_out:
-        return Basis.of_kernel(chain, n)
     # null maps: (next differential) then psi for psi on the next term
-    null = act.precomposition(d_out, terms[deg], terms[deg + 1])
+    null = act.precomposition(d_out, terms[deg], terms[deg + 1]) if d_out else []
+    if not null:
+        return Basis.of_kernel(chain, n)
     if d_in and any(sparse_combination(row, pre_in) for row in null):
         raise TiltbenchError(f"d^2 != 0 on Hom(T, x) at degree {deg}")
     return Basis(chain, n, null)

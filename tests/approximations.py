@@ -7,7 +7,7 @@ of ``approx`` is tested against."""
 from module_maps import flatten_map
 
 from tiltbench.errors import TiltbenchError
-from tiltbench.linalg import Coordinates, Matrix, sparse_row_space
+from tiltbench.linalg import Basis, Matrix, sparse_row_space
 from tiltbench.quiver import Path
 from tiltbench.reps import ModuleMap, ProjSum, Representation, hom_space, realize_entry_map, zero_rep
 
@@ -64,8 +64,7 @@ def _choose(a, distinct, homs, radical_rows):
             continue
         rad_rows = radical_rows(v)
         width = len(flatten_map(h_v[0]))
-        independent = Coordinates(rad_rows + [flatten_map(h) for h in h_v], width).independent
-        chosen[v] = [h_v[k - len(rad_rows)] for k in independent if k >= len(rad_rows)]
+        chosen[v] = [h_v[k] for k in Basis([flatten_map(h) for h in h_v], width, rad_rows).positions]
     return chosen
 
 

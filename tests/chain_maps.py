@@ -19,7 +19,8 @@ from tiltbench.complex_decomp import (
 )
 from tiltbench.complexes import ChainMapC, ProjComplex, emat_zero, minimize
 from tiltbench.decompose import primitive_idempotents
-from tiltbench.linalg import Coordinates, sparse_kernel
+from tiltbench.errors import TiltbenchError
+from tiltbench.linalg import Basis, sparse_kernel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,15 +31,27 @@ class DenseHomotopy:
     system of the chain condition, one row per basis path of each entry of
     each chain square, and dense null-homotopy rows, in the coordinates of
     ``HomotopySpace(x, y).positions``; ``reduce`` gives the class
-    coordinates of a dense coordinate vector by ``Coordinates.of``."""
+    coordinates of a dense coordinate vector in the ``Basis`` of the chain
+    vectors modulo the null rows."""
 
     def __init__(self, x, y):
-        self.chain_vectors, self._null, self._span, self._class_index = _dense_system(x, y)
-        self.class_vectors = [self.chain_vectors[k - self._null] for k in self._class_index]
+        self.chain_vectors, null, n_unk = _dense_system(x, y)
+        self._null = len(null)
+        self._classes = Basis(self.chain_vectors, n_unk, null)
+        self.class_vectors = self._classes.rows
 
     def reduce(self, vec):
-        coords = self._span.of(vec)
-        return None if coords is None else [coords[k] for k in self._class_index]
+        return dense_coordinates(self._classes, vec)
+
+
+def dense_coordinates(basis, vec):
+    """basis.coordinates(vec) as a dense list over the basis rows, or None
+    when vec is outside the span."""
+    try:
+        coords = basis.coordinates(vec)
+    except TiltbenchError:
+        return None
+    return [coords.get(k, 0) for k in range(len(basis.rows))]
 
 
 def _dense_system(x, y):
@@ -92,8 +105,7 @@ def _dense_system(x, y):
                             if (d - 1, ip, j, kk) in pos:
                                 vec[pos[(d - 1, ip, j, kk)]] += c
                     null.append(vec)
-    span = Coordinates(null + chain, n_unk)
-    return chain, len(null), span, [k for k in span.independent if k >= len(null)]
+    return chain, null, n_unk
 
 
 def end_table_by_chain_maps(space):
@@ -112,8 +124,8 @@ def chain_end_table_by_chain_maps(data):
     chain maps."""
     space = data.space
     maps = [space.vector_to_chain_map(v) for v in space.chain_vectors]
-    span = Coordinates(space.chain_vectors, len(space.positions))
-    return [[span.of(_vector(space, f.then(g))) for g in maps] for f in maps]
+    span = Basis(space.chain_vectors, len(space.positions))
+    return [[dense_coordinates(span, _vector(space, f.then(g))) for g in maps] for f in maps]
 
 
 def _vector(space, cm):

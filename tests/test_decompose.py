@@ -11,7 +11,7 @@ from tiltbench.complex_decomp import ChainEndData, decompose_complex
 from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk
 from tiltbench.decompose import EndAlgebra, decompose, is_isomorphic, primitive_idempotents
 from tiltbench.errors import DecompositionError
-from tiltbench.linalg import Coordinates, Matrix, _sparse, sparse_left_kernel, sparse_row_space
+from tiltbench.linalg import Basis, Matrix, _sparse, sparse_left_kernel, sparse_row_space
 from tiltbench.reps import (
     ModuleMap,
     Representation,
@@ -386,8 +386,8 @@ def _reference_corner_is_local(alg, unit, top):
     """Locality from the corner's own algebra, ignoring A/rad(A): the product
     table of unit*A*unit on an RREF basis and the kernel of its trace form."""
     basis = sparse_row_space([alg.mul(alg.mul(unit, {i: 1}), unit) for i in range(alg.dim)])
-    span = Coordinates([el_to_vector(b, alg.dim) for b in basis], alg.dim)
-    corner = FiniteDimAlgebra(len(basis), lambda i, j: span.of_sparse(alg.mul(basis[i], basis[j])), span.of_sparse(unit))
+    span = Basis([el_to_vector(b, alg.dim) for b in basis], alg.dim)
+    corner = FiniteDimAlgebra(len(basis), lambda i, j: span.coordinates(alg.mul(basis[i], basis[j])), span.coordinates(unit))
     return corner.dim - len(corner.radical_rows()) == 1
 
 

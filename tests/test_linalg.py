@@ -7,7 +7,6 @@ import pytest
 from tiltbench.errors import DimensionMismatch, TiltbenchError
 from tiltbench.linalg import (
     Basis,
-    Coordinates,
     Matrix,
     div,
     frac,
@@ -152,8 +151,22 @@ def test_row_space_helpers():
     assert sparse_row_space([_sparse(r) for r in b.data]) == a == sparse_row_space(a)
     assert sparse_row_space([{0: 1, 2: 1}, {1: 1}]) != a
     assert sparse_row_space([{}, {}]) == []
-    assert Coordinates(b.data, b.cols).of([2, 2, 4]) is not None
-    assert Coordinates(b.data, b.cols).of([1, 0, 0]) is None
+    assert Basis(b.data, b.cols).coordinates([2, 2, 4]) == {0: 2}
+    with pytest.raises(TiltbenchError):
+        Basis(b.data, b.cols).coordinates([1, 0, 0])
+
+
+def _solved(basis, v, count):
+    """basis.coordinates(v) written out on all ``count`` rows offered to
+    the basis, 0 on the rows left out, or None when v is outside the span."""
+    try:
+        coords = basis.coordinates(v)
+    except TiltbenchError:
+        return None
+    out = [0] * count
+    for k, c in coords.items():
+        out[basis.positions[k]] = c
+    return out
 
 
 def test_coordinates_match_solve_on_transposed_rows():
@@ -175,27 +188,32 @@ def test_coordinates_match_solve_on_transposed_rows():
                 rows.append([Fraction(0)] * width)
             else:
                 rows.append([entry() for _ in range(width)])
-        coords = Coordinates(rows, width)
-        grown = Coordinates([], width)  # the same rows, added one at a time
-        added = [grown.add(row) for row in rows]
-        sparse = Coordinates([_sparse(row) for row in rows], width)  # the same rows as dicts
-        assert grown.count == coords.count == sparse.count == len(rows)
+        coords = Basis(rows, width)
+        grown = Basis([], width)  # the same rows, added one at a time
+        added = [grown.add_or_coords(row) is None for row in rows]
+        sparse = Basis([_sparse(row) for row in rows], width)  # the same rows as dicts
         independent = [k for k, new in enumerate(added) if new]
-        assert grown.independent == coords.independent == sparse.independent == independent
+        assert grown.positions == coords.positions == sparse.positions == independent
+        assert grown.rows == coords.rows == [rows[k] for k in independent]
         columns = [[row[j] for row in rows] for j in range(width)]
+        transposed = Matrix(width, len(rows), columns)
         for _ in range(4):
             if rows and rng.random() < 0.5:  # inside the span
                 mix = [Fraction(rng.randint(-2, 2)) for _ in rows]
                 v = [sum((m * row[j] for m, row in zip(mix, rows)), Fraction(0)) for j in range(width)]
             else:  # usually outside the span
                 v = [entry() for _ in range(width)]
+            solved = transposed.solve(Matrix(width, 1, [[x] for x in v]))
+            want = None if solved is None else [x[0] for x in solved.data]
             sol = fraction_solve(width, len(rows), columns, [[x] for x in v], 1)
-            want = None if sol is None else [x[0] for x in sol]
-            assert coords.of(v) == grown.of(v) == sparse.of(v) == sparse.of(_sparse(v)) == want
-        # add_or_coords appends only the independent rows; a dependent or
-        # zero row gets its coefficients on the rows appended before it
+            assert want == (None if sol is None else [x[0] for x in sol])
+            n = len(rows)
+            assert _solved(coords, v, n) == _solved(grown, v, n) == _solved(sparse, v, n) == want
+            assert _solved(sparse, _sparse(v), n) == want
+        # add_or_coords takes only the independent rows; a dependent or zero
+        # row gets its coordinates on the rows taken before it
         kept = []
-        span = Coordinates([], width)
+        span = Basis([], width)
         for k, row in enumerate(rows):
             got = span.add_or_coords(row if k % 2 else _sparse(row))
             sol = fraction_solve(width, len(kept), [[r[j] for r in kept] for j in range(width)], [[x] for x in row], 1)
@@ -203,10 +221,10 @@ def test_coordinates_match_solve_on_transposed_rows():
                 assert got is None and sol is None
                 kept.append(row)
             else:
-                assert got == [x[0] for x in sol]
-        assert span.count == len(kept) and span.independent == list(range(len(kept)))
+                assert got == _sparse([x[0] for x in sol])
+        assert len(span.rows) == len(kept) and span.positions == independent
         ranks = [len(fraction_gauss_jordan(k, width, rows[:k])[1]) for k in range(len(rows) + 1)]
-        assert coords.independent == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]
+        assert coords.positions == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]
 
 
 def fraction_gauss_jordan(rows, cols, data):
@@ -440,27 +458,28 @@ def test_sparse_kernel_is_the_rref_kernel_basis():
 
 
 def test_coordinates_add_or_coords_reduces_once():
-    span = Coordinates([], 3)
+    span = Basis([], 3)
     assert span.add_or_coords([1, 0, 1]) is None
     assert span.add_or_coords([0, 1, 1]) is None
-    assert span.add_or_coords([2, 3, 5]) == [2, 3]
-    assert span.count == 2  # a dependent row is not appended
-    assert span.add_or_coords([0, 0, 1]) is None and span.independent == [0, 1, 2]
+    assert span.add_or_coords([2, 3, 5]) == {0: 2, 1: 3}
+    assert len(span.rows) == 2  # a dependent row is left out, but counts in positions
+    assert span.add_or_coords([0, 0, 1]) is None and span.positions == [0, 1, 3]
+    assert span.coordinates([2, 3, 6]) == {0: 2, 1: 3, 2: 1}
 
 
 def _sparse(v):
     return {j: x for j, x in enumerate(v) if x}
 
 
-def test_of_sparse_and_of_match_fraction_solve():
-    # by hand: row 2 depends on rows 0 and 1, so its coefficient is 0 and
-    # the sparse answer leaves it out
-    span = Coordinates([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]], 4)
+def test_basis_coordinates_match_fraction_solve():
+    # by hand: row 2 depends on rows 0 and 1, so it is left out of the basis
+    # and its coefficient is 0
+    span = Basis([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]], 4)
     inside = [Fraction(2), Fraction(-3), Fraction(-1), Fraction(0)]
-    assert span.of(inside) == [2, -3, 0]
-    assert span.of_sparse(_sparse(inside)) == {0: 2, 1: -3}
-    assert span.of([0, 0, 0, 1]) is None and span.of_sparse({3: Fraction(1)}) is None
-    assert span.of_sparse({}) == {} and span.of_sparse({2: Fraction(0)}) == {}
+    assert span.positions == [0, 1] and _solved(span, inside, 3) == [2, -3, 0]
+    assert span.coordinates(inside) == span.coordinates(_sparse(inside)) == {0: 2, 1: -3}
+    assert _solved(span, [0, 0, 0, 1], 3) is None and _solved(span, {3: Fraction(1)}, 3) is None
+    assert span.coordinates({}) == {} and span.coordinates({2: Fraction(0)}) == {}
     rng = random.Random(11)
     for _ in range(300):
         width = rng.randint(1, 8)
@@ -470,7 +489,7 @@ def test_of_sparse_and_of_match_fraction_solve():
         ]
         if len(rows) > 1:
             rows.insert(rng.randrange(len(rows)), [a - b for a, b in zip(rows[0], rows[-1])])  # a dependent row
-        span = Coordinates(rows, width)
+        span = Basis(rows, width)
         columns = [[row[j] for row in rows] for j in range(width)]
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in rows]
         inside = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(width)]
@@ -478,9 +497,8 @@ def test_of_sparse_and_of_match_fraction_solve():
         for v in (inside, outside):
             sol = fraction_solve(width, len(rows), columns, [[x] for x in v], 1)
             want = None if sol is None else [x[0] for x in sol]
-            assert span.of(v) == want
-            assert span.of_sparse(_sparse(v)) == (None if want is None else _sparse(want))
-        assert span.of(inside) is not None
+            assert _solved(span, v, len(rows)) == want == _solved(span, _sparse(v), len(rows))
+        assert _solved(span, inside, len(rows)) is not None
 
 
 def test_sparse_row_space_is_row_space_basis():
@@ -532,9 +550,10 @@ def test_basis_modulo_null_rows():
                 rows.append([entry() for _ in range(width)])
         dense = Basis(rows, width, null)
         sparse = Basis([_sparse(r) for r in rows], width, [_sparse(r) for r in null])
-        # the positions are the offset filter of one Coordinates, and the rows
-        # that raise the rank of the null rows and the rows before them
-        independent = Coordinates(null + rows, width).independent
+        # the positions are the offset filter of one Basis without null rows,
+        # and the rows that raise the rank of the null rows and the rows
+        # before them
+        independent = Basis(null + rows, width).positions
         assert dense.positions == sparse.positions == [k - len(null) for k in independent if k >= len(null)]
         ranks = [len(fraction_gauss_jordan(len(null) + k, width, null + rows[:k])[1]) for k in range(len(rows) + 1)]
         assert dense.positions == [k for k in range(len(rows)) if ranks[k + 1] > ranks[k]]
@@ -558,6 +577,53 @@ def test_basis_modulo_null_rows():
                 with pytest.raises(TiltbenchError, match="not in the hom space"):
                     b.coordinates(v)
     assert raised > 50
+
+
+def test_add_or_coords_after_null_rows_matches_the_batch_basis():
+    """A ``Basis`` on null rows alone, grown by ``add_or_coords`` one row at
+    a time, dense and sparse rows mixed, has the positions and rows of the
+    batch ``Basis(rows, width, null)``; a row left out gets the coordinates
+    modulo the null rows that the batch basis gives it, and both give the
+    same coordinates to every vector after that."""
+    rng = random.Random(33)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+
+    left_out = 0
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        null = [[entry() for _ in range(width)] for _ in range(rng.randint(0, 3))]
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.random()
+            if kind < 0.25 and null:  # in the null span
+                rows.append([x - 2 * y for x, y in zip(rng.choice(null), rng.choice(null))])
+            elif kind < 0.5 and rows:  # depends on an earlier row modulo the null span
+                extra = rng.choice(null) if null else [Fraction(0)] * width
+                rows.append([2 * x + y for x, y in zip(rng.choice(rows), extra)])
+            else:
+                rows.append([entry() for _ in range(width)])
+        batch = Basis(rows, width, null)
+        grown = Basis([], width, [_sparse(r) for r in null])
+        for k, row in enumerate(rows):
+            got = grown.add_or_coords(_sparse(row) if k % 2 else row)
+            if got is not None:
+                left_out += 1
+                assert k not in batch.positions
+                assert got == batch.coordinates(row)
+        assert grown.positions == batch.positions
+        assert [r if isinstance(r, dict) else _sparse(r) for r in grown.rows] == [_sparse(r) for r in batch.rows]
+        for _ in range(3):
+            v = [entry() for _ in range(width)]
+            try:
+                want = batch.coordinates(v)
+            except TiltbenchError:
+                with pytest.raises(TiltbenchError, match="not in the hom space"):
+                    grown.coordinates(v)
+            else:
+                assert grown.coordinates(v) == want
+    assert left_out > 100
 
 
 def test_basis_of_kernel_matches_the_eliminating_basis():

@@ -19,7 +19,7 @@ from tiltbench.algebra import (
 )
 from tiltbench.complexes import ChainMapC, regular_stalk
 from tiltbench.errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, TiltbenchError
-from tiltbench.linalg import Coordinates, _sparse, sparse_row_space
+from tiltbench.linalg import Basis, _sparse, sparse_row_space
 from tiltbench.presentation import (
     presentations_match,
     quiver_presentation,
@@ -614,7 +614,11 @@ def _old_relation_in_ideal(quiver, gens, rel):
     vec = _old_vector(rel, index)
     if not span:
         return all(c == 0 for c in vec)
-    return Coordinates(span, len(order)).of(vec) is not None
+    try:
+        Basis(span, len(order)).coordinates(vec)
+    except TiltbenchError:
+        return False
+    return True
 
 
 def _old_prune(quiver, relations):

@@ -14,7 +14,7 @@ from module_maps import (
 from tiltbench import corpus
 from tiltbench.decompose import _iso_between_indecomposables, decompose
 from tiltbench.errors import NotProjective, TiltbenchError
-from tiltbench.linalg import Coordinates, Matrix, _sparse, sparse_left_kernel, sparse_row_space
+from tiltbench.linalg import Basis, Matrix, _sparse, sparse_left_kernel, sparse_row_space
 from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
     ModuleMap,
@@ -113,8 +113,13 @@ def test_yoneda_dimension_count():
 
 def _in_span(maps, basis):
     """Every map of maps is a combination of the maps of basis."""
-    span = Coordinates([flatten_map(b) for b in basis], len(flatten_map(maps[0])))
-    return all(span.of(flatten_map(f)) is not None for f in maps)
+    span = Basis([flatten_map(b) for b in basis], len(flatten_map(maps[0])))
+    try:
+        for f in maps:
+            span.coordinates(flatten_map(f))
+    except TiltbenchError:
+        return False
+    return True
 
 
 def test_yoneda_basis_matches_hom_space():
@@ -194,10 +199,10 @@ def test_precomposition_matrix_matches_module_maps():
                 assert all(0 <= j < len(in_basis) and y for row in pre for j, y in row.items())
                 if not in_basis:
                     continue
-                span = Coordinates([flatten_map(h) for h in in_basis], len(flatten_map(in_basis[0])))
+                span = Basis([flatten_map(h) for h in in_basis], len(flatten_map(in_basis[0])))
+                assert span.positions == list(range(len(in_basis)))
                 for k, h in enumerate(out_basis):
-                    dense = [pre[k].get(j, 0) for j in range(len(in_basis))]
-                    assert span.of(flatten_map(realized.then(h))) == dense
+                    assert span.coordinates(flatten_map(realized.then(h))) == pre[k]
                     checked += 1
     assert checked > 150
 
