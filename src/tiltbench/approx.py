@@ -9,12 +9,13 @@ its dual, and one helper, ``_choose_generators``, makes the choice for both.
 Maps out of a projective are read by Yoneda, Hom(P(v), X) = X(v): a map is
 its image y of the generator e_v, and its composite with the radical path
 k: w -> v is y X(k).  So the radical composites into X(v) are the rows of
-X's path matrices, f is written out from its generator images, and its
-certificate, Hom(P(v), f) onto, is rank f_v = dim X(v).  Maps into a
-projective are module maps.  Hom(P(w_1) + ... + P(w_m), P(v)) has a basis
-of one map per summand i and path p: v -> w_i, so the left certificate,
-Hom(g, P(v)) onto, is that the chosen maps into P(w_i) followed by
-prepending p, trivial paths included, span a space as large as Hom(X, P(v)).
+X's path matrices (``Representation.path_matrix``), f is written out from
+its generator images (``reps.map_from_generators``), and its certificate,
+Hom(P(v), f) onto, is rank f_v = dim X(v).  Maps into a projective are
+module maps.  Hom(P(w_1) + ... + P(w_m), P(v)) has a basis of one map per
+summand i and path p: v -> w_i, so the left certificate, Hom(g, P(v))
+onto, is that the chosen maps into P(w_i) followed by prepending p, trivial
+paths included, span a space as large as Hom(X, P(v)).
 Both certificates are checked before returning.
 """
 
@@ -27,9 +28,9 @@ from .reps import (
     ModuleMap,
     ProjSum,
     Representation,
-    YonedaAction,
     flat,
     hom_space,
+    map_from_generators,
     projective,
     realize_entry_map,
 )
@@ -54,18 +55,15 @@ def minimal_right_approximation_labeled(a: BasicAlgebra, labels, x: Representati
     """(multiset of labels, f: ProjSum(labels').rep -> x) minimal right
     approximation of x by add of the listed projectives."""
     distinct = list(dict.fromkeys(str(t) for t in labels))
-    act = YonedaAction(x)
     # the images of e_v, the first path from v to v, under the basis maps
     gens = {v: [h.mats[v].row(0) for h in hom_space(projective(a, v), x)] for v in distinct}
 
     def composites(v, w):
-        return [
-            row for k in a.paths_between(w, v) if a.basis[k].arrows for row in act.element({k: 1}, w, v)
-        ]
+        return [row for k in a.paths_between(w, v) if a.basis[k].arrows for row in x.path_matrix(a.basis[k]).data]
 
     chosen = _choose_generators(distinct, gens, x.dims, composites)
     out_labels = [v for v in distinct for _ in chosen[v]]
-    f = act.module_map(ProjSum(a, out_labels), [gens[v][j] for v in distinct for j in chosen[v]])
+    f = map_from_generators(ProjSum(a, out_labels), x, [gens[v][j] for v in distinct for j in chosen[v]])
     for v in distinct:
         if len(Basis(f.mats[v].data, x.dims[v]).rows) != x.dims[v]:
             raise TiltbenchError(f"right approximation not surjective on Hom(P({v}), -)")

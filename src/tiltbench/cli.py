@@ -179,7 +179,9 @@ def cmd_recheck(args):
             fn(ns)
         return serialize.load_json_str(buf.getvalue())
 
-    if kind == "alg_check":
+    if "endomorphism_dimension" in report:
+        fresh = recompute(cmd_endalg, algebra=args.alg, cpx=flag("--cpx", args.cpx))
+    elif kind == "alg_check":
         fresh = recompute(cmd_alg_check, algebra=args.alg)
     elif kind == "nu_stable":
         fresh = recompute(cmd_nust, algebra=args.alg)

@@ -4,7 +4,8 @@ Conventions (used consistently everywhere):
 
 * a representation assigns to each vertex a row-vector space and to each
   arrow ``a: u -> w`` a ``dim(u) x dim(w)`` matrix acting on the right;
-* a path acts by the product of its arrow matrices in word order;
+* a path acts by the product of its arrow matrices in word order, which
+  ``Representation.path_matrix`` forms and keeps on the module;
 * module maps are per-vertex matrices, composed left to right, so ``f.then(g)``
   is "apply f, then g";
 * the projective P(v) has basis the normal-form paths starting at v, and
@@ -36,7 +37,9 @@ class Representation:
     ``_check_relations``, that every relation of the algebra acts as zero,
     and raises TiltbenchError "relation violated" otherwise; the terms whose
     paths touch a vertex of dimension 0 act by zero matrices, and the check
-    forms none of them."""
+    forms none of them.  ``path_matrix`` keeps every path matrix it forms:
+    nothing assigns to ``dims`` or ``mats`` after construction, so a kept
+    matrix is always the module's own."""
 
     def __init__(self, algebra: BasicAlgebra, dims: dict, mats: dict, check: bool = True):
         self.algebra = algebra
@@ -50,6 +53,7 @@ class Representation:
             if m.rows != self.dims[a.source] or m.cols != self.dims[a.target]:
                 raise DimensionMismatch(f"arrow {a.name}: matrix shape {m.rows}x{m.cols}")
             self.mats[a.name] = m
+        self._paths = {}  # (source, arrow word) of a path -> its matrix
         if check:
             self._check_relations()
 
@@ -76,12 +80,20 @@ class Representation:
     def dim_vector(self) -> tuple:
         return tuple(self.dims[v] for v in self.algebra.quiver.vertices)
 
-    def path_matrix(self, path) -> Matrix:
-        if not path.arrows:
-            return Matrix.identity(self.dims[path.source])
-        m = self.mats[path.arrows[0]]
-        for name in path.arrows[1:]:
-            m = m * self.mats[name]
+    def path_matrix(self, path: Path) -> Matrix:
+        """The matrix of path: its prefix's kept matrix times its last arrow's."""
+        return self._word_matrix(path.source, path.arrows)
+
+    def _word_matrix(self, source, word) -> Matrix:
+        m = self._paths.get((source, word))
+        if m is None:
+            if not word:
+                m = Matrix.identity(self.dims[source])
+            elif len(word) == 1:
+                m = self.mats[word[0]]
+            else:
+                m = self._word_matrix(source, word[:-1]) * self.mats[word[-1]]
+            self._paths[(source, word)] = m
         return m
 
     def direct_sum(self, *others: "Representation") -> "Representation":
@@ -279,98 +291,60 @@ def map_from_flat(m: Representation, n: Representation, vec: dict) -> ModuleMap:
     return ModuleMap(m, n, mats, check=False)
 
 
-class YonedaAction:
-    """Maps out of sums of projectives into x, in Yoneda coordinates.
-
-    By Yoneda's lemma Hom(P(a_1) + ... + P(a_m), x) = x(a_1) + ... + x(a_m):
-    a map is the list of its generator images, summand-major, and its k-th
-    basis map sends one generator to one basis vector of x.  ``element``
-    gives x's matrix of an algebra element, and ``precomposition`` the
-    sparse rows of h -> E then h for an entry map E, so neither a module map
-    nor a dense matrix is built; ``module_map`` writes a module map out from
-    its generator images where a caller needs it.  x's path matrices are
-    kept for the life of the object."""
-
-    def __init__(self, x: Representation):
-        self.x = x
-        self._words = {}  # (source, arrow word) -> x's matrix of that path
-
-    def _path_matrix(self, source, word) -> Matrix:
-        m = self._words.get((source, word))
-        if m is None:
-            if not word:
-                m = Matrix.identity(self.x.dims[source])
-            elif len(word) == 1:
-                m = self.x.mats[word[0]]
-            else:
-                m = self._path_matrix(source, word[:-1]) * self.x.mats[word[-1]]
-            self._words[(source, word)] = m
-        return m
-
-    def element(self, el: dict, source, target) -> list:
-        """Rows of x's dim x(source) x dim x(target) matrix of el, an element
-        supported on paths source -> target."""
-        basis = self.x.algebra.basis
-        out = [[0] * self.x.dims[target] for _ in range(self.x.dims[source])]
-        for k, c in el.items():
-            p = basis[k]
-            for row, prow in zip(out, self._path_matrix(p.source, p.arrows).data):
-                for j, y in enumerate(prow):
-                    if y:
-                        row[j] += c * y
-        return out
-
-    def precomposition(self, entries, src_labels, tgt_labels) -> list:
-        """Sparse rows of h -> E then h, from Hom(P(b_1..b_n), x) to
-        Hom(P(a_1..a_m), x) in Yoneda coordinates, for the entry map E with
-        ``entries[i][j]`` supported on paths b_j -> a_i.  Row k is the
-        {column: entry} dict, without zero entries, of the coordinates of E
-        then (k-th basis map); block (j, i) is x(entries[i][j]).  A label b
-        with x(b) = 0 gives no row and a label a with x(a) = 0 no column."""
-        dims, basis = self.x.dims, self.x.algebra.basis
-        offsets, o = [], 0
-        for a in src_labels:
-            offsets.append(o)
-            o += dims[a]
-        out = []
-        for j, b in enumerate(tgt_labels):
-            block = [{} for _ in range(dims[b])]
-            if block:
-                for i, a in enumerate(src_labels):
-                    if not dims[a]:
-                        continue
-                    for k, c in entries[i][j].items():
-                        p = basis[k]
-                        for row, prow in zip(block, self._path_matrix(p.source, p.arrows).data):
-                            for col, y in enumerate(prow, offsets[i]):
-                                if y:
-                                    s = row.get(col, 0) + c * y
-                                    if s:
-                                        row[col] = s
-                                    else:
-                                        row.pop(col, None)
-            out.extend(block)
-        return out
-
-    def module_map(self, psum: "ProjSum", images) -> ModuleMap:
-        """The module map psum.rep -> x that sends the generator of summand
-        i to ``images[i]``, a vector of x at its label: the path k from that
-        label goes to images[i] times x's matrix of k."""
-        basis, dims = self.x.algebra.basis, self.x.dims
-        mats = {}
-        for w, layout in psum.layout.items():
-            rows = []
-            for i, k in layout:
-                row = [0] * dims[w]
-                p = basis[k]
-                for c, prow in zip(images[i], self._path_matrix(p.source, p.arrows).data):
-                    if c:
-                        for j, y in enumerate(prow):
+def precomposition(x: Representation, entries, src_labels, tgt_labels) -> list:
+    """Sparse rows of h -> E then h, from Hom(P(b_1..b_n), x) to
+    Hom(P(a_1..a_m), x), for the entry map E with ``entries[i][j]``
+    supported on paths b_j -> a_i, in Yoneda coordinates: by Yoneda's lemma
+    Hom(P(a_1) + ... + P(a_m), x) = x(a_1) + ... + x(a_m), a map is the list
+    of its generator images, summand-major, and its k-th basis map sends
+    one generator to one basis vector of x.  Row k is the {column: entry}
+    dict, without zero entries, of the coordinates of E then (k-th basis
+    map); block (j, i) is x(entries[i][j]), summed from x's path matrices,
+    so neither a module map nor a dense matrix is built.  A label b with
+    x(b) = 0 gives no row and a label a with x(a) = 0 no column."""
+    dims, basis = x.dims, x.algebra.basis
+    offsets, o = [], 0
+    for a in src_labels:
+        offsets.append(o)
+        o += dims[a]
+    out = []
+    for j, b in enumerate(tgt_labels):
+        block = [{} for _ in range(dims[b])]
+        if block:
+            for i, a in enumerate(src_labels):
+                if not dims[a]:
+                    continue
+                for k, c in entries[i][j].items():
+                    for row, prow in zip(block, x.path_matrix(basis[k]).data):
+                        for col, y in enumerate(prow, offsets[i]):
                             if y:
-                                row[j] += c * y
-                rows.append(row)
-            mats[w] = Matrix(len(rows), dims[w], rows)
-        return ModuleMap(psum.rep, self.x, mats, check=False)
+                                s = row.get(col, 0) + c * y
+                                if s:
+                                    row[col] = s
+                                else:
+                                    row.pop(col, None)
+        out.extend(block)
+    return out
+
+
+def map_from_generators(psum: "ProjSum", x: Representation, images) -> ModuleMap:
+    """The module map psum.rep -> x that sends the generator of summand i
+    to ``images[i]``, a vector of x at its label, by Yoneda: the path k from
+    that label goes to images[i] times ``x.path_matrix(k)``."""
+    basis, dims = x.algebra.basis, x.dims
+    mats = {}
+    for w, layout in psum.layout.items():
+        rows = []
+        for i, k in layout:
+            row = [0] * dims[w]
+            for c, prow in zip(images[i], x.path_matrix(basis[k]).data):
+                if c:
+                    for j, y in enumerate(prow):
+                        if y:
+                            row[j] += c * y
+            rows.append(row)
+        mats[w] = Matrix(len(rows), dims[w], rows)
+    return ModuleMap(psum.rep, x, mats, check=False)
 
 
 def map_coordinates(f: ModuleMap, basis: list) -> list:

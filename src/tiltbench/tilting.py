@@ -18,7 +18,7 @@ The central objects:
 * ``f_homology`` / ``stable_image``: hom spaces into shifted stalks as
   modules over the endomorphism algebra, and the degree-zero image module
   when those homs are concentrated in degree zero.  The hom spaces out of a
-  term of T are taken in Yoneda coordinates (``reps.YonedaAction``), so
+  term of T are taken in Yoneda coordinates (``reps.precomposition``), so
   neither a linear system is solved nor a module map built for them.  They
   stay sparse rows from the precomposition to the class coordinates: the
   classes are a ``linalg.Basis`` of sparse rows modulo the null maps, an
@@ -61,11 +61,11 @@ from .presentation import Presentation, quiver_presentation
 from .reps import (
     ProjSum,
     Representation,
-    YonedaAction,
     cokernel_of,
     extract_entry_map,
     kernel_of,
     nu_injective_sum,
+    precomposition,
     projective,
     projective_labels,
     simple,
@@ -352,11 +352,7 @@ def construct_tpq(
             break
         cur_sum = ProjSum(a, labels_i)
         from_prev = g_i if proj_map is None else proj_map.then(g_i)
-        diffs[i - 1] = (
-            extract_entry_map(prev_sum, cur_sum, from_prev)
-            if i > 1
-            else extract_entry_map(reg_sum, cur_sum, g_i)
-        )
+        diffs[i - 1] = extract_entry_map(prev_sum, cur_sum, from_prev)
         terms[i] = labels_i
         source, proj_map = cokernel_of(g_i)
         prev_sum = cur_sum
@@ -449,6 +445,8 @@ class TiltingContext:
         if self._end is not None:
             return self._end
         t = self.complex
+        if not t.d_squared_is_zero():
+            raise DSquaredNonzero("differentials do not square to zero")
         width = t.width()
         for n in range(-width, width + 1):
             if n and self._self_hom(n).dim:
@@ -503,8 +501,7 @@ class TiltingContext:
         end = self.end_data()
         pres, summands = end.presentation, end.copy_complexes
         components = self._arrow_components()
-        act = YonedaAction(x)
-        stalk = [_stalk_hom_classes(tw, act, i) for tw in summands]
+        stalk = [_stalk_hom_classes(tw, x, i) for tw in summands]
         reps = [s.rows if s else [] for s in stalk]
         dims = {v: len(r) for v, r in zip(pres.quiver.vertices, reps)}
         # arrow actions: precompose with the arrow's degree -i component
@@ -516,7 +513,7 @@ class TiltingContext:
             if not reps[wi] or component is None or stalk[wj] is None:
                 mats[ar.name] = Matrix.zero(len(reps[wi]), len(reps[wj]))
                 continue
-            pre = act.precomposition(component, summands[wj].terms[-i], summands[wi].terms[-i])
+            pre = precomposition(x, component, summands[wj].terms[-i], summands[wi].terms[-i])
             rows = []
             for rep in reps[wi]:
                 c = stalk[wj].coordinates(sparse_combination(rep, pre))
@@ -609,15 +606,15 @@ class TiltingContext:
         return {"kind": "simple_images", "per_projective": per_vertex, "verdict": verdict}
 
 
-def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
+def _stalk_hom_classes(tw: ProjComplex, x: Representation, i: int):
     """The classes of chain maps from the summand complex tw to the stalk x
     placed so that its only component sits in degree -i, or None when there
-    are no such maps; ``act`` is x's ``YonedaAction``.
+    are no such maps.
 
     The result is the ``linalg.Basis`` of the chain maps modulo the null
     maps, in the Yoneda coordinates of the degree -i hom space, its rows
     ``{column: entry}`` dicts.  Both come from the sparse rows of
-    ``YonedaAction.precomposition``: the chain maps are the left kernel of
+    ``reps.precomposition``: the chain maps are the left kernel of
     the incoming differential's rows, or every unit vector when there is no
     incoming differential, and the null maps the outgoing one's rows; no
     dense matrix is built.  When there are no null rows (no outgoing
@@ -625,19 +622,19 @@ def _stalk_hom_classes(tw: ProjComplex, act: YonedaAction, i: int):
     rows, in ``sparse_kernel``'s form, are the basis as they are:
     ``Basis.of_kernel`` reads coordinates off them without an elimination."""
     deg, terms = -i, tw.terms
-    n = sum(act.x.dims[a] for a in terms.get(deg, ()))
+    n = sum(x.dims[a] for a in terms.get(deg, ()))
     if not n:
         return None
     # a complex keeps only its nonzero differentials
     d_in, d_out = tw.diffs.get(deg - 1), tw.diffs.get(deg)
     # chain condition: precomposition with the incoming differential dies
     if d_in:
-        pre_in = act.precomposition(d_in, terms[deg - 1], terms[deg])
+        pre_in = precomposition(x, d_in, terms[deg - 1], terms[deg])
         chain = sparse_left_kernel(pre_in)
     else:
         chain = [{j: 1} for j in range(n)]
     # null maps: (next differential) then psi for psi on the next term
-    null = act.precomposition(d_out, terms[deg], terms[deg + 1]) if d_out else []
+    null = precomposition(x, d_out, terms[deg], terms[deg + 1]) if d_out else []
     if not null:
         return Basis.of_kernel(chain, n)
     if d_in and any(sparse_combination(row, pre_in) for row in null):

@@ -1,5 +1,5 @@
 """Reference routes to hom spaces, kept for tests: the module-map route to
-Hom out of a sum of projectives, which ``reps.YonedaAction`` is tested
+Hom out of a sum of projectives, which ``reps.precomposition`` is tested
 against, the dense linear system for Hom(m, n), which the sparse
 ``reps.hom_space`` is tested against, and the dense flattening of a module
 map that these references compare in; and the injectives built one at a

@@ -190,6 +190,31 @@ def test_stable_image_of_a_module_that_violates_a_relation_exits_two(tmp_path):
     assert "relation violated" in err and "Traceback" not in err
 
 
+def test_complex_whose_differentials_do_not_square_to_zero_exits_two(tmp_path):
+    """Over fig1, P(3) -beta-> P(2) -alpha-> P(1) has d^2 = alpha*beta != 0.
+    Every command that reads a complex refuses it: exit 2 with
+    "differentials do not square to zero", no traceback and nothing on
+    stdout."""
+    from tiltbench import serialize
+    from tiltbench.complexes import ProjComplex
+    from tiltbench.quiver import path_from_arrows
+
+    a = serialize.load_algebra(os.path.join(CORPUS, "fig1.json"))
+    beta, alpha = (a.index[path_from_arrows(a.quiver, [name])] for name in ("beta", "alpha"))
+    bad = ProjComplex(a, {-1: ["3"], 0: ["2"], 1: ["1"]}, {-1: [[{beta: 1}]], 0: [[{alpha: 1}]]})
+    path = str(tmp_path / "d2.json")
+    serialize.save(serialize.complex_to_dict(bad, algebra_ref="fig1.json"), path)
+    for argv in (
+        ["endalg", "fig1.json", path],
+        ["tilting", "verify", "fig1.json", path],
+        ["nustable", "check", "fig1.json", path],
+        ["stable-image", "fig1.json", path, "fig1_S1.json"],
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert "differentials do not square to zero" in err and "Traceback" not in err, (argv, err)
+
+
 def test_parse_error_exit_two(tmp_path):
     code, out, err = run_cli("alg", "check", "no_such_file.json")
     assert code == 2
@@ -311,17 +336,25 @@ def test_parse_error_exit_two(tmp_path):
 
 
 def test_recheck_golden_reports():
+    """recheck re-derives every golden report from its inputs."""
+    fig1_t = ["--alg", "fig1.json", "--cpx", "fig1_T.json"]
+    sec5_t = ["--alg", "sec5_A.json", "--cpx", "golden/sec5_T.json"]
     cases = [
-        ("golden/nust_fig1.json", ["--alg", "fig1.json"]),
-        ("golden/tilting_verify_fig1_T.json", ["--alg", "fig1.json", "--cpx", "fig1_T.json"]),
-        ("golden/nustable_check_fig1_T.json", ["--alg", "fig1.json", "--cpx", "fig1_T.json"]),
-        (
-            "golden/stable_image_fig1_S1.json",
-            ["--alg", "fig1.json", "--cpx", "fig1_T.json", "--mod", "fig1_S1.json"],
-        ),
         ("golden/alg_check_fig1.json", ["--alg", "fig1.json"]),
+        ("golden/alg_check_fig2.json", ["--alg", "fig2.json"]),
+        ("golden/alg_check_sec5_A.json", ["--alg", "sec5_A.json"]),
+        ("golden/nust_fig1.json", ["--alg", "fig1.json"]),
+        ("golden/nust_sec5_A.json", ["--alg", "sec5_A.json"]),
+        ("golden/tilting_verify_fig1_T.json", fig1_t),
+        ("golden/nustable_check_fig1_T.json", fig1_t),
+        ("golden/endalg_fig1_T.json", fig1_t),
         ("golden/sec5_T.json", ["--alg", "sec5_A.json"]),
+        ("golden/tilting_verify_sec5_T.json", sec5_t),
+        ("golden/nustable_check_sec5_T.json", sec5_t),
+        ("golden/endalg_sec5_T.json", sec5_t),
+        ("golden/stable_image_fig1_S1.json", fig1_t + ["--mod", "fig1_S1.json"]),
     ]
+    assert len(cases) == len(os.listdir(os.path.join(CORPUS, "golden")))
     for report, extra in cases:
         code, out, err = run_cli("recheck", report, *extra)
         assert code == 0, (report, err, out)

@@ -12,9 +12,10 @@ from tiltbench.complex_decomp import (
     split_idempotent,
     strictify_idempotent,
 )
-from tiltbench.complexes import ChainMapC, ProjComplex, homotopy_hom, regular_stalk, stalk_complex
+from tiltbench.complexes import ChainMapC, ProjComplex, _differential, homotopy_hom, regular_stalk, stalk_complex
 from tiltbench.decompose import EndAlgebra
 from tiltbench.errors import DecompositionError, NotRadical
+from tiltbench.quiver import path_from_arrows
 from tiltbench.reps import regular_module
 from tiltbench.tilting import TiltingContext, construct_tpq
 
@@ -190,6 +191,47 @@ def test_strictify_rejects_non_idempotent():
     assert bad.is_chain_map()
     with pytest.raises(NotIdempotent):
         strictify_idempotent(t, bad)
+
+
+def test_strictify_lifts_an_idempotent_up_to_a_null_homotopy():
+    """On fig1's T, projects[0] then includes[0] plus the first null-homotopic
+    chain map of the Hom complex is idempotent only up to homotopy:
+    strictification takes a Newton step and returns a strict idempotent in
+    the same class."""
+    t = corpus.fig1_tilting_complex()
+    _, includes, projects = decompose_complex(t)
+    space = homotopy_hom(t, t, 0)
+    rows = ({space._pos[x]: c for x, c in image.items()} for _, image in _differential(t, space.y, -1))
+    null = next(row for row in rows if row)
+    e = projects[0].then(includes[0]) + space.vector_to_chain_map(null)
+    assert space.is_null(e.then(e) - e) and not (e.then(e) - e).is_zero()
+    strict = strictify_idempotent(t, e)
+    assert (strict.then(strict) - strict).is_zero()
+    assert space.is_null(strict - e) and not (strict - e).is_zero()
+
+
+def test_a_support_component_splits_by_its_primitive_idempotents(monkeypatch):
+    """Over fig1, P(2) -> P(1) + P(1) with both entries alpha is one support
+    component whose End has two primitive idempotents: it splits into
+    (P(2) -alpha-> P(1)) + P(1)."""
+    a = corpus.fig1_algebra()
+    alpha = a.index[path_from_arrows(a.quiver, ["alpha"])]
+    c = ProjComplex(a, {-1: ["2"], 0: ["1", "1"]}, {-1: [[{alpha: 1}, {alpha: 1}]]})
+    split = complex_decomp._split_component
+    components = []
+
+    def recording(sub, incl, proj):
+        pieces = split(sub, incl, proj)
+        components.append((sub.terms, [piece.terms for piece, _, _ in pieces]))
+        return pieces
+
+    monkeypatch.setattr(complex_decomp, "_split_component", recording)
+    summands, _, _ = decompose_complex(c)
+    assert components == [({-1: ["2"], 0: ["1", "1"]}, [{-1: ["2"], 0: ["1"]}, {0: ["1"]}])]
+    assert [(s.terms, s.diffs, mult) for s, mult in summands] == [
+        ({-1: ["2"], 0: ["1"]}, {-1: [[{alpha: 1}]]}, 1),
+        ({0: ["1"]}, {}, 1),
+    ]
 
 
 def test_complexes_isomorphic_positive_and_negative():

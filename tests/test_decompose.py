@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from tiltbench import complex_decomp, corpus
-from tiltbench.algebra import FiniteDimAlgebra, el_to_vector
+from tiltbench.algebra import FiniteDimAlgebra, abstract_from_table, el_add, el_to_vector
 from tiltbench.complex_decomp import ChainEndData, decompose_complex
 from tiltbench.complexes import ChainMapC, ProjComplex, regular_stalk
 from tiltbench.decompose import EndAlgebra, decompose, is_isomorphic, primitive_idempotents
@@ -133,6 +133,37 @@ def test_primitive_idempotents_of_end_algebra():
     assert end2.dim == 4
     idems2 = primitive_idempotents(end2)
     assert len(idems2) == 2
+
+
+def test_a_pairwise_probe_splits_what_no_single_basis_element_splits(monkeypatch):
+    """M_2(Q) on the basis I, E12, E21, X = [[1, 1], [-1, 0]]: I is a multiple
+    of 1, E12 and E21 are nilpotent and X has no rational eigenvalue, so no
+    single-element probe splits it.  The 11th probe, E12 + E21, does, with
+    eigenvalues 1 and -1."""
+    basis = [((1, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((1, 1), (-1, 0))]
+
+    def coordinates(m):  # m = a I + b E12 + c E21 + d X
+        d = m[0][0] - m[1][1]
+        return [m[1][1], m[0][1] - d, m[1][0] + d, d]
+
+    def product(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+    table = [[coordinates(product(x, y)) for y in basis] for x in basis]
+    alg = abstract_from_table(4, table, [1, 0, 0, 0])
+    probes = []
+    stream = decompose_module._probe_elements
+
+    def recording(*args):
+        for x in stream(*args):
+            probes.append(x)
+            yield x
+
+    monkeypatch.setattr(decompose_module, "_probe_elements", recording)
+    idems = primitive_idempotents(alg)
+    assert len(probes) == 11 and probes[-1] == {1: 1, 2: 1}
+    assert len(idems) == 2 and el_add(*idems) == alg.one
+    assert all(alg.mul(e, f) == (e if e is f else {}) for e in idems for f in idems)
 
 
 def test_isomorphic_after_base_change():

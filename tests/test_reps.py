@@ -31,10 +31,10 @@ from tiltbench.reps import (
     kernel_of,
     cokernel_of,
     ProjSum,
-    YonedaAction,
     extract_entry_map,
     realize_entry_map,
     nu_injective_sum,
+    precomposition,
     projective_labels,
     quotient_representation,
     sub_representation,
@@ -65,6 +65,26 @@ def test_path_matrix_is_word_order_product_of_arrow_matrices():
                 got = x.path_matrix(path)
                 assert (got.rows, got.cols) == (n, x.dims[path.target(q)])
                 assert [list(r) for r in got.data] == rows
+
+
+def test_path_matrices_are_kept_per_module():
+    """Two modules with one dimension vector but different arrow matrices,
+    asked for their path matrices in interleaved order, twice, each get the
+    products of their own arrow matrices: a kept matrix never answers for
+    the other module."""
+    a = corpus.kupisch_algebra([3, 3, 4, 4])
+    x = regular_module(a)
+    y = _fractional_twist(x, random.Random(34))
+    assert x.dims == y.dims and x.mats != y.mats
+    for _ in range(2):
+        for p in a.basis:
+            for m in (x, y):
+                want = Matrix.identity(m.dims[p.source])
+                for name in p.arrows:
+                    want = want * m.mats[name]
+                assert m.path_matrix(p) == want
+                assert m.path_matrix(p) is m.path_matrix(p)
+    assert sum(x.path_matrix(p) != y.path_matrix(p) for p in a.basis) > len(a.basis) // 2
 
 
 def layers_as_labels(m):
@@ -192,7 +212,7 @@ def test_precomposition_matrix_matches_module_maps():
             src_sum, tgt_sum = ProjSum(a, src), ProjSum(a, tgt)
             realized = realize_entry_map(src_sum, tgt_sum, entries)
             for x in mods:
-                pre = YonedaAction(x).precomposition(entries, src, tgt)
+                pre = precomposition(x, entries, src, tgt)
                 out_basis = hom_from_projective_sum(tgt_sum, x)
                 in_basis = hom_from_projective_sum(src_sum, x)
                 assert len(pre) == len(out_basis)

@@ -9,7 +9,7 @@ from module_maps import flatten_map, hom_from_projective_sum
 from tiltbench import corpus
 from tiltbench.complexes import HomotopySpace, ProjComplex, regular_stalk
 from tiltbench.complex_decomp import complexes_isomorphic
-from tiltbench.errors import NotConcentrated, NotTilting, PreconditionFailed, TiltbenchError
+from tiltbench.errors import DSquaredNonzero, NotConcentrated, NotTilting, PreconditionFailed, TiltbenchError
 from tiltbench.presentation import presentations_match
 from tiltbench.quiver import Quiver, path_from_arrows, relation_from_words
 from tiltbench.algebra import build_path_algebra, el_to_vector
@@ -17,7 +17,6 @@ from tiltbench.linalg import Basis, Matrix, _dense, _sparse, sparse_left_kernel
 from tiltbench.reps import (
     ProjSum,
     Representation,
-    YonedaAction,
     hom_space,
     injective,
     projective,
@@ -482,10 +481,11 @@ def test_stable_queries_skip_zero_vertices_and_eliminate_only_modulo_null_maps(m
     """Over the 144 sums of two base modules of Kupisch (4,5,5,5), with
     T = construct_tpq(A, ["2"], [], 1, 1), at shifts 0 and 1, the
     stable-queries benchmark's pass: the relation certificate of the image
-    modules forms no path product through a vertex of dimension 0 (189 of
-    the 864 relation terms remain), and 555 of the 938 stalk bases, those
-    with no null maps (no outgoing differential, or no hom space from the
-    next term), are ``Basis.of_kernel`` bases without an elimination."""
+    modules asks ``path_matrix`` for no path through a vertex of dimension
+    0 (189 of the 864 relation terms remain), and 555 of the 938 stalk
+    bases, those with no null maps (no outgoing differential, or no hom
+    space from the next term), are ``Basis.of_kernel`` bases without an
+    elimination."""
     a = corpus.kupisch_algebra([4, 5, 5, 5])
     ctx = TiltingContext(a, construct_tpq(a, ["2"], [], 1, 1).complex)
     ctx.end_data()
@@ -495,9 +495,10 @@ def test_stable_queries_skip_zero_vertices_and_eliminate_only_modulo_null_maps(m
     path_matrix = Representation.path_matrix
 
     def counted_path_matrix(self, path):
-        calls["path products"] += 1
-        vertices = [path.source] + [self.algebra.quiver.arrow_by_name[name].target for name in path.arrows]
-        assert all(self.dims[v] for v in vertices), path
+        if self.algebra is not a:  # an image module's relation check, not a query module's Yoneda rows
+            calls["path products"] += 1
+            vertices = [path.source] + [self.algebra.quiver.arrow_by_name[name].target for name in path.arrows]
+            assert all(self.dims[v] for v in vertices), path
         return path_matrix(self, path)
 
     init, of_kernel = Basis.__init__, Basis.of_kernel.__func__
@@ -529,7 +530,32 @@ def test_f_homology_checks_d_squared_on_homs():
         {-1: [[{out_of["2"]: Fraction(1)}]], 0: [[{out_of["1"]: Fraction(1)}]]},
     )
     with pytest.raises(TiltbenchError, match=r"d\^2 != 0"):
-        _stalk_hom_classes(summand, YonedaAction(projective(a, "1")), 0)
+        _stalk_hom_classes(summand, projective(a, "1"), 0)
+
+
+def _fig1_complex_with_d_squared_nonzero(a):
+    """P(3) -beta-> P(2) -alpha-> P(1) over fig1: d^2 is the path alpha*beta,
+    which is nonzero."""
+    arrow = {name: a.index[path_from_arrows(a.quiver, [name])] for name in ("alpha", "beta")}
+    return ProjComplex(a, {-1: ["3"], 0: ["2"], 1: ["1"]}, {-1: [[{arrow["beta"]: 1}]], 0: [[{arrow["alpha"]: 1}]]})
+
+
+def test_end_data_refuses_differentials_that_do_not_square_to_zero():
+    a = corpus.fig1_algebra()
+    ctx = TiltingContext(a, _fig1_complex_with_d_squared_nonzero(a))
+    with pytest.raises(DSquaredNonzero, match="differentials do not square to zero"):
+        ctx.end_data()
+
+
+def test_end_data_of_a_non_radical_complex_is_that_of_its_radical_form():
+    """fig1's T plus the contractible P(1) -1-> P(1) is not radical; its End
+    is T's, of dimension 9."""
+    a = corpus.fig1_algebra()
+    t = corpus.fig1_tilting_complex(a)
+    cone = ProjComplex(a, {-1: ["1"], 0: ["1"]}, {-1: [[{a.idempotent_index["1"]: 1}]]})
+    padded = t.direct_sum(cone)
+    assert not padded.is_radical()
+    assert TiltingContext(a, padded).end_data().abstract.dim == TiltingContext(a, t).end_data().abstract.dim == 9
 
 
 def test_stable_image_fig1():
