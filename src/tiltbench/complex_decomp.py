@@ -4,7 +4,9 @@ Idempotent homotopy classes are strictified to exact chain-level idempotents
 (Newton iteration; the error is null-homotopic, hence nilpotent on a radical
 complex), and a strict idempotent is split degreewise: the generators of the
 image of each component are read off its top, which recovers the labels of
-the summand and the symbolic form of its differentials.
+the summand.  The summand, like each support component of the minimized
+complex, is a ``complexes.retract``, whose differential is "include then d
+then project"; no routine here forms a differential of its own.
 
 Isomorphism of complexes is the module engine of ``decompose`` on chain
 maps: ``indecomposable_iso`` groups the pieces of ``decompose_complex``, and
@@ -30,10 +32,10 @@ from .complexes import (
     ChainMapC,
     HomotopySpace,
     ProjComplex,
-    emat_compose,
-    emat_zero,
     homotopy_hom,
     minimize,
+    retract,
+    slot_maps,
     stack_copies,
 )
 from .reps import ProjSum, extract_entry_map, realize_entry_map
@@ -109,40 +111,20 @@ def _image_generators(alg, psum: ProjSum, rows_by_vertex):
 def split_strict_idempotent(c: ProjComplex, strict: ChainMapC):
     """(summand, include: summand->c, project: c->summand) for an exact
     chain idempotent; include then project is the identity on the summand and
-    project then include equals the idempotent on the nose."""
+    project then include equals the idempotent on the nose.  The summand is
+    the ``retract`` cut out by the image generators phi of each component
+    and the maps psi through them."""
     alg = c.algebra
     sums = {d: ProjSum(alg, c.term(d)) for d in c.terms}
-    realized = strict.realize(sums, sums)
-    labels = {}
-    phi_entries = {}
-    psi_entries = {}
-    new_sums = {}
-    for d in c.terms:
-        e_d = realized.get(d)
-        if e_d is None:
-            continue
+    labels, phi, psi = {}, {}, {}
+    for d, e_d in strict.realize(sums, sums).items():
         rows_by_vertex = {v: sparse_row_space(_sparse(x.data)) for v, x in e_d.mats.items()}
-        labs, entries = _image_generators(alg, sums[d], rows_by_vertex)
-        if not labs:
-            continue
-        labels[d] = labs
-        new_sums[d] = ProjSum(alg, labs)
-        # phi: new -> c, entries indexed (new summand k, ambient summand i)
-        phi_entries[d] = entries
-        # psi: c -> new with psi * phi = e and phi * psi = id
-        psi_map = e_d.factor_through(realize_entry_map(new_sums[d], sums[d], entries))
-        psi_entries[d] = extract_entry_map(sums[d], new_sums[d], psi_map)
-    # differentials of the summand
-    terms = {d: labels[d] for d in labels}
-    diffs = {}
-    for d in labels:
-        if d + 1 not in labels:
-            continue
-        inner = emat_compose(alg, phi_entries[d], c.diff(d))
-        diffs[d] = emat_compose(alg, inner, psi_entries[d + 1])
-    summand = ProjComplex(alg, terms, diffs)
-    include = ChainMapC(summand, c, {d: phi_entries[d] for d in labels})
-    project = ChainMapC(c, summand, {d: psi_entries[d] for d in labels})
+        # phi: image -> c, entries indexed (image summand k, ambient summand i)
+        labels[d], phi[d] = _image_generators(alg, sums[d], rows_by_vertex)
+        image = ProjSum(alg, labels[d])
+        # psi: c -> image with psi * phi = e and phi * psi = id
+        psi[d] = extract_entry_map(sums[d], image, e_d.factor_through(realize_entry_map(image, sums[d], phi[d])))
+    summand, include, project = retract(c, labels, phi, psi)
     if not include.is_chain_map() or not project.is_chain_map():
         raise DecompositionError("split maps are not chain maps")
     if not include.then(project).is_identity():
@@ -197,25 +179,8 @@ def _support_components(c: ProjComplex):
 
 
 def _component_complex(c: ProjComplex, comp):
-    terms = {d: [c.term(d)[i] for i in comp[d]] for d in comp}
-    diffs = {}
-    for d in comp:
-        if d + 1 in comp:
-            diffs[d] = [[c.diff(d)[i][j] for j in comp[d + 1]] for i in comp[d]]
-    sub = ProjComplex(c.algebra, terms, diffs)
-    incl_mats = {}
-    proj_mats = {}
-    alg = c.algebra
-    for d in comp:
-        inc = emat_zero(len(comp[d]), len(c.term(d)))
-        prj = emat_zero(len(c.term(d)), len(comp[d]))
-        for pos, i in enumerate(comp[d]):
-            ident = {alg.idempotent_index[c.term(d)[i]]: 1}
-            inc[pos][i] = ident
-            prj[i][pos] = ident
-        incl_mats[d] = inc
-        proj_mats[d] = prj
-    return sub, ChainMapC(sub, c, incl_mats), ChainMapC(c, sub, proj_mats)
+    """(sub, include, project) for the support component comp of c."""
+    return retract(c, *slot_maps(c, comp))
 
 
 def _labels(c: ProjComplex) -> dict:

@@ -8,6 +8,13 @@ b_j -> a_i, realized as a module map by front concatenation.
 
 Shift convention: (X[n])^i = X^{n+i}, so P[1] lives in degree -1; shifted
 differentials pick up the sign (-1)^n.
+
+A retract r of c, cut out by entry matrices i : r -> c and p : c -> r with
+i then p the identity, has the differential "i then d then p"; ``retract``
+is the one routine that forms it.  ``minimize`` cancels unit entries one at
+a time (Gaussian elimination), each step the retract of the coordinate maps
+of ``slot_maps`` with two u^-1 corrections; ``complex_decomp`` cuts out
+support components and split idempotents the same way.
 """
 
 from __future__ import annotations
@@ -53,24 +60,27 @@ def emat_scale(c, a):
     return [[el_scale(c, x) for x in row] for row in a]
 
 
-def emat_compose(alg: BasicAlgebra, f, g):
-    """Entry matrix of "f then g" (f: X->Y rows x cols, g: Y->Z)."""
-    rows = len(f)
-    mid = len(g)
-    cols = len(g[0]) if mid else 0
-    if rows and len(f[0]) != mid:
-        raise TiltbenchError("entry matrices do not compose")
-    out = emat_zero(rows, cols)
-    for i in range(rows):
-        for j in range(mid):
-            fij = f[i][j]
-            if not fij:
-                continue
-            for k in range(cols):
-                gjk = g[j][k]
-                if gjk:
-                    out[i][k] = el_add(out[i][k], alg.mul(gjk, fij))
-    return out
+def emat_compose(alg: BasicAlgebra, f, *gs):
+    """Entry matrix of "f then g then ..." (f: X->Y rows x cols, g: Y->Z,
+    and so on)."""
+    for g in gs:
+        rows = len(f)
+        mid = len(g)
+        cols = len(g[0]) if mid else 0
+        if rows and len(f[0]) != mid:
+            raise TiltbenchError("entry matrices do not compose")
+        out = emat_zero(rows, cols)
+        for i in range(rows):
+            for j in range(mid):
+                fij = f[i][j]
+                if not fij:
+                    continue
+                for k in range(cols):
+                    gjk = g[j][k]
+                    if gjk:
+                        out[i][k] = el_add(out[i][k], alg.mul(gjk, fij))
+        f = out
+    return f
 
 
 def emat_is_zero(a):
@@ -265,12 +275,15 @@ class ChainMapC:
         return all(emat_is_zero(m) for m in self.mats.values())
 
     def is_chain_map(self) -> bool:
+        """Whether f^d then d_y equals d_x then f^(d+1) in every degree.  A
+        product through an empty term is the zero matrix of its full shape
+        (``emat_compose`` cannot see the width of a matrix with no rows)."""
         alg = self.source.algebra
         for d in set(self.source.terms) | set(self.target.terms):
-            lhs = emat_compose(alg, self.component(d), self.target.diff(d))
-            rhs = emat_compose(alg, self.source.diff(d), self.component(d + 1))
-            la = lhs if lhs else emat_zero(len(self.source.term(d)), len(self.target.term(d + 1)))
-            if not emat_is_zero(emat_sub(la, rhs)):
+            zero = emat_zero(len(self.source.term(d)), len(self.target.term(d + 1)))
+            lhs = emat_compose(alg, self.component(d), self.target.diff(d)) if self.target.term(d) else zero
+            rhs = emat_compose(alg, self.source.diff(d), self.component(d + 1)) if self.source.term(d + 1) else zero
+            if not emat_is_zero(emat_sub(lhs, rhs)):
                 return False
         return True
 
@@ -335,6 +348,37 @@ def stack_copies(x: ProjComplex, includes, projects):
         blocks = [f.component(d) for f in projects]
         cols[d] = [[y for block in blocks for y in block[r]] for r in range(len(labels))]
     return ChainMapC(total, x, rows), ChainMapC(x, total, cols), owner
+
+
+# -- retracts -------------------------------------------------------------------
+
+
+def slot_maps(c: ProjComplex, keep: dict):
+    """(terms, i, p) for the summand slots keep[d] of c in each degree d: the
+    kept labels, and the coordinate inclusion i[d] and projection p[d] as
+    entry matrices, so that i then p is the identity."""
+    alg = c.algebra
+    terms, inc, prj = {}, {}, {}
+    for d, slots in keep.items():
+        labels = c.term(d)
+        terms[d] = [labels[s] for s in slots]
+        inc[d] = emat_zero(len(slots), len(labels))
+        prj[d] = emat_zero(len(labels), len(slots))
+        for pos, s in enumerate(slots):
+            inc[d][pos][s] = {alg.idempotent_index[labels[s]]: 1}
+            prj[d][s][pos] = {alg.idempotent_index[labels[s]]: 1}
+    return terms, inc, prj
+
+
+def retract(c: ProjComplex, terms: dict, inc: dict, prj: dict):
+    """(r, i : r -> c, p : c -> r) for the retract r of c with labels
+    terms[d], cut out by entry matrices inc[d] : r^d -> c^d and prj[d] :
+    c^d -> r^d with i then p the identity.  The differential of r is "i then
+    d then p" in each degree; a degree where r is 0 takes empty matrices."""
+    alg = c.algebra
+    diffs = {d: emat_compose(alg, inc[d], c.diffs[d], prj[d + 1]) for d in c.diffs if d in terms and d + 1 in terms}
+    r = ProjComplex(alg, terms, diffs)
+    return r, ChainMapC(r, c, inc), ChainMapC(c, r, prj)
 
 
 # -- homotopy hom spaces ------------------------------------------------------
@@ -521,77 +565,32 @@ def _find_unit_entry(c: ProjComplex):
 
 
 def _cancel(c: ProjComplex, d: int, i: int, j: int):
-    """One Gaussian cancellation step; returns (new complex, p, i_map)."""
+    """One Gaussian cancellation step at the unit entry u = d^d[i][j]: the
+    ``retract`` (r, i, p) of c without source summand i in degree d and
+    target summand j in degree d + 1.  The slot maps get two corrections, i
+    into source summand i (-u^-1 d[r][j] in row r) and p out of target
+    summand j (-d[i][s] u^-1 in column s), so that "i then d" vanishes on
+    summand j and r's differential at degree d is d[r][s] - d[i][s] u^-1
+    d[r][j]."""
     alg = c.algebra
-    src, tgt = c.term(d), c.term(d + 1)
-    a_lab = src[i]
-    u = c.diff(d)[i][j]
-    u_inv = alg.corner_inverse(u, a_lab)
-    keep_src = [r for r in range(len(src)) if r != i]
-    keep_tgt = [s for s in range(len(tgt)) if s != j]
-
-    terms = {}
-    for dd, labels in c.terms.items():
-        if dd == d:
-            labels = [src[r] for r in keep_src]
-        elif dd == d + 1:
-            labels = [tgt[s] for s in keep_tgt]
-        if labels:
-            terms[dd] = list(labels)
-    diffs = {}
-    for dd in c.diffs:
-        mat = c.diffs[dd]
-        if dd == d:
-            new = emat_zero(len(keep_src), len(keep_tgt))
-            for ri, r in enumerate(keep_src):
-                b_r = mat[r][j]
-                for si, s in enumerate(keep_tgt):
-                    corr = alg.mul(mat[i][s], alg.mul(u_inv, b_r))
-                    new[ri][si] = el_sub(mat[r][s], corr)
-        elif dd == d - 1:
-            new = [[mat[r][s] for s in keep_src] for r in range(len(c.term(dd)))]
-        elif dd == d + 1:
-            new = [[mat[s][t] for t in range(len(c.term(dd + 1)))] for s in keep_tgt]
-        else:
-            new = mat
-        diffs[dd] = new
-    nc = ProjComplex(alg, terms, diffs)
-
-    # p: c -> nc is the projection, with a correction out of the cancelled
-    # target summand; i: nc -> c is the inclusion corrected into the source.
-    p_mats = {}
-    i_mats = {}
-    for dd, labels in c.terms.items():
-        if dd == d:
-            p_m = emat_zero(len(src), len(keep_src))
-            for ri, r in enumerate(keep_src):
-                p_m[r][ri] = {alg.idempotent_index[src[r]]: 1}
-            p_mats[dd] = p_m
-            i_m = emat_zero(len(keep_src), len(src))
-            for ri, r in enumerate(keep_src):
-                i_m[ri][r] = {alg.idempotent_index[src[r]]: 1}
-                i_m[ri][i] = el_scale(-1, alg.mul(u_inv, c.diff(d)[r][j]))
-            i_mats[dd] = i_m
-        elif dd == d + 1:
-            p_m = emat_zero(len(tgt), len(keep_tgt))
-            for si, s in enumerate(keep_tgt):
-                p_m[s][si] = {alg.idempotent_index[tgt[s]]: 1}
-                p_m[j][si] = el_scale(-1, alg.mul(c.diff(d)[i][s], u_inv))
-            p_mats[dd] = p_m
-            i_m = emat_zero(len(keep_tgt), len(tgt))
-            for si, s in enumerate(keep_tgt):
-                i_m[si][s] = {alg.idempotent_index[tgt[s]]: 1}
-            i_mats[dd] = i_m
-        else:
-            if dd in nc.terms:
-                p_mats[dd] = emat_identity(alg, labels)
-                i_mats[dd] = emat_identity(alg, labels)
-    return nc, ChainMapC(c, nc, p_mats), ChainMapC(nc, c, i_mats)
+    mat = c.diffs[d]
+    u_inv = alg.corner_inverse(mat[i][j], c.term(d)[i])
+    keep = {dd: range(len(labels)) for dd, labels in c.terms.items()}
+    keep[d] = [r for r in keep[d] if r != i]
+    keep[d + 1] = [s for s in keep[d + 1] if s != j]
+    terms, inc, prj = slot_maps(c, keep)
+    for ri, r in enumerate(keep[d]):
+        inc[d][ri][i] = el_scale(-1, alg.mul(u_inv, mat[r][j]))
+    for si, s in enumerate(keep[d + 1]):
+        prj[d + 1][j][si] = el_scale(-1, alg.mul(mat[i][s], u_inv))
+    return retract(c, terms, inc, prj)
 
 
 class HomotopyEquivalence:
-    """A verified pair c <-> m with p then i homotopic to the identity of c
-    and i then p equal to the identity of m on the nose."""
+    """A pair of chain maps p : c -> m and i : m -> c, meant to have p then
+    i homotopic to the identity of c and i then p equal to the identity of m
+    on the nose.  Nothing is checked when it is built; ``verify`` checks
+    both, and that p and i are chain maps."""
 
     def __init__(self, c: ProjComplex, m: ProjComplex, p: ChainMapC, i: ChainMapC):
         self.source = c
@@ -620,7 +619,7 @@ def minimize(c: ProjComplex):
         if found is None:
             break
         d, i, j = found
-        cur, p_step, i_step = _cancel(cur, d, i, j)
+        cur, i_step, p_step = _cancel(cur, d, i, j)
         if p_total is None:
             p_total, i_total = p_step, i_step
         else:

@@ -66,10 +66,15 @@ from .reps import (
 )
 
 
-def lift_idempotent(alg: FiniteDimAlgebra, x: dict, max_iter: int = 64) -> dict:
-    """Newton iteration e <- 3e^2 - 2e^3 from an idempotent mod the radical."""
+LIFT_STEPS = 64  # Newton steps before idempotent lifting gives up
+RANDOM_PROBES = 40  # random probes after the deterministic ones, per corner split
+
+
+def lift_idempotent(alg: FiniteDimAlgebra, x: dict) -> dict:
+    """Newton iteration e <- 3e^2 - 2e^3 from an idempotent mod the radical,
+    for at most ``LIFT_STEPS`` steps."""
     e = x
-    for _ in range(max_iter):
+    for _ in range(LIFT_STEPS):
         e2 = alg.mul(e, e)
         if e2 == e:
             return e
@@ -90,15 +95,14 @@ def _probe_elements(alg: FiniteDimAlgebra, rng: random.Random, rounds: int):
         yield el_from_vector([rng.randint(-bound, bound) for _ in range(alg.dim)])
 
 
-def _split_corner_once(
-    alg: FiniteDimAlgebra, unit: dict, top: EndomorphismAlgebra, rng: random.Random, rounds: int = 40
-):
+def _split_corner_once(alg: FiniteDimAlgebra, unit: dict, top: EndomorphismAlgebra, rng: random.Random):
     """A nontrivial idempotent pair (e, unit - e) inside the corner with the
-    given unit, or None if the corner resisted all probes.  ``top`` is
+    given unit, or None if the corner resisted all probes (``RANDOM_PROBES``
+    random ones after the deterministic ones).  ``top`` is
     A/rad(A) (``_semisimple_top``); probes that ``_splits_nothing`` are
     skipped before any product in A."""
     unit_top = top.basis.coordinates(unit)
-    for x in _probe_elements(alg, rng, rounds):
+    for x in _probe_elements(alg, rng, RANDOM_PROBES):
         if _splits_nothing(top, unit_top, x):
             continue
         # force the probe into the corner

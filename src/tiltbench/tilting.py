@@ -122,26 +122,15 @@ def nakayama_permutation(a: BasicAlgebra) -> dict:
 
 def maximal_nu_stable(a: BasicAlgebra) -> NuStableReport:
     """Vertices whose projective stays projective-injective under every
-    forward Nakayama iterate; at most (number of vertices) + 1 steps."""
+    forward Nakayama iterate: the largest set of projective-injective
+    vertices that sigma maps into itself, found as a fixed point by dropping
+    every vertex whose sigma-image leaves the set until none does."""
     sigma = nakayama_permutation(a)
     proj_inj = {v: v in sigma.values() for v in a.quiver.vertices}
-    stable = {}
-    for v in a.quiver.vertices:
-        if not proj_inj[v]:
-            stable[v] = False
-            continue
-        seen = set()
-        cur = v
-        ok = True
-        for _ in range(len(a.quiver.vertices) + 1):
-            if cur in seen:
-                break
-            seen.add(cur)
-            if cur not in sigma or not proj_inj[cur]:
-                ok = False
-                break
-            cur = sigma[cur]
-        stable[v] = ok
+    kept = {v for v, ok in proj_inj.items() if ok}
+    while any(sigma.get(v) not in kept for v in kept):
+        kept = {v for v in kept if sigma.get(v) in kept}
+    stable = {v: v in kept for v in a.quiver.vertices}
     e_labels = [v for v in a.quiver.vertices if stable[v]]
     return NuStableReport(
         vertices=list(a.quiver.vertices),

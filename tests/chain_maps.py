@@ -5,11 +5,15 @@ decompositions, kept for tests: the dense chain-condition system that
 reducing the composite, which ``HomotopySpace.compose`` and
 ``classes.coordinates`` are tested against; and the per-copy maps of a complex
 decomposition cut out of one block map D -> c and its inverse c -> D, D the
-direct sum of the copies, which ``decompose_complex`` is tested against."""
+direct sum of the copies, which ``decompose_complex`` is tested against.
+The decomposition reference minimizes by ``cancel_by_closed_form``, the
+cancellation step as it was before ``complexes.retract`` formed every
+retract's differential as "i then d then p"."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
-from tiltbench.algebra import el_to_vector
+from tiltbench.algebra import el_scale, el_sub, el_to_vector
 from tiltbench.complex_decomp import (
     ChainEndData,
     _component_complex,
@@ -17,7 +21,7 @@ from tiltbench.complex_decomp import (
     complexes_isomorphic,
     split_strict_idempotent,
 )
-from tiltbench.complexes import ChainMapC, ProjComplex, emat_zero, minimize
+from tiltbench.complexes import ChainMapC, ProjComplex, _find_unit_entry, emat_identity, emat_zero
 from tiltbench.decompose import primitive_idempotents
 from tiltbench.errors import TiltbenchError
 from tiltbench.linalg import Basis, sparse_kernel
@@ -140,7 +144,7 @@ def decomposition_by_block_maps(c):
     first piece aligned to itself by identities), assemble f : D -> c and
     g : c -> D from the blocks, and cut the k-th copy's maps out of them by
     the block inclusion D_k -> D and projection D -> D_k."""
-    m, eq = minimize(c)
+    m, eq = minimize_by_closed_form(c)
     leaves = []  # (piece, include into m, project from m)
     for comp in _support_components(m):
         sub, incl, proj = _component_complex(m, comp)
@@ -207,3 +211,85 @@ def _split_pieces(sub):
     if len(idems) == 1:
         return [(sub, ident, ident)]
     return [split_strict_idempotent(sub, data.element(coords)) for coords in idems]
+
+
+def cancel_by_closed_form(c, d, i, j):
+    """One Gaussian cancellation step at the unit entry d^d[i][j], every
+    differential and map of the retract written out by degree; returns (new
+    complex, p, i_map)."""
+    alg = c.algebra
+    src, tgt = c.term(d), c.term(d + 1)
+    a_lab = src[i]
+    u = c.diff(d)[i][j]
+    u_inv = alg.corner_inverse(u, a_lab)
+    keep_src = [r for r in range(len(src)) if r != i]
+    keep_tgt = [s for s in range(len(tgt)) if s != j]
+
+    terms = {}
+    for dd, labels in c.terms.items():
+        if dd == d:
+            labels = [src[r] for r in keep_src]
+        elif dd == d + 1:
+            labels = [tgt[s] for s in keep_tgt]
+        if labels:
+            terms[dd] = list(labels)
+    diffs = {}
+    for dd in c.diffs:
+        mat = c.diffs[dd]
+        if dd == d:
+            new = emat_zero(len(keep_src), len(keep_tgt))
+            for ri, r in enumerate(keep_src):
+                b_r = mat[r][j]
+                for si, s in enumerate(keep_tgt):
+                    corr = alg.mul(mat[i][s], alg.mul(u_inv, b_r))
+                    new[ri][si] = el_sub(mat[r][s], corr)
+        elif dd == d - 1:
+            new = [[mat[r][s] for s in keep_src] for r in range(len(c.term(dd)))]
+        elif dd == d + 1:
+            new = [[mat[s][t] for t in range(len(c.term(dd + 1)))] for s in keep_tgt]
+        else:
+            new = mat
+        diffs[dd] = new
+    nc = ProjComplex(alg, terms, diffs)
+
+    # p: c -> nc is the projection, with a correction out of the cancelled
+    # target summand; i: nc -> c is the inclusion corrected into the source.
+    p_mats = {}
+    i_mats = {}
+    for dd, labels in c.terms.items():
+        if dd == d:
+            p_m = emat_zero(len(src), len(keep_src))
+            for ri, r in enumerate(keep_src):
+                p_m[r][ri] = {alg.idempotent_index[src[r]]: 1}
+            p_mats[dd] = p_m
+            i_m = emat_zero(len(keep_src), len(src))
+            for ri, r in enumerate(keep_src):
+                i_m[ri][r] = {alg.idempotent_index[src[r]]: 1}
+                i_m[ri][i] = el_scale(-1, alg.mul(u_inv, c.diff(d)[r][j]))
+            i_mats[dd] = i_m
+        elif dd == d + 1:
+            p_m = emat_zero(len(tgt), len(keep_tgt))
+            for si, s in enumerate(keep_tgt):
+                p_m[s][si] = {alg.idempotent_index[tgt[s]]: 1}
+                p_m[j][si] = el_scale(-1, alg.mul(c.diff(d)[i][s], u_inv))
+            p_mats[dd] = p_m
+            i_m = emat_zero(len(keep_tgt), len(tgt))
+            for si, s in enumerate(keep_tgt):
+                i_m[si][s] = {alg.idempotent_index[tgt[s]]: 1}
+            i_mats[dd] = i_m
+        else:
+            if dd in nc.terms:
+                p_mats[dd] = emat_identity(alg, labels)
+                i_mats[dd] = emat_identity(alg, labels)
+    return nc, ChainMapC(c, nc, p_mats), ChainMapC(nc, c, i_mats)
+
+
+def minimize_by_closed_form(c):
+    """(m, eq) as ``complexes.minimize`` gives them, by the same scan with
+    ``cancel_by_closed_form``; eq has the attributes p : c -> m and i :
+    m -> c."""
+    cur, p_total, i_total = c, ChainMapC.identity(c), ChainMapC.identity(c)
+    while (found := _find_unit_entry(cur)) is not None:
+        cur, p_step, i_step = cancel_by_closed_form(cur, *found)
+        p_total, i_total = p_total.then(p_step), i_step.then(i_total)
+    return cur, SimpleNamespace(p=p_total, i=i_total)

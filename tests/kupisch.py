@@ -1,4 +1,6 @@
-"""Seeded Kupisch series for tests that sweep cyclic Nakayama algebras."""
+"""Kupisch series for tests that sweep cyclic Nakayama algebras."""
+
+import itertools
 
 
 def seeded_kupisch_series(rng, count, max_vertices=4, max_length=5):
@@ -13,6 +15,18 @@ def seeded_kupisch_series(rng, count, max_vertices=4, max_length=5):
             series.append(rng.randint(max(2, series[-1] - 1), max_length))
         if series[0] >= series[-1] - 1 and series not in out:
             out.append(series)
+    return out
+
+
+def all_kupisch_series(max_vertices=4, max_length=5):
+    """Every Kupisch series with 2 <= n <= max_vertices vertices and Loewy
+    lengths 2 <= c_i <= max_length, c_{i+1} >= c_i - 1 cyclically, in
+    lexicographic order for each n."""
+    out = []
+    for n in range(2, max_vertices + 1):
+        for series in itertools.product(range(2, max_length + 1), repeat=n):
+            if all(series[(i + 1) % n] >= c - 1 for i, c in enumerate(series)):
+                out.append(list(series))
     return out
 
 

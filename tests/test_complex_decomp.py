@@ -1,4 +1,5 @@
 import gc
+import random
 import types
 import weakref
 
@@ -12,14 +13,23 @@ from tiltbench.complex_decomp import (
     split_idempotent,
     strictify_idempotent,
 )
-from tiltbench.complexes import ChainMapC, ProjComplex, _differential, homotopy_hom, regular_stalk, stalk_complex
+from tiltbench.complexes import (
+    ChainMapC,
+    ProjComplex,
+    _differential,
+    homotopy_hom,
+    minimize,
+    regular_stalk,
+    stalk_complex,
+)
 from tiltbench.decompose import EndAlgebra
 from tiltbench.errors import DecompositionError, NotRadical
 from tiltbench.quiver import path_from_arrows
 from tiltbench.reps import regular_module
-from tiltbench.tilting import TiltingContext, construct_tpq
+from tiltbench.tilting import TiltingContext, construct_tpq, maximal_nu_stable
 
-from chain_maps import decomposition_by_block_maps
+from chain_maps import decomposition_by_block_maps, minimize_by_closed_form
+from kupisch import all_kupisch_series
 from test_decompose import _ZeroRandom, _count_thens
 from test_homotopy_products import _complexes
 from test_tilting import linear_a3_apr_complex
@@ -78,6 +88,45 @@ def test_per_copy_maps_match_the_block_route(name, c):
         assert inc.target is c and prj.source is c
         assert inc.mats == ref_inc.mats
         assert prj.mats == ref_prj.mats
+
+
+def _raw_tpq_complexes(rng, count):
+    """(name, construct_tpq(...).raw) for sec5's T_{1},{3,4} and, over count
+    Kupisch series drawn with rng whose E is not empty, for P the
+    sigma-orbit of a drawn vertex of E, Q empty and r = 1, 2."""
+    sec5 = corpus.sec5_algebra()
+    out = [("sec5 T_{1},{3,4}", construct_tpq(sec5, ["1"], ["3", "4"], 1, 1).raw)]
+    for series in rng.sample(all_kupisch_series(), count):
+        a = corpus.kupisch_algebra(series)
+        report = maximal_nu_stable(a)
+        if not report.e_labels:
+            continue
+        orbit = [rng.choice(report.e_labels)]
+        while report.nu_image[orbit[-1]] != orbit[0]:
+            orbit.append(report.nu_image[orbit[-1]])
+        for r in (1, 2):
+            out.append((f"{series} P={orbit} r={r}", construct_tpq(a, orbit, [], r, 1).raw))
+    return out
+
+
+def test_retracts_match_the_closed_form_cancellation():
+    """minimize and decompose_complex give what they gave when every
+    cancellation wrote its retract's differential and maps out by degree.
+    Entries are dicts, so == compares them whatever their key order."""
+    cases = _raw_tpq_complexes(random.Random(35), 48)
+    assert len(cases) > 50
+    for name, raw in cases:
+        m, eq = minimize(raw)
+        ref_m, ref_eq = minimize_by_closed_form(raw)
+        assert (m.terms, m.diffs) == (ref_m.terms, ref_m.diffs), name
+        assert eq.p.mats == ref_eq.p.mats and eq.i.mats == ref_eq.i.mats, name
+        summands, includes, projects = decompose_complex(raw)
+        ref_summands, ref_includes, ref_projects = decomposition_by_block_maps(raw)
+        assert [(s.terms, s.diffs, mult) for s, mult in summands] == [
+            (s.terms, s.diffs, mult) for s, mult in ref_summands
+        ], name
+        assert [f.mats for f in includes] == [f.mats for f in ref_includes], name
+        assert [f.mats for f in projects] == [f.mats for f in ref_projects], name
 
 
 def _tamper(monkeypatch, change):

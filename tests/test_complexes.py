@@ -1,5 +1,6 @@
 from tiltbench import corpus
 from tiltbench.complexes import (
+    ChainMapC,
     ProjComplex,
     homology,
     homotopy_hom,
@@ -137,3 +138,20 @@ def test_chain_map_composition_matches_realization():
             rw = w.realize()
             for d in rw:
                 assert rw[d].mats == ru[d].then(rv[d]).mats
+
+
+def test_is_chain_map_sees_a_square_through_an_empty_term():
+    """Over fig1 with alpha the arrow 1 -> 2, neither map below is a chain
+    map, although one side of its failing square passes through a term that
+    is 0; the projection of P(2) -> P(1) onto its degree-0 term is one."""
+    a = corpus.fig1_algebra()
+    alpha = {a.paths_between("1", "2")[0]: 1}
+    e1, e2 = ({a.idempotent_index[v]: 1} for v in ("1", "2"))
+    stalk_p2 = stalk_complex(a, ["2"], 0)
+    stalk_p1 = stalk_complex(a, ["1"], 1)
+    arrow = ProjComplex(a, {0: ["2"], 1: ["1"]}, {0: [[alpha]]})
+    # f^0 then d_y is alpha, and d_x is 0 into the missing degree 1 of x
+    assert not ChainMapC(stalk_p2, arrow, {0: [[e2]]}).is_chain_map()
+    # d_x then f^1 is alpha, and f^0 maps into the missing degree 0 of y
+    assert not ChainMapC(arrow, stalk_p1, {1: [[e1]]}).is_chain_map()
+    assert ChainMapC(arrow, stalk_p2, {0: [[e2]]}).is_chain_map()

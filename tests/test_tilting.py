@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from kupisch import nakayama_indecomposables, seeded_kupisch_series
+from kupisch import all_kupisch_series, nakayama_indecomposables, seeded_kupisch_series
 from module_maps import flatten_map, hom_from_projective_sum
 
 from tiltbench import corpus
@@ -92,6 +92,39 @@ def test_sec5_maximal_nu_stable():
     a = corpus.sec5_algebra()
     rep = maximal_nu_stable(a)
     assert rep.e_labels == ["1", "3", "4"]
+
+
+def _stable_by_orbit_walk(a):
+    """The stable vertices as they were found before the fixed point: v is
+    stable when every vertex of its sigma-orbit is projective-injective and
+    has a sigma-image, walked for at most (number of vertices) + 1 steps."""
+    sigma = nakayama_permutation(a)
+    proj_inj = {v: v in sigma.values() for v in a.quiver.vertices}
+    stable = {}
+    for v in a.quiver.vertices:
+        seen, cur, ok = set(), v, proj_inj[v]
+        for _ in range(len(a.quiver.vertices) + 1):
+            if not ok or cur in seen:
+                break
+            seen.add(cur)
+            ok = cur in sigma and proj_inj[cur]
+            cur = sigma.get(cur)
+        stable[v] = ok
+    return stable
+
+
+def test_maximal_nu_stable_matches_the_orbit_walk():
+    algebras = list(corpus.corpus_algebras().values())
+    algebras += [corpus.kupisch_algebra(series) for series in all_kupisch_series()]
+    proper = 0
+    for a in algebras:
+        rep = maximal_nu_stable(a)
+        stable = _stable_by_orbit_walk(a)
+        assert rep.stable == stable
+        assert rep.e_labels == [v for v in a.quiver.vertices if stable[v]]
+        proper += 0 < len(rep.e_labels) < len(a.quiver.vertices)
+    # E is neither empty nor everything on most of them
+    assert len(algebras) > 120 and proper > 70
 
 
 def test_semisimple_all_stable():
