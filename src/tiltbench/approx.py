@@ -25,6 +25,7 @@ from .algebra import BasicAlgebra
 from .errors import TiltbenchError
 from .linalg import Basis, Matrix, sparse_row_space
 from .reps import (
+    EntryMap,
     ModuleMap,
     ProjSum,
     Representation,
@@ -82,7 +83,7 @@ def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representatio
         pre = prepends.get(k)
         if pre is None:
             src, tgt = ProjSum(a, [a.target[k]]), ProjSum(a, [a.source[k]])
-            pre = prepends[k] = realize_entry_map(src, tgt, [[{k: 1}]])
+            pre = prepends[k] = realize_entry_map(src, tgt, EntryMap(a, src.labels, tgt.labels, [[{k: 1}]]))
         return flat(h.then(pre))
 
     def composites(v, w):

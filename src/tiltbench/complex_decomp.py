@@ -38,7 +38,7 @@ from .complexes import (
     slot_maps,
     stack_copies,
 )
-from .reps import ProjSum, extract_entry_map, realize_entry_map
+from .reps import EntryMap, ProjSum, extract_entry_map, realize_entry_map
 
 
 class ChainEndData(EndomorphismAlgebra):
@@ -81,11 +81,11 @@ def strictify_idempotent(c: ProjComplex, e: ChainMapC) -> ChainMapC:
 
 
 def _image_generators(alg, psum: ProjSum, rows_by_vertex):
-    """Pick image vectors whose tops form a basis; return (labels, entries).
+    """Pick image vectors whose tops form a basis; return (labels, phi).
 
-    ``rows_by_vertex[w]`` are sparse rows spanning the image at w, and
-    ``entries[k]`` is the row of hom entries describing generator k as a map
-    P(b_k) -> sum of the ambient labels.
+    ``rows_by_vertex[w]`` are sparse rows spanning the image at w, and row k
+    of the entry map phi : P(b_1..b_n) -> psum describes generator k as a
+    map P(b_k) -> sum of the ambient labels.
     """
     labels = []
     entries = []
@@ -105,7 +105,7 @@ def _image_generators(alg, psum: ProjSum, rows_by_vertex):
                 i, k = psum.layout[w][c]
                 entry_row[i][k] = y
             entries.append(entry_row)
-    return labels, entries
+    return labels, EntryMap(alg, labels, psum.labels, entries)
 
 
 def split_strict_idempotent(c: ProjComplex, strict: ChainMapC):
@@ -160,11 +160,9 @@ def _support_components(c: ProjComplex):
         if ra != rb:
             parent[ra] = rb
 
-    for d, mat in c.diffs.items():
-        for i, row in enumerate(mat):
-            for j, x in enumerate(row):
-                if x:
-                    union((d, i), (d + 1, j))
+    for d, e in c.diffs.items():
+        for i, j, _ in e.nonzero():
+            union((d, i), (d + 1, j))
     groups = {}
     for n in nodes:
         groups.setdefault(find(n), []).append(n)

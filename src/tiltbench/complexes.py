@@ -2,27 +2,31 @@
 
 A complex stores, per degree, an ordered list of vertex labels (the direct
 sum of the corresponding projectives) and, per consecutive pair of degrees,
-a matrix of hom entries.  The entry in row i (source summand P(a_i)) and
-column j (target summand P(b_j)) is an algebra element supported on paths
-b_j -> a_i, realized as a module map by front concatenation.
+its differential as a ``reps.EntryMap``: the entry in row i (source summand
+P(a_i)) and column j (target summand P(b_j)) is an algebra element supported
+on paths b_j -> a_i, realized as a module map by front concatenation.  A
+chain map keeps one entry map per degree.  Both take their matrices as rows
+and wrap each once; products and sums go through ``EntryMap``, which checks
+the labels.
 
 Shift convention: (X[n])^i = X^{n+i}, so P[1] lives in degree -1; shifted
 differentials pick up the sign (-1)^n.
 
-A retract r of c, cut out by entry matrices i : r -> c and p : c -> r with
-i then p the identity, has the differential "i then d then p"; ``retract``
-is the one routine that forms it.  ``minimize`` cancels unit entries one at
-a time (Gaussian elimination), each step the retract of the coordinate maps
-of ``slot_maps`` with two u^-1 corrections; ``complex_decomp`` cuts out
-support components and split idempotents the same way.
+A retract r of c, cut out by entry maps i : r -> c and p : c -> r with i
+then p the identity, has the differential "i then d then p"; ``retract`` is
+the one routine that forms it.  ``minimize`` cancels unit entries one at a
+time (Gaussian elimination), each step the retract of the coordinate maps of
+``slot_maps`` with two u^-1 corrections; ``complex_decomp`` cuts out support
+components and split idempotents the same way.
 """
 
 from __future__ import annotations
 
-from .algebra import BasicAlgebra, el_add, el_scale, el_sub
+from .algebra import BasicAlgebra, el_add, el_scale
 from .errors import TiltbenchError
 from .linalg import Basis, _sparse, frac, sparse_kernel
 from .reps import (
+    EntryMap,
     ModuleMap,
     ProjSum,
     extract_entry_map,
@@ -31,60 +35,6 @@ from .reps import (
     realize_entry_map,
     zero_rep,
 )
-
-
-# -- entry matrices -----------------------------------------------------------
-
-
-def emat_zero(r, c):
-    return [[{} for _ in range(c)] for _ in range(r)]
-
-
-def emat_identity(alg: BasicAlgebra, labels):
-    n = len(labels)
-    out = emat_zero(n, n)
-    for i, lab in enumerate(labels):
-        out[i][i] = {alg.idempotent_index[str(lab)]: 1}
-    return out
-
-
-def emat_add(a, b):
-    return [[el_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def emat_sub(a, b):
-    return [[el_sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def emat_scale(c, a):
-    return [[el_scale(c, x) for x in row] for row in a]
-
-
-def emat_compose(alg: BasicAlgebra, f, *gs):
-    """Entry matrix of "f then g then ..." (f: X->Y rows x cols, g: Y->Z,
-    and so on)."""
-    for g in gs:
-        rows = len(f)
-        mid = len(g)
-        cols = len(g[0]) if mid else 0
-        if rows and len(f[0]) != mid:
-            raise TiltbenchError("entry matrices do not compose")
-        out = emat_zero(rows, cols)
-        for i in range(rows):
-            for j in range(mid):
-                fij = f[i][j]
-                if not fij:
-                    continue
-                for k in range(cols):
-                    gjk = g[j][k]
-                    if gjk:
-                        out[i][k] = el_add(out[i][k], alg.mul(gjk, fij))
-        f = out
-    return f
-
-
-def emat_is_zero(a):
-    return not any(x for row in a for x in row)
 
 
 # -- complexes ---------------------------------------------------------------
@@ -107,12 +57,12 @@ class ProjComplex:
             src = self.terms.get(d, [])
             tgt = self.terms.get(d + 1, [])
             if not src or not tgt:
-                if mat and not emat_is_zero(mat):
+                if any(x for row in mat for x in row):
                     raise TiltbenchError(f"differential at degree {d} has no terms to connect")
                 continue
             if len(mat) != len(src) or any(len(row) != len(tgt) for row in mat):
                 raise TiltbenchError(f"differential at degree {d} has wrong shape")
-            clean = emat_zero(len(src), len(tgt))
+            clean = EntryMap.zero(algebra, src, tgt)
             for i in range(len(src)):
                 for j in range(len(tgt)):
                     x = {k: c for k, c in ((k, frac(v)) for k, v in mat[i][j].items()) if c}
@@ -125,8 +75,8 @@ class ProjComplex:
                                 f"entry ({i},{j}) at degree {d} not supported on paths "
                                 f"{tgt[j]} -> {src[i]}"
                             )
-                    clean[i][j] = x
-            if not emat_is_zero(clean):
+                    clean.rows[i][j] = x
+            if not clean.is_zero():
                 self.diffs[d] = clean
 
     @property
@@ -140,10 +90,10 @@ class ProjComplex:
     def term(self, d: int):
         return self.terms.get(d, [])
 
-    def diff(self, d: int):
+    def diff(self, d: int) -> EntryMap:
         if d in self.diffs:
             return self.diffs[d]
-        return emat_zero(len(self.term(d)), len(self.term(d + 1)))
+        return EntryMap.zero(self.algebra, self.term(d), self.term(d + 1))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -152,20 +102,11 @@ class ProjComplex:
         return sorted(self.terms)
 
     def d_squared_is_zero(self) -> bool:
-        for d in self.degrees():
-            if self.term(d + 1) and self.term(d + 2):
-                if not emat_is_zero(emat_compose(self.algebra, self.diff(d), self.diff(d + 1))):
-                    return False
-        return True
+        return all(self.diff(d).then(self.diff(d + 1)).is_zero() for d in self.diffs)
 
     def is_radical(self) -> bool:
-        for d, mat in self.diffs.items():
-            for row in mat:
-                for x in row:
-                    for k in x:
-                        if len(self.algebra.basis[k]) == 0:
-                            return False
-        return True
+        basis = self.algebra.basis
+        return not any(len(basis[k]) == 0 for e in self.diffs.values() for _, _, x in e.nonzero() for k in x)
 
     def validate(self) -> dict:
         return {"d_squared_zero": self.d_squared_is_zero(), "is_radical": self.is_radical()}
@@ -173,7 +114,7 @@ class ProjComplex:
     def shift(self, n: int) -> "ProjComplex":
         terms = {d - n: labels for d, labels in self.terms.items()}
         sign = 1 if n % 2 == 0 else -1
-        diffs = {d - n: emat_scale(sign, mat) for d, mat in self.diffs.items()}
+        diffs = {d - n: e.scale(sign).rows for d, e in self.diffs.items()}
         return ProjComplex(self.algebra, terms, diffs)
 
     def direct_sum(self, *others: "ProjComplex") -> "ProjComplex":
@@ -188,7 +129,7 @@ class ProjComplex:
             for p in parts:
                 width = len(p.term(d + 1))
                 after -= width
-                mat.extend([{} for _ in range(before)] + row + [{} for _ in range(after)] for row in p.diff(d))
+                mat.extend([{} for _ in range(before)] + row + [{} for _ in range(after)] for row in p.diff(d).rows)
                 before += width
             diffs[d] = mat
         return ProjComplex(self.algebra, terms, diffs)
@@ -223,84 +164,66 @@ def regular_stalk(algebra: BasicAlgebra, degree: int = 0) -> ProjComplex:
 
 
 class ChainMapC:
-    """Chain map between label-form complexes, stored degreewise as entry
-    matrices (rows: source summands, cols: target summands)."""
+    """Chain map between label-form complexes, given degreewise as entry rows
+    (rows: source summands, cols: target summands) and kept as the nonzero
+    ``EntryMap``s from source.term(d) to target.term(d)."""
 
     def __init__(self, source: ProjComplex, target: ProjComplex, mats: dict):
         self.source = source
         self.target = target
         self.mats = {}
-        for d, mat in mats.items():
+        for d, rows in mats.items():
             d = int(d)
-            src, tgt = source.term(d), target.term(d)
-            if len(mat) != len(src) or (mat and any(len(r) != len(tgt) for r in mat)):
-                raise TiltbenchError(f"chain map component at degree {d} has wrong shape")
-            if not emat_is_zero(mat):
-                self.mats[d] = mat
+            e = EntryMap(source.algebra, source.term(d), target.term(d), rows)
+            if not e.is_zero():
+                self.mats[d] = e
 
-    def component(self, d: int):
+    def component(self, d: int) -> EntryMap:
         if d in self.mats:
             return self.mats[d]
-        return emat_zero(len(self.source.term(d)), len(self.target.term(d)))
+        return EntryMap.zero(self.source.algebra, self.source.term(d), self.target.term(d))
 
     @classmethod
     def identity(cls, c: ProjComplex) -> "ChainMapC":
-        return cls(c, c, {d: emat_identity(c.algebra, c.term(d)) for d in c.terms})
+        return cls(c, c, {d: EntryMap.identity(c.algebra, labels).rows for d, labels in c.terms.items()})
 
     @classmethod
     def zero(cls, source, target) -> "ChainMapC":
         return cls(source, target, {})
 
     def then(self, other: "ChainMapC") -> "ChainMapC":
-        alg = self.source.algebra
-        mats = {}
-        for d in set(self.mats) | set(other.mats):
-            if self.source.term(d) and other.target.term(d) and self.target.term(d):
-                mats[d] = emat_compose(alg, self.component(d), other.component(d))
+        mats = {d: self.component(d).then(other.component(d)).rows for d in set(self.mats) | set(other.mats)}
         return ChainMapC(self.source, other.target, mats)
 
     def __add__(self, other):
-        mats = {}
-        for d in set(self.mats) | set(other.mats):
-            mats[d] = emat_add(self.component(d), other.component(d))
+        mats = {d: (self.component(d) + other.component(d)).rows for d in set(self.mats) | set(other.mats)}
         return ChainMapC(self.source, self.target, mats)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return ChainMapC(self.source, self.target, {d: emat_scale(c, m) for d, m in self.mats.items()})
+        return ChainMapC(self.source, self.target, {d: e.scale(c).rows for d, e in self.mats.items()})
 
     def is_zero(self) -> bool:
-        return all(emat_is_zero(m) for m in self.mats.values())
+        return not self.mats
 
     def is_chain_map(self) -> bool:
-        """Whether f^d then d_y equals d_x then f^(d+1) in every degree.  A
-        product through an empty term is the zero matrix of its full shape
-        (``emat_compose`` cannot see the width of a matrix with no rows)."""
-        alg = self.source.algebra
+        """Whether f^d then d_y equals d_x then f^(d+1) in every degree."""
         for d in set(self.source.terms) | set(self.target.terms):
-            zero = emat_zero(len(self.source.term(d)), len(self.target.term(d + 1)))
-            lhs = emat_compose(alg, self.component(d), self.target.diff(d)) if self.target.term(d) else zero
-            rhs = emat_compose(alg, self.source.diff(d), self.component(d + 1)) if self.source.term(d + 1) else zero
-            if not emat_is_zero(emat_sub(lhs, rhs)):
+            if self.component(d).then(self.target.diff(d)) != self.source.diff(d).then(self.component(d + 1)):
                 return False
         return True
 
     def support(self) -> list:
         """(degree, row, column) of each nonzero entry."""
-        return [(d, i, j) for d, m in self.mats.items() for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        return [(d, i, j) for d, e in self.mats.items() for i, j, _ in e.nonzero()]
 
     def is_identity(self) -> bool:
-        if self.source.terms.keys() != self.target.terms.keys():
-            return False
-        ident = ChainMapC.identity(self.source)
-        for d in set(self.mats) | set(ident.mats):
-            if self.source.term(d) != self.target.term(d):
-                return False
-            if not emat_is_zero(emat_sub(self.component(d), ident.component(d))):
-                return False
-        return True
+        alg = self.source.algebra
+        return self.source.terms == self.target.terms and all(
+            self.component(d) == EntryMap.identity(alg, labels) for d, labels in self.source.terms.items()
+        )
 
     def inverse(self):
         """The inverse chain map, or None: each degree is realized, inverted
@@ -316,7 +239,7 @@ class ChainMapC:
             inv = realized[d].inverse() if d in realized else None
             if inv is None:
                 return None
-            mats[d] = extract_entry_map(tgt[d], src[d], inv)
+            mats[d] = extract_entry_map(tgt[d], src[d], inv).rows
         g = ChainMapC(self.target, self.source, mats)
         return g if g.is_chain_map() else None
 
@@ -342,10 +265,10 @@ def stack_copies(x: ProjComplex, includes, projects):
     summand r of the sum in degree d belongs to."""
     total = ProjComplex(x.algebra, {}, {}).direct_sum(*(f.source for f in includes))
     owner = {d: [k for k, f in enumerate(includes) for _ in f.source.term(d)] for d in total.terms}
-    rows = {d: [row for f in includes for row in f.component(d)] for d in total.terms}
+    rows = {d: [row for f in includes for row in f.component(d).rows] for d in total.terms}
     cols = {}
     for d, labels in x.terms.items():
-        blocks = [f.component(d) for f in projects]
+        blocks = [f.component(d).rows for f in projects]
         cols[d] = [[y for block in blocks for y in block[r]] for r in range(len(labels))]
     return ChainMapC(total, x, rows), ChainMapC(x, total, cols), owner
 
@@ -356,29 +279,31 @@ def stack_copies(x: ProjComplex, includes, projects):
 def slot_maps(c: ProjComplex, keep: dict):
     """(terms, i, p) for the summand slots keep[d] of c in each degree d: the
     kept labels, and the coordinate inclusion i[d] and projection p[d] as
-    entry matrices, so that i then p is the identity."""
+    entry maps, so that i then p is the identity."""
     alg = c.algebra
     terms, inc, prj = {}, {}, {}
     for d, slots in keep.items():
         labels = c.term(d)
         terms[d] = [labels[s] for s in slots]
-        inc[d] = emat_zero(len(slots), len(labels))
-        prj[d] = emat_zero(len(labels), len(slots))
+        inc[d] = EntryMap.zero(alg, terms[d], labels)
+        prj[d] = EntryMap.zero(alg, labels, terms[d])
         for pos, s in enumerate(slots):
-            inc[d][pos][s] = {alg.idempotent_index[labels[s]]: 1}
-            prj[d][s][pos] = {alg.idempotent_index[labels[s]]: 1}
+            inc[d].rows[pos][s] = {alg.idempotent_index[labels[s]]: 1}
+            prj[d].rows[s][pos] = {alg.idempotent_index[labels[s]]: 1}
     return terms, inc, prj
 
 
 def retract(c: ProjComplex, terms: dict, inc: dict, prj: dict):
     """(r, i : r -> c, p : c -> r) for the retract r of c with labels
-    terms[d], cut out by entry matrices inc[d] : r^d -> c^d and prj[d] :
-    c^d -> r^d with i then p the identity.  The differential of r is "i then
-    d then p" in each degree; a degree where r is 0 takes empty matrices."""
-    alg = c.algebra
-    diffs = {d: emat_compose(alg, inc[d], c.diffs[d], prj[d + 1]) for d in c.diffs if d in terms and d + 1 in terms}
-    r = ProjComplex(alg, terms, diffs)
-    return r, ChainMapC(r, c, inc), ChainMapC(c, r, prj)
+    terms[d], cut out by entry maps inc[d] : r^d -> c^d and prj[d] : c^d ->
+    r^d with i then p the identity.  The differential of r is "i then d then
+    p" in each degree; a degree where r is 0 takes entry maps from or to the
+    empty sum."""
+    diffs = {d: inc[d].then(c.diffs[d]).then(prj[d + 1]).rows for d in c.diffs if d in terms and d + 1 in terms}
+    r = ProjComplex(c.algebra, terms, diffs)
+    inc_rows = {d: e.rows for d, e in inc.items()}
+    prj_rows = {d: e.rows for d, e in prj.items()}
+    return r, ChainMapC(r, c, inc_rows), ChainMapC(c, r, prj_rows)
 
 
 # -- homotopy hom spaces ------------------------------------------------------
@@ -392,7 +317,7 @@ def _differential(x: ProjComplex, y: ProjComplex, n: int):
     terms (d, i, j, k): degree d, source summand i, target summand j, basis
     path k of the sandwich y^(d+n)_j -> x^d_i, in that order.  For each one
     this yields the term and D(e) = e·d_y - (-1)^n d_x·e ("e then d_y" minus
-    the sign times "d_x then e", as ``emat_compose`` composes), as
+    the sign times "d_x then e", as ``EntryMap.then`` composes), as
     {degree-(n+1) term: c} with nonzero entries only."""
     alg = x.algebra
     sign = -1 if n % 2 == 0 else 1  # -(-1)^n, the coefficient of d_x·e
@@ -400,8 +325,8 @@ def _differential(x: ProjComplex, y: ProjComplex, n: int):
         src, tgt = x.term(d), y.term(d + n)
         if not tgt:
             continue
-        dy = y.diff(d + n)  # y^(d+n) -> y^(d+n+1)
-        dx = x.diff(d - 1)  # x^(d-1) -> x^d
+        dy = y.diff(d + n).rows  # y^(d+n) -> y^(d+n+1)
+        dx = x.diff(d - 1).rows  # x^(d-1) -> x^d
         after = range(len(y.term(d + n + 1)))
         before = range(len(x.term(d - 1)))
         for i in range(len(src)):
@@ -475,27 +400,26 @@ class HomotopySpace:
                 continue
             d, i, j, k = self.positions[p]
             if d not in mats:
-                mats[d] = emat_zero(len(self.x.term(d)), len(self.y.term(d)))
+                mats[d] = EntryMap.zero(self.alg, self.x.term(d), self.y.term(d)).rows
             mats[d][i][j] = el_add(mats[d][i][j], {k: c})
         return ChainMapC(self.x, self.y, mats)
 
     def chain_map_terms(self, cm: ChainMapC) -> dict:
         """The coordinates of cm as {position: c}, nonzero entries only."""
         vec = {}
-        for d, mat in cm.mats.items():
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    for k, c in x.items():
-                        p = self._pos.get((d, i, j, k))
-                        if p is None:
-                            if c != 0:
-                                raise TiltbenchError("chain map outside coordinate support")
-                            continue
-                        s = vec.get(p, 0) + c
-                        if s:
-                            vec[p] = s
-                        else:
-                            del vec[p]
+        for d, e in cm.mats.items():
+            for i, j, x in e.nonzero():
+                for k, c in x.items():
+                    p = self._pos.get((d, i, j, k))
+                    if p is None:
+                        if c != 0:
+                            raise TiltbenchError("chain map outside coordinate support")
+                        continue
+                    s = vec.get(p, 0) + c
+                    if s:
+                        vec[p] = s
+                    else:
+                        del vec[p]
         return vec
 
     def class_reps(self):
@@ -505,7 +429,7 @@ class HomotopySpace:
         """"u then v" for two endomorphisms of x (x and y equal), each given
         as {position: c}, as {position: c}.  Only the nonzero terms are
         visited: the term (d, i, j, k) of u and (d, j, m, l) of v give
-        basis l * basis k at (d, i, m), as ``emat_compose`` does."""
+        basis l * basis k at (d, i, m), as ``EntryMap.then`` does."""
         if not self._endomorphisms:
             raise TiltbenchError("compose needs a space of endomorphisms")
         positions = self.positions
@@ -551,16 +475,10 @@ def homotopy_hom(x: ProjComplex, y: ProjComplex, n: int = 0) -> HomotopySpace:
 
 def _find_unit_entry(c: ProjComplex):
     for d in sorted(c.diffs):
-        mat = c.diffs[d]
         src, tgt = c.term(d), c.term(d + 1)
-        for i in range(len(src)):
-            for j in range(len(tgt)):
-                if src[i] != tgt[j]:
-                    continue
-                x = mat[i][j]
-                k0 = c.algebra.idempotent_index[src[i]]
-                if x.get(k0, 0) != 0:
-                    return d, i, j
+        for i, j, x in c.diffs[d].nonzero():
+            if src[i] == tgt[j] and x.get(c.algebra.idempotent_index[src[i]], 0) != 0:
+                return d, i, j
     return None
 
 
@@ -573,16 +491,16 @@ def _cancel(c: ProjComplex, d: int, i: int, j: int):
     summand j and r's differential at degree d is d[r][s] - d[i][s] u^-1
     d[r][j]."""
     alg = c.algebra
-    mat = c.diffs[d]
+    mat = c.diffs[d].rows
     u_inv = alg.corner_inverse(mat[i][j], c.term(d)[i])
     keep = {dd: range(len(labels)) for dd, labels in c.terms.items()}
     keep[d] = [r for r in keep[d] if r != i]
     keep[d + 1] = [s for s in keep[d + 1] if s != j]
     terms, inc, prj = slot_maps(c, keep)
     for ri, r in enumerate(keep[d]):
-        inc[d][ri][i] = el_scale(-1, alg.mul(u_inv, mat[r][j]))
+        inc[d].rows[ri][i] = el_scale(-1, alg.mul(u_inv, mat[r][j]))
     for si, s in enumerate(keep[d + 1]):
-        prj[d + 1][j][si] = el_scale(-1, alg.mul(mat[i][s], u_inv))
+        prj[d + 1].rows[j][si] = el_scale(-1, alg.mul(mat[i][s], u_inv))
     return retract(c, terms, inc, prj)
 
 

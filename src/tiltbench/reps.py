@@ -15,7 +15,7 @@ Conventions (used consistently everywhere):
 
 from __future__ import annotations
 
-from .algebra import BasicAlgebra
+from .algebra import BasicAlgebra, el_add, el_scale
 from .errors import DecompositionError, DimensionMismatch, NotProjective, TiltbenchError
 from .linalg import (
     Basis,
@@ -291,30 +291,30 @@ def map_from_flat(m: Representation, n: Representation, vec: dict) -> ModuleMap:
     return ModuleMap(m, n, mats, check=False)
 
 
-def precomposition(x: Representation, entries, src_labels, tgt_labels) -> list:
-    """Sparse rows of h -> E then h, from Hom(P(b_1..b_n), x) to
-    Hom(P(a_1..a_m), x), for the entry map E with ``entries[i][j]``
-    supported on paths b_j -> a_i, in Yoneda coordinates: by Yoneda's lemma
-    Hom(P(a_1) + ... + P(a_m), x) = x(a_1) + ... + x(a_m), a map is the list
-    of its generator images, summand-major, and its k-th basis map sends
-    one generator to one basis vector of x.  Row k is the {column: entry}
-    dict, without zero entries, of the coordinates of E then (k-th basis
-    map); block (j, i) is x(entries[i][j]), summed from x's path matrices,
-    so neither a module map nor a dense matrix is built.  A label b with
-    x(b) = 0 gives no row and a label a with x(a) = 0 no column."""
+def precomposition(x: Representation, e: EntryMap) -> list:
+    """Sparse rows of h -> e then h, from Hom(P(b_1..b_n), x) to
+    Hom(P(a_1..a_m), x), for the entry map e : P(a_1..a_m) -> P(b_1..b_n),
+    in Yoneda coordinates: by Yoneda's lemma Hom(P(a_1) + ... + P(a_m), x)
+    = x(a_1) + ... + x(a_m), a map is the list of its generator images,
+    summand-major, and its k-th basis map sends one generator to one basis
+    vector of x.  Row k is the {column: entry} dict, without zero entries, of
+    the coordinates of e then (k-th basis map); block (j, i) is
+    x(e.rows[i][j]), summed from x's path matrices, so neither a module map
+    nor a dense matrix is built.  A label b with x(b) = 0 gives no row and a
+    label a with x(a) = 0 no column."""
     dims, basis = x.dims, x.algebra.basis
     offsets, o = [], 0
-    for a in src_labels:
+    for a in e.src:
         offsets.append(o)
         o += dims[a]
     out = []
-    for j, b in enumerate(tgt_labels):
+    for j, b in enumerate(e.tgt):
         block = [{} for _ in range(dims[b])]
         if block:
-            for i, a in enumerate(src_labels):
+            for i, a in enumerate(e.src):
                 if not dims[a]:
                     continue
-                for k, c in entries[i][j].items():
+                for k, c in e.rows[i][j].items():
                     for row, prow in zip(block, x.path_matrix(basis[k]).data):
                         for col, y in enumerate(prow, offsets[i]):
                             if y:
@@ -518,6 +518,81 @@ def cokernel_of(f: ModuleMap):
 # -- labeled projective sums and the symbolic hom encoding -------------------
 
 
+class EntryMap:
+    """A map P(a_1) + ... + P(a_m) -> P(b_1) + ... + P(b_n) between sums of
+    projectives, as its matrix of hom entries with both label lists:
+    ``rows[i][j]`` is an algebra element supported on paths b_j -> a_i,
+    acting on P(a_i) by front concatenation.  The constructor checks that the
+    rows fit the labels; ``then``, ``+`` and ``-`` refuse maps whose labels do
+    not meet, so a product through an empty sum keeps its full shape and a
+    product of two maps that do not compose raises instead of coming out 0."""
+
+    def __init__(self, algebra: BasicAlgebra, src_labels, tgt_labels, rows):
+        if len(rows) != len(src_labels) or not {len(tgt_labels)}.issuperset(map(len, rows)):
+            raise TiltbenchError(f"entry rows do not fit the labels {src_labels} -> {tgt_labels}")
+        self.algebra = algebra
+        self.src = src_labels
+        self.tgt = tgt_labels
+        self.rows = rows
+
+    @classmethod
+    def zero(cls, algebra: BasicAlgebra, src_labels, tgt_labels) -> "EntryMap":
+        return cls(algebra, src_labels, tgt_labels, [[{} for _ in tgt_labels] for _ in src_labels])
+
+    @classmethod
+    def identity(cls, algebra: BasicAlgebra, labels) -> "EntryMap":
+        e = cls.zero(algebra, labels, labels)
+        for i, lab in enumerate(labels):
+            e.rows[i][i] = {algebra.idempotent_index[str(lab)]: 1}
+        return e
+
+    def nonzero(self):
+        """(i, j, element) for each nonzero entry, row by row."""
+        for i, row in enumerate(self.rows):
+            for j, x in enumerate(row):
+                if x:
+                    yield i, j, x
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.rows))
+
+    def __eq__(self, other):
+        if not isinstance(other, EntryMap):
+            return NotImplemented
+        return self.src == other.src and self.tgt == other.tgt and self.rows == other.rows
+
+    def __add__(self, other: "EntryMap") -> "EntryMap":
+        if self.src != other.src or self.tgt != other.tgt:
+            raise TiltbenchError(f"entry maps {self.src} -> {self.tgt} and {other.src} -> {other.tgt} do not add")
+        rows = [[el_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return EntryMap(self.algebra, self.src, self.tgt, rows)
+
+    def __sub__(self, other: "EntryMap") -> "EntryMap":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "EntryMap":
+        return EntryMap(self.algebra, self.src, self.tgt, [[el_scale(c, x) for x in row] for row in self.rows])
+
+    def then(self, other: "EntryMap") -> "EntryMap":
+        """"self then other", for self : X -> Y and other : Y -> Z."""
+        if self.tgt != other.src:
+            raise TiltbenchError(f"entry maps do not compose: {self.src} -> {self.tgt} then {other.src} -> {other.tgt}")
+        mul = self.algebra.mul
+        rows = []
+        for row in self.rows:
+            out = [{} for _ in other.tgt]
+            for j, x in enumerate(row):
+                if x:
+                    for k, y in enumerate(other.rows[j]):
+                        if y:
+                            out[k] = el_add(out[k], mul(y, x))
+            rows.append(out)
+        return EntryMap(self.algebra, self.src, other.tgt, rows)
+
+    def __repr__(self):
+        return f"EntryMap({self.src} -> {self.tgt}, {self.rows})"
+
+
 class ProjSum:
     """Direct sum of labeled projectives with explicit coordinate layout, the
     one layout of a sum of projectives: ``projective`` and
@@ -561,21 +636,19 @@ class ProjSum:
         return lab, self.pos[lab][(i, k)]
 
 
-def realize_entry_map(src: ProjSum, tgt: ProjSum, entries) -> ModuleMap:
-    """Module map from a matrix of hom entries.
-
-    ``entries[i][j]`` is an element of the sandwich e_{b_j} A e_{a_i} (paths
-    from the j-th target label to the i-th source label), acting on P(a_i)
-    by front concatenation.
-    """
+def realize_entry_map(src: ProjSum, tgt: ProjSum, e: EntryMap) -> ModuleMap:
+    """The module map src -> tgt of the entry map e, whose labels must be
+    those of the two sums: ``e.rows[i][j]``, an element of the sandwich
+    e_{b_j} A e_{a_i}, acts on P(a_i) by front concatenation."""
+    if e.src != src.labels or e.tgt != tgt.labels:
+        raise TiltbenchError(f"entry map {e.src} -> {e.tgt} between sums {src.labels} -> {tgt.labels}")
     alg = src.algebra
     mats = {}
     for w in alg.quiver.vertices:
         rows = []
         for (i, k) in src.layout[w]:
             row = [0] * len(tgt.layout[w])
-            for j, lab_b in enumerate(tgt.labels):
-                x = entries[i][j]
+            for j, x in enumerate(e.rows[i]):
                 if not x:
                     continue
                 prod = alg.mul(x, alg.basis_el(k))  # paths b_j -> w
@@ -586,8 +659,9 @@ def realize_entry_map(src: ProjSum, tgt: ProjSum, entries) -> ModuleMap:
     return ModuleMap(src.rep, tgt.rep, mats, check=False)
 
 
-def extract_entry_map(src: ProjSum, tgt: ProjSum, f: ModuleMap):
-    """Inverse of realize_entry_map: read hom entries off generator images."""
+def extract_entry_map(src: ProjSum, tgt: ProjSum, f: ModuleMap) -> EntryMap:
+    """Inverse of realize_entry_map: the entry map src -> tgt read off the
+    generator images of f."""
     alg = src.algebra
     entries = []
     for i in range(len(src.labels)):
@@ -601,7 +675,7 @@ def extract_entry_map(src: ProjSum, tgt: ProjSum, f: ModuleMap):
                     x[kk] = row_img[c_pos]
             row_entries.append(x)
         entries.append(row_entries)
-    return entries
+    return EntryMap(alg, src.labels, tgt.labels, entries)
 
 
 def nu_injective_sum(algebra: BasicAlgebra, labels) -> Representation:

@@ -193,7 +193,7 @@ def complex_to_dict(c: ProjComplex, algebra_ref=None) -> dict:
         "terms": {str(d): list(c.term(d)) for d in c.degrees()},
         "diffs": {
             str(d): [
-                [element_to_terms(c.algebra, x) for x in row] for row in c.diffs[d]
+                [element_to_terms(c.algebra, x) for x in row] for row in c.diffs[d].rows
             ]
             for d in sorted(c.diffs)
         },
@@ -213,8 +213,13 @@ def complex_from_dict(d, base_dir=".", algebra=None) -> ProjComplex:
         src = terms.get(deg, [])
         tgt = terms.get(deg + 1, [])
         rows = [_expect(row, list, f"diffs.{k}[{i}]") for i, row in enumerate(_expect(mat, list, f"diffs.{k}"))]
-        if len(rows) > len(src) or any(len(row) > len(tgt) for row in rows):
-            raise TiltbenchError(f"diffs.{k}: more entries than the {len(src)}x{len(tgt)} terms allow")
+        if len(rows) != len(src):
+            raise TiltbenchError(f"diffs.{k}: {len(rows)} rows, but degree {deg} has {len(src)} summands")
+        for i, row in enumerate(rows):
+            if len(row) != len(tgt):
+                raise TiltbenchError(
+                    f"diffs.{k}[{i}]: {len(row)} entries, but degree {deg + 1} has {len(tgt)} summands"
+                )
         diffs[deg] = [
             [element_from_terms(a, entry, src[i], tgt[j], f"diffs.{k}[{i}][{j}]") for j, entry in enumerate(row)]
             for i, row in enumerate(rows)

@@ -25,7 +25,7 @@ The central objects:
   arrow acts on a class by a sparse sum of precomposition rows, and no
   dense matrix is built before the arrow matrices of the result.
   ``TiltingContext`` keeps the one part that does not depend on the module
-  (the arrow components, as entry matrices) and reuses it for every query.
+  (the arrow components, as ``reps.EntryMap``s) and reuses it for every query.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def construct_tpq(
             break
         cur_sum = ProjSum(a, labels_i)
         to_prev = f_i if incl is None else f_i.then(incl)
-        diffs[-i] = extract_entry_map(cur_sum, prev_sum, to_prev)
+        diffs[-i] = extract_entry_map(cur_sum, prev_sum, to_prev).rows
         terms[-i] = labels_i
         target, incl = kernel_of(f_i)
         prev_sum = cur_sum
@@ -341,7 +341,7 @@ def construct_tpq(
             break
         cur_sum = ProjSum(a, labels_i)
         from_prev = g_i if proj_map is None else proj_map.then(g_i)
-        diffs[i - 1] = extract_entry_map(prev_sum, cur_sum, from_prev)
+        diffs[i - 1] = extract_entry_map(prev_sum, cur_sum, from_prev).rows
         terms[i] = labels_i
         source, proj_map = cokernel_of(g_i)
         prev_sum = cur_sum
@@ -467,7 +467,7 @@ class TiltingContext:
         on first use and kept in ``_f_hom_cache``: ``(name, d)`` gives the
         degree-d component of the chain map (target summand) -> (source
         summand) realizing the arrow ``name`` of the recovered quiver, as an
-        entry matrix."""
+        ``EntryMap``, which ``reps.precomposition`` reads with its labels."""
         if self._f_hom_cache is None:
             end = self.end_data()
             pres = end.presentation
@@ -502,7 +502,7 @@ class TiltingContext:
             if not reps[wi] or component is None or stalk[wj] is None:
                 mats[ar.name] = Matrix.zero(len(reps[wi]), len(reps[wj]))
                 continue
-            pre = precomposition(x, component, summands[wj].terms[-i], summands[wi].terms[-i])
+            pre = precomposition(x, component)
             rows = []
             for rep in reps[wi]:
                 c = stalk[wj].coordinates(sparse_combination(rep, pre))
@@ -610,20 +610,20 @@ def _stalk_hom_classes(tw: ProjComplex, x: Representation, i: int):
     differential, or no hom space from the next term into x), the chain
     rows, in ``sparse_kernel``'s form, are the basis as they are:
     ``Basis.of_kernel`` reads coordinates off them without an elimination."""
-    deg, terms = -i, tw.terms
-    n = sum(x.dims[a] for a in terms.get(deg, ()))
+    deg = -i
+    n = sum(x.dims[a] for a in tw.term(deg))
     if not n:
         return None
     # a complex keeps only its nonzero differentials
     d_in, d_out = tw.diffs.get(deg - 1), tw.diffs.get(deg)
     # chain condition: precomposition with the incoming differential dies
     if d_in:
-        pre_in = precomposition(x, d_in, terms[deg - 1], terms[deg])
+        pre_in = precomposition(x, d_in)
         chain = sparse_left_kernel(pre_in)
     else:
         chain = [{j: 1} for j in range(n)]
     # null maps: (next differential) then psi for psi on the next term
-    null = precomposition(x, d_out, terms[deg], terms[deg + 1]) if d_out else []
+    null = precomposition(x, d_out) if d_out else []
     if not null:
         return Basis.of_kernel(chain, n)
     if d_in and any(sparse_combination(row, pre_in) for row in null):

@@ -9,7 +9,7 @@ from module_maps import flatten_map
 from tiltbench.errors import TiltbenchError
 from tiltbench.linalg import Basis, Matrix, sparse_row_space
 from tiltbench.quiver import Path
-from tiltbench.reps import ModuleMap, ProjSum, Representation, hom_space, realize_entry_map, zero_rep
+from tiltbench.reps import EntryMap, ModuleMap, ProjSum, Representation, hom_space, realize_entry_map, zero_rep
 
 
 def projective_by_appending(a, v) -> Representation:
@@ -42,7 +42,8 @@ def projective_sum(a, labels) -> Representation:
 
 def _prepend_map(a, k) -> ModuleMap:
     """Module map P(target of path k) -> P(source of path k): prepend path k."""
-    return realize_entry_map(ProjSum(a, [a.target[k]]), ProjSum(a, [a.source[k]]), [[{k: 1}]])
+    src, tgt = ProjSum(a, [a.target[k]]), ProjSum(a, [a.source[k]])
+    return realize_entry_map(src, tgt, EntryMap(a, src.labels, tgt.labels, [[{k: 1}]]))
 
 
 def _distinct(labels):

@@ -21,10 +21,11 @@ from tiltbench.complex_decomp import (
     complexes_isomorphic,
     split_strict_idempotent,
 )
-from tiltbench.complexes import ChainMapC, ProjComplex, _find_unit_entry, emat_identity, emat_zero
+from tiltbench.complexes import ChainMapC, ProjComplex, _find_unit_entry
 from tiltbench.decompose import primitive_idempotents
 from tiltbench.errors import TiltbenchError
 from tiltbench.linalg import Basis, sparse_kernel
+from tiltbench.reps import EntryMap
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,7 +75,7 @@ def _dense_system(x, y):
         tgt_d, tgt_d1 = y.term(d), y.term(d + 1)
         if not src_d or not tgt_d1:
             continue
-        dx, dy = x.diff(d), y.diff(d)
+        dx, dy = x.diff(d).rows, y.diff(d).rows
         for i in range(len(src_d)):
             for m in range(len(tgt_d1)):
                 acc = {}
@@ -95,7 +96,7 @@ def _dense_system(x, y):
         if not y.term(d - 1):
             continue
         src, tgt = x.term(d), y.term(d - 1)
-        dy, dx = y.diff(d - 1), x.diff(d - 1)
+        dy, dx = y.diff(d - 1).rows, x.diff(d - 1).rows
         for i in range(len(src)):
             for j in range(len(tgt)):
                 for k in alg.paths_between(tgt[j], src[i]):
@@ -164,20 +165,18 @@ def decomposition_by_block_maps(c):
     d_complex = ProjComplex(c.algebra, {}, {})
     for rep, _, _, _ in copies:
         d_complex = d_complex.direct_sum(rep)
-    f_mats = {d: emat_zero(len(d_complex.term(d)), len(m.term(d))) for d in d_complex.terms}
-    g_mats = {d: emat_zero(len(m.term(d)), len(d_complex.term(d))) for d in d_complex.terms}
+    f_mats = {d: EntryMap.zero(c.algebra, d_complex.term(d), m.term(d)).rows for d in d_complex.terms}
+    g_mats = {d: EntryMap.zero(c.algebra, m.term(d), d_complex.term(d)).rows for d in d_complex.terms}
     offsets = []
     offset = {}
     for rep, incl, proj, (rep_to_piece, piece_to_rep) in copies:
         offsets.append(dict(offset))
-        for d, mat in rep_to_piece.then(incl).mats.items():
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    f_mats[d][offset.get(d, 0) + i][j] = x
-        for d, mat in proj.then(piece_to_rep).mats.items():
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    g_mats[d][i][offset.get(d, 0) + j] = x
+        for d, e in rep_to_piece.then(incl).mats.items():
+            for i, j, x in e.nonzero():
+                f_mats[d][offset.get(d, 0) + i][j] = x
+        for d, e in proj.then(piece_to_rep).mats.items():
+            for i, j, x in e.nonzero():
+                g_mats[d][i][offset.get(d, 0) + j] = x
         for d in rep.terms:
             offset[d] = offset.get(d, 0) + len(rep.term(d))
     f = ChainMapC(d_complex, m, f_mats).then(eq.i)
@@ -186,8 +185,8 @@ def decomposition_by_block_maps(c):
     for (rep, _, _, _), base in zip(copies, offsets):
         inc_mats, prj_mats = {}, {}
         for d in rep.terms:
-            inc = inc_mats[d] = emat_zero(len(rep.term(d)), len(d_complex.term(d)))
-            prj = prj_mats[d] = emat_zero(len(d_complex.term(d)), len(rep.term(d)))
+            inc = inc_mats[d] = EntryMap.zero(c.algebra, rep.term(d), d_complex.term(d)).rows
+            prj = prj_mats[d] = EntryMap.zero(c.algebra, d_complex.term(d), rep.term(d)).rows
             for i, lab in enumerate(rep.term(d)):
                 ident = {c.algebra.idempotent_index[lab]: ONE}
                 inc[i][base.get(d, 0) + i] = ident
@@ -220,7 +219,7 @@ def cancel_by_closed_form(c, d, i, j):
     alg = c.algebra
     src, tgt = c.term(d), c.term(d + 1)
     a_lab = src[i]
-    u = c.diff(d)[i][j]
+    u = c.diff(d).rows[i][j]
     u_inv = alg.corner_inverse(u, a_lab)
     keep_src = [r for r in range(len(src)) if r != i]
     keep_tgt = [s for s in range(len(tgt)) if s != j]
@@ -235,9 +234,9 @@ def cancel_by_closed_form(c, d, i, j):
             terms[dd] = list(labels)
     diffs = {}
     for dd in c.diffs:
-        mat = c.diffs[dd]
+        mat = c.diffs[dd].rows
         if dd == d:
-            new = emat_zero(len(keep_src), len(keep_tgt))
+            new = EntryMap.zero(alg, terms.get(d, []), terms.get(d + 1, [])).rows
             for ri, r in enumerate(keep_src):
                 b_r = mat[r][j]
                 for si, s in enumerate(keep_tgt):
@@ -258,29 +257,29 @@ def cancel_by_closed_form(c, d, i, j):
     i_mats = {}
     for dd, labels in c.terms.items():
         if dd == d:
-            p_m = emat_zero(len(src), len(keep_src))
+            p_m = EntryMap.zero(alg, src, terms.get(d, [])).rows
             for ri, r in enumerate(keep_src):
                 p_m[r][ri] = {alg.idempotent_index[src[r]]: 1}
             p_mats[dd] = p_m
-            i_m = emat_zero(len(keep_src), len(src))
+            i_m = EntryMap.zero(alg, terms.get(d, []), src).rows
             for ri, r in enumerate(keep_src):
                 i_m[ri][r] = {alg.idempotent_index[src[r]]: 1}
-                i_m[ri][i] = el_scale(-1, alg.mul(u_inv, c.diff(d)[r][j]))
+                i_m[ri][i] = el_scale(-1, alg.mul(u_inv, c.diff(d).rows[r][j]))
             i_mats[dd] = i_m
         elif dd == d + 1:
-            p_m = emat_zero(len(tgt), len(keep_tgt))
+            p_m = EntryMap.zero(alg, tgt, terms.get(d + 1, [])).rows
             for si, s in enumerate(keep_tgt):
                 p_m[s][si] = {alg.idempotent_index[tgt[s]]: 1}
-                p_m[j][si] = el_scale(-1, alg.mul(c.diff(d)[i][s], u_inv))
+                p_m[j][si] = el_scale(-1, alg.mul(c.diff(d).rows[i][s], u_inv))
             p_mats[dd] = p_m
-            i_m = emat_zero(len(keep_tgt), len(tgt))
+            i_m = EntryMap.zero(alg, terms.get(d + 1, []), tgt).rows
             for si, s in enumerate(keep_tgt):
                 i_m[si][s] = {alg.idempotent_index[tgt[s]]: 1}
             i_mats[dd] = i_m
         else:
             if dd in nc.terms:
-                p_mats[dd] = emat_identity(alg, labels)
-                i_mats[dd] = emat_identity(alg, labels)
+                p_mats[dd] = EntryMap.identity(alg, labels).rows
+                i_mats[dd] = EntryMap.identity(alg, labels).rows
     return nc, ChainMapC(c, nc, p_mats), ChainMapC(nc, c, i_mats)
 
 

@@ -268,6 +268,30 @@ def test_parse_error_exit_two(tmp_path):
             ["tilting", "verify", "fig1.json"],
             "diffs.x",
         ),
+        # a differential with fewer rows than its source term, and one with a
+        # row shorter than its target term
+        (
+            "diffs_few_rows.json",
+            {
+                "format": 1,
+                "algebra": fig1,
+                "terms": {"-1": ["2", "2", "3"], "0": ["1"]},
+                "diffs": {"-1": [[[{"coeff": "1", "path": ["alpha"]}]]]},
+            },
+            ["tilting", "verify", "fig1.json"],
+            "diffs.-1: 1 rows, but degree -1 has 3 summands",
+        ),
+        (
+            "diffs_short_row.json",
+            {
+                "format": 1,
+                "algebra": fig1,
+                "terms": {"-1": ["2", "2", "3"], "0": ["1"]},
+                "diffs": {"-1": [[[{"coeff": "1", "path": ["alpha"]}]], [], [[]]]},
+            },
+            ["tilting", "verify", "fig1.json"],
+            "diffs.-1[1]: 0 entries, but degree 0 has 1 summands",
+        ),
         (
             "dims_negative.json",
             {"format": 1, "algebra": fig1, "dims": {"1": -1}, "arrows": {}},

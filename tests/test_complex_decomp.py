@@ -25,7 +25,7 @@ from tiltbench.complexes import (
 from tiltbench.decompose import EndAlgebra
 from tiltbench.errors import DecompositionError, NotRadical
 from tiltbench.quiver import path_from_arrows
-from tiltbench.reps import regular_module
+from tiltbench.reps import EntryMap, regular_module
 from tiltbench.tilting import TiltingContext, construct_tpq, maximal_nu_stable
 
 from chain_maps import decomposition_by_block_maps, minimize_by_closed_form
@@ -278,7 +278,7 @@ def test_a_support_component_splits_by_its_primitive_idempotents(monkeypatch):
     summands, _, _ = decompose_complex(c)
     assert components == [({-1: ["2"], 0: ["1", "1"]}, [{-1: ["2"], 0: ["1"]}, {0: ["1"]}])]
     assert [(s.terms, s.diffs, mult) for s, mult in summands] == [
-        ({-1: ["2"], 0: ["1"]}, {-1: [[{alpha: 1}]]}, 1),
+        ({-1: ["2"], 0: ["1"]}, {-1: EntryMap(a, ["2"], ["1"], [[{alpha: 1}]])}, 1),
         ({0: ["1"]}, {}, 1),
     ]
 

@@ -1,3 +1,5 @@
+import pytest
+
 from tiltbench import corpus
 from tiltbench.complexes import (
     ChainMapC,
@@ -8,7 +10,9 @@ from tiltbench.complexes import (
     stalk_complex,
     regular_stalk,
 )
+from tiltbench.errors import TiltbenchError
 from tiltbench.linalg import _sparse, sparse_row_space
+from tiltbench.reps import EntryMap
 
 
 def fig1_T():
@@ -155,3 +159,41 @@ def test_is_chain_map_sees_a_square_through_an_empty_term():
     # d_x then f^1 is alpha, and f^0 maps into the missing degree 0 of y
     assert not ChainMapC(arrow, stalk_p1, {1: [[e1]]}).is_chain_map()
     assert ChainMapC(arrow, stalk_p2, {0: [[e2]]}).is_chain_map()
+
+
+def test_chain_maps_between_stalks_of_different_projectives_do_not_compose():
+    """Over fig1 the identities of the stalks P(1) and P(2) are 1x1 in degree
+    0, but the middle labels differ, so their composite is refused, not 0."""
+    a = corpus.fig1_algebra()
+    one = ChainMapC.identity(stalk_complex(a, ["1"]))
+    two = ChainMapC.identity(stalk_complex(a, ["2"]))
+    with pytest.raises(TiltbenchError, match=r"\['1'\] -> \['1'\] then \['2'\] -> \['2'\]"):
+        one.then(two)
+
+
+def test_entry_maps_whose_labels_do_not_meet_are_refused():
+    """Equal lengths are not enough: a sum, difference or product of entry
+    maps needs equal labels, and the rows must fit the labels."""
+    a = corpus.fig1_algebra()
+    e1, e2 = EntryMap.identity(a, ["1"]), EntryMap.identity(a, ["2"])
+    for combine in (EntryMap.then, EntryMap.__add__, EntryMap.__sub__):
+        with pytest.raises(TiltbenchError):
+            combine(e1, e2)
+    with pytest.raises(TiltbenchError):
+        EntryMap(a, ["1"], ["2"], [[{}, {}]])
+    assert e1 + e1 == e1.scale(2) and (e1 - e1).is_zero()
+
+
+def test_a_product_through_the_empty_sum_keeps_its_full_shape():
+    """A 2x0 map then a 0x3 map is the 2x3 zero, and adding it to a 2x3 map
+    gives that map back, from either side."""
+    a = corpus.fig1_algebra()
+    src, tgt = ["2", "3"], ["1", "1", "2"]
+    product = EntryMap.zero(a, src, []).then(EntryMap.zero(a, [], tgt))
+    assert product == EntryMap.zero(a, src, tgt)
+    assert [len(row) for row in product.rows] == [3, 3]
+    alpha = {a.paths_between("1", "2")[0]: 1}
+    f = EntryMap(a, src, tgt, [[alpha, {}, {a.idempotent_index["2"]: 1}], [{}, {}, {}]])
+    assert product + f == f and f + product == f
+    assert f - product == f and not (f - product).is_zero()
+    assert list(f.nonzero()) == [(0, 0, alpha), (0, 2, {a.idempotent_index["2"]: 1})]

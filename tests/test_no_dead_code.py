@@ -48,11 +48,13 @@ AMBIGUOUS = {
     "ModuleMap.inverse inverts its vertex matrices",
     "is_identity": "the copy certificates test module maps and chain maps alike; ModuleMap tests its matrices",
     "is_zero": "the demos test module map certificates and complex_decomp tests chain idempotents in locals; "
-    "ModuleMap tests its matrices",
+    "ModuleMap tests its matrices, and ProjComplex and ChainMapC the entry maps they build or compose",
     "realize": "complex_decomp realizes a strict idempotent chain map held in a local",
-    "scale": "ModuleMap and ChainMapC subtract through other.scale(-1); ModuleMap scales its vertex matrices",
+    "scale": "ModuleMap, ChainMapC and EntryMap subtract through other.scale(-1); ModuleMap scales its vertex "
+    "matrices, and ChainMapC and ProjComplex.shift their entry maps",
     "support": "group_copies names the failing block of a module or chain map certificate from its nonzero entries",
-    "then": "group_copies and isomorphism_by_summands compose module and chain maps alike",
+    "then": "group_copies and isomorphism_by_summands compose module and chain maps alike; ChainMapC, "
+    "d_squared_is_zero and retract compose the entry maps of components and differentials",
     "to_dict": "the CLI serializes the report each command returns",
 }
 

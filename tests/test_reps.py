@@ -30,6 +30,7 @@ from tiltbench.reps import (
     top,
     kernel_of,
     cokernel_of,
+    EntryMap,
     ProjSum,
     extract_entry_map,
     realize_entry_map,
@@ -167,12 +168,12 @@ def test_yoneda_basis_matches_hom_space():
 
 
 def _entry_maps(c):
-    """(source labels, target labels, entries) of every differential of c."""
-    return [(c.term(d), c.term(d + 1), c.diff(d)) for d in c.degrees() if c.term(d + 1)]
+    """Every differential of c between two nonzero terms."""
+    return [c.diff(d) for d in c.degrees() if c.term(d + 1)]
 
 
 def _random_entry_map(a, rng, m, n):
-    """(source labels, target labels, entries) with random small coefficients."""
+    """An entry map between random labels with random small coefficients."""
     verts = list(a.quiver.vertices)
     src = [rng.choice(verts) for _ in range(m)]
     tgt = [rng.choice(verts) for _ in range(n)]
@@ -183,7 +184,7 @@ def _random_entry_map(a, rng, m, n):
                 c = rng.randint(-3, 3)
                 if c:
                     entries[i][j][k] = Fraction(c)
-    return src, tgt, entries
+    return EntryMap(a, src, tgt, entries)
 
 
 def test_precomposition_matrix_matches_module_maps():
@@ -208,11 +209,11 @@ def test_precomposition_matrix_matches_module_maps():
         for v in verts:
             p = projective(a, v)
             mods += [simple(a, v), p, radical_submodule(p)[0]]
-        for src, tgt, entries in maps:
-            src_sum, tgt_sum = ProjSum(a, src), ProjSum(a, tgt)
-            realized = realize_entry_map(src_sum, tgt_sum, entries)
+        for e in maps:
+            src_sum, tgt_sum = ProjSum(a, e.src), ProjSum(a, e.tgt)
+            realized = realize_entry_map(src_sum, tgt_sum, e)
             for x in mods:
-                pre = precomposition(x, entries, src, tgt)
+                pre = precomposition(x, e)
                 out_basis = hom_from_projective_sum(tgt_sum, x)
                 in_basis = hom_from_projective_sum(src_sum, x)
                 assert len(pre) == len(out_basis)
@@ -379,11 +380,15 @@ def test_entry_map_roundtrip():
     src = ProjSum(a, ["2", "2", "3"])
     tgt = ProjSum(a, ["1"])
     alpha = a.paths_between("1", "2")[0]
-    entries = [[{alpha: 1}], [{}], [{}]]
-    f = realize_entry_map(src, tgt, entries)
+    e = EntryMap(a, src.labels, tgt.labels, [[{alpha: 1}], [{}], [{}]])
+    f = realize_entry_map(src, tgt, e)
     back = extract_entry_map(src, tgt, f)
-    assert back[0][0] == {alpha: 1}
-    assert back[1][0] == {} and back[2][0] == {}
+    assert back == e
+    assert back.rows[0][0] == {alpha: 1}
+    assert back.rows[1][0] == {} and back.rows[2][0] == {}
+    # an entry map is realized only between the sums of its own labels
+    with pytest.raises(TiltbenchError, match="between sums"):
+        realize_entry_map(src, src, e)
     # module map composition agrees with symbolic composition on an endo
     g = hom_space(src.rep, src.rep)
     assert len(g) > 0

@@ -15,6 +15,7 @@ from tiltbench.quiver import Quiver, path_from_arrows, relation_from_words
 from tiltbench.algebra import build_path_algebra, el_to_vector
 from tiltbench.linalg import Basis, Matrix, _dense, _sparse, sparse_left_kernel
 from tiltbench.reps import (
+    EntryMap,
     ProjSum,
     Representation,
     hom_space,
@@ -332,7 +333,7 @@ def test_f_homology_cache_holds_only_module_independent_parts():
         # from a module
         arrows = {ar.name for ar in ctx.end_data().presentation.quiver.arrows}
         for (name, d), v in ctx._f_hom_cache.items():
-            assert name in arrows and isinstance(d, int) and isinstance(v, list)
+            assert name in arrows and isinstance(d, int) and isinstance(v, EntryMap)
             assert all(
                 isinstance(row, list)
                 and all(
@@ -340,7 +341,7 @@ def test_f_homology_cache_holds_only_module_independent_parts():
                     and all(isinstance(k, int) and type(c) in (int, Fraction) for k, c in el.items())
                     for el in row
                 )
-                for row in v
+                for row in v.rows
             )
 
 
@@ -748,7 +749,7 @@ def test_sec5_with_a_non_integral_coefficient_gives_the_same_results():
     def results(a):
         built = construct_tpq(a, ["1"], ["3", "4"], 1, 1)
         for mat in built.complex.diffs.values():
-            for row in mat:
+            for row in mat.rows:
                 for el in row:
                     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in el.values())
         report = verify_tilting(built.complex)
