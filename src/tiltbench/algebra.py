@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, RadicalNotNilpotent, TiltbenchError
 from .linalg import Matrix, div, frac, sparse_kernel, sparse_row_space, sparse_rref
-from .quiver import Path, Quiver, arrow_multiples, deglex_key, longer_paths, trivial_path
+from .quiver import Path, Quiver, Relation, arrow_multiples, deglex_key, longer_paths, trivial_path
 
 RAW_PATH_CAP = 100_000
 
@@ -332,6 +332,14 @@ def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> Bas
     relations = list(relations)
     basis, rewrite, nil_length, _ = length_filtration(quiver, relations, max_path_len)
     return BasicAlgebra(quiver, relations, basis, rewrite, nil_length)
+
+
+def opposite(a: BasicAlgebra) -> BasicAlgebra:
+    """A^op: every arrow reversed, keeping its name, modulo the relations with
+    each term's word reversed, keeping its coefficient."""
+    q = a.quiver.opposite()
+    relations = [Relation(q, [(c, Path(r.target, p.arrows[::-1])) for c, p in r.terms]) for r in a.relations]
+    return build_path_algebra(q, relations, a.nil_length)
 
 
 def length_filtration(quiver: Quiver, relations, max_path_len: int = 30):

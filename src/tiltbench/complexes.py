@@ -60,24 +60,13 @@ class ProjComplex:
                 if any(x for row in mat for x in row):
                     raise TiltbenchError(f"differential at degree {d} has no terms to connect")
                 continue
-            if len(mat) != len(src) or any(len(row) != len(tgt) for row in mat):
-                raise TiltbenchError(f"differential at degree {d} has wrong shape")
-            clean = EntryMap.zero(algebra, src, tgt)
-            for i in range(len(src)):
-                for j in range(len(tgt)):
-                    x = {k: c for k, c in ((k, frac(v)) for k, v in mat[i][j].items()) if c}
-                    for k in x:
-                        if (
-                            algebra.source[k] != tgt[j]
-                            or algebra.target[k] != src[i]
-                        ):
-                            raise TiltbenchError(
-                                f"entry ({i},{j}) at degree {d} not supported on paths "
-                                f"{tgt[j]} -> {src[i]}"
-                            )
-                    clean.rows[i][j] = x
-            if not clean.is_zero():
-                self.diffs[d] = clean
+            rows = [[{k: c for k, c in ((k, frac(v)) for k, v in x.items()) if c} for x in row] for row in mat]
+            e = EntryMap(algebra, src, tgt, rows)
+            for i, j, x in e.nonzero():
+                if any(algebra.source[k] != tgt[j] or algebra.target[k] != src[i] for k in x):
+                    raise TiltbenchError(f"entry ({i},{j}) at degree {d} not supported on paths {tgt[j]} -> {src[i]}")
+            if not e.is_zero():
+                self.diffs[d] = e
 
     @property
     def lo(self) -> int:
@@ -91,9 +80,7 @@ class ProjComplex:
         return self.terms.get(d, [])
 
     def diff(self, d: int) -> EntryMap:
-        if d in self.diffs:
-            return self.diffs[d]
-        return EntryMap.zero(self.algebra, self.term(d), self.term(d + 1))
+        return self.diffs.get(d) or EntryMap.zero(self.algebra, self.term(d), self.term(d + 1))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -179,9 +166,7 @@ class ChainMapC:
                 self.mats[d] = e
 
     def component(self, d: int) -> EntryMap:
-        if d in self.mats:
-            return self.mats[d]
-        return EntryMap.zero(self.source.algebra, self.source.term(d), self.target.term(d))
+        return self.mats.get(d) or EntryMap.zero(self.source.algebra, self.source.term(d), self.target.term(d))
 
     @classmethod
     def identity(cls, c: ProjComplex) -> "ChainMapC":
@@ -192,10 +177,17 @@ class ChainMapC:
         return cls(source, target, {})
 
     def then(self, other: "ChainMapC") -> "ChainMapC":
-        mats = {d: self.component(d).then(other.component(d)).rows for d in set(self.mats) | set(other.mats)}
+        """"self then other"; refused unless self.target and other.source have
+        the same terms.  A degree where either map is zero composes to zero."""
+        if self.target is not other.source:
+            _refuse_unless_terms_meet(self, other, "compose", "then", (self.target, other.source))
+        mats = {d: e.then(other.mats[d]).rows for d, e in self.mats.items() if d in other.mats}
         return ChainMapC(self.source, other.target, mats)
 
     def __add__(self, other):
+        if self.source is not other.source or self.target is not other.target:
+            pairs = (self.source, other.source), (self.target, other.target)
+            _refuse_unless_terms_meet(self, other, "add", "and", *pairs)
         mats = {d: (self.component(d) + other.component(d)).rows for d in set(self.mats) | set(other.mats)}
         return ChainMapC(self.source, self.target, mats)
 
@@ -252,6 +244,18 @@ class ChainMapC:
             if d in self.target.terms:
                 out[d] = realize_entry_map(src_sums[d], tgt_sums[d], self.component(d))
         return out
+
+
+def _refuse_unless_terms_meet(f: ChainMapC, g: ChainMapC, verb: str, joint: str, *pairs):
+    """Raise TiltbenchError unless the two complexes of each pair have the
+    same terms, naming the lowest degree where they differ."""
+    degrees = [d for x, y in pairs if x is not y for d in x.terms.keys() | y.terms.keys() if x.term(d) != y.term(d)]
+    if degrees:
+        d = min(degrees)
+        raise TiltbenchError(
+            f"chain maps do not {verb} in degree {d}: {f.source.term(d)} -> {f.target.term(d)}"
+            f" {joint} {g.source.term(d)} -> {g.target.term(d)}"
+        )
 
 
 def stack_copies(x: ProjComplex, includes, projects):

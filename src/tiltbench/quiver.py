@@ -43,6 +43,10 @@ class Quiver:
         for a in self.arrows:
             self.arrows_from[a.source].append(a)
 
+    def opposite(self) -> "Quiver":
+        """The quiver with every arrow reversed, keeping its name."""
+        return Quiver(self.vertices, [(a.name, a.target, a.source) for a in self.arrows])
+
     def __eq__(self, other):
         return (
             isinstance(other, Quiver)

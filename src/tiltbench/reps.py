@@ -10,12 +10,15 @@ Conventions (used consistently everywhere):
   is "apply f, then g";
 * the projective P(v) has basis the normal-form paths starting at v, and
   Hom(P(a), P(b)) is identified with the span of paths from b to a acting by
-  front concatenation.
+  front concatenation;
+* the injective I(v) is ``dual`` of P(v) over ``algebra.opposite``: its basis
+  is dual to the normal-form paths of the opposite from v, each a path
+  ending at v read backwards, and each arrow acts by a transpose.
 """
 
 from __future__ import annotations
 
-from .algebra import BasicAlgebra, el_add, el_scale
+from .algebra import BasicAlgebra, el_add, el_scale, opposite
 from .errors import DecompositionError, DimensionMismatch, NotProjective, TiltbenchError
 from .linalg import (
     Basis,
@@ -365,7 +368,7 @@ def projective(a: BasicAlgebra, v) -> Representation:
 
 
 def injective(a: BasicAlgebra, v) -> Representation:
-    """I(v), the linear dual of the paths ending at v, in the layout of
+    """I(v), the dual of P(v) over the opposite algebra, in the layout of
     ``nu_injective_sum(a, [v])``."""
     return nu_injective_sum(a, [v])
 
@@ -649,11 +652,9 @@ def realize_entry_map(src: ProjSum, tgt: ProjSum, e: EntryMap) -> ModuleMap:
         for (i, k) in src.layout[w]:
             row = [0] * len(tgt.layout[w])
             for j, x in enumerate(e.rows[i]):
-                if not x:
-                    continue
-                prod = alg.mul(x, alg.basis_el(k))  # paths b_j -> w
-                for kk, c in prod.items():
-                    row[tgt.pos[w][(j, kk)]] += c
+                if x:
+                    for kk, c in alg.mul(x, alg.basis_el(k)).items():  # paths b_j -> w
+                        row[tgt.pos[w][(j, kk)]] += c
             rows.append(row)
         mats[w] = Matrix(len(src.layout[w]), len(tgt.layout[w]), rows)
     return ModuleMap(src.rep, tgt.rep, mats, check=False)
@@ -662,43 +663,25 @@ def realize_entry_map(src: ProjSum, tgt: ProjSum, e: EntryMap) -> ModuleMap:
 def extract_entry_map(src: ProjSum, tgt: ProjSum, f: ModuleMap) -> EntryMap:
     """Inverse of realize_entry_map: the entry map src -> tgt read off the
     generator images of f."""
-    alg = src.algebra
-    entries = []
-    for i in range(len(src.labels)):
-        lab_a, pos = src.generator_position(i)
-        row_img = f.mats[lab_a].row(pos) if f.mats[lab_a].rows else ()
-        row_entries = []
-        for j in range(len(tgt.labels)):
-            x = {}
-            for c_pos, (jj, kk) in enumerate(tgt.layout[lab_a]):
-                if jj == j and row_img[c_pos] != 0:
-                    x[kk] = row_img[c_pos]
-            row_entries.append(x)
-        entries.append(row_entries)
-    return EntryMap(alg, src.labels, tgt.labels, entries)
+    e = EntryMap.zero(src.algebra, src.labels, tgt.labels)
+    for i, row in enumerate(e.rows):
+        lab, pos = src.generator_position(i)
+        for (j, k), c in zip(tgt.layout[lab], f.mats[lab].row(pos)):
+            if c:
+                row[j][k] = c
+    return e
+
+
+def dual(n: Representation, a: BasicAlgebra) -> Representation:
+    """D n = Hom_K(n, K) as a module over a, for n a module over the opposite
+    of a: the dual basis at each vertex, and each arrow acting by the
+    transpose of its reversed arrow's matrix in n."""
+    if n.algebra.quiver != a.quiver.opposite():
+        raise TiltbenchError(f"dual: the module's quiver {n.algebra.quiver} is not the opposite of {a.quiver}")
+    return Representation(a, n.dims, {name: m.transpose() for name, m in n.mats.items()}, check=False)
 
 
 def nu_injective_sum(algebra: BasicAlgebra, labels) -> Representation:
-    """The sum of the injectives I(a_1) + ... + I(a_m), in the layout dual to
-    ``ProjSum``'s: the vertex space at w is spanned by the duals of the pairs
-    (summand i, basis path k: w -> a_i), in summand-major order.  An arrow b
-    sends the dual of (i, k) to the sum, over the pairs (i, l) at its
-    target, of the coefficient of k in b l times the dual of (i, l), read
-    through ``algebra.basis_product``."""
-    labels = [str(x) for x in labels]
-    q = algebra.quiver
-    for lab in labels:
-        if lab not in q.vertex_index:
-            raise TiltbenchError(f"unknown vertex label {lab!r}")
-    layout = {w: [(i, k) for i, a in enumerate(labels) for k in algebra.paths_between(w, a)] for w in q.vertices}
-    dims = {w: len(layout[w]) for w in q.vertices}
-    mats = {}
-    for ar in q.arrows:
-        b = algebra.index[Path(ar.source, (ar.name,))]
-        src_pos = {pair: r for r, pair in enumerate(layout[ar.source])}
-        rows = [[0] * dims[ar.target] for _ in range(dims[ar.source])]
-        for col, (i, l) in enumerate(layout[ar.target]):
-            for k, c in algebra.basis_product(b, l).items():
-                rows[src_pos[(i, k)]][col] = c
-        mats[ar.name] = Matrix(dims[ar.source], dims[ar.target], rows)
-    return Representation(algebra, dims, mats, check=False)
+    """The sum of the injectives I(a_1) + ... + I(a_m): D of the sum of the
+    projectives with the same labels over ``algebra.opposite``."""
+    return dual(ProjSum(opposite(algebra), labels).rep, algebra)

@@ -3,8 +3,9 @@ Hom out of a sum of projectives, which ``reps.precomposition`` is tested
 against, the dense linear system for Hom(m, n), which the sparse
 ``reps.hom_space`` is tested against, and the dense flattening of a module
 map that these references compare in; and the injectives built one at a
-time and summed by ``direct_sum``, which ``reps.nu_injective_sum`` is
-tested against."""
+time as duals of the paths ending at a vertex, in the algebra itself, and
+summed by ``direct_sum``, which ``reps.nu_injective_sum``, built as D of
+projectives over ``algebra.opposite``, is tested against."""
 
 from fractions import Fraction
 

@@ -171,6 +171,27 @@ def test_chain_maps_between_stalks_of_different_projectives_do_not_compose():
         one.then(two)
 
 
+def test_zero_chain_maps_between_different_complexes_are_refused():
+    """A zero chain map has no entry map to catch the mismatch, so ``then``,
+    ``+`` and ``-`` check the complexes' terms, naming the degree; a copy of
+    a complex with the same terms still meets it."""
+    a = corpus.fig1_algebra()
+    p1, p2 = stalk_complex(a, ["1"]), stalk_complex(a, ["2"])
+    z1, z2 = ChainMapC.zero(p1, p1), ChainMapC.zero(p2, p2)
+    with pytest.raises(TiltbenchError, match=r"compose in degree 0: \['1'\] -> \['1'\] then \['2'\] -> \['2'\]"):
+        z1.then(z2)
+    for combine in (ChainMapC.__add__, ChainMapC.__sub__):
+        with pytest.raises(TiltbenchError, match=r"add in degree 0: \['1'\] -> \['1'\] and \['2'\] -> \['2'\]"):
+            combine(z1, z2)
+    shifted = ChainMapC.zero(p1, p1.shift(1))
+    with pytest.raises(TiltbenchError, match=r"add in degree -1: \[\] -> \['1'\] and \[\] -> \[\]"):
+        shifted + z1
+    copy = stalk_complex(a, ["1"])
+    one = ChainMapC.identity(p1)
+    assert one.then(ChainMapC.identity(copy)).target is copy
+    assert (one + ChainMapC.zero(p1, copy)).is_identity()
+
+
 def test_entry_maps_whose_labels_do_not_meet_are_refused():
     """Equal lengths are not enough: a sum, difference or product of entry
     maps needs equal labels, and the rows must fit the labels."""
