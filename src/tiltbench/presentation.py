@@ -35,7 +35,7 @@ RREF rows of one such filtration of each side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import BasicAlgebra, FiniteDimAlgebra, abstract_from_table, el_scale, el_sub, length_filtration
 from .decompose import primitive_idempotents
@@ -44,14 +44,15 @@ from .linalg import Basis, div, frac, sparse_left_kernel, sparse_row_space
 from .quiver import Path, Quiver, Relation, longer_paths
 
 
-@dataclass
-class Presentation:
-    quiver: Quiver
-    relations: list
-    algebra: BasicAlgebra  # rebuilt path algebra, certified same dimension
-    arrow_elements: dict  # arrow name -> element of the abstract algebra
-    vertex_idempotents: dict  # vertex label -> element of the abstract algebra
-    nil_index: int
+class Presentation(
+    namedtuple("Presentation", "quiver relations algebra arrow_elements vertex_idempotents nil_index")
+):
+    """A quiver with relations for an abstract algebra: ``algebra`` is the
+    rebuilt path algebra, certified of the same dimension;
+    ``arrow_elements`` maps each arrow name and ``vertex_idempotents`` each
+    vertex label to an element of the abstract algebra."""
+
+    __slots__ = ()
 
 
 class PeirceLayer:

@@ -3,21 +3,21 @@
 Composition convention (normative for the whole package): paths read left to
 right, so the word ``alpha beta`` means "first alpha, then beta" and is
 composable when ``target(alpha) == source(beta)``.
+
+Arrows and paths, like the reports of ``presentation`` and ``tilting``, are
+immutable named tuples: they hash and compare as the tuple of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import TiltbenchError, MixedLengthRelation
 from .linalg import frac
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(namedtuple("Arrow", "name source target")):
+    __slots__ = ()
 
 
 class Quiver:
@@ -58,12 +58,11 @@ class Quiver:
         return f"Quiver({list(self.vertices)}, {[(a.name, a.source, a.target) for a in self.arrows]})"
 
 
-@dataclass(frozen=True)
-class Path:
-    """A (possibly trivial) path; `arrows` is a tuple of arrow names."""
+class Path(namedtuple("Path", "source arrows")):
+    """A (possibly trivial) path; `arrows` is a tuple of arrow names, and
+    ``len`` counts them, so a trivial path is falsy."""
 
-    source: str
-    arrows: tuple
+    __slots__ = ()
 
     def __len__(self):
         return len(self.arrows)
@@ -125,7 +124,10 @@ class Relation:
     """
 
     def __init__(self, q: Quiver, terms):
-        self.terms = tuple((frac(c), p) for c, p in terms if frac(c) != 0)
+        summed = {}  # path -> summed coefficient, in first-occurrence order
+        for c, p in terms:
+            summed[p] = summed.get(p, 0) + frac(c)
+        self.terms = tuple((frac(c), p) for p, c in summed.items() if c != 0)
         if not self.terms:
             raise TiltbenchError("relation has no nonzero terms")
         paths = [p for _, p in self.terms]

@@ -30,7 +30,7 @@ The central objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import BasicAlgebra, EndomorphismAlgebra
 from .approx import (
@@ -57,7 +57,7 @@ from .errors import (
     TiltbenchError,
 )
 from .linalg import Basis, Matrix, frac, sparse_combination, sparse_left_kernel
-from .presentation import Presentation, quiver_presentation
+from .presentation import quiver_presentation
 from .reps import (
     ProjSum,
     Representation,
@@ -76,13 +76,12 @@ from .reps import (
 # -- nu-stability of projectives ----------------------------------------------
 
 
-@dataclass
-class NuStableReport:
-    vertices: list
-    projective_injective: dict  # vertex -> bool
-    nu_image: dict  # vertex -> vertex or None (the Nakayama correspondent)
-    stable: dict  # vertex -> bool (in the maximal stable module)
-    e_labels: list
+class NuStableReport(namedtuple("NuStableReport", "vertices projective_injective nu_image stable e_labels")):
+    """Per vertex: ``projective_injective`` (vertex -> bool), ``nu_image``
+    (vertex -> vertex or None, the Nakayama correspondent) and ``stable``
+    (vertex -> bool, in the maximal stable module)."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -180,16 +179,18 @@ def _nu_leaving(sigma: dict, labels):
 # -- tilting verification ------------------------------------------------------
 
 
-@dataclass
-class TiltingReport:
-    self_orthogonal: dict  # shift -> dimension
-    self_orthogonal_ok: bool
-    k0_matrix: list  # rows: summands, cols: vertices (alternating sums)
-    k0_unimodular: bool
-    basic: bool
-    summand_count: int
-    generation_status: str  # "proved_by_construction" | "k0_necessary_only"
-    is_tilting_verdict: bool
+class TiltingReport(
+    namedtuple(
+        "TiltingReport",
+        "self_orthogonal self_orthogonal_ok k0_matrix k0_unimodular basic summand_count"
+        " generation_status is_tilting_verdict",
+    )
+):
+    """``self_orthogonal``: shift -> dimension; ``k0_matrix``: rows summands,
+    columns vertices (alternating sums); ``generation_status``:
+    "proved_by_construction" or "k0_necessary_only"."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -263,15 +264,12 @@ def verify_tilting(
 # -- the approximation construction -------------------------------------------
 
 
-@dataclass
-class ConstructedTilting:
-    complex: ProjComplex
-    raw: ProjComplex
-    p_labels: list
-    q_labels: list
-    r: int
-    s: int
-    proved_by_construction: bool = True
+class ConstructedTilting(
+    namedtuple("ConstructedTilting", "complex raw p_labels q_labels r s proved_by_construction", defaults=(True,))
+):
+    """The minimized tilting complex and the raw one it was reduced from."""
+
+    __slots__ = ()
 
 
 def construct_tpq(
@@ -370,21 +368,17 @@ def _hom_nonzero(a: BasicAlgebra, p_labels, q_labels) -> bool:
 # -- endomorphism algebra of a tilting complex ---------------------------------
 
 
-@dataclass
-class EndData:
+class EndData(
+    namedtuple("EndData", "abstract presentation space summands copy_complexes copy_includes copy_projects")
+):
     """End(T) as an abstract algebra with its presentation, and T's
-    decomposition: the copies are those of ``decompose_complex``, one per
-    vertex of the recovered quiver, and copy k is the summand complex
+    decomposition: ``summands`` are (ProjComplex, multiplicity) pairs, the
+    copies are those of ``decompose_complex``, one per vertex of the
+    recovered quiver, and copy k is the summand complex
     ``copy_complexes[k]`` = T_k with its chain maps
     ``copy_includes[k]`` : T_k -> t and ``copy_projects[k]`` : t -> T_k."""
 
-    abstract: EndomorphismAlgebra
-    presentation: Presentation
-    space: HomotopySpace
-    summands: list  # (ProjComplex, multiplicity)
-    copy_complexes: list
-    copy_includes: list
-    copy_projects: list
+    __slots__ = ()
 
 
 class TiltingContext:
@@ -631,12 +625,10 @@ def _stalk_hom_classes(tw: ProjComplex, x: Representation, i: int):
     return Basis(chain, n, null)
 
 
-@dataclass
-class StableImageCertificate:
-    input_dims: dict
-    profile: dict  # shift -> dim vector over the endomorphism quiver
-    module: Representation
-    hom_dimension: int
+class StableImageCertificate(namedtuple("StableImageCertificate", "input_dims profile module hom_dimension")):
+    """``profile``: shift -> dim vector over the endomorphism quiver."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {

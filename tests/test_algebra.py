@@ -1,12 +1,14 @@
 """Path-algebra construction checked against an independent brute-force
 enumeration of words modulo the relations."""
 
+from fractions import Fraction
+
 import pytest
 
 from tiltbench import corpus
 from tiltbench.algebra import build_path_algebra
 from tiltbench.errors import NotAdmissible, TiltbenchError
-from tiltbench.quiver import Quiver, monomial_relation
+from tiltbench.quiver import Path, Quiver, monomial_relation, relation_from_words
 
 
 def brute_force_monomial_dim(quiver, zero_words, max_len=12):
@@ -142,3 +144,22 @@ def test_kupisch_algebra_builds_any_loewy_length():
     assert (a.dim, a.nil_length) == (62, 31)
     with pytest.raises(NotAdmissible):
         build_path_algebra(a.quiver, a.relations)
+
+
+def test_relation_sums_repeated_paths_before_its_nonzero_check():
+    # terms on one path that cancel are refused like an all-zero coefficient,
+    # on a line (which would otherwise keep a vacuous relation) and on a loop
+    # (which would otherwise fail only after the whole length filtration)
+    line = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    loop = Quiver(["1"], [("x", "1", "1")])
+    for q, word in ((line, ["a", "b"]), (loop, ["x", "x"])):
+        with pytest.raises(TiltbenchError, match="relation has no nonzero terms"):
+            relation_from_words(q, [(1, word), (-1, word)])
+    # repeated paths that do not cancel are summed in first-occurrence order,
+    # each sum a canonical scalar
+    square = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")])
+    half = Fraction(1, 2)
+    r = relation_from_words(square, [(half, ["c", "d"]), (1, ["a", "b"]), (half, ["c", "d"]), (2, ["a", "b"])])
+    assert r.terms == ((1, Path("1", ("c", "d"))), (3, Path("1", ("a", "b"))))
+    assert type(r.terms[0][0]) is int
+    assert build_path_algebra(square, [r]).dim == 9

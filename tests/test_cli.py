@@ -223,6 +223,9 @@ def test_parse_error_exit_two(tmp_path):
     with open(fig1) as fh:
         path_int = json.load(fh)
     path_int["relations"][0][0]["path"] = 5
+    # two terms on one path that cancel leave no relation
+    cancelled = json.loads(json.dumps(path_int))
+    cancelled["relations"][0] = [{"coeff": c, "path": ["alpha", "beta"]} for c in ("1", "-1")]
     with open(os.path.join(CORPUS, "golden", "sec5_T.json")) as fh:
         r_str = json.load(fh)
     r_str["provenance"]["r"] = "x"
@@ -233,6 +236,7 @@ def test_parse_error_exit_two(tmp_path):
         ("quiver_int.json", {"format": 1, "quiver": 5}, alg_check, "quiver"),
         ("no_quiver.json", {"format": 1}, alg_check, "missing field 'quiver'"),
         ("path_int.json", path_int, alg_check, "relations[0][0].path"),
+        ("cancelled.json", cancelled, alg_check, "relation has no nonzero terms"),
         (
             "terms_int.json",
             {"format": 1, "algebra": fig1, "terms": 5},
