@@ -29,11 +29,11 @@ dense rows, the two converters that the module layer also uses between its
 ``sparse_row_space``.  :class:`Basis` is the incremental front end and
 the one way to find coordinates in a fixed basis: the basis modulo a
 subspace, and the coordinates on it, of every hom space and of every
-quotient module.  It runs the same loop on each row as it is added and on
-each vector it is asked about, and keeps with each echelon row its
-combination of basis rows; ``Basis.of_kernel`` skips that elimination for
-rows that ``sparse_kernel`` has reduced already.  There is no other
-elimination.
+quotient and submodule.  It runs the same loop on each row as it is added
+and on each vector it is asked about, and keeps with each echelon row its
+combination of basis rows; ``Basis.of_kernel`` and ``Basis.of_rref`` skip
+that elimination for rows that ``sparse_kernel`` and ``sparse_row_space``
+have reduced already.  There is no other elimination.
 """
 
 from __future__ import annotations
@@ -216,9 +216,10 @@ class Basis:
     coordinates are taken modulo them.  ``add_or_coords`` offers one more
     row.
 
-    ``Basis.of_kernel`` is the basis of rows that need no elimination: rows
-    in the form ``sparse_kernel`` gives them, with no null rows.  There a
-    vector's coordinates are its entries at the rows' free columns, and one
+    ``Basis.of_kernel`` and ``Basis.of_rref`` are the bases of rows in the
+    form ``sparse_kernel`` or ``sparse_row_space`` gives them, with no null
+    rows, which need no elimination: a vector's coordinates are its entries
+    at the columns the rows own (free columns or pivots), and one
     ``sparse_combination`` checks that they give the vector back."""
 
     __slots__ = ("positions", "rows", "_width", "_count", "_echelon", "_position", "_index")
@@ -246,12 +247,23 @@ class Basis:
         ``rows`` and ``coordinates`` are those of ``Basis(rows, width)``,
         found without an elimination; it keeps no echelon rows, so it takes
         no more rows by ``add_or_coords``."""
+        return cls._owned(rows, width, max)
+
+    @classmethod
+    def of_rref(cls, rows, width: int) -> "Basis":
+        """As ``of_kernel``, for rows in the form ``sparse_row_space`` gives
+        them, each of which owns its smallest column, its pivot column."""
+        return cls._owned(rows, width, min)
+
+    @classmethod
+    def _owned(cls, rows, width: int, owned) -> "Basis":
+        """The basis of rows each with entry 1 at owned(row), where no other row has one."""
         basis = object.__new__(cls)
         basis._width = width
         basis._echelon = None
         basis.positions = list(range(len(rows)))
         basis.rows = list(rows)
-        basis._index = {max(row): k for k, row in enumerate(rows)}  # free column -> basis index
+        basis._index = {owned(row): k for k, row in enumerate(rows)}  # owned column -> basis index
         return basis
 
     def add_or_coords(self, row):
@@ -278,7 +290,7 @@ class Basis:
         """The nonzero coordinates {basis index: c} of v modulo the null
         rows; raises TiltbenchError when v is outside span(null + rows)."""
         v = _sparse_vector(v, self._width)
-        if self._echelon is None:  # of_kernel: v's entries at the free columns
+        if self._echelon is None:  # of_kernel, of_rref: v's entries at the owned columns
             index = self._index
             coeffs = {index[j]: x for j, x in v.items() if j in index}
             if sparse_combination(coeffs, self.rows) != v:

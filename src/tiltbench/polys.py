@@ -56,29 +56,6 @@ def pdivmod(p, q):
     return pnorm(quo), rem
 
 
-def pmonic(p):
-    p = pnorm(p)
-    return pscale(div(1, p[-1]), p) if p else p
-
-
-def pgcd(p, q):
-    p, q = pnorm(p), pnorm(q)
-    while q:
-        p, q = q, pdivmod(p, q)[1]
-    return pmonic(p)
-
-
-def pderiv(p):
-    return pnorm([i * c for i, c in enumerate(p)][1:])
-
-
-def squarefree_part(p):
-    g = pgcd(p, pderiv(p))
-    if len(g) <= 1:
-        return pmonic(p)
-    return pmonic(pdivmod(p, g)[0])
-
-
 def peval_frac(p, x):
     acc = 0
     for c in reversed(p):
@@ -119,18 +96,23 @@ def min_poly_of_sequence(vectors, width: int):
 def rational_roots(p):
     """The distinct rational roots of p, in increasing order, found exactly.
 
-    The square-free part is scaled to a primitive integer polynomial
-    a_0 + ... + a_n t^n and a factor t (the root 0) is split off; every
-    other rational root is +-r/s with r dividing a_0 and s dividing a_n
-    (rational root theorem), and each such candidate is tested with
-    ``peval_frac``."""
-    coeffs = squarefree_part(p)
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
+    p is scaled to a primitive integer polynomial f.  Its square-free part
+    f / gcd(f, f'), a_0 + ... + a_n t^n, is found in integers (the gcd by
+    primitive pseudo-remainders, the quotient exact by Gauss's lemma), and a
+    factor t (the root 0) is split off it; every other rational root is
+    +-r/s with r dividing a_0 and s dividing a_n (rational root theorem),
+    and each such candidate is tested with ``peval_frac``."""
+    p = pnorm(p)
+    if len(p) < 2:
+        return []
+    den = lcm(*(c.denominator for c in p))
+    f = _primitive([c.numerator * (den // c.denominator) for c in p])
+    g, h = f, _primitive([k * c for k, c in enumerate(f)][1:])
+    while len(h) > 1:
+        g, h = h, _primitive(_divide(g, h)[1])
+    ints = f if h else _divide(f, g)[0]  # a constant h: gcd(f, f') is 1
     roots = set()
-    if ints and ints[0] == 0:  # square-free, so t divides it once
+    if ints[0] == 0:  # square-free, so t divides it once
         roots.add(0)
         ints = ints[1:]
     if len(ints) > 1:
@@ -140,6 +122,33 @@ def rational_roots(p):
                     if x not in roots and peval_frac(ints, x) == 0:
                         roots.add(x)
     return sorted(roots)
+
+
+def _primitive(f: list) -> list:
+    """The integer polynomial f divided by the gcd of its coefficients."""
+    g = gcd(*f)
+    return [c // g for c in f] if g != 1 else f
+
+
+def _divide(f: list, g: list) -> tuple:
+    """(q, r) with l^e f = q g + r and r of lower degree than g, for integer
+    polynomials, where l is the leading coefficient of g and e counts the
+    steps at which r was multiplied by l to keep the quotient integral: e is
+    0, and q is f / g, when g divides f with an integer quotient."""
+    r, n, lead = list(f), len(g) - 1, g[-1]
+    q = [0] * max(0, len(f) - n)
+    for k in reversed(range(len(q))):
+        c = r.pop()
+        if c % lead:  # multiply by l, and the step's quotient is the old leading entry
+            r, q = [lead * x for x in r], [lead * x for x in q]
+        else:
+            c //= lead
+        q[k] = c
+        for i in range(n):
+            r[k + i] -= c * g[i]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 def _divisors(n: int) -> list:

@@ -67,6 +67,14 @@ class Path(namedtuple("Path", "source arrows")):
     def __len__(self):
         return len(self.arrows)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace through it) checks len(), which counts arrows here
+        path = tuple.__new__(cls, iterable)
+        if tuple.__len__(path) != 2:
+            raise TypeError(f"Expected 2 arguments, got {tuple.__len__(path)}")
+        return path
+
     def target(self, q: Quiver) -> str:
         return q.arrow_by_name[self.arrows[-1]].target if self.arrows else self.source
 

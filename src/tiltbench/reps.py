@@ -395,9 +395,10 @@ def sub_representation(m: Representation, spaces: dict):
     """(submodule, inclusion) from arrow-stable spaces, each given by sparse
     rows that span it (none where a vertex is missing).  The submodule's
     basis at v is the ``sparse_row_space`` of spaces[v], and an arrow reads
-    the images of these rows in the basis at its target."""
+    the images of these rows at the pivots of the basis at its target
+    (``Basis.of_rref``), with no elimination."""
     bases = {v: sparse_row_space(spaces.get(v, ())) for v in m.dims}
-    spans = {v: Basis(bases[v], m.dims[v]) for v in m.dims}
+    spans = {v: Basis.of_rref(bases[v], m.dims[v]) for v in m.dims}
     dims = {v: len(bases[v]) for v in m.dims}
     arrows = _arrow_rows(m)
     mats = {}

@@ -626,13 +626,14 @@ def test_add_or_coords_after_null_rows_matches_the_batch_basis():
     assert left_out > 100
 
 
-def test_basis_of_kernel_matches_the_eliminating_basis():
-    """``Basis.of_kernel`` on ``sparse_left_kernel`` rows of seeded random
-    sparse matrices, and on unit vectors, has the positions, rows and
-    coordinates of ``Basis(rows, width)``, on dense and sparse vectors; a
-    vector outside the span raises as there, and so does every unit vector
-    at a pivot column, which has no entry at a free column."""
-    rng = random.Random(32)
+def _matches_the_eliminating_basis(construct, owned, random_rows, seed):
+    """construct(rows, n) on 300 seeded sets of rows, every fifth the unit
+    vectors and the others random_rows(rng, entry, n), has the positions,
+    rows and coordinates of ``Basis(rows, n)``, on dense and sparse
+    vectors; a vector outside the span raises as there, and so does every
+    unit vector at a column no row owns (owned(row) is the column a row
+    owns), where every coordinate is 0."""
+    rng = random.Random(seed)
 
     def entry():
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else Fraction(0)
@@ -640,12 +641,8 @@ def test_basis_of_kernel_matches_the_eliminating_basis():
     raised = 0
     for trial in range(300):
         n = rng.randint(0, 7)
-        if trial % 5 == 0:
-            rows = [{j: 1} for j in range(n)]
-        else:
-            matrix_rows = [_sparse([entry() for _ in range(rng.randint(0, 6))]) for _ in range(n)]
-            rows = sparse_left_kernel(matrix_rows)
-        fast, ref = Basis.of_kernel(rows, n), Basis(rows, n)
+        rows = [{j: 1} for j in range(n)] if trial % 5 == 0 else random_rows(rng, entry, n)
+        fast, ref = construct(rows, n), Basis(rows, n)
         assert fast.positions == ref.positions == list(range(len(rows)))
         assert fast.rows == ref.rows == rows
         for _ in range(3):
@@ -663,10 +660,31 @@ def test_basis_of_kernel_matches_the_eliminating_basis():
                 fast.coordinates(v)
         else:
             assert fast.coordinates(v) == want
-        free = {max(row) for row in rows}
-        for c in set(range(n)) - free:
+        for c in set(range(n)) - {owned(row) for row in rows}:
             with pytest.raises(TiltbenchError, match="not in the hom space"):
                 fast.coordinates({c: 1})
     assert raised > 50
+
+
+def test_basis_of_kernel_matches_the_eliminating_basis():
+    """``Basis.of_kernel`` on ``sparse_left_kernel`` rows of seeded random
+    sparse matrices, and on unit vectors, reads coordinates at the free
+    columns as ``Basis(rows, width)`` finds them."""
+
+    def left_kernel(rng, entry, n):
+        return sparse_left_kernel([_sparse([entry() for _ in range(rng.randint(0, 6))]) for _ in range(n)])
+
+    _matches_the_eliminating_basis(Basis.of_kernel, max, left_kernel, 32)
     with pytest.raises(DimensionMismatch):
         Basis.of_kernel([{0: 1}, {1: 1}], 2).coordinates([1, 2, 3])
+
+
+def test_basis_of_rref_matches_the_eliminating_basis():
+    """``Basis.of_rref`` on ``sparse_row_space`` rows of seeded random
+    sparse matrices, and on unit vectors, reads coordinates at the pivot
+    columns as ``Basis(rows, width)`` finds them."""
+
+    def row_space(rng, entry, n):
+        return sparse_row_space([_sparse([entry() for _ in range(n)]) for _ in range(rng.randint(0, 6))])
+
+    _matches_the_eliminating_basis(Basis.of_rref, min, row_space, 39)

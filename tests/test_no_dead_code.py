@@ -4,8 +4,9 @@ A definition counts as used when it is referenced, outside its own body,
 from the package itself, the demos, the benchmark or the corpus scripts, or
 when it is exported in ``tiltbench.__all__``.  Dunder methods are called by
 Python itself and are not checked.  Helpers that only tests call are listed
-in ``TEST_ONLY``, and entry points that only the benchmark's tracer names
-(in strings, which are not references) in ``TRACER_ONLY``, each with the
+in ``TEST_ONLY``, entry points that only the benchmark's tracer names
+(in strings, which are not references) in ``TRACER_ONLY``, and overrides
+that only the standard library calls in ``STDLIB_HOOKS``, each with the
 reason it stays.
 
 References are matched by name, except to a method whose name two or more
@@ -39,6 +40,10 @@ TRACER_ONLY = {
     "Matrix.rref": "the tracer counts its calls and cells as linalg.rref; the package eliminates by the sparse routines",
     "FiniteDimAlgebra.left_matrix": "the tracer counts its calls; the package forms no left-multiplication matrix",
     "map_coordinates": "the tracer times it; the package reads hom-space coordinates from a Basis",
+}
+
+STDLIB_HOOKS = {
+    "Path._make": "namedtuple's _replace builds the new path through it",
 }
 
 AMBIGUOUS = {
@@ -190,7 +195,7 @@ def _traced_entry_points():
 def _checked_definitions():
     """(file, qualified name, node, own (file, def line)) of each definition
     that needs a caller."""
-    exempt = set(tiltbench.__all__) | set(TRACER_ONLY) | set(TEST_ONLY)
+    exempt = set(tiltbench.__all__) | set(TRACER_ONLY) | set(TEST_ONLY) | set(STDLIB_HOOKS)
     for path, qualified, node in _definitions():
         name = node.name
         if not ((name.startswith("__") and name.endswith("__")) or qualified in exempt):

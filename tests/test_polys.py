@@ -1,15 +1,20 @@
+import importlib
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
+
+from kupisch import all_kupisch_series
 
 import tiltbench
-from tiltbench import corpus
+from tiltbench import corpus, polys
 from tiltbench.algebra import el_from_vector, el_to_vector
-from tiltbench.decompose import _corner_min_poly, primitive_idempotents
-from tiltbench.linalg import _sparse, sparse_left_kernel
-from tiltbench.polys import pmul, pnorm, rational_roots
+from tiltbench.decompose import EndAlgebra, _corner_min_poly, primitive_idempotents
+from tiltbench.linalg import _sparse, div, sparse_left_kernel
+from tiltbench.polys import _divisors, pdivmod, peval_frac, pmul, pnorm, pscale, rational_roots
+from tiltbench.reps import regular_module
 from tiltbench.tilting import TiltingContext
 
 
@@ -48,6 +53,95 @@ def test_rational_roots_zero_irrational_and_constant():
     assert rational_roots([Fraction(-2), 0, Fraction(1)]) == []
     assert rational_roots([Fraction(3)]) == []
     assert rational_roots([]) == []
+
+
+def _fraction_rational_roots(p):
+    """The distinct rational roots of p by the square-free part computed by
+    Euclid over Fractions and made monic, then scaled to integers: the
+    reference for ``rational_roots``, which finds the same part in
+    integers."""
+
+    def monic(q):
+        return pscale(div(1, q[-1]), q) if q else q
+
+    g, h = pnorm(p), pnorm([i * c for i, c in enumerate(p)][1:])
+    while h:
+        g, h = h, pdivmod(g, h)[1]
+    coeffs = monic(pdivmod(p, g)[0]) if len(g) > 1 else monic(pnorm(p))
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
+    roots = set()
+    if ints and ints[0] == 0:
+        roots.add(0)
+        ints = ints[1:]
+    if len(ints) > 1:
+        for s in _divisors(ints[-1]):
+            for r in _divisors(ints[0]):
+                for x in (div(r, s), div(-r, s)):
+                    if x not in roots and peval_frac(ints, x) == 0:
+                        roots.add(x)
+    return sorted(roots)
+
+
+QUADRATICS = [[-2, 0, 1], [1, 0, 1], [1, 1, 1], [-3, 0, 2], [Fraction(1, 2), -1, 3]]
+
+
+def test_rational_roots_match_the_fraction_square_free_route():
+    """On 1000 seeded polynomials (products of linear factors with repeated
+    rational roots, powers of t and irreducible quadratics, scaled by a
+    Fraction) and on constants and [], the integer square-free part gives
+    the roots of the Fraction one."""
+    rng = random.Random(39)
+    polynomials = [[], [Fraction(0)], [Fraction(5, 3)], [-7]]
+    for _ in range(1000):
+        p = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))]
+        for _ in range(rng.randint(0, 4)):
+            p = pmul(p, power(linear(Fraction(rng.randint(-6, 6), rng.randint(1, 6))), rng.randint(1, 4)))
+        p = pmul(p, power(linear(0), rng.choice((0, 0, 1, 2, 3))))
+        if rng.random() < 0.3:
+            p = pmul(p, pnorm(rng.choice(QUADRATICS)))
+        polynomials.append(p)
+    with_roots = 0
+    for p in polynomials:
+        roots = rational_roots(p)
+        assert roots == _fraction_rational_roots(p), p
+        assert all(peval_frac(p, x) == 0 for x in roots)
+        with_roots += len(roots) > 1
+    assert with_roots > 500
+
+
+def test_rational_roots_factor_the_square_free_part(monkeypatch):
+    """Every candidate comes from the square-free part: on
+    (t - 1/1000003)^3 (t - 2) no number trial-divided exceeds 2 * 1000003,
+    where p's own coefficients would ask for (1000003)^3."""
+    asked = []
+
+    def recorded_divisors(n):
+        asked.append(abs(n))
+        return _divisors(n)
+
+    monkeypatch.setattr(polys, "_divisors", recorded_divisors)
+    big = 1000003
+    p = pmul(power(linear(Fraction(1, big)), 3), linear(2))
+    assert rational_roots(p) == [Fraction(1, big), Fraction(2)]
+    assert asked and max(asked) <= 2 * big
+
+
+def test_primitive_idempotents_unchanged_by_the_integer_square_free_part(monkeypatch):
+    """``primitive_idempotents`` of End(A_A) is the same list with the
+    Fraction square-free part as with the integer one, on the corpus
+    algebras and on all 120 Kupisch series with 2 to 4 vertices."""
+    algebras = list(corpus.corpus_algebras().values())
+    algebras += [corpus.kupisch_algebra(series) for series in all_kupisch_series()]
+    assert len(algebras) == 123
+    for a in algebras:
+        end = EndAlgebra(regular_module(a))
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("tiltbench.decompose"), "rational_roots", _fraction_rational_roots)
+            want = primitive_idempotents(end)
+        assert primitive_idempotents(end) == want
 
 
 def test_decompose_imports_no_numpy():

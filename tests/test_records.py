@@ -33,6 +33,19 @@ def test_path_and_arrow_repr_hash_and_length():
     assert repr(Arrow("a", "1", "2")) == "Arrow(name='a', source='1', target='2')"
 
 
+def test_path_replace_and_make_for_any_arrow_count():
+    """``_make``, and ``_replace`` through it, check the two fields, not the
+    arrow count that ``len`` gives."""
+    for n in range(4):
+        p = Path("1", ("a", "b", "c")[:n])
+        assert p._replace(source="2") == Path("2", p.arrows)
+        assert Path._make(["3", p.arrows]) == Path("3", p.arrows)
+    with pytest.raises(TypeError, match="Expected 2 arguments, got 1"):
+        Path._make(["1"])
+    with pytest.raises(ValueError, match="Got unexpected field names"):
+        Path("1", ())._replace(target="2")
+
+
 def test_records_are_immutable():
     a = corpus.fig1_algebra()
     ctx = TiltingContext(a, corpus.fig1_tilting_complex(a))
