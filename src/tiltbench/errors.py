@@ -28,9 +28,11 @@ class NoIdentity(TiltbenchError):
 
 
 class RadicalNotNilpotent(TiltbenchError):
-    """The powers of the radical candidate stopped dropping before 0 (the
-    Peirce-block radical in ``presentation.radical_chain``, or the path
-    radical of a path algebra), so it is not the radical of the input."""
+    """The radical candidate is not the radical of the input: in
+    ``presentation.quiver_presentation`` a path in the arrows it gives is
+    still nonzero at length dim A + 1, past where the powers of a nilpotent
+    ideal reach 0; or a path algebra's path radical differs from the kernel
+    of its trace form (``BasicAlgebra.radical_basis``)."""
 
 
 class NotBasic(TiltbenchError):

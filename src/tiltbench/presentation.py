@@ -1,36 +1,35 @@
 """Recovering a quiver-with-relations presentation from an abstract algebra.
 
 Vertices are the given (or found) primitive idempotents e_1, ..., e_n.  The
-radical layers are computed Peirce block by Peirce block (``radical_chain``):
-e_i A e_j is spanned by the e_i b e_j over the basis elements b, found by
-splitting each b into its components e_i b and each component x into its
-x e_j.  Each split takes the products in cyclic order from where the last
-one found a part and stops once the parts sum to the element: the e_i sum
-to 1 and A is the direct sum of the e_i A (and of the A e_j), so the
-products not taken are 0.  Each block is kept as the sparse RREF rows of
-``linalg.sparse_row_space``, and a block no part reaches takes no
-elimination.  The radical R has R_ij = e_i A e_j for i != j and
-R_ii = ker chi_i, where chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i);
-and (R^(k+1))_ij = sum over l of (R^k)_il R_lj, taken only over the l where
-both blocks are nonzero, with one elimination per block that some product
-reaches.  No full trace form and no product over all pairs of radical rows
-is formed.  The layers certify that the algebra is basic: the diagonal
-blocks of R * R must lie in R (else ``NotBasic``) and the powers of R must
-drop strictly to 0 (else ``RadicalNotNilpotent``), so R is a nilpotent
-ideal with A / R = K^n, hence the radical.
+radical and its square are computed Peirce block by Peirce block
+(``radical_chain``): e_i A e_j is spanned by the e_i b e_j over the basis
+elements b, found by splitting each b into its components e_i b and each
+component x into its x e_j.  Each split takes the products in cyclic order
+from where the last one found a part and stops once the parts sum to the
+element: the e_i sum to 1 and A is the direct sum of the e_i A (and of the
+A e_j), so the products not taken are 0.  Each block is kept as the sparse
+RREF rows of ``linalg.sparse_row_space``, and a block no part reaches takes
+no elimination.  The radical candidate R has R_ij = e_i A e_j for i != j
+and R_ii = ker chi_i, where chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i);
+and (R^2)_ij = sum over l of R_il R_lj, taken only over the l where both
+blocks are nonzero, with one elimination per block that some product
+reaches.  No full trace form, no product over all pairs of radical rows and
+no power of R past the square is formed.
 
 Arrows i -> j lift a basis of R_ij modulo (R^2)_ij, read from the RREF bases
-of the two blocks, and candidate relations are kernel elements of the induced
-map from the path algebra, collected degree by degree up to the nilpotency
-index.  One ``algebra.length_filtration`` of the ideal I they generate both
+of the two blocks.  The paths, evaluated one length at a time up to the
+first length L at which all are 0, give every rad^k and the nilpotency
+index L (``quiver_presentation`` states why), and the candidate relations
+are the left kernels of each length's elements.  One
+``algebra.length_filtration`` of the ideal I the candidates generate both
 prunes them and rebuilds the path algebra: at each length n it eliminates
 arrow * I_(n-1), I_(n-1) * arrow and then the candidates of length n once,
-and keeps a candidate only when it raises the rank, a minimal generating set
-found greedily by increasing length.  The result is certified by comparing
-the dimension of the rebuilt path algebra; only ideals with
-length-homogeneous generators are supported (the rebuild certifies that this
-suffices for the input at hand).  ``relation_ideals_equal`` compares the
-RREF rows of one such filtration of each side.
+and keeps a candidate only when it raises the rank, a minimal generating
+set found greedily by increasing length.  The result is certified by
+comparing the dimension of the rebuilt path algebra; only ideals with
+length-homogeneous generators are supported (the rebuild certifies that
+this suffices for the input at hand).  ``relation_ideals_equal`` compares
+the RREF rows of one such filtration of each side.
 """
 
 from __future__ import annotations
@@ -53,18 +52,6 @@ class Presentation(
     vertex label to an element of the abstract algebra."""
 
     __slots__ = ()
-
-
-class PeirceLayer:
-    """rad^k of a basic algebra, one Peirce block at a time: ``elements[i][j]``
-    is the RREF basis of e_i rad^k e_j as elements, and ``rows`` the
-    dimension of rad^k."""
-
-    __slots__ = ("elements", "rows")
-
-    def __init__(self, elements):
-        self.elements = elements
-        self.rows = sum(len(b) for line in elements for b in line)
 
 
 def _block_product(alg: FiniteDimAlgebra, left, right):
@@ -119,25 +106,24 @@ def _peirce_pieces(alg: FiniteDimAlgebra, idems):
     return [[sparse_row_space(block) if block else [] for block in line] for line in rows]
 
 
-def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
-    """[rad, rad^2, ..., 0] as Peirce layers, certified.
+def radical_chain(alg: FiniteDimAlgebra, idempotents):
+    """(R, R^2) as Peirce blocks: ``R[i][j]`` is the RREF basis of e_i R e_j
+    as elements, and likewise for R^2.
 
     ``idempotents`` are elements of alg that ``check_idempotents`` accepts,
-    nonzero orthogonal idempotents that sum to 1; ``primitive_idempotents``
-    supplies them when omitted.  The pieces e_i A e_j come from the
-    components of each basis element (``_peirce_pieces``); since
-    ``check_idempotents`` has shown that the e_i are orthogonal and sum to
-    1, A = sum of the e_i A is direct, so once the components found sum to
-    the element the others are 0 and are not computed.  R_ij = e_i A e_j
-    for i != j, and R_ii is the kernel of
-    chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i).  Raises NotBasic
-    unless the diagonal blocks of R * R lie in R, and RadicalNotNilpotent
-    unless the powers of R drop strictly to 0.  Together the checks show
-    that R is a nilpotent ideal with A / R = K^n, so R is the radical and A
-    is basic.
+    nonzero orthogonal idempotents that sum to 1.  The pieces e_i A e_j
+    come from the components of each basis element (``_peirce_pieces``);
+    since ``check_idempotents`` has shown that the e_i are orthogonal and
+    sum to 1, A = sum of the e_i A is direct, so once the components found
+    sum to the element the others are 0 and are not computed.
+    R_ij = e_i A e_j for i != j, and R_ii is the kernel of
+    chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i), so R misses the span
+    of the e_i.  R^2 takes one block product.  Raises NotBasic unless the
+    diagonal blocks of R^2 lie in R; then R * R lies in R.  That R is the
+    radical is certified by ``quiver_presentation``, from the paths it
+    evaluates.
     """
-    idems = idempotents if idempotents is not None else primitive_idempotents(alg)
-    idems = [{k: frac(c) for k, c in e.items() if c} for e in idems]
+    idems = [{k: frac(c) for k, c in e.items() if c} for e in idempotents]
     n = len(idems)
     alg.check_idempotents(idems)
     pieces = _peirce_pieces(alg, idems)
@@ -163,26 +149,32 @@ def radical_chain(alg: FiniteDimAlgebra, idempotents=None):
                 c = div(chi(i, b), chi(i, top))
                 kernel.append(el_sub(b, el_scale(c, top)) if c else b)
         rad[i][i] = sparse_row_space(kernel)
-    chain = [PeirceLayer(rad)]
-    while chain[-1].rows:
-        nxt = PeirceLayer(_block_product(alg, chain[-1].elements, rad))
-        if len(chain) == 1 and any(chi(i, x) for i in range(n) for x in nxt.elements[i][i]):
-            raise NotBasic(
-                f"rad * rad leaves rad on a diagonal Peirce block: the semisimple "
-                f"quotient is larger than K^{n}"
-            )
-        if nxt.rows >= chain[-1].rows:
-            raise RadicalNotNilpotent("radical chain stabilized while nonzero")
-        chain.append(nxt)
-    return chain
+    rad2 = _block_product(alg, rad, rad)
+    if any(chi(i, x) for i in range(n) for x in rad2[i][i]):
+        raise NotBasic(
+            f"rad * rad leaves rad on a diagonal Peirce block: the semisimple quotient is larger than K^{n}"
+        )
+    return rad, rad2
 
 
 def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation:
+    """The quiver with relations of a basic algebra, certified.
+
+    The arrows lift a basis of R modulo R^2 from ``radical_chain``, and the
+    paths are evaluated length by length, each as its prefix's element times
+    its last arrow, up to the first length L at which every path is 0.  Four
+    checks certify the result: ``check_idempotents``, R * R inside R
+    (``NotBasic``, both in ``radical_chain``), A = span(e_i) + span(paths)
+    (``PresentationError``), and every path of length L is 0.  Then
+    S = span(paths) is a nilpotent ideal with A / S = K^n, so S = rad A.
+    S lies in R, since the arrows do and R * R lies in R, and R misses the
+    span of the e_i, so R = S = rad A and A is basic.  Hence rad^k is the
+    span of the paths of length >= k, and L is the nilpotency index.  The
+    powers of a nilpotent ideal drop strictly, so L <= dim A: a path of
+    length dim A + 1 that is not 0 raises ``RadicalNotNilpotent``.
+    """
     idems = idempotents if idempotents is not None else primitive_idempotents(alg)
-    chain = radical_chain(alg, idems)
-    nil_index = len(chain)  # rad^(len) = 0
-    rad = chain[0].elements
-    rad2 = chain[1].elements if len(chain) > 1 else rad  # rad = 0 when len(chain) == 1
+    rad, rad2 = radical_chain(alg, idems)
     n = len(idems)
     names = [str(i + 1) for i in range(n)]
 
@@ -199,26 +191,25 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
                 arrow_elements[name] = el
     quiver = Quiver(names, arrows)
 
-    # evaluate paths of length >= 1 in the abstract algebra, as elements
-    def eval_path(p: Path):
-        acc = arrow_elements[p.arrows[0]]
-        for a in p.arrows[1:]:
-            acc = alg.mul(acc, arrow_elements[a])
-        return acc
-
-    # surjectivity: vertices and arrow products must span the algebra
+    # the paths of each length as elements, in longer_paths order: each is
+    # the element of its prefix times its last arrow
     paths = [Path(a[1], (a[0],)) for a in arrows]
-    span_rows = list(idems) + [eval_path(p) for p in paths]
+    rows = [arrow_elements[a[0]] for a in arrows]
+    span_rows = list(idems) + rows
     candidates = []
-    for _ in range(2, nil_index + 1):
+    nil_index = 1  # the length of the paths in rows
+    while any(rows):
+        if nil_index > alg.dim:
+            raise RadicalNotNilpotent(f"a path of length {nil_index} is not 0, past the dimension {alg.dim}")
+        ends = [quiver.arrows_from[p.target(quiver)] for p in paths]
+        rows = [alg.mul(x, arrow_elements[a.name]) for x, out in zip(rows, ends) for a in out]
         paths = longer_paths(quiver, paths)
-        if not paths:
-            break
-        rows = [eval_path(p) for p in paths]
+        nil_index += 1
         # candidate relations: the left kernel of the rows
         for vec in sparse_left_kernel(rows):
             candidates.append(Relation(quiver, [(c, paths[j]) for j, c in vec.items()]))
         span_rows.extend(rows)
+    # surjectivity: vertices and arrow products must span the algebra
     if len(sparse_row_space(span_rows)) != alg.dim:
         raise PresentationError("vertex and arrow products do not span the algebra")
 

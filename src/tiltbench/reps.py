@@ -119,6 +119,13 @@ class Representation:
         return f"Representation(dims={self.dims})"
 
 
+def _refuse_unless_same_module(x: Representation, y: Representation, message: str):
+    """Raise DimensionMismatch unless x and y are one object or have the same
+    dimensions and arrow matrices."""
+    if x is not y and (x.dims != y.dims or x.mats != y.mats):
+        raise DimensionMismatch(message)
+
+
 def zero_rep(a: BasicAlgebra) -> Representation:
     return Representation(a, {}, {}, check=False)
 
@@ -154,8 +161,9 @@ class ModuleMap:
         return cls(source, target, {}, check=False)
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
-        if self.target is not other.source and self.target.dims != other.source.dims:
-            raise DimensionMismatch("composition: middle objects differ")
+        """"self then other"; refused unless self.target and other.source are
+        the same module."""
+        _refuse_unless_same_module(self.target, other.source, "composition: middle modules differ")
         return ModuleMap(
             self.source,
             other.target,
@@ -164,6 +172,8 @@ class ModuleMap:
         )
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
+        _refuse_unless_same_module(self.source, other.source, "sum: sources differ")
+        _refuse_unless_same_module(self.target, other.target, "sum: targets differ")
         return ModuleMap(
             self.source, self.target, {v: self.mats[v] + other.mats[v] for v in self.mats}, check=False
         )

@@ -13,7 +13,7 @@ import json
 import os
 import re
 
-from .algebra import BasicAlgebra, build_path_algebra
+from .algebra import BasicAlgebra, build_path_algebra, el_add, el_scale
 from .complexes import ProjComplex
 from .errors import TiltbenchError
 from .linalg import Matrix, frac
@@ -176,13 +176,7 @@ def element_from_terms(a: BasicAlgebra, terms, src_label: str, tgt_label: str, f
             raise TiltbenchError(
                 f"entry path {word} does not run from {tgt_label} to {src_label}"
             )
-        red = a._reduce_raw(p) if len(p) < a.nil_length else {}
-        for k, cc in red.items():
-            s = out.get(k, 0) + c * cc
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        out = el_add(out, el_scale(c, a._reduce_raw(p)))
     return out
 
 

@@ -41,10 +41,13 @@ def test_radical_is_a_nilpotent_ideal(name):
         for j in range(a.dim):
             for prod in (a.mul(a.basis_el(i), a.basis_el(j)), a.mul(a.basis_el(j), a.basis_el(i))):
                 assert all(k in rad_set for k in prod)
-    # nilpotent via the abstract chain (trace-form route)
-    chain = radical_chain(_abstract_of(a))
-    assert chain[-1].rows == 0
-    assert chain[0].rows == len(rad)
+    # the same radical and nil index from the abstract algebra (trace-form
+    # route, certified by the presentation's evaluated paths)
+    abstract = _abstract_of(a)
+    pres = quiver_presentation(abstract)
+    blocks, _ = radical_chain(abstract, list(pres.vertex_idempotents.values()))
+    assert sum(len(block) for line in blocks for block in line) == len(rad)
+    assert pres.nil_index == a.nil_length
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "sec5"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kupisch import seeded_kupisch_series
+from kupisch import all_kupisch_series, seeded_kupisch_series
 from tiltbench import algebra, corpus, presentation
 from tiltbench.algebra import (
     RAW_PATH_CAP,
@@ -18,7 +18,7 @@ from tiltbench.algebra import (
     length_filtration,
 )
 from tiltbench.complexes import ChainMapC, regular_stalk
-from tiltbench.errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, TiltbenchError
+from tiltbench.errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, RadicalNotNilpotent, TiltbenchError
 from tiltbench.linalg import Basis, _sparse, sparse_row_space
 from tiltbench.presentation import (
     presentations_match,
@@ -326,20 +326,22 @@ def _all_pairs_pieces(alg, idems):
     return pieces
 
 
-def _assert_peirce_layers_match(alg, idems, chain):
+def _assert_peirce_layers_match(alg, idems, nil_index):
+    """``radical_chain``'s rad and rad^2 against the all-pairs references,
+    and the presentation's nil index against the reference chain's length."""
     reference = _layers_by_all_pairs(alg)
-    assert len(chain) == len(reference)
-    # every layer's blocks are those of the all-pairs product, row for row
-    for layer, nxt in zip(chain, chain[1:]):
-        assert nxt.elements == _all_pairs_block_product(alg, layer.elements, chain[0].elements)
-    for layer, ref in zip(chain, reference):
-        assert layer.rows == len(ref)
-        rows = [x for line in layer.elements for block in line for x in block]
+    assert nil_index == len(reference)
+    rad, rad2 = radical_chain(alg, idems)
+    # rad^2's blocks are those of the all-pairs product, row for row
+    assert rad2 == _all_pairs_block_product(alg, rad, rad)
+    for layer, ref in zip((rad, rad2), reference + [[]]):
+        rows = [x for line in layer for block in line for x in block]
+        assert len(rows) == len(ref)
         assert sparse_row_space(rows) == sparse_row_space(ref)
         # block (i, j) lies in e_i A e_j
         for i, e in enumerate(idems):
             for j, f in enumerate(idems):
-                for x in layer.elements[i][j]:
+                for x in layer[i][j]:
                     assert alg.mul(alg.mul(e, x), f) == x
 
 
@@ -348,7 +350,7 @@ def test_peirce_layers_of_end_algebras(case):
     name, a, t = next(c for c in _end_cases() if c[0] == case)
     end = TiltingContext(a, t).end_data()
     idems = list(end.presentation.vertex_idempotents.values())
-    _assert_peirce_layers_match(end.abstract, idems, radical_chain(end.abstract, idems))
+    _assert_peirce_layers_match(end.abstract, idems, end.presentation.nil_index)
     assert _summary(end.presentation) == END_PRESENTATIONS[case]
 
 
@@ -388,7 +390,7 @@ def test_radical_layers_and_end_products_match_their_references(case):
     end = TiltingContext(a, t).end_data()
     idems = list(end.presentation.vertex_idempotents.values())
     assert presentation._peirce_pieces(end.abstract, idems) == _all_pairs_pieces(end.abstract, idems)
-    _assert_peirce_layers_match(end.abstract, idems, radical_chain(end.abstract, idems))
+    _assert_peirce_layers_match(end.abstract, idems, end.presentation.nil_index)
     filled, _ = _assert_filled_cells_match(end.abstract, lambda u, v: end.space.compose(v, u))
     assert filled
 
@@ -422,7 +424,7 @@ def test_peirce_pieces_of_elements_over_several_blocks(series, monkeypatch):
     assert a.dim <= len(left) <= n * a.dim
     assert len(right) <= n * sum(len(parts) for parts in components)
     monkeypatch.undo()
-    _assert_peirce_layers_match(a, idems, radical_chain(a, idems))
+    _assert_peirce_layers_match(a, idems, quiver_presentation(a, idems).nil_index)
 
 
 def test_end_of_n84_fills_mostly_zero_cells():
@@ -468,9 +470,46 @@ def test_peirce_layers_from_primitive_idempotents(name):
         alg = abstract_from_table(len(one), table, one)
     else:
         alg = abstract_of(corpus.corpus_algebras()[name])
-    chain = radical_chain(alg)
+    pres = quiver_presentation(alg)
+    _assert_peirce_layers_match(alg, list(pres.vertex_idempotents.values()), pres.nil_index)
+
+
+def test_one_block_product_per_presentation(monkeypatch):
+    # rad^2 is the only layer formed by Peirce block products; the paths the
+    # presentation evaluates give the later ones and the nil index
+    products = []
+    block_product = presentation._block_product
+
+    def counted(alg, left, right):
+        products.append(1)
+        return block_product(alg, left, right)
+
+    monkeypatch.setattr(presentation, "_block_product", counted)
+    a = corpus.kupisch_algebra([3] * 6)
+    pres = TiltingContext(a, regular_stalk(a)).end_data().presentation
+    assert pres.nil_index == 3
+    assert len(products) == 1
+
+
+def test_paths_that_never_vanish_raise_radical_not_nilpotent(monkeypatch):
+    # a radical candidate whose only arrow is the idempotent e_1: one path
+    # per length, each e_1, so the evaluation stops at length dim + 1
+    alg = abstract_of(corpus.kupisch_algebra([2, 2]))
     idems = list(quiver_presentation(alg).vertex_idempotents.values())
-    _assert_peirce_layers_match(alg, idems, chain)
+    n = len(idems)
+    empty = [[[] for _ in range(n)] for _ in range(n)]
+    rad = [[[idems[0]] if i == j == 0 else [] for j in range(n)] for i in range(n)]
+    monkeypatch.setattr(presentation, "radical_chain", lambda alg, idempotents: (rad, empty))
+    with pytest.raises(RadicalNotNilpotent, match=f"length {alg.dim + 1} "):
+        quiver_presentation(alg, idems)
+
+
+def test_end_of_every_regular_stalk_presents_the_kupisch_algebra():
+    for series in all_kupisch_series():
+        a = corpus.kupisch_algebra(series)
+        pres = TiltingContext(a, regular_stalk(a)).end_data().presentation
+        assert pres.nil_index == a.nil_length, series
+        assert presentations_match(pres.quiver, pres.relations, a.quiver, a.relations) is not None, series
 
 
 def test_end_data_asks_part_of_the_product_table():

@@ -13,7 +13,7 @@ from module_maps import (
 
 from tiltbench import corpus
 from tiltbench.decompose import _iso_between_indecomposables, decompose
-from tiltbench.errors import NotProjective, TiltbenchError
+from tiltbench.errors import DimensionMismatch, NotProjective, TiltbenchError
 from tiltbench.linalg import Basis, Matrix, _sparse, sparse_left_kernel, sparse_row_space
 from tiltbench.quiver import path_from_arrows, trivial_path
 from tiltbench.reps import (
@@ -295,6 +295,27 @@ def test_hom_simple_to_simple():
     a = corpus.fig2_algebra()
     for v in a.quiver.vertices:
         assert len(hom_space(simple(a, v), simple(a, v))) == 1
+
+
+def test_maps_through_different_modules_of_equal_dimensions_are_refused():
+    # P(1), P(2) and S1 + S2 over Kupisch (2, 2) all have dimension vector
+    # (1, 1), but not the same arrow matrices
+    a = corpus.kupisch_algebra([2, 2])
+    p1, p2, s = projective(a, "1"), projective(a, "2"), simple(a, "1").direct_sum(simple(a, "2"))
+    assert p1.dims == p2.dims == s.dims
+    on_p1, on_p2, on_s = (hom_space(x, x)[0] for x in (p1, p2, s))
+    with pytest.raises(DimensionMismatch):
+        on_p1.then(on_p2)
+    for other in (on_p2, on_s, hom_space(p1, s)[0], hom_space(s, p1)[0]):
+        with pytest.raises(DimensionMismatch):
+            on_p1 + other
+        with pytest.raises(DimensionMismatch):
+            on_p1 - other
+    # a module with the same dimensions and arrow matrices is the same module
+    again = projective(a, "1")
+    assert again is not p1
+    assert on_p1.then(ModuleMap.identity(again)).mats == on_p1.mats
+    assert (on_p1 + hom_space(again, again)[0]).mats == on_p1.scale(2).mats
 
 
 def test_kernel_image_cokernel():
