@@ -13,13 +13,14 @@ quotient A/rad(A) that ``decompose.primitive_idempotents`` reads corners in.
 ``BasicAlgebra`` is the one of a quiver with admissible relations, on a
 basis of normal-form paths.  ``length_filtration`` is the one place the
 relation ideal I is computed: I_n = R_n + arrow * I_(n-1) + I_(n-1) * arrow,
-with R_n the relations of length n, one elimination per length n >= 1.  Its
-RREF rows rewrite the leading paths (largest in deglex) into the surviving
-ones, the relations that raise the rank form a minimal generating set, and
-it stops at the first length with no survivors.  ``build_path_algebra``,
-the pruning in ``presentation.quiver_presentation`` and
-``presentation.relation_ideals_equal`` all read it.  Structure constants are
-obtained by reducing concatenations.
+with R_n the relations of length n, one elimination per length n >= 1 over
+the normal forms of length n - 1 followed by an arrow, not over every path.
+Its RREF rows rewrite the leading paths (largest in deglex) into the
+surviving ones, the relations that raise the rank form a minimal generating
+set, and it stops at the first length with no survivors.
+``build_path_algebra``, the pruning in ``presentation.quiver_presentation``
+and ``presentation.relation_ideals_equal`` all read it.  Structure constants
+are obtained by reducing concatenations, prefix first.
 
 Elements are sparse dicts ``{basis index: scalar}`` of their nonzero
 coordinates, with the exact scalars of ``linalg``: ints, and Fractions where
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 from .errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, RadicalNotNilpotent, TiltbenchError
 from .linalg import Matrix, div, frac, sparse_kernel, sparse_row_space, sparse_rref
-from .quiver import Path, Quiver, Relation, arrow_multiples, deglex_key, longer_paths, trivial_path
+from .quiver import Path, Quiver, Relation, longer_paths, trivial_path
 
-RAW_PATH_CAP = 100_000
+COLUMN_CAP = 100_000
 
 
 # -- sparse element helpers ----------------------------------------------
@@ -232,9 +233,9 @@ class BasicAlgebra(FiniteDimAlgebra):
         self.quiver = quiver
         self.relations = tuple(relations)
         self.basis = basis = list(basis)
-        self.index = {p: i for i, p in enumerate(basis)}
+        self.index = index = {p: i for i, p in enumerate(basis)}
         self.nil_length = nil_length  # all paths of this length or more vanish
-        self._reduce_raw = reduce_raw = _path_reducer(self.index, rewrite, nil_length)
+        self._reduce_raw = reduce_raw = _path_reducer(index, rewrite, nil_length)
         self.idempotent_index = {v: self.index[trivial_path(v)] for v in quiver.vertices}
         self.source = source = [p.source for p in basis]
         self.target = target = [p.target(quiver) for p in basis]
@@ -244,7 +245,9 @@ class BasicAlgebra(FiniteDimAlgebra):
             i does not end where basis j starts."""
             if target[i] != source[j]:
                 return {}
-            return reduce_raw(Path(source[i], basis[i].arrows + basis[j].arrows))
+            path = Path(source[i], basis[i].arrows + basis[j].arrows)
+            k = index.get(path)
+            return {k: 1} if k is not None else {index[p]: c for p, c in reduce_raw(path).items()}
 
         # the product closes over the basis, not over self, so that a
         # BasicAlgebra is no reference cycle and dies with its last use
@@ -307,23 +310,38 @@ class BasicAlgebra(FiniteDimAlgebra):
         return el_scale(div(1, c), inv)
 
 
-def _path_reducer(index: dict, rewrite: dict, nil_length: int):
-    """The function that expresses a raw path in the normal basis, from the
-    basis positions ``index`` and ``rewrite``: length -> {Path: {Path:
-    coefficient}} for the paths that are not normal forms."""
+def _path_reducer(normal, rewrite: dict, nil_length: int):
+    """The function that writes a path as {normal form: coefficient}, read
+    in ``normal`` or in ``rewrite``: length -> {Path: {Path: coefficient}},
+    or else prefix first: the path without its last arrow is reduced, the
+    arrow appended to each normal form in it, and each such path read
+    there.  So rewrite data is needed only on NF * arrows, as
+    ``length_filtration`` gives it; a table of every path does as well.
+    Paths of length nil_length or more are 0, and each path reduced is
+    memoised."""
+    memo = {}
 
-    def reduce_raw(path: Path) -> dict:
-        n = len(path)
+    def reduce(path: Path) -> dict:
+        n = len(path.arrows)
         if n >= nil_length:
             return {}
-        if path in index:
-            return {index[path]: 1}
-        rw = rewrite.get(n, {}).get(path)
-        if rw is None:
-            raise TiltbenchError(f"raw path {path} not covered by rewrite data")
-        return {index[p]: c for p, c in rw.items() if c != 0}
+        if path in normal:
+            return {path: 1}
+        table = rewrite.get(n, {})
+        out = table.get(path, memo.get(path))
+        if out is None:
+            out, last = {}, path.arrows[-1:]
+            for p, c in reduce(Path(path.source, path.arrows[:-1])).items():
+                q = Path(p.source, p.arrows + last)
+                rw = {q: 1} if q in normal else table.get(q)
+                if rw is None:
+                    raise TiltbenchError(f"raw path {path} not covered by rewrite data")
+                for r, d in rw.items():
+                    out[r] = out.get(r, 0) + c * d
+            out = memo[path] = {r: c for r, c in out.items() if c}
+        return out
 
-    return reduce_raw
+    return reduce
 
 
 def build_path_algebra(quiver: Quiver, relations, max_path_len: int = 30) -> BasicAlgebra:
@@ -346,47 +364,72 @@ def length_filtration(quiver: Quiver, relations, max_path_len: int = 30):
     """The ideal I that the relations generate, one path length at a time.
 
     I_n = R_n + arrow * I_(n-1) + I_(n-1) * arrow, with R_n the relations of
-    length n.  Each length n >= 1 takes one elimination: of the products of
-    the RREF rows of I_(n-1), then the relations of length n in their given
-    order, on the paths of length n in reverse deglex order.  Its RREF rows
-    rewrite each pivot (leading) path into the normal forms, the paths at no
-    pivot, and the relations that raise the rank are kept: a greedy minimal
-    generating set, shortest first.  The filtration stops at the nil length,
-    the first length with no normal form.
+    length n.  Each length n >= 1 takes one elimination in the quotient by
+    I_(n-1) * arrows, on the columns NF_(n-1) * arrows (a normal form of
+    length n - 1, then an arrow out of its end; at length 1 the arrows) in
+    reverse deglex order: of arrow * x for the RREF rows x of length n - 1
+    (arrow * I_(n-2) * arrow is 0 here), then the relations of length n in
+    their given order, each path entering by its prefix (``_path_reducer``).
+    Its RREF rows rewrite each pivot (leading) path into the normal forms,
+    the columns at no pivot, and the relations that raise the rank are
+    kept: a greedy minimal generating set, shortest first.  The filtration
+    stops at the nil length, the first length with no normal form.
+
+    This is the elimination over all paths of length n, restricted.  Deglex
+    is a monomial order, so normal forms are closed under prefixes and each
+    of length n is a column.  The paths of length n span the columns plus
+    I_(n-1) * arrows, which lies in I_n: so a relation raises the rank here
+    exactly when it does over all paths, and the RREF row of I_n at a pivot
+    among the columns, with only normal forms besides it, is a row here.
+    So the kept relations, normal forms and structure constants agree.
 
     Returns (basis, rewrite, nil_length, kept): the normal forms of length
     below the nil length in deglex order, length -> {Path: {Path:
-    coefficient}} for the pivot paths, the nil length and the kept
-    relations.  The RREF of a span is unique for a fixed column order, so
-    two relation lists generate the same ideal exactly when their nil
-    lengths and rewrite tables agree.  Raises TiltbenchError when
-    max_path_len < 1, and NotAdmissible when more than RAW_PATH_CAP paths
-    have some length or normal forms survive at max_path_len.
+    coefficient}} for the pivot columns, the nil length and the kept
+    relations.  The RREF of a span is unique for a fixed column order, and
+    I_n is I_(n-1) * arrows plus the span of its rows, so two relation lists
+    generate the same ideal exactly when their nil lengths and rewrite
+    tables agree.  Raises TiltbenchError when
+    max_path_len < 1, and NotAdmissible when some length has more than
+    COLUMN_CAP columns or normal forms survive at max_path_len.
     """
     if max_path_len < 1:
         raise TiltbenchError(f"max_path_len must be at least 1, got {max_path_len}")
     by_len = {}
     for r in relations:
         by_len.setdefault(r.length, []).append(r)
-    paths = [trivial_path(v) for v in quiver.vertices]
-    basis = list(paths)
-    ideal = []  # RREF rows of I_(n-1) as {Path: coefficient}
+    into = {v: [a for a in quiver.arrows if a.target == v] for v in quiver.vertices}
+    basis = [trivial_path(v) for v in quiver.vertices]
+    normal = set(basis)
     rewrite = {}
+    reduce = _path_reducer(normal, rewrite, max_path_len)
+    ideal = []  # the RREF rows of the last elimination, as {Path: coefficient}
     kept = []
     for n in range(1, max_path_len + 1):
-        paths = longer_paths(quiver, paths)
-        if len(paths) > RAW_PATH_CAP:
-            raise NotAdmissible(f"more than {RAW_PATH_CAP} raw paths at length {n}")
-        order = sorted(paths, key=lambda p: deglex_key(quiver, p), reverse=True)
-        col = {p: i for i, p in enumerate(order)}
-        rows = [{col[p]: c for p, c in prod.items()} for row in ideal for prod in arrow_multiples(quiver, row)]
+        # the columns NF_(n-1) * arrows in deglex order; at length 1 the arrows in quiver order
+        paths = longer_paths(quiver, survivors) if n > 1 else [Path(a.source, (a.name,)) for a in quiver.arrows]
+        if len(paths) > COLUMN_CAP:
+            raise NotAdmissible(f"more than {COLUMN_CAP} normal-form columns at length {n}")
+        order = paths[::-1]
+        col = {p.arrows: i for i, p in enumerate(order)}  # a path of length n >= 1 by its arrows
+
+        def vector(terms):
+            """The (coefficient, (source, arrows)) terms of length n in the columns."""
+            vec = {}
+            for c, (source, arrows) in terms:
+                for p, d in reduce(Path(source, arrows[:-1])).items():
+                    j = col[p.arrows + arrows[-1:]]
+                    vec[j] = vec.get(j, 0) + c * d
+            return vec
+
+        rows = [
+            vector((c, (a.source, (a.name,) + p.arrows)) for p, c in row.items())
+            for row in ideal
+            for a in into[next(iter(row)).source]
+        ]
         products = len(rows)
         rels = by_len.get(n, [])
-        for r in rels:
-            vec = {}
-            for c, p in r.terms:
-                vec[col[p]] = vec.get(col[p], 0) + c
-            rows.append(vec)
+        rows.extend(vector(r.terms) for r in rels)
         red, raised = sparse_rref(rows)
         kept.extend(rels[k - products] for k in raised if k >= products)
         ideal = [{order[j]: c for j, c in row.items()} for row in red]
@@ -394,12 +437,11 @@ def length_filtration(quiver: Quiver, relations, max_path_len: int = 30):
         for row in ideal:
             (lead, _), *tail = row.items()  # the pivot path first, with entry 1
             rewrite[n][lead] = {p: -c for p, c in tail}
-        pivots = {min(row) for row in red}
-        # order is reverse deglex, a total order: read backwards, the normal
-        # forms come in deglex order
-        basis.extend(order[j] for j in reversed(range(len(order))) if j not in pivots)
-        if len(red) == len(order):
+        survivors = [p for p in paths if p not in rewrite[n]]
+        if not survivors:
             return basis, rewrite, n, kept
+        basis.extend(survivors)
+        normal.update(survivors)
     raise NotAdmissible(
         f"normal-form paths still survive at length {max_path_len}; raise max_path_len or fix the relations"
     )

@@ -225,7 +225,7 @@ def build_parser():
         prog="tiltbench",
         description="workbench for quiver algebras, tilting complexes, and stable images",
     )
-    parser.add_argument("--max-path-len", type=int, default=30, dest="max_path_len")
+    parser.add_argument("--max-path-len", type=int, default=30, help="fail when normal forms survive at this length")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("-o", "--output", default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)

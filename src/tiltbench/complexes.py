@@ -135,9 +135,6 @@ class ProjComplex:
             dmaps[d] = realize_entry_map(sums[d], sums[d + 1], self.diffs[d])
         return sums, dmaps
 
-    def width(self) -> int:
-        return self.hi - self.lo if self.terms else 0
-
     def __repr__(self):
         return f"ProjComplex({ {d: self.term(d) for d in self.degrees()} })"
 

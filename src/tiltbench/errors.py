@@ -10,8 +10,9 @@ class DimensionMismatch(TiltbenchError):
 
 
 class NotAdmissible(TiltbenchError):
-    """Path enumeration survived past the length cap; the relation ideal is
-    not admissible (or the cap is too small)."""
+    """Normal forms survive at max_path_len, or some length has more than
+    ``algebra.COLUMN_CAP`` normal forms followed by an arrow: the relation
+    ideal is not admissible (or the bound is too small)."""
 
 
 class MixedLengthRelation(TiltbenchError):

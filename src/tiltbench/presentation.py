@@ -23,13 +23,14 @@ index L (``quiver_presentation`` states why), and the candidate relations
 are the left kernels of each length's elements.  One
 ``algebra.length_filtration`` of the ideal I the candidates generate both
 prunes them and rebuilds the path algebra: at each length n it eliminates
-arrow * I_(n-1), I_(n-1) * arrow and then the candidates of length n once,
-and keeps a candidate only when it raises the rank, a minimal generating
-set found greedily by increasing length.  The result is certified by
-comparing the dimension of the rebuilt path algebra; only ideals with
-length-homogeneous generators are supported (the rebuild certifies that
-this suffices for the input at hand).  ``relation_ideals_equal`` compares
-the RREF rows of one such filtration of each side.
+arrow * I_(n-1) and then the candidates of length n once, on the normal
+forms of length n - 1 followed by an arrow, and keeps a candidate only
+when it raises the rank, a minimal generating set found greedily by
+increasing length.  The result is certified by comparing the dimension of
+the rebuilt path algebra; only ideals with length-homogeneous generators
+are supported (the rebuild certifies that this suffices for the input at
+hand).  ``relation_ideals_equal`` compares the RREF rows of one such
+filtration of each side.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ class Quiver:
             raise TiltbenchError("duplicate arrow names")
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self.arrow_by_name = {a.name: a for a in self.arrows}
-        self.arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
         for a in self.arrows:
             if a.source not in self.vertex_index or a.target not in self.vertex_index:
                 raise TiltbenchError(f"arrow {a.name} references unknown vertex")
@@ -103,24 +102,6 @@ def path_from_arrows(q: Quiver, arrow_names) -> Path:
 def longer_paths(q: Quiver, paths):
     """Each path followed by each arrow out of its target, in order."""
     return [Path(p.source, p.arrows + (a.name,)) for p in paths for a in q.arrows_from[p.target(q)]]
-
-
-def arrow_multiples(q: Quiver, row: dict):
-    """The nonzero products a * row and row * a of a {Path: coefficient} row
-    of paths of one length, for each arrow a in quiver order, left first."""
-    ends = [(p, c, p.target(q)) for p, c in row.items()]
-    for a in q.arrows:
-        left = {Path(a.source, (a.name,) + p.arrows): c for p, c, _ in ends if p.source == a.target}
-        if left:
-            yield left
-        right = {Path(p.source, p.arrows + (a.name,)): c for p, c, t in ends if t == a.source}
-        if right:
-            yield right
-
-
-def deglex_key(q: Quiver, p: Path):
-    """Graded lexicographic order: by length, then arrow indices, then source."""
-    return (len(p.arrows), tuple(q.arrow_index[a] for a in p.arrows), q.vertex_index[p.source])
 
 
 class Relation:

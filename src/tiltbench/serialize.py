@@ -176,7 +176,7 @@ def element_from_terms(a: BasicAlgebra, terms, src_label: str, tgt_label: str, f
             raise TiltbenchError(
                 f"entry path {word} does not run from {tgt_label} to {src_label}"
             )
-        out = el_add(out, el_scale(c, a._reduce_raw(p)))
+        out = el_add(out, el_scale(c, {a.index[q]: d for q, d in a._reduce_raw(p).items()}))
     return out
 
 

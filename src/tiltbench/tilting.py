@@ -206,6 +206,13 @@ class TiltingReport(
         }
 
 
+def _self_shifts(t: ProjComplex) -> list:
+    """The differences n != 0 of two degrees of t, in increasing order: at
+    any other n no degree-0 map t -> t[n] has a nonzero component."""
+    degrees = t.degrees()
+    return sorted({e - d for d in degrees for e in degrees} - {0})
+
+
 def verify_tilting(
     t: ProjComplex,
     proved_by_construction: bool = False,
@@ -225,12 +232,7 @@ def verify_tilting(
         raise DSquaredNonzero("differentials do not square to zero")
     if not val["is_radical"]:
         raise NotRadical("complex has a unit differential component")
-    width = t.width()
-    self_orth = {}
-    for n in range(-width, width + 1):
-        if n == 0:
-            continue
-        self_orth[n] = self_hom(n).dim
+    self_orth = {n: self_hom(n).dim for n in _self_shifts(t)}
     self_ok = all(v == 0 for v in self_orth.values())
     summands = (decomposition if decomposition is not None else decompose_complex(t))[0]
     verts = list(t.algebra.quiver.vertices)
@@ -430,9 +432,8 @@ class TiltingContext:
         t = self.complex
         if not t.d_squared_is_zero():
             raise DSquaredNonzero("differentials do not square to zero")
-        width = t.width()
-        for n in range(-width, width + 1):
-            if n and self._self_hom(n).dim:
+        for n in _self_shifts(t):
+            if self._self_hom(n).dim:
                 raise NotSelfOrthogonal(f"nonzero homotopy hom at shift {n}")
         summands, includes, projects = self.decomposition()
         space = self._self_hom(0)
@@ -506,14 +507,13 @@ class TiltingContext:
 
     def _profile(self, x: Representation):
         """(profile, image0, concentrated) of x: profile maps each shift i
-        with -i between T's lowest and highest degree, and the shift 0, to
-        the dimension vector of ``f_homology(x, i)``, image0 is that module
-        at i = 0, and concentrated says whether every other shift gives
-        zero."""
-        t = self.complex
+        with -i a degree of T, and the shift 0, to the dimension vector of
+        ``f_homology(x, i)``, image0 is that module at i = 0, and
+        concentrated says whether every other shift gives zero.  At any
+        other shift no term of T meets the stalk, so the module is 0."""
         profile = {}
         image0 = None
-        for i in range(min(-t.hi, 0), max(-t.lo, 0) + 1):
+        for i in sorted({-d for d in self.complex.degrees()} | {0}):
             h = self.f_homology(x, i)
             profile[i] = list(h.dim_vector())
             if i == 0:

@@ -1,12 +1,13 @@
 """Path-algebra construction checked against an independent brute-force
 enumeration of words modulo the relations."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from tiltbench import corpus
-from tiltbench.algebra import build_path_algebra
+from tiltbench.algebra import BasicAlgebra, build_path_algebra, length_filtration
 from tiltbench.errors import NotAdmissible, TiltbenchError
 from tiltbench.quiver import Path, Quiver, monomial_relation, relation_from_words
 
@@ -163,3 +164,18 @@ def test_relation_sums_repeated_paths_before_its_nonzero_check():
     assert r.terms == ((1, Path("1", ("c", "d"))), (3, Path("1", ("a", "b"))))
     assert type(r.terms[0][0]) is int
     assert build_path_algebra(square, [r]).dim == 9
+
+
+def test_a_path_outside_the_rewrite_data_is_refused():
+    """The reducer reads a path that is not a normal form in the rewrite
+    data, directly or through its prefix; a table without it is refused."""
+    a = corpus.fig1_algebra()
+    basis, rewrite, nil_length, _ = length_filtration(a.quiver, a.relations)
+    n = min(n for n, table in rewrite.items() if table)
+    lead = next(iter(rewrite[n]))
+    cut = BasicAlgebra(a.quiver, a.relations, basis, {**rewrite, n: {}}, nil_length)
+    with pytest.raises(TiltbenchError, match=re.escape(f"raw path {lead} not covered by rewrite data")):
+        cut._reduce_raw(lead)
+    # with the table it is read there
+    full = BasicAlgebra(a.quiver, a.relations, basis, rewrite, nil_length)
+    assert full._reduce_raw(lead) == rewrite[n][lead]

@@ -8,9 +8,13 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 import tiltbench
+from tiltbench import algebra
 from tiltbench.cli import main
+from tiltbench.errors import NotAdmissible
+from tiltbench.quiver import Quiver
 
 CORPUS = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "corpus"))
 # The directory holding the tiltbench this process imported; the child runs in
@@ -467,8 +471,8 @@ def test_max_path_len_below_one_exits_two_and_one_is_enough_without_arrows(tmp_p
 
 def test_non_admissible_algebra_exits_two_in_bounded_memory(tmp_path):
     """sec5_A without its first relation (alphap alpha) is not admissible.
-    Its path algebra is reduced on sparse rows, so giving up at length 14
-    stays within 512 MB of address space and 15 s."""
+    Each length eliminates over at most 10 normal-form columns, so giving up
+    at length 14 stays within 512 MB of address space and 15 s."""
     with open(os.path.join(CORPUS, "sec5_A.json")) as fh:
         payload = json.load(fh)
     del payload["relations"][0]
@@ -483,6 +487,50 @@ def test_non_admissible_algebra_exits_two_in_bounded_memory(tmp_path):
     )
     assert code == 2, err
     assert "normal-form paths still survive" in err
+
+
+def _main_in_process(*argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_column_cap_bounds_normal_forms_times_arrows(tmp_path, monkeypatch):
+    """Two loops at one vertex and no relations: every path is a normal
+    form, so with the cap at 64 the 128 columns of length 7 exceed it, in
+    the library and through the CLI, which exits 2."""
+    monkeypatch.setattr(algebra, "COLUMN_CAP", 64)
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    message = "more than 64 normal-form columns at length 7"
+    try:
+        algebra.build_path_algebra(q, [])
+    except NotAdmissible as exc:
+        assert str(exc) == message
+    else:
+        raise AssertionError("two free loops were admitted")
+    arrows = [{"name": a, "from": "1", "to": "1"} for a in ("x", "y")]
+    path = tmp_path / "two_loops.json"
+    path.write_text(json.dumps({"format": 1, "quiver": {"vertices": ["1"], "arrows": arrows}, "relations": []}))
+    assert _main_in_process("alg", "check", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_a_non_admissible_algebra_with_few_normal_forms_stays_under_the_column_cap(tmp_path, monkeypatch):
+    """sec5_A without its first relation has at most 10 columns at each
+    length, so with the cap at 50, where 68 raw paths of length 6 used to
+    exceed it, it still ends on the max_path_len bound, in under a second."""
+    monkeypatch.setattr(algebra, "COLUMN_CAP", 50)
+    with open(os.path.join(CORPUS, "sec5_A.json")) as fh:
+        payload = json.load(fh)
+    del payload["relations"][0]
+    path = tmp_path / "sec5_A_not_admissible.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, out, err = _main_in_process("alg", "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: normal-form paths still survive at length 30; raise max_path_len or fix the relations\n"
 
 
 # replacement values of the mutation test; _DELETE removes the node instead

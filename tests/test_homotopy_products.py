@@ -68,7 +68,8 @@ def test_the_set_has_null_homotopies():
 @pytest.mark.parametrize("name", NAMES)
 def test_homotopy_vectors_match_the_dense_system(name):
     _, _, t = _case(name)
-    for n in range(-t.width() - 1, t.width() + 2):
+    width = t.hi - t.lo
+    for n in range(-width - 1, width + 2):
         target = t.shift(n)
         space = HomotopySpace(t, target)
         ref = DenseHomotopy(t, target)

@@ -9,7 +9,14 @@ from module_maps import flatten_map, hom_from_projective_sum
 from tiltbench import corpus
 from tiltbench.complexes import HomotopySpace, ProjComplex, regular_stalk
 from tiltbench.complex_decomp import complexes_isomorphic
-from tiltbench.errors import DSquaredNonzero, NotConcentrated, NotTilting, PreconditionFailed, TiltbenchError
+from tiltbench.errors import (
+    DSquaredNonzero,
+    NotConcentrated,
+    NotSelfOrthogonal,
+    NotTilting,
+    PreconditionFailed,
+    TiltbenchError,
+)
 from tiltbench.presentation import presentations_match
 from tiltbench.quiver import Quiver, path_from_arrows, relation_from_words
 from tiltbench.algebra import build_path_algebra, el_to_vector
@@ -688,8 +695,39 @@ def test_context_builds_each_self_hom_once(monkeypatch):
     monkeypatch.setattr(HomotopySpace, "__init__", counted)
     ctx.tilting_report()
     ctx.end_data()
-    assert len(builds) == 2 * t.width() + 1
+    # degrees -1, 0, 1: the shifts -2 to 2
+    assert sorted(builds) == [-3, -2, -1, 0, 1]
     assert set(builds.values()) == {1}
+
+
+def test_a_gap_in_the_degrees_builds_a_space_only_at_their_differences(monkeypatch):
+    """fig1's T plus P(1) at degree 10^4: Hom(T, T[n]) has a degree-0 map
+    only when n is a difference of two degrees of T, so verify_tilting and
+    end_data build at most |degrees|^2 homotopy spaces, not one per shift
+    between -10^4 - 1 and 10^4 + 1, and report only those shifts."""
+    from tiltbench import tilting
+
+    a = corpus.fig1_algebra()
+    far = 10**4
+    t = corpus.fig1_tilting_complex(a).direct_sum(ProjComplex(a, {far: ["1"]}, {}))
+    shifts = [-far - 1, -far, -1, 1, far, far + 1]
+    calls = []
+    homotopy_hom = tilting.homotopy_hom
+
+    def counted(x, y, n=0):
+        calls.append(n)
+        return homotopy_hom(x, y, n)
+
+    monkeypatch.setattr(tilting, "homotopy_hom", counted)
+    report = verify_tilting(t)
+    assert list(report.self_orthogonal) == shifts and not report.self_orthogonal_ok
+    assert sorted(calls) == shifts
+    calls.clear()
+    ctx = TiltingContext(a, t)
+    assert list(ctx.tilting_report().self_orthogonal) == shifts
+    with pytest.raises(NotSelfOrthogonal):
+        ctx.end_data()
+    assert sorted(calls) == sorted(shifts + [0]) and len(calls) <= len(t.degrees()) ** 2
 
 
 def test_context_builds_no_space_for_stalk_components(monkeypatch):
@@ -706,11 +744,11 @@ def test_context_builds_no_space_for_stalk_components(monkeypatch):
     monkeypatch.setattr(HomotopySpace, "__init__", counted)
     ctx.tilting_report()
     ctx.end_data()
-    # T -> T[n] for each n in [-width, width], and End of the one support
-    # component P(1) -> P(2) -> P(3); the stalks P(1)[1], P(3)[-1] and
-    # P(4)[-1] are indecomposable without one
+    # T -> T[n] for each n in [-2, 2], the differences of T's degrees, and
+    # End of the one support component P(1) -> P(2) -> P(3); the stalks
+    # P(1)[1], P(3)[-1] and P(4)[-1] are indecomposable without one
     others = [x for x in builds if x is not t]
-    assert len(builds) - len(others) == 2 * t.width() + 1
+    assert len(builds) - len(others) == 5
     assert [{d: x.term(d) for d in x.degrees()} for x in others] == [{-1: ["1"], 0: ["2"], 1: ["3"]}]
 
 
