@@ -17,7 +17,7 @@ re-checkable witness.  The layers, bottom up:
                 list of summand copies, each with an inclusion and a
                 projection; one isomorphism test for modules and complexes
                 (match the summands, invert the assembled map once)
-  approx        minimal right/left approximations by projectives
+  approx        minimal right/left approximations by projectives, and their tower
   complexes     bounded complexes of projectives, homotopy homs, minimization
   complex_decomp  idempotent splitting and isomorphism of radical complexes
   presentation  quivers with relations recovered from abstract algebras

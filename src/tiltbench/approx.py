@@ -17,6 +17,11 @@ summand i and path p: v -> w_i, so the left certificate, Hom(g, P(v))
 onto, is that the chosen maps into P(w_i) followed by prepending p, trivial
 paths included, span a space as large as Hom(X, P(v)).
 Both certificates are checked before returning.
+
+``approximation_tower`` repeats an approximation on what it leaves over, a
+kernel or a cokernel; both sides of ``tilting.construct_tpq`` read it, and
+with every label and right approximations it is the minimal projective
+resolution, its rests the syzygies.
 """
 
 from __future__ import annotations
@@ -104,3 +109,20 @@ def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representatio
         if len(sparse_row_space(spanned)) != len(homs[v]):
             raise TiltbenchError(f"left approximation not surjective on Hom(-, P({v}))")
     return out_labels, g
+
+
+def approximation_tower(approximate, leftover, a: BasicAlgebra, labels, x: Representation, steps: int):
+    """Up to ``steps`` (term, d, rest), stopping at an empty term: term is
+    the ``ProjSum`` of ``approximate``, a minimal approximation above, at x
+    and then at each rest; d is its map to the term before (from it, on the
+    left), the first d to or from x; rest is ``leftover``, ``kernel_of`` or
+    ``cokernel_of``, of the approximation."""
+    link = None  # the rest's inclusion into the term before, or the projection of that term onto the rest
+    for _ in range(steps):
+        term_labels, f = approximate(a, labels, x)
+        if not term_labels:
+            return
+        # an inclusion leaves the rest and a projection enters it
+        d = f if link is None else f.then(link) if link.source is x else link.then(f)
+        x, link = leftover(f)
+        yield ProjSum(a, term_labels), d, x

@@ -9,7 +9,8 @@ The central objects:
   with generation either inherited from the construction or reported as a
   necessary condition only;
 * ``construct_tpq``: the two-sided approximation construction producing a
-  tilting complex from a pair of stable projectives P, Q with Hom(P, Q) = 0;
+  tilting complex from a pair of stable projectives P, Q with Hom(P, Q) = 0,
+  each side read off one ``approx.approximation_tower``;
 * ``check_iterated_nu_stable``: the term criterion (off-degree summands avoid
   every unstable projective; each unstable projective occurs exactly once in
   degree zero);
@@ -34,6 +35,7 @@ from collections import namedtuple
 
 from .algebra import BasicAlgebra, EndomorphismAlgebra
 from .approx import (
+    approximation_tower,
     minimal_left_approximation_labeled,
     minimal_right_approximation_labeled,
 )
@@ -311,43 +313,20 @@ def construct_tpq(
     if _hom_nonzero(a, p_labels, q_labels):
         raise PreconditionFailed("Hom(P, Q) = 0")
 
-    reg_labels = list(a.quiver.vertices)
-    reg_sum = ProjSum(a, reg_labels)
-    terms = {0: reg_labels}
+    # a side's i-th term sits in degree sign * i, its d between that degree and the one nearer 0
+    sums = {0: ProjSum(a, a.quiver.vertices)}
     diffs = {}
-
-    # negative side: iterated right approximations of kernels
-    target = reg_sum.rep
-    incl = None  # inclusion of the current kernel into the previous term
-    prev_sum = reg_sum
-    for i in range(1, r + 1):
-        labels_i, f_i = minimal_right_approximation_labeled(a, p_labels, target)
-        if not labels_i:
-            break
-        cur_sum = ProjSum(a, labels_i)
-        to_prev = f_i if incl is None else f_i.then(incl)
-        diffs[-i] = extract_entry_map(cur_sum, prev_sum, to_prev).rows
-        terms[-i] = labels_i
-        target, incl = kernel_of(f_i)
-        prev_sum = cur_sum
-
-    # positive side: iterated left approximations of cokernels
-    source = reg_sum.rep
-    proj_map = None
-    prev_sum = reg_sum
-    for i in range(1, s + 1):
-        labels_i, g_i = minimal_left_approximation_labeled(a, q_labels, source)
-        if not labels_i:
-            break
-        cur_sum = ProjSum(a, labels_i)
-        from_prev = g_i if proj_map is None else proj_map.then(g_i)
-        diffs[i - 1] = extract_entry_map(prev_sum, cur_sum, from_prev).rows
-        terms[i] = labels_i
-        source, proj_map = cokernel_of(g_i)
-        prev_sum = cur_sum
-
-    t_pq = ProjComplex(a, terms, diffs)
-    raw = t_pq
+    sides = (
+        (-1, minimal_right_approximation_labeled, kernel_of, p_labels, r),
+        (1, minimal_left_approximation_labeled, cokernel_of, q_labels, s),
+    )
+    for sign, approximate, leftover, labels, steps in sides:
+        tower = approximation_tower(approximate, leftover, a, labels, sums[0].rep, steps)
+        for i, (term, d, _) in enumerate(tower, 1):
+            sums[sign * i] = term
+            lo = min(sign * i, sign * (i - 1))
+            diffs[lo] = extract_entry_map(sums[lo], sums[lo + 1], d).rows
+    raw = ProjComplex(a, {k: term.labels for k, term in sums.items()}, diffs)
     if p_labels:
         raw = raw.direct_sum(stalk_complex(a, p_labels, -r))
     if q_labels:
@@ -355,9 +334,7 @@ def construct_tpq(
     if not raw.d_squared_is_zero():
         raise TiltbenchError("assembled complex does not square to zero")
     reduced, _ = minimize(raw)
-    return ConstructedTilting(
-        complex=reduced, raw=raw, p_labels=p_labels, q_labels=q_labels, r=r, s=s
-    )
+    return ConstructedTilting(complex=reduced, raw=raw, p_labels=p_labels, q_labels=q_labels, r=r, s=s)
 
 
 def _hom_nonzero(a: BasicAlgebra, p_labels, q_labels) -> bool:

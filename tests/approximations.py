@@ -2,14 +2,26 @@
 kept for tests: each projective built by appending arrows to its paths and
 summed by ``direct_sum``, which ``reps.ProjSum`` is tested against, and the
 approximations by hom-space solves and module maps, which the Yoneda route
-of ``approx`` is tested against."""
+of ``approx`` is tested against.  Also Ext by dimension shifting along
+``approx.approximation_tower``, for the Gabriel-Bongartz and derived
+equivalence checks."""
 
 from module_maps import flatten_map
 
+from tiltbench.approx import approximation_tower, minimal_right_approximation_labeled
 from tiltbench.errors import TiltbenchError
 from tiltbench.linalg import Basis, Matrix, sparse_row_space
 from tiltbench.quiver import Path
-from tiltbench.reps import EntryMap, ModuleMap, ProjSum, Representation, hom_space, realize_entry_map, zero_rep
+from tiltbench.reps import (
+    EntryMap,
+    ModuleMap,
+    ProjSum,
+    Representation,
+    hom_space,
+    kernel_of,
+    realize_entry_map,
+    zero_rep,
+)
 
 
 def projective_by_appending(a, v) -> Representation:
@@ -134,3 +146,25 @@ def left_approximation(a, labels, x):
         if len(sparse_row_space(dict(enumerate(flatten_map(c))) for c in comps)) != len(homs[v]):
             raise TiltbenchError(f"left approximation not surjective on Hom(-, P({v}))")
     return out_labels, g
+
+
+def projective_resolution(x, steps):
+    """The approximation tower of x with every vertex label and right
+    approximations: the minimal projective resolution, (P_k, d, syzygy
+    Omega^(k+1) x) for k = 0, 1, ..., stopping after the first syzygy 0."""
+    a = x.algebra
+    return approximation_tower(minimal_right_approximation_labeled, kernel_of, a, a.quiver.vertices, x, steps)
+
+
+def ext_dims(x, y, n):
+    """[dim Ext^k(x, y) for k = 0..n] by dimension shifting: Hom(-, y) on
+    0 -> Omega^k x -> P_(k-1) -> Omega^(k-1) x -> 0 gives, for k >= 1,
+    dim Ext^k = dim Hom(Omega^k x, y) - dim Hom(P_(k-1), y) + dim Hom(Omega^(k-1) x, y),
+    with Omega^0 x = x and dim Hom(P(v), y) = dim y(v)."""
+    homs, tops = [len(hom_space(x, y))], []  # dim Hom(Omega^k x, y) and dim Hom(P_k, y)
+    for term, _, syzygy in projective_resolution(x, n):
+        tops.append(sum(y.dims.get(v, 0) for v in term.labels))
+        homs.append(len(hom_space(syzygy, y)))
+    homs += [0] * (n + 1 - len(homs))
+    tops += [0] * (n - len(tops))
+    return homs[:1] + [homs[k] - tops[k - 1] + homs[k - 1] for k in range(1, n + 1)]

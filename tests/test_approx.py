@@ -1,17 +1,38 @@
 import random
+from collections import Counter
 
 import pytest
-from approximations import left_approximation, projective_by_appending, projective_sum, right_approximation
+from approximations import (
+    ext_dims,
+    left_approximation,
+    projective_by_appending,
+    projective_resolution,
+    projective_sum,
+    right_approximation,
+)
+from kupisch import all_kupisch_series, nakayama_indecomposables
 
 from tiltbench import approx, corpus, tilting
+from tiltbench.algebra import build_path_algebra, length_filtration
 from tiltbench.approx import (
     minimal_left_approximation_labeled,
     minimal_right_approximation_labeled,
 )
 from tiltbench.errors import PreconditionFailed, TiltbenchError
 from tiltbench.linalg import _sparse, sparse_row_space
-from tiltbench.reps import ProjSum, kernel_of, projective, radical_submodule, regular_module, simple
-from tiltbench.tilting import construct_tpq
+from tiltbench.quiver import Quiver
+from tiltbench.reps import (
+    ProjSum,
+    hom_space,
+    injective,
+    kernel_of,
+    projective,
+    radical_submodule,
+    regular_module,
+    simple,
+    top,
+)
+from tiltbench.tilting import TiltingContext, construct_tpq
 
 
 def test_right_approx_of_projective_by_itself_is_identity_sized():
@@ -125,6 +146,8 @@ def test_construct_tpq_equals_the_hom_space_route(monkeypatch):
         (k3333, ["1", "3"], [], 2, 1),
         (k3333, [], ["2", "4"], 1, 2),
         (k3333, ["1"], [], 1, 1),  # add(P) is not add(nu P)
+        (k3333, ["1", "2", "3", "4"], [], 3, 1),  # the tower stops after one term: raw degrees -3, -1, 0
+        (k3333, [], ["1", "2", "3", "4"], 1, 3),  # raw degrees 0, 1, 3
         (k344, ["2"], [], 1, 1),
         (k344, [], ["2", "3"], 1, 1),
     ]
@@ -167,3 +190,78 @@ def test_certificate_fails_without_a_chosen_generator(monkeypatch, approximate, 
     monkeypatch.setattr(approx, "_choose_generators", drop_one)
     with pytest.raises(TiltbenchError, match="not surjective"):
         approximate(a, labels, reg)
+
+
+def _modules(a):
+    """Simples, projectives and injectives of a, and its regular module."""
+    verts = a.quiver.vertices
+    return [f(a, v) for f in (simple, projective, injective) for v in verts] + [regular_module(a)]
+
+
+def test_the_towers_of_construct_tpq_stop_at_an_empty_term():
+    """With P or Q all of a self-injective Nakayama algebra, the first
+    approximation is the identity of A and the tower stops after it."""
+    k3333 = corpus.kupisch_algebra([3, 3, 3, 3])
+    verts = k3333.quiver.vertices
+    right = construct_tpq(k3333, verts, [], 3, 1)
+    assert sorted(right.raw.terms) == [-3, -1, 0] and right.complex.terms == {-3: list(verts)}
+    assert sorted(construct_tpq(k3333, [], verts, 1, 3).raw.terms) == [0, 1, 3]
+
+
+def test_projective_resolution_terms_are_the_tops():
+    """Each term of the tower with every label is the projective cover of
+    what it approximates, so its labels are that module's top; the tower of
+    a projective stops after one term, with kernel 0."""
+    algebras = [corpus.fig1_algebra(), corpus.sec5_algebra(), corpus.kupisch_algebra([2, 3, 3])]
+    terms = 0
+    for a in algebras:
+        for x in _modules(a) + nakayama_indecomposables(a):
+            before = x
+            for term, _, syzygy in projective_resolution(x, 4):
+                assert Counter(term.labels) == Counter({v: d for v, d in top(before)[0].dims.items() if d})
+                before = syzygy
+                terms += 1
+        for v in a.quiver.vertices:
+            ((term, _, syzygy),) = projective_resolution(projective(a, v), 3)
+            assert term.labels == [v] and syzygy.total_dim() == 0
+    assert terms > 100
+
+
+def test_ext_by_dimension_shifting_known_values():
+    """Ext^0 is Hom, and over the hereditary linear A3 and Kronecker quivers
+    Ext^2 vanishes while Ext^1 does not."""
+    linear_a3 = build_path_algebra(Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]), [])
+    kronecker = build_path_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [])
+    for a in (linear_a3, kronecker):
+        modules = _modules(a)
+        exts = [ext_dims(x, y, 2) for x in modules for y in modules]
+        assert all(e[2] == 0 for e in exts) and any(e[1] for e in exts)
+    assert ext_dims(simple(kronecker, "1"), simple(kronecker, "2"), 1) == [0, 2]
+    for a in (corpus.sec5_algebra(), corpus.kupisch_algebra([2, 3, 3])):
+        modules = _modules(a)
+        assert all(ext_dims(x, y, 0) == [len(hom_space(x, y))] for x in modules for y in modules)
+
+
+def test_gabriel_bongartz_ext_of_simples_counts_arrows_and_kept_relations():
+    """dim Ext^1(S_i, S_j) is the number of arrows i -> j, and dim
+    Ext^2(S_i, S_j) the number of relations i -> j in a minimal generating
+    set of the ideal (Bongartz, J. LMS 28, 1983): those ``length_filtration``
+    keeps, not the input list.  On the corpus, every Kupisch series with at
+    most 3 vertices, and two presented endomorphism algebras of tilting
+    complexes."""
+    algebras = [corpus.fig1_algebra(), corpus.fig2_algebra(), corpus.sec5_algebra(), corpus.sec5_b_algebra()]
+    algebras += [corpus.kupisch_algebra(series) for series in all_kupisch_series(max_vertices=3)]
+    for a, p, q in ((corpus.sec5_algebra(), ["1"], ["3", "4"]), (corpus.kupisch_algebra([4, 5, 5, 5]), ["2"], [])):
+        ctx = TiltingContext(a, construct_tpq(a, p, q).complex, proved_by_construction=True)
+        algebras.append(ctx.end_data().presentation.algebra)
+    pairs = not_minimal = 0
+    for a in algebras:
+        kept = length_filtration(a.quiver, a.relations)[3]
+        not_minimal += len(kept) < len(a.relations)
+        for i in a.quiver.vertices:
+            for j in a.quiver.vertices:
+                arrows = sum(ar.source == i and ar.target == j for ar in a.quiver.arrows)
+                relations = sum(r.source == i and r.target == j for r in kept)
+                assert ext_dims(simple(a, i), simple(a, j), 2)[1:] == [arrows, relations], (a.quiver, i, j)
+                pairs += 1
+    assert (len(algebras), pairs) == (44, 374) and not_minimal > 0

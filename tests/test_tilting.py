@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from approximations import ext_dims
 from kupisch import all_kupisch_series, nakayama_indecomposables, seeded_kupisch_series
 from module_maps import flatten_map, hom_from_projective_sum
 
@@ -487,6 +488,38 @@ def test_f_homology_on_every_nakayama_indecomposable():
             except NotConcentrated:
                 not_concentrated += 1
     assert (answered, not_concentrated) == (10, 34)
+
+
+def test_the_derived_equivalence_keeps_ext_between_concentrated_images():
+    """F = RHom(T, -) is a derived equivalence, so Ext^n_A(X, Y) =
+    Ext^n_B(FX, FY) whenever FX and FY are modules in degree 0.  Over 24
+    Kupisch series drawn with a seed, T = construct_tpq(A, P, [], 1, 1) for P
+    the sigma-orbit of a drawn vertex of E (none when E is empty), for every
+    pair of indecomposables whose images are concentrated, n <= 2."""
+    rng = random.Random(1)
+    steps = pairs = ext1 = ext2 = 0
+    for series in rng.sample(all_kupisch_series(), 24):
+        a = corpus.kupisch_algebra(series)
+        report = maximal_nu_stable(a)
+        if not report.e_labels:
+            continue
+        orbit = [rng.choice(report.e_labels)]
+        while report.nu_image[orbit[-1]] != orbit[0]:
+            orbit.append(report.nu_image[orbit[-1]])
+        ctx = TiltingContext(a, construct_tpq(a, orbit, [], 1, 1).complex, proved_by_construction=True)
+        images = []
+        for x in nakayama_indecomposables(a):
+            try:
+                images.append((x, ctx.stable_image(x).module))
+            except NotConcentrated:
+                pass
+        for x, fx in images:
+            for y, fy in images:
+                exts = ext_dims(x, y, 2)
+                assert ext_dims(fx, fy, 2) == exts, (series, orbit)
+                ext1, ext2 = ext1 + bool(exts[1]), ext2 + bool(exts[2])
+        steps, pairs = steps + 1, pairs + len(images) ** 2
+    assert (steps, pairs) == (18, 291) and ext1 > 0 and ext2 > 0
 
 
 def test_f_homology_builds_no_dense_matrix(monkeypatch):
