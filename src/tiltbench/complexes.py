@@ -319,25 +319,32 @@ def _differential(x: ProjComplex, y: ProjComplex, n: int):
     path k of the sandwich y^(d+n)_j -> x^d_i, in that order.  For each one
     this yields the term and D(e) = e·d_y - (-1)^n d_x·e ("e then d_y" minus
     the sign times "d_x then e", as ``EntryMap.then`` composes), as
-    {degree-(n+1) term: c} with nonzero entries only."""
+    {degree-(n+1) term: c} with nonzero entries only.
+
+    e·d_y reads row j of d_y and d_x·e column i of d_x, and a zero entry
+    gives no term, so each degree lists the nonzero entries of every row of
+    d_y and every column of d_x once, and a basis map multiplies only
+    those, in the order of the slots."""
     alg = x.algebra
     sign = -1 if n % 2 == 0 else 1  # -(-1)^n, the coefficient of d_x·e
     for d in sorted(x.terms):
         src, tgt = x.term(d), y.term(d + n)
         if not tgt:
             continue
-        dy = y.diff(d + n).rows  # y^(d+n) -> y^(d+n+1)
-        dx = x.diff(d - 1).rows  # x^(d-1) -> x^d
-        after = range(len(y.term(d + n + 1)))
-        before = range(len(x.term(d - 1)))
+        after = [[] for _ in tgt]  # after[j]: (m, d_y entry) along row j of y^(d+n) -> y^(d+n+1)
+        for j, m, entry in y.diff(d + n).nonzero():
+            after[j].append((m, entry))
+        before = [[] for _ in src]  # before[i]: (ip, d_x entry) along column i of x^(d-1) -> x^d
+        for ip, i, entry in x.diff(d - 1).nonzero():
+            before[i].append((ip, entry))
         for i in range(len(src)):
             for j in range(len(tgt)):
                 for k in alg.paths_between(tgt[j], src[i]):
                     # e·d_y sits at degree d and d_x·e at degree d - 1, so no
                     # two of these terms share a key
-                    image = {(d, i, m, kk): c for m in after for kk, c in alg.mul(dy[j][m], {k: 1}).items()}
-                    for ip in before:
-                        for kk, c in alg.mul({k: 1}, dx[ip][i]).items():
+                    image = {(d, i, m, kk): c for m, entry in after[j] for kk, c in alg.mul(entry, {k: 1}).items()}
+                    for ip, entry in before[i]:
+                        for kk, c in alg.mul({k: 1}, entry).items():
                             image[(d - 1, ip, j, kk)] = sign * c
                     yield (d, i, j, k), image
 

@@ -365,18 +365,20 @@ def sparse_left_kernel(rows) -> list:
     return sparse_kernel(columns.values(), len(rows))
 
 
-def sparse_row_space(rows) -> list:
+def sparse_row_space(rows, rank=None) -> list:
     """The nonzero rows of the RREF of a sparse matrix, in order, as
     ``{column: scalar}`` dicts with increasing columns.  ``rows`` are
-    ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``."""
-    return sparse_rref(rows)[0]
+    ``{column: entry}`` dicts, eliminated by ``_sparse_echelon``.  With a
+    rank known to bound the span's dimension, the rows after the one that
+    reaches it are not read, so a lazy ``rows`` does not form them."""
+    return sparse_rref(rows, rank)[0]
 
 
-def sparse_rref(rows) -> tuple:
+def sparse_rref(rows, rank=None) -> tuple:
     """(rref, raised): the rows of ``sparse_row_space`` and, from the same
     elimination, the indices of the rows independent of the rows before
     them, in increasing order."""
-    echelon, _, raised = _sparse_echelon(rows)
+    echelon, _, raised = _sparse_echelon(rows, rank)
     out = []
     for c, tail, _ in sorted(echelon, key=lambda e: e[0]):
         row = {c: 1}
@@ -386,11 +388,12 @@ def sparse_rref(rows) -> tuple:
     return out, raised
 
 
-def _sparse_echelon(rows):
+def _sparse_echelon(rows, rank=None):
     """(echelon, position, raised): the reduced row echelon form of the
     sparse rows as (pivot column, RREF row without its pivot entry 1, None)
     in the order the pivots were found, pivot column -> index in echelon,
-    and the indices of the rows that raised the rank, in order.
+    and the indices of the rows that raised the rank, in order.  Reading
+    stops once the echelon has ``rank`` rows.
 
     Each row is reduced by ``_reduce`` against the echelon rows found so far,
     and what is left of it, when nonzero, is appended monic, its first column
@@ -406,6 +409,8 @@ def _sparse_echelon(rows):
         if rest:
             _push(echelon, position, rest)
             raised.append(k)
+            if len(echelon) == rank:
+                break
     for _, tail, _ in reversed(echelon):
         _reduce(tail, echelon, position)
     return echelon, position, raised

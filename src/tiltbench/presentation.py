@@ -8,28 +8,35 @@ component x into its x e_j.  Each split takes the products in cyclic order
 from where the last one found a part and stops once the parts sum to the
 element: the e_i sum to 1 and A is the direct sum of the e_i A (and of the
 A e_j), so the products not taken are 0.  Each block is kept as the sparse
-RREF rows of ``linalg.sparse_row_space``, and a block no part reaches takes
-no elimination.  The radical candidate R has R_ij = e_i A e_j for i != j
-and R_ii = ker chi_i, where chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i);
-and (R^2)_ij = sum over l of R_il R_lj, taken only over the l where both
-blocks are nonzero, with one elimination per block that some product
-reaches.  No full trace form, no product over all pairs of radical rows and
+RREF rows of ``linalg.sparse_row_space``; a block no part reaches takes no
+elimination, and a block of one row is only made monic.  The radical
+candidate R has R_ij = e_i A e_j for i != j and R_ii = ker chi_i, where
+chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i); and (R^2)_ij = sum over l
+of R_il R_lj, taken only over the l where both blocks are nonzero, with one
+elimination per block that some product reaches.  Off the diagonal every
+such product lies in e_i A e_j = R_ij, so a block with R_ij = 0 takes no
+product, and a block whose products span R_ij takes no more: the rest add
+nothing.  The diagonal blocks take every product, for the check that they
+lie in R.  No full trace form, no product over all pairs of radical rows and
 no power of R past the square is formed.
 
 Arrows i -> j lift a basis of R_ij modulo (R^2)_ij, read from the RREF bases
-of the two blocks.  The paths, evaluated one length at a time up to the
-first length L at which all are 0, give every rad^k and the nilpotency
-index L (``quiver_presentation`` states why), and the candidate relations
-are the left kernels of each length's elements.  One
+of the two blocks; a block where (R^2)_ij fills R_ij has none, and one where
+it is 0 lifts R_ij's rows.  The paths, evaluated one length at a time up to
+the first length L at which all are 0, give every rad^k and the nilpotency
+index L (``quiver_presentation`` states why); a path from i times an arrow
+into j != i is 0 without a product where e_i A e_j is.  The candidate
+relations are the left kernels of each length's elements.  One
 ``algebra.length_filtration`` of the ideal I the candidates generate both
 prunes them and rebuilds the path algebra: at each length n it eliminates
 arrow * I_(n-1) and then the candidates of length n once, on the normal
 forms of length n - 1 followed by an arrow, and keeps a candidate only
 when it raises the rank, a minimal generating set found greedily by
 increasing length.  The result is certified by comparing the dimension of
-the rebuilt path algebra; only ideals with length-homogeneous generators
-are supported (the rebuild certifies that this suffices for the input at
-hand).  ``relation_ideals_equal`` compares the RREF rows of one such
+the rebuilt path algebra, and each dim e_i A e_j when the caller knows it,
+as ``end_data`` does from the Euler form; only ideals with
+length-homogeneous generators are supported (the rebuild certifies that
+this suffices for the input at hand).  ``relation_ideals_equal`` compares the RREF rows of one such
 filtration of each side.
 """
 
@@ -39,7 +46,7 @@ from collections import namedtuple
 
 from .algebra import BasicAlgebra, FiniteDimAlgebra, abstract_from_table, el_scale, el_sub, length_filtration
 from .decompose import primitive_idempotents
-from .errors import NotBasic, PresentationError, RadicalNotNilpotent, TiltbenchError
+from .errors import InternalDisagreement, NotBasic, PresentationError, RadicalNotNilpotent, TiltbenchError
 from .linalg import Basis, div, frac, sparse_left_kernel, sparse_row_space
 from .quiver import Path, Quiver, Relation, longer_paths
 
@@ -56,39 +63,58 @@ class Presentation(
 
 
 def _block_product(alg: FiniteDimAlgebra, left, right):
-    """Peirce blocks of X * Y, as RREF elements, from those of X and Y:
-    (XY)_ij = sum_l X_il Y_lj over the l with both blocks nonzero.  Each
-    nonzero block takes one elimination, of its products in the order of l;
-    a block no product reaches stays empty without one."""
+    """Peirce blocks of R * R, as RREF elements, from those of the radical
+    candidate R of ``radical_chain``, given as both left and right factor:
+    (R^2)_ij = sum_l R_il R_lj over the l with both blocks nonzero, each
+    block one elimination of its products in the order of l.
+
+    Off the diagonal R_ij is all of e_i A e_j, which holds every product of
+    e_i A e_l with e_l A e_j.  So a block with R_ij = 0 takes no product,
+    and a block stops taking products once they span len(R_ij) dimensions:
+    then they span R_ij, and the products not taken add nothing to the span
+    nor to its RREF rows.  The diagonal blocks take every product, since
+    ``radical_chain`` has yet to check that they lie in R."""
     nonzero_right = [[(j, block) for j, block in enumerate(line) if block] for line in right]
     out = []
-    for line in left:
-        products = {}  # j -> products of (XY)_ij
+    for i, line in enumerate(left):
+        factors = {}  # j -> [(R_il, R_lj)] over the l with both blocks nonzero
         for l, block in enumerate(line):
             if block:
                 for j, other in nonzero_right[l]:
-                    products.setdefault(j, []).extend(alg.mul(x, y) for x in block for y in other)
+                    factors.setdefault(j, []).append((block, other))
         row = [[] for _ in line]
-        for j, rows in products.items():
-            row[j] = sparse_row_space(rows)
+        for j, pairs in factors.items():
+            rank = None if i == j else len(line[j])
+            if rank != 0:
+                products = (alg.mul(x, y) for block, other in pairs for x in block for y in other)
+                row[j] = sparse_row_space(products, rank)
         out.append(row)
     return out
 
 
 def _components(x, idems, product, start):
     """[(i, product(e_i, x))] over the nonzero products, i taken cyclically
-    from start, stopping once they sum to x.  The e_i sum to 1 and the sum
-    of their images is direct, so the products not taken are 0."""
+    from start, stopping once a part equals what the parts before it leave
+    of x.  The e_i sum to 1 and the sum of their images is direct, so the
+    products not taken are 0."""
     n, rest, out = len(idems), x, []
     for step in range(n):
         i = (start + step) % n
         part = product(idems[i], x)
         if part:
             out.append((i, part))
-            rest = el_sub(rest, part)
-            if not rest:
+            if part == rest:
                 break
+            rest = el_sub(rest, part)
     return out
+
+
+def _monic(row):
+    """The RREF of one nonzero sparse row, as ``sparse_row_space`` gives it:
+    columns increasing, the first entry 1."""
+    columns = sorted(row)
+    pivot = row[columns[0]]
+    return {j: div(row[j], pivot) for j in columns}
 
 
 def _peirce_pieces(alg: FiniteDimAlgebra, idems):
@@ -96,7 +122,8 @@ def _peirce_pieces(alg: FiniteDimAlgebra, idems):
     over the basis elements b.  Each b is split into its components e_i b
     and each component x into its x e_j by ``_components``, each search
     starting where the last one found a part, so an element in one Peirce
-    block costs one product per side."""
+    block costs one product per side.  A block of one row is made monic
+    without an elimination."""
     n = len(idems)
     rows = [[[] for _ in range(n)] for _ in range(n)]
     i = j = 0  # where the last left and right searches found a part
@@ -104,7 +131,9 @@ def _peirce_pieces(alg: FiniteDimAlgebra, idems):
         for i, x in _components({k: 1}, idems, alg.mul, i):
             for j, y in _components(x, idems, lambda f, z: alg.mul(z, f), j):
                 rows[i][j].append(y)
-    return [[sparse_row_space(block) if block else [] for block in line] for line in rows]
+    return [
+        [sparse_row_space(block) if len(block) > 1 else [_monic(x) for x in block] for block in line] for line in rows
+    ]
 
 
 def radical_chain(alg: FiniteDimAlgebra, idempotents):
@@ -158,7 +187,16 @@ def radical_chain(alg: FiniteDimAlgebra, idempotents):
     return rad, rad2
 
 
-def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation:
+def _check_cartan(found, expected, what: str):
+    """Raise InternalDisagreement unless the n x n matrices agree, naming
+    the first entry (i, j) where the dimensions of e_i A e_j differ."""
+    for i, (line, other) in enumerate(zip(found, expected)):
+        for j, (f, e) in enumerate(zip(line, other)):
+            if f != e:
+                raise InternalDisagreement(f"{what} gives dim e_{i + 1} A e_{j + 1} = {f}, expected {e}")
+
+
+def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None, cartan=None) -> Presentation:
     """The quiver with relations of a basic algebra, certified.
 
     The arrows lift a basis of R modulo R^2 from ``radical_chain``, and the
@@ -173,24 +211,41 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
     span of the paths of length >= k, and L is the nilpotency index.  The
     powers of a nilpotent ideal drop strictly, so L <= dim A: a path of
     length dim A + 1 that is not 0 raises ``RadicalNotNilpotent``.
+
+    Off the diagonal R_ij = e_i A e_j, and on it R^2 lies in R by the
+    ``NotBasic`` check, so a block where R^2 has as many rows as R has no
+    arrow, and one where R^2 is 0 lifts every row of R.  A path from i
+    times an arrow into j != i lies in e_i A e_j, so it is 0 without a
+    product where R_ij is 0.
+
+    ``cartan``, when given, is the expected dim e_i A e_j at (i, j), such
+    as the Euler form of a tilting complex gives for its End; the Peirce
+    blocks of R are checked against it before the relations are searched,
+    and the rebuilt algebra's ``cartan_matrix`` after (``_check_cartan``).
     """
     idems = idempotents if idempotents is not None else primitive_idempotents(alg)
     rad, rad2 = radical_chain(alg, idems)
     n = len(idems)
     names = [str(i + 1) for i in range(n)]
+    if cartan is not None:
+        peirce = [[len(block) + (i == j) for j, block in enumerate(line)] for i, line in enumerate(rad)]
+        _check_cartan(peirce, cartan, "the Peirce decomposition")
 
     arrows = []
     arrow_elements = {}
     for i in range(n):
         for j in range(n):
-            if not rad[i][j]:
-                continue  # e_i rad e_j = 0 holds no arrow
+            block, square = rad[i][j], rad2[i][j]
+            if len(square) == len(block):
+                continue  # e_i rad^2 e_j = e_i rad e_j, 0 or not, holds no arrow
             # arrows i -> j: rows of e_i rad e_j independent modulo e_i rad^2 e_j
-            for el in Basis(rad[i][j], alg.dim, rad2[i][j]).rows:
+            for el in Basis(block, alg.dim, square).rows if square else block:
                 name = f"a{len(arrows)}"
                 arrows.append((name, names[i], names[j]))
                 arrow_elements[name] = el
     quiver = Quiver(names, arrows)
+    index = quiver.vertex_index
+    zero = [[i != j and not rad[i][j] for j in range(n)] for i in range(n)]  # e_i A e_j = 0
 
     # the paths of each length as elements, in longer_paths order: each is
     # the element of its prefix times its last arrow
@@ -202,8 +257,11 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
     while any(rows):
         if nil_index > alg.dim:
             raise RadicalNotNilpotent(f"a path of length {nil_index} is not 0, past the dimension {alg.dim}")
-        ends = [quiver.arrows_from[p.target(quiver)] for p in paths]
-        rows = [alg.mul(x, arrow_elements[a.name]) for x, out in zip(rows, ends) for a in out]
+        rows = [
+            {} if zero[index[p.source]][index[a.target]] else alg.mul(x, arrow_elements[a.name])
+            for x, p in zip(rows, paths)
+            for a in quiver.arrows_from[p.target(quiver)]
+        ]
         paths = longer_paths(quiver, paths)
         nil_index += 1
         # candidate relations: the left kernel of the rows
@@ -222,6 +280,8 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None) -> Presentation
             f"rebuilt path algebra has dimension {rebuilt.dim}, expected {alg.dim}; "
             "the relation ideal is not generated in homogeneous lengths"
         )
+    if cartan is not None:
+        _check_cartan(rebuilt.cartan_matrix().data, cartan, "the rebuilt path algebra")
     vertex_idems = {names[i]: idems[i] for i in range(n)}
     return Presentation(quiver, relations, rebuilt, arrow_elements, vertex_idems, nil_index)
 

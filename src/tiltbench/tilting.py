@@ -238,14 +238,7 @@ def verify_tilting(
     self_ok = all(v == 0 for v in self_orth.values())
     summands = (decomposition if decomposition is not None else decompose_complex(t))[0]
     verts = list(t.algebra.quiver.vertices)
-    k0 = []
-    for s, mult in summands:
-        row = [0] * len(verts)
-        for d in s.degrees():
-            sign = 1 if d % 2 == 0 else -1
-            for lab in s.term(d):
-                row[verts.index(lab)] += sign
-        k0.append(row)
+    k0 = [_k0_class(s) for s, _ in summands]
     square = len(k0) == len(verts)
     unimodular = False
     if square and k0:
@@ -263,6 +256,29 @@ def verify_tilting(
         generation_status="proved_by_construction" if proved_by_construction else "k0_necessary_only",
         is_tilting_verdict=self_ok and unimodular and basic,
     )
+
+
+def _k0_class(c: ProjComplex) -> list:
+    """The class of c in K_0: per vertex v, the sum over the degrees d of
+    (-1)^d times the copies of P(v) in degree d."""
+    index = c.algebra.quiver.vertex_index
+    row = [0] * len(index)
+    for d, labels in c.terms.items():
+        sign = 1 if d % 2 == 0 else -1
+        for lab in labels:
+            row[index[lab]] += sign
+    return row
+
+
+def _euler_form(a: BasicAlgebra, copies) -> tuple:
+    """X C_A X^T as rows, for X the K_0 classes of the copies T_k and C_A
+    the Cartan matrix of a.  Entry (i, j) is the Euler characteristic of
+    the Hom complex from T_j to T_i: each P(u) -> P(v) contributes the
+    dim C_A[v][u] of its paths v -> u.  Once Hom_K(T_j, T_i[n]) = 0 for
+    n != 0 it is dim Hom_K(T_j, T_i), which is dim e_i End(T) e_j under the
+    product "y then x"."""
+    x = Matrix(len(copies), len(a.quiver.vertices), [_k0_class(c) for c in copies])
+    return (x * a.cartan_matrix() * x.transpose()).data
 
 
 # -- the approximation construction -------------------------------------------
@@ -420,13 +436,15 @@ class TiltingContext:
         )
         # idempotents from the decomposition: one per summand copy
         idems = [space.reduce(prj.then(inc)) for inc, prj in zip(includes, projects)]
-        pres = quiver_presentation(abstract, idempotents=idems)
+        copies = [rep for rep, mult in summands for _ in range(mult)]
+        # the Euler form certifies each Peirce dimension, presented or not
+        pres = quiver_presentation(abstract, idempotents=idems, cartan=_euler_form(self.algebra, copies))
         self._end = EndData(
             abstract=abstract,
             presentation=pres,
             space=space,
             summands=summands,
-            copy_complexes=[rep for rep, mult in summands for _ in range(mult)],
+            copy_complexes=copies,
             copy_includes=includes,
             copy_projects=projects,
         )

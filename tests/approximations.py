@@ -153,7 +153,8 @@ def projective_resolution(x, steps):
     approximations: the minimal projective resolution, (P_k, d, syzygy
     Omega^(k+1) x) for k = 0, 1, ..., stopping after the first syzygy 0."""
     a = x.algebra
-    return approximation_tower(minimal_right_approximation_labeled, kernel_of, a, a.quiver.vertices, x, steps)
+    tower = approximation_tower(minimal_right_approximation_labeled, kernel_of, a, a.quiver.vertices, x, steps)
+    return ((term, d, syzygy()) for term, d, syzygy in tower)
 
 
 def ext_dims(x, y, n):

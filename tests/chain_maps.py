@@ -8,7 +8,9 @@ decomposition cut out of one block map D -> c and its inverse c -> D, D the
 direct sum of the copies, which ``decompose_complex`` is tested against.
 The decomposition reference minimizes by ``cancel_by_closed_form``, the
 cancellation step as it was before ``complexes.retract`` formed every
-retract's differential as "i then d then p"."""
+retract's differential as "i then d then p".  ``all_slots_differential`` is
+the Hom-complex differential as it was before ``complexes._differential``
+skipped the zero entries of d_x and d_y."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -47,6 +49,29 @@ class DenseHomotopy:
 
     def reduce(self, vec):
         return dense_coordinates(self._classes, vec)
+
+
+def all_slots_differential(x, y, n):
+    """``complexes._differential`` as it multiplied every slot of d_y's row
+    and d_x's column, zero entries included, kept as the reference."""
+    alg = x.algebra
+    sign = -1 if n % 2 == 0 else 1
+    for d in sorted(x.terms):
+        src, tgt = x.term(d), y.term(d + n)
+        if not tgt:
+            continue
+        dy = y.diff(d + n).rows
+        dx = x.diff(d - 1).rows
+        after = range(len(y.term(d + n + 1)))
+        before = range(len(x.term(d - 1)))
+        for i in range(len(src)):
+            for j in range(len(tgt)):
+                for k in alg.paths_between(tgt[j], src[i]):
+                    image = {(d, i, m, kk): c for m in after for kk, c in alg.mul(dy[j][m], {k: 1}).items()}
+                    for ip in before:
+                        for kk, c in alg.mul({k: 1}, dx[ip][i]).items():
+                            image[(d - 1, ip, j, kk)] = sign * c
+                    yield (d, i, j, k), image
 
 
 def dense_coordinates(basis, vec):

@@ -208,6 +208,33 @@ def test_the_towers_of_construct_tpq_stop_at_an_empty_term():
     assert sorted(construct_tpq(k3333, [], verts, 1, 3).raw.terms) == [0, 1, 3]
 
 
+@pytest.mark.parametrize(
+    "case, r, calls",
+    [
+        ("sec5", 1, {"kernel_of": 0, "cokernel_of": 0}),
+        ("sec5", 2, {"kernel_of": 1, "cokernel_of": 1}),
+        ("(4,5,5,5)", 1, {"kernel_of": 0, "cokernel_of": 0}),
+    ],
+)
+def test_construct_tpq_leaves_the_last_rest_uncomputed(case, r, calls, monkeypatch):
+    """A step's kernel or cokernel is computed only for the next step, so
+    the towers of construct_tpq, which read no rest, take one per step after
+    the first on each side."""
+    counts = dict.fromkeys(calls, 0)
+    for name in calls:
+
+        def counted(f, name=name, leftover=getattr(tilting, name)):
+            counts[name] += 1
+            return leftover(f)
+
+        monkeypatch.setattr(tilting, name, counted)
+    if case == "sec5":
+        construct_tpq(corpus.sec5_algebra(), ["1"], ["3", "4"], r, r)
+    else:
+        construct_tpq(corpus.kupisch_algebra([4, 5, 5, 5]), ["2"], [], r, r)
+    assert counts == calls
+
+
 def test_projective_resolution_terms_are_the_tops():
     """Each term of the tower with every label is the projective cover of
     what it approximates, so its labels are that module's top; the tower of

@@ -16,7 +16,7 @@ from tiltbench.algebra import (
     el_to_vector,
     length_filtration,
 )
-from tiltbench.complexes import ChainMapC, regular_stalk
+from tiltbench.complexes import ChainMapC, _differential, regular_stalk
 from tiltbench.errors import NoIdentity, NotAdmissible, NotAssociative, NotBasic, RadicalNotNilpotent, TiltbenchError
 from tiltbench.linalg import Basis, _sparse, sparse_row_space
 from tiltbench.presentation import (
@@ -33,7 +33,9 @@ from tiltbench.quiver import (
     monomial_relation,
     trivial_path,
 )
-from tiltbench.tilting import TiltingContext, construct_tpq, end_algebra
+from tiltbench.tilting import TiltingContext, _self_shifts, construct_tpq, end_algebra
+
+from chain_maps import all_slots_differential
 
 
 def structure_constants(alg):
@@ -355,13 +357,18 @@ def _layer_cases():
     """(name, algebra, complex) of the End(T)s whose layers and product cells
     are compared with their references: the corpus complexes (fig1's T and
     sec5's construct_tpq with P = {1}, Q = {3, 4}), the regular stalks of
-    N(6,3) and N(8,4), and those of seeded Kupisch series."""
+    N(6,3) and N(8,4), and those of seeded Kupisch series.  Two Brauer stars
+    have off-diagonal blocks where rad^2 fills rad, of dimension 2 at
+    N(3,7), so that rad^2 stops taking products there: the regular stalk of
+    N(3,7) and T_{1} = construct_tpq(N(4,5), {1}, {}, 1, 1)."""
     fig1, sec5 = corpus.fig1_algebra(), corpus.sec5_algebra()
     yield "fig1 T", fig1, corpus.fig1_tilting_complex(fig1)
     yield "sec5 tpq", sec5, construct_tpq(sec5, ["1"], ["3", "4"], 1, 1).complex
-    for series in [[3] * 6, [4] * 8, *seeded_kupisch_series(random.Random(28), 6)]:
+    for series in [[3] * 6, [4] * 8, [7] * 3, *seeded_kupisch_series(random.Random(28), 6)]:
         a = corpus.kupisch_algebra(series)
         yield str(tuple(series)), a, regular_stalk(a)
+    n45 = corpus.kupisch_algebra([5] * 4)
+    yield "N(4,5) T_{1}", n45, construct_tpq(n45, ["1"], [], 1, 1).complex
 
 
 def _assert_filled_cells_match(alg, compose):
@@ -390,6 +397,76 @@ def test_radical_layers_and_end_products_match_their_references(case):
     _assert_peirce_layers_match(end.abstract, idems, end.presentation.nil_index)
     filled, _ = _assert_filled_cells_match(end.abstract, lambda u, v: end.space.compose(v, u))
     assert filled
+
+
+def _differential_cases():
+    """(name, complex, shift) of the Hom complexes t -> t[shift] whose
+    differentials are compared with the all-slots reference: every layer
+    case at each of its self-shifts and 0, and T_{1} over N(12,13) at -1, 0
+    and 1."""
+    for name, _, t in _layer_cases():
+        for shift in [0, *_self_shifts(t)]:
+            yield name, t, shift
+    n12 = corpus.kupisch_algebra([13] * 12)
+    t = construct_tpq(n12, ["1"], [], 1, 1).complex
+    for shift in (-1, 0, 1):
+        yield "N(12,13) T_{1}", t, shift
+
+
+def test_hom_complex_differential_matches_the_all_slots_reference():
+    # the images must keep their keys in the same order, not only as dicts
+    def items(images):
+        return [(term, list(image.items())) for term, image in images]
+
+    compared = 0
+    for _, t, shift in _differential_cases():
+        y = t.shift(shift)
+        for n in (0, -1):  # the chain condition and the null homotopies
+            assert items(_differential(t, y, n)) == items(all_slots_differential(t, y, n))
+            compared += 1
+    assert compared >= 2 * (len(LAYER_CASES) + 3)
+
+
+def _counting_mul(monkeypatch, alg):
+    """A list that grows by one entry per alg.mul call from now on."""
+    calls = []
+    mul = alg.mul
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(alg, "mul", counted)
+    return calls
+
+
+def test_hom_complex_products_of_the_brauer_star_n20(monkeypatch):
+    # 3 762 of the 75 240 slot products of the three self-shift spaces of
+    # T_{1} over N(20,21) meet a nonzero entry of d_x or d_y
+    a = corpus.kupisch_algebra([21] * 20)
+    t = construct_tpq(a, ["1"], [], 1, 1).complex
+    calls = _counting_mul(monkeypatch, a)
+    for shift in (-1, 0, 1):
+        for n in (0, -1):
+            for _ in _differential(t, t.shift(shift), n):
+                pass
+    assert len(calls) == 3762
+
+
+@pytest.mark.parametrize("series, products", [([4] * 8, 16), ([3] * 6, 6)])
+def test_rad2_skips_the_blocks_it_knows(series, products, monkeypatch):
+    # off the diagonal, a block of rad^2 takes no product where rad is 0 and
+    # stops once its products span rad: 16 of the 72 products of both blocks
+    # nonzero at N(8,4), and 6 of 24 at N(6,3)
+    a = corpus.kupisch_algebra(series)
+    end = TiltingContext(a, regular_stalk(a)).end_data()
+    idems = list(end.presentation.vertex_idempotents.values())
+    rad, _ = radical_chain(end.abstract, idems)
+    calls = _counting_mul(monkeypatch, end.abstract)
+    rad2 = presentation._block_product(end.abstract, rad, rad)
+    assert len(calls) == products
+    monkeypatch.undo()
+    assert rad2 == _all_pairs_block_product(end.abstract, rad, rad)
 
 
 @pytest.mark.parametrize("series", [(2, 2, 2), (3, 4, 4), (4, 5, 5, 5)])
@@ -432,7 +509,7 @@ def test_end_of_n84_fills_mostly_zero_cells():
     def compose(u, v):
         return end.space.compose(v, u)
 
-    assert _assert_filled_cells_match(end.abstract, compose) == (247, 167)
+    assert _assert_filled_cells_match(end.abstract, compose) == (198, 119)
 
     class Recording:
         """The class basis, recording each vector it is asked to read."""

@@ -7,18 +7,20 @@ from approximations import ext_dims
 from kupisch import all_kupisch_series, nakayama_indecomposables, seeded_kupisch_series
 from module_maps import flatten_map, hom_from_projective_sum
 
-from tiltbench import corpus
-from tiltbench.complexes import HomotopySpace, ProjComplex, regular_stalk
+from tiltbench import complexes, corpus, presentation
+from tiltbench.complexes import HomotopySpace, ProjComplex, homotopy_hom, regular_stalk
 from tiltbench.complex_decomp import complexes_isomorphic
 from tiltbench.errors import (
     DSquaredNonzero,
+    InternalDisagreement,
     NotConcentrated,
     NotSelfOrthogonal,
     NotTilting,
     PreconditionFailed,
+    PresentationError,
     TiltbenchError,
 )
-from tiltbench.presentation import presentations_match
+from tiltbench.presentation import presentations_match, quiver_presentation
 from tiltbench.quiver import Quiver, path_from_arrows, relation_from_words
 from tiltbench.algebra import build_path_algebra, el_to_vector
 from tiltbench.linalg import Basis, Matrix, _dense, _sparse, sparse_left_kernel
@@ -38,6 +40,7 @@ from tiltbench.reps import (
 from tiltbench.decompose import is_isomorphic
 from tiltbench.tilting import (
     TiltingContext,
+    _euler_form,
     _hom_nonzero,
     _stalk_hom_classes,
     check_add_nu_equal,
@@ -867,3 +870,88 @@ def test_hom_p_to_q_by_yoneda_matches_the_hom_space_route():
     # N(2, 3) is symmetric, so every label set is nu-stable, and P(2)(1) != 0
     with pytest.raises(PreconditionFailed, match=r"Hom\(P, Q\) = 0"):
         construct_tpq(corpus.kupisch_algebra([3, 3]), ["1"], ["2"])
+
+
+def _euler_cases():
+    """(name, algebra, tilting complex) of End(T)s whose Peirce dimensions
+    the Euler form is compared with."""
+    fig1, sec5 = corpus.fig1_algebra(), corpus.sec5_algebra()
+    k3344, k4555 = corpus.kupisch_algebra([3, 3, 4, 4]), corpus.kupisch_algebra([4, 5, 5, 5])
+    yield "fig1 T", fig1, corpus.fig1_tilting_complex(fig1)
+    yield "sec5 tpq", sec5, construct_tpq(sec5, ["1"], ["3", "4"], 1, 1).complex
+    yield "(3,3,4,4) A", k3344, regular_stalk(k3344)
+    yield "(4,5,5,5) P={2}", k4555, construct_tpq(k4555, ["2"], [], 1, 1).complex
+
+
+@pytest.mark.parametrize("case", [name for name, _, _ in _euler_cases()])
+def test_euler_form_gives_dim_e_i_end_e_j(case):
+    # C_B = X C_A X^T: entry (i, j) is dim Hom_K(T_j, T_i), which is
+    # dim e_i End(T) e_j under the product "y then x", and the rebuilt
+    # path algebra's count of paths from i to j
+    _, a, t = next(c for c in _euler_cases() if c[0] == case)
+    end = TiltingContext(a, t).end_data()
+    idems = list(end.presentation.vertex_idempotents.values())
+    cartan = _euler_form(a, end.copy_complexes)
+    pieces = presentation._peirce_pieces(end.abstract, idems)
+    assert cartan == tuple(tuple(len(block) for block in line) for line in pieces)
+    assert cartan == end.presentation.algebra.cartan_matrix().data
+
+
+def test_the_transposed_euler_form_fails():
+    # the regular stalk of (3,3,4,4) has a Cartan matrix that is not
+    # symmetric, so the certificate pins the orientation
+    a = corpus.kupisch_algebra([3, 3, 4, 4])
+    end = TiltingContext(a, regular_stalk(a)).end_data()
+    transposed = tuple(zip(*_euler_form(a, end.copy_complexes)))
+    assert transposed != end.presentation.algebra.cartan_matrix().data
+    idems = list(end.presentation.vertex_idempotents.values())
+    with pytest.raises(InternalDisagreement, match="Peirce decomposition"):
+        quiver_presentation(end.abstract, idems, transposed)
+
+
+def _drop_first_null_row(ctx, monkeypatch):
+    """Rebuild ctx's homotopy space t -> t without its first null-homotopy
+    row, after the decomposition has read the true one: the classes of
+    End(T) are perturbed, and its dimension grows."""
+    ctx.decomposition()
+    differential = complexes._differential
+
+    def dropping(x, y, n):
+        images = differential(x, y, n)
+        if n == -1:
+            next(images)
+        return images
+
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "_differential", dropping)
+        ctx._self_homs[0] = homotopy_hom(ctx.complex, ctx.complex, 0)
+
+
+def test_a_dropped_null_row_fails_the_euler_form(monkeypatch):
+    a = corpus.kupisch_algebra([4, 5, 5, 5])
+    ctx = TiltingContext(a, construct_tpq(a, ["2"], [], 1, 1).complex)
+    _drop_first_null_row(ctx, monkeypatch)
+    with pytest.raises(InternalDisagreement, match="Peirce decomposition gives dim e_1 A e_2 = 2, expected 1"):
+        ctx.end_data()
+
+
+def test_the_euler_form_runs_before_an_unpresentable_end(monkeypatch):
+    # (4,5,5,5) with P = {2,3}: End(T) needs relations of mixed lengths, so
+    # its presentation fails, after the Peirce dimensions are certified
+    a = corpus.kupisch_algebra([4, 5, 5, 5])
+    t = construct_tpq(a, ["2", "3"], [], 1, 1).complex
+    checked = []
+    check = presentation._check_cartan
+
+    def recording(found, expected, what):
+        checked.append(what)
+        check(found, expected, what)
+
+    monkeypatch.setattr(presentation, "_check_cartan", recording)
+    with pytest.raises(PresentationError, match="homogeneous lengths"):
+        TiltingContext(a, t).end_data()
+    assert checked == ["the Peirce decomposition"]
+    ctx = TiltingContext(a, t)
+    _drop_first_null_row(ctx, monkeypatch)
+    with pytest.raises(InternalDisagreement, match="Peirce decomposition"):
+        ctx.end_data()
