@@ -19,15 +19,13 @@ paths included, span a space as large as Hom(X, P(v)).
 Both certificates are checked before returning.
 
 ``approximation_tower`` repeats an approximation on what it leaves over, a
-kernel or a cokernel, computed only when the next step or the caller reads
-it; both sides of ``tilting.construct_tpq`` read it, and with every label
-and right approximations it is the minimal projective resolution, its rests
-the syzygies.
+kernel or a cokernel, computed only when a next step approximates it; both
+sides of ``tilting.construct_tpq`` read it, and with every label and right
+approximations it is the minimal projective resolution, the kernels of its
+maps the syzygies.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .algebra import BasicAlgebra
 from .errors import TiltbenchError
@@ -115,22 +113,20 @@ def minimal_left_approximation_labeled(a: BasicAlgebra, labels, x: Representatio
 
 
 def approximation_tower(approximate, leftover, a: BasicAlgebra, labels, x: Representation, steps: int):
-    """Up to ``steps`` (term, d, rest), stopping at an empty term: term is
-    the ``ProjSum`` of ``approximate``, a minimal approximation above, at x
-    and then at each rest; d is its map to the term before (from it, on the
-    left), the first d to or from x; rest() is ``leftover``, ``kernel_of``
-    or ``cokernel_of``, of the approximation.  A rest is computed on its
-    first call, by the next step or by the caller, and once: the last one
-    only when the caller asks for it."""
+    """Up to ``steps`` (term, d), stopping at an empty term: term is the
+    ``ProjSum`` of ``approximate``, a minimal approximation above, at x and
+    then at each rest, the ``leftover`` (``kernel_of`` or ``cokernel_of``)
+    of the approximation before; d is its map to the term before (from it,
+    on the left), the first d to or from x.  A rest is computed at the start
+    of the step that approximates it, so the last step's is not."""
     link = None  # the rest's inclusion into the term before, or the projection of that term onto the rest
-    pair = None  # the last step's (rest, link), computed on first use
+    f = None  # the last approximation
     for _ in range(steps):
-        if pair is not None:
-            x, link = pair()
+        if f is not None:
+            x, link = leftover(f)
         term_labels, f = approximate(a, labels, x)
         if not term_labels:
             return
         # an inclusion leaves the rest and a projection enters it
         d = f if link is None else f.then(link) if link.source is x else link.then(f)
-        pair = functools.cache(functools.partial(leftover, f))
-        yield ProjSum(a, term_labels), d, lambda pair=pair: pair()[0]
+        yield ProjSum(a, term_labels), d

@@ -8,36 +8,35 @@ component x into its x e_j.  Each split takes the products in cyclic order
 from where the last one found a part and stops once the parts sum to the
 element: the e_i sum to 1 and A is the direct sum of the e_i A (and of the
 A e_j), so the products not taken are 0.  Each block is kept as the sparse
-RREF rows of ``linalg.sparse_row_space``; a block no part reaches takes no
-elimination, and a block of one row is only made monic.  The radical
-candidate R has R_ij = e_i A e_j for i != j and R_ii = ker chi_i, where
-chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i); and (R^2)_ij = sum over l
-of R_il R_lj, taken only over the l where both blocks are nonzero, with one
-elimination per block that some product reaches.  Off the diagonal every
-such product lies in e_i A e_j = R_ij, so a block with R_ij = 0 takes no
-product, and a block whose products span R_ij takes no more: the rest add
-nothing.  The diagonal blocks take every product, for the check that they
-lie in R.  No full trace form, no product over all pairs of radical rows and
-no power of R past the square is formed.
+RREF rows of ``linalg.sparse_row_space``, and a block no part reaches takes
+no elimination.  The radical candidate R has R_ij = e_i A e_j for i != j and
+R_ii = ker chi_i, where chi_i(x) = tr(L_x on e_i A e_i) / dim(e_i A e_i);
+and (R^2)_ij = sum over l of R_il R_lj, taken only over the l where both
+blocks are nonzero, with one elimination per block that some product
+reaches.  Off the diagonal every such product lies in e_i A e_j = R_ij, so a
+block with R_ij = 0 takes no product, and a block whose products span R_ij
+takes no more: the rest add nothing.  The diagonal blocks take every
+product, for the check that they lie in R.  No full trace form, no product
+over all pairs of radical rows and no power of R past the square is formed.
 
-Arrows i -> j lift a basis of R_ij modulo (R^2)_ij, read from the RREF bases
-of the two blocks; a block where (R^2)_ij fills R_ij has none, and one where
-it is 0 lifts R_ij's rows.  The paths, evaluated one length at a time up to
-the first length L at which all are 0, give every rad^k and the nilpotency
-index L (``quiver_presentation`` states why); a path from i times an arrow
-into j != i is 0 without a product where e_i A e_j is.  The candidate
-relations are the left kernels of each length's elements.  One
-``algebra.length_filtration`` of the ideal I the candidates generate both
-prunes them and rebuilds the path algebra: at each length n it eliminates
-arrow * I_(n-1) and then the candidates of length n once, on the normal
-forms of length n - 1 followed by an arrow, and keeps a candidate only
-when it raises the rank, a minimal generating set found greedily by
-increasing length.  The result is certified by comparing the dimension of
-the rebuilt path algebra, and each dim e_i A e_j when the caller knows it,
-as ``end_data`` does from the Euler form; only ideals with
-length-homogeneous generators are supported (the rebuild certifies that
-this suffices for the input at hand).  ``relation_ideals_equal`` compares the RREF rows of one such
-filtration of each side.
+Arrows i -> j lift a basis of R_ij modulo (R^2)_ij, read from the RREF
+bases of the two blocks; a block where (R^2)_ij fills R_ij has none.  The
+paths, evaluated one length at a time up to the first length L at which all
+are 0, give every rad^k and the nilpotency index L (``quiver_presentation``
+states why); a path from i times an arrow into j != i is 0 without a
+product where e_i A e_j is.  The candidate relations are the left kernels of
+each length's elements.  One ``algebra.length_filtration`` of the ideal I
+the candidates generate both prunes them and rebuilds the path algebra: at
+each length n it eliminates arrow * I_(n-1) and then the candidates of
+length n once, on the normal forms of length n - 1 followed by an arrow,
+and keeps a candidate only when it raises the rank, a minimal generating
+set found greedily by increasing length.  The result is certified by
+comparing the dimension of the rebuilt path algebra, and each dim e_i A e_j
+when the caller knows it, as ``end_data`` does from the Euler form; only
+ideals with length-homogeneous generators are supported (the rebuild
+certifies that this suffices for the input at hand).
+``relation_ideals_equal`` compares the RREF rows of one such filtration of
+each side.
 """
 
 from __future__ import annotations
@@ -73,7 +72,10 @@ def _block_product(alg: FiniteDimAlgebra, left, right):
     and a block stops taking products once they span len(R_ij) dimensions:
     then they span R_ij, and the products not taken add nothing to the span
     nor to its RREF rows.  The diagonal blocks take every product, since
-    ``radical_chain`` has yet to check that they lie in R."""
+    ``radical_chain`` has yet to check that they lie in R.  That bound holds
+    only for R itself, so any other pair of factors is refused."""
+    if left is not right:
+        raise TiltbenchError("_block_product squares the radical candidate: left and right must be the same blocks")
     nonzero_right = [[(j, block) for j, block in enumerate(line) if block] for line in right]
     out = []
     for i, line in enumerate(left):
@@ -109,21 +111,12 @@ def _components(x, idems, product, start):
     return out
 
 
-def _monic(row):
-    """The RREF of one nonzero sparse row, as ``sparse_row_space`` gives it:
-    columns increasing, the first entry 1."""
-    columns = sorted(row)
-    pivot = row[columns[0]]
-    return {j: div(row[j], pivot) for j in columns}
-
-
 def _peirce_pieces(alg: FiniteDimAlgebra, idems):
     """pieces[i][j]: the RREF basis of e_i A e_j, spanned by the e_i b e_j
     over the basis elements b.  Each b is split into its components e_i b
     and each component x into its x e_j by ``_components``, each search
     starting where the last one found a part, so an element in one Peirce
-    block costs one product per side.  A block of one row is made monic
-    without an elimination."""
+    block costs one product per side."""
     n = len(idems)
     rows = [[[] for _ in range(n)] for _ in range(n)]
     i = j = 0  # where the last left and right searches found a part
@@ -131,9 +124,7 @@ def _peirce_pieces(alg: FiniteDimAlgebra, idems):
         for i, x in _components({k: 1}, idems, alg.mul, i):
             for j, y in _components(x, idems, lambda f, z: alg.mul(z, f), j):
                 rows[i][j].append(y)
-    return [
-        [sparse_row_space(block) if len(block) > 1 else [_monic(x) for x in block] for block in line] for line in rows
-    ]
+    return [[sparse_row_space(block) if block else [] for block in line] for line in rows]
 
 
 def radical_chain(alg: FiniteDimAlgebra, idempotents):
@@ -214,9 +205,8 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None, cartan=None) ->
 
     Off the diagonal R_ij = e_i A e_j, and on it R^2 lies in R by the
     ``NotBasic`` check, so a block where R^2 has as many rows as R has no
-    arrow, and one where R^2 is 0 lifts every row of R.  A path from i
-    times an arrow into j != i lies in e_i A e_j, so it is 0 without a
-    product where R_ij is 0.
+    arrow.  A path from i times an arrow into j != i lies in e_i A e_j, so
+    it is 0 without a product where R_ij is 0.
 
     ``cartan``, when given, is the expected dim e_i A e_j at (i, j), such
     as the Euler form of a tilting complex gives for its End; the Peirce
@@ -239,7 +229,7 @@ def quiver_presentation(alg: FiniteDimAlgebra, idempotents=None, cartan=None) ->
             if len(square) == len(block):
                 continue  # e_i rad^2 e_j = e_i rad e_j, 0 or not, holds no arrow
             # arrows i -> j: rows of e_i rad e_j independent modulo e_i rad^2 e_j
-            for el in Basis(block, alg.dim, square).rows if square else block:
+            for el in Basis(block, alg.dim, square).rows:
                 name = f"a{len(arrows)}"
                 arrows.append((name, names[i], names[j]))
                 arrow_elements[name] = el

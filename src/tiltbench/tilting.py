@@ -338,7 +338,7 @@ def construct_tpq(
     )
     for sign, approximate, leftover, labels, steps in sides:
         tower = approximation_tower(approximate, leftover, a, labels, sums[0].rep, steps)
-        for i, (term, d, _) in enumerate(tower, 1):
+        for i, (term, d) in enumerate(tower, 1):
             sums[sign * i] = term
             lo = min(sign * i, sign * (i - 1))
             diffs[lo] = extract_entry_map(sums[lo], sums[lo + 1], d).rows

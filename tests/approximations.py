@@ -151,10 +151,12 @@ def left_approximation(a, labels, x):
 def projective_resolution(x, steps):
     """The approximation tower of x with every vertex label and right
     approximations: the minimal projective resolution, (P_k, d, syzygy
-    Omega^(k+1) x) for k = 0, 1, ..., stopping after the first syzygy 0."""
+    Omega^(k+1) x) for k = 0, 1, ..., stopping after the first syzygy 0.
+    The syzygy is the kernel of d: d is the approximation followed by the
+    inclusion of what it approximates, which is injective."""
     a = x.algebra
     tower = approximation_tower(minimal_right_approximation_labeled, kernel_of, a, a.quiver.vertices, x, steps)
-    return ((term, d, syzygy()) for term, d, syzygy in tower)
+    return ((term, d, kernel_of(d)[0]) for term, d in tower)
 
 
 def ext_dims(x, y, n):

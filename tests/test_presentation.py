@@ -469,6 +469,16 @@ def test_rad2_skips_the_blocks_it_knows(series, products, monkeypatch):
     assert rad2 == _all_pairs_block_product(end.abstract, rad, rad)
 
 
+def test_block_product_refuses_factors_other_than_the_radical():
+    # its early stop reads each block's bound off the left factor, which is
+    # only sound when both factors are the radical candidate itself
+    alg = abstract_of(corpus.kupisch_algebra([3, 3]))
+    idems = list(quiver_presentation(alg).vertex_idempotents.values())
+    rad, _ = radical_chain(alg, idems)
+    with pytest.raises(TiltbenchError, match="same blocks"):
+        presentation._block_product(alg, rad, [list(line) for line in rad])
+
+
 @pytest.mark.parametrize("series", [(2, 2, 2), (3, 4, 4), (4, 5, 5, 5)])
 def test_peirce_pieces_of_elements_over_several_blocks(series, monkeypatch):
     # conjugating the vertex idempotents by u = 1 + a1 (a1 : 1 -> 2, so
