@@ -360,6 +360,12 @@ def opposite(a: BasicAlgebra) -> BasicAlgebra:
     return build_path_algebra(q, relations, a.nil_length)
 
 
+def require_same_algebra(a: BasicAlgebra, b: BasicAlgebra, what: str):
+    """TiltbenchError unless a and b are one object or share their path basis."""
+    if a is not b and a.basis != b.basis:
+        raise TiltbenchError(f"{what} over different algebras")
+
+
 def length_filtration(quiver: Quiver, relations, max_path_len: int = 30):
     """The ideal I that the relations generate, one path length at a time.
 

@@ -6,7 +6,8 @@ complex), and a strict idempotent is split degreewise: the generators of the
 image of each component are read off its top, which recovers the labels of
 the summand.  The summand, like each support component of the minimized
 complex, is a ``complexes.retract``, whose differential is "include then d
-then project"; no routine here forms a differential of its own.
+then project"; no routine here forms a differential of its own.  The copies
+of a radical complex sum to its identity on the nose, which is checked.
 
 Isomorphism of complexes is the module engine of ``decompose`` on chain
 maps: ``indecomposable_iso`` groups the pieces of ``decompose_complex``, and
@@ -207,7 +208,7 @@ def complexes_isomorphic(x: ProjComplex, y: ProjComplex):
     return isomorphism_by_summands(x, y, decompose_complex, _iso_between_indecomposable_complexes, ChainMapC.zero)
 
 
-def decompose_complex(c: ProjComplex, _self_hom=None):
+def decompose_complex(c: ProjComplex):
     """Indecomposable radical summands of c with multiplicities, and one
     inclusion and one projection per summand copy.
 
@@ -218,11 +219,12 @@ def decompose_complex(c: ProjComplex, _self_hom=None):
     certificate is checked before it is returned: ``includes[k]`` then
     ``projects[l]`` is the identity of T_k for k = l and zero otherwise, on
     the nose, and the sum over k of ``projects[k]`` then ``includes[k]`` is
-    homotopic to the identity of c; otherwise DecompositionError is raised.
-    Each half is one composite of the stacked maps of ``group_copies``, and
-    the chain condition is checked once on each stacked map.
-    ``_self_hom(0)``, when given, returns the homotopy space c -> c for that
-    last check (``TiltingContext`` shares its own).
+    the identity of c; otherwise DecompositionError is raised.  Each half is
+    one composite of the stacked maps of ``group_copies``, and the chain
+    condition is checked once on each stacked map.  On a radical c the sum
+    is the identity on the nose, for strict primitive idempotents cut out
+    the copies and exact inverse isomorphisms carry them over; only after
+    ``minimize`` cancelled is it checked up to homotopy, in a HomotopySpace.
     """
     m, eq = minimize(c)
     pieces = (piece for comp in _support_components(m) for piece in _split_component(*_component_complex(m, comp)))
@@ -233,8 +235,11 @@ def decompose_complex(c: ProjComplex, _self_hom=None):
     )
     if not stacked_in.is_chain_map() or not stacked_out.is_chain_map():
         raise DecompositionError("certificate maps are not chain maps")
-    space = _self_hom(0) if _self_hom is not None else HomotopySpace(c, c.shift(0))
-    if not space.is_null(ChainMapC.identity(c) - stacked_out.then(stacked_in)):
+    through = stacked_out.then(stacked_in)
+    if m is c:
+        if not through.is_identity():
+            raise DecompositionError("summand certificate failed: the copies do not sum to the identity")
+    elif not HomotopySpace(c, c.shift(0)).is_null(ChainMapC.identity(c) - through):
         raise DecompositionError("summand certificate failed up to homotopy")
     return summands, includes, projects
 

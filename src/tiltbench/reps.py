@@ -18,7 +18,7 @@ Conventions (used consistently everywhere):
 
 from __future__ import annotations
 
-from .algebra import BasicAlgebra, el_add, el_scale, opposite
+from .algebra import BasicAlgebra, el_add, el_scale, opposite, require_same_algebra
 from .errors import DecompositionError, DimensionMismatch, NotProjective, TiltbenchError
 from .linalg import (
     Basis,
@@ -251,8 +251,7 @@ def hom_vectors(m: Representation, n: Representation) -> list:
     M_a F_w - F_u N_a = 0 for an arrow a: u -> w is one sparse equation on
     at most dim m(w) + dim n(u) unknowns, and the basis is the RREF kernel
     basis of these equations (``linalg.sparse_kernel``)."""
-    if m.algebra is not n.algebra and m.algebra.basis != n.algebra.basis:
-        raise TiltbenchError("modules over different algebras")
+    require_same_algebra(m.algebra, n.algebra, "modules")
     offsets = {}
     total = 0
     for v in m.algebra.quiver.vertices:

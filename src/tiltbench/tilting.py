@@ -5,9 +5,9 @@ The central objects:
 
 * ``maximal_nu_stable``: the largest projective whose entire forward orbit
   under the Nakayama correspondence stays projective-injective;
-* ``verify_tilting``: self-orthogonality plus a determinant check on classes,
-  with generation either inherited from the construction or reported as a
-  necessary condition only;
+* ``verify_tilting(t)``: ``TiltingContext.tilting_report``, self-orthogonality
+  and a determinant check on classes, generation inherited from the
+  construction or necessary only; no verdict answers for a complex it rejects;
 * ``construct_tpq``: the two-sided approximation construction producing a
   tilting complex from a pair of stable projectives P, Q with Hom(P, Q) = 0,
   each side read off one ``approx.approximation_tower``;
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import BasicAlgebra, EndomorphismAlgebra
+from .algebra import BasicAlgebra, EndomorphismAlgebra, require_same_algebra
 from .approx import (
     approximation_tower,
     minimal_left_approximation_labeled,
@@ -215,47 +215,10 @@ def _self_shifts(t: ProjComplex) -> list:
     return sorted({e - d for d in degrees for e in degrees} - {0})
 
 
-def verify_tilting(
-    t: ProjComplex,
-    proved_by_construction: bool = False,
-    decomposition=None,
-    _self_hom=None,
-) -> TiltingReport:
-    """Self-orthogonality, class determinant and basic-ness of t.
-
-    ``decomposition`` is a ``decompose_complex(t)`` result to reuse (only
-    its summands are read; the per-copy maps were checked when it was
-    built), and ``_self_hom(n)`` returns the homotopy space t -> t[n];
-    ``TiltingContext`` passes both so that nothing it already holds is built
-    again."""
-    self_hom = _self_hom if _self_hom is not None else (lambda n: homotopy_hom(t, t, n))
-    val = t.validate()
-    if not val["d_squared_zero"]:
-        raise DSquaredNonzero("differentials do not square to zero")
-    if not val["is_radical"]:
-        raise NotRadical("complex has a unit differential component")
-    self_orth = {n: self_hom(n).dim for n in _self_shifts(t)}
-    self_ok = all(v == 0 for v in self_orth.values())
-    summands = (decomposition if decomposition is not None else decompose_complex(t))[0]
-    verts = list(t.algebra.quiver.vertices)
-    k0 = [_k0_class(s) for s, _ in summands]
-    square = len(k0) == len(verts)
-    unimodular = False
-    if square and k0:
-        # an integer matrix has determinant +-1 exactly when its inverse is integral
-        inv = Matrix(len(k0), len(verts), k0).inverse()
-        unimodular = inv is not None and all(type(x) is int for row in inv.data for x in row)
-    basic = all(mult == 1 for _, mult in summands)
-    return TiltingReport(
-        self_orthogonal=self_orth,
-        self_orthogonal_ok=self_ok,
-        k0_matrix=k0,
-        k0_unimodular=unimodular,
-        basic=basic,
-        summand_count=sum(mult for _, mult in summands),
-        generation_status="proved_by_construction" if proved_by_construction else "k0_necessary_only",
-        is_tilting_verdict=self_ok and unimodular and basic,
-    )
+def verify_tilting(t: ProjComplex) -> TiltingReport:
+    """Self-orthogonality, class determinant and basic-ness of t: the
+    ``tilting_report`` of a context over t's own algebra."""
+    return TiltingContext(t.algebra, t).tilting_report()
 
 
 def _k0_class(c: ProjComplex) -> list:
@@ -377,9 +340,10 @@ class EndData(
 
 
 class TiltingContext:
-    """Caches everything attached to one verified-tilting complex."""
+    """Owns the checks of one complex over its algebra, and caches their parts."""
 
     def __init__(self, a: BasicAlgebra, t: ProjComplex, *, proved_by_construction: bool = False):
+        require_same_algebra(t.algebra, a, "a complex and its context")
         self.algebra = a
         self.complex = t
         self.proved_by_construction = proved_by_construction
@@ -398,25 +362,45 @@ class TiltingContext:
         return self._nust
 
     def _self_hom(self, n: int) -> HomotopySpace:
-        """Homotopy classes t -> t[n], built once per shift and shared by
-        decomposition(), tilting_report() and end_data()."""
+        """Homotopy classes t -> t[n], built once per shift for tilting_report() and end_data()."""
         if n not in self._self_homs:
             self._self_homs[n] = homotopy_hom(self.complex, self.complex, n)
         return self._self_homs[n]
 
     def decomposition(self):
         if self._decomp is None:
-            self._decomp = decompose_complex(self.complex, _self_hom=self._self_hom)
+            self._decomp = decompose_complex(self.complex)
         return self._decomp
 
     def tilting_report(self) -> TiltingReport:
-        if self._tilting_report is None:
-            self._tilting_report = verify_tilting(
-                self.complex,
-                proved_by_construction=self.proved_by_construction,
-                decomposition=self.decomposition(),
-                _self_hom=self._self_hom,
-            )
+        """Self-orthogonality, class determinant and basic-ness of t."""
+        if self._tilting_report is not None:
+            return self._tilting_report
+        t = self.complex
+        val = t.validate()
+        if not val["d_squared_zero"]:
+            raise DSquaredNonzero("differentials do not square to zero")
+        if not val["is_radical"]:
+            raise NotRadical("complex has a unit differential component")
+        self_orth = {n: self._self_hom(n).dim for n in _self_shifts(t)}
+        self_ok = all(v == 0 for v in self_orth.values())
+        summands = self.decomposition()[0]
+        k0 = [_k0_class(s) for s, _ in summands]
+        square = len(k0) == len(self.algebra.quiver.vertices) > 0
+        inv = Matrix(len(k0), len(k0), k0).inverse() if square else None
+        # an integer matrix has determinant +-1 exactly when its inverse is integral
+        unimodular = inv is not None and all(type(x) is int for row in inv.data for x in row)
+        basic = all(mult == 1 for _, mult in summands)
+        self._tilting_report = TiltingReport(
+            self_orthogonal=self_orth,
+            self_orthogonal_ok=self_ok,
+            k0_matrix=k0,
+            k0_unimodular=unimodular,
+            basic=basic,
+            summand_count=sum(mult for _, mult in summands),
+            generation_status="proved_by_construction" if self.proved_by_construction else "k0_necessary_only",
+            is_tilting_verdict=self_ok and unimodular and basic,
+        )
         return self._tilting_report
 
     def end_data(self) -> EndData:
@@ -475,8 +459,7 @@ class TiltingContext:
     def f_homology(self, x: Representation, i: int) -> Representation:
         """Hom classes into the stalk of x shifted by i, as a module over the
         recovered quiver of the endomorphism algebra."""
-        if x.algebra is not self.algebra and x.algebra.basis != self.algebra.basis:
-            raise TiltbenchError("modules over different algebras")
+        require_same_algebra(x.algebra, self.algebra, "modules")
         end = self.end_data()
         pres, summands = end.presentation, end.copy_complexes
         components = self._arrow_components()
@@ -518,14 +501,19 @@ class TiltingContext:
 
     # verdicts ---------------------------------------------------------------
 
-    def check_iterated_nu_stable(self):
-        report = self.nust()
-        t = self.complex
-        if not t.is_radical():
+    def _require_tilting(self):
+        """NotTilting unless T is radical, self-orthogonal, and generating by
+        construction or by a unimodular K_0 matrix."""
+        if not self.complex.is_radical():
             raise NotRadical("criterion requires the radical form of the complex")
         tr = self.tilting_report()
         if not (tr.self_orthogonal_ok and (self.proved_by_construction or tr.k0_unimodular)):
             raise NotTilting("complex failed tilting verification")
+
+    def check_iterated_nu_stable(self):
+        self._require_tilting()
+        report = self.nust()
+        t = self.complex
         e_set = set(report.e_labels)
         off_labels = set()
         for d in t.degrees():
@@ -566,6 +554,7 @@ class TiltingContext:
         )
 
     def check_simple_images(self):
+        self._require_tilting()
         report = self.nust()
         e_set = set(report.e_labels)
         per_vertex = {}

@@ -195,10 +195,21 @@ def test_complex_certificate_compositions_grow_linearly(monkeypatch):
 
 def test_a_missing_copy_fails_the_certificate(monkeypatch):
     _, t = linear_a3_apr_complex()
-    # drop the stalk P(1): the projections then include no longer sum to id
+    # drop the stalk P(1): the projections then include no longer sum to id;
+    # t is radical, so the sum is compared with id on the nose
+    _tamper(monkeypatch, lambda pieces: [x for x in pieces if x[0].terms != {0: ["1"]}])
+    with pytest.raises(DecompositionError, match="the copies do not sum to the identity"):
+        decompose_complex(t)
+
+
+def test_a_missing_copy_after_a_cancellation_fails_up_to_homotopy(monkeypatch):
+    # T + cone(P(1) -> P(1)) is not radical: minimize cancels the cone, and
+    # the sum of the copies is checked up to homotopy
+    a, t = linear_a3_apr_complex()
+    cone = ProjComplex(a, {0: ["1"], 1: ["1"]}, {0: [[{a.idempotent_index["1"]: 1}]]})
     _tamper(monkeypatch, lambda pieces: [x for x in pieces if x[0].terms != {0: ["1"]}])
     with pytest.raises(DecompositionError, match="up to homotopy"):
-        decompose_complex(t)
+        decompose_complex(t.direct_sum(cone))
 
 
 def test_split_identity_and_zero_idempotent():

@@ -7,7 +7,9 @@ Python itself and are not checked.  Helpers that only tests call are listed
 in ``TEST_ONLY``, entry points that only the benchmark's tracer names
 (in strings, which are not references) in ``TRACER_ONLY``, and overrides
 that only the standard library calls in ``STDLIB_HOOKS``, each with the
-reason it stays.
+reason it stays.  Likewise every parameter with a default is passed by some
+call there, by keyword or by position, or starred; calls are matched by
+name, and the exceptions are listed in ``UNPASSED_DEFAULTS``.
 
 References are matched by name, except to a method whose name two or more
 package classes define: ``Matrix.inverse`` must not count as a caller of
@@ -40,6 +42,10 @@ TRACER_ONLY = {
     "Matrix.rref": "the tracer counts its calls and cells as linalg.rref; the package eliminates by the sparse routines",
     "FiniteDimAlgebra.left_matrix": "the tracer counts its calls; the package forms no left-multiplication matrix",
     "map_coordinates": "the tracer times it; the package reads hom-space coordinates from a Basis",
+}
+
+UNPASSED_DEFAULTS = {
+    "regular_stalk(degree)": "tests build the shifted regular stalk A[1]; the package uses A in degree 0 only",
 }
 
 STDLIB_HOOKS = {
@@ -314,3 +320,65 @@ def test_every_import_of_the_package_is_used():
         for line, name in _unused_imports(path)
     ]
     assert not unused, "imports that nothing in their module uses:\n" + "\n".join(unused)
+
+
+def _defaulted_parameters():
+    """(qualified name, name, parameter, position) of each parameter with a
+    default of a package function or method; position is the index a
+    positional argument takes at a call (None for a keyword-only one), not
+    counting the ``self`` or ``cls`` of a method.  ``__init__`` is called
+    through its class's name.  Other dunders are called by Python."""
+    for _, qualified, node in _definitions():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            if name != "__init__":
+                continue
+            name = qualified.split(".")[0]
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        first = len(positional) - len(args.defaults)
+        skip = 1 if "." in qualified and not static else 0
+        for k in range(first, len(positional)):
+            yield qualified, name, positional[k].arg, k - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, name, arg.arg, None
+
+
+def _passed_arguments():
+    """Called name -> (the keywords passed, the most positional arguments
+    passed, whether some call is starred), over the calls in the package,
+    the demos, the benchmark and the corpus scripts, matched by name."""
+    passed = {}
+    for directory in CALLER_DIRS:
+        for path in _python_files(directory):
+            for node in ast.walk(_parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None:
+                    continue
+                keywords, most, starred = passed.get(name, (set(), 0, False))
+                named = {k.arg for k in node.keywords}
+                starred = starred or None in named or any(isinstance(a, ast.Starred) for a in node.args)
+                passed[name] = (keywords | named, max(most, len(node.args)), starred)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    """A default that no call outside tests overrides is a parameter nothing
+    needs: each defaulted parameter of the package is passed, by keyword or
+    by position, by some call of a function or method of its name in the
+    package, demos, benchmark or corpus scripts, or is listed in
+    ``UNPASSED_DEFAULTS`` with the reason it stays."""
+    passed = _passed_arguments()
+    unpassed = set()
+    for qualified, name, parameter, position in _defaulted_parameters():
+        keywords, most, starred = passed.get(name, (set(), 0, False))
+        if not (starred or parameter in keywords or (position is not None and position < most)):
+            unpassed.add(f"{qualified}({parameter})")
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)

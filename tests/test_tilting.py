@@ -8,7 +8,7 @@ from kupisch import all_kupisch_series, nakayama_indecomposables, seeded_kupisch
 from module_maps import flatten_map, hom_from_projective_sum
 
 from tiltbench import complexes, corpus, presentation
-from tiltbench.complexes import HomotopySpace, ProjComplex, homotopy_hom, regular_stalk
+from tiltbench.complexes import HomotopySpace, ProjComplex, homotopy_hom, regular_stalk, stalk_complex
 from tiltbench.complex_decomp import complexes_isomorphic
 from tiltbench.errors import (
     DSquaredNonzero,
@@ -170,7 +170,7 @@ def test_construct_rejects_p_whose_nu_image_leaves_p():
     with pytest.raises(PreconditionFailed, match=r"nu P\(2\) = P\(4\) is not a summand of Q"):
         construct_tpq(a, [], ["2"], 1, 1)
     built = construct_tpq(a, ["1", "3"], [], 1, 1)
-    assert verify_tilting(built.complex, proved_by_construction=True).is_tilting_verdict
+    assert TiltingContext(a, built.complex, proved_by_construction=True).tilting_report().is_tilting_verdict
 
 
 def test_verify_tilting_fig1_T():
@@ -740,7 +740,9 @@ def test_a_gap_in_the_degrees_builds_a_space_only_at_their_differences(monkeypat
     """fig1's T plus P(1) at degree 10^4: Hom(T, T[n]) has a degree-0 map
     only when n is a difference of two degrees of T, so verify_tilting and
     end_data build at most |degrees|^2 homotopy spaces, not one per shift
-    between -10^4 - 1 and 10^4 + 1, and report only those shifts."""
+    between -10^4 - 1 and 10^4 + 1, and report only those shifts.  T is
+    radical, so its decomposition builds no space at shift 0, and end_data
+    stops at the first shift that is not self-orthogonal."""
     from tiltbench import tilting
 
     a = corpus.fig1_algebra()
@@ -763,7 +765,7 @@ def test_a_gap_in_the_degrees_builds_a_space_only_at_their_differences(monkeypat
     assert list(ctx.tilting_report().self_orthogonal) == shifts
     with pytest.raises(NotSelfOrthogonal):
         ctx.end_data()
-    assert sorted(calls) == sorted(shifts + [0]) and len(calls) <= len(t.degrees()) ** 2
+    assert sorted(calls) == shifts and len(calls) <= len(t.degrees()) ** 2
 
 
 def test_context_builds_no_space_for_stalk_components(monkeypatch):
@@ -786,6 +788,53 @@ def test_context_builds_no_space_for_stalk_components(monkeypatch):
     others = [x for x in builds if x is not t]
     assert len(builds) - len(others) == 5
     assert [{d: x.term(d) for d in x.degrees()} for x in others] == [{-1: ["1"], 0: ["2"], 1: ["3"]}]
+
+
+@pytest.mark.parametrize("case, shifts, spaces", [("fig1", [-1, 1], 3), ("sec5", [-2, -1, 1, 2], 5)])
+def test_verify_tilting_builds_no_space_at_shift_zero(monkeypatch, case, shifts, spaces):
+    # T -> T[n] at each nonzero difference n of T's degrees, and End of
+    # fig1's two-term summand or of sec5's P(1) -> P(2) -> P(3).  Both T
+    # are radical, so the decomposition's certificate needs no T -> T.
+    if case == "fig1":
+        t = corpus.fig1_tilting_complex(corpus.fig1_algebra())
+    else:
+        t = construct_tpq(corpus.sec5_algebra(), ["1"], ["3", "4"], 1, 1).complex
+    builds = []
+    init = HomotopySpace.__init__
+
+    def counted(self, x, y_shifted):
+        builds.append((x, min(t.terms) - min(y_shifted.terms)))  # t[n] starts n degrees lower
+        init(self, x, y_shifted)
+
+    monkeypatch.setattr(HomotopySpace, "__init__", counted)
+    assert verify_tilting(t).is_tilting_verdict
+    assert len(builds) == spaces
+    assert sorted(n for x, n in builds if x is t) == shifts
+
+
+@pytest.mark.parametrize("other", ["fig2", "sec5"])
+def test_a_context_refuses_a_complex_over_another_algebra(other):
+    t = corpus.fig1_tilting_complex(corpus.fig1_algebra())
+    a = getattr(corpus, f"{other}_algebra")()
+    with pytest.raises(TiltbenchError, match="different algebras"):
+        TiltingContext(a, t)
+    with pytest.raises(TiltbenchError, match="different algebras"):
+        end_algebra(a, t)
+    # an algebra built again on the same paths is the same algebra
+    again = corpus.fig1_algebra()
+    assert TiltingContext(again, t).check_iterated_nu_stable()["verdict"]
+
+
+@pytest.mark.parametrize("labels", [["1"], ["1", "2"], ["1", "3"]])
+def test_simple_images_refuse_a_complex_that_is_not_tilting(labels):
+    a = corpus.fig1_algebra()
+    stalk = stalk_complex(a, labels, 0)
+    assert not verify_tilting(stalk).is_tilting_verdict
+    ctx = TiltingContext(a, stalk)
+    with pytest.raises(NotTilting):
+        ctx.check_simple_images()
+    with pytest.raises(NotTilting):
+        ctx.check_iterated_nu_stable()
 
 
 def test_construct_computes_nu_stability_once(monkeypatch):
